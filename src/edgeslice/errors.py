@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Service-layer errors map onto wire status codes (see primitives.STATUS_OF);
-infrastructure errors never cross the wire.
+Service-layer errors map onto wire status codes (see worker._ERROR_STATUS,
+which matches subclasses too); infrastructure errors never cross the wire.
 """
 from __future__ import annotations
 

@@ -19,7 +19,7 @@ from .primitives import (
     encode_fieldline,
     encode_resource,
 )
-from .resources import ChangeEvent, ResourceKind, ResourceTree
+from .resources import ChangeEvent, ResourceTree
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,13 @@ def match_subscriptions(tree: ResourceTree, event: ChangeEvent) -> list[NotifyPr
         parent = tree.resolve(event.path.parent())
     except NotFoundError:
         return []
+    subs = [s for s in tree.subscriptions(parent.id) if s.id != event.resource.id]
+    if not subs:
+        return []
+    record = encode_resource(event.resource)  # one encoding shared by every notify
+    changed_path = str(event.path)
     notifies = []
-    for sub in tree.children(parent.id):
-        if sub.kind != ResourceKind.SUBSCRIPTION or sub.id == event.resource.id:
-            continue
+    for sub in subs:
         node, path = sub.notification_target  # type: ignore[misc]
         notifies.append(
             NotifyPrimitive(
@@ -89,8 +92,8 @@ def match_subscriptions(tree: ResourceTree, event: ChangeEvent) -> list[NotifyPr
                 target_node=node,
                 target_path=path,
                 change=event.change,
-                changed_path=str(event.path),
-                resource=encode_resource(event.resource),
+                changed_path=changed_path,
+                resource=record,
                 old_name=event.old_name,
             )
         )

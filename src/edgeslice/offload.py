@@ -60,6 +60,12 @@ class OffloadBundle:
     records: tuple[BundleRecord, ...]
 
     def encode(self) -> str:
+        """One header line, then one field line per record.
+
+        A record's content goes last as raw base64: its alphabet has no ``;``
+        and no ``%``, so ``decode_fieldline`` reads it back unchanged and
+        quoting it would only triple its size.
+        """
         lines = [
             encode_fieldline(
                 [
@@ -70,15 +76,17 @@ class OffloadBundle:
             )
         ]
         for rec in self.records:
-            pairs = [
-                ("pt", rec.source_path),
-                ("ty", str(rec.kind.value)),
-                ("nm", rec.name),
-                ("ct", repr(rec.creation_time)),
-            ]
+            line = encode_fieldline(
+                [
+                    ("pt", rec.source_path),
+                    ("ty", str(rec.kind.value)),
+                    ("nm", rec.name),
+                    ("ct", repr(rec.creation_time)),
+                ]
+            )
             if rec.content is not None:
-                pairs.append(("pc", base64.b64encode(rec.content).decode("ascii")))
-            lines.append(encode_fieldline(pairs))
+                line += ";pc=" + base64.b64encode(rec.content).decode("ascii")
+            lines.append(line)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -203,18 +211,18 @@ def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePat
             raise BadRequestError("bundle record outside the task root")
         dst = ResourcePath(edge_tree.cse_label, src.segments)
         try:
-            edge_tree.resolve(dst.parent())
+            # graft raises NotFoundError only when it cannot resolve the parent
+            edge_tree.graft(
+                dst.parent(),
+                rec.kind,
+                rec.name,
+                creation_time=rec.creation_time,
+                content=rec.content,
+            )
         except NotFoundError:
             raise BadRequestError(
                 f"malformed bundle ordering: parent of {rec.source_path} missing"
             ) from None
-        edge_tree.graft(
-            dst.parent(),
-            rec.kind,
-            rec.name,
-            creation_time=rec.creation_time,
-            content=rec.content,
-        )
     return root_target
 
 

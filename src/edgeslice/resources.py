@@ -8,7 +8,7 @@ mutations into notification primitives.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
 from urllib.parse import quote, unquote
@@ -75,7 +75,18 @@ class Resource:
     labels: list[str] = field(default_factory=list)
 
     def snapshot(self) -> "Resource":
-        return replace(self, labels=list(self.labels))
+        # built directly: dataclasses.replace costs several times more
+        return Resource(
+            id=self.id,
+            name=self.name,
+            kind=self.kind,
+            parent_id=self.parent_id,
+            creation_time=self.creation_time,
+            last_modified_time=self.last_modified_time,
+            content=self.content,
+            notification_target=self.notification_target,
+            labels=list(self.labels),
+        )
 
 
 @dataclass(frozen=True)
@@ -167,19 +178,43 @@ def _check_name(name: str) -> None:
         raise BadRequestError(f"{LATEST_SEGMENT!r} is reserved for latest-instance addressing")
 
 
+class _GuardBypass:
+    """Context manager suspending one tree's write guard while it is open."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree: "ResourceTree"):
+        self._tree = tree
+
+    def __enter__(self) -> None:
+        self._tree._guard_bypass += 1
+
+    def __exit__(self, *exc) -> bool:
+        self._tree._guard_bypass -= 1
+        return False
+
+
 class ResourceTree:
     """Single-writer resource tree rooted at one CseBase.
 
     Mutations emit ChangeEvents into an internal queue the owner drains; an
     optional ``guard`` callback can veto writes (used to enforce edge
     authority over offloaded mirrors).
+
+    Sibling lookups are indexed: each node keeps an insertion-ordered
+    ``{name: id}`` dict of its children, each parent the ids of its
+    subscriptions, and each container a pointer to its latest content
+    instance. Name resolution, ``/la`` and subscription matching therefore
+    cost the same however many siblings a container holds.
     """
 
     def __init__(self, cse_label: str, clock: Callable[[], float] | None = None):
         self.cse_label = cse_label
         self._clock = clock or (lambda: 0.0)
         self._nodes: dict[str, Resource] = {}
-        self._children: dict[str, list[str]] = {}
+        self._children: dict[str, dict[str, str]] = {}
+        self._subscriptions: dict[str, list[str]] = {}
+        self._latest: dict[str, str] = {}
         self._counters: dict[ResourceKind, int] = {k: 0 for k in ResourceKind}
         self._event_seq = 0
         self._events: list[ChangeEvent] = []
@@ -196,7 +231,7 @@ class ResourceTree:
             creation_time=now,
             last_modified_time=now,
         )
-        self._children[root_id] = []
+        self._children[root_id] = {}
 
     # --- identity and lookup ---
 
@@ -224,22 +259,23 @@ class ResourceTree:
         return list(self._nodes)
 
     def children(self, resource_id: str) -> list[Resource]:
-        return [self._nodes[c] for c in self._children.get(resource_id, [])]
+        return [self._nodes[c] for c in self._children.get(resource_id, {}).values()]
+
+    def subscriptions(self, resource_id: str) -> list[Resource]:
+        """Subscription children of a resource, in creation order."""
+        return [self._nodes[s] for s in self._subscriptions.get(resource_id, ())]
 
     def resolve(self, path: ResourcePath) -> Resource:
         """Resolve a path to its resource, honouring the virtual /la suffix."""
         if path.cse_label != self.cse_label:
             raise NotFoundError(f"unknown cse label {path.cse_label!r} (tree is {self.cse_label!r})")
-        node = self.root
+        node_id = self._root_id
+        children = self._children
         for seg in path.segments:
-            nxt = None
-            for child_id in self._children[node.id]:
-                if self._nodes[child_id].name == seg:
-                    nxt = self._nodes[child_id]
-                    break
-            if nxt is None:
+            node_id = children[node_id].get(seg)
+            if node_id is None:
                 raise NotFoundError(f"no resource at {path}")
-            node = nxt
+        node = self._nodes[node_id]
         if path.latest:
             node = self.latest_instance(node)
         return node
@@ -251,15 +287,10 @@ class ResourceTree:
         """
         if container.kind != ResourceKind.CONTAINER:
             raise BadRequestError("latest-instance lookup requires a container")
-        best: Resource | None = None
-        for child in self.children(container.id):
-            if child.kind != ResourceKind.CONTENT_INSTANCE:
-                continue
-            if best is None or child.creation_time >= best.creation_time:
-                best = child
-        if best is None:
+        latest_id = self._latest.get(container.id)
+        if latest_id is None:
             raise NotFoundError(f"container {container.name!r} has no content instances")
-        return best
+        return self._nodes[latest_id]
 
     def path_of(self, resource: Resource | str) -> ResourcePath:
         node = self.get(resource) if isinstance(resource, str) else resource
@@ -275,7 +306,7 @@ class ResourceTree:
         while stack:
             node_id = stack.pop()
             yield self._nodes[node_id]
-            stack.extend(reversed(self._children[node_id]))
+            stack.extend(reversed(self._children[node_id].values()))
 
     # --- mutation ---
 
@@ -283,19 +314,9 @@ class ResourceTree:
         if self.guard is not None and self._guard_bypass == 0:
             self.guard(path, op)
 
-    def unguarded(self):
+    def unguarded(self) -> _GuardBypass:
         """Context manager suspending the write guard (sync-engine writes)."""
-        tree = self
-
-        class _Bypass:
-            def __enter__(self):
-                tree._guard_bypass += 1
-
-            def __exit__(self, *exc):
-                tree._guard_bypass -= 1
-                return False
-
-        return _Bypass()
+        return _GuardBypass(self)
 
     def _emit(self, change: str, path: ResourcePath, resource: Resource,
               old_name: str | None = None) -> ChangeEvent:
@@ -320,11 +341,45 @@ class ResourceTree:
             raise BadRequestError(
                 f"{kind.name} may not be created under {parent.kind.name}"
             )
-        for sibling in self.children(parent.id):
-            if sibling.name == name:
-                raise BadRequestError(
-                    f"sibling name {name!r} already exists under {parent.name!r}"
-                )
+        if name in self._children[parent.id]:
+            raise BadRequestError(
+                f"sibling name {name!r} already exists under {parent.name!r}"
+            )
+
+    def _attach(self, node: Resource) -> None:
+        """Insert a non-root node as the last child of its parent, updating
+        the parent's subscription list and latest-instance pointer."""
+        parent_id: str = node.parent_id  # type: ignore[assignment]
+        self._nodes[node.id] = node
+        self._children[node.id] = {}
+        self._children[parent_id][node.name] = node.id
+        if node.kind is ResourceKind.SUBSCRIPTION:
+            self._subscriptions.setdefault(parent_id, []).append(node.id)
+        elif node.kind is ResourceKind.CONTENT_INSTANCE:
+            latest_id = self._latest.get(parent_id)
+            if latest_id is None or node.creation_time >= self._nodes[latest_id].creation_time:
+                self._latest[parent_id] = node.id
+
+    def _detach(self, node: Resource) -> None:
+        """Remove a non-root node from its parent's indexes. The latest-
+        instance pointer is rescanned only when it pointed at this node."""
+        parent_id: str = node.parent_id  # type: ignore[assignment]
+        siblings = self._children[parent_id]
+        del siblings[node.name]
+        if node.kind is ResourceKind.SUBSCRIPTION:
+            self._subscriptions[parent_id].remove(node.id)
+        elif self._latest.get(parent_id) == node.id:
+            best: Resource | None = None
+            for child_id in siblings.values():
+                child = self._nodes[child_id]
+                if child.kind is ResourceKind.CONTENT_INSTANCE and (
+                    best is None or child.creation_time >= best.creation_time
+                ):
+                    best = child
+            if best is None:
+                del self._latest[parent_id]
+            else:
+                self._latest[parent_id] = best.id
 
     def create(
         self,
@@ -352,7 +407,7 @@ class ResourceTree:
             raise BadRequestError("only subscriptions carry a notification target")
         if kind == ResourceKind.SUBSCRIPTION and notification_target is None:
             raise BadRequestError("subscription requires a notification target")
-        new_path = self.path_of(parent).child(name)
+        new_path = parent_path.child(name)  # parent_path resolved, so it is canonical
         self._check_guard(new_path, "create")
         now = self._clock()
         node = Resource(
@@ -366,9 +421,7 @@ class ResourceTree:
             notification_target=notification_target,
             labels=list(labels or []),
         )
-        self._nodes[node.id] = node
-        self._children[node.id] = []
-        self._children[parent.id].append(node.id)
+        self._attach(node)
         parent.last_modified_time = now
         self._emit("created", new_path, node)
         return new_path
@@ -405,11 +458,9 @@ class ResourceTree:
             notification_target=notification_target,
             labels=list(labels or []),
         )
-        self._nodes[node.id] = node
-        self._children[node.id] = []
-        self._children[parent.id].append(node.id)
+        self._attach(node)
         parent.last_modified_time = now
-        path = self.path_of(node)
+        path = parent_path.child(name)
         if emit_event:
             self._emit("created", path, node)
         return path
@@ -441,9 +492,14 @@ class ResourceTree:
             parent = self._nodes[node.parent_id] if node.parent_id else None
             if parent is None:
                 raise BadRequestError("the root cannot be renamed")
-            for sibling in self.children(parent.id):
-                if sibling.id != node.id and sibling.name == name:
-                    raise BadRequestError(f"sibling name {name!r} already exists")
+            siblings = self._children[parent.id]
+            if name in siblings:
+                raise BadRequestError(f"sibling name {name!r} already exists")
+            # rebuilt rather than popped and re-added, so the child keeps its place
+            self._children[parent.id] = {
+                (name if child_id == node.id else child_name): child_id
+                for child_name, child_id in siblings.items()
+            }
             old_name = node.name
             node.name = name
         if labels is not None:
@@ -464,10 +520,12 @@ class ResourceTree:
         doomed = [r.id for r in self.walk(node.id)]
         snapshot = node.snapshot()
         parent = self._nodes[node.parent_id]  # type: ignore[index]
-        self._children[parent.id].remove(node.id)
+        self._detach(node)
         for rid in doomed:
             del self._nodes[rid]
             del self._children[rid]
+            self._subscriptions.pop(rid, None)
+            self._latest.pop(rid, None)
         parent.last_modified_time = self._clock()
         self._emit("deleted", full_path, snapshot)
         return len(doomed)
@@ -505,6 +563,8 @@ class ResourceTree:
         tree._clock = clock or (lambda: 0.0)
         tree._nodes = {}
         tree._children = {}
+        tree._subscriptions = {}
+        tree._latest = {}
         tree._counters = {k: 0 for k in ResourceKind}
         for part in header["ctr"].split(","):
             prefix, _, value = part.partition(":")
@@ -528,12 +588,12 @@ class ResourceTree:
                 notification_target=_parse_target(rec["nt"]) if "nt" in rec else None,
                 labels=[unquote(x) for x in rec["lb"].split(",")] if "lb" in rec else [],
             )
-            tree._nodes[node.id] = node
-            tree._children[node.id] = []
             if node.parent_id is None:
+                tree._nodes[node.id] = node
+                tree._children[node.id] = {}
                 tree._root_id = node.id
             else:
-                tree._children[node.parent_id].append(node.id)
+                tree._attach(node)  # preorder: every parent precedes its children
         return tree
 
 

@@ -16,6 +16,7 @@ from .images import ImageCatalogue, default_catalogue
 from .netsim import Link, Node, NodeRole, Topology
 from .offload import SyncMode
 from .primitives import Operation
+from .resources import ResourcePath
 from .slicing import FunctionKind, LatencyClass, SliceProfile, function_from_name
 from .worker import ResourceQuota
 
@@ -102,10 +103,14 @@ class ScenarioConfig:
             raise ConfigInvalidError("tasks reference a different service id")
         if not self.workload_target.startswith("IN-CSE/"):
             raise ConfigInvalidError("workload target must be a cloud (IN-CSE) path")
-        if self.tasks and not any(
-            self.workload_target.startswith(t.root) for t in self.tasks
-        ):
-            raise ConfigInvalidError("workload target must live inside an offloaded task")
+        if self.tasks:
+            try:
+                target = ResourcePath.parse(self.workload_target)
+                roots = [ResourcePath.parse(t.root) for t in self.tasks]
+            except BadRequestError as exc:
+                raise ConfigInvalidError(f"bad resource path: {exc}") from exc
+            if not any(root.is_prefix_of(target) for root in roots):
+                raise ConfigInvalidError("workload target must live inside an offloaded task")
         return self
 
 

@@ -239,9 +239,9 @@ class EdgeWorker:
         try:
             response = self._execute(req)
         except tuple(_ERROR_STATUS) as exc:
-            response = ResponsePrimitive(
-                req.request_id, _ERROR_STATUS[type(exc)], str(exc).encode()
-            )
+            # by isinstance, so that subclasses map to their base's status
+            status = next(s for t, s in _ERROR_STATUS.items() if isinstance(exc, t))
+            response = ResponsePrimitive(req.request_id, status, str(exc).encode())
         events = self.tree.drain_events()
         self._log(
             "dispatch",

@@ -5,6 +5,7 @@ failure) and asserts its runtime budget. Oracles are independent of the code
 paths they check: set difference, structural recursion, schedule replay,
 brute-force scans.
 """
+import os
 import random
 import statistics
 import time
@@ -43,7 +44,11 @@ from util import (
     structural_shape,
 )
 
-SCENARIO_FILE = "scenarios/reference_calibrated.yaml"
+SCENARIO_FILE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "scenarios",
+    "reference_calibrated.yaml",
+)
 
 
 @contextmanager

@@ -196,6 +196,41 @@ class TestRetrieve:
             assert tree.latest_instance(container).id == oracle.id
 
 
+    def test_deleting_latest_falls_back_to_previous(self, clock):
+        tree = make_location_tree(clock)
+        la = ResourcePath.parse("MN-CSE/Pedestrians/CitizenB/location/la")
+        for name in ["old", "tied", "mid", "new"]:
+            if name != "tied":
+                clock.advance(1.0)
+            tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, name, content=b"v")
+        tree.delete(location_path().child("mid"))  # not the latest: pointer stays
+        assert tree.resolve(la).name == "new"
+        tree.delete(location_path().child("new"))
+        assert tree.resolve(la).name == "tied"  # ties with "old"; the later insertion wins
+        tree.delete(location_path().child("tied"))
+        assert tree.resolve(la).name == "old"
+        tree.delete(location_path().child("old"))
+        with pytest.raises(NotFoundError):
+            tree.resolve(la)
+
+    def test_older_graft_does_not_replace_latest(self, clock):
+        tree = make_location_tree(clock)
+        la = ResourcePath.parse("MN-CSE/Pedestrians/CitizenB/location/la")
+        clock.advance(5.0)
+        live = tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, "live", content=b"v")
+        assert tree.resolve(live).creation_time == 7.0
+        clock.advance(1.0)
+        tree.graft(location_path(), ResourceKind.CONTENT_INSTANCE, "replayed",
+                   creation_time=1.0, content=b"r")
+        assert tree.resolve(la).name == "live"
+        # an equal creation time is a tie, which the later insertion wins
+        tree.graft(location_path(), ResourceKind.CONTENT_INSTANCE, "tied",
+                   creation_time=7.0, content=b"t")
+        assert tree.resolve(la).name == "tied"
+        container = tree.resolve(location_path())
+        assert tree.latest_instance(container).id == brute_force_latest(tree, container).id
+
+
 class TestUpdate:
     def test_update_labels(self, clock):
         tree = ResourceTree("MN-CSE", clock)
@@ -232,6 +267,23 @@ class TestUpdate:
         renamed = tree.update(path_b, name="c")
         assert renamed.name == "c"
         assert tree.resolve(ResourcePath.parse("MN-CSE/c")).id == renamed.id
+
+    def test_rename_keeps_position_in_walk_and_serialize(self, clock):
+        tree = ResourceTree("MN-CSE", clock)
+        root = ResourcePath("MN-CSE")
+        for name in ["a", "b", "c"]:
+            tree.create(root, ResourceKind.AE, name)
+        ids_before = [n.id for n in tree.walk()]
+        tree.update(root.child("b"), name="z")
+        assert [n.id for n in tree.walk()] == ids_before
+        assert [n.name for n in tree.walk()] == ["MN-CSE", "a", "z", "c"]
+        records = tree.serialize().splitlines()[1:]
+        assert [r.split(";")[0] for r in records] == [f"id={i}" for i in ids_before]
+        assert ";nm=z;" in records[2]
+        with pytest.raises(NotFoundError):
+            tree.resolve(root.child("b"))
+        assert tree.resolve(root.child("z")).id == ids_before[2]
+
 
     def test_kind_change_rejected(self, clock):
         tree = ResourceTree("MN-CSE", clock)
@@ -380,6 +432,35 @@ class TestSerialization:
         assert restored.resolve(p).id == "ci_0001"
 
 
+    def test_round_trip_answers_latest_and_matching_alike(self, clock):
+        tree = make_location_tree(clock)
+        cars = tree.create(ResourcePath("MN-CSE"), ResourceKind.CONTAINER, "Cars")
+        for parent in (location_path(), cars):
+            tree.create(parent, ResourceKind.SUBSCRIPTION, "w1",
+                        notification_target=("app", "APP/one"))
+            clock.advance(2.0)
+            tree.create(parent, ResourceKind.CONTENT_INSTANCE, "late", content=b"2")
+            tree.graft(parent, ResourceKind.CONTENT_INSTANCE, "early",
+                       creation_time=0.5, content=b"1")
+            tree.create(parent, ResourceKind.SUBSCRIPTION, "w2",
+                        notification_target=("app", "APP/two"))
+        tree.delete(cars.child("w1"))
+        tree.drain_events()
+        restored = ResourceTree.deserialize(tree.serialize(), clock)
+        for parent in (location_path(), cars):
+            latest = ResourcePath(parent.cse_label, parent.segments, latest=True)
+            assert restored.resolve(latest).id == tree.resolve(latest).id
+            assert [s.id for s in restored.subscriptions(restored.resolve(parent).id)] == [
+                s.id for s in tree.subscriptions(tree.resolve(parent).id)
+            ]
+            notifies = []
+            for t in (tree, restored):
+                t.create(parent, ResourceKind.CONTENT_INSTANCE, "probe", content=b"p")
+                notifies.append(match_subscriptions(t, t.drain_events()[-1]))
+            assert notifies[0] == notifies[1]
+            assert len(notifies[0]) == (2 if parent == location_path() else 1)
+
+
 class TestGuard:
     def test_guard_blocks_and_bypass_allows(self, clock):
         tree = make_location_tree(clock)
@@ -412,3 +493,4 @@ class TestRandomWorkload:
         RandomTreeWorkload(tree, clock, rng).run(300)
         again = ResourceTree.deserialize(tree.serialize())
         assert trees_equal(tree, again)
+        check_tree_invariants(again)

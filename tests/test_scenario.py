@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from edgeslice.errors import ConfigInvalidError
@@ -10,6 +12,10 @@ from edgeslice.scenario import (
     parse_scenario,
 )
 from edgeslice.slicing import FunctionKind, LatencyClass
+
+SCENARIO_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios"
+)
 
 MINIMAL = """
 scenario: {name: tiny, seed: 1, requests: 5}
@@ -47,8 +53,14 @@ def test_packaged_calibration_loads():
 
 
 def test_repo_scenario_file_matches_packaged_calibration():
-    with open("scenarios/reference_calibrated.yaml", encoding="utf-8") as fh:
+    with open(os.path.join(SCENARIO_DIR, "reference_calibrated.yaml"), encoding="utf-8") as fh:
         assert fh.read() == calibrated_text()
+
+
+@pytest.mark.parametrize("name", ["reference_calibrated.yaml", "jittery_campus.yaml"])
+def test_shipped_scenarios_load(name):
+    cfg = load_scenario(os.path.join(SCENARIO_DIR, name))
+    assert cfg.tasks and cfg.workload_target.startswith(cfg.tasks[0].root + "/")
 
 
 def test_minimal_scenario_parses():
@@ -91,6 +103,8 @@ def test_topology_override():
         ("functions: [retrieve, data_management]", "functions: []"),
         ("target: IN-CSE/Things/Box/values", "target: MN-CSE/Things/Box/values"),
         ("target: IN-CSE/Things/Box/values", "target: IN-CSE/Elsewhere/values"),
+        # a sibling whose name merely extends the task root's last segment
+        ("target: IN-CSE/Things/Box/values", "target: IN-CSE/Things/BoxB/values"),
         ("- {a: d, b: e, delay_ms: 1.0}", "- {a: d, b: e, delay_ms: -1.0}"),
     ],
 )

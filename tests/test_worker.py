@@ -4,7 +4,9 @@ import pytest
 
 from edgeslice.errors import (
     AlreadyRunningError,
+    BadRequestError,
     ImageNotCachedError,
+    NotFoundError,
     NotRunningError,
     WorkerQuotaExceededError,
 )
@@ -217,6 +219,29 @@ class TestDispatchGating:
             )
         )
         assert resp.status is StatusCode.BAD_REQUEST
+
+    def test_error_subclasses_map_to_their_base_status(self, monkeypatch):
+        class StaleNotFoundError(NotFoundError):
+            pass
+
+        class EmptyPayloadError(BadRequestError):
+            pass
+
+        worker, _ = make_worker(
+            functions=[FunctionKind.RETRIEVE, FunctionKind.DATA_MANAGEMENT]
+        )
+        for error, rsc in [(StaleNotFoundError, 4004), (EmptyPayloadError, 4000)]:
+            def resolve(path, error=error):
+                raise error("raised by the tree")
+
+            monkeypatch.setattr(worker.tree, "resolve", resolve)
+            resp, _, _ = worker.dispatch(
+                RequestPrimitive(
+                    Operation.RETRIEVE, "MN-CSE/Pedestrians/CitizenB/location", "d", "r1"
+                )
+            )
+            assert int(resp.status) == rsc
+            assert resp.content == b"raised by the tree"
 
 
 class TestCrashRespawn:

@@ -108,6 +108,9 @@ class RandomTreeWorkload:
 
     def _update(self) -> None:
         node = self._random_node()
+        if self.rng.random() < 0.3:
+            self.tree.update(self.tree.path_of(node), name=self.rng.choice(NAME_POOL))
+            return
         self.tree.update(
             self.tree.path_of(node),
             labels=[self.rng.choice(["x", "y", "z"])],
@@ -127,13 +130,40 @@ class RandomTreeWorkload:
 
 
 def check_tree_invariants(tree: ResourceTree) -> None:
-    """Assert structural invariants by direct inspection."""
-    roots = [n for n in tree.walk() if n.parent_id is None]
+    """Assert structural invariants by direct inspection.
+
+    Name lookup and subscription lists are checked against a scan of
+    ``walk()`` by ``parent_id``; latest-instance pointers against
+    ``brute_force_latest``.
+    """
+    nodes = list(tree.walk())
+    assert len(nodes) == len(tree), "walk() must reach every resource"
+    roots = [n for n in nodes if n.parent_id is None]
     assert len(roots) == 1 and roots[0].kind is ResourceKind.CSE_BASE
-    for node in tree.walk():
+    scanned: dict[str, list[Resource]] = {}
+    for node in nodes:
+        if node.parent_id is not None:
+            scanned.setdefault(node.parent_id, []).append(node)
+    for node in nodes:
         children = tree.children(node.id)
+        by_scan = scanned.get(node.id, [])
+        assert [c.id for c in children] == [c.id for c in by_scan]
+        assert [s.id for s in tree.subscriptions(node.id)] == [
+            c.id for c in children if c.kind is ResourceKind.SUBSCRIPTION
+        ]
         names = [c.name for c in children]
         assert len(names) == len(set(names)), f"duplicate sibling names under {node.name}"
+        if node.kind in (ResourceKind.CSE_BASE, ResourceKind.AE, ResourceKind.CONTAINER):
+            path = tree.path_of(node)
+            for child in by_scan:
+                assert tree.resolve(path.child(child.name)).id == child.id
+            for name in set(NAME_POOL) - set(names):
+                try:
+                    tree.resolve(path.child(name))
+                except NotFoundError:
+                    pass
+                else:
+                    raise AssertionError(f"{name!r} resolves under {path} but is no child")
         for child in children:
             assert legal_child_oracle(node.kind, child.kind), (
                 f"illegal edge {node.kind} -> {child.kind}"
