@@ -52,8 +52,7 @@ print("decision:", plan.decision.value)
 print("missing:", sorted(f.name for f in plan.missing_functions))
 
 instance, elapsed = orchestrator.instantiate_slice(
-    plan, "gateway", worker=worker, clock=clock, pull_bandwidth_bytes_per_s=100 * MB,
-    service_id=profile.service_id,
+    plan, "gateway", worker=worker, clock=clock, pull_bandwidth_bytes_per_s=100 * MB
 )
 orchestrator.record_slice_functions(plan.target_slice, plan.missing_functions)
 print(f"instantiated in {elapsed:.0f} ms of virtual time (3 container starts)")

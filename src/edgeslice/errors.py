@@ -24,10 +24,6 @@ class ConflictError(EdgeSliceError):
     pass
 
 
-class FunctionNotEnabledError(EdgeSliceError):
-    pass
-
-
 # --- function lifecycle / registry errors ---
 
 class ImageNotFoundError(EdgeSliceError):
@@ -82,3 +78,7 @@ class NoRouteError(EdgeSliceError):
 
 class ConfigInvalidError(EdgeSliceError):
     pass
+
+
+class SimulationLimitError(EdgeSliceError):
+    """A run executed more events than its cap allows."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .errors import ConfigInvalidError, NoRouteError
+from .errors import ConfigInvalidError, NoRouteError, SimulationLimitError
 
 
 class NodeRole(Enum):
@@ -176,7 +176,7 @@ class Simulator:
             if event.cancelled:
                 continue
             if executed >= max_events:
-                raise RuntimeError(f"simulation exceeded {max_events} events")
+                raise SimulationLimitError(f"simulation exceeded {max_events} events")
             assert event.fire_at >= self.now
             self.now = event.fire_at
             event.action()

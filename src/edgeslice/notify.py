@@ -9,16 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NotFoundError
-from .primitives import (
-    Operation,
-    RequestPrimitive,
-    ResourceView,
-    decode_fieldline,
-    decode_resource,
-    encode_fieldline,
-    encode_resource,
-)
+from .codec import decode_body, encode_fieldline, encode_resource
+from .errors import BadRequestError, NotFoundError
+from .primitives import Operation, RequestPrimitive, ResourceView, decode_resource
 from .resources import ChangeEvent, ResourceTree
 
 
@@ -55,7 +48,9 @@ class NotifyPrimitive:
 
 def parse_notify(req: RequestPrimitive) -> NotifyPrimitive:
     head, _, record = (req.content or b"").partition(b"\n")
-    meta = decode_fieldline(head.decode("ascii"))
+    meta = decode_body(head)
+    if "ev" not in meta or "pt" not in meta:
+        raise BadRequestError("notification lacks its change or path")
     return NotifyPrimitive(
         request_id=req.request_id,
         target_node=req.originator,  # informational only on the receive side

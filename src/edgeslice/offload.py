@@ -10,11 +10,11 @@ for an offloaded subtree for the binding's whole lifetime.
 """
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
 
+from .codec import decode_b64, decode_fieldline, encode_b64, encode_fieldline
 from .errors import (
     AlreadyBoundError,
     AlreadyOffloadedError,
@@ -24,7 +24,6 @@ from .errors import (
     UnknownBindingError,
 )
 from .notify import NotifyPrimitive, match_subscriptions
-from .primitives import decode_fieldline, encode_fieldline
 from .resources import ChangeEvent, Resource, ResourceKind, ResourcePath, ResourceTree
 
 SYNC_SUB_NAME = "sync"
@@ -64,7 +63,7 @@ class OffloadBundle:
 
         A record's content goes last as raw base64: its alphabet has no ``;``
         and no ``%``, so ``decode_fieldline`` reads it back unchanged and
-        quoting it would only triple its size.
+        quoting it would only add to its size.
         """
         lines = [
             encode_fieldline(
@@ -85,7 +84,7 @@ class OffloadBundle:
                 ]
             )
             if rec.content is not None:
-                line += ";pc=" + base64.b64encode(rec.content).decode("ascii")
+                line += ";pc=" + encode_b64(rec.content)
             lines.append(line)
         return "\n".join(lines) + "\n"
 
@@ -94,21 +93,25 @@ class OffloadBundle:
         lines = [ln for ln in text.split("\n") if ln]
         if not lines:
             raise BadRequestError("empty bundle")
-        header = decode_fieldline(lines[0])
-        records = []
-        for line in lines[1:]:
-            rec = decode_fieldline(line)
-            records.append(
-                BundleRecord(
-                    source_path=rec["pt"],
-                    kind=ResourceKind(int(rec["ty"])),
-                    name=rec["nm"],
-                    creation_time=float(rec["ct"]),
-                    content=base64.b64decode(rec["pc"]) if "pc" in rec else None,
+        try:
+            header = decode_fieldline(lines[0])
+            records = []
+            for line in lines[1:]:
+                rec = decode_fieldline(line)
+                records.append(
+                    BundleRecord(
+                        source_path=rec["pt"],
+                        kind=ResourceKind(int(rec["ty"])),
+                        name=rec["nm"],
+                        creation_time=float(rec["ct"]),
+                        content=decode_b64(rec["pc"]) if "pc" in rec else None,
+                    )
                 )
-            )
-        bundle = cls(header["tid"], float(header["at"]), tuple(records))
-        if len(records) != int(header["n"]):
+            bundle = cls(header["tid"], float(header["at"]), tuple(records))
+            count = int(header["n"])
+        except (KeyError, ValueError) as exc:
+            raise BadRequestError(f"malformed bundle: {exc!r}") from None
+        if len(records) != count:
             raise BadRequestError("bundle record count mismatch")
         return bundle
 

@@ -138,15 +138,12 @@ class SliceOrchestrator:
             self.registry[slice_id] = instance
         return instance
 
-    def mark_active(
-        self, slice_id: str, service_id: str, started: dict[FunctionKind, int]
-    ) -> SliceInstance:
+    def mark_active(self, slice_id: str, started: dict[FunctionKind, int]) -> SliceInstance:
         instance = self.registry.get(slice_id)
         if instance is None:
             raise UnknownSliceError(slice_id)
         instance.running_functions.update(started)
         instance.state = SliceState.ACTIVE
-        instance.served_services.add(service_id)
         return instance
 
     def instantiate_slice(
@@ -157,7 +154,6 @@ class SliceOrchestrator:
         worker: EdgeWorker,
         clock: ManualClock,
         pull_bandwidth_bytes_per_s: float,
-        service_id: str = "",
         quota: ResourceQuota | None = None,
     ) -> tuple[SliceInstance, float]:
         """Direct-mode instantiation: pulls and starts run back to back.
@@ -195,7 +191,7 @@ class SliceOrchestrator:
             if fresh:
                 del self.registry[plan.target_slice]
             raise
-        self.mark_active(plan.target_slice, service_id, started)
+        self.mark_active(plan.target_slice, started)
         return instance, clock() - began
 
     def record_slice_functions(

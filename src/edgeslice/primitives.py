@@ -1,18 +1,29 @@
-"""Wire-level operation envelopes and their textual codec.
+"""Wire-level operation envelopes; quoting and payload tags come from ``codec``.
 
 Every message between devices, edge workers and the cloud is one request or
 response primitive encoded as newline-separated ``key=value`` lines in a
-fixed field order, so equal primitives always encode to equal bytes.
+fixed field order, so equal primitives always encode to equal bytes. The
+codec's field-line and resource encoders are re-exported here.
 """
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 from enum import IntEnum
-from urllib.parse import quote, unquote
+from urllib.parse import unquote
 
+from .codec import (
+    decode_b64,
+    decode_fieldline,
+    decode_labels,
+    decode_payload,
+    decode_target,
+    encode_fieldline,
+    encode_payload,
+    encode_resource,
+    quote,
+)
 from .errors import BadRequestError
-from .resources import Resource, ResourceKind, ResourcePath, ResourceTree
+from .resources import ResourceKind
 
 
 class Operation(IntEnum):
@@ -58,14 +69,14 @@ class RequestPrimitive:
     def encode(self) -> bytes:
         lines = [
             f"op={int(self.operation)}",
-            f"to={quote(self.to, safe='/-')}",
-            f"fr={quote(self.originator, safe='')}",
-            f"rqi={quote(self.request_id, safe='')}",
+            f"to={quote(self.to, '/-')}",
+            f"fr={quote(self.originator)}",
+            f"rqi={quote(self.request_id)}",
         ]
         if self.resource_kind is not None:
             lines.append(f"ty={self.resource_kind.value}")
         if self.content is not None:
-            lines.append(f"pc={_encode_payload(self.content)}")
+            lines.append(f"pc={encode_payload(self.content)}")
         return "\n".join(lines).encode("ascii")
 
 
@@ -81,37 +92,21 @@ class ResponsePrimitive:
 
     def encode(self) -> bytes:
         lines = [
-            f"rqi={quote(self.request_id, safe='')}",
+            f"rqi={quote(self.request_id)}",
             f"rsc={int(self.status)}",
         ]
         if self.content is not None:
-            lines.append(f"pc={_encode_payload(self.content)}")
+            lines.append(f"pc={encode_payload(self.content)}")
         return "\n".join(lines).encode("ascii")
-
-
-def _encode_payload(data: bytes) -> str:
-    """Self-describing content encoding: plain text when safe, else base64."""
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError:
-        text = None
-    if text is not None and text.isprintable() and "\n" not in text:
-        return "t:" + quote(text, safe="/-:,|")
-    return "b:" + base64.b64encode(data).decode("ascii")
-
-
-def _decode_payload(value: str) -> bytes:
-    tag, _, body = value.partition(":")
-    if tag == "t":
-        return unquote(body).encode("utf-8")
-    if tag == "b":
-        return base64.b64decode(body)
-    raise BadRequestError(f"unknown payload tag {tag!r}")
 
 
 def _parse_lines(data: bytes) -> dict[str, str]:
     out: dict[str, str] = {}
-    for line in data.decode("ascii").split("\n"):
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        raise BadRequestError("envelope is not ASCII") from None
+    for line in text.split("\n"):
         if not line:
             continue
         key, sep, value = line.partition("=")
@@ -130,7 +125,7 @@ def decode_request(data: bytes) -> RequestPrimitive:
             originator=unquote(fields["fr"]),
             request_id=unquote(fields["rqi"]),
             resource_kind=ResourceKind(int(fields["ty"])) if "ty" in fields else None,
-            content=_decode_payload(fields["pc"]) if "pc" in fields else None,
+            content=decode_payload(fields["pc"]) if "pc" in fields else None,
         )
     except (KeyError, ValueError) as exc:
         raise BadRequestError(f"malformed request envelope: {exc}") from exc
@@ -142,7 +137,7 @@ def decode_response(data: bytes) -> ResponsePrimitive:
         return ResponsePrimitive(
             request_id=unquote(fields["rqi"]),
             status=StatusCode(int(fields["rsc"])),
-            content=_decode_payload(fields["pc"]) if "pc" in fields else None,
+            content=decode_payload(fields["pc"]) if "pc" in fields else None,
         )
     except (KeyError, ValueError) as exc:
         raise BadRequestError(f"malformed response envelope: {exc}") from exc
@@ -153,42 +148,6 @@ def is_response(data: bytes) -> bool:
 
 
 # --- resource representations carried in pc ---
-
-def encode_fieldline(pairs: list[tuple[str, str]]) -> str:
-    return ";".join(f"{k}={quote(v, safe='')}" for k, v in pairs)
-
-
-def decode_fieldline(line: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for part in line.split(";"):
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        out[key] = unquote(value)
-    return out
-
-
-def encode_resource(resource: Resource, path: ResourcePath | None = None) -> bytes:
-    """Textual representation of a resource for responses and notifications."""
-    pairs: list[tuple[str, str]] = []
-    if path is not None:
-        pairs.append(("pt", str(path)))
-    pairs.extend(
-        [
-            ("ty", str(resource.kind.value)),
-            ("nm", resource.name),
-            ("ct", repr(resource.creation_time)),
-            ("lt", repr(resource.last_modified_time)),
-        ]
-    )
-    if resource.content is not None:
-        pairs.append(("pc", base64.b64encode(resource.content).decode("ascii")))
-    if resource.notification_target is not None:
-        pairs.append(("nt", "|".join(resource.notification_target)))
-    if resource.labels:
-        pairs.append(("lb", ",".join(quote(x, safe="") for x in resource.labels)))
-    return encode_fieldline(pairs).encode("ascii")
-
 
 @dataclass(frozen=True)
 class ResourceView:
@@ -205,25 +164,17 @@ class ResourceView:
 
 
 def decode_resource(data: bytes) -> ResourceView:
-    rec = decode_fieldline(data.decode("ascii"))
     try:
-        target = None
-        if "nt" in rec:
-            node, _, tpath = rec["nt"].partition("|")
-            target = (node, tpath)
+        rec = decode_fieldline(data.decode("ascii"))
         return ResourceView(
             kind=ResourceKind(int(rec["ty"])),
             name=rec["nm"],
             creation_time=float(rec["ct"]),
             last_modified_time=float(rec["lt"]),
             path=rec.get("pt"),
-            content=base64.b64decode(rec["pc"]) if "pc" in rec else None,
-            notification_target=target,
-            labels=tuple(unquote(x) for x in rec["lb"].split(",")) if "lb" in rec else (),
+            content=decode_b64(rec["pc"]) if "pc" in rec else None,
+            notification_target=decode_target(rec["nt"]) if "nt" in rec else None,
+            labels=tuple(decode_labels(rec["lb"])) if "lb" in rec else (),
         )
     except (KeyError, ValueError) as exc:
         raise BadRequestError(f"malformed resource representation: {exc}") from exc
-
-
-def resource_record(tree: ResourceTree, resource: Resource) -> bytes:
-    return encode_resource(resource, tree.path_of(resource))

@@ -7,12 +7,18 @@ mutations into notification primitives.
 """
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
-from urllib.parse import quote, unquote
 
+from .codec import (
+    decode_b64,
+    decode_fieldline,
+    decode_labels,
+    decode_target,
+    encode_fieldline,
+    encode_record,
+)
 from .errors import BadRequestError, NotFoundError
 
 LATEST_SEGMENT = "la"
@@ -209,8 +215,16 @@ class ResourceTree:
     """
 
     def __init__(self, cse_label: str, clock: Callable[[], float] | None = None):
+        self._reset(cse_label, clock)
+        root_id = self._mint_id(ResourceKind.CSE_BASE)
+        now = self._clock()
+        self._attach(Resource(root_id, cse_label, ResourceKind.CSE_BASE, None, now, now))
+
+    def _reset(self, cse_label: str, clock: Callable[[], float] | None) -> None:
+        """No resources yet; id counters and the event sequence at zero."""
         self.cse_label = cse_label
         self._clock = clock or (lambda: 0.0)
+        self._root_id: str = None  # type: ignore[assignment]  # set by the root's _attach
         self._nodes: dict[str, Resource] = {}
         self._children: dict[str, dict[str, str]] = {}
         self._subscriptions: dict[str, list[str]] = {}
@@ -220,18 +234,6 @@ class ResourceTree:
         self._events: list[ChangeEvent] = []
         self.guard: Callable[[ResourcePath, str], None] | None = None
         self._guard_bypass = 0
-        root_id = self._mint_id(ResourceKind.CSE_BASE)
-        now = self._clock()
-        self._root_id = root_id
-        self._nodes[root_id] = Resource(
-            id=root_id,
-            name=cse_label,
-            kind=ResourceKind.CSE_BASE,
-            parent_id=None,
-            creation_time=now,
-            last_modified_time=now,
-        )
-        self._children[root_id] = {}
 
     # --- identity and lookup ---
 
@@ -347,11 +349,14 @@ class ResourceTree:
             )
 
     def _attach(self, node: Resource) -> None:
-        """Insert a non-root node as the last child of its parent, updating
-        the parent's subscription list and latest-instance pointer."""
-        parent_id: str = node.parent_id  # type: ignore[assignment]
+        """Insert a node as the root or as the last child of its parent,
+        updating the parent's subscription list and latest-instance pointer."""
         self._nodes[node.id] = node
         self._children[node.id] = {}
+        parent_id = node.parent_id
+        if parent_id is None:
+            self._root_id = node.id
+            return
         self._children[parent_id][node.name] = node.id
         if node.kind is ResourceKind.SUBSCRIPTION:
             self._subscriptions.setdefault(parent_id, []).append(node.id)
@@ -548,88 +553,52 @@ class ResourceTree:
             f"{ID_PREFIX[k]}:{self._counters[k]}" for k in ResourceKind
         )
         lines = [
-            _fields([("lbl", self.cse_label), ("ctr", counters), ("seq", str(self._event_seq))])
+            encode_fieldline(
+                [("lbl", self.cse_label), ("ctr", counters), ("seq", str(self._event_seq))]
+            )
         ]
         for node in self.walk():
-            lines.append(_resource_line(self, node))
+            lines.append(encode_record([("id", node.id), ("pid", node.parent_id or "-")], node))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def deserialize(cls, text: str, clock: Callable[[], float] | None = None) -> "ResourceTree":
-        lines = [ln for ln in text.split("\n") if ln]
-        header = _parse_fields(lines[0])
+        """Inverse of ``serialize``; malformed text raises BadRequestError."""
         tree = cls.__new__(cls)
-        tree.cse_label = header["lbl"]
-        tree._clock = clock or (lambda: 0.0)
-        tree._nodes = {}
-        tree._children = {}
-        tree._subscriptions = {}
-        tree._latest = {}
-        tree._counters = {k: 0 for k in ResourceKind}
-        for part in header["ctr"].split(","):
-            prefix, _, value = part.partition(":")
-            for kind, kp in ID_PREFIX.items():
-                if kp == prefix:
-                    tree._counters[kind] = int(value)
-        tree._event_seq = int(header["seq"])
-        tree._events = []
-        tree.guard = None
-        tree._guard_bypass = 0
-        for line in lines[1:]:
-            rec = _parse_fields(line)
-            node = Resource(
-                id=rec["id"],
-                name=unquote(rec["nm"]),
-                kind=ResourceKind(int(rec["ty"])),
-                parent_id=rec["pid"] if rec["pid"] != "-" else None,
-                creation_time=float(rec["ct"]),
-                last_modified_time=float(rec["lt"]),
-                content=base64.b64decode(rec["pc"]) if "pc" in rec else None,
-                notification_target=_parse_target(rec["nt"]) if "nt" in rec else None,
-                labels=[unquote(x) for x in rec["lb"].split(",")] if "lb" in rec else [],
-            )
-            if node.parent_id is None:
-                tree._nodes[node.id] = node
-                tree._children[node.id] = {}
-                tree._root_id = node.id
-            else:
+        lines = [ln for ln in text.split("\n") if ln]
+        try:
+            header = decode_fieldline(lines[0])
+            tree._reset(header["lbl"], clock)
+            kinds = {prefix: kind for kind, prefix in ID_PREFIX.items()}
+            for part in header["ctr"].split(","):
+                prefix, _, value = part.partition(":")
+                tree._counters[kinds[prefix]] = int(value)
+            tree._event_seq = int(header["seq"])
+            for line in lines[1:]:
+                rec = decode_fieldline(line)
+                node = Resource(
+                    id=rec["id"],
+                    name=rec["nm"],
+                    kind=ResourceKind(int(rec["ty"])),
+                    parent_id=rec["pid"] if rec["pid"] != "-" else None,
+                    creation_time=float(rec["ct"]),
+                    last_modified_time=float(rec["lt"]),
+                    content=decode_b64(rec["pc"]) if "pc" in rec else None,
+                    notification_target=decode_target(rec["nt"]) if "nt" in rec else None,
+                    labels=decode_labels(rec["lb"]) if "lb" in rec else [],
+                )
+                if node.id in tree._nodes or (
+                    node.name in tree._children[node.parent_id]
+                    if node.parent_id is not None
+                    else tree._root_id is not None
+                ):
+                    raise BadRequestError(f"resource {node.id!r} clashes with an earlier one")
                 tree._attach(node)  # preorder: every parent precedes its children
+        except (IndexError, KeyError, ValueError) as exc:
+            raise BadRequestError(f"malformed tree dump: {exc!r}") from None
+        if tree._root_id is None:
+            raise BadRequestError("tree dump has no root")
         return tree
-
-
-def _fields(pairs: list[tuple[str, str]]) -> str:
-    return ";".join(f"{k}={quote(v, safe='')}" for k, v in pairs)
-
-
-def _parse_fields(line: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for part in line.split(";"):
-        key, _, value = part.partition("=")
-        out[key] = unquote(value)
-    return out
-
-
-def _parse_target(value: str) -> tuple[str, str]:
-    node, _, path = value.partition("|")
-    return (node, path)
-
-
-def _resource_line(tree: ResourceTree, node: Resource) -> str:
-    pairs = [
-        ("id", node.id),
-        ("pid", node.parent_id or "-"),
-        ("ty", str(node.kind.value)),
-        ("nm", node.name),
-        ("ct", repr(node.creation_time)),
-        ("lt", repr(node.last_modified_time)),
-    ]
-    if node.content is not None:
-        pairs.append(("pc", base64.b64encode(node.content).decode("ascii")))
-    if node.notification_target is not None:
-        pairs.append(("nt", "|".join(node.notification_target)))
-    if node.labels:
-        pairs.append(("lb", ",".join(quote(x, safe="") for x in node.labels)))
-    return _fields(pairs)
 
 
 def trees_equal(a: ResourceTree, b: ResourceTree) -> bool:

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .codec import decode_fieldline, encode_fieldline
 from .errors import BadRequestError
-from .primitives import decode_fieldline, encode_fieldline
 
 BASE_PORT = 62590
 
@@ -82,11 +82,14 @@ class SliceProfile:
     @classmethod
     def from_text(cls, text: str) -> "SliceProfile":
         rec = decode_fieldline(text)
-        return cls(
-            service_id=rec["svc"],
-            required_functions=frozenset(function_from_name(n) for n in rec["fn"].split(",")),
-            latency_class=LatencyClass(rec["lc"]),
-        )
+        try:
+            return cls(
+                service_id=rec["svc"],
+                required_functions=frozenset(function_from_name(n) for n in rec["fn"].split(",")),
+                latency_class=LatencyClass(rec["lc"]),
+            )
+        except (KeyError, ValueError) as exc:
+            raise BadRequestError(f"malformed slice profile: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,16 @@ class SlicingPlan:
     @classmethod
     def from_text(cls, text: str) -> "SlicingPlan":
         rec = decode_fieldline(text)
-        missing = frozenset(
-            function_from_name(n) for n in rec["mf"].split(",") if n
-        )
-        return cls(
-            decision=PlanDecision(rec["dec"]),
-            target_slice=rec["slc"],
-            missing_functions=missing,
-        )
+        try:
+            return cls(
+                decision=PlanDecision(rec["dec"]),
+                target_slice=rec["slc"],
+                missing_functions=frozenset(
+                    function_from_name(n) for n in rec["mf"].split(",") if n
+                ),
+            )
+        except (KeyError, ValueError) as exc:
+            raise BadRequestError(f"malformed slicing plan: {exc!r}") from None
 
 
 @dataclass
@@ -132,4 +137,3 @@ class SliceInstance:
     edge_node: str
     running_functions: dict[FunctionKind, int] = field(default_factory=dict)
     state: SliceState = SliceState.INSTANTIATING
-    served_services: set[str] = field(default_factory=set)

@@ -19,9 +19,9 @@ data-plane messages carry the configured payload size.
 """
 from __future__ import annotations
 
-import base64
 from dataclasses import replace
 
+from .codec import decode_body, decode_fieldline, encode_b64, encode_body, encode_fieldline
 from .errors import (
     AlreadyOffloadedError,
     ConfigInvalidError,
@@ -49,10 +49,8 @@ from .primitives import (
     RequestPrimitive,
     ResponsePrimitive,
     StatusCode,
-    decode_fieldline,
     decode_request,
     decode_response,
-    encode_fieldline,
     is_response,
 )
 from .resources import ResourceKind, ResourcePath, ResourceTree
@@ -92,6 +90,11 @@ class _Node:
 
     def reply(self, to: str, response: ResponsePrimitive, size: int = CONTROL_SIZE) -> None:
         self.send(to, response.encode(), size)
+
+    def send_control(self, to: str, op: Operation, body: bytes, rqi: str = "") -> None:
+        """Send a control request to a peer node; mints the request id if none is given."""
+        rqi = rqi or self.system.next_control_rqi()
+        self.send(to, RequestPrimitive(op, to, self.node_id, rqi, content=body).encode(), CONTROL_SIZE)
 
     def receive(self, payload: bytes, sender: str) -> None:
         if is_response(payload):
@@ -228,20 +231,8 @@ class EdgeNode(_Node):
             for fn in fresh_starts:
                 self.worker.stop_function(fn)
             self._sync_channel_state()
-            body = encode_fieldline(
-                [("ctx", meta["ctx"]), ("slc", plan.target_slice), ("err", message)]
-            )
-            self.send(
-                self.system.cloud_id,
-                RequestPrimitive(
-                    Operation.SLICE_RECORD,
-                    self.system.cloud_id,
-                    self.node_id,
-                    self.system.next_control_rqi(),
-                    content=body.encode("ascii"),
-                ).encode(),
-                CONTROL_SIZE,
-            )
+            body = encode_body([("ctx", meta["ctx"]), ("slc", plan.target_slice), ("err", message)])
+            self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, body)
 
         def step(index: int) -> None:
             if index == len(images):
@@ -251,17 +242,7 @@ class EdgeNode(_Node):
                     ("svc", meta["svc"]),
                     ("fn", ",".join(f"{fn.name}:{port}" for fn, port in sorted(started.items(), key=lambda kv: kv[0].value))),
                 ]
-                self.send(
-                    self.system.cloud_id,
-                    RequestPrimitive(
-                        Operation.SLICE_RECORD,
-                        self.system.cloud_id,
-                        self.node_id,
-                        self.system.next_control_rqi(),
-                        content=encode_fieldline(pairs).encode("ascii"),
-                    ).encode(),
-                    CONTROL_SIZE,
-                )
+                self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, encode_body(pairs))
                 return
             image = images[index]
             if image.function in self.worker.functions:
@@ -313,11 +294,11 @@ class EdgeNode(_Node):
             task=meta["task"],
             root=str(root),
         )
-        body = encode_fieldline([("task", meta["task"]), ("root", str(root))])
-        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body.encode("ascii")))
+        body = encode_body([("task", meta["task"]), ("root", str(root))])
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
     def _handle_finalize(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_fieldline((req.content or b"").decode("ascii"))
+        meta = decode_body(req.content)
         task_id = meta["task"]
         root = ResourcePath.parse(meta["root"])
 
@@ -332,7 +313,7 @@ class EdgeNode(_Node):
         self.channel.when_idle(respond)  # drain in-flight notifications first
 
     def _handle_start(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_fieldline((req.content or b"").decode("ascii"))
+        meta = decode_body(req.content)
         image = self.system.config.catalogue.by_id(meta["img"])
         quota = ResourceQuota(int(meta["mem"]), float(meta["cpu"]))
         try:
@@ -344,13 +325,13 @@ class EdgeNode(_Node):
         def complete() -> None:
             self.worker.complete_start(image.function)
             self._sync_channel_state()
-            body = encode_fieldline([("port", str(instance.port))]).encode("ascii")
+            body = encode_body([("port", str(instance.port))])
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
         self.sim.schedule(self.worker.start_delay_ms, complete, label="admin start")
 
     def _handle_stop(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_fieldline((req.content or b"").decode("ascii"))
+        meta = decode_body(req.content)
         try:
             self.worker.stop_function(FunctionKind[meta["fn"]])
         except EdgeSliceError as exc:
@@ -360,7 +341,7 @@ class EdgeNode(_Node):
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
 
     def _handle_crash(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_fieldline((req.content or b"").decode("ascii"))
+        meta = decode_body(req.content)
         function = FunctionKind[meta["fn"]]
         try:
             duration = self.worker.begin_crash(function)
@@ -374,7 +355,7 @@ class EdgeNode(_Node):
             self._sync_channel_state()
 
         self.sim.schedule(duration, respawned, label="respawn")
-        body = encode_fieldline([("duration_ms", repr(duration))]).encode("ascii")
+        body = encode_body([("duration_ms", repr(duration))])
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
 
@@ -512,22 +493,12 @@ class CloudNode(_Node):
                     )
                 )
             body = "\n".join(lines).encode("ascii")
-            self.send(
-                edge,
-                RequestPrimitive(
-                    Operation.SLICE_INSTANTIATE,
-                    edge,
-                    self.node_id,
-                    self.system.next_control_rqi(),
-                    content=body,
-                ).encode(),
-                CONTROL_SIZE,
-            )
+            self.send_control(edge, Operation.SLICE_INSTANTIATE, body)
         else:
             self._offload_phase(ctx)
 
     def _handle_record(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_fieldline((req.content or b"").decode("ascii"))
+        meta = decode_body(req.content)
         ctx = meta["ctx"]
         context = self.service_ctx.get(ctx)
         if context is None:
@@ -541,7 +512,7 @@ class CloudNode(_Node):
             for pair in meta["fn"].split(","):
                 name, _, port = pair.partition(":")
                 started[FunctionKind[name]] = int(port)
-        self.orchestrator.mark_active(meta["slc"], meta["svc"], started)
+        self.orchestrator.mark_active(meta["slc"], started)
         self.orchestrator.record_slice_functions(meta["slc"], set(started))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
         self._offload_phase(ctx)
@@ -584,7 +555,7 @@ class CloudNode(_Node):
         def on_ack(response: ResponsePrimitive) -> None:
             context = self.service_ctx[ctx]
             if response.ok:
-                meta = decode_fieldline((response.content or b"").decode("ascii"))
+                meta = decode_body(response.content)
                 edge_root = ResourcePath.parse(meta["root"])
                 self.coordinator.register_binding(task, mode, edge, edge_root)
                 context["roots"].append(meta["root"])
@@ -600,13 +571,7 @@ class CloudNode(_Node):
                     self._finish_service(ctx, StatusCode.OK)
 
         self.pending[rqi] = on_ack
-        self.send(
-            edge,
-            RequestPrimitive(
-                Operation.BUNDLE_TRANSFER, edge, self.node_id, rqi, content=body
-            ).encode(),
-            CONTROL_SIZE,
-        )
+        self.send_control(edge, Operation.BUNDLE_TRANSFER, body, rqi)
 
     def _finish_service(self, ctx: str, status: StatusCode, detail: str = "") -> None:
         context = self.service_ctx.pop(ctx)
@@ -614,7 +579,7 @@ class CloudNode(_Node):
         pairs = [("edge", context["edge"]), ("roots", ",".join(context["roots"]))]
         if detail:
             pairs.append(("err", detail))
-        body = encode_fieldline(pairs).encode("ascii")
+        body = encode_body(pairs)
         rqi = context.get("reply_rqi", ctx)
         to = context.get("reply_to", context["device"])
         self.send(to, ResponsePrimitive(rqi, status, body).encode(), CONTROL_SIZE)
@@ -622,7 +587,7 @@ class CloudNode(_Node):
     # --- offload / terminate control plane ---
 
     def _handle_offload_request(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_fieldline((req.content or b"").decode("ascii"))
+        meta = decode_body(req.content)
         spec = next(
             (t for t in self.system.config.tasks if t.task_id == meta["task"]), None
         )
@@ -644,7 +609,7 @@ class CloudNode(_Node):
         self._send_bundle(ctx, task, meta["edge"])
 
     def _handle_terminate(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_fieldline((req.content or b"").decode("ascii"))
+        meta = decode_body(req.content)
         slice_id = meta["slc"]
         instance = self.orchestrator.registry.get(slice_id)
         if instance is None:
@@ -672,14 +637,8 @@ class CloudNode(_Node):
                 finalize_next(index + 1)
 
             self.pending[rqi] = on_snapshot
-            body = encode_fieldline(
-                [("task", binding.task_id), ("root", str(binding.edge_root))]
-            ).encode("ascii")
-            self.send(
-                edge,
-                RequestPrimitive(Operation.SYNC_FINALIZE, edge, self.node_id, rqi, content=body).encode(),
-                CONTROL_SIZE,
-            )
+            body = encode_body([("task", binding.task_id), ("root", str(binding.edge_root))])
+            self.send_control(edge, Operation.SYNC_FINALIZE, body, rqi)
 
         def stop_functions() -> None:
             functions = list(instance.running_functions)
@@ -687,17 +646,13 @@ class CloudNode(_Node):
             def stop_next(index: int) -> None:
                 if index == len(functions):
                     self.orchestrator.forget_slice(slice_id)
-                    body = encode_fieldline([("synced", str(synced_total))]).encode("ascii")
+                    body = encode_body([("synced", str(synced_total))])
                     self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
                     return
                 rqi = self.system.next_control_rqi()
                 self.pending[rqi] = lambda resp: stop_next(index + 1)
-                body = encode_fieldline([("fn", functions[index].name)]).encode("ascii")
-                self.send(
-                    edge,
-                    RequestPrimitive(Operation.STOP_FUNCTION, edge, self.node_id, rqi, content=body).encode(),
-                    CONTROL_SIZE,
-                )
+                body = encode_body([("fn", functions[index].name)])
+                self.send_control(edge, Operation.STOP_FUNCTION, body, rqi)
 
             stop_next(0)
 
@@ -835,9 +790,7 @@ class System:
             rqi = device.next_rqi("rq")
             if operation == "create":
                 content = payload_for(self.config, 1000 + index)
-                body = encode_fieldline(
-                    [("nm", f"m{mode_label}{index:05d}"), ("pc", base64.b64encode(content).decode("ascii"))]
-                ).encode("ascii")
+                body = encode_body([("nm", f"m{mode_label}{index:05d}"), ("pc", encode_b64(content))])
                 req = RequestPrimitive(
                     Operation.CREATE,
                     target,

@@ -7,12 +7,11 @@ explicit lifecycle transitions with virtual-time durations.
 """
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
-from urllib.parse import unquote
 
+from .codec import decode_b64, decode_body, decode_labels, decode_target, encode_body, encode_resource
 from .errors import (
     AlreadyRunningError,
     BadRequestError,
@@ -28,9 +27,6 @@ from .primitives import (
     RequestPrimitive,
     ResponsePrimitive,
     StatusCode,
-    decode_fieldline,
-    encode_fieldline,
-    encode_resource,
 )
 from .resources import ChangeEvent, ResourceKind, ResourcePath, ResourceTree
 from .slicing import FunctionKind, port_for
@@ -265,7 +261,7 @@ class EdgeWorker:
             return self._execute_update(req)
         if op is Operation.DELETE:
             count = self.tree.delete(ResourcePath.parse(req.to))
-            body = encode_fieldline([("count", str(count))]).encode("ascii")
+            body = encode_body([("count", str(count))])
             return ResponsePrimitive(req.request_id, StatusCode.OK, body)
         if op is Operation.NOTIFY:
             return ResponsePrimitive(req.request_id, StatusCode.OK)
@@ -274,18 +270,14 @@ class EdgeWorker:
     def _execute_create(self, req: RequestPrimitive) -> ResponsePrimitive:
         if req.content is None:
             raise BadRequestError("create requires a resource representation")
-        rec = decode_fieldline(req.content.decode("ascii"))
-        target = None
-        if "nt" in rec:
-            node, _, tpath = rec["nt"].partition("|")
-            target = (node, tpath)
+        rec = decode_body(req.content)
         path = self.tree.create(
             ResourcePath.parse(req.to),
             req.resource_kind,  # type: ignore[arg-type]
             rec.get("nm"),
-            content=base64.b64decode(rec["pc"]) if "pc" in rec else None,
-            notification_target=target,
-            labels=[unquote(x) for x in rec["lb"].split(",")] if rec.get("lb") else None,
+            content=decode_b64(rec["pc"]) if "pc" in rec else None,
+            notification_target=decode_target(rec["nt"]) if "nt" in rec else None,
+            labels=decode_labels(rec["lb"]) if rec.get("lb") else None,
         )
         created = self.tree.resolve(path)
         record = encode_resource(created, path)
@@ -293,24 +285,20 @@ class EdgeWorker:
 
     def _execute_update(self, req: RequestPrimitive) -> ResponsePrimitive:
         path = ResourcePath.parse(req.to)
-        patch = decode_fieldline((req.content or b"").decode("ascii"))
+        patch = decode_body(req.content)
         current = self.tree.resolve(path)
-        if "ty" in patch and int(patch["ty"]) != current.kind.value:
+        if "ty" in patch and patch["ty"] != str(current.kind.value):
             raise BadRequestError("resource kind cannot be changed")
         if "pc" in patch:
             raise BadRequestError("content cannot be updated")
-        target = None
-        if "nt" in patch:
-            node, _, tpath = patch["nt"].partition("|")
-            target = (node, tpath)
         labels = None
         if "lb" in patch:
-            labels = [unquote(x) for x in patch["lb"].split(",")] if patch["lb"] else []
+            labels = decode_labels(patch["lb"]) if patch["lb"] else []
         updated = self.tree.update(
             path,
             name=patch.get("nm"),
             labels=labels,
-            notification_target=target,
+            notification_target=decode_target(patch["nt"]) if "nt" in patch else None,
         )
         record = encode_resource(updated, self.tree.path_of(updated))
         return ResponsePrimitive(req.request_id, StatusCode.OK, record)

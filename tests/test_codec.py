@@ -1,0 +1,346 @@
+"""Properties of the text codec and of every decoder built on it.
+
+- ``codec.quote`` equals ``urllib.parse.quote`` for every safe set in use;
+- every decoder either decodes its input or raises ``BadRequestError``,
+  both for arbitrary input and for valid encodings with a few bytes edited;
+- encode -> decode -> encode is the identity on generated valid values.
+
+Hypothesis runs derandomized with a bounded example count, so the suite
+stays deterministic and fast.
+"""
+from urllib.parse import quote as stdlib_quote
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgeslice.codec import (
+    PAYLOAD_SAFE,
+    decode_b64,
+    decode_body,
+    decode_payload,
+    encode_payload,
+    encode_resource,
+    quote,
+)
+from edgeslice.errors import BadRequestError
+from edgeslice.notify import parse_notify
+from edgeslice.offload import BundleRecord, OffloadBundle
+from edgeslice.primitives import (
+    Operation,
+    RequestPrimitive,
+    ResponsePrimitive,
+    StatusCode,
+    decode_request,
+    decode_resource,
+    decode_response,
+)
+from edgeslice.resources import (
+    LATEST_SEGMENT,
+    ManualClock,
+    Resource,
+    ResourceKind,
+    ResourcePath,
+    ResourceTree,
+    trees_equal,
+)
+from edgeslice.slicing import (
+    FunctionKind,
+    LatencyClass,
+    PlanDecision,
+    SliceProfile,
+    SlicingPlan,
+)
+from wire_samples import ODD_LABELS, ODD_NAME, sample_tree, samples
+
+PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+
+SAFE_SETS = ["", "/-", PAYLOAD_SAFE]  # field values, request targets, t: payloads
+
+# text that is mostly the characters the quoting rules single out
+TRICKY = st.text(alphabet=st.sampled_from(list("%;=,|:/-_.~+ \n\x00aZ9üß€😀")))
+TEXT = st.one_of(st.text(), TRICKY)
+TIMES = st.floats(allow_nan=False)  # nan != nan, so it cannot compare equal
+CONTENT = st.one_of(
+    st.none(),
+    st.binary(max_size=48),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126)).map(str.encode),
+)
+
+
+# --- quote ---
+
+@PROPERTY
+@given(TEXT, st.sampled_from(SAFE_SETS))
+def test_quote_equals_urllib(text, safe):
+    assert quote(text, safe) == stdlib_quote(text, safe=safe)
+
+
+@pytest.mark.parametrize("safe", SAFE_SETS)
+def test_quote_equals_urllib_on_each_character(safe):
+    for code in list(range(0x800)) + [0xFFFD, 0x10000, 0x10FFFF]:
+        char = chr(code)
+        assert quote(char, safe) == stdlib_quote(char, safe=safe), hex(code)
+    assert quote("", safe) == ""
+
+
+# --- every decoder raises only BadRequestError ---
+
+def _seeds() -> dict[str, list[bytes]]:
+    wire = {name: text.encode("utf-8") for name, text in samples().items()}
+    notifies = [wire[name] for name in wire if name.startswith("notify_")]
+    profile = SliceProfile("svc;1", frozenset({FunctionKind.RETRIEVE, FunctionKind.NOTIFICATION}))
+    plan = SlicingPlan(PlanDecision.INSTANTIATE_THEN_OFFLOAD, "slice-ü", frozenset(FunctionKind))
+    return {
+        "request": [wire["create"], wire["retrieve"], wire["bundle_transfer"], *notifies],
+        "response": [wire["response"], wire["response_binary"], wire["response_empty"]],
+        "resource": [wire["resource_subscription"], wire["resource_container"]],
+        "notify": [decode_request(n).content for n in notifies],
+        "bundle": [wire["bundle"]],
+        "tree": [wire["serialize"]],
+        "profile": [profile.to_text().encode()],
+        "plan": [plan.to_text().encode()],
+        "payload": [b"t:nm%3Dx%3Bpc%3DAAAA", b"b:AAECAw=="],
+    }
+
+
+SEEDS = _seeds()
+
+
+def _notify(data: bytes):
+    return parse_notify(RequestPrimitive(Operation.NOTIFY, "IN-CSE/a", "edge0", "n1", content=data)).view()
+
+
+DECODERS = {
+    "request": decode_request,
+    "response": decode_response,
+    "resource": decode_resource,
+    "notify": _notify,
+    "bundle": lambda data: OffloadBundle.decode(data.decode("latin-1")),
+    "tree": lambda data: ResourceTree.deserialize(data.decode("latin-1")),
+    "profile": lambda data: SliceProfile.from_text(data.decode("latin-1")),
+    "plan": lambda data: SlicingPlan.from_text(data.decode("latin-1")),
+    "payload": lambda data: decode_payload(data.decode("latin-1")),
+}
+
+
+@st.composite
+def edited(draw, seeds: list[bytes]) -> bytes:
+    """A valid encoding with up to three spans replaced by arbitrary bytes."""
+    data = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 8)))
+        data = data[:start] + draw(st.binary(max_size=6)) + data[end:]
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+def test_valid_seeds_decode(name):
+    for seed in SEEDS[name]:
+        DECODERS[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+def test_decoders_raise_only_bad_request(name):
+    decoder = DECODERS[name]
+
+    @PROPERTY
+    @given(st.one_of(st.binary(max_size=64), st.text().map(str.encode), edited(SEEDS[name])))
+    def check(data):
+        try:
+            decoder(data)
+        except BadRequestError:
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "decoder, data",
+    [
+        (decode_request, b"op=2\nto=IN-CSE/\xc3\xbc\nfr=d\nrqi=r"),
+        (decode_response, b"rqi=\xff\nrsc=2000"),
+        (decode_resource, b"ty=3;nm=\xe2\x82\xac;ct=0;lt=0"),
+        (_notify, b"ev=created;pt=\xff\nty=4"),
+        (lambda data: OffloadBundle.decode(data.decode()), b"tid=x;at=1.0"),
+        (decode_request, b"op=1\nto=a\nfr=d\nrqi=r\npc=b:!!!"),
+        (lambda data: decode_payload(data.decode()), b"b:!!!"),
+        (lambda data: decode_payload(data.decode()), b"b:AAE"),
+        (lambda data: decode_b64(data.decode()), b"AAAA\n"),
+        (decode_body, b"nm=\xc3\xbc"),
+        (lambda data: ResourceTree.deserialize(data.decode()), b""),
+        (lambda data: ResourceTree.deserialize(data.decode()), b"lbl=IN-CSE;ctr=cb:1;seq=0\n"),
+    ],
+)
+def test_malformed_inputs_raise_bad_request(decoder, data):
+    with pytest.raises(BadRequestError):
+        decoder(data)
+
+
+def test_tree_dump_with_two_roots_or_a_repeated_id_is_rejected():
+    dump = ResourceTree("IN-CSE").serialize()
+    root = dump.split("\n")[1]
+    with pytest.raises(BadRequestError):
+        ResourceTree.deserialize(dump + root.replace("id=cb_0001", "id=cb_0002") + "\n")
+    with pytest.raises(BadRequestError):
+        ResourceTree.deserialize(dump + root + "\n")
+
+
+# --- round trips ---
+
+@PROPERTY
+@given(
+    st.sampled_from(Operation),
+    TEXT,
+    TEXT,
+    TEXT,
+    st.one_of(st.none(), st.sampled_from(ResourceKind)),
+    CONTENT,
+)
+def test_request_round_trip(op, to, originator, rqi, kind, content):
+    req = RequestPrimitive(op, to, originator, rqi, kind, content)
+    data = req.encode()
+    assert decode_request(data) == req
+    assert decode_request(data).encode() == data
+
+
+@PROPERTY
+@given(TEXT, st.sampled_from(StatusCode), CONTENT)
+def test_response_round_trip(rqi, status, content):
+    resp = ResponsePrimitive(rqi, status, content)
+    data = resp.encode()
+    assert decode_response(data) == resp
+    assert decode_response(data).encode() == data
+
+
+@PROPERTY
+@given(CONTENT.filter(lambda c: c is not None))
+def test_payload_round_trip(content):
+    assert decode_payload(encode_payload(content)) == content
+
+
+@st.composite
+def resources(draw) -> Resource:
+    kind = draw(st.sampled_from(ResourceKind))
+    # a target's node is everything before the first "|", so it holds none
+    node = st.text().filter(lambda t: "|" not in t)
+    return Resource(
+        id="x_0001",
+        name=draw(TEXT),
+        kind=kind,
+        parent_id=None,
+        creation_time=draw(TIMES),
+        last_modified_time=draw(TIMES),
+        content=draw(st.binary(max_size=48)) if kind is ResourceKind.CONTENT_INSTANCE else None,
+        notification_target=(
+            (draw(node), draw(TEXT)) if kind is ResourceKind.SUBSCRIPTION else None
+        ),
+        labels=draw(st.lists(TEXT, max_size=3)),
+    )
+
+
+@PROPERTY
+@given(resources(), st.one_of(st.none(), TEXT))
+def test_resource_round_trip(resource, path):
+    data = encode_resource(resource, path)
+    view = decode_resource(data)
+    assert (view.kind, view.name, view.path) == (resource.kind, resource.name, path)
+    assert (view.creation_time, view.last_modified_time) == (
+        resource.creation_time,
+        resource.last_modified_time,
+    )
+    assert view.content == resource.content
+    assert view.notification_target == resource.notification_target
+    assert list(view.labels) == resource.labels
+    assert encode_resource(view, view.path) == data
+
+
+NAMES = TEXT.filter(lambda t: t and "/" not in t and t != LATEST_SEGMENT)
+
+
+@st.composite
+def trees(draw) -> ResourceTree:
+    clock = ManualClock(draw(st.floats(0, 1e6)))
+    tree = ResourceTree(draw(NAMES), clock)
+    containers = [tree.create(ResourcePath(tree.cse_label), ResourceKind.AE, "app")]
+    for _ in range(draw(st.integers(0, 8))):
+        parent = draw(st.sampled_from(containers))
+        kind = draw(st.sampled_from(
+            [ResourceKind.CONTAINER, ResourceKind.CONTENT_INSTANCE, ResourceKind.SUBSCRIPTION]
+        ))
+        if kind is not ResourceKind.CONTAINER and parent.segments == ("app",):
+            kind = ResourceKind.CONTAINER  # an Ae holds no content instances
+        name = draw(st.one_of(st.none(), NAMES))
+        clock.advance(draw(st.sampled_from([0.0, 0.1, 1 / 3])))
+        try:
+            path = tree.create(
+                parent,
+                kind,
+                name,
+                content=draw(st.binary(max_size=24)) if kind is ResourceKind.CONTENT_INSTANCE else None,
+                notification_target=(
+                    ("edge 0", draw(TEXT)) if kind is ResourceKind.SUBSCRIPTION else None
+                ),
+                labels=draw(st.lists(TEXT, max_size=2)),
+            )
+        except BadRequestError:
+            continue  # a duplicate sibling name
+        if kind is ResourceKind.CONTAINER:
+            containers.append(path)
+    return tree
+
+
+@settings(PROPERTY, max_examples=40)
+@given(trees())
+def test_tree_serialize_round_trip(tree):
+    text = tree.serialize()
+    restored = ResourceTree.deserialize(text)
+    assert trees_equal(tree, restored)
+    assert restored.serialize() == text
+
+
+def test_names_and_labels_with_quoting_characters_survive_a_round_trip():
+    tree = sample_tree()
+    restored = ResourceTree.deserialize(tree.serialize())
+    assert trees_equal(tree, restored)
+    odd = restored.resolve(ResourcePath("IN-CSE", ("Pedestrians", ODD_NAME)))
+    assert odd.name == "a%41b;x=y"
+    assert odd.labels == ODD_LABELS
+    assert restored.resolve(ResourcePath("IN-CSE", ("Pedestrians", "Zürich straße")))
+    assert restored.serialize() == tree.serialize()
+
+
+@PROPERTY
+@given(
+    TEXT,
+    TIMES,
+    st.lists(
+        st.builds(BundleRecord, TEXT, st.sampled_from(ResourceKind), TEXT, TIMES,
+                  st.one_of(st.none(), st.binary(max_size=24))),
+        max_size=4,
+    ),
+)
+def test_bundle_round_trip(task_id, exported_at, records):
+    bundle = OffloadBundle(task_id, exported_at, tuple(records))
+    text = bundle.encode()
+    assert OffloadBundle.decode(text) == bundle
+    assert OffloadBundle.decode(text).encode() == text
+
+
+@PROPERTY
+@given(
+    TEXT,
+    st.frozensets(st.sampled_from(FunctionKind), min_size=1),
+    st.sampled_from(LatencyClass),
+    st.frozensets(st.sampled_from(FunctionKind)),
+    TEXT,
+)
+def test_profile_and_plan_round_trip(service, functions, latency, missing, target):
+    profile = SliceProfile(service, functions, latency)
+    assert SliceProfile.from_text(profile.to_text()) == profile
+    decision = (
+        PlanDecision.INSTANTIATE_THEN_OFFLOAD if missing else PlanDecision.FAST_PATH_OFFLOAD_ONLY
+    )
+    plan = SlicingPlan(decision, target, missing)
+    assert SlicingPlan.from_text(plan.to_text()) == plan

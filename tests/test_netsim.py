@@ -1,6 +1,11 @@
 import pytest
 
-from edgeslice.errors import ConfigInvalidError, NoRouteError
+from edgeslice.errors import (
+    ConfigInvalidError,
+    EdgeSliceError,
+    NoRouteError,
+    SimulationLimitError,
+)
 from edgeslice.netsim import Link, Network, Node, NodeRole, Simulator, Topology
 
 
@@ -95,6 +100,27 @@ class TestSimulator:
         sim.schedule(0.0, lambda: tick(10))
         sim.run_until_idle()
         assert stamps == sorted(stamps)
+
+    def test_event_cap_raises_a_package_error(self):
+        sim = Simulator()
+        fired = []
+
+        def forever():
+            fired.append(sim.now)
+            sim.schedule(1.0, forever)
+
+        sim.schedule(0.0, forever)
+        with pytest.raises(SimulationLimitError, match="exceeded 5 events"):
+            sim.run_until_idle(max_events=5)
+        assert len(fired) == 5
+        assert issubclass(SimulationLimitError, EdgeSliceError)
+
+    def test_event_cap_counts_executed_events_only(self):
+        sim = Simulator()
+        for delay in range(5):
+            sim.schedule(float(delay), lambda: None)
+        sim.schedule(9.0, lambda: None).cancelled = True
+        assert sim.run_until_idle(max_events=5) == 5
 
 
 class TestNetworkDelivery:

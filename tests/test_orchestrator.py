@@ -144,7 +144,7 @@ class TestDecisions:
                 orch = make_orchestrator()
                 if running:
                     orch.ensure_instance("slice-edge0", "edge0")
-                    orch.mark_active("slice-edge0", "prev", {f: 0 for f in running})
+                    orch.mark_active("slice-edge0", {f: 0 for f in running})
                     orch.record_slice_functions("slice-edge0", set(running))
                 plan = orch.handle_service_request(
                     ServiceRequest("dev0", "svc", profile(set(wanted)))
@@ -291,7 +291,6 @@ class TestRecord:
             worker=worker,
             clock=clock,
             pull_bandwidth_bytes_per_s=100 * MB,
-            service_id="svc2",
         )
         orch.record_slice_functions(second.target_slice, second.missing_functions)
         assert len(instance.running_functions) == 4
@@ -366,7 +365,6 @@ class TestDecisionSoundness:
                     worker=worker,
                     clock=clock,
                     pull_bandwidth_bytes_per_s=100 * MB,
-                    service_id=req.service_id,
                 )
                 # the handler view only advances when the recording step runs
                 if rng.random() < 0.7:

@@ -219,6 +219,19 @@ class TestDispatchGating:
             )
         )
         assert resp.status is StatusCode.BAD_REQUEST
+        # malformed bodies answer 4000 instead of escaping dispatch
+        location = "MN-CSE/Pedestrians/CitizenB/location"
+        for req in [
+            RequestPrimitive(Operation.UPDATE, "MN-CSE/Pedestrians", "d", "r3", content=b"ty=x"),
+            RequestPrimitive(
+                Operation.CREATE, location, "d", "r4", ResourceKind.CONTENT_INSTANCE, "nm=ü".encode()
+            ),
+            RequestPrimitive(
+                Operation.CREATE, location, "d", "r5", ResourceKind.CONTENT_INSTANCE, b"nm=a;pc=!!!"
+            ),
+        ]:
+            resp, _, _ = worker.dispatch(req)
+            assert resp.status is StatusCode.BAD_REQUEST, req.request_id
 
     def test_error_subclasses_map_to_their_base_status(self, monkeypatch):
         class StaleNotFoundError(NotFoundError):
