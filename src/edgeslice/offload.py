@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
+from urllib.parse import unquote
 
-from .codec import decode_b64, decode_fieldline, encode_b64, encode_fieldline
+from .codec import decode_b64, decode_fieldline, encode_b64, encode_fieldline, quote
 from .errors import (
     AlreadyBoundError,
     AlreadyOffloadedError,
@@ -24,7 +25,16 @@ from .errors import (
     UnknownBindingError,
 )
 from .notify import NotifyPrimitive, match_subscriptions
-from .resources import ChangeEvent, Resource, ResourceKind, ResourcePath, ResourceTree
+from .resources import (
+    LATEST_SEGMENT,
+    LEGAL_CHILDREN,
+    ChangeEvent,
+    Resource,
+    ResourceKind,
+    ResourcePath,
+    ResourceTree,
+    check_name,
+)
 
 SYNC_SUB_NAME = "sync"
 
@@ -61,52 +71,88 @@ class OffloadBundle:
     def encode(self) -> str:
         """One header line, then one field line per record.
 
-        A record's content goes last as raw base64: its alphabet has no ``;``
-        and no ``%``, so ``decode_fieldline`` reads it back unchanged and
-        quoting it would only add to its size.
+        Record fields go in the fixed order ``pt;ty;nm;ct[;pc]``, each value
+        quoted as ``encode_fieldline`` quotes it. Quoting goes byte by byte,
+        so a path is its quoted parent, ``%2F`` and its quoted last segment;
+        parents, names and creation times repeat across records and are
+        quoted once per call. A record's content goes last as raw base64: its
+        alphabet has no ``;`` and no ``%``, so the decoder reads it back
+        unchanged and quoting it would only add to its size.
         """
-        lines = [
-            encode_fieldline(
-                [
-                    ("tid", self.task_id),
-                    ("at", repr(self.exported_at)),
-                    ("n", str(len(self.records))),
-                ]
-            )
-        ]
+        quoted: dict[str, str] = {}
+
+        def q(text: str) -> str:
+            out = quoted.get(text)
+            if out is None:
+                out = quoted[text] = quote(text)
+            return out
+
+        header = encode_fieldline(
+            [
+                ("tid", self.task_id),
+                ("at", repr(self.exported_at)),
+                ("n", str(len(self.records))),
+            ]
+        )
+        out = [header]
+        append = out.append
         for rec in self.records:
-            line = encode_fieldline(
-                [
-                    ("pt", rec.source_path),
-                    ("ty", str(rec.kind.value)),
-                    ("nm", rec.name),
-                    ("ct", repr(rec.creation_time)),
-                ]
+            head, sep, last = rec.source_path.rpartition("/")
+            path = q(head) + "%2F" + q(last) if sep else q(last)
+            append(
+                f"\npt={path};ty={rec.kind.value};nm={q(rec.name)}"
+                f";ct={q(repr(rec.creation_time))}"
             )
             if rec.content is not None:
-                line += ";pc=" + encode_b64(rec.content)
-            lines.append(line)
-        return "\n".join(lines) + "\n"
+                append(";pc=")
+                append(encode_b64(rec.content))
+        append("\n")
+        return "".join(out)
 
     @classmethod
     def decode(cls, text: str) -> "OffloadBundle":
+        """Inverse of ``encode``. Each record line is read as
+        ``decode_fieldline`` reads it: empty fields are skipped, the last of
+        a repeated key wins and unknown keys are ignored.
+
+        A path is unquoted as the part before its last ``%2F``, a ``/`` and
+        the part after. A ``/`` byte is never inside a UTF-8 sequence, so
+        that equals unquoting it whole, and the parent part, which repeats
+        across records, is unquoted once per call.
+        """
         lines = [ln for ln in text.split("\n") if ln]
         if not lines:
             raise BadRequestError("empty bundle")
+        parents: dict[str, str] = {}
+        kinds: dict[str, ResourceKind] = {}
         try:
             header = decode_fieldline(lines[0])
             records = []
             for line in lines[1:]:
-                rec = decode_fieldline(line)
-                records.append(
-                    BundleRecord(
-                        source_path=rec["pt"],
-                        kind=ResourceKind(int(rec["ty"])),
-                        name=rec["nm"],
-                        creation_time=float(rec["ct"]),
-                        content=decode_b64(rec["pc"]) if "pc" in rec else None,
-                    )
-                )
+                fields: dict[str, str] = {}
+                for part in line.split(";"):
+                    if part:
+                        key, _, value = part.partition("=")
+                        fields[key] = value
+                path = fields["pt"]
+                cut = path.rfind("%2F")
+                if cut < 0:
+                    path = unquote(path)
+                else:
+                    head = path[:cut]
+                    parent = parents.get(head)
+                    if parent is None:
+                        parent = parents[head] = unquote(head)
+                    path = parent + "/" + unquote(path[cut + 3:])
+                ty = fields["ty"]
+                kind = kinds.get(ty)
+                if kind is None:
+                    kind = kinds[ty] = ResourceKind(int(unquote(ty)))
+                name = unquote(fields["nm"])
+                created = float(unquote(fields["ct"]))
+                content = decode_b64(unquote(fields["pc"])) if "pc" in fields else None
+                # positional: keywords cost a frozen dataclass about half again
+                records.append(BundleRecord(path, kind, name, created, content))
             bundle = cls(header["tid"], float(header["at"]), tuple(records))
             count = int(header["n"])
         except (KeyError, ValueError) as exc:
@@ -157,76 +203,140 @@ class EdgeSyncInfo:
 def make_bundle(
     tree: ResourceTree, root_path: ResourcePath, task_id: str, exported_at: float
 ) -> OffloadBundle:
-    """Preorder snapshot of a subtree, excluding subscriptions."""
+    """Preorder snapshot of a subtree, excluding subscriptions.
+
+    Each record's path is its parent's path plus its name, so no node's
+    path is walked up to the root.
+    """
     root = tree.resolve(root_path)
     if root.kind not in (ResourceKind.AE, ResourceKind.CONTAINER):
         raise BadRequestError("a task root must be an Ae or a Container")
+    paths = {root.parent_id: str(tree.path_of(root.parent_id))}
     records = []
     for node in tree.walk(root.id):
+        # kept for subscriptions too: a deserialized tree may nest under one
+        path = paths[node.id] = paths[node.parent_id] + "/" + node.name
         if node.kind is ResourceKind.SUBSCRIPTION:
             continue
         records.append(
-            BundleRecord(
-                source_path=str(tree.path_of(node)),
-                kind=node.kind,
-                name=node.name,
-                creation_time=node.creation_time,
-                content=node.content,
-            )
+            BundleRecord(path, node.kind, node.name, node.creation_time, node.content)
         )
     return OffloadBundle(task_id=task_id, exported_at=exported_at, records=tuple(records))
 
 
+def _canonical(path: str) -> str:
+    """The text of ``ResourcePath.parse(path)`` without its ``/la`` suffix;
+    a path that is already in that form comes back as it is."""
+    if (
+        path
+        and "//" not in path
+        and path[0] != "/"
+        and path[-1] != "/"
+        and not path.endswith("/" + LATEST_SEGMENT)
+    ):
+        return path
+    parsed = ResourcePath.parse(path)
+    return "/".join((parsed.cse_label, *parsed.segments))
+
+
 def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePath:
-    """Graft a bundle onto the edge tree.
+    """Graft a bundle onto the edge tree, or refuse it and leave the tree as
+    it was.
 
     Paths keep their grouping segments with the cse label rewritten to the
     edge tree's label; missing grouping containers are created on the fly.
     Source creation times are preserved; ids are minted by the edge tree.
+    Every record is checked before the first graft (see ``_plan_import``).
     """
     if not bundle.records:
         raise BadRequestError("bundle has no records")
-    now_root_src = ResourcePath.parse(bundle.records[0].source_path)
-    root_target = ResourcePath(edge_tree.cse_label, now_root_src.segments)
-    # grouping segments above the task root
-    parent = ResourcePath(edge_tree.cse_label)
-    for segment in root_target.segments[:-1]:
-        candidate = parent.child(segment)
+    root_src = ResourcePath.parse(bundle.records[0].source_path)
+    root_target = ResourcePath(edge_tree.cse_label, root_src.segments)
+    parent, missing = _grouping_parent(edge_tree, root_target)
+    group_key, steps = _plan_import(edge_tree, bundle, root_src, parent, missing)
+    for segment in missing:
+        parent = edge_tree.graft(
+            parent, ResourceKind.CONTAINER, segment, creation_time=bundle.exported_at
+        )
+    nodes = {group_key: parent}
+    for rec, parent_key, key in steps:
+        nodes[key] = edge_tree.graft(
+            nodes[parent_key],
+            rec.kind,
+            rec.name,
+            creation_time=rec.creation_time,
+            content=rec.content,
+        )
+    return root_target
+
+
+def _grouping_parent(
+    edge_tree: ResourceTree, root_target: ResourcePath
+) -> tuple[Resource, tuple[str, ...]]:
+    """The deepest existing node above the task root and the grouping
+    segments still to create under it, once it is certain they can be
+    created and that the task root is not on the edge tree already."""
+    grouping = root_target.segments[:-1]
+    parent = edge_tree.root
+    for depth in range(1, len(grouping) + 1):
         try:
-            edge_tree.resolve(candidate)
+            parent = edge_tree.resolve(ResourcePath(edge_tree.cse_label, grouping[:depth]))
         except NotFoundError:
-            edge_tree.graft(
-                parent,
-                ResourceKind.CONTAINER,
-                segment,
-                creation_time=bundle.exported_at,
-            )
-        parent = candidate
+            missing = grouping[depth - 1:]
+            kind = parent.kind
+            for segment in missing:
+                check_name(segment)
+                if ResourceKind.CONTAINER not in LEGAL_CHILDREN[kind]:
+                    raise BadRequestError(
+                        f"a grouping container may not be created under {kind.name}"
+                    ) from None
+                kind = ResourceKind.CONTAINER
+            return parent, missing
     try:
         edge_tree.resolve(root_target)
     except NotFoundError:
-        pass
-    else:
-        raise ConflictError(f"{root_target} already exists on the edge tree")
+        return parent, ()
+    raise ConflictError(f"{root_target} already exists on the edge tree")
+
+
+def _plan_import(
+    edge_tree: ResourceTree,
+    bundle: OffloadBundle,
+    root_src: ResourcePath,
+    parent: Resource,
+    missing: tuple[str, ...],
+) -> tuple[str, list[tuple[BundleRecord, str, str]]]:
+    """Check every record against the nodes the import will have made by
+    its turn: it lies inside the task root, an earlier record is its
+    parent, and its name and kind are legal there.
+
+    A node is keyed by the canonical source path it lands at: its parent's
+    key plus its own name. ``parent`` is the grouping parent, still to be
+    extended by the ``missing`` containers. Returns the grouping parent's
+    key and, per record, the record, its parent's key and its own key.
+    """
+    root_key = "/".join((root_src.cse_label, *root_src.segments))
+    group_key = root_key.rpartition("/")[0]
+    taken = set() if missing else {child.name for child in edge_tree.children(parent.id)}
+    kinds = {group_key: ResourceKind.CONTAINER if missing else parent.kind}
+    steps = []
     for rec in bundle.records:
-        src = ResourcePath.parse(rec.source_path)
-        if not now_root_src.is_prefix_of(src):
+        path = _canonical(rec.source_path)
+        if path != root_key and not path.startswith(root_key + "/"):
             raise BadRequestError("bundle record outside the task root")
-        dst = ResourcePath(edge_tree.cse_label, src.segments)
-        try:
-            # graft raises NotFoundError only when it cannot resolve the parent
-            edge_tree.graft(
-                dst.parent(),
-                rec.kind,
-                rec.name,
-                creation_time=rec.creation_time,
-                content=rec.content,
-            )
-        except NotFoundError:
-            raise BadRequestError(
-                f"malformed bundle ordering: parent of {rec.source_path} missing"
-            ) from None
-    return root_target
+        parent_key = path[: path.rfind("/")]
+        parent_kind = kinds.get(parent_key)
+        if parent_kind is None:
+            raise BadRequestError(f"malformed bundle ordering: parent of {rec.source_path} missing")
+        check_name(rec.name)
+        if rec.kind not in LEGAL_CHILDREN[parent_kind]:
+            raise BadRequestError(f"{rec.kind.name} may not be created under {parent_kind.name}")
+        key = parent_key + "/" + rec.name
+        if key in kinds or (parent_key == group_key and rec.name in taken):
+            raise BadRequestError(f"sibling name {rec.name!r} is already taken")
+        kinds[key] = rec.kind
+        steps.append((rec, parent_key, key))
+    return group_key, steps
 
 
 def iter_containers(tree: ResourceTree, root_path: ResourcePath) -> Iterator[Resource]:
@@ -431,7 +541,7 @@ class OffloadCoordinator:
             with self.cloud_tree.unguarded():
                 if notify.change == "created":
                     self.cloud_tree.graft(
-                        target,
+                        self.cloud_tree.resolve(target),
                         view.kind,
                         view.name,
                         creation_time=view.creation_time,
@@ -542,18 +652,16 @@ def _merge_children(
                 continue
             changed += tree.delete(child_path)
             mirror_child = None
-        changed += _graft_snapshot(tree, mirror_path, snap_child)
+        changed += _graft_snapshot(tree, mirror, snap_child)
     for name, orphan in mirror_children.items():
         changed += tree.delete(mirror_path.child(name))
     return changed
 
 
-def _graft_snapshot(
-    tree: ResourceTree, parent_path: ResourcePath, snap: _SnapshotNode
-) -> int:
+def _graft_snapshot(tree: ResourceTree, parent: Resource, snap: _SnapshotNode) -> int:
     rec = snap.record
-    path = tree.graft(
-        parent_path,
+    node = tree.graft(
+        parent,
         rec.kind,
         rec.name,
         creation_time=rec.creation_time,
@@ -562,7 +670,7 @@ def _graft_snapshot(
     )
     count = 1
     for child in snap.children.values():
-        count += _graft_snapshot(tree, path, child)
+        count += _graft_snapshot(tree, node, child)
     return count
 
 

@@ -175,7 +175,7 @@ class ManualClock:
         return self.now
 
 
-def _check_name(name: str) -> None:
+def check_name(name: str) -> None:
     if not name:
         raise BadRequestError("resource name must be nonempty")
     if "/" in name:
@@ -338,7 +338,7 @@ class ResourceTree:
         return events
 
     def _validate_new_child(self, parent: Resource, kind: ResourceKind, name: str) -> None:
-        _check_name(name)
+        check_name(name)
         if kind not in LEGAL_CHILDREN[parent.kind]:
             raise BadRequestError(
                 f"{kind.name} may not be created under {parent.kind.name}"
@@ -433,7 +433,7 @@ class ResourceTree:
 
     def graft(
         self,
-        parent_path: ResourcePath,
+        parent: Resource,
         kind: ResourceKind,
         name: str,
         *,
@@ -442,14 +442,14 @@ class ResourceTree:
         notification_target: tuple[str, str] | None = None,
         labels: list[str] | None = None,
         emit_event: bool = False,
-    ) -> ResourcePath:
-        """Insert a replicated resource, preserving its source creation time.
+    ) -> Resource:
+        """Insert a replicated resource under a live node of this tree,
+        preserving its source creation time; returns the new resource.
 
-        Used by offload import and mirror replay. Import grafts are silent;
-        mirror replay grafts emit events so applications watching the mirror
-        observe synchronized data.
+        Used by offload import and mirror replay, which resolve the parent
+        themselves. Import grafts are silent; mirror replay grafts emit
+        events so applications watching the mirror observe synchronized data.
         """
-        parent = self.resolve(parent_path)
         self._validate_new_child(parent, kind, name)
         now = self._clock()
         node = Resource(
@@ -465,10 +465,9 @@ class ResourceTree:
         )
         self._attach(node)
         parent.last_modified_time = now
-        path = parent_path.child(name)
         if emit_event:
-            self._emit("created", path, node)
-        return path
+            self._emit("created", self.path_of(node), node)
+        return node
 
     def update(
         self,
@@ -493,7 +492,7 @@ class ResourceTree:
         self._check_guard(self.path_of(node), "update")
         old_name = None
         if name is not None and name != node.name:
-            _check_name(name)
+            check_name(name)
             parent = self._nodes[node.parent_id] if node.parent_id else None
             if parent is None:
                 raise BadRequestError("the root cannot be renamed")

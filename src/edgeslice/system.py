@@ -24,6 +24,7 @@ from dataclasses import replace
 from .codec import decode_body, decode_fieldline, encode_b64, encode_body, encode_fieldline
 from .errors import (
     AlreadyOffloadedError,
+    BadRequestError,
     ConfigInvalidError,
     EdgeSliceError,
     NotFoundError,
@@ -68,6 +69,10 @@ DATA_OPS = (
 
 CONTROL_SIZE = 0
 
+# what a control handler raises on a body it cannot read: missing fields,
+# unknown names and numbers that do not parse
+MALFORMED_CONTROL = (BadRequestError, KeyError, ValueError)
+
 
 def payload_for(config: ScenarioConfig, index: int) -> bytes:
     body = f"position-update-{index:06d}:".encode("ascii")
@@ -83,6 +88,7 @@ class _Node:
         self.sim = system.sim
         self.network = system.network
         self.pending: dict[str, object] = {}
+        self.malformed_dropped = 0
         system.network.attach(node_id, self.receive)
 
     def send(self, to: str, payload: bytes, size: int) -> None:
@@ -97,13 +103,25 @@ class _Node:
         self.send(to, RequestPrimitive(op, to, self.node_id, rqi, content=body).encode(), CONTROL_SIZE)
 
     def receive(self, payload: bytes, sender: str) -> None:
-        if is_response(payload):
-            response = decode_response(payload)
-            callback = self.pending.pop(response.request_id, None)
-            if callback is not None:
-                callback(response)
+        """Deliver one payload. One that does not decode has no request id
+        to answer, so it is dropped and counted in ``malformed_dropped``."""
+        reply = is_response(payload)
+        try:
+            message = decode_response(payload) if reply else decode_request(payload)
+        except BadRequestError:
+            self.malformed_dropped += 1
             return
-        self.handle_request(decode_request(payload), sender)
+        if reply:
+            callback = self.pending.pop(message.request_id, None)
+            if callback is not None:
+                callback(message)
+            return
+        self.handle_request(message, sender)
+
+    def refuse(self, req: RequestPrimitive, sender: str, exc: Exception) -> None:
+        """Answer a control request whose body could not be read with 4000."""
+        detail = f"malformed {req.operation.name}: {exc!r}".encode()
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, detail))
 
     def handle_request(self, req: RequestPrimitive, sender: str) -> None:
         raise NotImplementedError
@@ -175,23 +193,27 @@ class EdgeNode(_Node):
         op = req.operation
         if op in DATA_OPS:
             self._handle_data(req, sender)
-        elif op is Operation.SERVICE_REQUEST:
-            self.sim.log("service_request_arrival", rqi=req.request_id, device=req.originator)
-            self.send(self.system.cloud_id, req.encode(), CONTROL_SIZE)
-        elif op is Operation.SLICE_INSTANTIATE:
-            self._handle_instantiate(req)
-        elif op is Operation.BUNDLE_TRANSFER:
-            self._handle_bundle(req, sender)
-        elif op is Operation.SYNC_FINALIZE:
-            self._handle_finalize(req, sender)
-        elif op is Operation.START_FUNCTION:
-            self._handle_start(req, sender)
-        elif op is Operation.STOP_FUNCTION:
-            self._handle_stop(req, sender)
-        elif op is Operation.CRASH:
-            self._handle_crash(req, sender)
-        else:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST))
+            return
+        try:
+            if op is Operation.SERVICE_REQUEST:
+                self.sim.log("service_request_arrival", rqi=req.request_id, device=req.originator)
+                self.send(self.system.cloud_id, req.encode(), CONTROL_SIZE)
+            elif op is Operation.SLICE_INSTANTIATE:
+                self._handle_instantiate(req)
+            elif op is Operation.BUNDLE_TRANSFER:
+                self._handle_bundle(req, sender)
+            elif op is Operation.SYNC_FINALIZE:
+                self._handle_finalize(req, sender)
+            elif op is Operation.START_FUNCTION:
+                self._handle_start(req, sender)
+            elif op is Operation.STOP_FUNCTION:
+                self._handle_stop(req, sender)
+            elif op is Operation.CRASH:
+                self._handle_crash(req, sender)
+            else:
+                self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST))
+        except MALFORMED_CONTROL as exc:
+            self.refuse(req, sender, exc)
 
     def _handle_data(self, req: RequestPrimitive, sender: str) -> None:
         response, events, processing = self.worker.dispatch(req)
@@ -203,11 +225,12 @@ class EdgeNode(_Node):
         )
 
     def _handle_instantiate(self, req: RequestPrimitive) -> None:
-        lines = (req.content or b"").decode("ascii").split("\n")
-        plan = SlicingPlan.from_text(lines[0])
-        meta = decode_fieldline(lines[1])
+        plan_line, meta_line, *image_lines = (req.content or b"").decode("ascii").split("\n")
+        plan = SlicingPlan.from_text(plan_line)
+        meta = decode_fieldline(meta_line)
+        ctx, svc = meta["ctx"], meta["svc"]  # read now: the steps below run later
         images = []
-        for line in lines[2:]:
+        for line in image_lines:
             rec = decode_fieldline(line)
             images.append(
                 FunctionImage(
@@ -231,15 +254,15 @@ class EdgeNode(_Node):
             for fn in fresh_starts:
                 self.worker.stop_function(fn)
             self._sync_channel_state()
-            body = encode_body([("ctx", meta["ctx"]), ("slc", plan.target_slice), ("err", message)])
+            body = encode_body([("ctx", ctx), ("slc", plan.target_slice), ("err", message)])
             self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, body)
 
         def step(index: int) -> None:
             if index == len(images):
                 pairs = [
-                    ("ctx", meta["ctx"]),
+                    ("ctx", ctx),
                     ("slc", plan.target_slice),
-                    ("svc", meta["svc"]),
+                    ("svc", svc),
                     ("fn", ",".join(f"{fn.name}:{port}" for fn, port in sorted(started.items(), key=lambda kv: kv[0].value))),
                 ]
                 self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, encode_body(pairs))
@@ -275,26 +298,28 @@ class EdgeNode(_Node):
     def _handle_bundle(self, req: RequestPrimitive, sender: str) -> None:
         head, _, bundle_text = (req.content or b"").decode("ascii").partition("\n")
         meta = decode_fieldline(head)
+        task_id = meta["task"]
+        # the whole body is read before the import, so a refusal changes nothing
+        eager = meta["mode"] == SyncMode.EAGER.value
+        if eager:
+            mirror_root, cloud = ResourcePath.parse(meta["mirror"]), meta["cloud"]
         bundle = OffloadBundle.decode(bundle_text)
         try:
             root = import_bundle(self.worker.tree, bundle)
         except EdgeSliceError as exc:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.CONFLICT, str(exc).encode()))
             return
-        if meta["mode"] == SyncMode.EAGER.value:
-            mirror_root = ResourcePath.parse(meta["mirror"])
-            create_sync_subscriptions(self.worker.tree, root, mirror_root, meta["cloud"])
+        if eager:
+            create_sync_subscriptions(self.worker.tree, root, mirror_root, cloud)
             self.worker.tree.drain_events()
-            self.sync_infos.append(
-                EdgeSyncInfo(meta["task"], root, mirror_root, meta["cloud"])
-            )
+            self.sync_infos.append(EdgeSyncInfo(task_id, root, mirror_root, cloud))
         self.sim.log(
             "offload_import_complete",
             ctx=meta.get("ctx", ""),
-            task=meta["task"],
+            task=task_id,
             root=str(root),
         )
-        body = encode_body([("task", meta["task"]), ("root", str(root))])
+        body = encode_body([("task", task_id), ("root", str(root))])
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
     def _handle_finalize(self, req: RequestPrimitive, sender: str) -> None:
@@ -314,9 +339,9 @@ class EdgeNode(_Node):
 
     def _handle_start(self, req: RequestPrimitive, sender: str) -> None:
         meta = decode_body(req.content)
-        image = self.system.config.catalogue.by_id(meta["img"])
         quota = ResourceQuota(int(meta["mem"]), float(meta["cpu"]))
         try:
+            image = self.system.config.catalogue.by_id(meta["img"])
             instance = self.worker.begin_start(image, quota)
         except EdgeSliceError as exc:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, str(exc).encode()))
@@ -405,18 +430,23 @@ class CloudNode(_Node):
         op = req.operation
         if op is Operation.NOTIFY:
             self._handle_notify(req, sender)
-        elif op in DATA_OPS:
+            return
+        if op in DATA_OPS:
             self._handle_data(req, sender)
-        elif op is Operation.SERVICE_REQUEST:
-            self._handle_service_request(req)
-        elif op is Operation.SLICE_RECORD:
-            self._handle_record(req, sender)
-        elif op is Operation.OFFLOAD_REQUEST:
-            self._handle_offload_request(req, sender)
-        elif op is Operation.SLICE_TERMINATE:
-            self._handle_terminate(req, sender)
-        else:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST))
+            return
+        try:
+            if op is Operation.SERVICE_REQUEST:
+                self._handle_service_request(req)
+            elif op is Operation.SLICE_RECORD:
+                self._handle_record(req, sender)
+            elif op is Operation.OFFLOAD_REQUEST:
+                self._handle_offload_request(req, sender)
+            elif op is Operation.SLICE_TERMINATE:
+                self._handle_terminate(req, sender)
+            else:
+                self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST))
+        except MALFORMED_CONTROL as exc:
+            self.refuse(req, sender, exc)
 
     def _handle_notify(self, req: RequestPrimitive, sender: str) -> None:
         notify = parse_notify(req)

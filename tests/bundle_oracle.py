@@ -1,0 +1,140 @@
+"""The offload bundle stages as they were before each became a single pass.
+
+``make_bundle``, ``encode``, ``decode`` and ``import_bundle`` below are the
+earlier implementations, kept as the oracle of ``test_bundle_oracle``: the
+current ones must produce the same text, the same bundle and the same edge
+tree, or fail with the same exception class. The one adaptation is that
+``ResourceTree.graft`` now takes its parent as a resolved ``Resource``, so
+the oracle resolves the parent path first; ``graft`` used to do exactly
+that, and a missing parent still surfaces as ``NotFoundError``.
+"""
+from __future__ import annotations
+
+from edgeslice.codec import decode_b64, decode_fieldline, encode_b64, encode_fieldline
+from edgeslice.errors import BadRequestError, ConflictError, NotFoundError
+from edgeslice.offload import BundleRecord, OffloadBundle
+from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
+
+
+def make_bundle(
+    tree: ResourceTree, root_path: ResourcePath, task_id: str, exported_at: float
+) -> OffloadBundle:
+    root = tree.resolve(root_path)
+    if root.kind not in (ResourceKind.AE, ResourceKind.CONTAINER):
+        raise BadRequestError("a task root must be an Ae or a Container")
+    records = []
+    for node in tree.walk(root.id):
+        if node.kind is ResourceKind.SUBSCRIPTION:
+            continue
+        records.append(
+            BundleRecord(
+                source_path=str(tree.path_of(node)),
+                kind=node.kind,
+                name=node.name,
+                creation_time=node.creation_time,
+                content=node.content,
+            )
+        )
+    return OffloadBundle(task_id=task_id, exported_at=exported_at, records=tuple(records))
+
+
+def encode(bundle: OffloadBundle) -> str:
+    lines = [
+        encode_fieldline(
+            [
+                ("tid", bundle.task_id),
+                ("at", repr(bundle.exported_at)),
+                ("n", str(len(bundle.records))),
+            ]
+        )
+    ]
+    for rec in bundle.records:
+        line = encode_fieldline(
+            [
+                ("pt", rec.source_path),
+                ("ty", str(rec.kind.value)),
+                ("nm", rec.name),
+                ("ct", repr(rec.creation_time)),
+            ]
+        )
+        if rec.content is not None:
+            line += ";pc=" + encode_b64(rec.content)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def decode(text: str) -> OffloadBundle:
+    lines = [ln for ln in text.split("\n") if ln]
+    if not lines:
+        raise BadRequestError("empty bundle")
+    try:
+        header = decode_fieldline(lines[0])
+        records = []
+        for line in lines[1:]:
+            rec = decode_fieldline(line)
+            records.append(
+                BundleRecord(
+                    source_path=rec["pt"],
+                    kind=ResourceKind(int(rec["ty"])),
+                    name=rec["nm"],
+                    creation_time=float(rec["ct"]),
+                    content=decode_b64(rec["pc"]) if "pc" in rec else None,
+                )
+            )
+        bundle = OffloadBundle(header["tid"], float(header["at"]), tuple(records))
+        count = int(header["n"])
+    except (KeyError, ValueError) as exc:
+        raise BadRequestError(f"malformed bundle: {exc!r}") from None
+    if len(records) != count:
+        raise BadRequestError("bundle record count mismatch")
+    return bundle
+
+
+def _graft(tree: ResourceTree, parent_path: ResourcePath, kind, name, **fields):
+    tree.graft(tree.resolve(parent_path), kind, name, **fields)
+
+
+def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePath:
+    if not bundle.records:
+        raise BadRequestError("bundle has no records")
+    now_root_src = ResourcePath.parse(bundle.records[0].source_path)
+    root_target = ResourcePath(edge_tree.cse_label, now_root_src.segments)
+    parent = ResourcePath(edge_tree.cse_label)
+    for segment in root_target.segments[:-1]:
+        candidate = parent.child(segment)
+        try:
+            edge_tree.resolve(candidate)
+        except NotFoundError:
+            _graft(
+                edge_tree,
+                parent,
+                ResourceKind.CONTAINER,
+                segment,
+                creation_time=bundle.exported_at,
+            )
+        parent = candidate
+    try:
+        edge_tree.resolve(root_target)
+    except NotFoundError:
+        pass
+    else:
+        raise ConflictError(f"{root_target} already exists on the edge tree")
+    for rec in bundle.records:
+        src = ResourcePath.parse(rec.source_path)
+        if not now_root_src.is_prefix_of(src):
+            raise BadRequestError("bundle record outside the task root")
+        dst = ResourcePath(edge_tree.cse_label, src.segments)
+        try:
+            _graft(
+                edge_tree,
+                dst.parent(),
+                rec.kind,
+                rec.name,
+                creation_time=rec.creation_time,
+                content=rec.content,
+            )
+        except NotFoundError:
+            raise BadRequestError(
+                f"malformed bundle ordering: parent of {rec.source_path} missing"
+            ) from None
+    return root_target

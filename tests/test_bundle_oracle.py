@@ -1,0 +1,266 @@
+"""Differential tests of the offload bundle stages against ``bundle_oracle``.
+
+The current ``make_bundle``, ``OffloadBundle.encode``/``decode`` and
+``import_bundle`` must agree with the earlier implementations kept in
+``bundle_oracle``: the same text byte for byte, the same decoded bundle or
+``BadRequestError`` on both sides, and the same edge tree or the same
+exception class. A refused import must also leave the edge tree as it was,
+which the oracle did not. Hypothesis runs derandomized with a bounded
+example count, as in ``test_codec``.
+"""
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bundle_oracle as oracle
+from edgeslice.bench import build_system
+from edgeslice.errors import BadRequestError, EdgeSliceError
+from edgeslice.offload import BundleRecord, OffloadBundle, import_bundle, make_bundle
+from edgeslice.resources import (
+    ManualClock,
+    ResourceKind,
+    ResourcePath,
+    ResourceTree,
+    trees_equal,
+)
+from util import RandomTreeWorkload
+from wire_samples import prepare_200_config, sample_tree
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+# segments and names that exercise the quoting rules and the %2F cut
+ODD = ["%", ";", "=", "%2F", "%2f", "a%2Fb", "%C3", "%A9", "ü", "😀", "a b", "x=y;z", "la", ""]
+SEGMENT = st.one_of(st.sampled_from(ODD), st.text(max_size=4))
+PATH = st.lists(SEGMENT, max_size=5).map("/".join)
+TIMES = st.one_of(
+    st.floats(),
+    st.sampled_from([1e-05, -0.0, 0.0, float("inf"), float("-inf"), 1e16, 1e22, 5e-324]),
+)
+CONTENT = st.one_of(st.none(), st.binary(max_size=24))
+
+
+@st.composite
+def records(draw) -> BundleRecord:
+    path = draw(PATH)
+    name = path.rpartition("/")[2] if draw(st.booleans()) else draw(SEGMENT)
+    kind = draw(st.sampled_from(ResourceKind))
+    return BundleRecord(path, kind, name, draw(TIMES), draw(CONTENT))
+
+
+BUNDLES = st.builds(
+    OffloadBundle,
+    st.one_of(st.text(max_size=6), st.sampled_from(ODD)),
+    TIMES,
+    st.lists(records(), max_size=6).map(tuple),
+)
+
+
+def _key(bundle: OffloadBundle):
+    """A bundle's fields with floats by repr, so that nan compares equal."""
+    return (
+        bundle.task_id,
+        repr(bundle.exported_at),
+        [(r.source_path, r.kind, r.name, repr(r.creation_time), r.content) for r in bundle.records],
+    )
+
+
+def benchmark_tree() -> tuple[ResourceTree, ResourcePath]:
+    """The calibrated scenario's cloud tree with 200 content instances in its task."""
+    config = prepare_200_config()
+    system = build_system(config, "edge", 42)
+    return system.cloud.tree, ResourcePath.parse(config.tasks[0].root)
+
+
+# --- export and encode ---
+
+def test_benchmark_bundle_matches_oracle():
+    tree, root = benchmark_tree()
+    bundle = make_bundle(tree, root, "task-citizenB", 21254.8)
+    assert len(bundle.records) == 202
+    assert bundle == oracle.make_bundle(tree, root, "task-citizenB", 21254.8)
+    text = bundle.encode()
+    assert text == oracle.encode(bundle)
+    assert OffloadBundle.decode(text) == oracle.decode(text) == bundle
+    old, new = ResourceTree("MN-CSE", ManualClock(3.0)), ResourceTree("MN-CSE", ManualClock(3.0))
+    assert import_bundle(new, bundle) == oracle.import_bundle(old, bundle)
+    assert trees_equal(old, new)
+    assert old.serialize() == new.serialize()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_make_bundle_matches_oracle_on_random_trees(seed):
+    clock = ManualClock()
+    tree = sample_tree() if seed == 0 else ResourceTree("IN-CSE", clock)
+    RandomTreeWorkload(tree, clock, random.Random(seed)).run(300)
+    for node in tree.walk():
+        if node.kind in (ResourceKind.AE, ResourceKind.CONTAINER):
+            path = tree.path_of(node)
+            bundle = make_bundle(tree, path, "t", 1.5)
+            assert bundle == oracle.make_bundle(tree, path, "t", 1.5)
+            assert bundle.encode() == oracle.encode(bundle)
+
+
+def test_make_bundle_matches_oracle_below_a_subscription():
+    # create() never nests under a subscription, but a tree dump may
+    tree = ResourceTree("IN-CSE")
+    root = tree.create(ResourcePath("IN-CSE"), ResourceKind.CONTAINER, "A")
+    tree.create(root, ResourceKind.SUBSCRIPTION, "s", notification_target=("app", "APP/x"))
+    dump = tree.serialize() + "id=ci_0001;pid=sub_0001;ty=4;nm=odd;ct=0.0;lt=0.0;pc=AA==\n"
+    tree = ResourceTree.deserialize(dump)
+    bundle = make_bundle(tree, root, "t", 0.0)
+    assert bundle == oracle.make_bundle(tree, root, "t", 0.0)
+    assert [r.source_path for r in bundle.records] == ["IN-CSE/A", "IN-CSE/A/s/odd"]
+
+
+@PROPERTY
+@given(BUNDLES)
+def test_encode_matches_oracle(bundle):
+    assert bundle.encode() == oracle.encode(bundle)
+
+
+# --- decode ---
+
+def _decode_both(text: str):
+    """(old, new): a bundle key each, or both ``BadRequestError``."""
+    out = []
+    for decode in (oracle.decode, OffloadBundle.decode):
+        try:
+            out.append(_key(decode(text)))
+        except BadRequestError:
+            out.append(BadRequestError)
+    return out
+
+
+# characters that matter to the decoder, including halves of escapes
+EDIT = st.lists(
+    st.sampled_from(list("%;=\n/2FfC3A9ü0.ex+-") + ["%2F", "%C3", "pt=", "ty=", "pc=", ";ct="]),
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def edited_encodings(draw) -> str:
+    """The encoding of a generated bundle with up to three spans replaced."""
+    text = draw(BUNDLES).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 8)))
+        text = text[:start] + draw(EDIT) + text[end:]
+    return text
+
+
+@PROPERTY
+@given(st.one_of(st.text(max_size=64), edited_encodings(), BUNDLES.map(OffloadBundle.encode)))
+def test_decode_matches_oracle(text):
+    old, new = _decode_both(text)
+    assert new == old
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "tid=t;at=1;n=1\npt=IN-CSE%2Fa%C3%2F%A9b;ty=3;nm=x;ct=0\n",  # split UTF-8 around /
+        "tid=t;at=1;n=1\npt=a%2fb%2Fc;ty=3;nm=c;ct=0\n",  # lowercase escape
+        "tid=t;at=1;n=1\npt=IN-CSE%2Fa;ty=3;ty=4;nm=a;zz=1;ct=1e-05;;\n",  # repeats, extras
+        "tid=t;at=1;n=1\npt;pt=x;ty=03;nm=x;ct=-0.0\n",
+        "tid=t;at=1;n=1\npt=x;ty=3;nm=x;ct=1;pc=QQ%3D%3D\n",  # quoted base64
+        "tid=t;at=1;n=1\npt=x;ty=9;nm=x;ct=1\n",
+        "tid=t;at=1;n=1\npt=x;ty=3;nm=x\n",
+        "tid=t;at=1;n=2\npt=x;ty=3;nm=x;ct=1\n",
+    ],
+)
+def test_decode_matches_oracle_on_edge_cases(text):
+    old, new = _decode_both(text)
+    assert new == old
+
+
+# --- import ---
+
+SMALL = ["A", "B", "c", "x", "y"]
+NAME = st.one_of(st.sampled_from(SMALL), st.sampled_from(["la", "", "a/b", "%2F"]))
+
+
+def variant(path: str):
+    """``path`` or one of the spellings ``ResourcePath.parse`` reads as it."""
+    return st.sampled_from([path, path, path, "/" + path, path + "/", path.replace("/", "//"), path + "/la"])
+
+
+EDGE_SETUPS = {
+    "empty": [],
+    "group exists": [("", ResourceKind.CONTAINER, "A")],
+    "group is an Ae": [("", ResourceKind.AE, "A")],
+    "root exists": [("", ResourceKind.CONTAINER, "A"), ("A", ResourceKind.CONTAINER, "B")],
+    "sibling exists": [("", ResourceKind.CONTAINER, "A"), ("A", ResourceKind.CONTAINER, "y")],
+    "group under an instance": [
+        ("", ResourceKind.CONTAINER, "A"),
+        ("A", ResourceKind.CONTENT_INSTANCE, "B"),
+    ],
+}
+
+
+def edge_tree(setup: str) -> ResourceTree:
+    tree = ResourceTree("MN-CSE", ManualClock(5.0))
+    for parent, kind, name in EDGE_SETUPS[setup]:
+        content = b"v" if kind is ResourceKind.CONTENT_INSTANCE else None
+        tree.create(ResourcePath("MN-CSE", tuple(filter(None, parent.split("/")))), kind, name,
+                    content=content)
+    tree.drain_events()
+    return tree
+
+
+@st.composite
+def import_cases(draw) -> tuple[str, OffloadBundle]:
+    """An edge set-up and a bundle; about half the bundles keep to legal
+    choices, the others mix in faults and odd spellings."""
+    noisy = draw(st.booleans())
+    root = draw(st.sampled_from(["IN-CSE/A/B", "IN-CSE/c/A/B"]
+                                + (["IN-CSE/A", "IN-CSE", "X-CSE/A/B", "IN-CSE/la/B"] if noisy else [])))
+    group, _, last = root.rpartition("/")
+    kinds = st.sampled_from(
+        list(ResourceKind) if noisy else [ResourceKind.CONTAINER, ResourceKind.CONTENT_INSTANCE]
+    )
+    first_name = draw(NAME) if noisy and draw(st.integers(0, 4)) == 0 else last
+    first_kind = draw(kinds) if noisy else ResourceKind.CONTAINER
+    recs = [(draw(variant(root)) if noisy else root, first_kind, first_name)]
+    containers = [group + "/" + first_name]
+    for index in range(draw(st.integers(0, 6))):
+        parents = containers + (["IN-CSE/B", group] if noisy else [])
+        parent = draw(st.sampled_from(parents))
+        name = draw(NAME) if noisy else f"{draw(st.sampled_from(SMALL))}{index}"
+        segment = draw(st.sampled_from(SMALL)) if noisy and draw(st.integers(0, 4)) == 0 else name
+        kind = draw(kinds)
+        path = parent + "/" + segment
+        recs.append((draw(variant(path)) if noisy else path, kind, name))
+        if noisy or kind is ResourceKind.CONTAINER:
+            containers.append(parent + "/" + name)
+    records = tuple(
+        BundleRecord(path, kind, name, draw(st.sampled_from([0.0, 2.5])),
+                     b"c" if kind is ResourceKind.CONTENT_INSTANCE else None)
+        for path, kind, name in recs
+    )
+    setups = sorted(EDGE_SETUPS) if noisy else ["empty", "group exists", "sibling exists"]
+    return draw(st.sampled_from(setups)), OffloadBundle("t", 1.0, records)
+
+
+def _import(function, tree: ResourceTree, bundle: OffloadBundle):
+    try:
+        return function(tree, bundle)
+    except EdgeSliceError as exc:
+        return type(exc)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(import_cases())
+def test_import_matches_oracle(case):
+    setup, bundle = case
+    old, new = edge_tree(setup), edge_tree(setup)
+    before = new.serialize()
+    expected = _import(oracle.import_bundle, old, bundle)
+    assert _import(import_bundle, new, bundle) == expected
+    if isinstance(expected, ResourcePath):
+        assert trees_equal(old, new)
+    else:
+        assert len(new) == len(edge_tree(setup))
+        assert new.serialize() == before

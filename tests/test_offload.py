@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -163,6 +164,57 @@ class TestImport:
         )
         with pytest.raises(BadRequestError):
             import_bundle(h.edge_tree, shuffled)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "outside the root",
+            "parent missing",
+            "illegal name",
+            "illegal kind",
+            "repeated sibling",
+            "sibling on the edge",
+            "illegal grouping name",
+            "grouping under an instance",
+        ],
+    )
+    def test_refused_bundle_leaves_the_edge_tree_unchanged(self, fault):
+        h = Harness()
+        good = h.coordinator.export_task(h.task)
+        records = list(good.records)  # CarA, location, p1, p2
+        cars = P("MN-CSE/Cars")
+        if fault == "outside the root":
+            records.append(replace(records[1], source_path="IN-CSE/B/x", name="x"))
+        elif fault == "parent missing":
+            records.append(replace(records[1], source_path="IN-CSE/Cars/CarA/gone/x", name="x"))
+        elif fault == "illegal name":
+            records.append(replace(records[1], source_path="IN-CSE/Cars/CarA/la", name="la"))
+        elif fault == "illegal kind":
+            records.append(replace(records[1], kind=ResourceKind.AE,
+                                   source_path="IN-CSE/Cars/CarA/ae", name="ae"))
+        elif fault == "repeated sibling":
+            records.append(records[-1])
+        elif fault == "sibling on the edge":
+            h.edge_tree.create(P("MN-CSE"), ResourceKind.CONTAINER, "Cars")
+            h.edge_tree.create(cars, ResourceKind.CONTAINER, "CarB")
+            records.append(replace(records[0], name="CarB"))
+        else:
+            # move the task under grouping segments that cannot all be created
+            h.edge_tree.create(P("MN-CSE"), ResourceKind.CONTAINER, "Cars")
+            h.edge_tree.create(cars, ResourceKind.CONTENT_INSTANCE, "old", content=b"x")
+            prefix = "IN-CSE/Cars/new/la/" if fault == "illegal grouping name" else "IN-CSE/Cars/old/new/"
+            records = [
+                replace(r, source_path=r.source_path.replace("IN-CSE/Cars/", prefix)) for r in records
+            ]
+        h.edge_tree.drain_events()
+        size, dump = len(h.edge_tree), h.edge_tree.serialize()
+        bad = replace(good, records=tuple(records))
+        with pytest.raises(BadRequestError):
+            import_bundle(h.edge_tree, bad)
+        assert len(h.edge_tree) == size
+        assert h.edge_tree.serialize() == dump
+        assert str(import_bundle(h.edge_tree, good)) == "MN-CSE/Cars/CarA"
+        assert len(h.edge_tree) == size + 4 + (0 if size > 1 else 1)
 
 
 class TestEagerSetup:

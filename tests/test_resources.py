@@ -220,11 +220,11 @@ class TestRetrieve:
         live = tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, "live", content=b"v")
         assert tree.resolve(live).creation_time == 7.0
         clock.advance(1.0)
-        tree.graft(location_path(), ResourceKind.CONTENT_INSTANCE, "replayed",
+        tree.graft(tree.resolve(location_path()), ResourceKind.CONTENT_INSTANCE, "replayed",
                    creation_time=1.0, content=b"r")
         assert tree.resolve(la).name == "live"
         # an equal creation time is a tie, which the later insertion wins
-        tree.graft(location_path(), ResourceKind.CONTENT_INSTANCE, "tied",
+        tree.graft(tree.resolve(location_path()), ResourceKind.CONTENT_INSTANCE, "tied",
                    creation_time=7.0, content=b"t")
         assert tree.resolve(la).name == "tied"
         container = tree.resolve(location_path())
@@ -440,7 +440,7 @@ class TestSerialization:
                         notification_target=("app", "APP/one"))
             clock.advance(2.0)
             tree.create(parent, ResourceKind.CONTENT_INSTANCE, "late", content=b"2")
-            tree.graft(parent, ResourceKind.CONTENT_INSTANCE, "early",
+            tree.graft(tree.resolve(parent), ResourceKind.CONTENT_INSTANCE, "early",
                        creation_time=0.5, content=b"1")
             tree.create(parent, ResourceKind.SUBSCRIPTION, "w2",
                         notification_target=("app", "APP/two"))

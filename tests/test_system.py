@@ -403,3 +403,50 @@ class TestReducedCatalogue:
         edge_system.prepare()
         edge_samples = edge_system.run_workload("retrieve", 3)
         assert all(s.rtt_ms == pytest.approx(37.32, rel=1e-9) for s in edge_samples)
+
+
+EDGE_CONTROL = [
+    Operation.SLICE_INSTANTIATE,
+    Operation.BUNDLE_TRANSFER,
+    Operation.SYNC_FINALIZE,
+    Operation.START_FUNCTION,
+    Operation.STOP_FUNCTION,
+    Operation.CRASH,
+]
+CLOUD_CONTROL = [
+    Operation.SERVICE_REQUEST,
+    Operation.SLICE_RECORD,
+    Operation.OFFLOAD_REQUEST,
+    Operation.SLICE_TERMINATE,
+]
+
+
+class TestMalformedMessages:
+    def test_undecodable_payloads_are_dropped_and_counted(self, config):
+        system = build_system(config, "edge", 42)
+        device = system.device_id
+        system.network.send(device, system.cloud_id, b"op=1\nto=\xff", 0)
+        system.network.send(device, "edge0", b"rqi=r\nrsc=x", 0)
+        system.run_until_idle()
+        assert system.cloud.malformed_dropped == 1
+        assert system.edges["edge0"].malformed_dropped == 1
+        # the deployment keeps working
+        assert system.prepare().ok
+        assert len(system.run_workload("create", 2)) == 2
+
+    @pytest.mark.parametrize("body", [b"", b"x=1"], ids=["empty", "x=1"])
+    @pytest.mark.parametrize(
+        "op, at_cloud",
+        [pytest.param(op, False, id=f"edge-{op.name}") for op in EDGE_CONTROL]
+        + [pytest.param(op, True, id=f"cloud-{op.name}") for op in CLOUD_CONTROL],
+    )
+    def test_unreadable_control_body_is_answered_with_bad_request(self, config, op, at_cloud, body):
+        system = build_system(config, "edge", 42)
+        device = system.devices[system.device_id]
+        to = system.cloud_id if at_cloud else "edge0"
+        responses = []
+        req = RequestPrimitive(op, to, device.node_id, "bad-1", content=body)
+        device.issue(req, to, 0, responses.append)
+        system.run_until_idle()
+        assert [r.status for r in responses] == [StatusCode.BAD_REQUEST]
+        assert responses[0].request_id == "bad-1"

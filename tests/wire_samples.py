@@ -10,7 +10,9 @@ every node handler. Running this file prints both as JSON::
 The committed ``tests/golden/wire.json`` was generated this way from the
 code as it stood before the field-line codecs were folded into
 ``edgeslice.codec``; ``test_golden`` checks that every byte on the wire
-stays the same.
+stays the same. Its ``prepare_200_bundle_transfer`` entry was added later,
+generated the same way from the code as it stood before each offload bundle
+stage became a single pass.
 """
 from __future__ import annotations
 
@@ -28,8 +30,10 @@ from edgeslice.primitives import (
     RequestPrimitive,
     ResponsePrimitive,
     StatusCode,
+    decode_request,
     encode_fieldline,
     encode_resource,
+    is_response,
 )
 from edgeslice.resources import ManualClock, ResourceKind, ResourcePath, ResourceTree
 from edgeslice.scenario import load_scenario, reference_calibrated
@@ -113,16 +117,18 @@ def samples() -> dict[str, str]:
     }
 
 
-def _traffic(run) -> str:
-    """Count and sha256 of every payload the network carries during ``run``."""
+def _traffic(run, keep=lambda payload: True) -> str:
+    """Count and sha256 of every payload the network carries during ``run``,
+    or of those that ``keep`` accepts."""
     h = hashlib.sha256()
     count = 0
     original = Network.send
 
     def recording(self, frm, to, payload, size_bytes):
         nonlocal count
-        count += 1
-        h.update(len(payload).to_bytes(8, "big") + payload)
+        if keep(payload):
+            count += 1
+            h.update(len(payload).to_bytes(8, "big") + payload)
         return original(self, frm, to, payload, size_bytes)
 
     Network.send = recording
@@ -169,12 +175,30 @@ def _campus_redirect():
     )
 
 
+def prepare_200_config():
+    """The calibrated scenario as the benchmark's prepare-cold workload runs
+    it: cold image caches and 200 content instances in the task, so its
+    bundle has 202 records."""
+    return replace(reference_calibrated(), pre_seeded_cache=False, prepopulate=200)
+
+
+def _prepare_200():
+    build_system(prepare_200_config(), "edge", 42).prepare()
+
+
+def _is_bundle_transfer(payload: bytes) -> bool:
+    return not is_response(payload) and (
+        decode_request(payload).operation is Operation.BUNDLE_TRANSFER
+    )
+
+
 def traffic_digests() -> dict[str, str]:
     return {
         "calibrated_eager": _traffic(_calibrated_eager),
         "calibrated_cloud": _traffic(_calibrated_cloud),
         "calibrated_lazy_terminate": _traffic(_calibrated_lazy_terminate),
         "campus_redirect": _traffic(_campus_redirect),
+        "prepare_200_bundle_transfer": _traffic(_prepare_200, _is_bundle_transfer),
     }
 
 
