@@ -65,10 +65,14 @@ def encode_body(pairs: list[tuple[str, str]]) -> bytes:
 
 def decode_body(data: bytes | None) -> dict[str, str]:
     """Field line carried as a primitive's content."""
+    return decode_fieldline(decode_ascii(data or b""))
+
+
+def decode_ascii(data: bytes) -> str:
     try:
-        return decode_fieldline((data or b"").decode("ascii"))
+        return data.decode("ascii")
     except UnicodeDecodeError:
-        raise BadRequestError("field line is not ASCII") from None
+        raise BadRequestError("content is not ASCII") from None
 
 
 # --- field values ---

@@ -185,15 +185,20 @@ class Simulator:
 
 
 class Network:
-    """Message transport over a topology, bound to one simulator."""
+    """Message transport over a topology, bound to one simulator.
+
+    A payload is handed to the receiving node's handler as it was sent: a
+    message object or its bytes. The network never reads it; the size passed
+    with it sets the transfer time.
+    """
 
     def __init__(self, sim: Simulator, topology: Topology):
         self.sim = sim
         self.topology = topology
-        self._handlers: dict[str, Callable[[bytes, str], None]] = {}
+        self._handlers: dict[str, Callable[[object, str], None]] = {}
         self._routes: dict[tuple[str, str], list[str]] = {}
 
-    def attach(self, node_id: str, handler: Callable[[bytes, str], None]) -> None:
+    def attach(self, node_id: str, handler: Callable[[object, str], None]) -> None:
         self._handlers[node_id] = handler
 
     def route(self, src: str, dst: str) -> list[str]:
@@ -206,7 +211,7 @@ class Network:
         jitter = self.sim.rng.uniform(0.0, link.jitter_ms) if link.jitter_ms > 0 else 0.0
         return link.delay_ms + jitter + size_bytes / link.bandwidth_bytes_per_s * 1000.0
 
-    def send(self, frm: str, to: str, payload: bytes, size_bytes: int) -> float:
+    def send(self, frm: str, to: str, payload: object, size_bytes: int) -> float:
         """Schedule a delivery; returns the virtual arrival time."""
         path = self.route(frm, to)
         arrival = self.sim.now

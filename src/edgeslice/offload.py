@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Callable, Iterator
 from urllib.parse import unquote
 
-from .codec import decode_b64, decode_fieldline, encode_b64, encode_fieldline, quote
+from .codec import decode_ascii, decode_b64, decode_fieldline, encode_b64, encode_fieldline, quote
 from .errors import (
     AlreadyBoundError,
     AlreadyOffloadedError,
@@ -161,6 +161,44 @@ class OffloadBundle:
             raise BadRequestError("bundle record count mismatch")
         return bundle
 
+    def to_bytes(self) -> bytes:
+        """The bundle as the content of a SYNC_FINALIZE reply."""
+        return self.encode().encode("ascii")
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "OffloadBundle":
+        return cls.decode(decode_ascii(data))
+
+
+@dataclass(frozen=True)
+class BundleTransfer:
+    """The body of a BUNDLE_TRANSFER: the head's field pairs, then the bundle.
+
+    On the wire the head is one field line before the bundle's text.
+    """
+
+    head: tuple[tuple[str, str], ...]
+    bundle: OffloadBundle
+
+    def to_bytes(self) -> bytes:
+        return (encode_fieldline(list(self.head)) + "\n" + self.bundle.encode()).encode("ascii")
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "BundleTransfer":
+        head, _, text = decode_ascii(data).partition("\n")
+        return cls(tuple(decode_fieldline(head).items()), OffloadBundle.decode(text))
+
+
+def read_body(
+    content: "bytes | BundleTransfer | OffloadBundle | None", kind: type
+) -> "BundleTransfer | OffloadBundle":
+    """A message's content as ``kind`` (``BundleTransfer`` or
+    ``OffloadBundle``): the object a node sent, or the bytes of a payload
+    that arrived raw, decoded. Decoding raises only ``BadRequestError``."""
+    if isinstance(content, kind):
+        return content
+    return kind.from_bytes(b"" if content is None else content)
+
 
 @dataclass
 class SyncStats:
@@ -200,6 +238,14 @@ class EdgeSyncInfo:
     cloud_node: str
 
 
+def resolve_task_root(tree: ResourceTree, root_path: ResourcePath) -> Resource:
+    """The node a task is rooted at, which must be an Ae or a Container."""
+    root = tree.resolve(root_path)
+    if root.kind not in (ResourceKind.AE, ResourceKind.CONTAINER):
+        raise BadRequestError("a task root must be an Ae or a Container")
+    return root
+
+
 def make_bundle(
     tree: ResourceTree, root_path: ResourcePath, task_id: str, exported_at: float
 ) -> OffloadBundle:
@@ -208,9 +254,7 @@ def make_bundle(
     Each record's path is its parent's path plus its name, so no node's
     path is walked up to the root.
     """
-    root = tree.resolve(root_path)
-    if root.kind not in (ResourceKind.AE, ResourceKind.CONTAINER):
-        raise BadRequestError("a task root must be an Ae or a Container")
+    root = resolve_task_root(tree, root_path)
     paths = {root.parent_id: str(tree.path_of(root.parent_id))}
     records = []
     for node in tree.walk(root.id):

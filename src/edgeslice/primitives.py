@@ -1,14 +1,18 @@
 """Wire-level operation envelopes; quoting and payload tags come from ``codec``.
 
 Every message between devices, edge workers and the cloud is one request or
-response primitive encoded as newline-separated ``key=value`` lines in a
-fixed field order, so equal primitives always encode to equal bytes. The
-codec's field-line and resource encoders are re-exported here.
+response primitive. Its wire form, made by ``encode`` only when something
+reads it, is newline-separated ``key=value`` lines in a fixed field order, so
+equal primitives always encode to equal bytes, and ``len`` of a primitive is
+the length of that form. Content is bytes, or a parsed body whose
+``to_bytes`` gives exactly the bytes it stands for. The codec's field-line
+and resource encoders are re-exported here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Protocol
 from urllib.parse import unquote
 
 from .codec import (
@@ -57,6 +61,16 @@ class StatusCode(IntEnum):
     CONFLICT = 4009
 
 
+class Body(Protocol):
+    """Immutable parsed content that a primitive carries in place of bytes."""
+
+    def to_bytes(self) -> bytes: ...
+
+
+def _content_bytes(content: "bytes | Body") -> bytes:
+    return content if isinstance(content, bytes) else content.to_bytes()
+
+
 @dataclass(frozen=True)
 class RequestPrimitive:
     operation: Operation
@@ -64,7 +78,7 @@ class RequestPrimitive:
     originator: str
     request_id: str
     resource_kind: ResourceKind | None = None
-    content: bytes | None = None
+    content: "bytes | Body | None" = None
 
     def encode(self) -> bytes:
         lines = [
@@ -76,15 +90,18 @@ class RequestPrimitive:
         if self.resource_kind is not None:
             lines.append(f"ty={self.resource_kind.value}")
         if self.content is not None:
-            lines.append(f"pc={encode_payload(self.content)}")
+            lines.append(f"pc={encode_payload(_content_bytes(self.content))}")
         return "\n".join(lines).encode("ascii")
+
+    def __len__(self) -> int:
+        return len(self.encode())
 
 
 @dataclass(frozen=True)
 class ResponsePrimitive:
     request_id: str
     status: StatusCode
-    content: bytes | None = None
+    content: "bytes | Body | None" = None
 
     @property
     def ok(self) -> bool:
@@ -96,8 +113,11 @@ class ResponsePrimitive:
             f"rsc={int(self.status)}",
         ]
         if self.content is not None:
-            lines.append(f"pc={encode_payload(self.content)}")
+            lines.append(f"pc={encode_payload(_content_bytes(self.content))}")
         return "\n".join(lines).encode("ascii")
+
+    def __len__(self) -> int:
+        return len(self.encode())
 
 
 def _parse_lines(data: bytes) -> dict[str, str]:

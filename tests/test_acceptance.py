@@ -43,6 +43,7 @@ from util import (
     replicated_state,
     structural_shape,
 )
+from wire_samples import wire_bytes
 
 SCENARIO_FILE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -121,8 +122,9 @@ def test_criterion_04_lazy_redirect_equivalence():
         inner = device.receive
 
         def capture(payload, sender):
-            if is_response(payload):
-                raw.append(payload)
+            data = wire_bytes(payload)
+            if is_response(data):
+                raw.append(data)
             inner(payload, sender)
 
         system.network.attach(device.node_id, capture)

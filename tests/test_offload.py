@@ -12,12 +12,14 @@ from edgeslice.errors import (
     UnknownBindingError,
 )
 from edgeslice.offload import (
+    BundleTransfer,
     OffloadBundle,
     OffloadCoordinator,
     SyncMode,
     Task,
     import_bundle,
     make_bundle,
+    read_body,
     setup_eager_sync,
     subtrees_converged,
 )
@@ -89,6 +91,23 @@ class TestExport:
         assert text == OffloadBundle.decode(text).encode()
         header = text.splitlines()[0]
         assert "tid=taskA" in header and "n=4" in header
+
+    def test_bundle_bodies_read_back_from_their_bytes(self):
+        clock = ManualClock()
+        coordinator = OffloadCoordinator(build_cloud_tree(clock), clock)
+        bundle = coordinator.export_task(car_task())
+        transfer = BundleTransfer((("task", "taskA"), ("mirror", "IN-CSE/Cars;x=%")), bundle)
+        assert read_body(transfer, BundleTransfer) is transfer
+        assert read_body(transfer.to_bytes(), BundleTransfer) == transfer
+        assert transfer.to_bytes().endswith(b"\n" + bundle.to_bytes())
+        assert read_body(bundle.to_bytes(), OffloadBundle) == bundle
+        assert bundle.to_bytes() == bundle.encode().encode("ascii")
+
+    @pytest.mark.parametrize("kind", [BundleTransfer, OffloadBundle])
+    @pytest.mark.parametrize("content", [None, b"", b"task=t", b"tid=t;at=0;n=1\n\xff"])
+    def test_unreadable_bundle_body_is_a_bad_request(self, kind, content):
+        with pytest.raises(BadRequestError):
+            read_body(content, kind)
 
     def test_remap_totality_bundle_side(self):
         clock = ManualClock()

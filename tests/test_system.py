@@ -1,15 +1,17 @@
-"""Integration tests over the wire: every exchange is an encoded primitive
-routed through the simulated network."""
+"""Integration tests over the wire: every exchange is a primitive routed
+through the simulated network, as an object or as its encoding."""
 import base64
 
 import pytest
 
 from edgeslice.bench import build_system
 from edgeslice.errors import ConfigInvalidError
-from edgeslice.offload import SyncMode, subtrees_converged
+from edgeslice.netsim import Network
+from edgeslice.offload import BundleTransfer, OffloadBundle, SyncMode, make_bundle, subtrees_converged
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
+    ResponsePrimitive,
     StatusCode,
     decode_fieldline,
     decode_resource,
@@ -20,6 +22,9 @@ from edgeslice.scenario import reference_calibrated
 from edgeslice.slicing import FunctionKind
 
 from dataclasses import replace
+
+# before the wire check of conftest.py wraps it for each test
+UNCHECKED_SEND = Network.send
 
 
 @pytest.fixture(scope="module")
@@ -450,3 +455,85 @@ class TestMalformedMessages:
         system.run_until_idle()
         assert [r.status for r in responses] == [StatusCode.BAD_REQUEST]
         assert responses[0].request_id == "bad-1"
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"x=1", b"ev=created;pt=MN-CSE/Pedestrians/CitizenB/x\nty=9;nm=x"],
+        ids=["no-head", "bad-record"],
+    )
+    def test_unreadable_notify_at_the_cloud_is_answered_with_bad_request(self, config, body):
+        system = build_system(config, "edge", 42)
+        system.prepare()  # binds the mirror, so a readable head reaches the record
+        device = system.devices[system.device_id]
+        responses = []
+        req = RequestPrimitive(
+            Operation.NOTIFY, "IN-CSE/Pedestrians/CitizenB", device.node_id, "bad-n", content=body
+        )
+        device.issue(req, system.cloud_id, 0, responses.append)
+        system.run_until_idle()
+        assert [r.status for r in responses] == [StatusCode.BAD_REQUEST]
+        assert responses[0].request_id == "bad-n"
+
+    @pytest.mark.parametrize(
+        "root, status",
+        [("MN-CSE/nope", StatusCode.NOT_FOUND), ("MN-CSE", StatusCode.BAD_REQUEST)],
+        ids=["missing", "not-a-task-root"],
+    )
+    def test_finalize_of_a_root_the_edge_cannot_export_is_answered(self, config, root, status):
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        responses = admin(
+            system, Operation.SYNC_FINALIZE, "edge0", [("task", "t"), ("root", root)], rqi="fin-1"
+        )
+        assert [r.status for r in responses] == [status]
+        assert system.edges["edge0"].sync_infos  # the edge's binding is untouched
+
+
+def logged(fn, log, position):
+    """``fn``, logging the argument at ``position`` of each call."""
+
+    def call(*args):
+        log.append(args[position])
+        return fn(*args)
+
+    return call
+
+
+class TestMessagesAsObjects:
+    def test_only_data_plane_messages_are_encoded_on_their_way(self, config, monkeypatch):
+        """Control messages travel as objects, the bundle as its records and
+        the finalize reply as the bundle; each data-plane message is encoded
+        once, by its sender."""
+        encoded, payloads = [], []
+        for cls in (RequestPrimitive, ResponsePrimitive):
+            monkeypatch.setattr(cls, "encode", logged(cls.encode, encoded, 0))
+        # without the wire check, which encodes every message
+        monkeypatch.setattr(Network, "send", logged(UNCHECKED_SEND, payloads, 3))
+        system = build_system(replace(config, sync_mode=SyncMode.LAZY), "edge", 42)
+        system.prepare()
+        system.run_workload("create", 3)
+        system.run_workload("retrieve", 2)
+        assert admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")])[0].ok
+        raw = [p for p in payloads if isinstance(p, bytes)]
+        assert len(raw) == 10  # five data requests and their responses
+        assert len(encoded) == len(raw)
+        objects = [p for p in payloads if not isinstance(p, bytes)]
+        assert {type(m.content) for m in objects} == {bytes, type(None), BundleTransfer, OffloadBundle}
+
+    def test_a_bundle_transfer_sent_as_bytes_is_imported(self, config):
+        system = build_system(config, "edge", 42)
+        device = system.devices[system.device_id]
+        task_root = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
+        bundle = make_bundle(system.cloud.tree, task_root, "task-citizenB", 0.0)
+        transfer = BundleTransfer((("task", "task-citizenB"), ("mode", "lazy")), bundle)
+        req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-1", content=transfer)
+        responses = []
+        device.pending["raw-1"] = responses.append
+        system.network.send(device.node_id, "edge0", req.encode(), 0)
+        system.run_until_idle()
+        assert [r.status for r in responses] == [StatusCode.OK]
+        edge_tree = system.edges["edge0"].worker.tree
+        imported = make_bundle(edge_tree, ResourcePath("MN-CSE", task_root.segments), "t", 0.0)
+        assert [(r.kind, r.name, r.creation_time, r.content) for r in imported.records] == [
+            (r.kind, r.name, r.creation_time, r.content) for r in bundle.records
+        ]

@@ -1,9 +1,12 @@
 """Fixed wire encodings for the byte-identity tests of the codec.
 
 ``samples()`` encodes a fixed set of messages and a small tree through the
-public API only; ``traffic_digests()`` hashes every payload the simulated
-network carries in a few short system runs, which covers the encoders of
-every node handler. Running this file prints both as JSON::
+public API only; ``traffic_digests()`` hashes the bytes of every message the
+simulated network carries in a few short system runs, which covers the
+encoders of every node handler. Control messages travel as objects, so those
+bytes are taken through the one tap, ``wire_bytes``: a message's
+``encode()``, or a payload sent as bytes as it is. Running this file prints
+both as JSON::
 
     PYTHONPATH=src python tests/wire_samples.py > tests/golden/wire.json
 
@@ -117,18 +120,24 @@ def samples() -> dict[str, str]:
     }
 
 
-def _traffic(run, keep=lambda payload: True) -> str:
-    """Count and sha256 of every payload the network carries during ``run``,
-    or of those that ``keep`` accepts."""
+def wire_bytes(payload) -> bytes:
+    """The bytes of a payload the network carries."""
+    return payload if isinstance(payload, bytes) else payload.encode()
+
+
+def _traffic(run, keep=lambda data: True) -> str:
+    """Count and sha256 of the bytes of every payload the network carries
+    during ``run``, or of those that ``keep`` accepts."""
     h = hashlib.sha256()
     count = 0
     original = Network.send
 
     def recording(self, frm, to, payload, size_bytes):
         nonlocal count
-        if keep(payload):
+        data = wire_bytes(payload)
+        if keep(data):
             count += 1
-            h.update(len(payload).to_bytes(8, "big") + payload)
+            h.update(len(data).to_bytes(8, "big") + data)
         return original(self, frm, to, payload, size_bytes)
 
     Network.send = recording
@@ -186,9 +195,9 @@ def _prepare_200():
     build_system(prepare_200_config(), "edge", 42).prepare()
 
 
-def _is_bundle_transfer(payload: bytes) -> bool:
-    return not is_response(payload) and (
-        decode_request(payload).operation is Operation.BUNDLE_TRANSFER
+def _is_bundle_transfer(data: bytes) -> bool:
+    return not is_response(data) and (
+        decode_request(data).operation is Operation.BUNDLE_TRANSFER
     )
 
 
