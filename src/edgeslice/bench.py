@@ -88,11 +88,11 @@ class PreparationTiming:
 
 
 def preparation_time_ms(system: System) -> float:
-    arrivals = [e for e in system.sim.trace if e["kind"] == "service_request_arrival"]
-    imports = [e for e in system.sim.trace if e["kind"] == "offload_import_complete"]
-    if not arrivals or not imports:
+    """First service-request arrival at an edge to the latest offload import."""
+    arrival, done = system.first_service_arrival_ms, system.last_import_ms
+    if arrival is None or done is None:
         raise ConfigInvalidError("preparation trace incomplete")
-    return imports[-1]["ts"] - arrivals[0]["ts"]
+    return done - arrival
 
 
 def run_preparation_timing(

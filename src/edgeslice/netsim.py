@@ -8,12 +8,16 @@ always replays the identical event trace.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from .errors import ConfigInvalidError, NoRouteError, SimulationLimitError
+
+#: events one ``Simulator.run_until_idle`` call may execute unless told otherwise
+DEFAULT_MAX_EVENTS = 1_000_000
 
 
 class NodeRole(Enum):
@@ -38,6 +42,9 @@ class Link:
 
 
 class Topology:
+    """Nodes and links, fixed once built. Routes are computed once per
+    (source, destination) pair and shared by everything that reads them."""
+
     def __init__(self, nodes: list[Node], links: list[Link]):
         ids = [n.id for n in nodes]
         if len(set(ids)) != len(ids):
@@ -49,10 +56,12 @@ class Topology:
                 raise ConfigInvalidError(f"link {link.a}-{link.b} references unknown node")
             if link.a == link.b:
                 raise ConfigInvalidError(f"self-link on {link.a}")
-            if link.delay_ms < 0 or link.jitter_ms < 0:
-                raise ConfigInvalidError("link delay and jitter must be >= 0")
-            if link.bandwidth_bytes_per_s <= 0:
-                raise ConfigInvalidError("link bandwidth must be > 0")
+            if not (0 <= link.delay_ms < math.inf and 0 <= link.jitter_ms < math.inf):
+                raise ConfigInvalidError(
+                    f"link {link.a}-{link.b}: delay and jitter must be finite and >= 0"
+                )
+            if not 0 < link.bandwidth_bytes_per_s < math.inf:
+                raise ConfigInvalidError(f"link {link.a}-{link.b}: bandwidth must be finite and > 0")
             key = frozenset((link.a, link.b))
             if key in self.links:
                 raise ConfigInvalidError(f"duplicate link {link.a}-{link.b}")
@@ -64,6 +73,7 @@ class Topology:
             self._adjacency[b].append(a)
         for peers in self._adjacency.values():
             peers.sort()
+        self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def by_role(self, role: NodeRole) -> list[str]:
         return [n.id for n in self.nodes.values() if n.role is role]
@@ -87,8 +97,20 @@ class Topology:
             stack.extend(self._adjacency[node])
         return len(seen) == len(self.nodes)
 
+    def route(self, src: str, dst: str) -> tuple[str, ...]:
+        """``shortest_path`` as a shared tuple, computed on first use."""
+        key = (src, dst)
+        try:
+            return self._routes[key]
+        except KeyError:
+            path = self._routes[key] = tuple(self._dijkstra(src, dst))
+            return path
+
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Minimal-total-delay route; deterministic tie-break by node id."""
+        return list(self.route(src, dst))
+
+    def _dijkstra(self, src: str, dst: str) -> list[str]:
         if src not in self.nodes or dst not in self.nodes:
             raise NoRouteError(f"unknown endpoint in route {src}->{dst}")
         if src == dst:
@@ -124,7 +146,7 @@ class Topology:
 
     def path_delay_ms(self, src: str, dst: str) -> float:
         """Sum of one-way link delays along the route (no jitter/transfer)."""
-        path = self.shortest_path(src, dst)
+        path = self.route(src, dst)
         total = 0.0
         for a, b in zip(path, path[1:]):
             total += self.link_between(a, b).delay_ms
@@ -162,14 +184,20 @@ class Simulator:
         return self.schedule_at(self.now + delay_ms, action, label)
 
     def schedule_at(self, fire_at: float, action: Callable[[], None], label: str = "") -> SimEvent:
-        if fire_at < self.now:
-            raise ValueError("events cannot be scheduled in the past")
+        if not self.now <= fire_at < math.inf:
+            if fire_at < self.now:
+                raise ValueError("events cannot be scheduled in the past")
+            raise ValueError(f"event time must be finite, not {fire_at!r}")
         self._seq += 1
         event = SimEvent(fire_at, self._seq, action, label)
         heapq.heappush(self._heap, event)
         return event
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
+    def run_until_idle(self, max_events: int | None = None) -> int:
+        """Run every scheduled event; more than ``max_events`` (by default
+        ``DEFAULT_MAX_EVENTS``) raises ``SimulationLimitError``."""
+        if max_events is None:
+            max_events = DEFAULT_MAX_EVENTS
         executed = 0
         while self._heap:
             event = heapq.heappop(self._heap)
@@ -177,7 +205,6 @@ class Simulator:
                 continue
             if executed >= max_events:
                 raise SimulationLimitError(f"simulation exceeded {max_events} events")
-            assert event.fire_at >= self.now
             self.now = event.fire_at
             event.action()
             executed += 1
@@ -196,16 +223,12 @@ class Network:
         self.sim = sim
         self.topology = topology
         self._handlers: dict[str, Callable[[object, str], None]] = {}
-        self._routes: dict[tuple[str, str], list[str]] = {}
 
     def attach(self, node_id: str, handler: Callable[[object, str], None]) -> None:
         self._handlers[node_id] = handler
 
-    def route(self, src: str, dst: str) -> list[str]:
-        key = (src, dst)
-        if key not in self._routes:
-            self._routes[key] = self.topology.shortest_path(src, dst)
-        return self._routes[key]
+    def route(self, src: str, dst: str) -> tuple[str, ...]:
+        return self.topology.route(src, dst)
 
     def hop_latency_ms(self, link: Link, size_bytes: int) -> float:
         jitter = self.sim.rng.uniform(0.0, link.jitter_ms) if link.jitter_ms > 0 else 0.0
@@ -213,7 +236,7 @@ class Network:
 
     def send(self, frm: str, to: str, payload: object, size_bytes: int) -> float:
         """Schedule a delivery; returns the virtual arrival time."""
-        path = self.route(frm, to)
+        path = self.topology.route(frm, to)
         arrival = self.sim.now
         for a, b in zip(path, path[1:]):
             arrival += self.hop_latency_ms(self.link(a, b), size_bytes)

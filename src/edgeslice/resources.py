@@ -548,6 +548,22 @@ class ResourceTree:
             raise BadRequestError("retarget requires a subscription")
         node.notification_target = target
 
+    def copy(self, clock: Callable[[], float] | None = None) -> "ResourceTree":
+        """Deep copy on ``clock``: fresh resources (labels copied, content
+        bytes shared) under the same ids, in the same child order, with the
+        same indexes, id counters and event sequence. The copy has no pending
+        events and no guard."""
+        tree = ResourceTree.__new__(ResourceTree)
+        tree._reset(self.cse_label, clock)
+        tree._root_id = self._root_id
+        tree._nodes = {rid: node.snapshot() for rid, node in self._nodes.items()}
+        tree._children = {rid: dict(kids) for rid, kids in self._children.items()}
+        tree._subscriptions = {rid: list(subs) for rid, subs in self._subscriptions.items()}
+        tree._latest = dict(self._latest)
+        tree._counters = dict(self._counters)
+        tree._event_seq = self._event_seq
+        return tree
+
     # --- serialization ---
 
     def serialize(self) -> str:

@@ -6,6 +6,7 @@ solved so the closed-form round trips reproduce the reference means.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -82,6 +83,14 @@ class ScenarioConfig:
             raise ConfigInvalidError("requests must be positive")
         if self.payload_bytes < 0:
             raise ConfigInvalidError("payload_bytes must be >= 0")
+        if not 0 <= self.start_delay_ms < math.inf:
+            raise ConfigInvalidError("start_delay_ms must be finite and >= 0")
+        for node, entries in self.processing.items():
+            for op, ms in entries.items():
+                if not 0 <= ms < math.inf:
+                    raise ConfigInvalidError(
+                        f"processing {op.name.lower()} on {node!r} must be finite and >= 0"
+                    )
         if not self.functions:
             raise ConfigInvalidError("the slice needs at least one function")
         for mode in self.modes:

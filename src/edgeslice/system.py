@@ -24,6 +24,8 @@ data-plane messages carry the configured payload size.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
+from typing import Callable
 
 from .codec import decode_body, decode_fieldline, encode_b64, encode_body, encode_fieldline
 from .errors import (
@@ -35,6 +37,7 @@ from .errors import (
     UnknownBindingError,
 )
 from .images import FunctionImage, pull_image
+from . import netsim
 from .netsim import LatencySample, Network, NodeRole, Simulator
 from .notify import NotificationChannel, match_subscriptions, parse_notify
 from .offload import (
@@ -82,11 +85,59 @@ CONTROL_SIZE = 0
 MALFORMED_CONTROL = (BadRequestError, KeyError, ValueError)
 
 
-def payload_for(config: ScenarioConfig, index: int) -> bytes:
+# simulator events ``run_workload`` allows per request on top of the default
+# cap: an edge create takes 5 (request, processing, reply and the eager-sync
+# notify and its reply), a cloud create or retrieve 3
+EVENTS_PER_REQUEST = 10
+
+
+def payload_for(size: int, index: int) -> bytes:
+    """The ``index``-th generated content, ``size`` bytes long."""
     body = f"position-update-{index:06d}:".encode("ascii")
-    if len(body) >= config.payload_bytes:
-        return body[: config.payload_bytes]
-    return body + b"x" * (config.payload_bytes - len(body))
+    if len(body) >= size:
+        return body[:size]
+    return body + b"x" * (size - len(body))
+
+
+def initial_cloud_tree(config: ScenarioConfig, clock: Callable[[], float]) -> ResourceTree:
+    """A fresh copy of the cloud tree every deployment of ``config`` starts
+    from: the containers on each task root and populate path, and the
+    populated content instances, named ``p0``, ``p1``, ..."""
+    populate = config.populate or [(config.workload_target, config.prepopulate)]
+    return _cloud_template(
+        tuple(spec.root for spec in config.tasks),
+        tuple((path, count) for path, count in populate),
+        config.payload_bytes,
+    ).copy(clock)
+
+
+@lru_cache(maxsize=8)
+def _cloud_template(
+    roots: tuple[str, ...], populate: tuple[tuple[str, int], ...], payload_bytes: int
+) -> ResourceTree:
+    """Built once per distinct key and only ever copied, never handed out."""
+    tree = ResourceTree("IN-CSE")
+    for path_str in roots + tuple(path for path, _ in populate):
+        path = ResourcePath.parse(path_str)
+        current = ResourcePath(path.cse_label)
+        for segment in path.segments:
+            nxt = current.child(segment)
+            try:
+                tree.resolve(nxt)
+            except NotFoundError:
+                tree.create(current, ResourceKind.CONTAINER, segment)
+            current = nxt
+    for path_str, count in populate:
+        container = ResourcePath.parse(path_str)
+        for i in range(count):
+            tree.create(
+                container,
+                ResourceKind.CONTENT_INSTANCE,
+                f"p{i}",
+                content=payload_for(payload_bytes, i),
+            )
+    tree.drain_events()
+    return tree
 
 
 class _Node:
@@ -210,6 +261,8 @@ class EdgeNode(_Node):
         try:
             if op is Operation.SERVICE_REQUEST:
                 self.sim.log("service_request_arrival", rqi=req.request_id, device=req.originator)
+                if self.system.first_service_arrival_ms is None:
+                    self.system.first_service_arrival_ms = self.sim.now
                 self.send(self.system.cloud_id, req, CONTROL_SIZE)
             elif op is Operation.SLICE_INSTANTIATE:
                 self._handle_instantiate(req)
@@ -331,6 +384,7 @@ class EdgeNode(_Node):
             task=task_id,
             root=str(root),
         )
+        self.system.last_import_ms = self.sim.now
         body = encode_body([("task", task_id), ("root", str(root))])
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
@@ -403,7 +457,7 @@ class CloudNode(_Node):
     def __init__(self, system: "System", node_id: str):
         super().__init__(system, node_id)
         config = system.config
-        self.tree = ResourceTree("IN-CSE", system.sim.time)
+        self.tree = initial_cloud_tree(config, system.sim.time)
         self.service = EdgeWorker(
             node_id,
             self.tree,
@@ -704,7 +758,17 @@ class CloudNode(_Node):
 
 
 class System:
-    """One simulated deployment in one mode ("cloud" or "edge")."""
+    """One simulated deployment in one mode ("cloud" or "edge").
+
+    What depends only on the scenario is shared by every deployment built
+    from it: the cloud starts from a copy of an initial tree built once per
+    task roots, populate list and payload size (``initial_cloud_tree``), and
+    routes are computed once per topology (``Topology.route``).
+
+    ``first_service_arrival_ms`` and ``last_import_ms`` hold the virtual times
+    of the first service request reaching an edge and of the latest completed
+    offload import; both are None until it happens.
+    """
 
     def __init__(self, config: ScenarioConfig, mode: str, seed: int):
         if mode not in ("cloud", "edge"):
@@ -728,42 +792,12 @@ class System:
             for node_id in config.topology.by_role(NodeRole.DEVICE)
         }
         self.samples: list[LatencySample] = []
-        self._populate_cloud_tree()
+        self.first_service_arrival_ms: float | None = None
+        self.last_import_ms: float | None = None
 
     def next_control_rqi(self) -> str:
         self._control_counter += 1
         return f"ctl-{self._control_counter:06d}"
-
-    def _populate_cloud_tree(self) -> None:
-        tree = self.cloud.tree
-        paths = [spec.root for spec in self.config.tasks]
-        populate = self.config_populate()
-        paths.extend(path for path, _ in populate)
-        for path_str in paths:
-            path = ResourcePath.parse(path_str)
-            current = ResourcePath(path.cse_label)
-            for segment in path.segments:
-                nxt = current.child(segment)
-                try:
-                    tree.resolve(nxt)
-                except NotFoundError:
-                    tree.create(current, ResourceKind.CONTAINER, segment)
-                current = nxt
-        for path_str, count in populate:
-            container = ResourcePath.parse(path_str)
-            for i in range(count):
-                tree.create(
-                    container,
-                    ResourceKind.CONTENT_INSTANCE,
-                    f"p{i}",
-                    content=payload_for(self.config, i),
-                )
-        tree.drain_events()
-
-    def config_populate(self) -> list[tuple[str, int]]:
-        if self.config.populate:
-            return list(self.config.populate)
-        return [(self.config.workload_target, self.config.prepopulate)]
 
     # --- conveniences for benchmarks and tests ---
 
@@ -833,7 +867,7 @@ class System:
                 return
             rqi = device.next_rqi("rq")
             if operation == "create":
-                content = payload_for(self.config, 1000 + index)
+                content = payload_for(self.config.payload_bytes, 1000 + index)
                 body = encode_body([("nm", f"m{mode_label}{index:05d}"), ("pc", encode_b64(content))])
                 req = RequestPrimitive(
                     Operation.CREATE,
@@ -864,6 +898,6 @@ class System:
             device.issue(req, server, self.config.payload_bytes, on_response)
 
         issue(0)
-        self.run_until_idle()
+        self.sim.run_until_idle(netsim.DEFAULT_MAX_EVENTS + EVENTS_PER_REQUEST * requests)
         self.samples.extend(collected)
         return collected

@@ -7,6 +7,8 @@ from edgeslice.bench import (
     build_system,
     derive_seed,
     mean_rtt,
+    preparation_time_ms,
+    road_config,
     run_benchmark,
     run_preparation_timing,
     run_retrieval_comparison,
@@ -142,6 +144,22 @@ class TestPreparation:
         cold = run_preparation_timing(config, repetitions=4, cold_cache=True)
         pulls = len(config.functions) * 4000.0  # 400 MB at 100 MB/s each
         assert cold.mean_ms - warm.mean_ms == pytest.approx(pulls, abs=1e-6)
+
+    @pytest.mark.parametrize("variant", ["warm", "cold", "road"])
+    def test_preparation_time_equals_the_trace_derived_value(self, config, variant):
+        config = {
+            "warm": config,
+            "cold": replace(config, pre_seeded_cache=False),
+            "road": road_config(),
+        }[variant]
+        system = build_system(config, "edge", 42)
+        with pytest.raises(ConfigInvalidError):
+            preparation_time_ms(system)
+        system.prepare()
+        arrivals = [e for e in system.sim.trace if e["kind"] == "service_request_arrival"]
+        imports = [e for e in system.sim.trace if e["kind"] == "offload_import_complete"]
+        assert len(imports) == len(config.tasks)
+        assert preparation_time_ms(system) == imports[-1]["ts"] - arrivals[0]["ts"]
 
     def test_repetitions_validated(self, config):
         with pytest.raises(ConfigInvalidError):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from edgeslice.errors import (
@@ -40,10 +43,43 @@ class TestTopologyValidation:
         with pytest.raises(ConfigInvalidError):
             Topology(nodes, [Link("a", "b", 1.0, bandwidth_bytes_per_s=0)])
 
+    @pytest.mark.parametrize(
+        "numbers",
+        [
+            {"delay_ms": float("nan")},
+            {"delay_ms": float("inf")},
+            {"jitter_ms": float("nan")},
+            {"jitter_ms": float("inf")},
+            {"bandwidth_bytes_per_s": float("nan")},
+            {"bandwidth_bytes_per_s": float("inf")},
+        ],
+        ids=lambda numbers: "{}={}".format(*next(iter(numbers.items()))),
+    )
+    def test_non_finite_link_numbers_rejected(self, numbers):
+        nodes = [Node("a", NodeRole.DEVICE), Node("b", NodeRole.CLOUD)]
+        link = Link("a", "b", **{"delay_ms": 1.0, **numbers})
+        with pytest.raises(ConfigInvalidError):
+            Topology(nodes, [link])
+
     def test_connectivity_check(self):
         nodes = [Node("a", NodeRole.DEVICE), Node("b", NodeRole.CLOUD)]
         assert not Topology(nodes, []).is_connected()
         assert Topology(nodes, [Link("a", "b", 1.0)]).is_connected()
+
+
+def brute_force_delay(topo, src, dst) -> float:
+    """Least total delay over every simple path, by enumeration."""
+    best = None
+    stack = [(src, (src,), 0.0)]
+    while stack:
+        node, path, delay = stack.pop()
+        if node == dst:
+            best = delay if best is None else min(best, delay)
+            continue
+        for peer in topo.nodes:
+            if peer not in path and frozenset((node, peer)) in topo.links:
+                stack.append((peer, path + (peer,), delay + topo.link_between(node, peer).delay_ms))
+    return best
 
 
 class TestRouting:
@@ -62,6 +98,44 @@ class TestRouting:
             [Link("a", "b", 1.0), Link("b", "c", 1.0), Link("a", "c", 5.0)],
         )
         assert topo.shortest_path("a", "c") == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_memoized_routes_equal_a_fresh_search_on_topologies_with_ties(self, seed):
+        rng = random.Random(seed)
+        names = [f"n{i}" for i in rng.sample(range(10), 7)]
+        nodes = [Node(name, NodeRole.EDGE_WORKER) for name in names]
+        # few distinct delays, so equal-delay routes abound; zero-delay links too
+        links = [
+            Link(a, b, rng.choice([0.0, 1.0, 1.0, 2.0]))
+            for a, b in itertools.combinations(names, 2)
+            if rng.random() < 0.45
+        ]
+        topo = Topology(nodes, links)
+        pairs = [(a, b) for a in names for b in names] * 2
+        rng.shuffle(pairs)
+        for src, dst in pairs:
+            try:
+                expected = Topology(nodes, links).shortest_path(src, dst)
+            except NoRouteError:
+                with pytest.raises(NoRouteError):
+                    topo.shortest_path(src, dst)
+                continue
+            assert topo.shortest_path(src, dst) == expected
+            assert list(topo.route(src, dst)) == expected
+            assert topo.path_delay_ms(src, dst) == brute_force_delay(topo, src, dst)
+
+    def test_a_returned_route_can_be_changed_without_touching_the_memo(self):
+        topo = chain_topology()
+        route = topo.shortest_path("dev0", "cloud")
+        route.reverse()
+        route.append("elsewhere")
+        assert topo.shortest_path("dev0", "cloud") == ["dev0", "edge0", "cloud"]
+        assert Network(Simulator(), topo).route("dev0", "cloud") == ("dev0", "edge0", "cloud")
+
+    def test_networks_on_one_topology_share_its_routes(self):
+        topo = chain_topology()
+        first, second = Network(Simulator(), topo), Network(Simulator(1), topo)
+        assert first.route("dev0", "cloud") is second.route("dev0", "cloud")
 
     def test_no_route(self):
         topo = Topology(
@@ -86,6 +160,15 @@ class TestSimulator:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.schedule(-0.1, lambda: None)
+
+    @pytest.mark.parametrize("fire_at", [float("nan"), float("inf")])
+    def test_non_finite_event_time_rejected(self, fire_at):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="finite"):
+            sim.schedule_at(fire_at, lambda: None)
+        with pytest.raises(ValueError, match="finite"):
+            sim.schedule(fire_at, lambda: None)
+        assert sim.run_until_idle() == 0
 
     def test_causality_clock_never_rewinds(self):
         sim = Simulator(seed=3)

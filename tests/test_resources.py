@@ -494,3 +494,96 @@ class TestRandomWorkload:
         again = ResourceTree.deserialize(tree.serialize())
         assert trees_equal(tree, again)
         check_tree_invariants(again)
+
+
+def grown_tree(seed: int) -> tuple[ResourceTree, ManualClock]:
+    """A tree after random creates, renames and deletes, then the demo
+    location container with a subscription, a grafted instance and labels;
+    its events are drained."""
+    clock = ManualClock()
+    tree = ResourceTree("MN-CSE", clock)
+    RandomTreeWorkload(tree, clock, random.Random(seed)).run(200)
+    root = ResourcePath("MN-CSE")
+    tree.create(root, ResourceKind.CONTAINER, "Pedestrians")
+    tree.create(root.child("Pedestrians"), ResourceKind.CONTAINER, "CitizenB")
+    tree.create(root.child("Pedestrians").child("CitizenB"), ResourceKind.CONTAINER,
+                "location", labels=["sync"])
+    tree.create(location_path(), ResourceKind.SUBSCRIPTION, "w",
+                notification_target=("app", "APP/inbox"))
+    clock.advance(2.0)
+    tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, "late", content=b"2")
+    tree.graft(tree.resolve(location_path()), ResourceKind.CONTENT_INSTANCE, "early",
+               creation_time=clock.now - 1.0, content=b"1")
+    tree.drain_events()
+    return tree, clock
+
+
+# one write of each kind, applied to the tree given
+COPY_WRITES = {
+    "create": lambda t: t.create(location_path(), ResourceKind.CONTENT_INSTANCE, "new",
+                                 content=b"n"),
+    "rename": lambda t: t.update(ResourcePath.parse("MN-CSE/Pedestrians"), name="Walkers"),
+    "delete": lambda t: t.delete(location_path()),
+    "labels": lambda t: t.update(location_path(), labels=["changed"]),
+    "labels-in-place": lambda t: t.resolve(location_path()).labels.append("appended"),
+}
+
+
+class TestCopy:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_copy_serializes_and_compares_like_its_source(self, seed):
+        tree, clock = grown_tree(seed)
+        copy = tree.copy(clock)
+        assert copy.serialize() == tree.serialize()
+        assert trees_equal(copy, tree)
+        check_tree_invariants(copy)
+        for node in tree.walk():
+            assert [s.id for s in copy.subscriptions(node.id)] == [
+                s.id for s in tree.subscriptions(node.id)
+            ]
+            if node.kind is ResourceKind.CONTAINER and brute_force_latest(tree, node):
+                assert copy.latest_instance(copy.get(node.id)).id == (
+                    tree.latest_instance(node).id
+                )
+
+    def test_copy_has_no_pending_events_and_no_guard(self, clock):
+        tree = make_location_tree(clock)
+        tree.guard = lambda path, op: None
+        tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, "ci", content=b"v")
+        copy = tree.copy(clock)
+        assert copy.drain_events() == [] and copy.guard is None
+        assert len(tree.drain_events()) == 1
+
+    def test_copy_runs_on_its_own_clock(self, clock):
+        tree = make_location_tree(clock)
+        later = ManualClock(50.0)
+        copy = tree.copy(later)
+        copy.create(location_path(), ResourceKind.CONTENT_INSTANCE, "ci", content=b"v")
+        assert copy.resolve(location_path().child("ci")).creation_time == 50.0
+
+    @pytest.mark.parametrize("write", sorted(COPY_WRITES))
+    @pytest.mark.parametrize("written", ["source", "copy"])
+    def test_copy_and_source_are_isolated(self, write, written):
+        tree, clock = grown_tree(4)
+        copy = tree.copy(clock)
+        before = tree.serialize()
+        target, other = (tree, copy) if written == "source" else (copy, tree)
+        COPY_WRITES[write](target)
+        assert other.serialize() == before
+        assert target.serialize() != before
+        check_tree_invariants(other)
+
+    def test_next_event_and_ids_on_a_copy_match_a_tree_built_the_same_way(self):
+        def build() -> tuple[ResourceTree, ManualClock]:
+            return grown_tree(5)
+
+        source, clock = build()
+        copy, fresh = source.copy(clock), build()[0]
+        for tree in (copy, fresh):
+            tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, None, content=b"x")
+            tree.create(location_path(), ResourceKind.SUBSCRIPTION, None,
+                        notification_target=("app", "APP/x"))
+        copy_events, fresh_events = copy.drain_events(), fresh.drain_events()
+        assert [e.event_id for e in copy_events] == [e.event_id for e in fresh_events]
+        assert [e.resource.id for e in copy_events] == [e.resource.id for e in fresh_events]
+        assert copy.serialize() == fresh.serialize()

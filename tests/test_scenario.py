@@ -117,6 +117,27 @@ def test_invalid_scenarios_rejected(mutation):
         parse_scenario(text.replace(before, after))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("delay_ms: 1.0,", "delay_ms: .nan,"),
+        ("bandwidth_bytes_per_s: 100e6}", "bandwidth_bytes_per_s: .nan}"),
+        ("jitter_ms: 0.0,", "jitter_ms: .inf,"),
+        ("create: 4.084", "create: .nan"),
+        ("create: 4.084", "create: -1.0"),
+        ("start_delay_ms: 250.0", "start_delay_ms: .nan"),
+    ],
+    ids=["link-delay-nan", "bandwidth-nan", "jitter-inf", "processing-nan",
+         "processing-negative", "start-delay-nan"],
+)
+def test_bad_numbers_rejected_at_load(edit):
+    before, after = edit
+    text = calibrated_text()
+    assert before in text
+    with pytest.raises(ConfigInvalidError):
+        parse_scenario(text.replace(before, after, 1))
+
+
 def test_disconnected_topology_rejected():
     text = MINIMAL.replace("    - {a: e, b: c, delay_ms: 2.0}\n", "")
     with pytest.raises(ConfigInvalidError):

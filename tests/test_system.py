@@ -4,8 +4,9 @@ import base64
 
 import pytest
 
-from edgeslice.bench import build_system
-from edgeslice.errors import ConfigInvalidError
+from edgeslice import netsim
+from edgeslice.bench import build_system, road_config
+from edgeslice.errors import ConfigInvalidError, NotFoundError, SimulationLimitError
 from edgeslice.netsim import Network
 from edgeslice.offload import BundleTransfer, OffloadBundle, SyncMode, make_bundle, subtrees_converged
 from edgeslice.primitives import (
@@ -17,11 +18,13 @@ from edgeslice.primitives import (
     decode_resource,
     encode_fieldline,
 )
-from edgeslice.resources import ResourceKind, ResourcePath
-from edgeslice.scenario import reference_calibrated
+from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree, trees_equal
+from edgeslice.scenario import TaskSpec, reference_calibrated
 from edgeslice.slicing import FunctionKind
 
 from dataclasses import replace
+
+from util import populate_cloud_tree
 
 # before the wire check of conftest.py wraps it for each test
 UNCHECKED_SEND = Network.send
@@ -537,3 +540,94 @@ class TestMessagesAsObjects:
         assert [(r.kind, r.name, r.creation_time, r.content) for r in imported.records] == [
             (r.kind, r.name, r.creation_time, r.content) for r in bundle.records
         ]
+
+
+def populated_the_old_way(config) -> ResourceTree:
+    tree = ResourceTree("IN-CSE")
+    populate_cloud_tree(tree, config)
+    return tree
+
+
+class TestInitialCloudTree:
+    @pytest.mark.parametrize("variant", ["calibrated", "road", "many-instances"])
+    def test_deployments_start_from_the_tree_the_old_populate_built(self, config, variant):
+        config = {
+            "calibrated": config,
+            "road": road_config(),
+            "many-instances": replace(config, prepopulate=40, payload_bytes=7),
+        }[variant]
+        oracle = populated_the_old_way(config)
+        first, second = build_system(config, "edge", 1), build_system(config, "cloud", 2)
+        for system in (first, second):
+            assert system.cloud.tree.serialize() == oracle.serialize()
+            assert trees_equal(system.cloud.tree, oracle)
+            assert system.cloud.tree.guard == system.cloud.coordinator._guard
+            assert system.cloud.tree.drain_events() == []
+        assert first.cloud.tree is not second.cloud.tree
+        # the next write on a deployment's tree gets the id and event id it
+        # would get on a tree populated one create at a time
+        created = []
+        for tree in (first.cloud.tree, oracle):
+            target = ResourcePath.parse(config.workload_target)
+            tree.create(target, ResourceKind.CONTENT_INSTANCE, None, content=b"next")
+            (event,) = tree.drain_events()
+            created.append((event.event_id, event.resource.id, tree.serialize()))
+        assert created[0] == created[1]
+
+    def test_one_deployment_s_writes_do_not_reach_the_next(self, config):
+        oracle = populated_the_old_way(config)
+        system = build_system(config, "edge", 42)
+        tree = system.cloud.tree
+        target = ResourcePath.parse(config.workload_target)
+        tree.create(target, ResourceKind.CONTENT_INSTANCE, "extra", content=b"x")
+        tree.update(target, labels=["changed"])
+        tree.resolve(target).labels.append("in-place")
+        tree.update(target.parent(), name="Renamed")
+        tree.delete(target.parent().parent().child("Renamed"))
+        assert build_system(config, "edge", 42).cloud.tree.serialize() == oracle.serialize()
+        served = build_system(config, "cloud", 42)
+        served.run_workload("create", 3)
+        assert build_system(config, "edge", 42).cloud.tree.serialize() == oracle.serialize()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"payload_bytes": 37},
+            {"prepopulate": 6},
+            {"populate": [("IN-CSE/Pedestrians/CitizenB/location", 2), ("IN-CSE/Other/box", 1)]},
+            {"tasks": [TaskSpec("task-citizenB", "IN-CSE/Pedestrians/CitizenB", "road-warning"),
+                       TaskSpec("task-carA", "IN-CSE/Cars/CarA", "road-warning")]},
+        ],
+        ids=["payload_bytes", "prepopulate", "populate", "task-root"],
+    )
+    def test_configs_that_differ_in_one_key_get_their_own_trees(self, config, change):
+        base = build_system(config, "edge", 42).cloud.tree.serialize()
+        changed = replace(config, **change)
+        tree = build_system(changed, "edge", 42).cloud.tree
+        assert tree.serialize() != base
+        assert tree.serialize() == populated_the_old_way(changed).serialize()
+        assert build_system(config, "edge", 42).cloud.tree.serialize() == base
+
+    def test_an_invalid_populate_path_raises_on_every_build(self, config):
+        broken = replace(config, populate=[("MN-CSE/Elsewhere/box", 2)])
+        for _ in range(2):
+            with pytest.raises(NotFoundError):
+                build_system(broken, "edge", 42)
+
+
+class TestEventCap:
+    def test_a_workload_may_run_past_the_default_cap(self, config, monkeypatch):
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        monkeypatch.setattr(netsim, "DEFAULT_MAX_EVENTS", 50)
+        executed = []
+        run = system.sim.run_until_idle
+        monkeypatch.setattr(system.sim, "run_until_idle", lambda *args: executed.append(run(*args)))
+        assert len(system.run_workload("create", 30)) == 30
+        assert executed[0] > 50  # five events per edge create
+
+    def test_direct_runs_keep_the_default_cap(self, config, monkeypatch):
+        monkeypatch.setattr(netsim, "DEFAULT_MAX_EVENTS", 5)
+        system = build_system(config, "edge", 42)
+        with pytest.raises(SimulationLimitError, match="exceeded 5 events"):
+            system.prepare()

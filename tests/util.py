@@ -23,6 +23,7 @@ from edgeslice.resources import (
     ResourcePath,
     ResourceTree,
 )
+from edgeslice.system import payload_for
 
 NAME_POOL = [f"n{i}" for i in range(40)] + ["alpha", "beta", "gamma"]
 
@@ -199,6 +200,34 @@ def build_demo_tree(label: str = "IN-CSE", clock: ManualClock | None = None) -> 
     )
     tree.drain_events()
     return tree
+
+
+def populate_cloud_tree(tree: ResourceTree, config) -> None:
+    """Initial-cloud-tree oracle: the populate each deployment once ran on its
+    own cloud tree, one ``create`` at a time. Containers on every task root,
+    then on every populate path (the workload target with ``prepopulate``
+    when ``populate`` is unset), then ``p0``, ``p1``, ... instances in each
+    populate container; events are discarded."""
+    populate = config.populate or [(config.workload_target, config.prepopulate)]
+    for path_str in [spec.root for spec in config.tasks] + [p for p, _ in populate]:
+        path = ResourcePath.parse(path_str)
+        current = ResourcePath(path.cse_label)
+        for segment in path.segments:
+            nxt = current.child(segment)
+            try:
+                tree.resolve(nxt)
+            except NotFoundError:
+                tree.create(current, ResourceKind.CONTAINER, segment)
+            current = nxt
+    for path_str, count in populate:
+        for i in range(count):
+            tree.create(
+                ResourcePath.parse(path_str),
+                ResourceKind.CONTENT_INSTANCE,
+                f"p{i}",
+                content=payload_for(config.payload_bytes, i),
+            )
+    tree.drain_events()
 
 
 # --- offload fixtures shared by the unit and acceptance suites ---
