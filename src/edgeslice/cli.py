@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .bench import (
     run_benchmark,
@@ -95,9 +96,9 @@ def cmd_road_scenario(args) -> int:
 def cmd_run(args) -> int:
     config = load_scenario(args.scenario_file, getattr(args, "topology", None))
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     if args.requests is not None:
-        config.requests = args.requests
+        config = replace(config, requests=args.requests)
     modes = _modes(args.mode) if args.mode else config.modes
     samples = []
     for operation in config.operations:

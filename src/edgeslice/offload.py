@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, NamedTuple
 from urllib.parse import unquote
 
 from .codec import decode_ascii, decode_b64, decode_fieldline, encode_b64, encode_fieldline, quote
@@ -33,7 +33,6 @@ from .resources import (
     ResourceKind,
     ResourcePath,
     ResourceTree,
-    check_name,
 )
 
 SYNC_SUB_NAME = "sync"
@@ -51,8 +50,10 @@ class Task:
     owner_service: str
 
 
-@dataclass(frozen=True)
-class BundleRecord:
+class BundleRecord(NamedTuple):
+    """One exported node; a tuple, so that a bundle of hundreds of records
+    builds at tuple speed."""
+
     source_path: str
     kind: ResourceKind
     name: str
@@ -151,7 +152,6 @@ class OffloadBundle:
                 name = unquote(fields["nm"])
                 created = float(unquote(fields["ct"]))
                 content = decode_b64(unquote(fields["pc"])) if "pc" in fields else None
-                # positional: keywords cost a frozen dataclass about half again
                 records.append(BundleRecord(path, kind, name, created, content))
             bundle = cls(header["tid"], float(header["at"]), tuple(records))
             count = int(header["n"])
@@ -290,27 +290,15 @@ def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePat
     Paths keep their grouping segments with the cse label rewritten to the
     edge tree's label; missing grouping containers are created on the fly.
     Source creation times are preserved; ids are minted by the edge tree.
-    Every record is checked before the first graft (see ``_plan_import``).
+    The grouping containers and the records go in as one ``graft_many``
+    batch, which checks every name, kind and sibling before the first insert.
     """
     if not bundle.records:
         raise BadRequestError("bundle has no records")
     root_src = ResourcePath.parse(bundle.records[0].source_path)
     root_target = ResourcePath(edge_tree.cse_label, root_src.segments)
     parent, missing = _grouping_parent(edge_tree, root_target)
-    group_key, steps = _plan_import(edge_tree, bundle, root_src, parent, missing)
-    for segment in missing:
-        parent = edge_tree.graft(
-            parent, ResourceKind.CONTAINER, segment, creation_time=bundle.exported_at
-        )
-    nodes = {group_key: parent}
-    for rec, parent_key, key in steps:
-        nodes[key] = edge_tree.graft(
-            nodes[parent_key],
-            rec.kind,
-            rec.name,
-            creation_time=rec.creation_time,
-            content=rec.content,
-        )
+    edge_tree.graft_many(parent, _plan_import(bundle, root_src, missing))
     return root_target
 
 
@@ -318,24 +306,15 @@ def _grouping_parent(
     edge_tree: ResourceTree, root_target: ResourcePath
 ) -> tuple[Resource, tuple[str, ...]]:
     """The deepest existing node above the task root and the grouping
-    segments still to create under it, once it is certain they can be
-    created and that the task root is not on the edge tree already."""
+    segments still to create under it; a task root that is on the edge tree
+    already is refused."""
     grouping = root_target.segments[:-1]
     parent = edge_tree.root
     for depth in range(1, len(grouping) + 1):
         try:
             parent = edge_tree.resolve(ResourcePath(edge_tree.cse_label, grouping[:depth]))
         except NotFoundError:
-            missing = grouping[depth - 1:]
-            kind = parent.kind
-            for segment in missing:
-                check_name(segment)
-                if ResourceKind.CONTAINER not in LEGAL_CHILDREN[kind]:
-                    raise BadRequestError(
-                        f"a grouping container may not be created under {kind.name}"
-                    ) from None
-                kind = ResourceKind.CONTAINER
-            return parent, missing
+            return parent, grouping[depth - 1:]
     try:
         edge_tree.resolve(root_target)
     except NotFoundError:
@@ -344,50 +323,43 @@ def _grouping_parent(
 
 
 def _plan_import(
-    edge_tree: ResourceTree,
-    bundle: OffloadBundle,
-    root_src: ResourcePath,
-    parent: Resource,
-    missing: tuple[str, ...],
-) -> tuple[str, list[tuple[BundleRecord, str, str]]]:
-    """Check every record against the nodes the import will have made by
-    its turn: it lies inside the task root, an earlier record is its
-    parent, and its name and kind are legal there.
+    bundle: OffloadBundle, root_src: ResourcePath, missing: tuple[str, ...]
+) -> list[tuple]:
+    """The ``graft_many`` batch of an import: the ``missing`` grouping
+    containers, each under the one before, then one node per record. Every
+    record must lie inside the task root and have its parent earlier in the
+    bundle.
 
     A node is keyed by the canonical source path it lands at: its parent's
-    key plus its own name. ``parent`` is the grouping parent, still to be
-    extended by the ``missing`` containers. Returns the grouping parent's
-    key and, per record, the record, its parent's key and its own key.
+    key plus its own name. The grouping parent's key is the task root's
+    minus its last segment.
     """
     root_key = "/".join((root_src.cse_label, *root_src.segments))
-    group_key = root_key.rpartition("/")[0]
-    taken = set() if missing else {child.name for child in edge_tree.children(parent.id)}
-    kinds = {group_key: ResourceKind.CONTAINER if missing else parent.kind}
-    steps = []
-    for rec in bundle.records:
-        path = _canonical(rec.source_path)
-        if path != root_key and not path.startswith(root_key + "/"):
+    batch = [
+        (index - 1, ResourceKind.CONTAINER, segment, bundle.exported_at, None, None, None)
+        for index, segment in enumerate(missing)
+    ]
+    indexes = {root_key.rpartition("/")[0]: len(batch) - 1}
+    inside = root_key + "/"
+    for source_path, kind, name, created, content in bundle.records:
+        path = _canonical(source_path)
+        if path != root_key and not path.startswith(inside):
             raise BadRequestError("bundle record outside the task root")
         parent_key = path[: path.rfind("/")]
-        parent_kind = kinds.get(parent_key)
-        if parent_kind is None:
-            raise BadRequestError(f"malformed bundle ordering: parent of {rec.source_path} missing")
-        check_name(rec.name)
-        if rec.kind not in LEGAL_CHILDREN[parent_kind]:
-            raise BadRequestError(f"{rec.kind.name} may not be created under {parent_kind.name}")
-        key = parent_key + "/" + rec.name
-        if key in kinds or (parent_key == group_key and rec.name in taken):
-            raise BadRequestError(f"sibling name {rec.name!r} is already taken")
-        kinds[key] = rec.kind
-        steps.append((rec, parent_key, key))
-    return group_key, steps
+        parent = indexes.get(parent_key)
+        if parent is None:
+            raise BadRequestError(f"malformed bundle ordering: parent of {source_path} missing")
+        # a key seen twice is a repeated sibling name, which graft_many refuses
+        indexes[parent_key + "/" + name] = len(batch)
+        batch.append((parent, kind, name, created, content, None, None))
+    return batch
 
 
-def iter_containers(tree: ResourceTree, root_path: ResourcePath) -> Iterator[Resource]:
-    root = tree.resolve(root_path)
-    for node in tree.walk(root.id):
-        if node.kind is ResourceKind.CONTAINER:
-            yield node
+# kinds that may hold a container: the sync-subscription walk descends only
+# into these, so it never walks through a container's content instances
+_HOLDS_CONTAINERS = frozenset(
+    kind for kind, legal in LEGAL_CHILDREN.items() if ResourceKind.CONTAINER in legal
+)
 
 
 def create_sync_subscriptions(
@@ -397,14 +369,22 @@ def create_sync_subscriptions(
     cloud_node: str,
 ) -> int:
     """One subscription per container in the offloaded subtree, targeting the
-    container's mirror path on the cloud.
+    container's mirror path on the cloud, created in preorder.
 
     Subscriptions observe a container's children, so an Ae-rooted task with
     no containers yields zero subscriptions; direct children added under
     such a root reach the mirror at finalize time, not eagerly.
     """
-    count = 0
-    for container in list(iter_containers(edge_tree, edge_root)):
+    containers = []
+    stack = [edge_tree.resolve(edge_root)]
+    while stack:
+        node = stack.pop()
+        if node.kind is ResourceKind.CONTAINER:
+            containers.append(node)
+        stack.extend(reversed(
+            [c for c in edge_tree.children(node.id) if c.kind in _HOLDS_CONTAINERS]
+        ))
+    for container in containers:
         container_path = edge_tree.path_of(container)
         mirror_path = container_path.rebase(edge_root, mirror_root)
         edge_tree.create(
@@ -413,8 +393,7 @@ def create_sync_subscriptions(
             SYNC_SUB_NAME,
             notification_target=(cloud_node, str(mirror_path)),
         )
-        count += 1
-    return count
+    return len(containers)
 
 
 def maintain_sync_subscriptions(

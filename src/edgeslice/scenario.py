@@ -72,6 +72,10 @@ class ScenarioConfig:
     pre_seeded_cache: bool = True
     link_accurate_pulls: bool = False
 
+    def __post_init__(self) -> None:
+        # a config built by hand or by dataclasses.replace is checked too
+        self.validate()
+
     def profile(self) -> SliceProfile:
         return SliceProfile(self.service_id, self.functions, self.latency_class)
 
@@ -235,7 +239,7 @@ def parse_scenario(text: str, topology_override: "dict | None" = None) -> Scenar
         raise
     except (KeyError, TypeError, ValueError, BadRequestError) as exc:
         raise ConfigInvalidError(f"bad scenario: {exc}") from exc
-    return config.validate()
+    return config
 
 
 def _read(path: str) -> str:

@@ -1,13 +1,23 @@
-"""Wire check for every test: a message that travels as an object must come
+"""Set-up for every test.
+
+Hypothesis keeps its files in the repository's own (ignored) .hypothesis/,
+not in the working directory, so a run started anywhere writes nothing
+there. And the wire check: a message that travels as an object must come
 back equal from its own bytes, so the codec stays exercised end to end even
 though control messages are never encoded on their way."""
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from edgeslice.netsim import Network
 from edgeslice.offload import read_body
 from edgeslice.primitives import decode_request, decode_response, is_response
+
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", str(Path(__file__).resolve().parent.parent / ".hypothesis")
+)
 
 
 def wire_round_trip(message):

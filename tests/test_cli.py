@@ -81,8 +81,11 @@ def test_missing_scenario_file_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_invalid_requests_is_config_error(tmp_path):
-    assert main(["bench-create", "--requests", "0", "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize(
+    "command", [["bench-create"], ["run", SCENARIO]], ids=["bench-create", "run"]
+)
+def test_invalid_requests_is_config_error(tmp_path, command):
+    assert main([*command, "--requests", "0", "--out", str(tmp_path)]) == 2
 
 
 def test_bad_scenario_content_is_config_error(tmp_path, capsys):

@@ -17,6 +17,7 @@ from edgeslice.offload import (
     OffloadCoordinator,
     SyncMode,
     Task,
+    create_sync_subscriptions,
     import_bundle,
     make_bundle,
     read_body,
@@ -203,27 +204,28 @@ class TestImport:
         records = list(good.records)  # CarA, location, p1, p2
         cars = P("MN-CSE/Cars")
         if fault == "outside the root":
-            records.append(replace(records[1], source_path="IN-CSE/B/x", name="x"))
+            records.append(records[1]._replace(source_path="IN-CSE/B/x", name="x"))
         elif fault == "parent missing":
-            records.append(replace(records[1], source_path="IN-CSE/Cars/CarA/gone/x", name="x"))
+            records.append(records[1]._replace(source_path="IN-CSE/Cars/CarA/gone/x", name="x"))
         elif fault == "illegal name":
-            records.append(replace(records[1], source_path="IN-CSE/Cars/CarA/la", name="la"))
+            records.append(records[1]._replace(source_path="IN-CSE/Cars/CarA/la", name="la"))
         elif fault == "illegal kind":
-            records.append(replace(records[1], kind=ResourceKind.AE,
-                                   source_path="IN-CSE/Cars/CarA/ae", name="ae"))
+            records.append(records[1]._replace(kind=ResourceKind.AE,
+                                               source_path="IN-CSE/Cars/CarA/ae", name="ae"))
         elif fault == "repeated sibling":
             records.append(records[-1])
         elif fault == "sibling on the edge":
             h.edge_tree.create(P("MN-CSE"), ResourceKind.CONTAINER, "Cars")
             h.edge_tree.create(cars, ResourceKind.CONTAINER, "CarB")
-            records.append(replace(records[0], name="CarB"))
+            records.append(records[0]._replace(name="CarB"))
         else:
             # move the task under grouping segments that cannot all be created
             h.edge_tree.create(P("MN-CSE"), ResourceKind.CONTAINER, "Cars")
             h.edge_tree.create(cars, ResourceKind.CONTENT_INSTANCE, "old", content=b"x")
             prefix = "IN-CSE/Cars/new/la/" if fault == "illegal grouping name" else "IN-CSE/Cars/old/new/"
             records = [
-                replace(r, source_path=r.source_path.replace("IN-CSE/Cars/", prefix)) for r in records
+                r._replace(source_path=r.source_path.replace("IN-CSE/Cars/", prefix))
+                for r in records
             ]
         h.edge_tree.drain_events()
         size, dump = len(h.edge_tree), h.edge_tree.serialize()
@@ -251,6 +253,33 @@ class TestEagerSetup:
             if n.kind is ResourceKind.CONTAINER
         ]
         assert len(subs) == len(containers) == 2  # CarA and location
+
+    def test_subscriptions_follow_the_preorder_of_the_containers(self):
+        # an Ae-rooted task, containers nested three deep among instances
+        # and a subscription
+        tree = ResourceTree("MN-CSE")
+        app, a = P("MN-CSE/app"), P("MN-CSE/app/a")
+        tree.create(P("MN-CSE"), ResourceKind.AE, "app")
+        tree.create(app, ResourceKind.CONTAINER, "a")
+        tree.create(a, ResourceKind.CONTENT_INSTANCE, "i0", content=b"0")
+        tree.create(a, ResourceKind.CONTAINER, "a1")
+        tree.create(a.child("a1"), ResourceKind.CONTAINER, "deep")
+        tree.create(a, ResourceKind.CONTENT_INSTANCE, "i1", content=b"1")
+        tree.create(a, ResourceKind.CONTAINER, "a2")
+        tree.create(app, ResourceKind.SUBSCRIPTION, "w", notification_target=("x", "X/y"))
+        tree.create(app, ResourceKind.CONTAINER, "b")
+        tree.create(app.child("b"), ResourceKind.CONTENT_INSTANCE, "i2", content=b"2")
+        tree.drain_events()
+        # oracle: the full preorder walk the containers used to be found by
+        expected = [n for n in tree.walk(tree.resolve(app).id) if n.kind is ResourceKind.CONTAINER]
+        assert create_sync_subscriptions(tree, app, P("IN-CSE/Apps/app"), "cloud") == 5
+        subs = [e.resource for e in tree.drain_events()]
+        assert [s.parent_id for s in subs] == [c.id for c in expected]
+        assert [s.id for s in subs] == [f"sub_{i:04d}" for i in range(2, 7)]
+        assert [s.notification_target[1] for s in subs] == [
+            "IN-CSE/Apps/app/a", "IN-CSE/Apps/app/a/a1", "IN-CSE/Apps/app/a/a1/deep",
+            "IN-CSE/Apps/app/a/a2", "IN-CSE/Apps/app/b",
+        ]
 
     def test_three_containers_get_three_subscriptions(self):
         clock = ManualClock()

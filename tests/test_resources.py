@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeslice.errors import BadRequestError, ConflictError, NotFoundError
 from edgeslice.notify import match_subscriptions
 from edgeslice.resources import (
+    LEGAL_CHILDREN,
     ManualClock,
     ResourceKind,
     ResourcePath,
@@ -587,3 +590,164 @@ class TestCopy:
         assert [e.event_id for e in copy_events] == [e.event_id for e in fresh_events]
         assert [e.resource.id for e in copy_events] == [e.resource.id for e in fresh_events]
         assert copy.serialize() == fresh.serialize()
+
+
+# --- batch graft ---
+
+# the live parents a batch may go under, with their kinds
+GRAFT_PARENTS = {
+    "MN-CSE": ResourceKind.CSE_BASE,
+    "MN-CSE/A": ResourceKind.CONTAINER,
+    "MN-CSE/A/B": ResourceKind.CONTAINER,
+    "MN-CSE/app": ResourceKind.AE,
+    "MN-CSE/A/x": ResourceKind.CONTENT_INSTANCE,
+}
+GRAFT_NAMES = ["n", "m", "A", "B", "x"]  # A, B and x are taken on the tree
+ILLEGAL_NAMES = ["la", "", "a/b"]
+
+
+def graft_base() -> ResourceTree:
+    """A container holding a container and an instance, and an Ae, made at
+    1.0; the clock then stops at 3.0 and the events are drained."""
+    clock = ManualClock(1.0)
+    tree = ResourceTree("MN-CSE", clock)
+    root = ResourcePath("MN-CSE")
+    tree.create(root, ResourceKind.CONTAINER, "A")
+    tree.create(root.child("A"), ResourceKind.CONTAINER, "B")
+    tree.create(root.child("A"), ResourceKind.CONTENT_INSTANCE, "x", content=b"x")
+    tree.create(root, ResourceKind.AE, "app")
+    clock.advance(2.0)
+    tree.drain_events()
+    return tree
+
+
+@st.composite
+def graft_batches(draw) -> tuple[str, list[tuple]]:
+    """A live parent and a batch of up to six nodes, each under the batch's
+    parent or an earlier node. About half the batches keep to legal names
+    and kinds, so that they fail only on a taken name; the others mix in
+    illegal names and kinds."""
+    noisy = draw(st.booleans())
+    names = GRAFT_NAMES + ILLEGAL_NAMES if noisy else GRAFT_NAMES
+    parent = draw(st.sampled_from(
+        [p for p, kind in GRAFT_PARENTS.items() if noisy or LEGAL_CHILDREN[kind]]
+    ))
+    kinds = [GRAFT_PARENTS[parent]]  # -1 first, then one per node
+    batch = []
+    for index in range(draw(st.integers(0, 6))):
+        under = draw(st.sampled_from(
+            [i for i in range(-1, index) if noisy or LEGAL_CHILDREN[kinds[i + 1]]]
+        ))
+        legal = sorted(LEGAL_CHILDREN[kinds[under + 1]], key=lambda k: k.value)
+        kind = draw(st.sampled_from(list(ResourceKind) if noisy else legal))
+        kinds.append(kind)
+        batch.append((
+            under,
+            kind,
+            draw(st.sampled_from(names + [f"u{index}"] * 4)),  # often a fresh name
+            # instances have no children, so no child predates its parent
+            draw(st.sampled_from([1.0, 2.0, 3.0]))
+            if kind is ResourceKind.CONTENT_INSTANCE else 1.0,
+            b"c" if kind is ResourceKind.CONTENT_INSTANCE else None,
+            ("app", "APP/in") if kind is ResourceKind.SUBSCRIPTION else None,
+            draw(st.sampled_from([None, ["l"]])),
+        ))
+    return parent, batch
+
+
+def graft_one_by_one(tree: ResourceTree, parent, batch) -> list:
+    made = []
+    for index, kind, name, created, content, target, labels in batch:
+        made.append(tree.graft(parent if index < 0 else made[index], kind, name,
+                               creation_time=created, content=content,
+                               notification_target=target, labels=labels))
+    return made
+
+
+def next_id(tree: ResourceTree) -> str:
+    """The id the tree mints next for a container."""
+    return tree.graft(tree.root, ResourceKind.CONTAINER, "probe", creation_time=0.0).id
+
+
+class TestGraftMany:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(graft_batches())
+    def test_matches_repeated_graft_or_leaves_the_tree_as_it_was(self, case):
+        parent_path, batch = case
+        parent_path = ResourcePath.parse(parent_path)
+        one, many = graft_base(), graft_base()
+        before = many.serialize()
+        try:
+            expected = [n.id for n in graft_one_by_one(one, one.resolve(parent_path), batch)]
+        except BadRequestError as exc:
+            expected = type(exc)
+        try:
+            got = [n.id for n in many.graft_many(many.resolve(parent_path), batch)]
+        except BadRequestError as exc:
+            got = type(exc)
+        assert got == expected
+        if isinstance(expected, list):
+            assert many.serialize() == one.serialize()
+            check_tree_invariants(many)
+        else:
+            assert len(many) == len(graft_base())
+            assert many.serialize() == before
+            assert next_id(many) == next_id(graft_base())
+        assert many.drain_events() == []
+
+    def test_a_name_repeated_inside_the_batch_is_refused(self, tree):
+        before = tree.serialize()
+        node = (-1, ResourceKind.CONTAINER, "n", 0.0, None, None, None)
+        with pytest.raises(BadRequestError, match="already taken"):
+            tree.graft_many(tree.root, [node, node])
+        assert tree.serialize() == before
+        assert next_id(tree) == "cnt_0001"
+
+    def test_a_name_may_repeat_under_different_parents(self, tree):
+        made = tree.graft_many(tree.root, [
+            (-1, ResourceKind.CONTAINER, "n", 0.0, None, None, None),
+            (0, ResourceKind.CONTAINER, "n", 0.0, None, None, None),
+        ])
+        assert [n.id for n in made] == ["cnt_0001", "cnt_0002"]
+        assert str(tree.path_of(made[1])) == "MN-CSE/n/n"
+
+    @pytest.mark.parametrize("staged, kind", [
+        (ResourceKind.CONTENT_INSTANCE, ResourceKind.CONTAINER),
+        (ResourceKind.CONTAINER, ResourceKind.AE),
+        (ResourceKind.SUBSCRIPTION, ResourceKind.SUBSCRIPTION),
+    ])
+    def test_an_illegal_kind_under_a_staged_parent_is_refused(self, tree, staged, kind):
+        before = tree.serialize()
+        batch = [
+            (-1, ResourceKind.CONTAINER, "c", 0.0, None, None, None),
+            (0, staged, "s", 0.0, None, None, None),
+            (1, kind, "k", 0.0, None, None, None),
+        ]
+        with pytest.raises(BadRequestError, match="may not be created under"):
+            tree.graft_many(tree.root, batch)
+        assert len(tree) == 1
+        assert tree.serialize() == before
+        assert next_id(tree) == "cnt_0001"
+
+    def test_reads_the_clock_once(self):
+        reads = []
+
+        def clock() -> float:
+            reads.append(None)
+            return float(len(reads))
+
+        tree = ResourceTree("MN-CSE", clock)
+        made = tree.graft_many(tree.root, [
+            (-1, ResourceKind.CONTAINER, "c", 0.5, None, None, None),
+            (0, ResourceKind.CONTENT_INSTANCE, "i", 0.25, b"v", None, ["l"]),
+        ])
+        assert len(reads) == 2  # the root's creation, then the batch
+        assert [n.last_modified_time for n in made] == [2.0, 2.0]
+        assert [n.creation_time for n in made] == [0.5, 0.25]
+        assert tree.root.last_modified_time == 2.0
+        assert tree.latest_instance(made[0]) is made[1]
+
+    def test_an_empty_batch_changes_nothing(self, tree):
+        before = tree.serialize()
+        assert tree.graft_many(tree.root, []) == []
+        assert tree.serialize() == before

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -136,6 +137,22 @@ def test_bad_numbers_rejected_at_load(edit):
     assert before in text
     with pytest.raises(ConfigInvalidError):
         parse_scenario(text.replace(before, after, 1))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"start_delay_ms": float("nan")},
+        {"requests": 0},
+        {"payload_bytes": -1},
+        {"processing": {"cloud": {Operation.CREATE: float("inf")}}},
+        {"modes": ["fog"]},
+    ],
+    ids=["start-delay-nan", "no-requests", "negative-payload", "processing-inf", "unknown-mode"],
+)
+def test_configs_changed_with_replace_are_validated(change):
+    with pytest.raises(ConfigInvalidError):
+        replace(reference_calibrated(), **change)
 
 
 def test_disconnected_topology_rejected():
