@@ -1,66 +1,53 @@
 #!/usr/bin/env python3
 """Walkthrough: slicing decisions and the function lifecycle on a worker.
 
-A first service request instantiates exactly the missing functions; an
-identical repeat takes the fast path. Crashing one microservice leaves the
-others serving.
+A first service request instantiates exactly the missing functions on the
+edge gateway; an identical repeat takes the fast path. Both travel over the
+simulated network between device, edge and cloud. Crashing one
+microservice leaves the others serving.
 """
+from dataclasses import replace
+
 from edgeslice import (
-    EdgeWorker,
     FunctionKind,
-    LatencyClass,
-    ManualClock,
     Operation,
     RequestPrimitive,
     ResourceKind,
-    ResourceTree,
-    ServiceRequest,
-    SliceOrchestrator,
-    SliceProfile,
-    default_catalogue,
+    System,
+    reference_calibrated,
 )
-from edgeslice.netsim import Link, Node, NodeRole, Topology
 
-MB = 1_000_000
+config = replace(
+    reference_calibrated(),
+    functions=frozenset(
+        {FunctionKind.REGISTRATION, FunctionKind.RETRIEVE, FunctionKind.DATA_MANAGEMENT}
+    ),
+)
+system = System(config, "edge", seed=42)
+edge = system.edge_for(system.device_id)
+worker = system.edges[edge].worker
+orchestrator = system.cloud.orchestrator
 
-topology = Topology(
-    [
-        Node("sensor", NodeRole.DEVICE),
-        Node("gateway", NodeRole.EDGE_WORKER),
-        Node("cloud", NodeRole.CLOUD),
-    ],
-    [Link("sensor", "gateway", 1.0), Link("gateway", "cloud", 12.0)],
-)
-clock = ManualClock()
-catalogue = default_catalogue()
-orchestrator = SliceOrchestrator(topology, catalogue, clock=clock)
-worker = EdgeWorker(
-    "gateway", ResourceTree("MN-CSE", clock), capacity_bytes=4000 * MB, clock=clock
-)
-worker.cache.seed(catalogue)
 
-profile = SliceProfile(
-    "temperature-logging",
-    frozenset({FunctionKind.REGISTRATION, FunctionKind.RETRIEVE, FunctionKind.DATA_MANAGEMENT}),
-    LatencyClass.NORMAL,
-)
-request = ServiceRequest("sensor", "temperature-logging", profile)
+def starts() -> int:
+    return sum(1 for entry in worker.log if entry["action"] == "start_begin")
+
 
 print("== first request: nothing runs yet ==")
-plan = orchestrator.handle_service_request(request)
-print("decision:", plan.decision.value)
-print("missing:", sorted(f.name for f in plan.missing_functions))
-
-instance, elapsed = orchestrator.instantiate_slice(
-    plan, "gateway", worker=worker, clock=clock, pull_bandwidth_bytes_per_s=100 * MB
-)
-orchestrator.record_slice_functions(plan.target_slice, plan.missing_functions)
-print(f"instantiated in {elapsed:.0f} ms of virtual time (3 container starts)")
+system.prepare()
+decision = orchestrator.decision_log[-1]
+print("decision:", decision["decision"])
+print("missing:", decision["missing"])
+print(f"ready after {system.sim.now:.1f} ms of virtual time ({starts()} container starts)")
+instance = orchestrator.registry[orchestrator.slice_id_for(edge)]
 print("ports:", {f.name: p for f, p in sorted(instance.running_functions.items(), key=lambda kv: kv[1])})
 
 print("\n== identical repeat: fast path, no new starts ==")
-again = orchestrator.handle_service_request(request)
-print("decision:", again.decision.value, "| missing:", set(again.missing_functions) or "none")
+before = starts()
+system.prepare()
+decision = orchestrator.decision_log[-1]
+print("decision:", decision["decision"], "| missing:", decision["missing"] or "none")
+print("new container starts:", starts() - before)
 
 print("\n== the worker gates whatever its slice does not run ==")
 sub_create = RequestPrimitive(
@@ -86,7 +73,6 @@ gated, _, _ = worker.dispatch(
     RequestPrimitive(Operation.DELETE, "MN-CSE/app", "sensor", "r-del")
 )
 print("delete (data management) during the respawn ->", int(gated.status))
-clock.advance(duration)
 worker.complete_start(FunctionKind.DATA_MANAGEMENT)
 back, _, _ = worker.dispatch(
     RequestPrimitive(Operation.DELETE, "MN-CSE/app", "sensor", "r-del2")

@@ -7,13 +7,13 @@ from edgeslice import (
     ResourceKind,
     ResourcePath,
     ResourceTree,
+    SyncMode,
     Task,
     import_bundle,
     make_bundle,
-    setup_eager_sync,
     subtrees_converged,
 )
-from edgeslice.offload import process_edge_events
+from edgeslice.offload import EdgeSyncInfo, create_sync_subscriptions, process_edge_events
 
 P = ResourcePath.parse
 clock = ManualClock()
@@ -41,8 +41,11 @@ edge_root = import_bundle(edge, bundle)
 print("grafted at:", edge_root)
 
 print("\n== eager sync: every container gets a sync subscription ==")
-binding, info, subs = setup_eager_sync(coordinator, edge, task, "gateway", "cloud")
+# the edge subscribes under every container; the cloud records the binding
+subs = create_sync_subscriptions(edge, edge_root, task.root_path, "cloud")
 edge.drain_events()
+info = EdgeSyncInfo(task.task_id, edge_root, task.root_path, "cloud")
+coordinator.register_binding(task, SyncMode.EAGER, "gateway", edge_root)
 print(f"{subs} subscriptions created; targets point at the mirror paths")
 
 clock.advance(5.0)
@@ -74,7 +77,7 @@ cloud.create(P("IN-CSE/Cars/CarB/location"), ResourceKind.CONTENT_INSTANCE, "q0"
 cloud.drain_events()
 bundle_b = coordinator.export_task(task_b)
 edge_root_b = import_bundle(edge, bundle_b)
-coordinator.register_redirect(task_b, "gateway")
+coordinator.register_binding(task_b, SyncMode.LAZY, "gateway", edge_root_b)
 clock.advance(5.0)
 edge.create(P("MN-CSE/Cars/CarB/location"), ResourceKind.CONTENT_INSTANCE, "q1", content=b"fresh")
 edge.drain_events()

@@ -45,7 +45,6 @@ from .offload import (
     Task,
     import_bundle,
     make_bundle,
-    setup_eager_sync,
     subtrees_converged,
 )
 from .orchestrator import ServiceRequest, SliceOrchestrator
@@ -142,7 +141,6 @@ __all__ = [
     "run_preparation_timing",
     "run_retrieval_comparison",
     "run_road_scenario",
-    "setup_eager_sync",
     "subtrees_converged",
     "summarize",
 ]

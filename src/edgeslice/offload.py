@@ -447,22 +447,6 @@ def process_edge_events(
     return notifies
 
 
-def setup_eager_sync(
-    coordinator: "OffloadCoordinator",
-    edge_tree: ResourceTree,
-    task: Task,
-    edge_node: str,
-    cloud_node: str,
-) -> "tuple[SyncBinding, EdgeSyncInfo, int]":
-    """Direct-mode convenience: register the binding and create the per-
-    container sync subscriptions in one step."""
-    edge_root = ResourcePath(edge_tree.cse_label, task.root_path.segments)
-    binding = coordinator.register_binding(task, SyncMode.EAGER, edge_node, edge_root)
-    count = create_sync_subscriptions(edge_tree, edge_root, task.root_path, cloud_node)
-    info = EdgeSyncInfo(task.task_id, edge_root, task.root_path, cloud_node)
-    return binding, info, count
-
-
 class OffloadCoordinator:
     """Cloud-side bookkeeping: exports, bindings, redirects, reconciliation.
 
@@ -513,10 +497,6 @@ class OffloadCoordinator:
         )
         self.bindings[task.task_id] = binding
         return binding
-
-    def register_redirect(self, task: Task, edge: str) -> SyncBinding:
-        edge_root = ResourcePath("MN-CSE", task.root_path.segments)
-        return self.register_binding(task, SyncMode.LAZY, edge, edge_root)
 
     def binding_of(self, task_id: str) -> SyncBinding:
         binding = self.bindings.get(task_id)

@@ -1,25 +1,22 @@
-"""Slice orchestration: request matching, edge selection, instantiation.
+"""Slice orchestration: request matching, edge selection, the slice registry.
 
 The cloud-side management entities and the edge-resident request handler
 collapse into one orchestrator object with two views: the registry (what is
 actually running, per worker) and the handler view (what the request matcher
 believes is running). A service request only takes the fast path when the
 handler view already covers its profile.
+
+The orchestrator only decides and records. Pulling and starting the missing
+functions, with rollback on failure, is the edge node's job, and termination
+is the cloud node's; both live in ``system``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import (
-    BadRequestError,
-    NoEdgeAvailableError,
-    NoRouteError,
-    UnknownSliceError,
-)
-from .images import ImageCatalogue, pull_image
+from .errors import NoEdgeAvailableError, NoRouteError, UnknownSliceError
 from .netsim import NodeRole, Topology
-from .resources import ManualClock
 from .slicing import (
     FunctionKind,
     PlanDecision,
@@ -29,9 +26,6 @@ from .slicing import (
     SlicingPlan,
     ordered,
 )
-from .worker import EdgeWorker, ResourceQuota
-
-DEFAULT_QUOTA = ResourceQuota(max_memory_bytes=256_000_000, max_cpu_share=0.25)
 
 
 @dataclass(frozen=True)
@@ -42,18 +36,9 @@ class ServiceRequest:
 
 
 class SliceOrchestrator:
-    def __init__(
-        self,
-        topology: Topology,
-        catalogue: ImageCatalogue,
-        *,
-        clock: Callable[[], float] | None = None,
-        default_quota: ResourceQuota = DEFAULT_QUOTA,
-    ):
+    def __init__(self, topology: Topology, *, clock: Callable[[], float] | None = None):
         self.topology = topology
-        self.catalogue = catalogue
         self._clock = clock or (lambda: 0.0)
-        self.default_quota = default_quota
         self.registry: dict[str, SliceInstance] = {}
         self._handler_view: dict[str, set[FunctionKind]] = {}
         self.decision_log: list[dict] = []
@@ -123,13 +108,7 @@ class SliceOrchestrator:
         )
         return plan
 
-    # --- instantiation ---
-
-    def instantiation_steps(self, plan: SlicingPlan, version: str = "latest"):
-        """Images to pull/start, in fixed function order."""
-        return [
-            self.catalogue.lookup(fn, version) for fn in ordered(plan.missing_functions)
-        ]
+    # --- instantiation records ---
 
     def ensure_instance(self, slice_id: str, edge: str) -> SliceInstance:
         instance = self.registry.get(slice_id)
@@ -145,54 +124,6 @@ class SliceOrchestrator:
         instance.running_functions.update(started)
         instance.state = SliceState.ACTIVE
         return instance
-
-    def instantiate_slice(
-        self,
-        plan: SlicingPlan,
-        edge: str,
-        *,
-        worker: EdgeWorker,
-        clock: ManualClock,
-        pull_bandwidth_bytes_per_s: float,
-        quota: ResourceQuota | None = None,
-    ) -> tuple[SliceInstance, float]:
-        """Direct-mode instantiation: pulls and starts run back to back.
-
-        Returns the instance and the elapsed virtual time (sum of cache-miss
-        pull durations plus one start delay per function). Partial failures
-        roll back every function this call started.
-        """
-        if plan.decision is not PlanDecision.INSTANTIATE_THEN_OFFLOAD:
-            raise BadRequestError("fast-path plans do not instantiate")
-        quota = quota or self.default_quota
-        images = self.instantiation_steps(plan)
-        began = clock()
-        fresh = plan.target_slice not in self.registry
-        instance = self.ensure_instance(plan.target_slice, edge)
-        started: dict[FunctionKind, int] = {}
-        fresh_starts: list[FunctionKind] = []
-        try:
-            for image in images:
-                if image.function in worker.functions:
-                    # already hosted (stale handler view); never start twice
-                    started[image.function] = worker.functions[image.function].port
-                    continue
-                clock.advance(
-                    pull_image(worker.cache, image, pull_bandwidth_bytes_per_s)
-                )
-                inst = worker.begin_start(image, quota)
-                clock.advance(worker.start_delay_ms)
-                worker.complete_start(image.function)
-                started[image.function] = inst.port
-                fresh_starts.append(image.function)
-        except Exception:
-            for fn in fresh_starts:
-                worker.stop_function(fn)
-            if fresh:
-                del self.registry[plan.target_slice]
-            raise
-        self.mark_active(plan.target_slice, started)
-        return instance, clock() - began
 
     def record_slice_functions(
         self, slice_id: str, newly_started: "set[FunctionKind] | frozenset[FunctionKind]"
@@ -214,24 +145,3 @@ class SliceOrchestrator:
         instance = self.registry.pop(slice_id, None)
         if instance is not None:
             self._handler_view.pop(instance.edge_node, None)
-
-    def terminate_slice(
-        self,
-        slice_id: str,
-        *,
-        worker: EdgeWorker,
-        finalize: Callable[[str], int] | None = None,
-    ) -> dict:
-        """Stop the slice; ``finalize(edge_node)`` settles offloaded tasks
-        first and returns the number of resources it synchronized."""
-        instance = self.registry.get(slice_id)
-        if instance is None:
-            raise UnknownSliceError(slice_id)
-        instance.state = SliceState.TERMINATING
-        synced = finalize(instance.edge_node) if finalize is not None else 0
-        for fn in list(instance.running_functions):
-            if fn in worker.functions:
-                worker.stop_function(fn)
-        del self.registry[slice_id]
-        self._handler_view.pop(instance.edge_node, None)
-        return {"slice_id": slice_id, "synced_resources": synced}

@@ -157,7 +157,7 @@ class ChangeEvent:
 
 
 class ManualClock:
-    """Directly advanced virtual clock for tests and direct-mode use."""
+    """Directly advanced virtual clock, for tests and the walkthrough demos."""
 
     def __init__(self, start: float = 0.0):
         self.now = float(start)

@@ -12,13 +12,13 @@ from importlib import resources
 
 import yaml
 
-from .errors import BadRequestError, ConfigInvalidError
+from .errors import BadRequestError, ConfigInvalidError, ImageNotFoundError
 from .images import ImageCatalogue, default_catalogue
 from .netsim import Link, Node, NodeRole, Topology
 from .offload import SyncMode
 from .primitives import Operation
 from .resources import ResourcePath
-from .slicing import FunctionKind, LatencyClass, SliceProfile, function_from_name
+from .slicing import FunctionKind, LatencyClass, SliceProfile, function_from_name, ordered
 from .worker import ResourceQuota
 
 _ROLE_NAMES = {
@@ -97,6 +97,11 @@ class ScenarioConfig:
                     )
         if not self.functions:
             raise ConfigInvalidError("the slice needs at least one function")
+        for fn in ordered(self.functions):
+            try:
+                self.catalogue.lookup(fn)
+            except ImageNotFoundError:
+                raise ConfigInvalidError(f"the catalogue has no image for {fn.name}") from None
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigInvalidError(f"unknown mode {mode!r}")

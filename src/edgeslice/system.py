@@ -67,7 +67,7 @@ from .primitives import (
 )
 from .resources import ResourceKind, ResourcePath, ResourceTree
 from .scenario import ScenarioConfig
-from .slicing import FunctionKind, PlanDecision, SliceProfile, SlicingPlan, ordered
+from .slicing import FunctionKind, PlanDecision, SliceProfile, SliceState, SlicingPlan, ordered
 from .worker import EdgeWorker, ResourceQuota
 
 DATA_OPS = (
@@ -182,6 +182,12 @@ class _Node:
             return
         self.handle_request(message, sender)
 
+    def _notify_transport(self, notify, done) -> None:
+        """Send one notification as a request; ``done`` gets whether it was accepted."""
+        req = notify.to_request(self.node_id)
+        self.pending[notify.request_id] = lambda resp: done(resp.ok)
+        self.send(notify.target_node, req, self.system.config.payload_bytes)
+
     def refuse(self, req: RequestPrimitive, sender: str, exc: Exception) -> None:
         """Answer a request whose body could not be read with 4000."""
         detail = f"malformed {req.operation.name}: {exc!r}".encode()
@@ -233,11 +239,6 @@ class EdgeNode(_Node):
         self.channel.pause()  # resumes once the notification function runs
 
     # --- notification plumbing ---
-
-    def _notify_transport(self, notify, done) -> None:
-        req = notify.to_request(self.node_id)
-        self.pending[notify.request_id] = lambda resp: done(resp.ok)
-        self.send(notify.target_node, req, self.system.config.payload_bytes)
 
     def _sync_channel_state(self) -> None:
         if self.worker.enabled(FunctionKind.NOTIFICATION):
@@ -473,17 +474,10 @@ class CloudNode(_Node):
             self.service.cache.seed([builtin])
             self.service.start_now(builtin, ResourceQuota(1, 1.0))
         self.service.log.clear()
-        self.orchestrator = SliceOrchestrator(
-            config.topology, config.catalogue, clock=system.sim.time, default_quota=config.quota
-        )
+        self.orchestrator = SliceOrchestrator(config.topology, clock=system.sim.time)
         self.coordinator = OffloadCoordinator(self.tree, system.sim.time)
         self.channel = NotificationChannel(self._notify_transport, self.sim.schedule)
         self.service_ctx: dict[str, dict] = {}
-
-    def _notify_transport(self, notify, done) -> None:
-        req = notify.to_request(self.node_id)
-        self.pending[notify.request_id] = lambda resp: done(resp.ok)
-        self.send(notify.target_node, req, self.system.config.payload_bytes)
 
     def _publish_events(self, events) -> None:
         for event in events:
@@ -606,6 +600,10 @@ class CloudNode(_Node):
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND))
             return
         if "err" in meta:
+            instance = self.orchestrator.registry.get(meta["slc"])
+            if instance is not None and instance.state is not SliceState.ACTIVE:
+                # the failed instantiation created the slice; none of it runs
+                self.orchestrator.forget_slice(meta["slc"])
             self._finish_service(ctx, StatusCode.BAD_REQUEST, meta["err"])
             return
         started = {}

@@ -5,7 +5,6 @@ failure) and asserts its runtime budget. Oracles are independent of the code
 paths they check: set difference, structural recursion, schedule replay,
 brute-force scans.
 """
-import os
 import random
 import statistics
 import time
@@ -37,6 +36,7 @@ from edgeslice.scenario import reference_calibrated
 from edgeslice.slicing import FunctionKind
 
 from util import (
+    CALIBRATED_YAML,
     OffloadHarness,
     RandomTreeWorkload,
     check_tree_invariants,
@@ -44,12 +44,6 @@ from util import (
     structural_shape,
 )
 from wire_samples import wire_bytes
-
-SCENARIO_FILE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "scenarios",
-    "reference_calibrated.yaml",
-)
 
 
 @contextmanager
@@ -236,8 +230,8 @@ def test_criterion_06_function_gating():
 def test_criterion_07_determinism(tmp_path):
     with criterion(7, "byte-identical outputs for identical seed", 5.0):
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-        assert cli_main(["run", SCENARIO_FILE, "--seed", "42", "--requests", "10", "--out", out1]) == 0
-        assert cli_main(["run", SCENARIO_FILE, "--seed", "42", "--requests", "10", "--out", out2]) == 0
+        assert cli_main(["run", CALIBRATED_YAML, "--seed", "42", "--requests", "10", "--out", out1]) == 0
+        assert cli_main(["run", CALIBRATED_YAML, "--seed", "42", "--requests", "10", "--out", out2]) == 0
         for name in ("samples.csv", "summary.txt"):
             with open(f"{out1}/{name}", "rb") as f1, open(f"{out2}/{name}", "rb") as f2:
                 assert f1.read() == f2.read(), f"{name} differs between runs"

@@ -1,10 +1,8 @@
-import os
-
 import pytest
 
 from edgeslice.cli import main
 
-SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "reference_calibrated.yaml")
+from util import CALIBRATED_YAML as SCENARIO
 
 
 def read(path):

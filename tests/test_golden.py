@@ -1,8 +1,9 @@
 """Byte-for-byte regression tests against committed fixtures.
 
 ``golden/<scenario>/`` holds ``edgeslice run <scenario> --seed 42
---requests 60`` output for both shipped scenarios, so any change that
-shifts virtual time shows here. ``golden/wire.json`` holds the encodings
+--requests 60`` output for both shipped scenarios (the calibrated one is
+the file packaged with edgeslice), so any change that shifts virtual time
+shows here. ``golden/wire.json`` holds the encodings
 made by ``wire_samples.py`` (see its docstring for how it was generated),
 so any change to the bytes on the wire shows here.
 """
@@ -12,11 +13,15 @@ import os
 import pytest
 
 from edgeslice.cli import main
+from util import CALIBRATED_YAML
 from wire_samples import samples, traffic_digests
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
-SCENARIOS = os.path.join(HERE, "..", "scenarios")
+SCENARIO_FILES = {
+    "reference_calibrated": CALIBRATED_YAML,
+    "jittery_campus": os.path.join(HERE, "..", "scenarios", "jittery_campus.yaml"),
+}
 
 
 def read(path):
@@ -27,7 +32,7 @@ def read(path):
 @pytest.mark.parametrize("scenario", ["reference_calibrated", "jittery_campus"])
 def test_run_output_matches_golden(scenario, tmp_path, capsys):
     out = tmp_path / scenario
-    argv = ["run", os.path.join(SCENARIOS, f"{scenario}.yaml"), "--seed", "42",
+    argv = ["run", SCENARIO_FILES[scenario], "--seed", "42",
             "--requests", "60", "--out", str(out)]
     assert main(argv) == 0
     capsys.readouterr()

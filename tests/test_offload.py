@@ -21,7 +21,6 @@ from edgeslice.offload import (
     import_bundle,
     make_bundle,
     read_body,
-    setup_eager_sync,
     subtrees_converged,
 )
 from edgeslice.resources import (
@@ -291,12 +290,12 @@ class TestEagerSetup:
         task = Task("t", P("IN-CSE/Box"), "svc")
         bundle = coordinator.export_task(task)
         edge = ResourceTree("MN-CSE", clock)
-        import_bundle(edge, bundle)
-        _, _, count = setup_eager_sync(coordinator, edge, task, "edge0", "cloud")
+        edge_root = import_bundle(edge, bundle)
+        count = create_sync_subscriptions(edge, edge_root, task.root_path, "cloud")
         # oracle: count the containers in the offloaded subtree
         containers = sum(
             1
-            for n in edge.walk(edge.resolve(P("MN-CSE/Box")).id)
+            for n in edge.walk(edge.resolve(edge_root).id)
             if n.kind is ResourceKind.CONTAINER
         )
         assert count == containers == 3
@@ -309,10 +308,8 @@ class TestEagerSetup:
         task = Task("t", P("IN-CSE/app"), "svc")
         bundle = coordinator.export_task(task)
         edge = ResourceTree("MN-CSE", clock)
-        import_bundle(edge, bundle)
-        binding, info, count = setup_eager_sync(coordinator, edge, task, "edge0", "cloud")
-        assert count == 0
-        assert binding.mode is SyncMode.EAGER
+        edge_root = import_bundle(edge, bundle)
+        assert create_sync_subscriptions(edge, edge_root, task.root_path, "cloud") == 0
 
     def test_edge_create_produces_exactly_one_cloud_notify(self):
         h = Harness()
@@ -464,13 +461,13 @@ class TestRedirect:
         h = Harness()
         h.offload(mode=SyncMode.LAZY)
         with pytest.raises(AlreadyBoundError):
-            h.coordinator.register_redirect(h.task, "edge0")
+            h.coordinator.register_binding(h.task, SyncMode.LAZY, "edge0", h.edge_root)
 
     def test_eager_binding_blocks_redirect_registration(self):
         h = Harness()
         h.offload(mode=SyncMode.EAGER)
         with pytest.raises(AlreadyBoundError):
-            h.coordinator.register_redirect(h.task, "edge0")
+            h.coordinator.register_binding(h.task, SyncMode.LAZY, "edge0", h.edge_root)
 
 
 class TestFinalize:

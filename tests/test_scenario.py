@@ -4,15 +4,20 @@ from dataclasses import replace
 import pytest
 
 from edgeslice.errors import ConfigInvalidError
+from edgeslice.images import FunctionImage, ImageCatalogue
 from edgeslice.offload import SyncMode
 from edgeslice.primitives import Operation
 from edgeslice.scenario import (
+    ScenarioConfig,
+    TaskSpec,
     calibrated_text,
     load_scenario,
     reference_calibrated,
     parse_scenario,
 )
 from edgeslice.slicing import FunctionKind, LatencyClass
+
+from util import CALIBRATED_YAML
 
 SCENARIO_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios"
@@ -53,14 +58,13 @@ def test_packaged_calibration_loads():
     assert cfg.catalogue.lookup(FunctionKind.RETRIEVE).size_bytes == 400_000_000
 
 
-def test_repo_scenario_file_matches_packaged_calibration():
-    with open(os.path.join(SCENARIO_DIR, "reference_calibrated.yaml"), encoding="utf-8") as fh:
-        assert fh.read() == calibrated_text()
-
-
-@pytest.mark.parametrize("name", ["reference_calibrated.yaml", "jittery_campus.yaml"])
-def test_shipped_scenarios_load(name):
-    cfg = load_scenario(os.path.join(SCENARIO_DIR, name))
+@pytest.mark.parametrize(
+    "path",
+    [CALIBRATED_YAML, os.path.join(SCENARIO_DIR, "jittery_campus.yaml")],
+    ids=["reference_calibrated.yaml", "jittery_campus.yaml"],
+)
+def test_shipped_scenarios_load(path):
+    cfg = load_scenario(path)
     assert cfg.tasks and cfg.workload_target.startswith(cfg.tasks[0].root + "/")
 
 
@@ -182,3 +186,35 @@ def test_custom_catalogue_lines():
     cfg = parse_scenario(text)
     assert not cfg.pre_seeded_cache
     assert cfg.catalogue.lookup(FunctionKind.RETRIEVE).size_bytes == 150_000_000
+
+
+def test_slice_function_missing_from_the_catalogue_rejected():
+    one_image = "catalogue:\n  images:\n    - img-r,retrieve,1.0.0,150000000\nworkload:"
+    with pytest.raises(ConfigInvalidError, match="DATA_MANAGEMENT"):
+        parse_scenario(MINIMAL.replace("workload:", one_image))
+    with pytest.raises(ConfigInvalidError, match="DISCOVERY"):
+        replace(
+            reference_calibrated(),
+            catalogue=ImageCatalogue(
+                [FunctionImage("img-r", FunctionKind.RETRIEVE, "1.0.0", 150_000_000)]
+            ),
+            functions=frozenset({FunctionKind.RETRIEVE, FunctionKind.DISCOVERY}),
+        )
+
+
+def test_hand_built_config_needing_a_missing_image_rejected():
+    base = reference_calibrated()
+    with pytest.raises(ConfigInvalidError, match="DISCOVERY"):
+        ScenarioConfig(
+            name="hand-built",
+            topology=base.topology,
+            processing={},
+            service_id="svc",
+            functions=frozenset({FunctionKind.DISCOVERY}),
+            sync_mode=SyncMode.LAZY,
+            tasks=[TaskSpec("t1", "IN-CSE/Things/Box", "svc")],
+            workload_target="IN-CSE/Things/Box/values",
+            catalogue=ImageCatalogue(
+                [FunctionImage("img-r", FunctionKind.RETRIEVE, "1.0.0", 150_000_000)]
+            ),
+        )

@@ -20,7 +20,8 @@ from edgeslice.primitives import (
 )
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree, trees_equal
 from edgeslice.scenario import TaskSpec, reference_calibrated
-from edgeslice.slicing import FunctionKind
+from edgeslice.slicing import FunctionKind, SliceProfile, SliceState, port_for
+from edgeslice.worker import ResourceQuota
 
 from dataclasses import replace
 
@@ -28,6 +29,13 @@ from util import populate_cloud_tree
 
 # before the wire check of conftest.py wraps it for each test
 UNCHECKED_SEND = Network.send
+
+# a worker with room for one function at this quota, not two
+MB = 1_000_000
+ONE_FUNCTION_ROOM = {
+    "capacity_bytes": 300 * MB,
+    "quota": ResourceQuota(max_memory_bytes=200 * MB, max_cpu_share=0.5),
+}
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +73,54 @@ class TestPreparation:
         assert binding.mode is SyncMode.EAGER
         assert str(binding.edge_root) == "MN-CSE/Pedestrians/CitizenB"
 
+    def test_registry_matches_worker_after_prepare(self, config):
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        instance = system.cloud.orchestrator.registry["slice-edge0"]
+        assert instance.running_functions == system.edges["edge0"].worker.running_functions()
+
+    def test_partial_failure_rolls_back(self):
+        """The second start exceeds the worker's capacity: the edge stops
+        what it started and the cloud drops the slice it created."""
+        config = replace(reference_calibrated(), **ONE_FUNCTION_ROOM)
+        system = build_system(config, "edge", 42)
+        with pytest.raises(ConfigInvalidError):
+            system.prepare()
+        assert system.edges["edge0"].worker.functions == {}
+        assert system.cloud.orchestrator.registry == {}
+        responses = admin(
+            system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")]
+        )
+        assert responses[0].status is StatusCode.NOT_FOUND
+
+    def test_failure_on_an_active_slice_keeps_what_runs(self):
+        """A later request whose extra function does not fit leaves the
+        slice active with the functions it already ran."""
+        config = replace(
+            reference_calibrated(), functions=frozenset({FunctionKind.RETRIEVE}), **ONE_FUNCTION_ROOM
+        )
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        wider = SliceProfile(
+            config.service_id,
+            frozenset({FunctionKind.RETRIEVE, FunctionKind.REGISTRATION}),
+            config.latency_class,
+        )
+        device = system.devices[system.device_id]
+        responses = []
+        req = RequestPrimitive(
+            Operation.SERVICE_REQUEST, system.cloud_id, device.node_id, "sr-wide",
+            content=wider.to_text().encode("ascii"),
+        )
+        device.issue(req, "edge0", 0, responses.append)
+        system.run_until_idle()
+        assert responses[0].status is StatusCode.BAD_REQUEST
+        instance = system.cloud.orchestrator.registry["slice-edge0"]
+        assert instance.state is SliceState.ACTIVE
+        running = system.edges["edge0"].worker.running_functions()
+        assert instance.running_functions == running
+        assert set(running) == {FunctionKind.RETRIEVE}
+
     def test_second_request_is_fast_path_with_no_new_starts(self, config):
         system = build_system(config, "edge", 42)
         system.prepare()
@@ -76,6 +132,53 @@ class TestPreparation:
         assert len(starts_after) == len(starts_before)
         decisions = [d["decision"] for d in system.cloud.orchestrator.decision_log]
         assert decisions == ["instantiate_then_offload", "fast_path_offload_only"]
+
+
+def start_times(worker, action: str) -> list[float]:
+    return [e["ts"] for e in worker.log if e["action"] == action]
+
+
+class TestInstantiationTiming:
+    def test_warm_cache_elapsed_is_start_delays(self, config):
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        worker = system.edges["edge0"].worker
+        begins = start_times(worker, "start_begin")
+        completes = start_times(worker, "start_complete")
+        assert len(begins) == len(completes) == len(config.functions)
+        # one start after another, with nothing to pull in between
+        assert begins[1:] == completes[:-1]
+        assert completes[-1] - begins[0] == len(config.functions) * config.start_delay_ms
+        instance = system.cloud.orchestrator.registry["slice-edge0"]
+        assert instance.state is SliceState.ACTIVE
+        assert instance.running_functions == {fn: port_for(fn) for fn in config.functions}
+
+    def test_cold_cache_adds_pull_time(self, config):
+        finished = {}
+        for warm in (True, False):
+            system = build_system(replace(config, pre_seeded_cache=warm), "edge", 42)
+            system.prepare()
+            worker = system.edges["edge0"].worker
+            begins = start_times(worker, "start_begin")
+            completes = start_times(worker, "start_complete")
+            finished[warm] = completes[-1]
+        # 400 MB at 100 MB/s -> 4 s pulled before each start
+        pulls = len(config.functions) * 4000.0
+        assert finished[False] - finished[True] == pytest.approx(pulls, abs=1e-6)
+        # the cold run came last: each later start waits for its own pull
+        gaps = [begin - complete for begin, complete in zip(begins[1:], completes)]
+        assert gaps == [pytest.approx(4000.0, abs=1e-6)] * (len(config.functions) - 1)
+
+
+class TestFastPathIdempotence:
+    def test_no_double_starts_across_repeated_requests(self, config):
+        system = build_system(config, "edge", 42)
+        for _ in range(4):
+            system.prepare()
+        starts = [e["function"] for e in system.edges["edge0"].worker.log if e["action"] == "start_begin"]
+        assert sorted(starts) == sorted(fn.name for fn in config.functions)
+        decisions = [d["decision"] for d in system.cloud.orchestrator.decision_log]
+        assert decisions == ["instantiate_then_offload"] + ["fast_path_offload_only"] * 3
 
 
 class TestGatingOverTheWire:
@@ -316,6 +419,23 @@ class TestTerminationOverTheWire:
             system.edges["edge0"].worker.tree,
             ResourcePath.parse("MN-CSE/Pedestrians/CitizenB"),
         )
+        # a fresh identical request instantiates again
+        system.send_service_request()
+        system.run_until_idle()
+        decisions = [d["decision"] for d in system.cloud.orchestrator.decision_log]
+        assert decisions == ["instantiate_then_offload"] * 2
+        assert set(system.edges["edge0"].worker.running_functions()) == config.functions
+
+    def test_terminate_without_tasks_reports_zero(self, config):
+        system = build_system(replace(config, tasks=[]), "edge", 42)
+        system.prepare()
+        responses = admin(
+            system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")]
+        )
+        assert responses[0].status is StatusCode.OK
+        body = decode_fieldline((responses[0].content or b"").decode("ascii"))
+        assert body["synced"] == "0"
+        assert system.edges["edge0"].worker.functions == {}
 
     def test_terminate_unknown_slice_not_found(self, config):
         system = build_system(config, "edge", 42)

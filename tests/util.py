@@ -6,15 +6,17 @@ and never reuse the code paths they check.
 from __future__ import annotations
 
 import random
+from importlib import resources
 
 from edgeslice.errors import BadRequestError, NotFoundError
 from edgeslice.offload import (
+    EdgeSyncInfo,
     OffloadCoordinator,
     SyncMode,
     Task,
+    create_sync_subscriptions,
     import_bundle,
     process_edge_events,
-    setup_eager_sync,
 )
 from edgeslice.resources import (
     ManualClock,
@@ -24,6 +26,9 @@ from edgeslice.resources import (
     ResourceTree,
 )
 from edgeslice.system import payload_for
+
+# the one calibrated scenario file: the copy packaged with edgeslice
+CALIBRATED_YAML = str(resources.files("edgeslice.data").joinpath("reference_calibrated.yaml"))
 
 NAME_POOL = [f"n{i}" for i in range(40)] + ["alpha", "beta", "gamma"]
 
@@ -299,7 +304,8 @@ def car_task() -> Task:
 
 
 class OffloadHarness:
-    """Direct-mode cloud+edge pair sharing one virtual clock."""
+    """A cloud tree and an edge tree sharing one virtual clock, bound by the
+    calls the edge and cloud nodes make, without the network between them."""
 
     def __init__(self, seed: int = 0):
         self.clock = ManualClock()
@@ -315,14 +321,11 @@ class OffloadHarness:
         bundle = self.coordinator.export_task(self.task)
         self.edge_root = import_bundle(self.edge_tree, bundle)
         if mode is SyncMode.EAGER:
-            binding, info, _ = setup_eager_sync(
-                self.coordinator, self.edge_tree, self.task, "edge0", "cloud"
-            )
-            self.infos.append(info)
+            mirror_root = self.task.root_path
+            create_sync_subscriptions(self.edge_tree, self.edge_root, mirror_root, "cloud")
             self.edge_tree.drain_events()
-            self.binding = binding
-        else:
-            self.binding = self.coordinator.register_redirect(self.task, "edge0")
+            self.infos.append(EdgeSyncInfo(self.task.task_id, self.edge_root, mirror_root, "cloud"))
+        self.binding = self.coordinator.register_binding(self.task, mode, "edge0", self.edge_root)
         return self.edge_root
 
     def after_op(self) -> None:
