@@ -158,7 +158,6 @@ class SimEvent:
     fire_at: float
     seq: int
     action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
     cancelled: bool = field(compare=False, default=False)
 
 
@@ -178,18 +177,18 @@ class Simulator:
     def log(self, kind: str, **fields) -> None:
         self.trace.append({"ts": self.now, "kind": kind, **fields})
 
-    def schedule(self, delay_ms: float, action: Callable[[], None], label: str = "") -> SimEvent:
+    def schedule(self, delay_ms: float, action: Callable[[], None]) -> SimEvent:
         if delay_ms < 0:
             raise ValueError("events cannot be scheduled in the past")
-        return self.schedule_at(self.now + delay_ms, action, label)
+        return self.schedule_at(self.now + delay_ms, action)
 
-    def schedule_at(self, fire_at: float, action: Callable[[], None], label: str = "") -> SimEvent:
+    def schedule_at(self, fire_at: float, action: Callable[[], None]) -> SimEvent:
         if not self.now <= fire_at < math.inf:
             if fire_at < self.now:
                 raise ValueError("events cannot be scheduled in the past")
             raise ValueError(f"event time must be finite, not {fire_at!r}")
         self._seq += 1
-        event = SimEvent(fire_at, self._seq, action, label)
+        event = SimEvent(fire_at, self._seq, action)
         heapq.heappush(self._heap, event)
         return event
 
@@ -246,7 +245,7 @@ class Network:
             self.sim.log("deliver", frm=frm, to=to, size=size_bytes)
             self._handlers[to](payload, frm)
 
-        self.sim.schedule_at(arrival, deliver, label=f"deliver {frm}->{to}")
+        self.sim.schedule_at(arrival, deliver)
         return arrival
 
     def link(self, a: str, b: str) -> Link:

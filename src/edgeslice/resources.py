@@ -557,14 +557,19 @@ class ResourceTree:
         node.notification_target = target
 
     def copy(self, clock: Callable[[], float] | None = None) -> "ResourceTree":
-        """Deep copy on ``clock``: fresh resources (labels copied, content
-        bytes shared) under the same ids, in the same child order, with the
-        same indexes, id counters and event sequence. The copy has no pending
-        events and no guard."""
+        """Copy on ``clock`` with the same ids, child order, indexes, id
+        counters and event sequence, and no pending events or guard. Every
+        node but a content instance is a fresh resource (labels copied,
+        content bytes shared); instances are shared with the source, since a
+        content instance, labels included, is never edited in place."""
+        instance = ResourceKind.CONTENT_INSTANCE
         tree = ResourceTree.__new__(ResourceTree)
         tree._reset(self.cse_label, clock)
         tree._root_id = self._root_id
-        tree._nodes = {rid: node.snapshot() for rid, node in self._nodes.items()}
+        tree._nodes = {
+            rid: node if node.kind is instance else node.snapshot()
+            for rid, node in self._nodes.items()
+        }
         tree._children = {rid: dict(kids) for rid, kids in self._children.items()}
         tree._subscriptions = {rid: list(subs) for rid, subs in self._subscriptions.items()}
         tree._latest = dict(self._latest)

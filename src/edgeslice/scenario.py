@@ -37,6 +37,19 @@ _OP_NAMES = {
 
 MODES = ("cloud", "edge")
 
+# libyaml's parser where PyYAML has it: the same documents, several times faster
+LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _load_mapping(text: str, what: str, document: str) -> dict:
+    try:
+        doc = yaml.load(text, Loader=LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigInvalidError(f"unparseable {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigInvalidError(f"{document} must be a mapping")
+    return doc
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -158,8 +171,6 @@ def parse_topology(doc: dict) -> Topology:
         )
     try:
         return Topology(nodes, links)
-    except ConfigInvalidError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigInvalidError(f"bad topology: {exc}") from exc
 
@@ -184,12 +195,7 @@ def _parse_processing(doc: dict, topology: Topology) -> dict[str, dict[Operation
 
 
 def parse_scenario(text: str, topology_override: "dict | None" = None) -> ScenarioConfig:
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigInvalidError(f"unparseable scenario: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigInvalidError("scenario document must be a mapping")
+    doc = _load_mapping(text, "scenario", "scenario document")
     if topology_override is not None:
         doc = dict(doc)
         doc["topology"] = topology_override
@@ -240,8 +246,6 @@ def parse_scenario(text: str, topology_override: "dict | None" = None) -> Scenar
             operations=list(workload.get("operations", ["create"])),
             prepopulate=int(workload.get("prepopulate", 5)),
         )
-    except ConfigInvalidError:
-        raise
     except (KeyError, TypeError, ValueError, BadRequestError) as exc:
         raise ConfigInvalidError(f"bad scenario: {exc}") from exc
     return config
@@ -258,12 +262,7 @@ def _read(path: str) -> str:
 def load_topology_doc(path: str) -> dict:
     """A topology file is either a bare {nodes, links} mapping or a full
     scenario whose topology section is taken."""
-    try:
-        doc = yaml.safe_load(_read(path))
-    except yaml.YAMLError as exc:
-        raise ConfigInvalidError(f"unparseable topology file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigInvalidError("topology file must be a mapping")
+    doc = _load_mapping(_read(path), "topology file", "topology file")
     return doc.get("topology", doc)
 
 

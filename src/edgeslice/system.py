@@ -286,9 +286,7 @@ class EdgeNode(_Node):
         response, events, processing = self.worker.dispatch(req)
         self._publish_events(events)
         self.sim.schedule(
-            processing,
-            lambda: self.reply(sender, response, self.system.config.payload_bytes),
-            label=f"respond {req.request_id}",
+            processing, lambda: self.reply(sender, response, self.system.config.payload_bytes)
         )
 
     def _handle_instantiate(self, req: RequestPrimitive) -> None:
@@ -356,9 +354,9 @@ class EdgeNode(_Node):
                     fresh_starts.append(image.function)
                     step(index + 1)
 
-                self.sim.schedule(self.worker.start_delay_ms, complete, label="start_complete")
+                self.sim.schedule(self.worker.start_delay_ms, complete)
 
-            self.sim.schedule(pull_ms, begin, label=f"pull {image.image_id}")
+            self.sim.schedule(pull_ms, begin)
 
         step(0)
 
@@ -403,6 +401,9 @@ class EdgeNode(_Node):
         def respond() -> None:
             bundle = make_bundle(self.worker.tree, root, task_id, self.sim.now)
             self.sync_infos = [i for i in self.sync_infos if i.task_id != task_id]
+            # the snapshot settles the mirror, which owns the task again
+            self.worker.tree.delete(root)
+            self._publish_events(self.worker.tree.drain_events())
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, bundle))
 
         self.channel.when_idle(respond)  # drain in-flight notifications first
@@ -423,7 +424,7 @@ class EdgeNode(_Node):
             body = encode_body([("port", str(instance.port))])
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
-        self.sim.schedule(self.worker.start_delay_ms, complete, label="admin start")
+        self.sim.schedule(self.worker.start_delay_ms, complete)
 
     def _handle_stop(self, req: RequestPrimitive, sender: str) -> None:
         meta = decode_body(req.content)
@@ -449,7 +450,7 @@ class EdgeNode(_Node):
             self.worker.complete_start(function)
             self._sync_channel_state()
 
-        self.sim.schedule(duration, respawned, label="respawn")
+        self.sim.schedule(duration, respawned)
         body = encode_body([("duration_ms", repr(duration))])
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
@@ -538,9 +539,7 @@ class CloudNode(_Node):
         response, events, processing = self.service.dispatch(req)
         self._publish_events(events)
         self.sim.schedule(
-            processing,
-            lambda: self.reply(sender, response, self.system.config.payload_bytes),
-            label=f"respond {req.request_id}",
+            processing, lambda: self.reply(sender, response, self.system.config.payload_bytes)
         )
 
     # --- slicing control plane ---

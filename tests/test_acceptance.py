@@ -22,6 +22,7 @@ from edgeslice.bench import (
     run_road_scenario,
 )
 from edgeslice.cli import main as cli_main
+from edgeslice.errors import NotFoundError
 from edgeslice.netsim import Link, Topology
 from edgeslice.offload import SyncMode
 from edgeslice.primitives import (
@@ -145,6 +146,10 @@ def test_criterion_04_lazy_redirect_equivalence():
             system.run_until_idle()
             assert raw[-2] == raw[-1], f"retrieve {suffix!r} differs between routes"
         # finalize on terminate: mirror becomes deep-equal to the edge subtree
+        # as it was, and the edge hands the task back
+        edge_tree = system.edges["edge0"].worker.tree
+        edge_root = ResourcePath.parse("MN-CSE/Pedestrians/CitizenB")
+        edge = replicated_state(edge_tree, edge_root)
         term = RequestPrimitive(
             Operation.SLICE_TERMINATE,
             system.cloud_id,
@@ -159,11 +164,9 @@ def test_criterion_04_lazy_redirect_equivalence():
         mirror = replicated_state(
             system.cloud.tree, ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
         )
-        edge = replicated_state(
-            system.edges["edge0"].worker.tree,
-            ResourcePath.parse("MN-CSE/Pedestrians/CitizenB"),
-        )
         assert mirror == edge
+        with pytest.raises(NotFoundError):
+            edge_tree.resolve(edge_root)
 
 
 def test_criterion_05_latency_reproduction():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from edgeslice.errors import BadRequestError, ConflictError, NotFoundError
 from edgeslice.notify import match_subscriptions
+from edgeslice.offload import OffloadBundle, apply_snapshot, make_bundle
 from edgeslice.resources import (
     LEGAL_CHILDREN,
     ManualClock,
@@ -521,12 +522,25 @@ def grown_tree(seed: int) -> tuple[ResourceTree, ManualClock]:
     return tree, clock
 
 
+def finalize_with_late_changed(tree: ResourceTree) -> None:
+    """A lazy finalize whose snapshot of CitizenB has a changed "late"
+    instance, which the merge replaces."""
+    root = location_path().parent()
+    bundle = make_bundle(tree, root, "t", 0.0)
+    records = tuple(
+        rec._replace(content=b"changed") if rec.name == "late" else rec for rec in bundle.records
+    )
+    assert apply_snapshot(tree, root, OffloadBundle("t", 0.0, records)) == 2
+
+
 # one write of each kind, applied to the tree given
 COPY_WRITES = {
     "create": lambda t: t.create(location_path(), ResourceKind.CONTENT_INSTANCE, "new",
                                  content=b"n"),
     "rename": lambda t: t.update(ResourcePath.parse("MN-CSE/Pedestrians"), name="Walkers"),
-    "delete": lambda t: t.delete(location_path()),
+    "delete": lambda t: t.delete(location_path()),  # the container of two instances
+    "delete-instance": lambda t: t.delete(location_path().child("late")),
+    "finalize-replaces-instance": finalize_with_late_changed,
     "labels": lambda t: t.update(location_path(), labels=["changed"]),
     "labels-in-place": lambda t: t.resolve(location_path()).labels.append("appended"),
 }
@@ -575,6 +589,21 @@ class TestCopy:
         assert other.serialize() == before
         assert target.serialize() != before
         check_tree_invariants(other)
+
+    def test_instances_are_shared_and_stay_write_once(self):
+        tree, clock = grown_tree(4)
+        copy = tree.copy(clock)
+        before = tree.serialize()
+        for node in tree.walk():
+            shared = copy.get(node.id) is node
+            assert shared == (node.kind is ResourceKind.CONTENT_INSTANCE)
+        late = location_path().child("late")
+        for target in (tree, copy):
+            with pytest.raises(BadRequestError, match="write-once"):
+                target.update(late, labels=["changed"])
+            with pytest.raises(BadRequestError, match="write-once"):
+                target.update(late, name="renamed")
+        assert tree.serialize() == copy.serialize() == before
 
     def test_next_event_and_ids_on_a_copy_match_a_tree_built_the_same_way(self):
         def build() -> tuple[ResourceTree, ManualClock]:

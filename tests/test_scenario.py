@@ -1,8 +1,11 @@
+import glob
 import os
 from dataclasses import replace
 
 import pytest
+import yaml
 
+from edgeslice import scenario
 from edgeslice.errors import ConfigInvalidError
 from edgeslice.images import FunctionImage, ImageCatalogue
 from edgeslice.offload import SyncMode
@@ -12,6 +15,7 @@ from edgeslice.scenario import (
     TaskSpec,
     calibrated_text,
     load_scenario,
+    load_topology_doc,
     reference_calibrated,
     parse_scenario,
 )
@@ -218,3 +222,55 @@ def test_hand_built_config_needing_a_missing_image_rejected():
                 [FunctionImage("img-r", FunctionKind.RETRIEVE, "1.0.0", 150_000_000)]
             ),
         )
+
+
+# --- YAML loader ---
+
+LOADERS = pytest.mark.parametrize(
+    "loader", [scenario.LOADER, yaml.SafeLoader], ids=["package", "SafeLoader"]
+)
+
+
+def shipped_documents() -> list[str]:
+    texts = [calibrated_text()]
+    for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.yaml"))):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    return texts
+
+
+def test_the_package_loader_builds_the_documents_safeloader_builds():
+    texts = shipped_documents()
+    assert len(texts) >= 2
+    for text in texts:
+        doc = yaml.load(text, Loader=scenario.LOADER)
+        assert isinstance(doc, dict) and doc == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_the_c_loader_is_used_where_pyyaml_has_libyaml(monkeypatch):
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert scenario.LOADER is expected
+    used, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: used.append(Loader) or load(text, Loader))
+    reference_calibrated()
+    assert used == [expected]
+
+
+UNREADABLE = {  # text, then what the error says
+    "tab-indentation": ("scenario:\n\tname: tabbed\n", "unparseable"),
+    "unclosed-flow-sequence": ("slice:\n  functions: [retrieve, notification\n", "unparseable"),
+    "top-level-list": ("- nodes\n- links\n", "must be a mapping"),
+    "empty-document": ("", "must be a mapping"),
+}
+
+
+@LOADERS
+@pytest.mark.parametrize("text, error", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_documents_are_config_errors(monkeypatch, tmp_path, loader, text, error):
+    monkeypatch.setattr(scenario, "LOADER", loader)
+    with pytest.raises(ConfigInvalidError, match=error):
+        parse_scenario(text)
+    path = tmp_path / "topology.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigInvalidError, match=error):
+        load_topology_doc(str(path))

@@ -5,8 +5,9 @@ import base64
 import pytest
 
 from edgeslice import netsim
+from edgeslice import system as system_module
 from edgeslice.bench import build_system, road_config
-from edgeslice.errors import ConfigInvalidError, NotFoundError, SimulationLimitError
+from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError, SimulationLimitError
 from edgeslice.netsim import Network
 from edgeslice.offload import BundleTransfer, OffloadBundle, SyncMode, make_bundle, subtrees_converged
 from edgeslice.primitives import (
@@ -394,12 +395,26 @@ class TestEdgeAuthorityOverTheWire:
         assert latest.name == "medge00004"
 
 
+CLOUD_TASK_ROOT = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
+EDGE_TASK_ROOT = ResourcePath.parse("MN-CSE/Pedestrians/CitizenB")
+
+
+def task_records(tree: ResourceTree, root: ResourcePath) -> list[tuple]:
+    """The records of the task subtree's bundle, each path without its cse label."""
+    return [
+        (rec.source_path.partition("/")[2], rec.kind, rec.name, rec.creation_time, rec.content)
+        for rec in make_bundle(tree, root, "t", 0.0).records
+    ]
+
+
 class TestTerminationOverTheWire:
     def test_terminate_finalizes_lazy_binding_and_stops_functions(self, config):
         config = replace(config, sync_mode=SyncMode.LAZY)
         system = build_system(config, "edge", 42)
         system.prepare()
         system.run_workload("create", 5)
+        edge_tree = system.edges["edge0"].worker.tree
+        before = task_records(edge_tree, EDGE_TASK_ROOT)
         responses = admin(
             system,
             Operation.SLICE_TERMINATE,
@@ -413,18 +428,37 @@ class TestTerminationOverTheWire:
         assert system.edges["edge0"].worker.functions == {}
         assert system.cloud.orchestrator.registry == {}
         assert system.cloud.coordinator.bindings == {}
-        assert subtrees_converged(
-            system.cloud.tree,
-            ResourcePath.parse("IN-CSE/Pedestrians/CitizenB"),
-            system.edges["edge0"].worker.tree,
-            ResourcePath.parse("MN-CSE/Pedestrians/CitizenB"),
-        )
+        # the mirror holds what the edge held; the edge holds the task no more
+        assert task_records(system.cloud.tree, CLOUD_TASK_ROOT) == before
+        with pytest.raises(NotFoundError):
+            edge_tree.resolve(EDGE_TASK_ROOT)
         # a fresh identical request instantiates again
         system.send_service_request()
         system.run_until_idle()
         decisions = [d["decision"] for d in system.cloud.orchestrator.decision_log]
         assert decisions == ["instantiate_then_offload"] * 2
         assert set(system.edges["edge0"].worker.running_functions()) == config.functions
+
+    @pytest.mark.parametrize("mode", [SyncMode.LAZY, SyncMode.EAGER], ids=["lazy", "eager"])
+    def test_a_terminated_task_is_offloaded_again(self, config, mode):
+        system = build_system(replace(config, sync_mode=mode), "edge", 42)
+        system.prepare()
+        system.run_workload("create", 3)
+        assert admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")])[0].ok
+        system.prepare()
+        edge_tree = system.edges["edge0"].worker.tree
+        grouping = edge_tree.resolve(EDGE_TASK_ROOT.parent())
+        assert [c.name for c in edge_tree.children(grouping.id)] == ["CitizenB"]
+        assert task_records(edge_tree, EDGE_TASK_ROOT) == task_records(
+            system.cloud.tree, CLOUD_TASK_ROOT
+        )
+        assert len(task_records(edge_tree, EDGE_TASK_ROOT)) == 2 + config.prepopulate + 3
+        binding = system.cloud.coordinator.binding_of("task-citizenB")
+        assert binding.mode is mode and binding.edge_root == EDGE_TASK_ROOT
+        system.run_workload("create", 2, record_as="again")
+        assert len(task_records(edge_tree, EDGE_TASK_ROOT)) == 2 + config.prepopulate + 5
+        if mode is SyncMode.EAGER:
+            assert subtrees_converged(system.cloud.tree, CLOUD_TASK_ROOT, edge_tree, EDGE_TASK_ROOT)
 
     def test_terminate_without_tasks_reports_zero(self, config):
         system = build_system(replace(config, tasks=[]), "edge", 42)
@@ -668,6 +702,14 @@ def populated_the_old_way(config) -> ResourceTree:
     return tree
 
 
+def cloud_template(config) -> ResourceTree:
+    """The cached tree that ``initial_cloud_tree`` copies for ``config``."""
+    populate = config.populate or [(config.workload_target, config.prepopulate)]
+    return system_module._cloud_template(
+        tuple(spec.root for spec in config.tasks), tuple(populate), config.payload_bytes
+    )
+
+
 class TestInitialCloudTree:
     @pytest.mark.parametrize("variant", ["calibrated", "road", "many-instances"])
     def test_deployments_start_from_the_tree_the_old_populate_built(self, config, variant):
@@ -695,19 +737,49 @@ class TestInitialCloudTree:
         assert created[0] == created[1]
 
     def test_one_deployment_s_writes_do_not_reach_the_next(self, config):
-        oracle = populated_the_old_way(config)
+        oracle = populated_the_old_way(config).serialize()
+        template = cloud_template(config)
+
+        def untouched() -> None:
+            assert template.serialize() == oracle
+            assert build_system(config, "edge", 42).cloud.tree.serialize() == oracle
+
         system = build_system(config, "edge", 42)
         tree = system.cloud.tree
         target = ResourcePath.parse(config.workload_target)
-        tree.create(target, ResourceKind.CONTENT_INSTANCE, "extra", content=b"x")
-        tree.update(target, labels=["changed"])
-        tree.resolve(target).labels.append("in-place")
-        tree.update(target.parent(), name="Renamed")
-        tree.delete(target.parent().parent().child("Renamed"))
-        assert build_system(config, "edge", 42).cloud.tree.serialize() == oracle.serialize()
+        assert tree.resolve(target.child("p0")) is template.resolve(target.child("p0"))
+        assert tree.resolve(target) is not template.resolve(target)
+        writes = [
+            lambda: tree.create(target, ResourceKind.CONTENT_INSTANCE, "extra", content=b"x"),
+            lambda: tree.update(target, labels=["changed"]),
+            lambda: tree.resolve(target).labels.append("in-place"),
+            lambda: tree.delete(target.child("p1")),  # an instance shared with the template
+            lambda: tree.delete(target),  # the container of the shared instances
+            lambda: tree.update(target.parent(), name="Renamed"),
+            lambda: tree.delete(target.parent().parent().child("Renamed")),
+        ]
+        for write in writes:
+            write()
+            untouched()
+        # the shared instances stay write-once on every deployment
+        shared = build_system(config, "edge", 42).cloud.tree
+        with pytest.raises(BadRequestError, match="write-once"):
+            shared.update(target.child("p0"), labels=["changed"])
+        untouched()
         served = build_system(config, "cloud", 42)
         served.run_workload("create", 3)
-        assert build_system(config, "edge", 42).cloud.tree.serialize() == oracle.serialize()
+        untouched()
+        # a lazy finalize replaces the mirror's p0 with the edge's changed one
+        lazy = build_system(replace(config, sync_mode=SyncMode.LAZY), "edge", 42)
+        lazy.prepare()
+        edge_tree = lazy.edges["edge0"].worker.tree
+        edge_p0 = ResourcePath.parse(lazy.data_target()).child("p0")
+        edge_tree.delete(edge_p0)
+        edge_tree.create(edge_p0.parent(), ResourceKind.CONTENT_INSTANCE, "p0", content=b"changed")
+        edge_tree.drain_events()
+        assert admin(lazy, Operation.SLICE_TERMINATE, lazy.cloud_id, [("slc", "slice-edge0")])[0].ok
+        assert lazy.cloud.tree.resolve(target.child("p0")).content == b"changed"
+        untouched()
 
     @pytest.mark.parametrize(
         "change",
