@@ -51,10 +51,11 @@ class Task:
 
 
 class BundleRecord(NamedTuple):
-    """One exported node; a tuple, so that a bundle of hundreds of records
-    builds at tuple speed."""
+    """One exported node: ``parent`` is the index of its parent's record in
+    the bundle, or -1 for the task root. A tuple, so that a bundle of
+    hundreds of records builds at tuple speed."""
 
-    source_path: str
+    parent: int
     kind: ResourceKind
     name: str
     creation_time: float
@@ -63,21 +64,25 @@ class BundleRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class OffloadBundle:
-    """Topologically ordered subtree export; parents precede children."""
+    """Preorder subtree export: the task root's source path, then its
+    records, the root's first and every parent before its children."""
 
     task_id: str
     exported_at: float
+    root: str
     records: tuple[BundleRecord, ...]
 
     def encode(self) -> str:
         """One header line, then one field line per record.
 
         Record fields go in the fixed order ``pt;ty;nm;ct[;pc]``, each value
-        quoted as ``encode_fieldline`` quotes it. Quoting goes byte by byte,
-        so a path is its quoted parent, ``%2F`` and its quoted last segment;
-        parents, names and creation times repeat across records and are
-        quoted once per call. A record's content goes last as raw base64: its
-        alphabet has no ``;`` and no ``%``, so the decoder reads it back
+        quoted as ``encode_fieldline`` quotes it. ``pt`` is the record's
+        source path: the root's, or its parent's, ``/`` and its name. Quoting
+        goes byte by byte, so a quoted path is its parent's quoted path,
+        ``%2F`` and its quoted name; each record's quoted path is kept for
+        its children, and names and creation times repeat across records and
+        are quoted once per call. A record's content goes last as raw base64:
+        its alphabet has no ``;`` and no ``%``, so the decoder reads it back
         unchanged and quoting it would only add to its size.
         """
         quoted: dict[str, str] = {}
@@ -97,38 +102,42 @@ class OffloadBundle:
         )
         out = [header]
         append = out.append
-        for rec in self.records:
-            head, sep, last = rec.source_path.rpartition("/")
-            path = q(head) + "%2F" + q(last) if sep else q(last)
-            append(
-                f"\npt={path};ty={rec.kind.value};nm={q(rec.name)}"
-                f";ct={q(repr(rec.creation_time))}"
-            )
-            if rec.content is not None:
+        paths: list[str] = []
+        for parent, kind, name, created, content in self.records:
+            path = q(self.root) if parent < 0 else paths[parent] + "%2F" + q(name)
+            paths.append(path)
+            append(f"\npt={path};ty={kind.value};nm={q(name)};ct={q(repr(created))}")
+            if content is not None:
                 append(";pc=")
-                append(encode_b64(rec.content))
+                append(encode_b64(content))
         append("\n")
         return "".join(out)
 
     @classmethod
     def decode(cls, text: str) -> "OffloadBundle":
-        """Inverse of ``encode``. Each record line is read as
-        ``decode_fieldline`` reads it: empty fields are skipped, the last of
-        a repeated key wins and unknown keys are ignored.
+        """Inverse of ``encode``; raises only ``BadRequestError``. Each
+        record line is read as ``decode_fieldline`` reads it: empty fields
+        are skipped, the last of a repeated key wins and unknown keys are
+        ignored.
 
         A path is unquoted as the part before its last ``%2F``, a ``/`` and
-        the part after. A ``/`` byte is never inside a UTF-8 sequence, so
-        that equals unquoting it whole, and the parent part, which repeats
-        across records, is unquoted once per call.
+        the part after: a ``/`` byte is never inside a UTF-8 sequence, and
+        the parent part, which repeats, is unquoted once per call. It is
+        then read as ``ResourcePath.parse`` reads it, without ``/la``. The
+        first record's path is the task root. Every other record lies below
+        it, and its path minus the last segment is an earlier record's
+        parent path plus name: that record is its parent.
         """
         lines = [ln for ln in text.split("\n") if ln]
         if not lines:
             raise BadRequestError("empty bundle")
-        parents: dict[str, str] = {}
+        heads: dict[str, str] = {}
         kinds: dict[str, ResourceKind] = {}
+        indexes: dict[str, int] = {}  # each record's parent path plus name, to its index
+        root = inside = ""
         try:
             header = decode_fieldline(lines[0])
-            records = []
+            records: list[BundleRecord] = []
             for line in lines[1:]:
                 fields: dict[str, str] = {}
                 for part in line.split(";"):
@@ -141,10 +150,10 @@ class OffloadBundle:
                     path = unquote(path)
                 else:
                     head = path[:cut]
-                    parent = parents.get(head)
-                    if parent is None:
-                        parent = parents[head] = unquote(head)
-                    path = parent + "/" + unquote(path[cut + 3:])
+                    unquoted = heads.get(head)
+                    if unquoted is None:
+                        unquoted = heads[head] = unquote(head)
+                    path = unquoted + "/" + unquote(path[cut + 3:])
                 ty = fields["ty"]
                 kind = kinds.get(ty)
                 if kind is None:
@@ -152,13 +161,31 @@ class OffloadBundle:
                 name = unquote(fields["nm"])
                 created = float(unquote(fields["ct"]))
                 content = decode_b64(unquote(fields["pc"])) if "pc" in fields else None
-                records.append(BundleRecord(path, kind, name, created, content))
-            bundle = cls(header["tid"], float(header["at"]), tuple(records))
+                if ("//" in path or path[:1] == "/" or path[-1:] in ("", "/")
+                        or path.endswith("/" + LATEST_SEGMENT)):
+                    parsed = ResourcePath.parse(path)  # respelled as it reads, without /la
+                    path = "/".join((parsed.cse_label, *parsed.segments))
+                if not records:
+                    root, inside, parent = path, path + "/", -1
+                    up = path.rpartition("/")[0]
+                elif path.startswith(inside):
+                    up = path[: path.rfind("/")]
+                    parent = indexes.get(up, -1)
+                    if parent < 0:
+                        raise BadRequestError(f"malformed bundle ordering: parent of {path} missing")
+                else:
+                    raise BadRequestError(f"bundle record {path} outside the task root {root}")
+                # a path seen twice is a repeated sibling name, which an import refuses
+                indexes[up + "/" + name] = len(records)
+                records.append(BundleRecord(parent, kind, name, created, content))
+            bundle = cls(header["tid"], float(header["at"]), root, tuple(records))
             count = int(header["n"])
         except (KeyError, ValueError) as exc:
             raise BadRequestError(f"malformed bundle: {exc!r}") from None
         if len(records) != count:
             raise BadRequestError("bundle record count mismatch")
+        if not records:
+            raise BadRequestError("bundle has no records")
         return bundle
 
     def to_bytes(self) -> bytes:
@@ -248,55 +275,52 @@ def resolve_task_root(tree: ResourceTree, root_path: ResourcePath) -> Resource:
 def make_bundle(
     tree: ResourceTree, root_path: ResourcePath, task_id: str, exported_at: float
 ) -> OffloadBundle:
-    """Preorder snapshot of a subtree, excluding subscriptions.
+    """Preorder snapshot of a subtree. A subscription stays home, and so
+    does anything a deserialized tree nests under one.
 
-    Each record's path is its parent's path plus its name, so no node's
-    path is walked up to the root.
+    Each record's parent index is looked up by its node's parent id, so no
+    path is built but the root's.
     """
     root = resolve_task_root(tree, root_path)
-    paths = {root.parent_id: str(tree.path_of(root.parent_id))}
-    records = []
+    indexes = {root.parent_id: -1}
+    records: list[BundleRecord] = []
     new = tuple.__new__  # the NamedTuple's generated __new__ is a Python function, twice as slow
     for node in tree.walk(root.id):
-        # kept for subscriptions too: a deserialized tree may nest under one
-        path = paths[node.id] = paths[node.parent_id] + "/" + node.name
-        if node.kind is ResourceKind.SUBSCRIPTION:
+        parent = indexes.get(node.parent_id)
+        if parent is None or node.kind is ResourceKind.SUBSCRIPTION:
             continue
-        records.append(new(BundleRecord, (path, node.kind, node.name, node.creation_time, node.content)))
-    return OffloadBundle(task_id=task_id, exported_at=exported_at, records=tuple(records))
-
-
-def _canonical(path: str) -> str:
-    """The text of ``ResourcePath.parse(path)`` without its ``/la`` suffix;
-    a path that is already in that form comes back as it is."""
-    if (
-        path
-        and "//" not in path
-        and path[0] != "/"
-        and path[-1] != "/"
-        and not path.endswith("/" + LATEST_SEGMENT)
-    ):
-        return path
-    parsed = ResourcePath.parse(path)
-    return "/".join((parsed.cse_label, *parsed.segments))
+        indexes[node.id] = len(records)
+        records.append(new(BundleRecord, (parent, node.kind, node.name, node.creation_time, node.content)))
+    return OffloadBundle(task_id, exported_at, str(tree.path_of(root)), tuple(records))
 
 
 def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePath:
     """Graft a bundle onto the edge tree, or refuse it and leave the tree as
     it was.
 
-    Paths keep their grouping segments with the cse label rewritten to the
-    edge tree's label; missing grouping containers are created on the fly.
-    Source creation times are preserved; ids are minted by the edge tree.
-    The grouping containers and the records go in as one ``graft_many``
-    batch, which checks every name, kind and sibling before the first insert.
+    The task root keeps its grouping segments with the cse label rewritten
+    to the edge tree's label; missing grouping containers are created on the
+    fly. Source creation times are preserved; ids are minted by the edge
+    tree. The grouping containers and the records go in as one
+    ``graft_many`` batch, which checks every name, kind and sibling before
+    the first insert; the import itself checks only that the root is the
+    one record at -1 and that every other record's parent comes before it.
     """
-    if not bundle.records:
+    records = bundle.records
+    if not records:
         raise BadRequestError("bundle has no records")
-    root_src = ResourcePath.parse(bundle.records[0].source_path)
-    root_target = ResourcePath(edge_tree.cse_label, root_src.segments)
+    root_target = ResourcePath(edge_tree.cse_label, ResourcePath.parse(bundle.root).segments)
     parent, missing = _grouping_parent(edge_tree, root_target)
-    edge_tree.graft_many(parent, _plan_import(bundle, root_src, missing))
+    batch = [
+        (index - 1, ResourceKind.CONTAINER, segment, bundle.exported_at, None, None, None)
+        for index, segment in enumerate(missing)
+    ]
+    shift = len(batch)
+    for index, (up, kind, name, created, content) in enumerate(records):
+        if not (0 <= up < index if index else up == -1):
+            raise BadRequestError(f"bundle record {index} has parent index {up}")
+        batch.append((up + shift, kind, name, created, content, None, None))
+    edge_tree.graft_many(parent, batch)
     return root_target
 
 
@@ -318,39 +342,6 @@ def _grouping_parent(
     except NotFoundError:
         return parent, ()
     raise ConflictError(f"{root_target} already exists on the edge tree")
-
-
-def _plan_import(
-    bundle: OffloadBundle, root_src: ResourcePath, missing: tuple[str, ...]
-) -> list[tuple]:
-    """The ``graft_many`` batch of an import: the ``missing`` grouping
-    containers, each under the one before, then one node per record. Every
-    record must lie inside the task root and have its parent earlier in the
-    bundle.
-
-    A node is keyed by the canonical source path it lands at: its parent's
-    key plus its own name. The grouping parent's key is the task root's
-    minus its last segment.
-    """
-    root_key = "/".join((root_src.cse_label, *root_src.segments))
-    batch = [
-        (index - 1, ResourceKind.CONTAINER, segment, bundle.exported_at, None, None, None)
-        for index, segment in enumerate(missing)
-    ]
-    indexes = {root_key.rpartition("/")[0]: len(batch) - 1}
-    inside = root_key + "/"
-    for source_path, kind, name, created, content in bundle.records:
-        path = _canonical(source_path)
-        if path != root_key and not path.startswith(inside):
-            raise BadRequestError("bundle record outside the task root")
-        parent_key = path[: path.rfind("/")]
-        parent = indexes.get(parent_key)
-        if parent is None:
-            raise BadRequestError(f"malformed bundle ordering: parent of {source_path} missing")
-        # a key seen twice is a repeated sibling name, which graft_many refuses
-        indexes[parent_key + "/" + name] = len(batch)
-        batch.append((parent, kind, name, created, content, None, None))
-    return batch
 
 
 # kinds that may hold a container: the sync-subscription walk descends only
@@ -597,17 +588,13 @@ class _SnapshotNode:
 
 
 def _snapshot_index(bundle: OffloadBundle) -> _SnapshotNode:
-    root = _SnapshotNode(bundle.records[0])
-    by_path = {bundle.records[0].source_path: root}
-    for rec in bundle.records[1:]:
-        parent_path = rec.source_path.rsplit("/", 1)[0]
-        parent = by_path.get(parent_path)
-        if parent is None:
-            raise BadRequestError(f"malformed bundle ordering at {rec.source_path}")
-        node = _SnapshotNode(rec)
-        parent.children[rec.name] = node
-        by_path[rec.source_path] = node
-    return root
+    nodes = [_SnapshotNode(rec) for rec in bundle.records]
+    for index, node in enumerate(nodes[1:], 1):
+        parent = node.record.parent
+        if not 0 <= parent < index:
+            raise BadRequestError(f"malformed bundle ordering at record {index}")
+        nodes[parent].children[node.record.name] = node
+    return nodes[0]
 
 
 def apply_snapshot(

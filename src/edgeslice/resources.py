@@ -260,9 +260,6 @@ class ResourceTree:
         except KeyError:
             raise NotFoundError(f"no resource with id {resource_id!r}") from None
 
-    def resource_ids(self) -> list[str]:
-        return list(self._nodes)
-
     def children(self, resource_id: str) -> list[Resource]:
         return [self._nodes[c] for c in self._children.get(resource_id, {}).values()]
 
@@ -457,25 +454,42 @@ class ResourceTree:
         kind allowed under its parent's kind, and a name that no sibling on
         the tree or earlier in the batch has. A refused batch leaves the tree
         as it was, id counters included. The clock is read once.
+
+        Ids are minted and nodes attached in the loop itself, as
+        ``_mint_id`` and ``_attach`` would do it, since a bundle import runs
+        the loop once per record.
         """
         kinds: list[ResourceKind] = []
         taken: set[tuple[int, str]] = set()
         live = self._children[parent.id]
         for index, kind, name, _, _, _, _ in nodes:
-            _check_child(parent.kind if index < 0 else kinds[index], kind, name)
+            under = parent.kind if index < 0 else kinds[index]
+            if kind not in LEGAL_CHILDREN[under] or not name or "/" in name or name == LATEST_SEGMENT:
+                _check_child(under, kind, name)  # raises, with the reason
             key = (index, name)
             if key in taken or (index < 0 and name in live):
                 raise BadRequestError(f"sibling name {name!r} is already taken")
             taken.add(key)
             kinds.append(kind)
         now = self._clock()
+        counters, by_id, children, latest = self._counters, self._nodes, self._children, self._latest
         made: list[Resource] = []
         for index, kind, name, created, content, target, labels in nodes:
+            count = counters[kind] = counters[kind] + 1
+            node_id = f"{ID_PREFIX[kind]}_{count:04d}"
+            parent_id = parent.id if index < 0 else made[index].id
             node = Resource(
-                self._mint_id(kind), name, kind, parent.id if index < 0 else made[index].id,
-                created, now, content, target, list(labels or []),
+                node_id, name, kind, parent_id, created, now, content, target, list(labels or ()),
             )
-            self._attach(node)
+            by_id[node_id] = node
+            children[node_id] = {}
+            children[parent_id][name] = node_id
+            if kind is ResourceKind.CONTENT_INSTANCE:
+                latest_id = latest.get(parent_id)
+                if latest_id is None or created >= by_id[latest_id].creation_time:
+                    latest[parent_id] = node_id
+            elif kind is ResourceKind.SUBSCRIPTION:
+                self._subscriptions.setdefault(parent_id, []).append(node_id)
             made.append(node)
         if made:
             parent.last_modified_time = now
@@ -631,23 +645,3 @@ class ResourceTree:
         if tree._root_id is None:
             raise BadRequestError("tree dump has no root")
         return tree
-
-
-def trees_equal(a: ResourceTree, b: ResourceTree) -> bool:
-    """Deep equality including ids, names, timestamps and contents."""
-    if a.cse_label != b.cse_label or len(a) != len(b):
-        return False
-    for na, nb in zip(a.walk(), b.walk()):
-        if (
-            na.id != nb.id
-            or na.name != nb.name
-            or na.kind != nb.kind
-            or na.parent_id != nb.parent_id
-            or na.creation_time != nb.creation_time
-            or na.last_modified_time != nb.last_modified_time
-            or na.content != nb.content
-            or na.notification_target != nb.notification_target
-            or na.labels != nb.labels
-        ):
-            return False
-    return True

@@ -6,6 +6,7 @@ solved so the closed-form round trips reproduce the reference means.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -195,7 +196,12 @@ def _parse_processing(doc: dict, topology: Topology) -> dict[str, dict[Operation
 
 
 def parse_scenario(text: str, topology_override: "dict | None" = None) -> ScenarioConfig:
-    doc = _load_mapping(text, "scenario", "scenario document")
+    return _build_scenario(_load_mapping(text, "scenario", "scenario document"), topology_override)
+
+
+def _build_scenario(doc: dict, topology_override: "dict | None") -> ScenarioConfig:
+    """A config from a parsed scenario document. The document is only read,
+    and the config holds none of its lists or dicts."""
     if topology_override is not None:
         doc = dict(doc)
         doc["topology"] = topology_override
@@ -275,7 +281,14 @@ def calibrated_text() -> str:
     return resources.files("edgeslice.data").joinpath("reference_calibrated.yaml").read_text()
 
 
+@functools.cache
+def _calibrated_doc() -> dict:
+    """The shipped calibration's document, parsed once per process."""
+    return _load_mapping(calibrated_text(), "scenario", "scenario document")
+
+
 def reference_calibrated(topology_path: "str | None" = None) -> ScenarioConfig:
-    """The shipped calibration reproducing the reference latency means."""
+    """The shipped calibration reproducing the reference latency means; each
+    call builds a fresh config from the document parsed once."""
     override = load_topology_doc(topology_path) if topology_path else None
-    return parse_scenario(calibrated_text(), override)
+    return _build_scenario(_calibrated_doc(), override)

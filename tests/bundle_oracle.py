@@ -1,24 +1,55 @@
 """The offload bundle stages as they were before each became a single pass.
 
 ``make_bundle``, ``encode``, ``decode`` and ``import_bundle`` below are the
-earlier implementations, kept as the oracle of ``test_bundle_oracle``: the
-current ones must produce the same text, the same bundle and the same edge
-tree, or fail with the same exception class. The one adaptation is that
+earlier implementations, kept as the oracle of ``test_bundle_oracle``. They
+work on the bundle as it then was: each record carried its full source
+path, and an import found a record's parent by that path.
+``PathRecord`` and ``PathBundle`` restate that form, and ``as_paths`` turns
+a bundle of parent indexes into it. The one adaptation is that
 ``ResourceTree.graft`` now takes its parent as a resolved ``Resource``, so
 the oracle resolves the parent path first; ``graft`` used to do exactly
 that, and a missing parent still surfaces as ``NotFoundError``.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import NamedTuple
+
 from edgeslice.codec import decode_b64, decode_fieldline, encode_b64, encode_fieldline
 from edgeslice.errors import BadRequestError, ConflictError, NotFoundError
-from edgeslice.offload import BundleRecord, OffloadBundle
+from edgeslice.offload import OffloadBundle
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
+
+
+class PathRecord(NamedTuple):
+    source_path: str
+    kind: ResourceKind
+    name: str
+    creation_time: float
+    content: bytes | None = None
+
+
+@dataclass(frozen=True)
+class PathBundle:
+    task_id: str
+    exported_at: float
+    records: tuple[PathRecord, ...]
+
+
+def as_paths(bundle: OffloadBundle) -> PathBundle:
+    """``bundle`` with each record's source path spelled out: the root's, or
+    its parent's, ``/`` and its own name."""
+    paths: list[str] = []
+    records = []
+    for rec in bundle.records:
+        paths.append(bundle.root if rec.parent < 0 else paths[rec.parent] + "/" + rec.name)
+        records.append(PathRecord(paths[-1], rec.kind, rec.name, rec.creation_time, rec.content))
+    return PathBundle(bundle.task_id, bundle.exported_at, tuple(records))
 
 
 def make_bundle(
     tree: ResourceTree, root_path: ResourcePath, task_id: str, exported_at: float
-) -> OffloadBundle:
+) -> PathBundle:
     root = tree.resolve(root_path)
     if root.kind not in (ResourceKind.AE, ResourceKind.CONTAINER):
         raise BadRequestError("a task root must be an Ae or a Container")
@@ -27,7 +58,7 @@ def make_bundle(
         if node.kind is ResourceKind.SUBSCRIPTION:
             continue
         records.append(
-            BundleRecord(
+            PathRecord(
                 source_path=str(tree.path_of(node)),
                 kind=node.kind,
                 name=node.name,
@@ -35,10 +66,10 @@ def make_bundle(
                 content=node.content,
             )
         )
-    return OffloadBundle(task_id=task_id, exported_at=exported_at, records=tuple(records))
+    return PathBundle(task_id=task_id, exported_at=exported_at, records=tuple(records))
 
 
-def encode(bundle: OffloadBundle) -> str:
+def encode(bundle: PathBundle) -> str:
     lines = [
         encode_fieldline(
             [
@@ -63,7 +94,7 @@ def encode(bundle: OffloadBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def decode(text: str) -> OffloadBundle:
+def decode(text: str) -> PathBundle:
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise BadRequestError("empty bundle")
@@ -73,7 +104,7 @@ def decode(text: str) -> OffloadBundle:
         for line in lines[1:]:
             rec = decode_fieldline(line)
             records.append(
-                BundleRecord(
+                PathRecord(
                     source_path=rec["pt"],
                     kind=ResourceKind(int(rec["ty"])),
                     name=rec["nm"],
@@ -81,7 +112,7 @@ def decode(text: str) -> OffloadBundle:
                     content=decode_b64(rec["pc"]) if "pc" in rec else None,
                 )
             )
-        bundle = OffloadBundle(header["tid"], float(header["at"]), tuple(records))
+        bundle = PathBundle(header["tid"], float(header["at"]), tuple(records))
         count = int(header["n"])
     except (KeyError, ValueError) as exc:
         raise BadRequestError(f"malformed bundle: {exc!r}") from None
@@ -94,7 +125,7 @@ def _graft(tree: ResourceTree, parent_path: ResourcePath, kind, name, **fields):
     tree.graft(tree.resolve(parent_path), kind, name, **fields)
 
 
-def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePath:
+def import_bundle(edge_tree: ResourceTree, bundle: PathBundle) -> ResourcePath:
     if not bundle.records:
         raise BadRequestError("bundle has no records")
     now_root_src = ResourcePath.parse(bundle.records[0].source_path)

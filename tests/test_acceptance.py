@@ -32,7 +32,7 @@ from edgeslice.primitives import (
     encode_fieldline,
     is_response,
 )
-from edgeslice.resources import ManualClock, ResourceKind, ResourcePath, ResourceTree, trees_equal
+from edgeslice.resources import ManualClock, ResourceKind, ResourcePath, ResourceTree
 from edgeslice.scenario import reference_calibrated
 from edgeslice.slicing import FunctionKind
 
@@ -43,6 +43,7 @@ from util import (
     check_tree_invariants,
     replicated_state,
     structural_shape,
+    trees_equal,
 )
 from wire_samples import wire_bytes
 

@@ -42,7 +42,6 @@ from edgeslice.resources import (
     ResourceKind,
     ResourcePath,
     ResourceTree,
-    trees_equal,
 )
 from edgeslice.slicing import (
     FunctionKind,
@@ -51,6 +50,7 @@ from edgeslice.slicing import (
     SliceProfile,
     SlicingPlan,
 )
+from util import trees_equal
 from wire_samples import ODD_LABELS, ODD_NAME, sample_tree, samples
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -311,18 +311,31 @@ def test_names_and_labels_with_quoting_characters_survive_a_round_trip():
     assert restored.serialize() == tree.serialize()
 
 
+# a legal resource name: nonempty, no "/", not the reserved "la"
+NAMES = TEXT.filter(lambda text: text and "/" not in text and text != LATEST_SEGMENT)
+
+
+@st.composite
+def index_bundles(draw) -> OffloadBundle:
+    """A bundle as ``make_bundle`` makes them: a root path of legal segments,
+    the root's record named as its last segment, every other record under an
+    earlier one, and no two siblings of one name."""
+    root = draw(st.lists(NAMES, min_size=2, max_size=4))
+    records = [BundleRecord(-1, draw(st.sampled_from(ResourceKind)), root[-1], draw(TIMES),
+                            draw(CONTENT))]
+    taken = set()
+    for index in range(1, draw(st.integers(1, 6))):
+        parent = draw(st.integers(0, index - 1))
+        name = draw(NAMES.filter(lambda text: (parent, text) not in taken))
+        taken.add((parent, name))
+        records.append(BundleRecord(parent, draw(st.sampled_from(ResourceKind)), name, draw(TIMES),
+                                    draw(CONTENT)))
+    return OffloadBundle(draw(TEXT), draw(TIMES), "/".join(root), tuple(records))
+
+
 @PROPERTY
-@given(
-    TEXT,
-    TIMES,
-    st.lists(
-        st.builds(BundleRecord, TEXT, st.sampled_from(ResourceKind), TEXT, TIMES,
-                  st.one_of(st.none(), st.binary(max_size=24))),
-        max_size=4,
-    ),
-)
-def test_bundle_round_trip(task_id, exported_at, records):
-    bundle = OffloadBundle(task_id, exported_at, tuple(records))
+@given(index_bundles())
+def test_bundle_round_trip(bundle):
     text = bundle.encode()
     assert OffloadBundle.decode(text) == bundle
     assert OffloadBundle.decode(text).encode() == text

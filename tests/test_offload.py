@@ -113,7 +113,8 @@ class TestExport:
         clock = ManualClock()
         coordinator = OffloadCoordinator(build_cloud_tree(clock), clock)
         bundle = coordinator.export_task(car_task())
-        assert all(r.source_path.startswith("IN-CSE/") for r in bundle.records)
+        assert bundle.root == "IN-CSE/Cars/CarA"
+        assert [r.parent for r in bundle.records] == [-1, 0, 1, 1]
 
 
 class TestImport:
@@ -178,9 +179,7 @@ class TestImport:
     def test_malformed_ordering_rejected(self):
         h = Harness()
         bundle = h.coordinator.export_task(h.task)
-        shuffled = OffloadBundle(
-            bundle.task_id, bundle.exported_at, tuple(reversed(bundle.records))
-        )
+        shuffled = replace(bundle, records=tuple(reversed(bundle.records)))
         with pytest.raises(BadRequestError):
             import_bundle(h.edge_tree, shuffled)
 
@@ -189,6 +188,7 @@ class TestImport:
         [
             "outside the root",
             "parent missing",
+            "parent below -1",
             "illegal name",
             "illegal kind",
             "repeated sibling",
@@ -201,34 +201,36 @@ class TestImport:
         h = Harness()
         good = h.coordinator.export_task(h.task)
         records = list(good.records)  # CarA, location, p1, p2
+        root = good.root
         cars = P("MN-CSE/Cars")
         if fault == "outside the root":
-            records.append(records[1]._replace(source_path="IN-CSE/B/x", name="x"))
+            # a second record at -1 would land beside the task root
+            records.append(records[1]._replace(parent=-1, name="x"))
         elif fault == "parent missing":
-            records.append(records[1]._replace(source_path="IN-CSE/Cars/CarA/gone/x", name="x"))
+            # its parent index is its own
+            records.append(records[1]._replace(parent=len(records), name="x"))
+        elif fault == "parent below -1":
+            records.append(records[1]._replace(parent=-2, name="x"))
         elif fault == "illegal name":
-            records.append(records[1]._replace(source_path="IN-CSE/Cars/CarA/la", name="la"))
+            records.append(records[1]._replace(parent=0, name="la"))
         elif fault == "illegal kind":
-            records.append(records[1]._replace(kind=ResourceKind.AE,
-                                               source_path="IN-CSE/Cars/CarA/ae", name="ae"))
+            records.append(records[1]._replace(parent=0, kind=ResourceKind.AE, name="ae"))
         elif fault == "repeated sibling":
             records.append(records[-1])
         elif fault == "sibling on the edge":
+            # the root record is named apart from its path, as an existing sibling
             h.edge_tree.create(P("MN-CSE"), ResourceKind.CONTAINER, "Cars")
             h.edge_tree.create(cars, ResourceKind.CONTAINER, "CarB")
-            records.append(records[0]._replace(name="CarB"))
+            records[0] = records[0]._replace(name="CarB")
         else:
             # move the task under grouping segments that cannot all be created
             h.edge_tree.create(P("MN-CSE"), ResourceKind.CONTAINER, "Cars")
             h.edge_tree.create(cars, ResourceKind.CONTENT_INSTANCE, "old", content=b"x")
             prefix = "IN-CSE/Cars/new/la/" if fault == "illegal grouping name" else "IN-CSE/Cars/old/new/"
-            records = [
-                r._replace(source_path=r.source_path.replace("IN-CSE/Cars/", prefix))
-                for r in records
-            ]
+            root = root.replace("IN-CSE/Cars/", prefix)
         h.edge_tree.drain_events()
         size, dump = len(h.edge_tree), h.edge_tree.serialize()
-        bad = replace(good, records=tuple(records))
+        bad = replace(good, root=root, records=tuple(records))
         with pytest.raises(BadRequestError):
             import_bundle(h.edge_tree, bad)
         assert len(h.edge_tree) == size

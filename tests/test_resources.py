@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,14 +7,13 @@ from hypothesis import strategies as st
 
 from edgeslice.errors import BadRequestError, ConflictError, NotFoundError
 from edgeslice.notify import match_subscriptions
-from edgeslice.offload import OffloadBundle, apply_snapshot, make_bundle
+from edgeslice.offload import apply_snapshot, make_bundle
 from edgeslice.resources import (
     LEGAL_CHILDREN,
     ManualClock,
     ResourceKind,
     ResourcePath,
     ResourceTree,
-    trees_equal,
 )
 
 from util import (
@@ -22,6 +22,7 @@ from util import (
     build_demo_tree,
     check_tree_invariants,
     legal_child_oracle,
+    trees_equal,
 )
 
 
@@ -530,7 +531,7 @@ def finalize_with_late_changed(tree: ResourceTree) -> None:
     records = tuple(
         rec._replace(content=b"changed") if rec.name == "late" else rec for rec in bundle.records
     )
-    assert apply_snapshot(tree, root, OffloadBundle("t", 0.0, records)) == 2
+    assert apply_snapshot(tree, root, replace(bundle, records=records)) == 2
 
 
 # one write of each kind, applied to the tree given

@@ -252,8 +252,57 @@ def test_the_c_loader_is_used_where_pyyaml_has_libyaml(monkeypatch):
     assert scenario.LOADER is expected
     used, load = [], yaml.load
     monkeypatch.setattr(yaml, "load", lambda text, Loader: used.append(Loader) or load(text, Loader))
-    reference_calibrated()
+    parse_scenario(calibrated_text())
     assert used == [expected]
+
+
+def _fields(config: ScenarioConfig) -> tuple:
+    return (config.name, config.tasks, config.modes, config.processing, config.functions,
+            config.workload_target, sorted(config.topology.nodes),
+            sorted((link.a, link.b, link.delay_ms) for link in config.topology.links.values()))
+
+
+def test_the_packaged_calibration_is_parsed_once_per_process(monkeypatch):
+    parsed = _fields(parse_scenario(calibrated_text()))
+    used, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: used.append(text) or load(text, Loader))
+    scenario._calibrated_doc.cache_clear()
+    first, second = reference_calibrated(), reference_calibrated()
+    assert used == [calibrated_text()]
+    assert _fields(first) == _fields(second) == parsed
+    # each call builds its own config: a caller's edits reach no other caller
+    assert first.tasks is not second.tasks and first.modes is not second.modes
+    assert first.processing is not second.processing
+    assert all(first.processing[n] is not second.processing[n] for n in first.processing)
+    first.tasks.append(TaskSpec("extra", "IN-CSE/x", first.service_id))
+    first.modes.append("cloud")
+    first.processing["cloud"][Operation.CREATE] = 99.0
+    assert _fields(reference_calibrated()) == _fields(second)
+    assert used == [calibrated_text()]
+
+
+def test_the_topology_override_applies_to_the_cached_calibration(tmp_path):
+    topo = tmp_path / "topo.yaml"
+    topo.write_text(
+        "nodes:\n"
+        "  - {id: dev0, role: device}\n"
+        "  - {id: edge0, role: edge}\n"
+        "  - {id: edge1, role: edge}\n"
+        "  - {id: cloud, role: cloud}\n"
+        "links:\n"
+        "  - {a: dev0, b: edge0, delay_ms: 2.0}\n"
+        "  - {a: dev0, b: edge1, delay_ms: 3.0}\n"
+        "  - {a: edge0, b: cloud, delay_ms: 2.4}\n"
+        "  - {a: edge1, b: cloud, delay_ms: 2.4}\n"
+    )
+    packaged = reference_calibrated()
+    moved = reference_calibrated(str(topo))
+    assert sorted(moved.topology.nodes) == ["cloud", "dev0", "edge0", "edge1"]
+    assert moved.topology.link_between("dev0", "edge0").delay_ms == 2.0
+    # role-level processing reaches the override's extra edge
+    assert moved.processing_for("edge1") == moved.processing_for("edge0") != {}
+    assert _fields(reference_calibrated()) == _fields(packaged)
+    assert "edge1" not in reference_calibrated().topology.nodes
 
 
 UNREADABLE = {  # text, then what the error says

@@ -19,14 +19,14 @@ from edgeslice.primitives import (
     decode_resource,
     encode_fieldline,
 )
-from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree, trees_equal
+from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
 from edgeslice.scenario import TaskSpec, reference_calibrated
 from edgeslice.slicing import FunctionKind, SliceProfile, SliceState, port_for
 from edgeslice.worker import ResourceQuota
 
 from dataclasses import replace
 
-from util import populate_cloud_tree
+from util import populate_cloud_tree, trees_equal
 
 # before the wire check of conftest.py wraps it for each test
 UNCHECKED_SEND = Network.send
@@ -399,12 +399,9 @@ CLOUD_TASK_ROOT = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
 EDGE_TASK_ROOT = ResourcePath.parse("MN-CSE/Pedestrians/CitizenB")
 
 
-def task_records(tree: ResourceTree, root: ResourcePath) -> list[tuple]:
-    """The records of the task subtree's bundle, each path without its cse label."""
-    return [
-        (rec.source_path.partition("/")[2], rec.kind, rec.name, rec.creation_time, rec.content)
-        for rec in make_bundle(tree, root, "t", 0.0).records
-    ]
+def task_records(tree: ResourceTree, root: ResourcePath) -> tuple:
+    """The records of the task subtree's bundle, which name no cse label."""
+    return make_bundle(tree, root, "t", 0.0).records
 
 
 class TestTerminationOverTheWire:
@@ -691,9 +688,29 @@ class TestMessagesAsObjects:
         assert [r.status for r in responses] == [StatusCode.OK]
         edge_tree = system.edges["edge0"].worker.tree
         imported = make_bundle(edge_tree, ResourcePath("MN-CSE", task_root.segments), "t", 0.0)
-        assert [(r.kind, r.name, r.creation_time, r.content) for r in imported.records] == [
-            (r.kind, r.name, r.creation_time, r.content) for r in bundle.records
-        ]
+        assert imported.records == bundle.records
+
+    def test_a_bundle_transfer_with_a_record_outside_its_root_is_unreadable(self, config):
+        """Its body decodes to no bundle, so it is answered 4000 and the
+        edge tree is not touched."""
+        system = build_system(config, "edge", 42)
+        device = system.devices[system.device_id]
+        task_root = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
+        bundle = make_bundle(system.cloud.tree, task_root, "task-citizenB", 0.0)
+        body = BundleTransfer((("task", "task-citizenB"), ("mode", "lazy")), bundle).to_bytes()
+        inside = b"\npt=IN-CSE%2FPedestrians%2FCitizenB%2Flocation;"
+        assert body.count(inside) == 1
+        body = body.replace(inside, b"\npt=IN-CSE%2FElsewhere%2Flocation;")
+        req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-2", content=body)
+        responses = []
+        device.pending["raw-2"] = responses.append
+        edge_tree = system.edges["edge0"].worker.tree
+        before = edge_tree.serialize()
+        system.network.send(device.node_id, "edge0", req.encode(), 0)
+        system.run_until_idle()
+        assert [r.status for r in responses] == [StatusCode.BAD_REQUEST]
+        assert b"outside the task root" in responses[0].content
+        assert edge_tree.serialize() == before
 
 
 def populated_the_old_way(config) -> ResourceTree:

@@ -33,6 +33,31 @@ CALIBRATED_YAML = str(resources.files("edgeslice.data").joinpath("reference_cali
 NAME_POOL = [f"n{i}" for i in range(40)] + ["alpha", "beta", "gamma"]
 
 
+def resource_ids(tree: ResourceTree) -> list[str]:
+    """Every id on the tree, in the order the nodes were attached."""
+    return list(tree._nodes)
+
+
+def trees_equal(a: ResourceTree, b: ResourceTree) -> bool:
+    """Deep equality including ids, names, timestamps and contents."""
+    if a.cse_label != b.cse_label or len(a) != len(b):
+        return False
+    for na, nb in zip(a.walk(), b.walk()):
+        if (
+            na.id != nb.id
+            or na.name != nb.name
+            or na.kind != nb.kind
+            or na.parent_id != nb.parent_id
+            or na.creation_time != nb.creation_time
+            or na.last_modified_time != nb.last_modified_time
+            or na.content != nb.content
+            or na.notification_target != nb.notification_target
+            or na.labels != nb.labels
+        ):
+            return False
+    return True
+
+
 def brute_force_latest(tree: ResourceTree, container: Resource) -> Resource | None:
     """Independent latest-instance oracle: linear scan, max by creation time,
     later sibling wins ties."""
@@ -76,7 +101,7 @@ class RandomTreeWorkload:
         self.rejected = 0
 
     def _random_node(self) -> Resource:
-        return self.tree.get(self.rng.choice(self.tree.resource_ids()))
+        return self.tree.get(self.rng.choice(resource_ids(self.tree)))
 
     def step(self) -> None:
         self.attempted += 1
