@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
-from urllib.parse import unquote
 
-from .codec import decode_ascii, decode_b64, decode_fieldline, encode_b64, encode_fieldline, quote
+from .codec import (decode_ascii, decode_b64, decode_fieldline, encode_b64, encode_fieldline,
+                    parse_float, parse_int, quote, unquote)
 from .errors import (
     AlreadyBoundError,
     AlreadyOffloadedError,
@@ -117,8 +117,8 @@ class OffloadBundle:
     def decode(cls, text: str) -> "OffloadBundle":
         """Inverse of ``encode``; raises only ``BadRequestError``. Each
         record line is read as ``decode_fieldline`` reads it: empty fields
-        are skipped, the last of a repeated key wins and unknown keys are
-        ignored.
+        are skipped, a repeated key or a field without ``=`` is refused and
+        unknown keys are ignored.
 
         A path is unquoted as the part before its last ``%2F``, a ``/`` and
         the part after: a ``/`` byte is never inside a UTF-8 sequence, and
@@ -142,7 +142,9 @@ class OffloadBundle:
                 fields: dict[str, str] = {}
                 for part in line.split(";"):
                     if part:
-                        key, _, value = part.partition("=")
+                        key, sep, value = part.partition("=")
+                        if not sep or key in fields:
+                            raise BadRequestError(f"malformed bundle field {part!r}")
                         fields[key] = value
                 path = fields["pt"]
                 cut = path.rfind("%2F")
@@ -157,9 +159,9 @@ class OffloadBundle:
                 ty = fields["ty"]
                 kind = kinds.get(ty)
                 if kind is None:
-                    kind = kinds[ty] = ResourceKind(int(unquote(ty)))
+                    kind = kinds[ty] = ResourceKind(parse_int(unquote(ty)))
                 name = unquote(fields["nm"])
-                created = float(unquote(fields["ct"]))
+                created = parse_float(unquote(fields["ct"]))
                 content = decode_b64(unquote(fields["pc"])) if "pc" in fields else None
                 if ("//" in path or path[:1] == "/" or path[-1:] in ("", "/")
                         or path.endswith("/" + LATEST_SEGMENT)):
@@ -178,8 +180,8 @@ class OffloadBundle:
                 # a path seen twice is a repeated sibling name, which an import refuses
                 indexes[up + "/" + name] = len(records)
                 records.append(BundleRecord(parent, kind, name, created, content))
-            bundle = cls(header["tid"], float(header["at"]), root, tuple(records))
-            count = int(header["n"])
+            bundle = cls(header["tid"], parse_float(header["at"]), root, tuple(records))
+            count = parse_int(header["n"])
         except (KeyError, ValueError) as exc:
             raise BadRequestError(f"malformed bundle: {exc!r}") from None
         if len(records) != count:

@@ -1,19 +1,18 @@
-"""Wire-level operation envelopes; quoting and payload tags come from ``codec``.
+"""Wire-level operation envelopes; percent-coding, numbers and payload tags come from ``codec``.
 
 Every message between devices, edge workers and the cloud is one request or
 response primitive. Its wire form, made by ``encode`` only when something
-reads it, is newline-separated ``key=value`` lines in a fixed field order, so
-equal primitives always encode to equal bytes, and ``len`` of a primitive is
-the length of that form. Content is bytes, or a parsed body whose
-``to_bytes`` gives exactly the bytes it stands for. The codec's field-line
-and resource encoders are re-exported here.
+reads it, is newline-separated ``key=value`` lines, each key once, in a fixed
+order, so equal primitives always encode to equal bytes, and ``len`` of a
+primitive is the length of that form. Content is bytes, or a parsed body
+whose ``to_bytes`` gives exactly the bytes it stands for. The codec's
+field-line and resource encoders are re-exported here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Protocol
-from urllib.parse import unquote
 
 from .codec import (
     decode_b64,
@@ -24,7 +23,10 @@ from .codec import (
     encode_fieldline,
     encode_payload,
     encode_resource,
+    parse_float,
+    parse_int,
     quote,
+    unquote,
 )
 from .errors import BadRequestError
 from .resources import ResourceKind
@@ -130,7 +132,7 @@ def _parse_lines(data: bytes) -> dict[str, str]:
         if not line:
             continue
         key, sep, value = line.partition("=")
-        if not sep:
+        if not sep or key in out:
             raise BadRequestError(f"malformed envelope line {line!r}")
         out[key] = value
     return out
@@ -140,11 +142,11 @@ def decode_request(data: bytes) -> RequestPrimitive:
     fields = _parse_lines(data)
     try:
         return RequestPrimitive(
-            operation=Operation(int(fields["op"])),
+            operation=Operation(parse_int(fields["op"])),
             to=unquote(fields["to"]),
             originator=unquote(fields["fr"]),
             request_id=unquote(fields["rqi"]),
-            resource_kind=ResourceKind(int(fields["ty"])) if "ty" in fields else None,
+            resource_kind=ResourceKind(parse_int(fields["ty"])) if "ty" in fields else None,
             content=decode_payload(fields["pc"]) if "pc" in fields else None,
         )
     except (KeyError, ValueError) as exc:
@@ -156,7 +158,7 @@ def decode_response(data: bytes) -> ResponsePrimitive:
     try:
         return ResponsePrimitive(
             request_id=unquote(fields["rqi"]),
-            status=StatusCode(int(fields["rsc"])),
+            status=StatusCode(parse_int(fields["rsc"])),
             content=decode_payload(fields["pc"]) if "pc" in fields else None,
         )
     except (KeyError, ValueError) as exc:
@@ -187,10 +189,10 @@ def decode_resource(data: bytes) -> ResourceView:
     try:
         rec = decode_fieldline(data.decode("ascii"))
         return ResourceView(
-            kind=ResourceKind(int(rec["ty"])),
+            kind=ResourceKind(parse_int(rec["ty"])),
             name=rec["nm"],
-            creation_time=float(rec["ct"]),
-            last_modified_time=float(rec["lt"]),
+            creation_time=parse_float(rec["ct"]),
+            last_modified_time=parse_float(rec["lt"]),
             path=rec.get("pt"),
             content=decode_b64(rec["pc"]) if "pc" in rec else None,
             notification_target=decode_target(rec["nt"]) if "nt" in rec else None,

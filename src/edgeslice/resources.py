@@ -18,6 +18,8 @@ from .codec import (
     decode_target,
     encode_fieldline,
     encode_record,
+    parse_float,
+    parse_int,
 )
 from .errors import BadRequestError, NotFoundError
 
@@ -618,17 +620,17 @@ class ResourceTree:
             kinds = {prefix: kind for kind, prefix in ID_PREFIX.items()}
             for part in header["ctr"].split(","):
                 prefix, _, value = part.partition(":")
-                tree._counters[kinds[prefix]] = int(value)
-            tree._event_seq = int(header["seq"])
+                tree._counters[kinds[prefix]] = parse_int(value)
+            tree._event_seq = parse_int(header["seq"])
             for line in lines[1:]:
                 rec = decode_fieldline(line)
                 node = Resource(
                     id=rec["id"],
                     name=rec["nm"],
-                    kind=ResourceKind(int(rec["ty"])),
+                    kind=ResourceKind(parse_int(rec["ty"])),
                     parent_id=rec["pid"] if rec["pid"] != "-" else None,
-                    creation_time=float(rec["ct"]),
-                    last_modified_time=float(rec["lt"]),
+                    creation_time=parse_float(rec["ct"]),
+                    last_modified_time=parse_float(rec["lt"]),
                     content=decode_b64(rec["pc"]) if "pc" in rec else None,
                     notification_target=decode_target(rec["nt"]) if "nt" in rec else None,
                     labels=decode_labels(rec["lb"]) if "lb" in rec else [],

@@ -27,7 +27,8 @@ from dataclasses import replace
 from functools import lru_cache
 from typing import Callable
 
-from .codec import decode_body, decode_fieldline, encode_b64, encode_body, encode_fieldline
+from .codec import (decode_body, decode_fieldline, encode_b64, encode_body, encode_fieldline,
+                    parse_float, parse_int)
 from .errors import (
     AlreadyOffloadedError,
     BadRequestError,
@@ -302,10 +303,10 @@ class EdgeNode(_Node):
                     image_id=rec["img"],
                     function=FunctionKind[rec["fn"]],
                     version=rec["ver"],
-                    size_bytes=int(rec["size"]),
+                    size_bytes=parse_int(rec["size"]),
                 )
             )
-        quota = ResourceQuota(int(meta["mem"]), float(meta["cpu"]))
+        quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
         bandwidth = self.network.bottleneck_bandwidth(self.node_id, self.system.cloud_id)
         extra = (
             self.network.topology.path_delay_ms(self.node_id, self.system.cloud_id)
@@ -410,7 +411,7 @@ class EdgeNode(_Node):
 
     def _handle_start(self, req: RequestPrimitive, sender: str) -> None:
         meta = decode_body(req.content)
-        quota = ResourceQuota(int(meta["mem"]), float(meta["cpu"]))
+        quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
         try:
             image = self.system.config.catalogue.by_id(meta["img"])
             instance = self.worker.begin_start(image, quota)
@@ -609,7 +610,7 @@ class CloudNode(_Node):
         if meta.get("fn"):
             for pair in meta["fn"].split(","):
                 name, _, port = pair.partition(":")
-                started[FunctionKind[name]] = int(port)
+                started[FunctionKind[name]] = parse_int(port)
         self.orchestrator.mark_active(meta["slc"], started)
         self.orchestrator.record_slice_functions(meta["slc"], set(started))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))

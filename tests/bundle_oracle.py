@@ -5,17 +5,20 @@ earlier implementations, kept as the oracle of ``test_bundle_oracle``. They
 work on the bundle as it then was: each record carried its full source
 path, and an import found a record's parent by that path.
 ``PathRecord`` and ``PathBundle`` restate that form, and ``as_paths`` turns
-a bundle of parent indexes into it. The one adaptation is that
+a bundle of parent indexes into it. There are two adaptations.
 ``ResourceTree.graft`` now takes its parent as a resolved ``Resource``, so
 the oracle resolves the parent path first; ``graft`` used to do exactly
-that, and a missing parent still surfaces as ``NotFoundError``.
+that, and a missing parent still surfaces as ``NotFoundError``. And numbers
+are read with the codec's ``parse_int`` and ``parse_float``, which refuse
+what ``int`` and ``float`` let through, such as ``1_0`` and ``nan``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from edgeslice.codec import decode_b64, decode_fieldline, encode_b64, encode_fieldline
+from edgeslice.codec import (decode_b64, decode_fieldline, encode_b64, encode_fieldline,
+                             parse_float, parse_int)
 from edgeslice.errors import BadRequestError, ConflictError, NotFoundError
 from edgeslice.offload import OffloadBundle
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
@@ -106,14 +109,14 @@ def decode(text: str) -> PathBundle:
             records.append(
                 PathRecord(
                     source_path=rec["pt"],
-                    kind=ResourceKind(int(rec["ty"])),
+                    kind=ResourceKind(parse_int(rec["ty"])),
                     name=rec["nm"],
-                    creation_time=float(rec["ct"]),
+                    creation_time=parse_float(rec["ct"]),
                     content=decode_b64(rec["pc"]) if "pc" in rec else None,
                 )
             )
-        bundle = PathBundle(header["tid"], float(header["at"]), tuple(records))
-        count = int(header["n"])
+        bundle = PathBundle(header["tid"], parse_float(header["at"]), tuple(records))
+        count = parse_int(header["n"])
     except (KeyError, ValueError) as exc:
         raise BadRequestError(f"malformed bundle: {exc!r}") from None
     if len(records) != count:

@@ -1,14 +1,23 @@
 """Properties of the text codec and of every decoder built on it.
 
-- ``codec.quote`` equals ``urllib.parse.quote`` for every safe set in use;
-- every decoder either decodes its input or raises ``BadRequestError``,
-  both for arbitrary input and for valid encodings with a few bytes edited;
-- encode -> decode -> encode is the identity on generated valid values.
+- ``codec.quote`` equals ``urllib.parse.quote`` for any safe set, and
+  ``codec.unquote`` equals ``urllib.parse.unquote`` on text without lone
+  surrogates;
+- every decoder either decodes its input or raises ``BadRequestError``, for
+  arbitrary input, for valid and refused encodings with a few bytes edited,
+  and for text holding a lone surrogate;
+- encode -> decode -> encode is the identity on generated valid values;
+- no module but ``edgeslice.codec`` imports ``urllib``, ``base64`` or
+  ``binascii``.
 
 Hypothesis runs derandomized with a bounded example count, so the suite
 stays deterministic and fast.
 """
+import ast
+import base64
+from pathlib import Path
 from urllib.parse import quote as stdlib_quote
+from urllib.parse import unquote as stdlib_unquote
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +27,15 @@ from edgeslice.codec import (
     PAYLOAD_SAFE,
     decode_b64,
     decode_body,
+    decode_fieldline,
+    decode_labels,
     decode_payload,
     encode_payload,
     encode_resource,
+    parse_float,
+    parse_int,
     quote,
+    unquote,
 )
 from edgeslice.errors import BadRequestError
 from edgeslice.notify import parse_notify
@@ -60,7 +74,7 @@ SAFE_SETS = ["", "/-", PAYLOAD_SAFE]  # field values, request targets, t: payloa
 # text that is mostly the characters the quoting rules single out
 TRICKY = st.text(alphabet=st.sampled_from(list("%;=,|:/-_.~+ \n\x00aZ9üß€😀")))
 TEXT = st.one_of(st.text(), TRICKY)
-TIMES = st.floats(allow_nan=False)  # nan != nan, so it cannot compare equal
+TIMES = st.floats(allow_nan=False, allow_infinity=False)  # the decoders take finite times only
 CONTENT = st.one_of(
     st.none(),
     st.binary(max_size=48),
@@ -71,7 +85,15 @@ CONTENT = st.one_of(
 # --- quote ---
 
 @PROPERTY
-@given(TEXT, st.sampled_from(SAFE_SETS))
+@given(
+    st.one_of(
+        TEXT,
+        st.binary(min_size=400, max_size=400).map(lambda data: base64.b64encode(data).decode()),
+        st.builds(lambda r, path: encode_resource(r, path).decode(), st.deferred(lambda: resources()),
+                  st.one_of(st.none(), TEXT)),
+    ),
+    st.one_of(st.sampled_from(SAFE_SETS), st.text(), TRICKY),
+)
 def test_quote_equals_urllib(text, safe):
     assert quote(text, safe) == stdlib_quote(text, safe=safe)
 
@@ -82,6 +104,25 @@ def test_quote_equals_urllib_on_each_character(safe):
         char = chr(code)
         assert quote(char, safe) == stdlib_quote(char, safe=safe), hex(code)
     assert quote("", safe) == ""
+
+
+# --- unquote ---
+
+# escapes whole, in either case, truncated or not hex, beside UTF-8 and ASCII
+ESCAPED = st.lists(
+    st.one_of(
+        st.sampled_from(["%", "%4", "%41", "%zz", "%2f", "%2F", "%C3", "%c3%bc", "%BC", "%E2%82",
+                         "%F0%9F%98%80", "%ff", "%%", "%25", "a", "0", "F", "ü", "€", "😀", " "]),
+        st.text(max_size=3),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@PROPERTY
+@given(st.one_of(ESCAPED, TEXT, st.text().map(quote)))
+def test_unquote_equals_urllib(text):
+    assert unquote(text) == stdlib_unquote(text)
 
 
 # --- every decoder raises only BadRequestError ---
@@ -111,16 +152,60 @@ def _notify(data: bytes):
     return parse_notify(RequestPrimitive(Operation.NOTIFY, "IN-CSE/a", "edge0", "n1", content=data)).view()
 
 
+# the decoders that read text; the others read bytes
+TEXT_DECODERS = {
+    "bundle": OffloadBundle.decode,
+    "tree": ResourceTree.deserialize,
+    "profile": SliceProfile.from_text,
+    "plan": SlicingPlan.from_text,
+    "payload": decode_payload,
+}
 DECODERS = {
     "request": decode_request,
     "response": decode_response,
     "resource": decode_resource,
     "notify": _notify,
-    "bundle": lambda data: OffloadBundle.decode(data.decode("latin-1")),
-    "tree": lambda data: ResourceTree.deserialize(data.decode("latin-1")),
-    "profile": lambda data: SliceProfile.from_text(data.decode("latin-1")),
-    "plan": lambda data: SlicingPlan.from_text(data.decode("latin-1")),
-    "payload": lambda data: decode_payload(data.decode("latin-1")),
+    **{
+        name: lambda data, decode=decode: decode(data.decode("latin-1"))
+        for name, decode in TEXT_DECODERS.items()
+    },
+}
+
+# encodings that every decoder refuses: malformed numbers and repeated keys
+REFUSED = {
+    "request": [
+        b"op=1_0\nto=x\nfr=y\nrqi=z",
+        b"op=1\nop=2\nto=x\nfr=y\nrqi=z",
+        b"op=+2\nto=x\nfr=y\nrqi=z",
+        b"op=2\nto=x\nfr=y\nrqi=z\nty= 4",
+    ],
+    "response": [b"rqi=r\nrsc=2_000", b"rqi=r\nrsc=2000\nrsc=4000", b"rqi=r\nrsc=+2000"],
+    "resource": [
+        b"ty=4;nm=a;ct=nan;lt=inf",
+        b"ty=4;nm=a;ct=1_0;lt=0",
+        b"ty=4;nm=a;ct=%201;lt=0",
+        b"ty=4;nm=a;ct=1e999;lt=0",
+        b"ty=4;nm=a;nm=b;ct=0;lt=0",
+        b"ty=4;nm=a;ct=0;lt=0;x",
+    ],
+    "notify": [
+        b"ev=created;pt=IN-CSE/a/x\nty=4;nm=x;ct=nan;lt=0.0",
+        b"ev=created;ev=deleted;pt=IN-CSE/a/x\nty=4;nm=x;ct=0.0;lt=0.0",
+    ],
+    "bundle": [
+        b"tid=t;at=1;n=1\npt=IN-CSE%2Fa;ty=3;nm=a;ct=nan\n",
+        b"tid=t;at=inf;n=1\npt=IN-CSE%2Fa;ty=3;nm=a;ct=0\n",
+        b"tid=t;at=1;n=0_1\npt=IN-CSE%2Fa;ty=3;nm=a;ct=0\n",
+        b"tid=t;at=1;n=1\npt=IN-CSE%2Fa;ty=3;ty=4;nm=a;ct=0\n",
+        b"tid=t;at=1;n=1\npt;pt=IN-CSE%2Fa;ty=3;nm=a;ct=0\n",
+    ],
+    "tree": [
+        b"lbl=IN-CSE;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=nan;lt=0.0\n",
+        b"lbl=IN-CSE;ctr=cb:1;seq=+0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n",
+        b"lbl=IN-CSE;lbl=X;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n",
+    ],
+    "profile": [b"svc=s;svc=t;fn=retrieve;lc=normal"],
+    "plan": [b"dec=fast_path_offload_only;slc=s;mf=;slc=t"],
 }
 
 
@@ -146,7 +231,9 @@ def test_decoders_raise_only_bad_request(name):
     decoder = DECODERS[name]
 
     @PROPERTY
-    @given(st.one_of(st.binary(max_size=64), st.text().map(str.encode), edited(SEEDS[name])))
+    @given(st.one_of(
+        st.binary(max_size=64), st.text().map(str.encode), edited(SEEDS[name] + REFUSED.get(name, []))
+    ))
     def check(data):
         try:
             decoder(data)
@@ -171,11 +258,63 @@ def test_decoders_raise_only_bad_request(name):
         (decode_body, b"nm=\xc3\xbc"),
         (lambda data: ResourceTree.deserialize(data.decode()), b""),
         (lambda data: ResourceTree.deserialize(data.decode()), b"lbl=IN-CSE;ctr=cb:1;seq=0\n"),
-    ],
+    ]
+    + [(DECODERS[name], data) for name in sorted(REFUSED) for data in REFUSED[name]],
 )
 def test_malformed_inputs_raise_bad_request(decoder, data):
     with pytest.raises(BadRequestError):
         decoder(data)
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+def test_a_lone_surrogate_raises_only_bad_request(name):
+    """Text decoders see the surrogate as text; the others see its bytes."""
+
+    @PROPERTY
+    @given(edited(SEEDS[name]), st.integers(0, 64), st.sampled_from(["\ud800", "%\udfff", "%C3\udc80"]))
+    def check(seed, at, inserted):
+        text = seed.decode("latin-1")
+        text = text[:at] + inserted + text[at:]
+        try:
+            if name in TEXT_DECODERS:
+                TEXT_DECODERS[name](text)
+            else:
+                DECODERS[name](text.encode("utf-8", "surrogatepass"))
+        except BadRequestError:
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize("decoder", [unquote, decode_fieldline, decode_labels])
+def test_codec_decoders_refuse_a_lone_surrogate_beside_an_escape(decoder):
+    with pytest.raises(BadRequestError):
+        decoder("nm=a%41\ud800")
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("-12", -12), ("007", 7), ("2000", 2000)])
+def test_parse_int_takes_ascii_digits(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "-", "+1", "1_0", " 1", "1 ", "\u0661", "0x1", "--1", "1.0"])
+def test_parse_int_refuses_what_str_int_never_writes(text):
+    with pytest.raises(BadRequestError):
+        parse_int(text)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1e-05, 5e-324, 1e22, 21254.8, -3.5])
+def test_parse_float_reads_repr(value):
+    assert parse_float(repr(value)) == value
+    assert repr(parse_float(repr(value))) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "nan", "inf", "-inf", "Infinity", "1e999", "1_0", " 1.0", "1.0\n", "\u0661.5", "x"]
+)
+def test_parse_float_refuses_non_finite_and_spaced_numbers(text):
+    with pytest.raises(BadRequestError):
+        parse_float(text)
 
 
 def test_tree_dump_with_two_roots_or_a_repeated_id_is_rejected():
@@ -357,3 +496,25 @@ def test_profile_and_plan_round_trip(service, functions, latency, missing, targe
     )
     plan = SlicingPlan(decision, target, missing)
     assert SlicingPlan.from_text(plan.to_text()) == plan
+
+
+# --- one codec ---
+
+PERCENT_AND_BASE64 = {"urllib", "base64", "binascii"}
+
+
+def test_only_the_codec_imports_urllib_base64_or_binascii():
+    package = Path(__file__).resolve().parent.parent / "src" / "edgeslice"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "codec":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {m}" for m in modules if m.split(".")[0] in PERCENT_AND_BASE64]
+    assert offenders == []

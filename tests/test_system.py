@@ -612,8 +612,12 @@ class TestMalformedMessages:
 
     @pytest.mark.parametrize(
         "body",
-        [b"x=1", b"ev=created;pt=MN-CSE/Pedestrians/CitizenB/x\nty=9;nm=x"],
-        ids=["no-head", "bad-record"],
+        [
+            b"x=1",
+            b"ev=created;pt=MN-CSE/Pedestrians/CitizenB/x\nty=9;nm=x",
+            b"ev=created;pt=MN-CSE/Pedestrians/CitizenB/x\nty=4;nm=x;ct=nan;lt=0.0;pc=AA%3D%3D",
+        ],
+        ids=["no-head", "bad-record", "nan-time"],
     )
     def test_unreadable_notify_at_the_cloud_is_answered_with_bad_request(self, config, body):
         system = build_system(config, "edge", 42)
@@ -627,6 +631,8 @@ class TestMalformedMessages:
         system.run_until_idle()
         assert [r.status for r in responses] == [StatusCode.BAD_REQUEST]
         assert responses[0].request_id == "bad-n"
+        with pytest.raises(NotFoundError):  # nothing was grafted into the mirror
+            system.cloud.tree.resolve(ResourcePath.parse("IN-CSE/Pedestrians/CitizenB/x"))
 
     @pytest.mark.parametrize(
         "root, status",
