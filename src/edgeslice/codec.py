@@ -120,8 +120,8 @@ def decode_b64(text: str) -> bytes:
         raise BadRequestError(f"malformed base64 content: {exc}") from None
 
 
-def decode_labels(text: str) -> list[str]:
-    return [unquote(label) for label in text.split(",")]
+def decode_labels(text: str) -> tuple[str, ...]:
+    return tuple([unquote(label) for label in text.split(",")])
 
 
 def decode_target(text: str) -> tuple[str, str]:

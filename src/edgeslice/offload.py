@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .codec import (decode_ascii, decode_b64, decode_fieldline, encode_b64, encode_fieldline,
@@ -280,18 +281,24 @@ def make_bundle(
     """Preorder snapshot of a subtree. A subscription stays home, and so
     does anything a deserialized tree nests under one.
 
-    Each record's parent index is looked up by its node's parent id, so no
-    path is built but the root's.
+    The walk reads the tree's child index directly, with a stack of
+    ``(parent record index, id)`` entries, so no path is built but the
+    root's.
     """
     root = resolve_task_root(tree, root_path)
-    indexes = {root.parent_id: -1}
+    nodes, children = tree._nodes, tree._children
+    subscription = ResourceKind.SUBSCRIPTION  # a local: reading an enum member is slow
     records: list[BundleRecord] = []
     new = tuple.__new__  # the NamedTuple's generated __new__ is a Python function, twice as slow
-    for node in tree.walk(root.id):
-        parent = indexes.get(node.parent_id)
-        if parent is None or node.kind is ResourceKind.SUBSCRIPTION:
+    stack = [(-1, root.id)]
+    while stack:
+        parent, node_id = stack.pop()
+        node = nodes[node_id]
+        if node.kind is subscription:
             continue
-        indexes[node.id] = len(records)
+        kids = children.get(node_id)
+        if kids:
+            stack.extend(zip(repeat(len(records)), reversed(kids.values())))
         records.append(new(BundleRecord, (parent, node.kind, node.name, node.creation_time, node.content)))
     return OffloadBundle(task_id, exported_at, str(tree.path_of(root)), tuple(records))
 
@@ -540,7 +547,7 @@ class OffloadCoordinator:
                         view.name,
                         creation_time=view.creation_time,
                         content=view.content,
-                        labels=list(view.labels),
+                        labels=view.labels,
                         emit_event=True,
                     )
                 elif notify.change == "updated":
@@ -548,7 +555,7 @@ class OffloadCoordinator:
                     self.cloud_tree.update(
                         target.child(previous),
                         name=view.name if view.name != previous else None,
-                        labels=list(view.labels),
+                        labels=view.labels,
                     )
                 elif notify.change == "deleted":
                     self.cloud_tree.delete(target.child(view.name))

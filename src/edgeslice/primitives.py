@@ -196,7 +196,7 @@ def decode_resource(data: bytes) -> ResourceView:
             path=rec.get("pt"),
             content=decode_b64(rec["pc"]) if "pc" in rec else None,
             notification_target=decode_target(rec["nt"]) if "nt" in rec else None,
-            labels=tuple(decode_labels(rec["lb"])) if "lb" in rec else (),
+            labels=decode_labels(rec["lb"]) if "lb" in rec else (),
         )
     except (KeyError, ValueError) as exc:
         raise BadRequestError(f"malformed resource representation: {exc}") from exc

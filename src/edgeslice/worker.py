@@ -293,7 +293,7 @@ class EdgeWorker:
             raise BadRequestError("content cannot be updated")
         labels = None
         if "lb" in patch:
-            labels = decode_labels(patch["lb"]) if patch["lb"] else []
+            labels = decode_labels(patch["lb"]) if patch["lb"] else ()
         updated = self.tree.update(
             path,
             name=patch.get("nm"),

@@ -445,7 +445,7 @@ def test_names_and_labels_with_quoting_characters_survive_a_round_trip():
     assert trees_equal(tree, restored)
     odd = restored.resolve(ResourcePath("IN-CSE", ("Pedestrians", ODD_NAME)))
     assert odd.name == "a%41b;x=y"
-    assert odd.labels == ODD_LABELS
+    assert odd.labels == tuple(ODD_LABELS)
     assert restored.resolve(ResourcePath("IN-CSE", ("Pedestrians", "Zürich straße")))
     assert restored.serialize() == tree.serialize()
 

@@ -242,7 +242,7 @@ class TestUpdate:
         path = tree.create(ResourcePath("MN-CSE"), ResourceKind.AE, "app")
         clock.advance(2.0)
         updated = tree.update(path, labels=["v2"])
-        assert updated.labels == ["v2"]
+        assert updated.labels == ("v2",)
         assert updated.last_modified_time == 2.0 > updated.creation_time
 
     def test_update_content_instance_rejected(self, clock):
@@ -436,6 +436,51 @@ class TestSerialization:
         )
         assert restored.resolve(p).id == "ci_0001"
 
+    @pytest.mark.parametrize("old, new", [
+        ("ci%3A1", "ci%3A0"),  # the counter below the instance's id, which create would mint again
+        ("id=ci_0001", "id=ci_0000"),
+        ("id=ci_0001", "id=ci_001"),
+        ("id=ci_0001", "id=ci_00001"),
+        ("id=ci_0001", "id=cnt_0002"),
+        ("id=ci_0001", "id=x_0001"),
+    ])
+    def test_an_id_the_tree_could_not_have_minted_is_refused(self, old, new):
+        tree = ResourceTree("MN-CSE")
+        a = tree.create(ResourcePath("MN-CSE"), ResourceKind.CONTAINER, "a")
+        tree.create(a, ResourceKind.CONTENT_INSTANCE, "x", content=b"v")
+        text = tree.serialize()
+        assert text.count(old) == 1
+        with pytest.raises(BadRequestError, match="not one the tree minted"):
+            ResourceTree.deserialize(text.replace(old, new))
+
+    @pytest.mark.parametrize("method", ["create", "graft", "graft_many"])
+    def test_ids_cross_four_digits_as_the_format_spec_does(self, method):
+        empty = ResourceTree("MN-CSE").serialize()
+        assert empty.count("cnt%3A0%2Cci%3A0") == 1
+        tree = ResourceTree.deserialize(empty.replace("cnt%3A0%2Cci%3A0", "cnt%3A9998%2Cci%3A9998"))
+        container, instance = ResourceKind.CONTAINER, ResourceKind.CONTENT_INSTANCE
+        if method == "create":
+            root = ResourcePath("MN-CSE")
+            paths = [tree.create(root, container), tree.create(root, container)]
+            paths += [tree.create(paths[0], instance, content=b"v") for _ in range(2)]
+            made = [tree.resolve(p) for p in paths]
+            assert [n.name for n in made] == [n.id for n in made]  # the peeked id is the name
+        elif method == "graft":
+            made = [tree.graft(tree.root, container, name, creation_time=0.0) for name in "ab"]
+            made += [tree.graft(made[0], instance, name, creation_time=0.0, content=b"v")
+                     for name in "xy"]
+        else:
+            made = tree.graft_many(tree.root, [
+                (-1, container, "a", 0.0, None, None, None),
+                (-1, container, "b", 0.0, None, None, None),
+                (0, instance, "x", 0.0, b"v", None, None),
+                (0, instance, "y", 0.0, b"v", None, None),
+            ])
+        assert [n.id for n in made] == [
+            f"{prefix}_{n:04d}" for prefix in ("cnt", "ci") for n in (9999, 10000)
+        ] == ["cnt_9999", "cnt_10000", "ci_9999", "ci_10000"]
+        assert ResourceTree.deserialize(tree.serialize()).serialize() == tree.serialize()
+
 
     def test_round_trip_answers_latest_and_matching_alike(self, clock):
         tree = make_location_tree(clock)
@@ -523,6 +568,15 @@ def grown_tree(seed: int) -> tuple[ResourceTree, ManualClock]:
     return tree, clock
 
 
+def rebind_labels(tree: ResourceTree) -> None:
+    """Labels are a tuple, so an in-place edit raises; rebinding them edits
+    only the node of the tree given."""
+    node = tree.resolve(location_path())
+    with pytest.raises(AttributeError):
+        node.labels.append("appended")  # type: ignore[attr-defined]
+    node.labels += ("appended",)
+
+
 def finalize_with_late_changed(tree: ResourceTree) -> None:
     """A lazy finalize whose snapshot of CitizenB has a changed "late"
     instance, which the merge replaces."""
@@ -543,7 +597,7 @@ COPY_WRITES = {
     "delete-instance": lambda t: t.delete(location_path().child("late")),
     "finalize-replaces-instance": finalize_with_late_changed,
     "labels": lambda t: t.update(location_path(), labels=["changed"]),
-    "labels-in-place": lambda t: t.resolve(location_path()).labels.append("appended"),
+    "labels-in-place": rebind_labels,
 }
 
 

@@ -1,6 +1,7 @@
 """Integration tests over the wire: every exchange is a primitive routed
 through the simulated network, as an object or as its encoding."""
 import base64
+import gc
 
 import pytest
 
@@ -121,6 +122,24 @@ class TestPreparation:
         running = system.edges["edge0"].worker.running_functions()
         assert instance.running_functions == running
         assert set(running) == {FunctionKind.RETRIEVE}
+
+    def test_a_cold_deployment_holds_at_most_one_tracked_object_per_record(self, config):
+        """An edge deployment's tracked objects after a cold prepare(), at
+        two task sizes: each further record may add one, its edge node. Two
+        sizes on one interpreter, so the count does not depend on timing."""
+        def held(cold) -> int:
+            gc.collect()
+            before = len(gc.get_objects())
+            system = build_system(cold, "edge", 42)
+            system.prepare()
+            gc.collect()
+            return len(gc.get_objects()) - before
+
+        sizes = [replace(config, pre_seeded_cache=False, prepopulate=n) for n in (100, 200)]
+        for cold in sizes:  # fills the cloud template cache and the other one-off caches
+            held(cold)
+        small, large = (held(cold) for cold in sizes)
+        assert large - small <= 100, (small, large)
 
     def test_second_request_is_fast_path_with_no_new_starts(self, config):
         system = build_system(config, "edge", 42)
@@ -772,10 +791,17 @@ class TestInitialCloudTree:
         target = ResourcePath.parse(config.workload_target)
         assert tree.resolve(target.child("p0")) is template.resolve(target.child("p0"))
         assert tree.resolve(target) is not template.resolve(target)
+
+        def labels_in_place() -> None:
+            node = tree.resolve(target)
+            with pytest.raises(AttributeError):  # labels are a tuple
+                node.labels.append("in-place")
+            node.labels += ("in-place",)
+
         writes = [
             lambda: tree.create(target, ResourceKind.CONTENT_INSTANCE, "extra", content=b"x"),
             lambda: tree.update(target, labels=["changed"]),
-            lambda: tree.resolve(target).labels.append("in-place"),
+            labels_in_place,
             lambda: tree.delete(target.child("p1")),  # an instance shared with the template
             lambda: tree.delete(target),  # the container of the shared instances
             lambda: tree.update(target.parent(), name="Renamed"),
