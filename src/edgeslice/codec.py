@@ -2,7 +2,8 @@
 
 A field line is ``key=value`` pairs joined by ``;`` with every value quoted,
 so a value may hold any text; resource records use one field layout on the
-wire and in ``ResourceTree.serialize``. Payloads are ``t:`` plus quoted text
+wire and in ``ResourceTree.serialize``, and a control body keeps its lines as
+pairs (``FieldBody``) until something reads its bytes. Payloads are ``t:`` plus quoted text
 when printable ASCII, else ``b:`` plus base64. ``quote`` and ``unquote`` equal
 urllib's, with the per-byte work left to C (``translate`` and ``replace``, or a
 compiled split and a table); numbers are read only as the encoders write them.
@@ -14,6 +15,7 @@ import base64
 import binascii
 import math
 import re
+from dataclasses import dataclass
 
 from .errors import BadRequestError
 
@@ -98,6 +100,34 @@ def encode_body(pairs: list[tuple[str, str]]) -> bytes:
 def decode_body(data: bytes | None) -> dict[str, str]:
     """Field line carried as a primitive's content."""
     return decode_fieldline(decode_ascii(data or b""))
+
+
+@dataclass(frozen=True)
+class FieldBody:
+    """A control message's content: its field lines, each kept as ``(key,
+    value)`` pairs. On the wire the lines are joined by newlines, so
+    ``to_bytes`` gives what ``encode_body`` gives for a one-line body."""
+
+    lines: tuple[tuple[tuple[str, str], ...], ...]
+
+    @classmethod
+    def line(cls, *pairs: tuple[str, str]) -> "FieldBody":
+        return cls((pairs,))
+
+    @property
+    def fields(self) -> dict[str, str]:
+        """The one line of a one-line body, as ``decode_body`` reads it."""
+        if len(self.lines) != 1:
+            raise BadRequestError(f"expected one field line, got {len(self.lines)}")
+        return dict(self.lines[0])
+
+    def to_bytes(self) -> bytes:
+        return "\n".join(map(encode_fieldline, self.lines)).encode("ascii")
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "FieldBody":
+        lines = decode_ascii(data).split("\n")
+        return cls(tuple([tuple(decode_fieldline(line).items()) for line in lines]))
 
 
 def decode_ascii(data: bytes) -> str:

@@ -6,6 +6,7 @@ simulated with a size/bandwidth transfer model and caches never evict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import BadRequestError, ImageNotFoundError
 from .slicing import FunctionKind, function_from_name
@@ -128,7 +129,7 @@ class WorkerCache:
     def has(self, image: FunctionImage) -> bool:
         return image.image_id in self.cached
 
-    def seed(self, images: "list[FunctionImage] | ImageCatalogue") -> None:
+    def seed(self, images: "Iterable[FunctionImage] | ImageCatalogue") -> None:
         if isinstance(images, ImageCatalogue):
             images = list(images._by_id.values())
         for image in images:

@@ -219,17 +219,6 @@ class BundleTransfer:
         return cls(tuple(decode_fieldline(head).items()), OffloadBundle.decode(text))
 
 
-def read_body(
-    content: "bytes | BundleTransfer | OffloadBundle | None", kind: type
-) -> "BundleTransfer | OffloadBundle":
-    """A message's content as ``kind`` (``BundleTransfer`` or
-    ``OffloadBundle``): the object a node sent, or the bytes of a payload
-    that arrived raw, decoded. Decoding raises only ``BadRequestError``."""
-    if isinstance(content, kind):
-        return content
-    return kind.from_bytes(b"" if content is None else content)
-
-
 @dataclass
 class SyncStats:
     notifications_applied: int = 0
@@ -278,8 +267,7 @@ def resolve_task_root(tree: ResourceTree, root_path: ResourcePath) -> Resource:
 def make_bundle(
     tree: ResourceTree, root_path: ResourcePath, task_id: str, exported_at: float
 ) -> OffloadBundle:
-    """Preorder snapshot of a subtree. A subscription stays home, and so
-    does anything a deserialized tree nests under one.
+    """Preorder snapshot of a subtree. A subscription stays home.
 
     The walk reads the tree's child index directly, with a stack of
     ``(parent record index, id)`` entries, so no path is built but the

@@ -5,8 +5,10 @@ response primitive. Its wire form, made by ``encode`` only when something
 reads it, is newline-separated ``key=value`` lines, each key once, in a fixed
 order, so equal primitives always encode to equal bytes, and ``len`` of a
 primitive is the length of that form. Content is bytes, or a parsed body
-whose ``to_bytes`` gives exactly the bytes it stands for. The codec's
-field-line and resource encoders are re-exported here.
+whose ``to_bytes`` gives exactly the bytes it stands for: a control body
+(``codec.FieldBody``), a bundle or a bundle transfer. ``read_body`` reads
+either form as the body. The codec's field-line and resource encoders are
+re-exported here.
 """
 from __future__ import annotations
 
@@ -67,6 +69,15 @@ class Body(Protocol):
     """Immutable parsed content that a primitive carries in place of bytes."""
 
     def to_bytes(self) -> bytes: ...
+
+
+def read_body(content: "bytes | Body | None", kind: type) -> Body:
+    """A message's content as ``kind``, a body class with ``from_bytes``:
+    the object a node sent, or the bytes of a payload that arrived raw,
+    decoded. Decoding raises only ``BadRequestError``."""
+    if isinstance(content, kind):
+        return content
+    return kind.from_bytes(b"" if content is None else content)
 
 
 def _content_bytes(content: "bytes | Body") -> bytes:

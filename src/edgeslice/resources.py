@@ -51,9 +51,22 @@ ID_PREFIX = {
 _ID_HEAD = {kind: prefix + "_" for kind, prefix in ID_PREFIX.items()}
 
 
+# per kind, the ids formatted so far in this process: ``_IDS[kind][n]`` is the
+# ``n``-th (0 is unused). Trees mint ids in order, so a list grows by one id
+# at a time, only to the largest id minted.
+_IDS = {kind: [""] for kind in ResourceKind}
+
+
 def _format_id(kind: ResourceKind, n: int) -> str:
-    """The ``n``-th id of ``kind``: ``f"{ID_PREFIX[kind]}_{n:04d}"``, in half the time."""
-    return _ID_HEAD[kind] + str(n).zfill(4)
+    """The ``n``-th id of ``kind`` (``n >= 1``): ``f"{ID_PREFIX[kind]}_{n:04d}"``."""
+    try:
+        return _IDS[kind][n]
+    except IndexError:
+        ids = _IDS[kind]
+        text = _ID_HEAD[kind] + str(n).zfill(4)
+        if n == len(ids):  # only the next one: a dump may set a counter far ahead
+            ids.append(text)
+        return text
 
 
 # Which child kinds may live under which parent kind. This table is the
@@ -662,6 +675,9 @@ class ResourceTree:
                     else tree._root_id is not None
                 ):
                     raise BadRequestError(f"resource {node.id!r} clashes or precedes its parent")
+                if pid is not None and node.kind not in LEGAL_CHILDREN[tree._nodes[pid].kind]:
+                    raise BadRequestError(f"resource {node.id!r}: {node.kind.name} may not be "
+                                          f"nested under {tree._nodes[pid].kind.name}")
                 tree._attach(node)  # preorder: every parent precedes its children
         except (IndexError, KeyError, ValueError) as exc:
             raise BadRequestError(f"malformed tree dump: {exc!r}") from None

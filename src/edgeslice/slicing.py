@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
-from .codec import decode_fieldline, encode_fieldline
 from .errors import BadRequestError
 
 BASE_PORT = 62590
@@ -22,6 +22,9 @@ class FunctionKind(Enum):
     NOTIFICATION = 3
     DATA_MANAGEMENT = 4
     DISCOVERY = 5
+
+    # as ResourceKind: members compare by identity, so hash by identity, in C
+    __hash__ = object.__hash__
 
 
 def port_for(function: FunctionKind) -> int:
@@ -70,18 +73,16 @@ class SliceProfile:
         if not self.required_functions:
             raise BadRequestError("a slice profile requires at least one function")
 
-    def to_text(self) -> str:
-        return encode_fieldline(
-            [
-                ("svc", self.service_id),
-                ("fn", ",".join(f.name.lower() for f in ordered(self.required_functions))),
-                ("lc", self.latency_class.value),
-            ]
+    def to_pairs(self) -> tuple[tuple[str, str], ...]:
+        return (
+            ("svc", self.service_id),
+            ("fn", ",".join(f.name.lower() for f in ordered(self.required_functions))),
+            ("lc", self.latency_class.value),
         )
 
     @classmethod
-    def from_text(cls, text: str) -> "SliceProfile":
-        rec = decode_fieldline(text)
+    def from_pairs(cls, pairs: "Iterable[tuple[str, str]]") -> "SliceProfile":
+        rec = dict(pairs)
         try:
             return cls(
                 service_id=rec["svc"],
@@ -105,18 +106,16 @@ class SlicingPlan:
         if fast != (not self.missing_functions):
             raise BadRequestError("fast path plans must have no missing functions")
 
-    def to_text(self) -> str:
-        return encode_fieldline(
-            [
-                ("dec", self.decision.value),
-                ("slc", self.target_slice),
-                ("mf", ",".join(f.name.lower() for f in ordered(self.missing_functions))),
-            ]
+    def to_pairs(self) -> tuple[tuple[str, str], ...]:
+        return (
+            ("dec", self.decision.value),
+            ("slc", self.target_slice),
+            ("mf", ",".join(f.name.lower() for f in ordered(self.missing_functions))),
         )
 
     @classmethod
-    def from_text(cls, text: str) -> "SlicingPlan":
-        rec = decode_fieldline(text)
+    def from_pairs(cls, pairs: "Iterable[tuple[str, str]]") -> "SlicingPlan":
+        rec = dict(pairs)
         try:
             return cls(
                 decision=PlanDecision(rec["dec"]),

@@ -2,10 +2,10 @@
 
 Every interaction is a request or response primitive routed by the
 simulator; nodes never share state. A control message travels as the
-primitive object itself, its bundle as records, and a data-plane message as
-its wire encoding. Either way the message's bytes are its ``encode()``,
-made only when something reads them, and a node decodes a payload that
-arrives as bytes. The cloud hosts the full service layer, the orchestrator
+primitive object itself, its body as field pairs (``FieldBody``), its bundle
+as records, and a data-plane message as its wire encoding. Either way the
+message's bytes are its ``encode()``, made only when something reads them,
+and a node decodes a payload that arrives as bytes. The cloud hosts the full service layer, the orchestrator
 and the offload coordinator; edge nodes host gated workers; devices issue
 requests and record round-trip times.
 
@@ -27,8 +27,7 @@ from dataclasses import replace
 from functools import lru_cache
 from typing import Callable
 
-from .codec import (decode_body, decode_fieldline, encode_b64, encode_body, encode_fieldline,
-                    parse_float, parse_int)
+from .codec import FieldBody, encode_b64, encode_body, parse_float, parse_int
 from .errors import (
     AlreadyOffloadedError,
     BadRequestError,
@@ -52,7 +51,6 @@ from .offload import (
     import_bundle,
     make_bundle,
     process_edge_events,
-    read_body,
     resolve_task_root,
 )
 from .orchestrator import ServiceRequest, SliceOrchestrator
@@ -65,6 +63,7 @@ from .primitives import (
     decode_request,
     decode_response,
     is_response,
+    read_body,
 )
 from .resources import ResourceKind, ResourcePath, ResourceTree
 from .scenario import ScenarioConfig
@@ -86,10 +85,23 @@ CONTROL_SIZE = 0
 MALFORMED_CONTROL = (BadRequestError, KeyError, ValueError)
 
 
+# the central service's own images: it hosts every function regardless of
+# the catalogue the edges pull from
+_CLOUD_BUILTINS = tuple(
+    FunctionImage(f"cloud-{fn.name.lower()}", fn, "builtin", 0) for fn in FunctionKind
+)
+_CLOUD_QUOTA = ResourceQuota(1, 1.0)
+
+
 # simulator events ``run_workload`` allows per request on top of the default
 # cap: an edge create takes 5 (request, processing, reply and the eager-sync
 # notify and its reply), a cloud create or retrieve 3
 EVENTS_PER_REQUEST = 10
+
+
+def _fields(content: "bytes | Body | None") -> dict[str, str]:
+    """A one-line control body, sent as a ``FieldBody`` or as bytes, as a dict."""
+    return read_body(content, FieldBody).fields
 
 
 def payload_for(size: int, index: int) -> bytes:
@@ -291,13 +303,13 @@ class EdgeNode(_Node):
         )
 
     def _handle_instantiate(self, req: RequestPrimitive) -> None:
-        plan_line, meta_line, *image_lines = (req.content or b"").decode("ascii").split("\n")
-        plan = SlicingPlan.from_text(plan_line)
-        meta = decode_fieldline(meta_line)
+        plan_line, meta_line, *image_lines = read_body(req.content, FieldBody).lines
+        plan = SlicingPlan.from_pairs(plan_line)
+        meta = dict(meta_line)
         ctx, svc = meta["ctx"], meta["svc"]  # read now: the steps below run later
         images = []
         for line in image_lines:
-            rec = decode_fieldline(line)
+            rec = dict(line)
             images.append(
                 FunctionImage(
                     image_id=rec["img"],
@@ -320,18 +332,18 @@ class EdgeNode(_Node):
             for fn in fresh_starts:
                 self.worker.stop_function(fn)
             self._sync_channel_state()
-            body = encode_body([("ctx", ctx), ("slc", plan.target_slice), ("err", message)])
+            body = FieldBody.line(("ctx", ctx), ("slc", plan.target_slice), ("err", message))
             self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, body)
 
         def step(index: int) -> None:
             if index == len(images):
-                pairs = [
+                body = FieldBody.line(
                     ("ctx", ctx),
                     ("slc", plan.target_slice),
                     ("svc", svc),
                     ("fn", ",".join(f"{fn.name}:{port}" for fn, port in sorted(started.items(), key=lambda kv: kv[0].value))),
-                ]
-                self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, encode_body(pairs))
+                )
+                self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, body)
                 return
             image = images[index]
             if image.function in self.worker.functions:
@@ -385,11 +397,11 @@ class EdgeNode(_Node):
             root=str(root),
         )
         self.system.last_import_ms = self.sim.now
-        body = encode_body([("task", task_id), ("root", str(root))])
+        body = FieldBody.line(("task", task_id), ("root", str(root)))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
     def _handle_finalize(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_body(req.content)
+        meta = _fields(req.content)
         task_id = meta["task"]
         root = ResourcePath.parse(meta["root"])
         try:
@@ -410,7 +422,7 @@ class EdgeNode(_Node):
         self.channel.when_idle(respond)  # drain in-flight notifications first
 
     def _handle_start(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_body(req.content)
+        meta = _fields(req.content)
         quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
         try:
             image = self.system.config.catalogue.by_id(meta["img"])
@@ -422,13 +434,13 @@ class EdgeNode(_Node):
         def complete() -> None:
             self.worker.complete_start(image.function)
             self._sync_channel_state()
-            body = encode_body([("port", str(instance.port))])
+            body = FieldBody.line(("port", str(instance.port)))
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
         self.sim.schedule(self.worker.start_delay_ms, complete)
 
     def _handle_stop(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_body(req.content)
+        meta = _fields(req.content)
         try:
             self.worker.stop_function(FunctionKind[meta["fn"]])
         except EdgeSliceError as exc:
@@ -438,7 +450,7 @@ class EdgeNode(_Node):
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
 
     def _handle_crash(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_body(req.content)
+        meta = _fields(req.content)
         function = FunctionKind[meta["fn"]]
         try:
             duration = self.worker.begin_crash(function)
@@ -452,7 +464,7 @@ class EdgeNode(_Node):
             self._sync_channel_state()
 
         self.sim.schedule(duration, respawned)
-        body = encode_body([("duration_ms", repr(duration))])
+        body = FieldBody.line(("duration_ms", repr(duration)))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
 
@@ -469,12 +481,9 @@ class CloudNode(_Node):
             clock=system.sim.time,
             processing_ms=config.processing_for(node_id),
         )
-        # the central service hosts every function regardless of the
-        # catalogue the edges pull from
-        for fn in FunctionKind:
-            builtin = FunctionImage(f"cloud-{fn.name.lower()}", fn, "builtin", 0)
-            self.service.cache.seed([builtin])
-            self.service.start_now(builtin, ResourceQuota(1, 1.0))
+        self.service.cache.seed(_CLOUD_BUILTINS)
+        for builtin in _CLOUD_BUILTINS:
+            self.service.start_now(builtin, _CLOUD_QUOTA)
         self.service.log.clear()
         self.orchestrator = SliceOrchestrator(config.topology, clock=system.sim.time)
         self.coordinator = OffloadCoordinator(self.tree, system.sim.time)
@@ -546,7 +555,7 @@ class CloudNode(_Node):
     # --- slicing control plane ---
 
     def _handle_service_request(self, req: RequestPrimitive) -> None:
-        profile = SliceProfile.from_text((req.content or b"").decode("ascii"))
+        profile = SliceProfile.from_pairs(_fields(req.content).items())
         device = req.originator
         plan = self.orchestrator.handle_service_request(
             ServiceRequest(device, profile.service_id, profile)
@@ -564,36 +573,20 @@ class CloudNode(_Node):
         if plan.decision is PlanDecision.INSTANTIATE_THEN_OFFLOAD:
             self.orchestrator.ensure_instance(plan.target_slice, edge)
             config = self.system.config
-            lines = [plan.to_text()]
-            lines.append(
-                encode_fieldline(
-                    [
-                        ("ctx", ctx),
-                        ("svc", profile.service_id),
-                        ("mem", str(config.quota.max_memory_bytes)),
-                        ("cpu", repr(config.quota.max_cpu_share)),
-                    ]
-                )
-            )
+            quota = config.quota
+            meta = (("ctx", ctx), ("svc", profile.service_id),
+                    ("mem", str(quota.max_memory_bytes)), ("cpu", repr(quota.max_cpu_share)))
+            lines = [plan.to_pairs(), meta]
             for fn in ordered(plan.missing_functions):
                 image = config.catalogue.lookup(fn)
-                lines.append(
-                    encode_fieldline(
-                        [
-                            ("img", image.image_id),
-                            ("fn", fn.name),
-                            ("ver", image.version),
-                            ("size", str(image.size_bytes)),
-                        ]
-                    )
-                )
-            body = "\n".join(lines).encode("ascii")
-            self.send_control(edge, Operation.SLICE_INSTANTIATE, body)
+                lines.append((("img", image.image_id), ("fn", fn.name), ("ver", image.version),
+                              ("size", str(image.size_bytes))))
+            self.send_control(edge, Operation.SLICE_INSTANTIATE, FieldBody(tuple(lines)))
         else:
             self._offload_phase(ctx)
 
     def _handle_record(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_body(req.content)
+        meta = _fields(req.content)
         ctx = meta["ctx"]
         context = self.service_ctx.get(ctx)
         if context is None:
@@ -651,7 +644,7 @@ class CloudNode(_Node):
         def on_ack(response: ResponsePrimitive) -> None:
             context = self.service_ctx[ctx]
             if response.ok:
-                meta = decode_body(response.content)
+                meta = _fields(response.content)
                 edge_root = ResourcePath.parse(meta["root"])
                 self.coordinator.register_binding(task, mode, edge, edge_root)
                 context["roots"].append(meta["root"])
@@ -672,10 +665,10 @@ class CloudNode(_Node):
     def _finish_service(self, ctx: str, status: StatusCode, detail: str = "") -> None:
         context = self.service_ctx.pop(ctx)
         self.sim.log("service_ready", ctx=ctx, edge=context["edge"], status=int(status))
-        pairs = [("edge", context["edge"]), ("roots", ",".join(context["roots"]))]
+        pairs = (("edge", context["edge"]), ("roots", ",".join(context["roots"])))
         if detail:
-            pairs.append(("err", detail))
-        body = encode_body(pairs)
+            pairs += (("err", detail),)
+        body = FieldBody.line(*pairs)
         rqi = context.get("reply_rqi", ctx)
         to = context.get("reply_to", context["device"])
         self.send(to, ResponsePrimitive(rqi, status, body), CONTROL_SIZE)
@@ -683,7 +676,7 @@ class CloudNode(_Node):
     # --- offload / terminate control plane ---
 
     def _handle_offload_request(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_body(req.content)
+        meta = _fields(req.content)
         spec = next(
             (t for t in self.system.config.tasks if t.task_id == meta["task"]), None
         )
@@ -705,7 +698,7 @@ class CloudNode(_Node):
         self._send_bundle(ctx, task, meta["edge"])
 
     def _handle_terminate(self, req: RequestPrimitive, sender: str) -> None:
-        meta = decode_body(req.content)
+        meta = _fields(req.content)
         slice_id = meta["slc"]
         instance = self.orchestrator.registry.get(slice_id)
         if instance is None:
@@ -733,7 +726,7 @@ class CloudNode(_Node):
                 finalize_next(index + 1)
 
             self.pending[rqi] = on_snapshot
-            body = encode_body([("task", binding.task_id), ("root", str(binding.edge_root))])
+            body = FieldBody.line(("task", binding.task_id), ("root", str(binding.edge_root)))
             self.send_control(edge, Operation.SYNC_FINALIZE, body, rqi)
 
         def stop_functions() -> None:
@@ -742,12 +735,12 @@ class CloudNode(_Node):
             def stop_next(index: int) -> None:
                 if index == len(functions):
                     self.orchestrator.forget_slice(slice_id)
-                    body = encode_body([("synced", str(synced_total))])
+                    body = FieldBody.line(("synced", str(synced_total)))
                     self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
                     return
                 rqi = self.system.next_control_rqi()
                 self.pending[rqi] = lambda resp: stop_next(index + 1)
-                body = encode_body([("fn", functions[index].name)])
+                body = FieldBody.line(("fn", functions[index].name))
                 self.send_control(edge, Operation.STOP_FUNCTION, body, rqi)
 
             stop_next(0)
@@ -829,7 +822,7 @@ class System:
             to=self.cloud_id,
             originator=device.node_id,
             request_id=rqi,
-            content=self.config.profile().to_text().encode("ascii"),
+            content=FieldBody.line(*self.config.profile().to_pairs()),
         )
         device.issue(req, self.edge_for(device.node_id), CONTROL_SIZE, on_ready or (lambda resp: None))
         return rqi

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from edgeslice.netsim import Network
-from edgeslice.offload import read_body
+from edgeslice.primitives import read_body
 from edgeslice.primitives import decode_request, decode_response, is_response
 
 os.environ.setdefault(

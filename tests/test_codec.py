@@ -23,13 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeslice.bench import build_system
 from edgeslice.codec import (
     PAYLOAD_SAFE,
+    FieldBody,
     decode_b64,
     decode_body,
     decode_fieldline,
     decode_labels,
     decode_payload,
+    encode_body,
     encode_payload,
     encode_resource,
     parse_float,
@@ -38,6 +41,7 @@ from edgeslice.codec import (
     unquote,
 )
 from edgeslice.errors import BadRequestError
+from edgeslice.netsim import Network
 from edgeslice.notify import parse_notify
 from edgeslice.offload import BundleRecord, OffloadBundle
 from edgeslice.primitives import (
@@ -57,6 +61,7 @@ from edgeslice.resources import (
     ResourcePath,
     ResourceTree,
 )
+from edgeslice.scenario import reference_calibrated
 from edgeslice.slicing import (
     FunctionKind,
     LatencyClass,
@@ -127,6 +132,27 @@ def test_unquote_equals_urllib(text):
 
 # --- every decoder raises only BadRequestError ---
 
+def _control_bodies() -> list[bytes]:
+    """The bytes of every field body sent in one edge preparation and one
+    slice termination of the calibrated scenario."""
+    system = build_system(reference_calibrated(), "edge", 42)
+    bodies = []
+
+    def capture(frm, to, payload, size):
+        if isinstance(getattr(payload, "content", None), FieldBody):
+            bodies.append(payload.content.to_bytes())
+        Network.send(system.network, frm, to, payload, size)
+
+    system.network.send = capture
+    system.prepare()
+    device = system.devices[system.device_id]
+    terminate = RequestPrimitive(Operation.SLICE_TERMINATE, system.cloud_id, device.node_id, "t-1",
+                                 content=FieldBody.line(("slc", "slice-edge0")))
+    device.issue(terminate, system.cloud_id, 0, lambda response: None)
+    system.run_until_idle()
+    return bodies
+
+
 def _seeds() -> dict[str, list[bytes]]:
     wire = {name: text.encode("utf-8") for name, text in samples().items()}
     notifies = [wire[name] for name in wire if name.startswith("notify_")]
@@ -139,8 +165,9 @@ def _seeds() -> dict[str, list[bytes]]:
         "notify": [decode_request(n).content for n in notifies],
         "bundle": [wire["bundle"]],
         "tree": [wire["serialize"]],
-        "profile": [profile.to_text().encode()],
-        "plan": [plan.to_text().encode()],
+        "fields": _control_bodies(),
+        "profile": [FieldBody.line(*profile.to_pairs()).to_bytes()],
+        "plan": [FieldBody.line(*plan.to_pairs()).to_bytes()],
         "payload": [b"t:nm%3Dx%3Bpc%3DAAAA", b"b:AAECAw=="],
     }
 
@@ -156,11 +183,12 @@ def _notify(data: bytes):
 TEXT_DECODERS = {
     "bundle": OffloadBundle.decode,
     "tree": ResourceTree.deserialize,
-    "profile": SliceProfile.from_text,
-    "plan": SlicingPlan.from_text,
     "payload": decode_payload,
 }
 DECODERS = {
+    "fields": FieldBody.from_bytes,
+    "profile": lambda data: SliceProfile.from_pairs(FieldBody.from_bytes(data).fields.items()),
+    "plan": lambda data: SlicingPlan.from_pairs(FieldBody.from_bytes(data).fields.items()),
     "request": decode_request,
     "response": decode_response,
     "resource": decode_resource,
@@ -203,8 +231,12 @@ REFUSED = {
         b"lbl=IN-CSE;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=nan;lt=0.0\n",
         b"lbl=IN-CSE;ctr=cb:1;seq=+0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n",
         b"lbl=IN-CSE;lbl=X;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n",
+        # a content instance directly under the CseBase: nesting that create() refuses
+        b"lbl=IN-CSE;ctr=cb:1,ci:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n"
+        b"id=ci_0001;pid=cb_0001;ty=4;nm=a;ct=0.0;lt=0.0\n",
     ],
-    "profile": [b"svc=s;svc=t;fn=retrieve;lc=normal"],
+    "fields": [b"a=1;a=2", b"a=1\nb", b"a=\xc3\xbc"],
+    "profile": [b"svc=s;svc=t;fn=retrieve;lc=normal", b"svc=s;fn=retrieve;lc=normal\n"],
     "plan": [b"dec=fast_path_offload_only;slc=s;mf=;slc=t"],
 }
 
@@ -490,12 +522,28 @@ def test_bundle_round_trip(bundle):
 )
 def test_profile_and_plan_round_trip(service, functions, latency, missing, target):
     profile = SliceProfile(service, functions, latency)
-    assert SliceProfile.from_text(profile.to_text()) == profile
+    body = FieldBody.line(*profile.to_pairs()).to_bytes()
+    assert SliceProfile.from_pairs(FieldBody.from_bytes(body).fields.items()) == profile
     decision = (
         PlanDecision.INSTANTIATE_THEN_OFFLOAD if missing else PlanDecision.FAST_PATH_OFFLOAD_ONLY
     )
     plan = SlicingPlan(decision, target, missing)
-    assert SlicingPlan.from_text(plan.to_text()) == plan
+    body = FieldBody.line(*plan.to_pairs()).to_bytes()
+    assert SlicingPlan.from_pairs(FieldBody.from_bytes(body).fields.items()) == plan
+
+
+# a key is never quoted, so it is printable ASCII without the separators
+FIELD_KEYS = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=";="),
+                     min_size=1, max_size=6)
+FIELD_LINES = st.dictionaries(FIELD_KEYS, TEXT, max_size=5).map(lambda fields: tuple(fields.items()))
+
+
+@PROPERTY
+@given(st.lists(FIELD_LINES, min_size=1, max_size=4).map(lambda lines: FieldBody(tuple(lines))))
+def test_field_body_round_trip(body):
+    data = body.to_bytes()
+    assert FieldBody.from_bytes(data) == body
+    assert data == b"\n".join(encode_body(list(line)) for line in body.lines)
 
 
 # --- one codec ---

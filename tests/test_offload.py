@@ -20,9 +20,9 @@ from edgeslice.offload import (
     create_sync_subscriptions,
     import_bundle,
     make_bundle,
-    read_body,
     subtrees_converged,
 )
+from edgeslice.primitives import read_body
 from edgeslice.resources import (
     ManualClock,
     ResourceKind,

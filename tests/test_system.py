@@ -8,6 +8,7 @@ import pytest
 from edgeslice import netsim
 from edgeslice import system as system_module
 from edgeslice.bench import build_system, road_config
+from edgeslice.codec import FieldBody
 from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError, SimulationLimitError
 from edgeslice.netsim import Network
 from edgeslice.offload import BundleTransfer, OffloadBundle, SyncMode, make_bundle, subtrees_converged
@@ -16,9 +17,9 @@ from edgeslice.primitives import (
     RequestPrimitive,
     ResponsePrimitive,
     StatusCode,
-    decode_fieldline,
     decode_resource,
     encode_fieldline,
+    read_body,
 )
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
 from edgeslice.scenario import TaskSpec, reference_calibrated
@@ -61,11 +62,16 @@ def admin(system, op, to, pairs, on_response=None, rqi="adm-1"):
     return responses
 
 
+def fields(response: ResponsePrimitive) -> dict[str, str]:
+    """A control reply's one-line body, read as its receiver reads it."""
+    return read_body(response.content, FieldBody).fields
+
+
 class TestPreparation:
     def test_edge_prepare_starts_profile_and_offloads(self, config):
         system = build_system(config, "edge", 42)
         ready = system.prepare()
-        meta = decode_fieldline((ready.content or b"").decode("ascii"))
+        meta = fields(ready)
         assert meta["edge"] == "edge0"
         assert "MN-CSE/Pedestrians/CitizenB" in meta["roots"]
         worker = system.edges["edge0"].worker
@@ -112,7 +118,7 @@ class TestPreparation:
         responses = []
         req = RequestPrimitive(
             Operation.SERVICE_REQUEST, system.cloud_id, device.node_id, "sr-wide",
-            content=wider.to_text().encode("ascii"),
+            content=FieldBody.line(*wider.to_pairs()),
         )
         device.issue(req, "edge0", 0, responses.append)
         system.run_until_idle()
@@ -296,7 +302,7 @@ class TestAdminProtocol:
             rqi="start-1",
         )
         assert responses[0].status is StatusCode.OK
-        body = decode_fieldline((responses[0].content or b"").decode("ascii"))
+        body = fields(responses[0])
         assert body["port"] == "62591"
         assert worker.enabled(FunctionKind.RETRIEVE)
 
@@ -439,7 +445,7 @@ class TestTerminationOverTheWire:
             rqi="term-1",
         )
         assert responses[0].status is StatusCode.OK
-        body = decode_fieldline((responses[0].content or b"").decode("ascii"))
+        body = fields(responses[0])
         assert body["synced"] == "5"
         assert system.edges["edge0"].worker.functions == {}
         assert system.cloud.orchestrator.registry == {}
@@ -483,7 +489,7 @@ class TestTerminationOverTheWire:
             system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")]
         )
         assert responses[0].status is StatusCode.OK
-        body = decode_fieldline((responses[0].content or b"").decode("ascii"))
+        body = fields(responses[0])
         assert body["synced"] == "0"
         assert system.edges["edge0"].worker.functions == {}
 
@@ -680,9 +686,10 @@ def logged(fn, log, position):
 
 class TestMessagesAsObjects:
     def test_only_data_plane_messages_are_encoded_on_their_way(self, config, monkeypatch):
-        """Control messages travel as objects, the bundle as its records and
-        the finalize reply as the bundle; each data-plane message is encoded
-        once, by its sender."""
+        """Control messages travel as objects, their bodies as field pairs,
+        the bundle as its records and the finalize reply as the bundle; each
+        data-plane message is encoded once, by its sender. Only the
+        terminate request that the test injects carries bytes."""
         encoded, payloads = [], []
         for cls in (RequestPrimitive, ResponsePrimitive):
             monkeypatch.setattr(cls, "encode", logged(cls.encode, encoded, 0))
@@ -697,7 +704,11 @@ class TestMessagesAsObjects:
         assert len(raw) == 10  # five data requests and their responses
         assert len(encoded) == len(raw)
         objects = [p for p in payloads if not isinstance(p, bytes)]
-        assert {type(m.content) for m in objects} == {bytes, type(None), BundleTransfer, OffloadBundle}
+        injected = [m for m in objects if isinstance(m, RequestPrimitive) and m.request_id == "adm-1"]
+        assert len(injected) == 1 and isinstance(injected[0].content, bytes)
+        sent = [m for m in objects if m is not injected[0]]
+        assert not [m for m in sent if isinstance(m.content, bytes)]
+        assert {type(m.content) for m in sent} == {FieldBody, type(None), BundleTransfer, OffloadBundle}
 
     def test_a_bundle_transfer_sent_as_bytes_is_imported(self, config):
         system = build_system(config, "edge", 42)
