@@ -40,11 +40,14 @@ def _version_key(version: str) -> tuple:
 
 
 class ImageCatalogue:
-    """(function, version) -> image, with semantic "latest" resolution."""
+    """(function, version) -> image, with semantic "latest" resolution. The
+    latest per function is kept in ``add`` (on a tie, the earlier image), so
+    a lookup parses no version string."""
 
     def __init__(self, images: "list[FunctionImage] | None" = None):
         self._images: dict[tuple[FunctionKind, str], FunctionImage] = {}
         self._by_id: dict[str, FunctionImage] = {}
+        self._latest: dict[FunctionKind, FunctionImage] = {}
         for image in images or []:
             self.add(image)
 
@@ -56,6 +59,9 @@ class ImageCatalogue:
             )
         self._images[key] = image
         self._by_id[image.image_id] = image
+        latest = self._latest.get(image.function)
+        if latest is None or _version_key(image.version) > _version_key(latest.version):
+            self._latest[image.function] = image
 
     def __len__(self) -> int:
         return len(self._images)
@@ -74,10 +80,10 @@ class ImageCatalogue:
                 raise ImageNotFoundError(
                     f"no image for {function.name}/{version}"
                 ) from None
-        candidates = [img for (fn, _), img in self._images.items() if fn is function]
-        if not candidates:
-            raise ImageNotFoundError(f"no image for function {function.name}")
-        return max(candidates, key=lambda img: _version_key(img.version))
+        try:
+            return self._latest[function]
+        except KeyError:
+            raise ImageNotFoundError(f"no image for function {function.name}") from None
 
     # catalogue file: one record per line -- image_id,function,version,size_bytes
     def dump(self) -> str:

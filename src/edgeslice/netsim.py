@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 from .errors import ConfigInvalidError, NoRouteError, SimulationLimitError
@@ -42,8 +43,8 @@ class Link:
 
 
 class Topology:
-    """Nodes and links, fixed once built. Routes are computed once per
-    (source, destination) pair and shared by everything that reads them."""
+    """Nodes and links, fixed once built. Routes and their links are computed
+    once per (source, destination) pair and shared by all that read them."""
 
     def __init__(self, nodes: list[Node], links: list[Link]):
         ids = [n.id for n in nodes]
@@ -74,6 +75,7 @@ class Topology:
         for peers in self._adjacency.values():
             peers.sort()
         self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._route_links: dict[tuple[str, str], tuple[Link, ...]] = {}
 
     def by_role(self, role: NodeRole) -> list[str]:
         return [n.id for n in self.nodes.values() if n.role is role]
@@ -105,6 +107,14 @@ class Topology:
         except KeyError:
             path = self._routes[key] = tuple(self._dijkstra(src, dst))
             return path
+
+    def route_links(self, src: str, dst: str) -> tuple[Link, ...]:
+        """The links along ``route(src, dst)``, computed on first use."""
+        links = self._route_links.get((src, dst))
+        if links is None:
+            path = self.route(src, dst)
+            links = self._route_links[(src, dst)] = tuple(map(self.link_between, path, path[1:]))
+        return links
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Minimal-total-delay route; deterministic tie-break by node id."""
@@ -146,10 +156,9 @@ class Topology:
 
     def path_delay_ms(self, src: str, dst: str) -> float:
         """Sum of one-way link delays along the route (no jitter/transfer)."""
-        path = self.route(src, dst)
         total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += self.link_between(a, b).delay_ms
+        for link in self.route_links(src, dst):
+            total += link.delay_ms
         return total
 
 
@@ -166,10 +175,15 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self.now = 0.0
-        self.rng = random.Random(seed)
+        self._seed = seed
         self._heap: list[SimEvent] = []
         self._seq = 0
         self.trace: list[dict] = []
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The jitter stream, seeded on first use: without jitter, never."""
+        return random.Random(self._seed)
 
     def time(self) -> float:
         return self.now
@@ -235,10 +249,9 @@ class Network:
 
     def send(self, frm: str, to: str, payload: object, size_bytes: int) -> float:
         """Schedule a delivery; returns the virtual arrival time."""
-        path = self.topology.route(frm, to)
         arrival = self.sim.now
-        for a, b in zip(path, path[1:]):
-            arrival += self.hop_latency_ms(self.link(a, b), size_bytes)
+        for link in self.topology.route_links(frm, to):
+            arrival += self.hop_latency_ms(link, size_bytes)
         self.sim.log("send", frm=frm, to=to, size=size_bytes, arrival=arrival)
 
         def deliver() -> None:
@@ -252,10 +265,7 @@ class Network:
         return self.topology.link_between(a, b)
 
     def bottleneck_bandwidth(self, src: str, dst: str) -> float:
-        path = self.route(src, dst)
-        return min(
-            self.link(a, b).bandwidth_bytes_per_s for a, b in zip(path, path[1:])
-        )
+        return min(link.bandwidth_bytes_per_s for link in self.topology.route_links(src, dst))
 
 
 @dataclass(frozen=True)

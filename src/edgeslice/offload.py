@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from operator import countOf, itemgetter
 from typing import Callable, NamedTuple
 
 from .codec import (decode_ascii, decode_b64, decode_fieldline, encode_b64, encode_fieldline,
@@ -270,24 +270,30 @@ def make_bundle(
     """Preorder snapshot of a subtree. A subscription stays home.
 
     The walk reads the tree's child index directly, with a stack of
-    ``(parent record index, id)`` entries, so no path is built but the
-    root's.
+    ``(iterator over a node's child ids, the node's record index)``
+    entries: a leaf's record is made where its id is read, and no path is
+    built but the root's.
     """
     root = resolve_task_root(tree, root_path)
     nodes, children = tree._nodes, tree._children
     subscription = ResourceKind.SUBSCRIPTION  # a local: reading an enum member is slow
-    records: list[BundleRecord] = []
     new = tuple.__new__  # the NamedTuple's generated __new__ is a Python function, twice as slow
-    stack = [(-1, root.id)]
+    records = [new(BundleRecord, (-1, root.kind, root.name, root.creation_time, root.content))]
+    append = records.append
+    stack = [(iter(children.get(root.id, {}).values()), 0)]
     while stack:
-        parent, node_id = stack.pop()
-        node = nodes[node_id]
-        if node.kind is subscription:
-            continue
-        kids = children.get(node_id)
-        if kids:
-            stack.extend(zip(repeat(len(records)), reversed(kids.values())))
-        records.append(new(BundleRecord, (parent, node.kind, node.name, node.creation_time, node.content)))
+        kids, parent = stack[-1]
+        for node_id in kids:
+            node = nodes[node_id]
+            if node.kind is subscription:
+                continue
+            append(new(BundleRecord, (parent, node.kind, node.name, node.creation_time, node.content)))
+            below = children.get(node_id)
+            if below:  # its subtree comes next; this node's siblings after it
+                stack.append((iter(below.values()), len(records) - 1))
+                break
+        else:
+            stack.pop()
     return OffloadBundle(task_id, exported_at, str(tree.path_of(root)), tuple(records))
 
 
@@ -297,27 +303,21 @@ def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePat
 
     The task root keeps its grouping segments with the cse label rewritten
     to the edge tree's label; missing grouping containers are created on the
-    fly. Source creation times are preserved; ids are minted by the edge
-    tree. The grouping containers and the records go in as one
-    ``graft_many`` batch, which checks every name, kind and sibling before
-    the first insert; the import itself checks only that the root is the
-    one record at -1 and that every other record's parent comes before it.
+    fly, at the bundle's export time. Source creation times are preserved;
+    ids are minted by the edge tree. The records go to one ``graft_many``
+    call as they are, behind the grouping containers: it checks every
+    parent index, name, kind and sibling as it goes and takes a refused
+    batch out again. The import itself checks only that the root is the one
+    record at -1.
     """
     records = bundle.records
     if not records:
         raise BadRequestError("bundle has no records")
+    if records[0].parent != -1 or countOf(map(itemgetter(0), records), -1) != 1:
+        raise BadRequestError("a bundle's first record, and only it, is the task root at -1")
     root_target = ResourcePath(edge_tree.cse_label, ResourcePath.parse(bundle.root).segments)
     parent, missing = _grouping_parent(edge_tree, root_target)
-    batch = [
-        (index - 1, ResourceKind.CONTAINER, segment, bundle.exported_at, None, None, None)
-        for index, segment in enumerate(missing)
-    ]
-    shift = len(batch)
-    for index, (up, kind, name, created, content) in enumerate(records):
-        if not (0 <= up < index if index else up == -1):
-            raise BadRequestError(f"bundle record {index} has parent index {up}")
-        batch.append((up + shift, kind, name, created, content, None, None))
-    edge_tree.graft_many(parent, batch)
+    edge_tree.graft_many(parent, records, missing, bundle.exported_at)
     return root_target
 
 
@@ -325,19 +325,15 @@ def _grouping_parent(
     edge_tree: ResourceTree, root_target: ResourcePath
 ) -> tuple[Resource, tuple[str, ...]]:
     """The deepest existing node above the task root and the grouping
-    segments still to create under it; a task root that is on the edge tree
-    already is refused."""
-    grouping = root_target.segments[:-1]
+    segments still to create under it, found on the tree's child index; a
+    task root that is on the edge tree already is refused."""
+    segments, children = root_target.segments, edge_tree._children
     parent = edge_tree.root
-    for depth in range(1, len(grouping) + 1):
-        try:
-            parent = edge_tree.resolve(ResourcePath(edge_tree.cse_label, grouping[:depth]))
-        except NotFoundError:
-            return parent, grouping[depth - 1:]
-    try:
-        edge_tree.resolve(root_target)
-    except NotFoundError:
-        return parent, ()
+    for depth, segment in enumerate(segments):
+        child_id = children.get(parent.id, {}).get(segment)
+        if child_id is None:
+            return parent, segments[depth:-1]
+        parent = edge_tree.get(child_id)
     raise ConflictError(f"{root_target} already exists on the edge tree")
 
 
@@ -359,19 +355,22 @@ def create_sync_subscriptions(
 
     Subscriptions observe a container's children, so an Ae-rooted task with
     no containers yields zero subscriptions; direct children added under
-    such a root reach the mirror at finalize time, not eagerly.
+    such a root reach the mirror at finalize time, not eagerly. The walk
+    reads the child index and stacks only children that can hold a container.
     """
+    nodes, children = edge_tree._nodes, edge_tree._children
     containers = []
     stack = [edge_tree.resolve(edge_root)]
     while stack:
         node = stack.pop()
         if node.kind is ResourceKind.CONTAINER:
             containers.append(node)
-        stack.extend(reversed(
-            [c for c in edge_tree.children(node.id) if c.kind in _HOLDS_CONTAINERS]
-        ))
-    for container in containers:
-        container_path = edge_tree.path_of(container)
+        kids = children.get(node.id)
+        if kids:
+            stack.extend(reversed([kid for kid in map(nodes.__getitem__, kids.values())
+                                   if kid.kind in _HOLDS_CONTAINERS]))
+    for node in containers:
+        container_path = edge_tree.path_of(node)
         mirror_path = container_path.rebase(edge_root, mirror_root)
         edge_tree.create(
             container_path,

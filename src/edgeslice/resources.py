@@ -50,6 +50,12 @@ ID_PREFIX = {
 }
 _ID_HEAD = {kind: prefix + "_" for kind, prefix in ID_PREFIX.items()}
 
+# the members, in declaration order, as module globals: reading one through
+# the class costs over ten times as much, and every create reads several
+_CSE_BASE, _AE, _CONTAINER, _INSTANCE, _SUBSCRIPTION = ResourceKind
+
+
+_NO_IDS = dict.fromkeys(ResourceKind, 0)  # id counters of a tree with no resources
 
 # per kind, the ids formatted so far in this process: ``_IDS[kind][n]`` is the
 # ``n``-th (0 is unused). Trees mint ids in order, so a list grows by one id
@@ -241,9 +247,9 @@ class ResourceTree:
 
     def __init__(self, cse_label: str, clock: Callable[[], float] | None = None):
         self._reset(cse_label, clock)
-        root_id = self._mint_id(ResourceKind.CSE_BASE)
+        root_id = self._mint_id(_CSE_BASE)
         now = self._clock()
-        self._attach(Resource(root_id, cse_label, ResourceKind.CSE_BASE, None, now, now))
+        self._attach(Resource(root_id, cse_label, _CSE_BASE, None, now, now))
 
     def _reset(self, cse_label: str, clock: Callable[[], float] | None) -> None:
         """No resources yet; id counters and the event sequence at zero."""
@@ -254,7 +260,7 @@ class ResourceTree:
         self._children: dict[str, dict[str, str]] = {}
         self._subscriptions: dict[str, list[str]] = {}
         self._latest: dict[str, str] = {}
-        self._counters: dict[ResourceKind, int] = {k: 0 for k in ResourceKind}
+        self._counters: dict[ResourceKind, int] = dict(_NO_IDS)
         self._event_seq = 0
         self._events: list[ChangeEvent] = []
         self.guard: Callable[[ResourcePath, str], None] | None = None
@@ -310,7 +316,7 @@ class ResourceTree:
 
         Ties are broken by insertion order: the later-created sibling wins.
         """
-        if container.kind != ResourceKind.CONTAINER:
+        if container.kind is not _CONTAINER:
             raise BadRequestError("latest-instance lookup requires a container")
         latest_id = self._latest.get(container.id)
         if latest_id is None:
@@ -371,9 +377,10 @@ class ResourceTree:
             self._root_id = node.id
             return
         self._children.setdefault(parent_id, {})[node.name] = node.id
-        if node.kind is ResourceKind.SUBSCRIPTION:
+        kind = node.kind
+        if kind is _SUBSCRIPTION:
             self._subscriptions.setdefault(parent_id, []).append(node.id)
-        elif node.kind is ResourceKind.CONTENT_INSTANCE:
+        elif kind is _INSTANCE:
             latest_id = self._latest.get(parent_id)
             if latest_id is None or node.creation_time >= self._nodes[latest_id].creation_time:
                 self._latest[parent_id] = node.id
@@ -384,13 +391,13 @@ class ResourceTree:
         parent_id: str = node.parent_id  # type: ignore[assignment]
         siblings = self._children[parent_id]
         del siblings[node.name]
-        if node.kind is ResourceKind.SUBSCRIPTION:
+        if node.kind is _SUBSCRIPTION:
             self._subscriptions[parent_id].remove(node.id)
         elif self._latest.get(parent_id) == node.id:
             best: Resource | None = None
             for child_id in siblings.values():
                 child = self._nodes[child_id]
-                if child.kind is ResourceKind.CONTENT_INSTANCE and (
+                if child.kind is _INSTANCE and (
                     best is None or child.creation_time >= best.creation_time
                 ):
                     best = child
@@ -419,13 +426,13 @@ class ResourceTree:
         _check_child(parent.kind, kind, name)
         if name in self._children.get(parent.id, ()):
             raise BadRequestError(f"sibling name {name!r} already exists under {parent.name!r}")
-        if content is not None and kind != ResourceKind.CONTENT_INSTANCE:
+        if content is not None and kind is not _INSTANCE:
             raise BadRequestError("only content instances carry content")
-        if kind == ResourceKind.CONTENT_INSTANCE and content is None:
+        if kind is _INSTANCE and content is None:
             raise BadRequestError("content instance requires content")
-        if notification_target is not None and kind != ResourceKind.SUBSCRIPTION:
+        if notification_target is not None and kind is not _SUBSCRIPTION:
             raise BadRequestError("only subscriptions carry a notification target")
-        if kind == ResourceKind.SUBSCRIPTION and notification_target is None:
+        if kind is _SUBSCRIPTION and notification_target is None:
             raise BadRequestError("subscription requires a notification target")
         new_path = parent_path.child(name)  # parent_path resolved, so it is canonical
         self._check_guard(new_path, "create")
@@ -447,84 +454,95 @@ class ResourceTree:
         *,
         creation_time: float,
         content: bytes | None = None,
-        notification_target: tuple[str, str] | None = None,
         labels: Sequence[str] | None = None,
         emit_event: bool = False,
     ) -> Resource:
         """Insert one replicated resource under a live node of this tree,
         preserving its source creation time; returns the new resource. This
-        is ``graft_many`` with a batch of one.
+        is ``graft_many`` with a batch of one, the labels then set on the new
+        node.
 
         Used by mirror replay and snapshot merges, which resolve the parent
         themselves. Mirror replay grafts emit events so applications
         watching the mirror observe synchronized data.
         """
-        (node,) = self.graft_many(
-            parent, [(-1, kind, name, creation_time, content, notification_target, labels)]
-        )
+        (node,) = self.graft_many(parent, ((-1, kind, name, creation_time, content),))
+        if labels:
+            node.labels = tuple(labels)
         if emit_event:
             self._emit("created", self.path_of(node), node)
         return node
 
-    def graft_many(self, parent: Resource, nodes: Sequence[tuple]) -> list[Resource]:
+    def graft_many(self, parent: Resource, nodes: Sequence[tuple], grouping: Sequence[str] = (),
+                   grouped_at: float = 0.0) -> list[Resource]:
         """Insert a batch of replicated resources under a live node of this
-        tree, preserving their source creation times; returns the new
-        resources in batch order. Emits no events.
-
-        Each node is ``(parent, kind, name, creation_time, content,
-        notification_target, labels)``, where ``parent`` is -1 for the
-        batch's ``parent`` or the index of an earlier node of the batch.
-        Every node is checked before the first id is minted: a legal name, a
-        kind allowed under its parent's kind, and a name that no sibling on
-        the tree or earlier in the batch has. A refused batch leaves the tree
-        as it was, id counters included. The clock is read once.
-
-        Ids are minted and nodes attached in the loop itself, as
-        ``_mint_id`` and ``_attach`` would do it, since a bundle import runs
-        the loop once per record.
+        tree, keeping their source creation times; returns them in batch
+        order. Emits no events and reads the clock once. A node is shaped as
+        an offload ``BundleRecord``, ``(parent, kind, name, creation_time,
+        content)``, ``parent`` being -1 for the batch's parent or an earlier
+        node's index. The containers named in ``grouping``, created at
+        ``grouped_at``, each under the one before, go in first; the last is
+        the batch's parent. Each node is checked as it goes in (parent
+        index, name, kind, sibling names), and a refused batch is taken out
+        again: the tree is as it was, id counters and ``/la`` pointers
+        included. Ids are minted and nodes attached in the loop itself, as
+        ``_mint_id`` and ``_attach`` would, since an import runs it once per
+        record.
         """
-        kinds: list[ResourceKind] = []
-        taken: dict[int, set[str]] = {}  # batch parent index to its children's names
-        live = self._children.get(parent.id, ())
-        for index, kind, name, _, _, _, _ in nodes:
-            under = parent.kind if index < 0 else kinds[index]
-            if kind not in LEGAL_CHILDREN[under] or not name or "/" in name or name == LATEST_SEGMENT:
-                _check_child(under, kind, name)  # raises, with the reason
-            names = taken.get(index)
-            if names is None:
-                names = taken[index] = set()
-            if name in names or (index < 0 and name in live):
-                raise BadRequestError(f"sibling name {name!r} is already taken")
-            names.add(name)
-            kinds.append(kind)
         now = self._clock()
         counters, by_id, children, latest = self._counters, self._nodes, self._children, self._latest
-        # locals: reading an enum member is slow
-        instance, subscription = ResourceKind.CONTENT_INSTANCE, ResourceKind.SUBSCRIPTION
+        saved = dict(counters)
+        legal, ids, instance, subscription = LEGAL_CHILDREN, _IDS, _INSTANCE, _SUBSCRIPTION
+        chain = [(i - 1, _CONTAINER, name, grouped_at, None) for i, name in enumerate(grouping)]
         made: list[Resource] = []
-        for index, kind, name, created, content, target, labels in nodes:
-            count = counters[kind] = counters[kind] + 1
-            node_id = _format_id(kind, count)
-            parent_id = parent.id if index < 0 else made[index].id
-            node = Resource(
-                node_id, name, kind, parent_id, created, now, content, target,
-                tuple(labels) if labels else (),
-            )
-            by_id[node_id] = node
-            siblings = children.get(parent_id)
-            if siblings is None:
-                siblings = children[parent_id] = {}
-            siblings[name] = node_id
-            if kind is instance:
-                latest_id = latest.get(parent_id)
-                if latest_id is None or created >= by_id[latest_id].creation_time:
-                    latest[parent_id] = node_id
-            elif kind is subscription:
-                self._subscriptions.setdefault(parent_id, []).append(node_id)
-            made.append(node)
+        append, top = made.append, parent
+        try:
+            for batch in (chain, nodes):
+                offset = len(made)  # a batch's index i names made[offset + i]
+                for index, kind, name, created, content in batch:
+                    if index < 0:
+                        if index != -1:
+                            raise BadRequestError(f"batch parent index {index} is below -1")
+                        up = top
+                    else:
+                        up = made[offset + index]  # an IndexError if not an earlier node
+                    if kind not in legal[up.kind] or not name or "/" in name or name == LATEST_SEGMENT:
+                        _check_child(up.kind, kind, name)  # raises, with the reason
+                    parent_id = up.id
+                    siblings = children.get(parent_id)
+                    if siblings is None:
+                        siblings = children[parent_id] = {}
+                    elif name in siblings:
+                        raise BadRequestError(f"sibling name {name!r} is already taken")
+                    count = counters[kind] = counters[kind] + 1
+                    try:
+                        node_id = ids[kind][count]
+                    except IndexError:
+                        node_id = _format_id(kind, count)
+                    node = by_id[node_id] = Resource(node_id, name, kind, parent_id, created, now, content)
+                    siblings[name] = node_id
+                    if kind is instance:
+                        latest_id = latest.get(parent_id)
+                        if latest_id is None or created >= by_id[latest_id].creation_time:
+                            latest[parent_id] = node_id
+                    elif kind is subscription:
+                        self._subscriptions.setdefault(parent_id, []).append(node_id)
+                    append(node)
+                if made:
+                    top = made[-1]  # the last grouping container
+        except Exception as exc:
+            for node in reversed(made):  # take the batch out again
+                if node.parent_id == parent.id:
+                    self._detach(node)  # rescans parent's /la if the node took it
+                for table in (by_id, children, self._subscriptions, latest):
+                    table.pop(node.id, None)
+            self._counters = saved
+            if isinstance(exc, IndexError):
+                raise BadRequestError("a batch node's parent index names no earlier node") from None
+            raise
         if made:
             parent.last_modified_time = now
-        return made
+        return made[len(chain):] if chain else made
 
     def update(
         self,
@@ -538,13 +556,13 @@ class ResourceTree:
     ) -> Resource:
         """Replace named fields; content instances are immutable records."""
         node = self.resolve(path)
-        if node.kind == ResourceKind.CONTENT_INSTANCE:
+        if node.kind is _INSTANCE:
             raise BadRequestError("content instances are write-once")
         if kind is not _UNSET:
             raise BadRequestError("resource kind cannot be changed")
         if content is not _UNSET:
             raise BadRequestError("content cannot be updated")
-        if notification_target is not None and node.kind != ResourceKind.SUBSCRIPTION:
+        if notification_target is not None and node.kind is not _SUBSCRIPTION:
             raise BadRequestError("only subscriptions carry a notification target")
         self._check_guard(self.path_of(node), "update")
         old_name = None
@@ -597,7 +615,7 @@ class ResourceTree:
         Does not emit an event; used when a rename shifts mirror paths.
         """
         node = self.get(subscription_id)
-        if node.kind != ResourceKind.SUBSCRIPTION:
+        if node.kind is not _SUBSCRIPTION:
             raise BadRequestError("retarget requires a subscription")
         node.notification_target = target
 
@@ -607,7 +625,7 @@ class ResourceTree:
         node but a content instance is a fresh resource sharing the source's
         label tuple and content bytes; instances are shared with the source,
         since a content instance is never edited in place."""
-        instance = ResourceKind.CONTENT_INSTANCE
+        instance = _INSTANCE
         tree = ResourceTree.__new__(ResourceTree)
         tree._reset(self.cse_label, clock)
         tree._root_id = self._root_id
@@ -675,7 +693,12 @@ class ResourceTree:
                     else tree._root_id is not None
                 ):
                     raise BadRequestError(f"resource {node.id!r} clashes or precedes its parent")
-                if pid is not None and node.kind not in LEGAL_CHILDREN[tree._nodes[pid].kind]:
+                if pid is None:
+                    if node.kind is not _CSE_BASE or node.name != tree.cse_label:
+                        # what ``ResourceTree()`` makes: a CseBase named after the label
+                        raise BadRequestError(f"root {node.id!r} is not a CseBase named "
+                                              f"{tree.cse_label!r}")
+                elif node.kind not in LEGAL_CHILDREN[tree._nodes[pid].kind]:
                     raise BadRequestError(f"resource {node.id!r}: {node.kind.name} may not be "
                                           f"nested under {tree._nodes[pid].kind.name}")
                 tree._attach(node)  # preorder: every parent precedes its children

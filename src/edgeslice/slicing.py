@@ -27,8 +27,11 @@ class FunctionKind(Enum):
     __hash__ = object.__hash__
 
 
+_ORDER = {f: f.value for f in FunctionKind}  # a dict read is cheaper than ``.value``
+
+
 def port_for(function: FunctionKind) -> int:
-    return BASE_PORT + function.value
+    return BASE_PORT + _ORDER[function]
 
 
 _FUNCTION_NAMES = {f.name.lower(): f for f in FunctionKind}
@@ -42,7 +45,7 @@ def function_from_name(name: str) -> FunctionKind:
 
 
 def ordered(functions: "frozenset[FunctionKind] | set[FunctionKind]") -> list[FunctionKind]:
-    return sorted(functions, key=lambda f: f.value)
+    return sorted(functions, key=_ORDER.__getitem__)
 
 
 class LatencyClass(Enum):

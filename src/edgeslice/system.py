@@ -68,7 +68,7 @@ from .primitives import (
 from .resources import ResourceKind, ResourcePath, ResourceTree
 from .scenario import ScenarioConfig
 from .slicing import FunctionKind, PlanDecision, SliceProfile, SliceState, SlicingPlan, ordered
-from .worker import EdgeWorker, ResourceQuota
+from .worker import EdgeWorker, FunctionInstance, ResourceQuota
 
 DATA_OPS = (
     Operation.CREATE,
@@ -91,6 +91,18 @@ _CLOUD_BUILTINS = tuple(
     FunctionImage(f"cloud-{fn.name.lower()}", fn, "builtin", 0) for fn in FunctionKind
 )
 _CLOUD_QUOTA = ResourceQuota(1, 1.0)
+_CLOUD_CAPACITY = 10**15
+
+
+@lru_cache(maxsize=1)
+def _cloud_functions() -> dict[FunctionKind, FunctionInstance]:
+    """The builtins as they run once started, at time 0: started once per
+    process through the worker lifecycle, then copied by each cloud."""
+    worker = EdgeWorker("cloud", ResourceTree("IN-CSE"), capacity_bytes=_CLOUD_CAPACITY)
+    worker.cache.seed(_CLOUD_BUILTINS)
+    for builtin in _CLOUD_BUILTINS:
+        worker.start_now(builtin, _CLOUD_QUOTA)
+    return worker.functions
 
 
 # simulator events ``run_workload`` allows per request on top of the default
@@ -341,7 +353,7 @@ class EdgeNode(_Node):
                     ("ctx", ctx),
                     ("slc", plan.target_slice),
                     ("svc", svc),
-                    ("fn", ",".join(f"{fn.name}:{port}" for fn, port in sorted(started.items(), key=lambda kv: kv[0].value))),
+                    ("fn", ",".join(f"{fn.name}:{started[fn]}" for fn in ordered(started))),
                 )
                 self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, body)
                 return
@@ -476,15 +488,15 @@ class CloudNode(_Node):
         self.service = EdgeWorker(
             node_id,
             self.tree,
-            capacity_bytes=10**15,
+            capacity_bytes=_CLOUD_CAPACITY,
             start_delay_ms=0.0,
             clock=system.sim.time,
             processing_ms=config.processing_for(node_id),
         )
         self.service.cache.seed(_CLOUD_BUILTINS)
-        for builtin in _CLOUD_BUILTINS:
-            self.service.start_now(builtin, _CLOUD_QUOTA)
-        self.service.log.clear()
+        # the builtins run from time 0, and their start is not logged
+        self.service.functions = {fn: FunctionInstance(**vars(inst))
+                                  for fn, inst in _cloud_functions().items()}
         self.orchestrator = SliceOrchestrator(config.topology, clock=system.sim.time)
         self.coordinator = OffloadCoordinator(self.tree, system.sim.time)
         self.channel = NotificationChannel(self._notify_transport, self.sim.schedule)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable
 
 from .codec import decode_b64, decode_body, decode_labels, decode_target, encode_body, encode_resource
@@ -66,6 +67,8 @@ _ERROR_STATUS = {
     ConflictError: StatusCode.CONFLICT,
 }
 
+_MEMORY = attrgetter("quota.max_memory_bytes")  # of a FunctionInstance
+
 # Create routing depends on the created kind; everything else on the target.
 _CREATE_FUNCTION = {
     ResourceKind.CSE_BASE: FunctionKind.REGISTRATION,
@@ -110,7 +113,7 @@ class EdgeWorker:
     # --- lifecycle ---
 
     def reserved_memory(self) -> int:
-        return sum(inst.quota.max_memory_bytes for inst in self.functions.values())
+        return sum(map(_MEMORY, self.functions.values()))
 
     def begin_start(self, image: FunctionImage, quota: ResourceQuota) -> FunctionInstance:
         """Admit a function start; it becomes running after start_delay_ms."""
@@ -133,14 +136,17 @@ class EdgeWorker:
             quota=quota,
         )
         self.functions[image.function] = instance
-        self._log("start_begin", function=image.function.name, port=instance.port)
+        # a dict literal: ``_log``'s keyword arguments cost a dict more
+        self.log.append({"ts": self._clock(), "action": "start_begin",
+                         "function": image.function.name, "port": instance.port})
         return instance
 
     def complete_start(self, function: FunctionKind) -> FunctionInstance:
         instance = self.functions[function]
         instance.state = InstanceState.RUNNING
         instance.started_at = self._clock()
-        self._log("start_complete", function=function.name, port=instance.port)
+        self.log.append({"ts": instance.started_at, "action": "start_complete",
+                         "function": function.name, "port": instance.port})
         return instance
 
     def start_now(self, image: FunctionImage, quota: ResourceQuota) -> FunctionInstance:

@@ -234,6 +234,9 @@ REFUSED = {
         # a content instance directly under the CseBase: nesting that create() refuses
         b"lbl=IN-CSE;ctr=cb:1,ci:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n"
         b"id=ci_0001;pid=cb_0001;ty=4;nm=a;ct=0.0;lt=0.0\n",
+        # a root that is not a CseBase, and a root not named after the label
+        b"lbl=IN-CSE;ctr=cnt:1;seq=0\nid=cnt_0001;pid=-;ty=3;nm=IN-CSE;ct=0.0;lt=0.0\n",
+        b"lbl=IN-CSE;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=OTHER;ct=0.0;lt=0.0\n",
     ],
     "fields": [b"a=1;a=2", b"a=1\nb", b"a=\xc3\xbc"],
     "profile": [b"svc=s;svc=t;fn=retrieve;lc=normal", b"svc=s;fn=retrieve;lc=normal\n"],

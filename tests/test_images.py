@@ -92,3 +92,21 @@ def test_link_accurate_pull_adds_propagation():
     cache = WorkerCache("edge0")
     image = FunctionImage("img", FunctionKind.RETRIEVE, "1.0.0", 100 * MB)
     assert pull_image(cache, image, 100 * MB, extra_delay_ms=1.2) == 1001.2
+
+
+@pytest.mark.parametrize("versions", [
+    ["1.10.0", "1.2.0", "1.0.0"],
+    ["1.2.0", "1.10.0", "1.10"],
+    ["1.0", "01.0", "1.0.0-rc", "0.9"],  # 1.0 and 01.0 tie: the earlier stays latest
+])
+def test_latest_is_kept_current_as_images_are_added(versions):
+    def key(image):
+        return tuple((1, t) if not t.isdigit() else (0, int(t)) for t in image.version.split("."))
+
+    cat = ImageCatalogue()
+    added = []
+    for v in versions:
+        image = FunctionImage(f"i{v}", FunctionKind.RETRIEVE, v, MB)
+        cat.add(image)
+        added.append(image)
+        assert cat.lookup(FunctionKind.RETRIEVE) is max(added, key=key)  # max keeps the first

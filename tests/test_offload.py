@@ -238,6 +238,32 @@ class TestImport:
         assert str(import_bundle(h.edge_tree, good)) == "MN-CSE/Cars/CarA"
         assert len(h.edge_tree) == size + 4 + (0 if size > 1 else 1)
 
+    def test_refused_at_its_last_record_after_grouping_containers(self):
+        # two grouping containers, under a live container whose /la the
+        # batch does not touch, then a record refused at the very end
+        h = Harness()
+        h.edge_tree.create(P("MN-CSE"), ResourceKind.CONTAINER, "Fleet")
+        h.edge_tree.create(P("MN-CSE/Fleet"), ResourceKind.CONTENT_INSTANCE, "old", content=b"x")
+        h.edge_tree.drain_events()
+        good = h.coordinator.export_task(h.task)
+        records = good.records + (good.records[-1],)  # a repeated sibling, last
+        bad = replace(good, root="IN-CSE/Fleet/Cars/Depot/CarA", records=records)
+        untouched = h.edge_tree.copy()
+        size, dump = len(h.edge_tree), h.edge_tree.serialize()
+        with pytest.raises(BadRequestError, match="already taken"):
+            import_bundle(h.edge_tree, bad)
+        assert len(h.edge_tree) == size
+        assert h.edge_tree.serialize() == dump
+        assert h.edge_tree.resolve(P("MN-CSE/Fleet/la")).name == "old"
+        for tree in (h.edge_tree, untouched):
+            tree.drain_events()
+        for kind, content in ((ResourceKind.CONTAINER, None), (ResourceKind.CONTENT_INSTANCE, b"v")):
+            # an omitted name is the id the tree mints next
+            made = [str(t.create(P("MN-CSE/Fleet"), kind, content=content))
+                    for t in (h.edge_tree, untouched)]
+            assert made[0] == made[1]
+        assert str(import_bundle(h.edge_tree, replace(good, root=bad.root))) == "MN-CSE/Fleet/Cars/Depot/CarA"
+
 
 class TestEagerSetup:
     def test_one_subscription_per_container(self):
@@ -547,6 +573,14 @@ class TestMaintenance:
         )
         h.deliver_all()
         assert h.cloud_tree.resolve(P("IN-CSE/Cars/CarA/speed/s1")).content == b"88"
+
+    def test_a_labelled_create_reaches_the_mirror_with_its_labels(self):
+        h = Harness()
+        h.offload()
+        h.edge_create("MN-CSE/Cars/CarA/location", ResourceKind.CONTENT_INSTANCE, "tagged",
+                      content=b"t", labels=["a", "b c"])
+        h.deliver_all()
+        assert h.cloud_tree.resolve(P("IN-CSE/Cars/CarA/location/tagged")).labels == ("a", "b c")
 
     def test_rename_retargets_descendant_subscriptions(self):
         h = Harness()

@@ -471,10 +471,10 @@ class TestSerialization:
                      for name in "xy"]
         else:
             made = tree.graft_many(tree.root, [
-                (-1, container, "a", 0.0, None, None, None),
-                (-1, container, "b", 0.0, None, None, None),
-                (0, instance, "x", 0.0, b"v", None, None),
-                (0, instance, "y", 0.0, b"v", None, None),
+                (-1, container, "a", 0.0, None),
+                (-1, container, "b", 0.0, None),
+                (0, instance, "x", 0.0, b"v"),
+                (0, instance, "y", 0.0, b"v"),
             ])
         assert [n.id for n in made] == [
             f"{prefix}_{n:04d}" for prefix in ("cnt", "ci") for n in (9999, 10000)
@@ -706,17 +706,21 @@ def graft_base() -> ResourceTree:
 
 
 @st.composite
-def graft_batches(draw) -> tuple[str, list[tuple]]:
-    """A live parent and a batch of up to six nodes, each under the batch's
-    parent or an earlier node. About half the batches keep to legal names
-    and kinds, so that they fail only on a taken name; the others mix in
-    illegal names and kinds."""
+def graft_batches(draw) -> tuple[str, list[str], list[tuple]]:
+    """A live parent, up to two grouping names and a batch of up to six
+    nodes, each under the batch's parent (the last grouping container, if
+    any) or an earlier node. About half the cases keep to legal names and
+    kinds, so that they fail only on a taken name; the others mix in illegal
+    names and kinds, and parent indexes that name no earlier node."""
     noisy = draw(st.booleans())
     names = GRAFT_NAMES + ILLEGAL_NAMES if noisy else GRAFT_NAMES
     parent = draw(st.sampled_from(
         [p for p, kind in GRAFT_PARENTS.items() if noisy or LEGAL_CHILDREN[kind]]
     ))
-    kinds = [GRAFT_PARENTS[parent]]  # -1 first, then one per node
+    grouping = []
+    if noisy or ResourceKind.CONTAINER in LEGAL_CHILDREN[GRAFT_PARENTS[parent]]:
+        grouping = draw(st.lists(st.sampled_from(names + ["g0", "g1"]), max_size=2))
+    kinds = [ResourceKind.CONTAINER if grouping else GRAFT_PARENTS[parent]]  # -1 first
     batch = []
     for index in range(draw(st.integers(0, 6))):
         under = draw(st.sampled_from(
@@ -725,6 +729,8 @@ def graft_batches(draw) -> tuple[str, list[tuple]]:
         legal = sorted(LEGAL_CHILDREN[kinds[under + 1]], key=lambda k: k.value)
         kind = draw(st.sampled_from(list(ResourceKind) if noisy else legal))
         kinds.append(kind)
+        if noisy and draw(st.integers(0, 9)) == 0:
+            under = draw(st.sampled_from([-2, index, index + 1]))  # no earlier node
         batch.append((
             under,
             kind,
@@ -733,18 +739,19 @@ def graft_batches(draw) -> tuple[str, list[tuple]]:
             draw(st.sampled_from([1.0, 2.0, 3.0]))
             if kind is ResourceKind.CONTENT_INSTANCE else 1.0,
             b"c" if kind is ResourceKind.CONTENT_INSTANCE else None,
-            ("app", "APP/in") if kind is ResourceKind.SUBSCRIPTION else None,
-            draw(st.sampled_from([None, ["l"]])),
         ))
-    return parent, batch
+    return parent, grouping, batch
 
 
-def graft_one_by_one(tree: ResourceTree, parent, batch) -> list:
+def graft_one_by_one(tree: ResourceTree, parent, grouping, batch) -> list:
+    for name in grouping:
+        parent = tree.graft(parent, ResourceKind.CONTAINER, name, creation_time=1.0)
     made = []
-    for index, kind, name, created, content, target, labels in batch:
+    for index, kind, name, created, content in batch:
+        if not -1 <= index < len(made):
+            raise BadRequestError(f"parent index {index}")
         made.append(tree.graft(parent if index < 0 else made[index], kind, name,
-                               creation_time=created, content=content,
-                               notification_target=target, labels=labels))
+                               creation_time=created, content=content))
     return made
 
 
@@ -757,22 +764,22 @@ class TestGraftMany:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(graft_batches())
     def test_matches_repeated_graft_or_leaves_the_tree_as_it_was(self, case):
-        parent_path, batch = case
+        parent_path, grouping, batch = case
         parent_path = ResourcePath.parse(parent_path)
         one, many = graft_base(), graft_base()
         before = many.serialize()
         try:
-            expected = [n.id for n in graft_one_by_one(one, one.resolve(parent_path), batch)]
+            expected = [n.id for n in graft_one_by_one(one, one.resolve(parent_path), grouping, batch)]
         except BadRequestError as exc:
             expected = type(exc)
         try:
-            got = [n.id for n in many.graft_many(many.resolve(parent_path), batch)]
+            got = [n.id for n in many.graft_many(many.resolve(parent_path), batch, grouping, 1.0)]
         except BadRequestError as exc:
             got = type(exc)
         assert got == expected
+        check_tree_invariants(many)  # child indexes, subscription lists and /la pointers
         if isinstance(expected, list):
             assert many.serialize() == one.serialize()
-            check_tree_invariants(many)
         else:
             assert len(many) == len(graft_base())
             assert many.serialize() == before
@@ -781,7 +788,7 @@ class TestGraftMany:
 
     def test_a_name_repeated_inside_the_batch_is_refused(self, tree):
         before = tree.serialize()
-        node = (-1, ResourceKind.CONTAINER, "n", 0.0, None, None, None)
+        node = (-1, ResourceKind.CONTAINER, "n", 0.0, None)
         with pytest.raises(BadRequestError, match="already taken"):
             tree.graft_many(tree.root, [node, node])
         assert tree.serialize() == before
@@ -789,8 +796,8 @@ class TestGraftMany:
 
     def test_a_name_may_repeat_under_different_parents(self, tree):
         made = tree.graft_many(tree.root, [
-            (-1, ResourceKind.CONTAINER, "n", 0.0, None, None, None),
-            (0, ResourceKind.CONTAINER, "n", 0.0, None, None, None),
+            (-1, ResourceKind.CONTAINER, "n", 0.0, None),
+            (0, ResourceKind.CONTAINER, "n", 0.0, None),
         ])
         assert [n.id for n in made] == ["cnt_0001", "cnt_0002"]
         assert str(tree.path_of(made[1])) == "MN-CSE/n/n"
@@ -803,13 +810,39 @@ class TestGraftMany:
     def test_an_illegal_kind_under_a_staged_parent_is_refused(self, tree, staged, kind):
         before = tree.serialize()
         batch = [
-            (-1, ResourceKind.CONTAINER, "c", 0.0, None, None, None),
-            (0, staged, "s", 0.0, None, None, None),
-            (1, kind, "k", 0.0, None, None, None),
+            (-1, ResourceKind.CONTAINER, "c", 0.0, None),
+            (0, staged, "s", 0.0, None),
+            (1, kind, "k", 0.0, None),
         ]
         with pytest.raises(BadRequestError, match="may not be created under"):
             tree.graft_many(tree.root, batch)
         assert len(tree) == 1
+        assert tree.serialize() == before
+        assert next_id(tree) == "cnt_0001"
+
+    def test_a_refused_batch_gives_back_the_latest_instance_it_took(self, tree):
+        parent = tree.create(ResourcePath("MN-CSE"), ResourceKind.CONTAINER, "c")
+        tree.create(parent, ResourceKind.CONTENT_INSTANCE, "x", content=b"x")
+        before = tree.serialize()
+        container = tree.resolve(parent)
+        instance = ResourceKind.CONTENT_INSTANCE
+        with pytest.raises(BadRequestError, match="already taken"):
+            tree.graft_many(container, [
+                (-1, instance, "newer", 9.0, b"n"),  # becomes the container's latest
+                (-1, instance, "x", 9.5, b"x"),
+            ])
+        assert tree.resolve(ResourcePath.parse("MN-CSE/c/la")).name == "x"
+        assert tree.serialize() == before
+        check_tree_invariants(tree)
+
+    @pytest.mark.parametrize("index", [-2, 1, 2])
+    def test_a_parent_index_that_names_no_earlier_node_is_refused(self, tree, index):
+        before = tree.serialize()
+        with pytest.raises(BadRequestError):
+            tree.graft_many(tree.root, [
+                (-1, ResourceKind.CONTAINER, "c", 0.0, None),
+                (index, ResourceKind.CONTAINER, "d", 0.0, None),
+            ])
         assert tree.serialize() == before
         assert next_id(tree) == "cnt_0001"
 
@@ -822,8 +855,8 @@ class TestGraftMany:
 
         tree = ResourceTree("MN-CSE", clock)
         made = tree.graft_many(tree.root, [
-            (-1, ResourceKind.CONTAINER, "c", 0.5, None, None, None),
-            (0, ResourceKind.CONTENT_INSTANCE, "i", 0.25, b"v", None, ["l"]),
+            (-1, ResourceKind.CONTAINER, "c", 0.5, None),
+            (0, ResourceKind.CONTENT_INSTANCE, "i", 0.25, b"v"),
         ])
         assert len(reads) == 2  # the root's creation, then the batch
         assert [n.last_modified_time for n in made] == [2.0, 2.0]

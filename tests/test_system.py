@@ -2,12 +2,13 @@
 through the simulated network, as an object or as its encoding."""
 import base64
 import gc
+import random
 
 import pytest
 
 from edgeslice import netsim
 from edgeslice import system as system_module
-from edgeslice.bench import build_system, road_config
+from edgeslice.bench import build_system, derive_seed, road_config
 from edgeslice.codec import FieldBody
 from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError, SimulationLimitError
 from edgeslice.netsim import Network
@@ -22,13 +23,14 @@ from edgeslice.primitives import (
     read_body,
 )
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
-from edgeslice.scenario import TaskSpec, reference_calibrated
+from edgeslice.scenario import TaskSpec, load_scenario, reference_calibrated
 from edgeslice.slicing import FunctionKind, SliceProfile, SliceState, port_for
 from edgeslice.worker import ResourceQuota
 
 from dataclasses import replace
 
 from util import populate_cloud_tree, trees_equal
+from wire_samples import CAMPUS
 
 # before the wire check of conftest.py wraps it for each test
 UNCHECKED_SEND = Network.send
@@ -883,3 +885,33 @@ class TestEventCap:
         system = build_system(config, "edge", 42)
         with pytest.raises(SimulationLimitError, match="exceeded 5 events"):
             system.prepare()
+
+
+def test_each_cloud_runs_its_own_copy_of_the_started_builtins():
+    config = reference_calibrated()
+    one, two = build_system(config, "cloud", 1), build_system(config, "cloud", 2)
+    assert one.cloud.service.running_functions() == {fn: port_for(fn) for fn in FunctionKind}
+    assert one.cloud.service.log == []  # the start-up is not logged
+    for fn in FunctionKind:
+        mine, theirs = one.cloud.service.functions[fn], two.cloud.service.functions[fn]
+        assert mine == theirs and mine is not theirs
+        assert (mine.started_at, mine.quota) == (0.0, ResourceQuota(1, 1.0))
+    one.cloud.service.stop_function(FunctionKind.RETRIEVE)
+    assert two.cloud.service.enabled(FunctionKind.RETRIEVE)
+
+
+def test_only_a_deployment_with_jitter_seeds_its_random_stream(monkeypatch):
+    # the stream is seeded on its first draw, with the simulator's seed, so
+    # the jittery_campus goldens (test_golden.py) still read the same draws
+    seeded = []
+    seed = random.Random.seed
+    monkeypatch.setattr(random.Random, "seed", lambda self, *args: seeded.append(args) or seed(self, *args))
+    system = build_system(reference_calibrated(), "edge", 42)
+    system.prepare()
+    system.run_workload("create", 3)
+    system.run_workload("retrieve", 3)
+    assert seeded == []
+    system = build_system(load_scenario(CAMPUS), "edge", 42)
+    system.prepare()
+    system.run_workload("retrieve", 3)
+    assert seeded == [(derive_seed(42, "edge"),)]
