@@ -16,7 +16,7 @@ from operator import countOf, itemgetter
 from typing import Callable, NamedTuple
 
 from .codec import (decode_ascii, decode_b64, decode_fieldline, encode_b64, encode_fieldline,
-                    parse_float, parse_int, quote, unquote)
+                    parse_float, parse_int, quote)
 from .errors import (
     AlreadyBoundError,
     AlreadyOffloadedError,
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .notify import NotifyPrimitive, match_subscriptions
 from .resources import (
-    LATEST_SEGMENT,
     LEGAL_CHILDREN,
     ChangeEvent,
     Resource,
@@ -74,114 +73,45 @@ class OffloadBundle:
     records: tuple[BundleRecord, ...]
 
     def encode(self) -> str:
-        """One header line, then one field line per record.
-
-        Record fields go in the fixed order ``pt;ty;nm;ct[;pc]``, each value
-        quoted as ``encode_fieldline`` quotes it. ``pt`` is the record's
-        source path: the root's, or its parent's, ``/`` and its name. Quoting
-        goes byte by byte, so a quoted path is its parent's quoted path,
-        ``%2F`` and its quoted name; each record's quoted path is kept for
-        its children, and names and creation times repeat across records and
-        are quoted once per call. A record's content goes last as raw base64:
-        its alphabet has no ``;`` and no ``%``, so the decoder reads it back
-        unchanged and quoting it would only add to its size.
+        """A header line ``tid;at;rt;n``, ``rt`` being the task root's source
+        path, then one field line ``pi;ty;nm;ct[;pc]`` per record, ``pi``
+        being its parent's record index. A record's content goes last as raw
+        base64: its alphabet has no ``;`` and no ``%``, so the decoder reads
+        it back unchanged and quoting it would only add to its size.
         """
-        quoted: dict[str, str] = {}
-
-        def q(text: str) -> str:
-            out = quoted.get(text)
-            if out is None:
-                out = quoted[text] = quote(text)
-            return out
-
-        header = encode_fieldline(
-            [
-                ("tid", self.task_id),
-                ("at", repr(self.exported_at)),
-                ("n", str(len(self.records))),
-            ]
-        )
-        out = [header]
+        out = [encode_fieldline([("tid", self.task_id), ("at", repr(self.exported_at)),
+                                 ("rt", self.root), ("n", str(len(self.records)))])]
         append = out.append
-        paths: list[str] = []
         for parent, kind, name, created, content in self.records:
-            path = q(self.root) if parent < 0 else paths[parent] + "%2F" + q(name)
-            paths.append(path)
-            append(f"\npt={path};ty={kind.value};nm={q(name)};ct={q(repr(created))}")
+            append(f"\npi={parent};ty={kind.value};nm={quote(name)};ct={quote(repr(created))}")
             if content is not None:
-                append(";pc=")
-                append(encode_b64(content))
+                append(";pc=" + encode_b64(content))
         append("\n")
         return "".join(out)
 
     @classmethod
     def decode(cls, text: str) -> "OffloadBundle":
-        """Inverse of ``encode``; raises only ``BadRequestError``. Each
-        record line is read as ``decode_fieldline`` reads it: empty fields
-        are skipped, a repeated key or a field without ``=`` is refused and
-        unknown keys are ignored.
-
-        A path is unquoted as the part before its last ``%2F``, a ``/`` and
-        the part after: a ``/`` byte is never inside a UTF-8 sequence, and
-        the parent part, which repeats, is unquoted once per call. It is
-        then read as ``ResourcePath.parse`` reads it, without ``/la``. The
-        first record's path is the task root. Every other record lies below
-        it, and its path minus the last segment is an earlier record's
-        parent path plus name: that record is its parent.
+        """Inverse of ``encode``; raises only ``BadRequestError``. Each line
+        is read as ``decode_fieldline`` reads it: empty fields are skipped, a
+        repeated key or a field without ``=`` is refused and unknown keys are
+        ignored. The first record's parent index is -1, and every later
+        record's names an earlier record.
         """
         lines = [ln for ln in text.split("\n") if ln]
         if not lines:
             raise BadRequestError("empty bundle")
-        heads: dict[str, str] = {}
-        kinds: dict[str, ResourceKind] = {}
-        indexes: dict[str, int] = {}  # each record's parent path plus name, to its index
-        root = inside = ""
         try:
             header = decode_fieldline(lines[0])
             records: list[BundleRecord] = []
             for line in lines[1:]:
-                fields: dict[str, str] = {}
-                for part in line.split(";"):
-                    if part:
-                        key, sep, value = part.partition("=")
-                        if not sep or key in fields:
-                            raise BadRequestError(f"malformed bundle field {part!r}")
-                        fields[key] = value
-                path = fields["pt"]
-                cut = path.rfind("%2F")
-                if cut < 0:
-                    path = unquote(path)
-                else:
-                    head = path[:cut]
-                    unquoted = heads.get(head)
-                    if unquoted is None:
-                        unquoted = heads[head] = unquote(head)
-                    path = unquoted + "/" + unquote(path[cut + 3:])
-                ty = fields["ty"]
-                kind = kinds.get(ty)
-                if kind is None:
-                    kind = kinds[ty] = ResourceKind(parse_int(unquote(ty)))
-                name = unquote(fields["nm"])
-                created = parse_float(unquote(fields["ct"]))
-                content = decode_b64(unquote(fields["pc"])) if "pc" in fields else None
-                if ("//" in path or path[:1] == "/" or path[-1:] in ("", "/")
-                        or path.endswith("/" + LATEST_SEGMENT)):
-                    parsed = ResourcePath.parse(path)  # respelled as it reads, without /la
-                    path = "/".join((parsed.cse_label, *parsed.segments))
-                if not records:
-                    root, inside, parent = path, path + "/", -1
-                    up = path.rpartition("/")[0]
-                elif path.startswith(inside):
-                    up = path[: path.rfind("/")]
-                    parent = indexes.get(up, -1)
-                    if parent < 0:
-                        raise BadRequestError(f"malformed bundle ordering: parent of {path} missing")
-                else:
-                    raise BadRequestError(f"bundle record {path} outside the task root {root}")
-                # a path seen twice is a repeated sibling name, which an import refuses
-                indexes[up + "/" + name] = len(records)
-                records.append(BundleRecord(parent, kind, name, created, content))
-            bundle = cls(header["tid"], parse_float(header["at"]), root, tuple(records))
+                fields = decode_fieldline(line)
+                parent = parse_int(fields["pi"])
+                if not (0 <= parent < len(records) if records else parent == -1):
+                    raise BadRequestError(f"bundle record {len(records)} has parent index {parent}")
+                content = decode_b64(fields["pc"]) if "pc" in fields else None
+                records.append(BundleRecord(parent, ResourceKind(parse_int(fields["ty"])),
+                                            fields["nm"], parse_float(fields["ct"]), content))
+            bundle = cls(header["tid"], parse_float(header["at"]), header["rt"], tuple(records))
             count = parse_int(header["n"])
         except (KeyError, ValueError) as exc:
             raise BadRequestError(f"malformed bundle: {exc!r}") from None
@@ -308,7 +238,7 @@ def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePat
     call as they are, behind the grouping containers: it checks every
     parent index, name, kind and sibling as it goes and takes a refused
     batch out again. The import itself checks only that the root is the one
-    record at -1.
+    record at -1 and is named as the task root's path ends.
     """
     records = bundle.records
     if not records:
@@ -317,6 +247,8 @@ def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePat
         raise BadRequestError("a bundle's first record, and only it, is the task root at -1")
     root_target = ResourcePath(edge_tree.cse_label, ResourcePath.parse(bundle.root).segments)
     parent, missing = _grouping_parent(edge_tree, root_target)
+    if records[0].name != root_target.segments[-1]:
+        raise BadRequestError(f"the task root record {records[0].name!r} is not named as {bundle.root}")
     edge_tree.graft_many(parent, records, missing, bundle.exported_at)
     return root_target
 

@@ -209,10 +209,21 @@ def check_name(name: str) -> None:
         raise BadRequestError(f"{LATEST_SEGMENT!r} is reserved for latest-instance addressing")
 
 
-def _check_child(parent_kind: ResourceKind, kind: ResourceKind, name: str) -> None:
+def _check_child(parent_kind: ResourceKind, kind: ResourceKind, name: str,
+                 content: bytes | None = None, target: tuple[str, str] | None = None) -> None:
+    """Refuse a child that ``create`` may not make: an illegal name or
+    nesting, content on anything but a content instance, or a notification
+    target on anything but a subscription, and an instance or subscription
+    without one."""
     check_name(name)
     if kind not in LEGAL_CHILDREN[parent_kind]:
         raise BadRequestError(f"{kind.name} may not be created under {parent_kind.name}")
+    if (content is None) is (kind is _INSTANCE):
+        raise BadRequestError("content instance requires content" if content is None
+                              else "only content instances carry content")
+    if (target is None) is (kind is _SUBSCRIPTION):
+        raise BadRequestError("subscription requires a notification target" if target is None
+                              else "only subscriptions carry a notification target")
 
 
 class _GuardBypass:
@@ -423,17 +434,9 @@ class ResourceTree:
         parent = self.resolve(parent_path)
         if name is None:
             name = self._peek_id(kind)
-        _check_child(parent.kind, kind, name)
+        _check_child(parent.kind, kind, name, content, notification_target)
         if name in self._children.get(parent.id, ()):
             raise BadRequestError(f"sibling name {name!r} already exists under {parent.name!r}")
-        if content is not None and kind is not _INSTANCE:
-            raise BadRequestError("only content instances carry content")
-        if kind is _INSTANCE and content is None:
-            raise BadRequestError("content instance requires content")
-        if notification_target is not None and kind is not _SUBSCRIPTION:
-            raise BadRequestError("only subscriptions carry a notification target")
-        if kind is _SUBSCRIPTION and notification_target is None:
-            raise BadRequestError("subscription requires a notification target")
         new_path = parent_path.child(name)  # parent_path resolved, so it is canonical
         self._check_guard(new_path, "create")
         now = self._clock()
@@ -483,11 +486,12 @@ class ResourceTree:
         node's index. The containers named in ``grouping``, created at
         ``grouped_at``, each under the one before, go in first; the last is
         the batch's parent. Each node is checked as it goes in (parent
-        index, name, kind, sibling names), and a refused batch is taken out
-        again: the tree is as it was, id counters and ``/la`` pointers
-        included. Ids are minted and nodes attached in the loop itself, as
-        ``_mint_id`` and ``_attach`` would, since an import runs it once per
-        record.
+        index, name, kind, content, sibling names) as ``create`` checks it;
+        a subscription is refused, since a graft carries no notification
+        target. A refused batch is taken out again: the tree is as it was,
+        id counters and ``/la`` pointers included. Ids are minted and nodes
+        attached in the loop itself, as ``_mint_id`` and ``_attach`` would,
+        since an import runs it once per record.
         """
         now = self._clock()
         counters, by_id, children, latest = self._counters, self._nodes, self._children, self._latest
@@ -506,8 +510,10 @@ class ResourceTree:
                         up = top
                     else:
                         up = made[offset + index]  # an IndexError if not an earlier node
-                    if kind not in legal[up.kind] or not name or "/" in name or name == LATEST_SEGMENT:
-                        _check_child(up.kind, kind, name)  # raises, with the reason
+                    if (kind not in legal[up.kind] or kind is subscription
+                            or (content is None) is (kind is instance)
+                            or not name or "/" in name or name == LATEST_SEGMENT):
+                        _check_child(up.kind, kind, name, content)  # raises, with the reason
                     parent_id = up.id
                     siblings = children.get(parent_id)
                     if siblings is None:
@@ -525,8 +531,6 @@ class ResourceTree:
                         latest_id = latest.get(parent_id)
                         if latest_id is None or created >= by_id[latest_id].creation_time:
                             latest[parent_id] = node_id
-                    elif kind is subscription:
-                        self._subscriptions.setdefault(parent_id, []).append(node_id)
                     append(node)
                 if made:
                     top = made[-1]  # the last grouping container
@@ -534,7 +538,7 @@ class ResourceTree:
             for node in reversed(made):  # take the batch out again
                 if node.parent_id == parent.id:
                     self._detach(node)  # rescans parent's /la if the node took it
-                for table in (by_id, children, self._subscriptions, latest):
+                for table in (by_id, children, latest):
                     table.pop(node.id, None)
             self._counters = saved
             if isinstance(exc, IndexError):
@@ -698,9 +702,9 @@ class ResourceTree:
                         # what ``ResourceTree()`` makes: a CseBase named after the label
                         raise BadRequestError(f"root {node.id!r} is not a CseBase named "
                                               f"{tree.cse_label!r}")
-                elif node.kind not in LEGAL_CHILDREN[tree._nodes[pid].kind]:
-                    raise BadRequestError(f"resource {node.id!r}: {node.kind.name} may not be "
-                                          f"nested under {tree._nodes[pid].kind.name}")
+                else:  # what ``create`` could have made
+                    _check_child(tree._nodes[pid].kind, node.kind, node.name, node.content,
+                                 node.notification_target)
                 tree._attach(node)  # preorder: every parent precedes its children
         except (IndexError, KeyError, ValueError) as exc:
             raise BadRequestError(f"malformed tree dump: {exc!r}") from None

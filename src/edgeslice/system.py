@@ -318,7 +318,7 @@ class EdgeNode(_Node):
         plan_line, meta_line, *image_lines = read_body(req.content, FieldBody).lines
         plan = SlicingPlan.from_pairs(plan_line)
         meta = dict(meta_line)
-        ctx, svc = meta["ctx"], meta["svc"]  # read now: the steps below run later
+        ctx = meta["ctx"]  # read now: the steps below run later
         images = []
         for line in image_lines:
             rec = dict(line)
@@ -352,7 +352,6 @@ class EdgeNode(_Node):
                 body = FieldBody.line(
                     ("ctx", ctx),
                     ("slc", plan.target_slice),
-                    ("svc", svc),
                     ("fn", ",".join(f"{fn.name}:{started[fn]}" for fn in ordered(started))),
                 )
                 self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, body)
@@ -586,8 +585,7 @@ class CloudNode(_Node):
             self.orchestrator.ensure_instance(plan.target_slice, edge)
             config = self.system.config
             quota = config.quota
-            meta = (("ctx", ctx), ("svc", profile.service_id),
-                    ("mem", str(quota.max_memory_bytes)), ("cpu", repr(quota.max_cpu_share)))
+            meta = (("ctx", ctx), ("mem", str(quota.max_memory_bytes)), ("cpu", repr(quota.max_cpu_share)))
             lines = [plan.to_pairs(), meta]
             for fn in ordered(plan.missing_functions):
                 image = config.catalogue.lookup(fn)

@@ -1,24 +1,21 @@
 """The offload bundle stages as they were before each became a single pass.
 
-``make_bundle``, ``encode``, ``decode`` and ``import_bundle`` below are the
-earlier implementations, kept as the oracle of ``test_bundle_oracle``. They
-work on the bundle as it then was: each record carried its full source
-path, and an import found a record's parent by that path.
-``PathRecord`` and ``PathBundle`` restate that form, and ``as_paths`` turns
-a bundle of parent indexes into it. There are two adaptations.
-``ResourceTree.graft`` now takes its parent as a resolved ``Resource``, so
-the oracle resolves the parent path first; ``graft`` used to do exactly
-that, and a missing parent still surfaces as ``NotFoundError``. And numbers
-are read with the codec's ``parse_int`` and ``parse_float``, which refuse
-what ``int`` and ``float`` let through, such as ``1_0`` and ``nan``.
+``make_bundle`` and ``import_bundle`` below are the earlier implementations,
+kept as the oracle of ``test_bundle_oracle``. They work on the bundle as it
+then was: each record carried its full source path, and an import found a
+record's parent by that path. ``PathRecord`` and ``PathBundle`` restate that
+form, and ``as_paths`` turns a bundle of parent indexes into it. The text
+codec of that form is gone with it, since the wire now carries the parent
+indexes. ``ResourceTree.graft`` now takes its parent as a resolved
+``Resource``, so the oracle resolves the parent path first; ``graft`` used
+to do exactly that, and a missing parent still surfaces as
+``NotFoundError``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from edgeslice.codec import (decode_b64, decode_fieldline, encode_b64, encode_fieldline,
-                             parse_float, parse_int)
 from edgeslice.errors import BadRequestError, ConflictError, NotFoundError
 from edgeslice.offload import OffloadBundle
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
@@ -70,58 +67,6 @@ def make_bundle(
             )
         )
     return PathBundle(task_id=task_id, exported_at=exported_at, records=tuple(records))
-
-
-def encode(bundle: PathBundle) -> str:
-    lines = [
-        encode_fieldline(
-            [
-                ("tid", bundle.task_id),
-                ("at", repr(bundle.exported_at)),
-                ("n", str(len(bundle.records))),
-            ]
-        )
-    ]
-    for rec in bundle.records:
-        line = encode_fieldline(
-            [
-                ("pt", rec.source_path),
-                ("ty", str(rec.kind.value)),
-                ("nm", rec.name),
-                ("ct", repr(rec.creation_time)),
-            ]
-        )
-        if rec.content is not None:
-            line += ";pc=" + encode_b64(rec.content)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
-def decode(text: str) -> PathBundle:
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
-        raise BadRequestError("empty bundle")
-    try:
-        header = decode_fieldline(lines[0])
-        records = []
-        for line in lines[1:]:
-            rec = decode_fieldline(line)
-            records.append(
-                PathRecord(
-                    source_path=rec["pt"],
-                    kind=ResourceKind(parse_int(rec["ty"])),
-                    name=rec["nm"],
-                    creation_time=parse_float(rec["ct"]),
-                    content=decode_b64(rec["pc"]) if "pc" in rec else None,
-                )
-            )
-        bundle = PathBundle(header["tid"], parse_float(header["at"]), tuple(records))
-        count = parse_int(header["n"])
-    except (KeyError, ValueError) as exc:
-        raise BadRequestError(f"malformed bundle: {exc!r}") from None
-    if len(records) != count:
-        raise BadRequestError("bundle record count mismatch")
-    return bundle
 
 
 def _graft(tree: ResourceTree, parent_path: ResourcePath, kind, name, **fields):

@@ -1,22 +1,23 @@
 """Differential tests of the offload bundle stages against ``bundle_oracle``.
 
-The current ``make_bundle`` and ``OffloadBundle.encode`` must agree with the
-earlier implementations kept in ``bundle_oracle``: the same records once
-their source paths are spelled out, and the same text byte for byte.
+The current ``make_bundle`` must agree with the earlier implementation kept
+in ``bundle_oracle``: the same records once their source paths are spelled
+out. A bundle crosses the wire unchanged: ``OffloadBundle.decode`` of its
+``encode`` is the bundle.
 
-``OffloadBundle.decode`` followed by ``import_bundle`` must agree with the
-oracle's decode and import on any text: the same edge tree, or the same
-exception class, and a refused import leaves the edge tree as it was, which
-the oracle's did not. ``decode`` finds each record's parent, so it refuses a
-record outside the task root, or one whose parent is not earlier in the
-bundle, before the import reads the edge tree; for such text the oracle may
-refuse with ``ConflictError`` instead, when the task root is on the edge
-already. One text the oracle imports is refused: a record after the first
-at the task root's own path, which the oracle grafted beside the root,
-outside the task. Hypothesis runs derandomized with a bounded example count,
-as in ``test_codec``.
+``import_bundle`` must agree with the oracle's import on any bundle that
+decodes: the same edge tree, or the same exception class, and a refused
+import leaves the edge tree as it was, which the oracle's did not. The oracle
+finds each record's parent by its path, spelled from the task root's path as
+``import_bundle`` reads it (``ResourcePath.parse``, without ``/la``);
+``import_bundle`` reads the parent index, which ``decode`` has checked names
+an earlier record. One bundle the oracle imports is refused: a lone record
+named apart from the end of the task root's path, which the oracle grafted
+under a name other than the path it returned. Hypothesis runs derandomized
+with a bounded example count, as in ``test_codec``.
 """
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 import bundle_oracle as oracle
 from edgeslice.bench import build_system
-from edgeslice.errors import BadRequestError, ConflictError, EdgeSliceError
+from edgeslice.errors import BadRequestError, EdgeSliceError
 from edgeslice.offload import BundleRecord, OffloadBundle, import_bundle, make_bundle
 from edgeslice.resources import ManualClock, ResourceKind, ResourcePath, ResourceTree
 from util import RandomTreeWorkload, trees_equal
@@ -32,7 +33,7 @@ from wire_samples import prepare_200_config, sample_tree
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
-# segments and names that exercise the quoting rules and the %2F cut
+# segments and names that exercise the quoting rules
 ODD = ["%", ";", "=", "%2F", "%2f", "a%2Fb", "%C3", "%A9", "ü", "😀", "a b", "x=y;z", "la", ""]
 SEGMENT = st.one_of(st.sampled_from(ODD), st.text(max_size=4))
 PATH = st.lists(SEGMENT, max_size=5).map("/".join)
@@ -57,18 +58,6 @@ def bundles(draw) -> OffloadBundle:
                          draw(PATH), records)
 
 
-@st.composite
-def path_bundles(draw) -> oracle.PathBundle:
-    """A bundle in the oracle's form, with any path on any record."""
-    records = []
-    for _ in range(draw(st.integers(0, 6))):
-        path = draw(PATH)
-        name = path.rpartition("/")[2] if draw(st.booleans()) else draw(SEGMENT)
-        records.append(oracle.PathRecord(path, draw(KINDS), name, draw(TIMES), draw(CONTENT)))
-    return oracle.PathBundle(draw(st.one_of(st.text(max_size=6), st.sampled_from(ODD))),
-                             draw(TIMES), tuple(records))
-
-
 def benchmark_tree() -> tuple[ResourceTree, ResourcePath]:
     """The calibrated scenario's cloud tree with 200 content instances in its task."""
     config = prepare_200_config()
@@ -76,7 +65,7 @@ def benchmark_tree() -> tuple[ResourceTree, ResourcePath]:
     return system.cloud.tree, ResourcePath.parse(config.tasks[0].root)
 
 
-# --- export and encode ---
+# --- export and the wire ---
 
 def test_benchmark_bundle_matches_oracle():
     tree, root = benchmark_tree()
@@ -84,10 +73,7 @@ def test_benchmark_bundle_matches_oracle():
     assert len(bundle.records) == 202
     spelled = oracle.as_paths(bundle)
     assert spelled == oracle.make_bundle(tree, root, "task-citizenB", 21254.8)
-    text = bundle.encode()
-    assert text == oracle.encode(spelled)
-    assert OffloadBundle.decode(text) == bundle
-    assert oracle.decode(text) == spelled
+    assert OffloadBundle.decode(bundle.encode()) == bundle
     old, new = ResourceTree("MN-CSE", ManualClock(3.0)), ResourceTree("MN-CSE", ManualClock(3.0))
     assert import_bundle(new, bundle) == oracle.import_bundle(old, spelled)
     assert trees_equal(old, new)
@@ -104,7 +90,6 @@ def test_make_bundle_matches_oracle_on_random_trees(seed):
             path = tree.path_of(node)
             bundle = make_bundle(tree, path, "t", 1.5)
             assert oracle.as_paths(bundle) == oracle.make_bundle(tree, path, "t", 1.5)
-            assert bundle.encode() == oracle.encode(oracle.as_paths(bundle))
             assert OffloadBundle.decode(bundle.encode()) == bundle
 
 
@@ -137,20 +122,24 @@ def test_make_bundle_leaves_what_is_below_a_subscription_at_home():
 
 @PROPERTY
 @given(bundles())
-def test_encode_matches_oracle(bundle):
-    assert bundle.encode() == oracle.encode(oracle.as_paths(bundle))
+def test_decode_inverts_encode(bundle):
+    """Any root, name and content crosses the wire; a bundle with no records
+    or a time that is not finite is refused."""
+    text = bundle.encode()
+    times = [bundle.exported_at] + [r.creation_time for r in bundle.records]
+    if bundle.records and all(abs(time) < float("inf") for time in times):
+        assert OffloadBundle.decode(text) == bundle
+    else:
+        with pytest.raises(BadRequestError):
+            OffloadBundle.decode(text)
 
 
-# --- decode and import ---
+# --- import ---
 
 SMALL = ["A", "B", "c", "x", "y"]
 NAME = st.one_of(st.sampled_from(SMALL), st.sampled_from(["la", "", "a/b", "%2F"]))
-
-
-def variant(path: str):
-    """``path`` or one of the spellings ``ResourcePath.parse`` reads as it."""
-    return st.sampled_from([path, path, path, "/" + path, path + "/", path.replace("/", "//"), path + "/la"])
-
+ROOTS = ["IN-CSE/A/B", "IN-CSE/c/A/B"]
+NOISY_ROOTS = ["IN-CSE/A", "IN-CSE", "X-CSE/A/B", "IN-CSE/la/B", "/IN-CSE//A/B/", "IN-CSE/A/B/la"]
 
 EDGE_SETUPS = {
     "empty": [],
@@ -176,72 +165,61 @@ def edge_tree(setup: str) -> ResourceTree:
 
 
 @st.composite
-def import_cases(draw) -> tuple[str, str]:
-    """An edge set-up and the text of a bundle; about half the bundles keep
-    to legal choices, the others mix in faults and odd spellings."""
+def import_cases(draw) -> tuple[str, OffloadBundle]:
+    """An edge set-up and a bundle; about half the bundles keep to legal
+    choices, the others mix faults into about one choice in five: odd roots,
+    names, kinds and contents, and records under any earlier record."""
     noisy = draw(st.booleans())
-    root = draw(st.sampled_from(["IN-CSE/A/B", "IN-CSE/c/A/B"]
-                                + (["IN-CSE/A", "IN-CSE", "X-CSE/A/B", "IN-CSE/la/B"] if noisy else [])))
-    group, _, last = root.rpartition("/")
-    kinds = st.sampled_from(
-        list(ResourceKind) if noisy else [ResourceKind.CONTAINER, ResourceKind.CONTENT_INSTANCE]
-    )
-    first_name = draw(NAME) if noisy and draw(st.integers(0, 4)) == 0 else last
-    first_kind = draw(kinds) if noisy else ResourceKind.CONTAINER
-    recs = [(draw(variant(root)) if noisy else root, first_kind, first_name)]
-    containers = [group + "/" + first_name]
-    for index in range(draw(st.integers(0, 6))):
-        parents = containers + (["IN-CSE/B", group] if noisy else [])
-        parent = draw(st.sampled_from(parents))
-        name = draw(NAME) if noisy else f"{draw(st.sampled_from(SMALL))}{index}"
-        segment = draw(st.sampled_from(SMALL)) if noisy and draw(st.integers(0, 4)) == 0 else name
-        kind = draw(kinds)
-        path = parent + "/" + segment
-        recs.append((draw(variant(path)) if noisy else path, kind, name))
-        if noisy or kind is ResourceKind.CONTAINER:
-            containers.append(parent + "/" + name)
-    records = tuple(
-        oracle.PathRecord(path, kind, name, draw(st.sampled_from([0.0, 2.5])),
-                          b"c" if kind is ResourceKind.CONTENT_INSTANCE else None)
-        for path, kind, name in recs
-    )
+
+    def fault() -> bool:
+        return noisy and draw(st.integers(0, 4)) == 0
+
+    root = draw(st.sampled_from(NOISY_ROOTS if fault() else ROOTS))
+    records = [(-1, draw(KINDS) if fault() else ResourceKind.CONTAINER,
+                draw(NAME) if fault() else root.rpartition("/")[2])]
+    containers = [0]
+    for index in range(1, draw(st.integers(1, 7))):
+        parent = draw(st.sampled_from(range(index) if fault() else containers))
+        kind = draw(KINDS if fault() else st.sampled_from(
+            [ResourceKind.CONTAINER, ResourceKind.CONTENT_INSTANCE]))
+        records.append((parent, kind, draw(NAME) if fault() else f"{draw(st.sampled_from(SMALL))}{index}"))
+        if kind is ResourceKind.CONTAINER:
+            containers.append(index)
+    bundle = OffloadBundle("t", 1.0, root, tuple(
+        BundleRecord(parent, kind, name, draw(st.sampled_from([0.0, 2.5])),
+                     # content on an instance only, unless a fault flips it
+                     b"c" if (kind is ResourceKind.CONTENT_INSTANCE) is not fault() else None)
+        for parent, kind, name in records
+    ))
     setups = sorted(EDGE_SETUPS) if noisy else ["empty", "group exists", "sibling exists"]
-    return draw(st.sampled_from(setups)), oracle.encode(oracle.PathBundle("t", 1.0, records))
+    return draw(st.sampled_from(setups)), bundle
 
 
-def _import(decode, function, tree: ResourceTree, text: str):
-    """The imported root, or the class of the exception that refused the text."""
+def _import(function, tree: ResourceTree, bundle: OffloadBundle):
+    """The imported root, or the class of the exception that refused the bundle."""
     try:
-        return function(tree, decode(text))
+        return function(tree, bundle)
     except EdgeSliceError as exc:
         return type(exc)
 
 
-def _names_the_root_again(text: str) -> bool:
-    """Whether a record after the first of the oracle's bundle is at the
-    task root's own path."""
-    records = oracle.decode(text).records
-    root = ResourcePath.parse(records[0].source_path)
-    return any(
-        (path.cse_label, path.segments) == (root.cse_label, root.segments)
-        for path in (ResourcePath.parse(r.source_path) for r in records[1:])
-    )
+def _oracle_import(tree: ResourceTree, bundle: OffloadBundle) -> ResourcePath:
+    """The oracle's import of ``bundle``, its paths spelled from the task
+    root's path as ``import_bundle`` reads it."""
+    root = ResourcePath.parse(bundle.root)
+    spelled = replace(bundle, root=str(ResourcePath(root.cse_label, root.segments)))
+    return oracle.import_bundle(tree, oracle.as_paths(spelled))
 
 
-def check_against_oracle(setup: str, text: str) -> None:
+def check_against_oracle(setup: str, bundle: OffloadBundle) -> None:
     old, new = edge_tree(setup), edge_tree(setup)
     before = new.serialize()
-    expected = _import(oracle.decode, oracle.import_bundle, old, text)
-    try:
-        OffloadBundle.decode(text)
-    except BadRequestError:
-        if isinstance(expected, ResourcePath):
-            assert _names_the_root_again(text)
-        else:
-            assert expected in (BadRequestError, ConflictError)
-        return
-    assert _import(OffloadBundle.decode, import_bundle, new, text) == expected
-    if isinstance(expected, ResourcePath):
+    expected = _import(_oracle_import, old, bundle)
+    got = _import(import_bundle, new, bundle)
+    if got != expected:  # a lone record named apart from the end of its path
+        assert got is BadRequestError and len(bundle.records) == 1
+        assert bundle.records[0].name != ResourcePath.parse(bundle.root).segments[-1]
+    if isinstance(got, ResourcePath):
         assert trees_equal(old, new)
     else:
         assert new.serialize() == before
@@ -249,13 +227,26 @@ def check_against_oracle(setup: str, text: str) -> None:
 
 @settings(PROPERTY, max_examples=300)
 @given(import_cases())
-def test_decode_and_import_match_oracle(case):
-    check_against_oracle(*case)
+def test_import_matches_oracle(case):
+    setup, bundle = case
+    decoded = OffloadBundle.decode(bundle.encode())
+    assert decoded == bundle
+    check_against_oracle(setup, decoded)
+
+
+def check_text(setup: str, text: str) -> None:
+    """``decode`` refuses ``text`` with ``BadRequestError``, or the import of
+    what it reads agrees with the oracle's."""
+    try:
+        bundle = OffloadBundle.decode(text)
+    except BadRequestError:
+        return
+    check_against_oracle(setup, bundle)
 
 
 # characters that matter to the decoder, including halves of escapes
 EDIT = st.lists(
-    st.sampled_from(list("%;=\n/2FfC3A9ü0.ex+-") + ["%2F", "%C3", "pt=", "ty=", "pc=", ";ct="]),
+    st.sampled_from(list("%;=\n/2FfC3A9ü0.ex+-") + ["%2F", "%C3", "pi=", "-1", "ty=", "pc=", ";ct="]),
     max_size=3,
 ).map("".join)
 
@@ -276,32 +267,31 @@ def edited(draw, texts) -> str:
     st.sampled_from(sorted(EDGE_SETUPS)),
     st.one_of(
         st.text(max_size=64),
-        edited(path_bundles().map(oracle.encode)),
-        edited(import_cases().map(lambda case: case[1])),
-        path_bundles().map(oracle.encode),
+        edited(bundles().map(OffloadBundle.encode)),
+        edited(import_cases().map(lambda case: case[1].encode())),
     ),
 )
-def test_decode_and_import_match_oracle_on_any_text(setup, text):
-    check_against_oracle(setup, text)
+def test_import_matches_oracle_on_any_text(setup, text):
+    check_text(setup, text)
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "tid=t;at=1;n=1\npt=IN-CSE%2Fa%C3%2F%A9b;ty=3;nm=x;ct=0\n",  # split UTF-8 around /
-        "tid=t;at=1;n=1\npt=a%2fb%2Fc;ty=3;nm=c;ct=0\n",  # lowercase escape
-        "tid=t;at=1;n=2\npt=IN-CSE%2Fa;ty=3;nm=a;ct=0\npt=IN-CSE%2fa%2Fc;ty=3;nm=c;ct=0\n",
-        "tid=t;at=1;n=1\npt=IN-CSE%2Fa;ty=3;ty=4;nm=a;zz=1;ct=1e-05;;\n",  # repeats, extras
-        "tid=t;at=1;n=1\npt;pt=IN-CSE%2Fx;ty=03;nm=x;ct=-0.0\n",
-        "tid=t;at=1;n=1\npt=IN-CSE%2Fx;ty=3;nm=x;ct=1;pc=QQ%3D%3D\n",  # quoted base64
-        "tid=t;at=1;n=1\npt=x;ty=9;nm=x;ct=1\n",
-        "tid=t;at=1;n=1\npt=x;ty=3;nm=x\n",
-        "tid=t;at=1;n=2\npt=x;ty=3;nm=x;ct=1\n",
-        "tid=t;at=1;n=0\n",
-        "tid=t;at=1;n=2\npt=IN-CSE%2Fa;ty=3;nm=a;ct=0\npt=IN-CSE%2Fa;ty=3;nm=b;ct=0\n",  # root again
-        "tid=t;at=1;n=2\npt=IN-CSE%2Fa;ty=3;nm=a;ct=0\npt=%2FIN-CSE%2Fa%2Fb%2Fla;ty=3;nm=b;ct=0\n",
+        "tid=t;at=1;rt=IN-CSE%2Fa%C3%2F%A9b;n=1\npi=-1;ty=3;nm=%A9b;ct=0\n",  # split UTF-8 around /
+        "tid=t;at=1;rt=a%2fb%2Fc;n=1\npi=-1;ty=3;nm=c;ct=0\n",  # lowercase escape
+        "tid=t;at=1;rt=%2FIN-CSE%2F%2FA%2FB%2F;n=2\npi=-1;ty=3;nm=B;ct=0\npi=0;ty=3;nm=c;ct=0\n",
+        "tid=t;at=1;rt=IN-CSE%2FA%2FB%2Fla;n=2\npi=-1;ty=3;nm=B;ct=0\npi=0;ty=3;nm=c;ct=0\n",
+        "tid=t;at=1;rt=IN-CSE%2FA%2FB;n=1\npi=-1;ty=3;nm=B;zz=1;ct=1e-05;;\n",  # extras, empties
+        "tid=t;at=1;rt=IN-CSE%2FA%2FB;n=1\npi=-1;ty=03;nm=B;ct=-0.0\n",
+        "tid=t;at=1;rt=IN-CSE%2FA;n=1\npi=-1;ty=4;nm=A;ct=1;pc=QQ%3D%3D\n",  # quoted base64
+        "tid=t;at=1;rt=IN-CSE%2FA%2FB;n=2\npi=-1;ty=3;nm=B;ct=0\npi=0;ty=5;nm=s;ct=0\n",
+        "tid=t;at=1;rt=IN-CSE%2FA%2FB;n=2\npi=-1;ty=3;nm=B;ct=0\npi=0;ty=3;nm=c;ct=0;pc=AA==\n",
+        "tid=t;at=1;rt=IN-CSE%2FA%2FB;n=2\npi=-1;ty=3;nm=B;ct=0\npi=0;ty=4;nm=c;ct=0\n",
+        "tid=t;at=1;rt=IN-CSE%2FA%2FB;n=1\npi=-1;ty=3;nm=A;ct=0\n",  # named apart from its path
+        "tid=t;at=1;rt=IN-CSE%2FA%2FB;n=2\npi=-1;ty=3;nm=B;ct=0\npi=-01;ty=3;nm=c;ct=0\n",
     ],
 )
-@pytest.mark.parametrize("setup", ["empty", "root exists"])
-def test_decode_and_import_match_oracle_on_edge_cases(text, setup):
-    check_against_oracle(setup, text)
+@pytest.mark.parametrize("setup", ["empty", "group exists", "root exists"])
+def test_import_matches_oracle_on_edge_cases(text, setup):
+    check_text(setup, text)

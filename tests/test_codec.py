@@ -221,11 +221,21 @@ REFUSED = {
         b"ev=created;ev=deleted;pt=IN-CSE/a/x\nty=4;nm=x;ct=0.0;lt=0.0",
     ],
     "bundle": [
-        b"tid=t;at=1;n=1\npt=IN-CSE%2Fa;ty=3;nm=a;ct=nan\n",
-        b"tid=t;at=inf;n=1\npt=IN-CSE%2Fa;ty=3;nm=a;ct=0\n",
-        b"tid=t;at=1;n=0_1\npt=IN-CSE%2Fa;ty=3;nm=a;ct=0\n",
-        b"tid=t;at=1;n=1\npt=IN-CSE%2Fa;ty=3;ty=4;nm=a;ct=0\n",
-        b"tid=t;at=1;n=1\npt;pt=IN-CSE%2Fa;ty=3;nm=a;ct=0\n",
+        b"tid=t;at=1;rt=IN-CSE%2Fa;n=1\npi=-1;ty=3;nm=a;ct=nan\n",
+        b"tid=t;at=inf;rt=IN-CSE%2Fa;n=1\npi=-1;ty=3;nm=a;ct=0\n",
+        b"tid=t;at=1;rt=IN-CSE%2Fa;n=0_1\npi=-1;ty=3;nm=a;ct=0\n",
+        b"tid=t;at=1;rt=IN-CSE%2Fa;n=1\npi=-1;ty=3;ty=4;nm=a;ct=0\n",
+        b"tid=t;at=1;rt=IN-CSE%2Fa;n=1\npi;pi=-1;ty=3;nm=a;ct=0\n",
+        # parent indexes: not an integer, a first record not at -1, -1 after
+        # the first, a record's own index and a later record's
+        b"tid=t;at=1;rt=IN-CSE%2Fa;n=1\npi=x;ty=3;nm=a;ct=0\n",
+        b"tid=t;at=1;rt=IN-CSE%2Fa;n=1\npi=0;ty=3;nm=a;ct=0\n",
+        b"tid=t;at=1;rt=IN-CSE%2Fa;n=2\npi=-1;ty=3;nm=a;ct=0\npi=-1;ty=3;nm=b;ct=0\n",
+        b"tid=t;at=1;rt=IN-CSE%2Fa;n=2\npi=-1;ty=3;nm=a;ct=0\npi=1;ty=3;nm=b;ct=0\n",
+        b"tid=t;at=1;rt=IN-CSE%2Fa;n=3\npi=-1;ty=3;nm=a;ct=0\npi=2;ty=3;nm=b;ct=0\n"
+        b"pi=0;ty=3;nm=c;ct=0\n",
+        # no task root path
+        b"tid=t;at=1;n=1\npi=-1;ty=3;nm=a;ct=0\n",
     ],
     "tree": [
         b"lbl=IN-CSE;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=nan;lt=0.0\n",
@@ -237,6 +247,10 @@ REFUSED = {
         # a root that is not a CseBase, and a root not named after the label
         b"lbl=IN-CSE;ctr=cnt:1;seq=0\nid=cnt_0001;pid=-;ty=3;nm=IN-CSE;ct=0.0;lt=0.0\n",
         b"lbl=IN-CSE;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=OTHER;ct=0.0;lt=0.0\n",
+        # names that create() refuses: the reserved "la", one holding "/" and the empty name
+        *(b"lbl=IN-CSE;ctr=cb:1,cnt:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n"
+          b"id=cnt_0001;pid=cb_0001;ty=3;nm=" + name + b";ct=0.0;lt=0.0\n"
+          for name in (b"la", b"a%2Fb", b"")),
     ],
     "fields": [b"a=1;a=2", b"a=1\nb", b"a=\xc3\xbc"],
     "profile": [b"svc=s;svc=t;fn=retrieve;lc=normal", b"svc=s;fn=retrieve;lc=normal\n"],

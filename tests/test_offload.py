@@ -192,7 +192,7 @@ class TestImport:
             "illegal name",
             "illegal kind",
             "repeated sibling",
-            "sibling on the edge",
+            "root named apart from its path",
             "illegal grouping name",
             "grouping under an instance",
         ],
@@ -217,10 +217,7 @@ class TestImport:
             records.append(records[1]._replace(parent=0, kind=ResourceKind.AE, name="ae"))
         elif fault == "repeated sibling":
             records.append(records[-1])
-        elif fault == "sibling on the edge":
-            # the root record is named apart from its path, as an existing sibling
-            h.edge_tree.create(P("MN-CSE"), ResourceKind.CONTAINER, "Cars")
-            h.edge_tree.create(cars, ResourceKind.CONTAINER, "CarB")
+        elif fault == "root named apart from its path":
             records[0] = records[0]._replace(name="CarB")
         else:
             # move the task under grouping segments that cannot all be created

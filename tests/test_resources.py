@@ -726,7 +726,9 @@ def graft_batches(draw) -> tuple[str, list[str], list[tuple]]:
         under = draw(st.sampled_from(
             [i for i in range(-1, index) if noisy or LEGAL_CHILDREN[kinds[i + 1]]]
         ))
-        legal = sorted(LEGAL_CHILDREN[kinds[under + 1]], key=lambda k: k.value)
+        # a graft carries no notification target, so a subscription is refused
+        legal = sorted(LEGAL_CHILDREN[kinds[under + 1]] - {ResourceKind.SUBSCRIPTION},
+                       key=lambda k: k.value)
         kind = draw(st.sampled_from(list(ResourceKind) if noisy else legal))
         kinds.append(kind)
         if noisy and draw(st.integers(0, 9)) == 0:
@@ -805,13 +807,12 @@ class TestGraftMany:
     @pytest.mark.parametrize("staged, kind", [
         (ResourceKind.CONTENT_INSTANCE, ResourceKind.CONTAINER),
         (ResourceKind.CONTAINER, ResourceKind.AE),
-        (ResourceKind.SUBSCRIPTION, ResourceKind.SUBSCRIPTION),
     ])
     def test_an_illegal_kind_under_a_staged_parent_is_refused(self, tree, staged, kind):
         before = tree.serialize()
         batch = [
             (-1, ResourceKind.CONTAINER, "c", 0.0, None),
-            (0, staged, "s", 0.0, None),
+            (0, staged, "s", 0.0, b"v" if staged is ResourceKind.CONTENT_INSTANCE else None),
             (1, kind, "k", 0.0, None),
         ]
         with pytest.raises(BadRequestError, match="may not be created under"):
@@ -819,6 +820,30 @@ class TestGraftMany:
         assert len(tree) == 1
         assert tree.serialize() == before
         assert next_id(tree) == "cnt_0001"
+
+    def test_a_subscription_is_refused(self, tree):
+        """A graft carries no notification target, and a subscription without
+        one would fail the first notification matched to it."""
+        before = tree.serialize()
+        batch = [
+            (-1, ResourceKind.CONTAINER, "c", 0.0, None),
+            (0, ResourceKind.SUBSCRIPTION, "s", 0.0, None),
+        ]
+        with pytest.raises(BadRequestError, match="requires a notification target"):
+            tree.graft_many(tree.root, batch)
+        assert tree.serialize() == before
+        assert next_id(tree) == "cnt_0001"
+
+    @pytest.mark.parametrize("kind, content, reason", [
+        (ResourceKind.CONTAINER, b"v", "only content instances carry content"),
+        (ResourceKind.CONTENT_INSTANCE, None, "content instance requires content"),
+    ])
+    def test_content_is_refused_where_create_refuses_it(self, tree, kind, content, reason):
+        before = tree.serialize()
+        batch = [(-1, ResourceKind.CONTAINER, "c", 0.0, None), (0, kind, "k", 0.0, content)]
+        with pytest.raises(BadRequestError, match=reason):
+            tree.graft_many(tree.root, batch)
+        assert tree.serialize() == before
 
     def test_a_refused_batch_gives_back_the_latest_instance_it_took(self, tree):
         parent = tree.create(ResourcePath("MN-CSE"), ResourceKind.CONTAINER, "c")

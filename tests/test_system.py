@@ -12,7 +12,8 @@ from edgeslice.bench import build_system, derive_seed, road_config
 from edgeslice.codec import FieldBody
 from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError, SimulationLimitError
 from edgeslice.netsim import Network
-from edgeslice.offload import BundleTransfer, OffloadBundle, SyncMode, make_bundle, subtrees_converged
+from edgeslice.offload import (BundleRecord, BundleTransfer, OffloadBundle, SyncMode, make_bundle,
+                              subtrees_converged)
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
@@ -728,7 +729,7 @@ class TestMessagesAsObjects:
         imported = make_bundle(edge_tree, ResourcePath("MN-CSE", task_root.segments), "t", 0.0)
         assert imported.records == bundle.records
 
-    def test_a_bundle_transfer_with_a_record_outside_its_root_is_unreadable(self, config):
+    def test_a_bundle_transfer_with_a_forward_parent_index_is_unreadable(self, config):
         """Its body decodes to no bundle, so it is answered 4000 and the
         edge tree is not touched."""
         system = build_system(config, "edge", 42)
@@ -736,9 +737,9 @@ class TestMessagesAsObjects:
         task_root = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
         bundle = make_bundle(system.cloud.tree, task_root, "task-citizenB", 0.0)
         body = BundleTransfer((("task", "task-citizenB"), ("mode", "lazy")), bundle).to_bytes()
-        inside = b"\npt=IN-CSE%2FPedestrians%2FCitizenB%2Flocation;"
-        assert body.count(inside) == 1
-        body = body.replace(inside, b"\npt=IN-CSE%2FElsewhere%2Flocation;")
+        first_child = b"\npi=0;"
+        assert body.count(first_child) == 1 and len(bundle.records) > 2
+        body = body.replace(first_child, b"\npi=2;")  # names the record after it
         req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-2", content=body)
         responses = []
         device.pending["raw-2"] = responses.append
@@ -747,8 +748,38 @@ class TestMessagesAsObjects:
         system.network.send(device.node_id, "edge0", req.encode(), 0)
         system.run_until_idle()
         assert [r.status for r in responses] == [StatusCode.BAD_REQUEST]
-        assert b"outside the task root" in responses[0].content
+        assert b"parent index 2" in responses[0].content
         assert edge_tree.serialize() == before
+
+    def test_a_bundle_transfer_carrying_a_subscription_is_refused(self, config):
+        """A subscription record would be grafted with no notification
+        target, and the next create under its container would fail while
+        matching it. The import is refused as a whole, and the create after
+        it is served."""
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        device = system.devices[system.device_id]
+        bundle = OffloadBundle("task-x", 0.0, "IN-CSE/Injected/box", (
+            BundleRecord(-1, ResourceKind.CONTAINER, "box", 0.0),
+            BundleRecord(0, ResourceKind.SUBSCRIPTION, "s", 0.0),
+        ))
+        body = BundleTransfer((("task", "task-x"), ("mode", "lazy")), bundle).to_bytes()
+        req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-3", content=body)
+        responses = []
+        device.pending["raw-3"] = responses.append
+        edge_tree = system.edges["edge0"].worker.tree
+        before = edge_tree.serialize()
+        system.network.send(device.node_id, "edge0", req.encode(), 0)
+        system.run_until_idle()
+        assert [r.ok for r in responses] == [False]
+        assert b"notification target" in responses[0].content
+        assert edge_tree.serialize() == before
+        create = RequestPrimitive(Operation.CREATE, "MN-CSE/Injected/box", device.node_id, "raw-4",
+                                  ResourceKind.CONTENT_INSTANCE, b"nm=c1;pc=AA%3D%3D")
+        device.issue(create, "edge0", 0, responses.append)
+        system.run_until_idle()
+        assert [r.status for r in responses[1:]] == [StatusCode.NOT_FOUND]
+        assert len(system.run_workload("create", 1)) == 1
 
 
 def populated_the_old_way(config) -> ResourceTree:

@@ -15,7 +15,13 @@ code as it stood before the field-line codecs were folded into
 ``edgeslice.codec``; ``test_golden`` checks that every byte on the wire
 stays the same. Its ``prepare_200_bundle_transfer`` entry was added later,
 generated the same way from the code as it stood before each offload bundle
-stage became a single pass.
+stage became a single pass. The file was regenerated once since, when the
+offload bundle's records went on the wire framed by their parent's record
+index instead of their full source path, and the unread ``svc`` field left
+the ``SLICE_INSTANTIATE`` and ``SLICE_RECORD`` bodies: the ``bundle`` and
+``bundle_transfer`` samples and the ``calibrated_eager``,
+``calibrated_lazy_terminate``, ``campus_redirect`` and
+``prepare_200_bundle_transfer`` digests moved, and no other entry did.
 """
 from __future__ import annotations
 
