@@ -6,10 +6,12 @@ simulated with a size/bandwidth transfer model and caches never evict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
+from .codec import parse_int
 from .errors import BadRequestError, ImageNotFoundError
-from .slicing import FunctionKind, function_from_name
+from .slicing import FUNCTION_BY_NAME, FUNCTION_NAMES, FunctionKind, function_from_name
 
 MB = 1_000_000
 
@@ -27,6 +29,17 @@ class FunctionImage:
     def __post_init__(self):
         if self.size_bytes < 0:
             raise BadRequestError("image size must be >= 0")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The image's line in a SLICE_INSTANTIATE body, built once per image."""
+        return (("img", self.image_id), ("fn", FUNCTION_NAMES[self.function]),
+                ("ver", self.version), ("size", str(self.size_bytes)))
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "FunctionImage":
+        rec = dict(pairs)
+        return cls(rec["img"], FUNCTION_BY_NAME[rec["fn"]], rec["ver"], parse_int(rec["size"]))
 
 
 def _version_key(version: str) -> tuple:

@@ -42,6 +42,11 @@ class SyncMode(Enum):
     EAGER = "eager"
     LAZY = "lazy"
 
+    __hash__ = object.__hash__
+
+
+MODE_VALUES = {m: m.value for m in SyncMode}  # a dict read is cheaper than ``.value``
+
 
 @dataclass(frozen=True)
 class Task:
@@ -238,14 +243,18 @@ def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePat
     call as they are, behind the grouping containers: it checks every
     parent index, name, kind and sibling as it goes and takes a refused
     batch out again. The import itself checks only that the root is the one
-    record at -1 and is named as the task root's path ends.
+    record at -1 and is named as the task root's path ends, a path that
+    names a resource, not a latest instance (``/la``).
     """
     records = bundle.records
     if not records:
         raise BadRequestError("bundle has no records")
     if records[0].parent != -1 or countOf(map(itemgetter(0), records), -1) != 1:
         raise BadRequestError("a bundle's first record, and only it, is the task root at -1")
-    root_target = ResourcePath(edge_tree.cse_label, ResourcePath.parse(bundle.root).segments)
+    source = ResourcePath.parse(bundle.root)
+    if source.latest:
+        raise BadRequestError(f"the task root {bundle.root} names a latest instance")
+    root_target = ResourcePath(edge_tree.cse_label, source.segments)
     parent, missing = _grouping_parent(edge_tree, root_target)
     if records[0].name != root_target.segments[-1]:
         raise BadRequestError(f"the task root record {records[0].name!r} is not named as {bundle.root}")
@@ -376,14 +385,17 @@ class OffloadCoordinator:
         self._clock = clock or (lambda: 0.0)
         self.bindings: dict[str, SyncBinding] = {}
         self.offloaded: set[str] = set()
-        cloud_tree.guard = self._guard
+        bindings = self.bindings
 
-    def _guard(self, path: ResourcePath, op: str) -> None:
-        for binding in self.bindings.values():
-            if binding.cloud_mirror_root.is_prefix_of(path):
-                raise ConflictError(
-                    f"{binding.task_id!r} is offloaded; the edge is authoritative for {path}"
-                )
+        def guard(path: ResourcePath, op: str) -> None:
+            for binding in bindings.values():
+                if binding.cloud_mirror_root.is_prefix_of(path):
+                    raise ConflictError(
+                        f"{binding.task_id!r} is offloaded; the edge is authoritative for {path}"
+                    )
+
+        # the guard reads the bindings, not the coordinator, which owns the tree
+        self._guard = cloud_tree.guard = guard
 
     # --- export / import ---
 

@@ -18,6 +18,8 @@ from typing import Callable
 from .errors import NoEdgeAvailableError, NoRouteError, UnknownSliceError
 from .netsim import NodeRole, Topology
 from .slicing import (
+    FUNCTION_NAMES,
+    VALUES,
     FunctionKind,
     PlanDecision,
     SliceInstance,
@@ -101,9 +103,9 @@ class SliceOrchestrator:
                 "service": req.service_id,
                 "device": req.device,
                 "edge": edge,
-                "latency_class": req.profile.latency_class.value,
-                "decision": plan.decision.value,
-                "missing": [f.name for f in ordered(plan.missing_functions)],
+                "latency_class": VALUES[req.profile.latency_class],
+                "decision": VALUES[plan.decision],
+                "missing": [FUNCTION_NAMES[f] for f in ordered(plan.missing_functions)],
             }
         )
         return plan

@@ -27,7 +27,12 @@ class FunctionKind(Enum):
     __hash__ = object.__hash__
 
 
-_ORDER = {f: f.value for f in FunctionKind}  # a dict read is cheaper than ``.value``
+# an enum's ``.name``, ``.value`` and ``FunctionKind[name]`` are Python-level
+# calls; a read of these tables is a dict read
+_ORDER = {f: f.value for f in FunctionKind}
+FUNCTION_NAMES = {f: f.name for f in FunctionKind}
+FUNCTION_BY_NAME = {f.name: f for f in FunctionKind}
+_LOWER_NAMES = {f: f.name.lower() for f in FunctionKind}
 
 
 def port_for(function: FunctionKind) -> int:
@@ -52,6 +57,8 @@ class LatencyClass(Enum):
     NORMAL = "normal"
     MISSION_CRITICAL = "mission_critical"
 
+    __hash__ = object.__hash__
+
 
 class SliceState(Enum):
     INSTANTIATING = "instantiating"
@@ -62,6 +69,13 @@ class SliceState(Enum):
 class PlanDecision(Enum):
     FAST_PATH_OFFLOAD_ONLY = "fast_path_offload_only"
     INSTANTIATE_THEN_OFFLOAD = "instantiate_then_offload"
+
+    __hash__ = object.__hash__
+
+
+VALUES = {m: m.value for kind in (LatencyClass, PlanDecision) for m in kind}
+_LATENCY_CLASSES = {m.value: m for m in LatencyClass}
+_DECISIONS = {m.value: m for m in PlanDecision}
 
 
 @dataclass(frozen=True)
@@ -79,18 +93,19 @@ class SliceProfile:
     def to_pairs(self) -> tuple[tuple[str, str], ...]:
         return (
             ("svc", self.service_id),
-            ("fn", ",".join(f.name.lower() for f in ordered(self.required_functions))),
-            ("lc", self.latency_class.value),
+            ("fn", ",".join(map(_LOWER_NAMES.__getitem__, ordered(self.required_functions)))),
+            ("lc", VALUES[self.latency_class]),
         )
 
     @classmethod
-    def from_pairs(cls, pairs: "Iterable[tuple[str, str]]") -> "SliceProfile":
-        rec = dict(pairs)
+    def from_pairs(cls, pairs: "Iterable[tuple[str, str]] | dict[str, str]") -> "SliceProfile":
+        """The profile ``to_pairs`` gave; a dict of its fields is read as it is."""
+        rec = pairs if isinstance(pairs, dict) else dict(pairs)
         try:
             return cls(
                 service_id=rec["svc"],
                 required_functions=frozenset(function_from_name(n) for n in rec["fn"].split(",")),
-                latency_class=LatencyClass(rec["lc"]),
+                latency_class=_LATENCY_CLASSES[rec["lc"]],
             )
         except (KeyError, ValueError) as exc:
             raise BadRequestError(f"malformed slice profile: {exc!r}") from None
@@ -111,9 +126,9 @@ class SlicingPlan:
 
     def to_pairs(self) -> tuple[tuple[str, str], ...]:
         return (
-            ("dec", self.decision.value),
+            ("dec", VALUES[self.decision]),
             ("slc", self.target_slice),
-            ("mf", ",".join(f.name.lower() for f in ordered(self.missing_functions))),
+            ("mf", ",".join(map(_LOWER_NAMES.__getitem__, ordered(self.missing_functions)))),
         )
 
     @classmethod
@@ -121,7 +136,7 @@ class SlicingPlan:
         rec = dict(pairs)
         try:
             return cls(
-                decision=PlanDecision(rec["dec"]),
+                decision=_DECISIONS[rec["dec"]],
                 target_slice=rec["slc"],
                 missing_functions=frozenset(
                     function_from_name(n) for n in rec["mf"].split(",") if n

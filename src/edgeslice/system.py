@@ -23,9 +23,11 @@ data-plane messages carry the configured payload size.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial
+from itertools import count
+from typing import Callable, Generator
 
 from .codec import FieldBody, encode_b64, encode_body, parse_float, parse_int
 from .errors import (
@@ -41,6 +43,7 @@ from . import netsim
 from .netsim import LatencySample, Network, NodeRole, Simulator
 from .notify import NotificationChannel, match_subscriptions, parse_notify
 from .offload import (
+    MODE_VALUES,
     BundleTransfer,
     EdgeSyncInfo,
     OffloadBundle,
@@ -67,7 +70,8 @@ from .primitives import (
 )
 from .resources import ResourceKind, ResourcePath, ResourceTree
 from .scenario import ScenarioConfig
-from .slicing import FunctionKind, PlanDecision, SliceProfile, SliceState, SlicingPlan, ordered
+from .slicing import (FUNCTION_BY_NAME, FUNCTION_NAMES, FunctionKind, PlanDecision, SliceProfile,
+                      SliceState, SlicingPlan, ordered)
 from .worker import EdgeWorker, FunctionInstance, ResourceQuota
 
 DATA_OPS = (
@@ -166,14 +170,42 @@ def _cloud_template(
 
 
 class _Node:
+    """One node of a deployment. It holds what it needs of the deployment but
+    not the ``System``, and the network and its notification channel reach it
+    through a weak reference: a dropped deployment is freed by reference count."""
+
     def __init__(self, system: "System", node_id: str):
-        self.system = system
         self.node_id = node_id
+        self.config = system.config
+        self.cloud_id = system.cloud_id
         self.sim = system.sim
         self.network = system.network
+        self._control_ids = system._control_ids  # one sequence per deployment
         self.pending: dict[str, object] = {}
         self.malformed_dropped = 0
-        system.network.attach(node_id, self.receive)
+        me = weakref.ref(self)
+        system.network.attach(node_id, lambda message, sender: me().receive(message, sender))
+
+    def next_control_rqi(self) -> str:
+        return f"ctl-{next(self._control_ids):06d}"
+
+    def _new_channel(self) -> NotificationChannel:
+        me = weakref.ref(self)
+        return NotificationChannel(lambda notify, done: me()._notify_transport(notify, done), self.sim.schedule)
+
+    def _advance(self, process: Generator, value: object = None) -> None:
+        """Run a protocol step ``process`` to its next wait: a number is a
+        delay in ms, a string the request id whose response it resumes with.
+        What resumes it is this bound method, so no step refers to itself."""
+        try:
+            wait = process.send(value)
+        except StopIteration:
+            return
+        resume = partial(self._advance, process)
+        if isinstance(wait, str):
+            self.pending[wait] = resume
+        else:
+            self.sim.schedule(wait, resume)
 
     def send(self, to: str, message: "RequestPrimitive | ResponsePrimitive", size: int) -> None:
         # Data-plane messages are still encoded here, until the benchmark's
@@ -187,7 +219,7 @@ class _Node:
 
     def send_control(self, to: str, op: Operation, body: "bytes | Body", rqi: str = "") -> None:
         """Send a control request to a peer node; mints the request id if none is given."""
-        rqi = rqi or self.system.next_control_rqi()
+        rqi = rqi or self.next_control_rqi()
         self.send(to, RequestPrimitive(op, to, self.node_id, rqi, content=body), CONTROL_SIZE)
 
     def receive(self, message: "RequestPrimitive | ResponsePrimitive | bytes", sender: str) -> None:
@@ -211,7 +243,7 @@ class _Node:
         """Send one notification as a request; ``done`` gets whether it was accepted."""
         req = notify.to_request(self.node_id)
         self.pending[notify.request_id] = lambda resp: done(resp.ok)
-        self.send(notify.target_node, req, self.system.config.payload_bytes)
+        self.send(notify.target_node, req, self.config.payload_bytes)
 
     def refuse(self, req: RequestPrimitive, sender: str, exc: Exception) -> None:
         """Answer a request whose body could not be read with 4000."""
@@ -260,8 +292,11 @@ class EdgeNode(_Node):
         if config.pre_seeded_cache:
             self.worker.cache.seed(config.catalogue)
         self.sync_infos: list[EdgeSyncInfo] = []
-        self.channel = NotificationChannel(self._notify_transport, self.sim.schedule)
+        self.channel = self._new_channel()
         self.channel.pause()  # resumes once the notification function runs
+        # the first service request to reach this edge, and its latest import
+        self.first_service_arrival_ms: float | None = None
+        self.last_import_ms: float | None = None
 
     # --- notification plumbing ---
 
@@ -287,11 +322,11 @@ class EdgeNode(_Node):
         try:
             if op is Operation.SERVICE_REQUEST:
                 self.sim.log("service_request_arrival", rqi=req.request_id, device=req.originator)
-                if self.system.first_service_arrival_ms is None:
-                    self.system.first_service_arrival_ms = self.sim.now
-                self.send(self.system.cloud_id, req, CONTROL_SIZE)
+                if self.first_service_arrival_ms is None:
+                    self.first_service_arrival_ms = self.sim.now
+                self.send(self.cloud_id, req, CONTROL_SIZE)
             elif op is Operation.SLICE_INSTANTIATE:
-                self._handle_instantiate(req)
+                self._advance(self._handle_instantiate(req))
             elif op is Operation.BUNDLE_TRANSFER:
                 self._handle_bundle(req, sender)
             elif op is Operation.SYNC_FINALIZE:
@@ -311,90 +346,68 @@ class EdgeNode(_Node):
         response, events, processing = self.worker.dispatch(req)
         self._publish_events(events)
         self.sim.schedule(
-            processing, lambda: self.reply(sender, response, self.system.config.payload_bytes)
+            processing, lambda: self.reply(sender, response, self.config.payload_bytes)
         )
 
-    def _handle_instantiate(self, req: RequestPrimitive) -> None:
+    def _handle_instantiate(self, req: RequestPrimitive) -> Generator:
+        """Pull and start each missing function in turn, then record the
+        outcome at the cloud; a process for ``_advance``."""
         plan_line, meta_line, *image_lines = read_body(req.content, FieldBody).lines
         plan = SlicingPlan.from_pairs(plan_line)
         meta = dict(meta_line)
-        ctx = meta["ctx"]  # read now: the steps below run later
-        images = []
-        for line in image_lines:
-            rec = dict(line)
-            images.append(
-                FunctionImage(
-                    image_id=rec["img"],
-                    function=FunctionKind[rec["fn"]],
-                    version=rec["ver"],
-                    size_bytes=parse_int(rec["size"]),
-                )
-            )
+        ctx = meta["ctx"]
+        images = [FunctionImage.from_pairs(line) for line in image_lines]
         quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
-        bandwidth = self.network.bottleneck_bandwidth(self.node_id, self.system.cloud_id)
+        bandwidth = self.network.bottleneck_bandwidth(self.node_id, self.cloud_id)
         extra = (
-            self.network.topology.path_delay_ms(self.node_id, self.system.cloud_id)
-            if self.system.config.link_accurate_pulls
+            self.network.topology.path_delay_ms(self.node_id, self.cloud_id)
+            if self.config.link_accurate_pulls
             else 0.0
         )
         started: dict[FunctionKind, int] = {}
         fresh_starts: list[FunctionKind] = []
-
-        def fail(message: str) -> None:
-            for fn in fresh_starts:
-                self.worker.stop_function(fn)
-            self._sync_channel_state()
-            body = FieldBody.line(("ctx", ctx), ("slc", plan.target_slice), ("err", message))
-            self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, body)
-
-        def step(index: int) -> None:
-            if index == len(images):
-                body = FieldBody.line(
-                    ("ctx", ctx),
-                    ("slc", plan.target_slice),
-                    ("fn", ",".join(f"{fn.name}:{started[fn]}" for fn in ordered(started))),
-                )
-                self.send_control(self.system.cloud_id, Operation.SLICE_RECORD, body)
-                return
-            image = images[index]
-            if image.function in self.worker.functions:
+        for image in images:
+            function = image.function
+            if function in self.worker.functions:
                 # already hosted (stale handler view); never start twice
-                started[image.function] = self.worker.functions[image.function].port
-                step(index + 1)
+                started[function] = self.worker.functions[function].port
+                continue
+            yield pull_image(self.worker.cache, image, bandwidth, extra_delay_ms=extra)
+            try:
+                instance = self.worker.begin_start(image, quota)
+            except EdgeSliceError as exc:
+                for fn in fresh_starts:
+                    self.worker.stop_function(fn)
+                self._sync_channel_state()
+                body = FieldBody.line(("ctx", ctx), ("slc", plan.target_slice), ("err", str(exc)))
+                self.send_control(self.cloud_id, Operation.SLICE_RECORD, body)
                 return
-            pull_ms = pull_image(self.worker.cache, image, bandwidth, extra_delay_ms=extra)
-
-            def begin() -> None:
-                try:
-                    instance = self.worker.begin_start(image, quota)
-                except EdgeSliceError as exc:
-                    fail(str(exc))
-                    return
-
-                def complete() -> None:
-                    self.worker.complete_start(image.function)
-                    self._sync_channel_state()
-                    started[image.function] = instance.port
-                    fresh_starts.append(image.function)
-                    step(index + 1)
-
-                self.sim.schedule(self.worker.start_delay_ms, complete)
-
-            self.sim.schedule(pull_ms, begin)
-
-        step(0)
+            yield self.worker.start_delay_ms
+            self.worker.complete_start(function)
+            self._sync_channel_state()
+            started[function] = instance.port
+            fresh_starts.append(function)
+        body = FieldBody.line(
+            ("ctx", ctx),
+            ("slc", plan.target_slice),
+            ("fn", ",".join(f"{FUNCTION_NAMES[fn]}:{started[fn]}" for fn in ordered(started))),
+        )
+        self.send_control(self.cloud_id, Operation.SLICE_RECORD, body)
 
     def _handle_bundle(self, req: RequestPrimitive, sender: str) -> None:
         # the whole body is read before the import, so a refusal changes nothing
         transfer = read_body(req.content, BundleTransfer)
         meta = dict(transfer.head)
         task_id = meta["task"]
-        eager = meta["mode"] == SyncMode.EAGER.value
+        eager = meta["mode"] == MODE_VALUES[SyncMode.EAGER]
         if eager:
             mirror_root, cloud = ResourcePath.parse(meta["mirror"]), meta["cloud"]
         try:
             root = import_bundle(self.worker.tree, transfer.bundle)
-        except EdgeSliceError as exc:
+        except BadRequestError as exc:  # a bundle that is not importable as it stands
+            self.refuse(req, sender, exc)
+            return
+        except EdgeSliceError as exc:  # its task root is there already
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.CONFLICT, str(exc).encode()))
             return
         if eager:
@@ -407,7 +420,7 @@ class EdgeNode(_Node):
             task=task_id,
             root=str(root),
         )
-        self.system.last_import_ms = self.sim.now
+        self.last_import_ms = self.sim.now
         body = FieldBody.line(("task", task_id), ("root", str(root)))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
@@ -436,7 +449,7 @@ class EdgeNode(_Node):
         meta = _fields(req.content)
         quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
         try:
-            image = self.system.config.catalogue.by_id(meta["img"])
+            image = self.config.catalogue.by_id(meta["img"])
             instance = self.worker.begin_start(image, quota)
         except EdgeSliceError as exc:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, str(exc).encode()))
@@ -453,7 +466,7 @@ class EdgeNode(_Node):
     def _handle_stop(self, req: RequestPrimitive, sender: str) -> None:
         meta = _fields(req.content)
         try:
-            self.worker.stop_function(FunctionKind[meta["fn"]])
+            self.worker.stop_function(FUNCTION_BY_NAME[meta["fn"]])
         except EdgeSliceError as exc:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, str(exc).encode()))
             return
@@ -462,7 +475,7 @@ class EdgeNode(_Node):
 
     def _handle_crash(self, req: RequestPrimitive, sender: str) -> None:
         meta = _fields(req.content)
-        function = FunctionKind[meta["fn"]]
+        function = FUNCTION_BY_NAME[meta["fn"]]
         try:
             duration = self.worker.begin_crash(function)
         except EdgeSliceError as exc:
@@ -498,7 +511,7 @@ class CloudNode(_Node):
                                   for fn, inst in _cloud_functions().items()}
         self.orchestrator = SliceOrchestrator(config.topology, clock=system.sim.time)
         self.coordinator = OffloadCoordinator(self.tree, system.sim.time)
-        self.channel = NotificationChannel(self._notify_transport, self.sim.schedule)
+        self.channel = self._new_channel()
         self.service_ctx: dict[str, dict] = {}
 
     def _publish_events(self, events) -> None:
@@ -527,7 +540,7 @@ class CloudNode(_Node):
             elif op is Operation.OFFLOAD_REQUEST:
                 self._handle_offload_request(req, sender)
             elif op is Operation.SLICE_TERMINATE:
-                self._handle_terminate(req, sender)
+                self._advance(self._handle_terminate(req, sender))
             else:
                 self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST))
         except MALFORMED_CONTROL as exc:
@@ -553,20 +566,20 @@ class CloudNode(_Node):
                 binding.stats.redirects_served += 1
                 forwarded = replace(req, to=str(remapped))
                 self.pending[req.request_id] = lambda resp: self.reply(
-                    sender, resp, self.system.config.payload_bytes
+                    sender, resp, self.config.payload_bytes
                 )
-                self.send(binding.edge, forwarded, self.system.config.payload_bytes)
+                self.send(binding.edge, forwarded, self.config.payload_bytes)
                 return
         response, events, processing = self.service.dispatch(req)
         self._publish_events(events)
         self.sim.schedule(
-            processing, lambda: self.reply(sender, response, self.system.config.payload_bytes)
+            processing, lambda: self.reply(sender, response, self.config.payload_bytes)
         )
 
     # --- slicing control plane ---
 
     def _handle_service_request(self, req: RequestPrimitive) -> None:
-        profile = SliceProfile.from_pairs(_fields(req.content).items())
+        profile = SliceProfile.from_pairs(_fields(req.content))
         device = req.originator
         plan = self.orchestrator.handle_service_request(
             ServiceRequest(device, profile.service_id, profile)
@@ -583,15 +596,12 @@ class CloudNode(_Node):
         }
         if plan.decision is PlanDecision.INSTANTIATE_THEN_OFFLOAD:
             self.orchestrator.ensure_instance(plan.target_slice, edge)
-            config = self.system.config
+            config = self.config
             quota = config.quota
             meta = (("ctx", ctx), ("mem", str(quota.max_memory_bytes)), ("cpu", repr(quota.max_cpu_share)))
-            lines = [plan.to_pairs(), meta]
-            for fn in ordered(plan.missing_functions):
-                image = config.catalogue.lookup(fn)
-                lines.append((("img", image.image_id), ("fn", fn.name), ("ver", image.version),
-                              ("size", str(image.size_bytes))))
-            self.send_control(edge, Operation.SLICE_INSTANTIATE, FieldBody(tuple(lines)))
+            images = [config.catalogue.lookup(fn).pairs for fn in ordered(plan.missing_functions)]
+            body = FieldBody((plan.to_pairs(), meta, *images))
+            self.send_control(edge, Operation.SLICE_INSTANTIATE, body)
         else:
             self._offload_phase(ctx)
 
@@ -613,7 +623,7 @@ class CloudNode(_Node):
         if meta.get("fn"):
             for pair in meta["fn"].split(","):
                 name, _, port = pair.partition(":")
-                started[FunctionKind[name]] = parse_int(port)
+                started[FUNCTION_BY_NAME[name]] = parse_int(port)
         self.orchestrator.mark_active(meta["slc"], started)
         self.orchestrator.record_slice_functions(meta["slc"], set(started))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
@@ -623,7 +633,7 @@ class CloudNode(_Node):
         context = self.service_ctx[ctx]
         tasks = [
             Task(t.task_id, ResourcePath.parse(t.root), t.service)
-            for t in self.system.config.tasks
+            for t in self.config.tasks
             if t.service == context["service"]
         ]
         remaining = [t for t in tasks if t.task_id not in self.coordinator.bindings]
@@ -641,15 +651,15 @@ class CloudNode(_Node):
         except AlreadyOffloadedError:
             # exported earlier but the edge never confirmed; resend the state
             bundle = make_bundle(self.tree, task.root_path, task.task_id, self.sim.now)
-        mode = self.system.config.sync_mode
+        mode = self.config.sync_mode
         head = (
             ("ctx", ctx),
             ("task", task.task_id),
-            ("mode", mode.value),
+            ("mode", MODE_VALUES[mode]),
             ("mirror", str(task.root_path)),
             ("cloud", self.node_id),
         )
-        rqi = self.system.next_control_rqi()
+        rqi = self.next_control_rqi()
 
         def on_ack(response: ResponsePrimitive) -> None:
             context = self.service_ctx[ctx]
@@ -688,7 +698,7 @@ class CloudNode(_Node):
     def _handle_offload_request(self, req: RequestPrimitive, sender: str) -> None:
         meta = _fields(req.content)
         spec = next(
-            (t for t in self.system.config.tasks if t.task_id == meta["task"]), None
+            (t for t in self.config.tasks if t.task_id == meta["task"]), None
         )
         if spec is None:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND))
@@ -707,7 +717,9 @@ class CloudNode(_Node):
         task = Task(spec.task_id, ResourcePath.parse(spec.root), spec.service)
         self._send_bundle(ctx, task, meta["edge"])
 
-    def _handle_terminate(self, req: RequestPrimitive, sender: str) -> None:
+    def _handle_terminate(self, req: RequestPrimitive, sender: str) -> Generator:
+        """Finalize each binding on the slice's edge, then stop each of its
+        functions, one request at a time; a process for ``_advance``."""
         meta = _fields(req.content)
         slice_id = meta["slc"]
         instance = self.orchestrator.registry.get(slice_id)
@@ -715,47 +727,24 @@ class CloudNode(_Node):
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND))
             return
         edge = instance.edge_node
-        bindings = list(self.coordinator.bindings_on_edge(edge))
         synced_total = 0
-
-        def finalize_next(index: int) -> None:
-            nonlocal synced_total
-            if index == len(bindings):
-                stop_functions()
-                return
-            binding = bindings[index]
-            rqi = self.system.next_control_rqi()
-
-            def on_snapshot(response: ResponsePrimitive) -> None:
-                nonlocal synced_total
-                if response.ok:
-                    bundle = read_body(response.content, OffloadBundle)
-                    report = self.coordinator.finalize(binding.task_id, bundle)
-                    self._after_mutation()
-                    synced_total += report.synced_resources
-                finalize_next(index + 1)
-
-            self.pending[rqi] = on_snapshot
+        for binding in list(self.coordinator.bindings_on_edge(edge)):
+            rqi = self.next_control_rqi()
             body = FieldBody.line(("task", binding.task_id), ("root", str(binding.edge_root)))
             self.send_control(edge, Operation.SYNC_FINALIZE, body, rqi)
-
-        def stop_functions() -> None:
-            functions = list(instance.running_functions)
-
-            def stop_next(index: int) -> None:
-                if index == len(functions):
-                    self.orchestrator.forget_slice(slice_id)
-                    body = FieldBody.line(("synced", str(synced_total)))
-                    self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
-                    return
-                rqi = self.system.next_control_rqi()
-                self.pending[rqi] = lambda resp: stop_next(index + 1)
-                body = FieldBody.line(("fn", functions[index].name))
-                self.send_control(edge, Operation.STOP_FUNCTION, body, rqi)
-
-            stop_next(0)
-
-        finalize_next(0)
+            response = yield rqi
+            if response.ok:
+                bundle = read_body(response.content, OffloadBundle)
+                report = self.coordinator.finalize(binding.task_id, bundle)
+                self._after_mutation()
+                synced_total += report.synced_resources
+        for function in list(instance.running_functions):
+            rqi = self.next_control_rqi()
+            self.send_control(edge, Operation.STOP_FUNCTION, FieldBody.line(("fn", FUNCTION_NAMES[function])), rqi)
+            yield rqi
+        self.orchestrator.forget_slice(slice_id)
+        body = FieldBody.line(("synced", str(synced_total)))
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
 
 class System:
@@ -766,9 +755,13 @@ class System:
     task roots, populate list and payload size (``initial_cloud_tree``), and
     routes are computed once per topology (``Topology.route``).
 
-    ``first_service_arrival_ms`` and ``last_import_ms`` hold the virtual times
+    ``first_service_arrival_ms`` and ``last_import_ms`` are the virtual times
     of the first service request reaching an edge and of the latest completed
     offload import; both are None until it happens.
+
+    The System owns the simulator, the network and the nodes, and nothing
+    points back up to it: a dropped deployment is freed at once, unless it
+    ran ``run_workload``.
     """
 
     def __init__(self, config: ScenarioConfig, mode: str, seed: int):
@@ -782,7 +775,7 @@ class System:
         if len(clouds) != 1:
             raise ConfigInvalidError("scenarios require exactly one cloud node")
         self.cloud_id = clouds[0]
-        self._control_counter = 0
+        self._control_ids = count(1)
         self.cloud = CloudNode(self, self.cloud_id)
         self.edges = {
             node_id: EdgeNode(self, node_id)
@@ -793,12 +786,16 @@ class System:
             for node_id in config.topology.by_role(NodeRole.DEVICE)
         }
         self.samples: list[LatencySample] = []
-        self.first_service_arrival_ms: float | None = None
-        self.last_import_ms: float | None = None
 
-    def next_control_rqi(self) -> str:
-        self._control_counter += 1
-        return f"ctl-{self._control_counter:06d}"
+    @property
+    def first_service_arrival_ms(self) -> float | None:
+        times = [e.first_service_arrival_ms for e in self.edges.values()]
+        return min((t for t in times if t is not None), default=None)
+
+    @property
+    def last_import_ms(self) -> float | None:
+        times = [e.last_import_ms for e in self.edges.values()]
+        return max((t for t in times if t is not None), default=None)
 
     # --- conveniences for benchmarks and tests ---
 
@@ -863,6 +860,9 @@ class System:
         collected: list[LatencySample] = []
         mode_label = record_as or self.mode
 
+        # ``issue`` refers to itself and to the System, so a deployment that
+        # ran a workload is left to the collector: freed as it is dropped, it
+        # would be freed inside the benchmark's timed data-plane set-up
         def issue(index: int) -> None:
             if index == requests:
                 return

@@ -30,7 +30,7 @@ from .primitives import (
     StatusCode,
 )
 from .resources import ChangeEvent, ResourceKind, ResourcePath, ResourceTree
-from .slicing import FunctionKind, port_for
+from .slicing import FUNCTION_NAMES, FunctionKind, port_for
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class EdgeWorker:
         self.functions[image.function] = instance
         # a dict literal: ``_log``'s keyword arguments cost a dict more
         self.log.append({"ts": self._clock(), "action": "start_begin",
-                         "function": image.function.name, "port": instance.port})
+                         "function": FUNCTION_NAMES[image.function], "port": instance.port})
         return instance
 
     def complete_start(self, function: FunctionKind) -> FunctionInstance:
@@ -146,7 +146,7 @@ class EdgeWorker:
         instance.state = InstanceState.RUNNING
         instance.started_at = self._clock()
         self.log.append({"ts": instance.started_at, "action": "start_complete",
-                         "function": function.name, "port": instance.port})
+                         "function": FUNCTION_NAMES[function], "port": instance.port})
         return instance
 
     def start_now(self, image: FunctionImage, quota: ResourceQuota) -> FunctionInstance:

@@ -77,6 +77,8 @@ def import_bundle(edge_tree: ResourceTree, bundle: PathBundle) -> ResourcePath:
     if not bundle.records:
         raise BadRequestError("bundle has no records")
     now_root_src = ResourcePath.parse(bundle.records[0].source_path)
+    if now_root_src.latest:
+        raise BadRequestError("a task root names a resource, not a latest instance")
     root_target = ResourcePath(edge_tree.cse_label, now_root_src.segments)
     parent = ResourcePath(edge_tree.cse_label)
     for segment in root_target.segments[:-1]:

@@ -9,9 +9,10 @@ out. A bundle crosses the wire unchanged: ``OffloadBundle.decode`` of its
 decodes: the same edge tree, or the same exception class, and a refused
 import leaves the edge tree as it was, which the oracle's did not. The oracle
 finds each record's parent by its path, spelled from the task root's path as
-``import_bundle`` reads it (``ResourcePath.parse``, without ``/la``);
-``import_bundle`` reads the parent index, which ``decode`` has checked names
-an earlier record. One bundle the oracle imports is refused: a lone record
+``import_bundle`` reads it (``ResourcePath.parse``); ``import_bundle`` reads
+the parent index, which ``decode`` has checked names an earlier record. Both
+refuse a task root that ends in ``/la``: it names a latest instance, not a
+resource. One bundle the oracle imports is refused: a lone record
 named apart from the end of the task root's path, which the oracle grafted
 under a name other than the path it returned. Hypothesis runs derandomized
 with a bounded example count, as in ``test_codec``.
@@ -206,8 +207,7 @@ def _import(function, tree: ResourceTree, bundle: OffloadBundle):
 def _oracle_import(tree: ResourceTree, bundle: OffloadBundle) -> ResourcePath:
     """The oracle's import of ``bundle``, its paths spelled from the task
     root's path as ``import_bundle`` reads it."""
-    root = ResourcePath.parse(bundle.root)
-    spelled = replace(bundle, root=str(ResourcePath(root.cse_label, root.segments)))
+    spelled = replace(bundle, root=str(ResourcePath.parse(bundle.root)))
     return oracle.import_bundle(tree, oracle.as_paths(spelled))
 
 

@@ -176,6 +176,17 @@ class TestImport:
         cars = h.edge_tree.resolve(P("MN-CSE/Cars"))
         assert [c.name for c in h.edge_tree.children(cars.id)] == ["CarA"]
 
+    @pytest.mark.parametrize("root", ["IN-CSE/Cars/CarA/la", "IN-CSE/la"])
+    def test_a_task_root_naming_a_latest_instance_is_refused(self, root):
+        """``ResourcePath.parse`` reads ``/la`` as a flag, not a segment; the
+        import must not drop it and graft the task under the path before it."""
+        h = Harness()
+        bundle = replace(h.coordinator.export_task(h.task), root=root)
+        before = h.edge_tree.serialize()
+        with pytest.raises(BadRequestError, match="latest instance"):
+            import_bundle(h.edge_tree, bundle)
+        assert h.edge_tree.serialize() == before
+
     def test_malformed_ordering_rejected(self):
         h = Harness()
         bundle = h.coordinator.export_task(h.task)

@@ -3,6 +3,7 @@ through the simulated network, as an object or as its encoding."""
 import base64
 import gc
 import random
+import weakref
 
 import pytest
 
@@ -772,6 +773,8 @@ class TestMessagesAsObjects:
         system.network.send(device.node_id, "edge0", req.encode(), 0)
         system.run_until_idle()
         assert [r.ok for r in responses] == [False]
+        # malformed, not conflicting: the import refuses it with 4000
+        assert [r.status for r in responses] == [StatusCode.BAD_REQUEST]
         assert b"notification target" in responses[0].content
         assert edge_tree.serialize() == before
         create = RequestPrimitive(Operation.CREATE, "MN-CSE/Injected/box", device.node_id, "raw-4",
@@ -946,3 +949,48 @@ def test_only_a_deployment_with_jitter_seeds_its_random_stream(monkeypatch):
     system.prepare()
     system.run_workload("retrieve", 3)
     assert seeded == [(derive_seed(42, "edge"),)]
+
+
+# --- a deployment frees itself ---
+
+
+def _cold(config):
+    return replace(config, pre_seeded_cache=False)
+
+
+def _prepared(config):
+    system = build_system(config, "edge", 42)
+    system.prepare()
+    return system
+
+
+def _prepare_terminate_prepare():
+    system = _prepared(_cold(reference_calibrated()))
+    assert admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")])[0].ok
+    assert system.prepare().ok
+    return system
+
+
+DEPLOYMENTS = {
+    "cold-eager-calibrated": lambda: _prepared(_cold(reference_calibrated())),
+    "cold-lazy-campus": lambda: _prepared(_cold(load_scenario(CAMPUS))),
+    "prepare-terminate-prepare": _prepare_terminate_prepare,
+}
+
+
+@pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
+def test_a_dropped_deployment_is_freed_without_the_collector(deployment):
+    """One strong path runs from a ``System`` down and nothing points back
+    up, so the last reference to a deployment frees it at once: with the
+    collector off, its weak reference dies as it is dropped, and a
+    collection then finds nothing to free. A deployment that ran
+    ``run_workload`` is not among them: its request chain refers to itself."""
+    DEPLOYMENTS[deployment]()  # fills the per-process caches
+    gc.collect()
+    gc.disable()
+    try:
+        dropped = weakref.ref(DEPLOYMENTS[deployment]())
+        alive, collected = dropped() is not None, gc.collect()
+    finally:
+        gc.enable()
+    assert (alive, collected) == (False, 0)
