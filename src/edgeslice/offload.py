@@ -191,10 +191,14 @@ class EdgeSyncInfo:
     cloud_node: str
 
 
+# the kinds a task may be rooted at, on export and on import
+_TASK_ROOT_KINDS = (ResourceKind.AE, ResourceKind.CONTAINER)
+
+
 def resolve_task_root(tree: ResourceTree, root_path: ResourcePath) -> Resource:
     """The node a task is rooted at, which must be an Ae or a Container."""
     root = tree.resolve(root_path)
-    if root.kind not in (ResourceKind.AE, ResourceKind.CONTAINER):
+    if root.kind not in _TASK_ROOT_KINDS:
         raise BadRequestError("a task root must be an Ae or a Container")
     return root
 
@@ -204,13 +208,25 @@ def make_bundle(
 ) -> OffloadBundle:
     """Preorder snapshot of a subtree. A subscription stays home.
 
+    The records are derived from the tree's structure alone, so a copy
+    that neither it nor its source has changed since gets the record tuple
+    its source built for the same root (``ResourceTree.derived``).
+    """
+    root = resolve_task_root(tree, root_path)
+    records = tree.derived(("bundle", root.id), lambda source: _export_records(source, root.id))
+    return OffloadBundle(task_id, exported_at, str(tree.path_of(root)), records)
+
+
+def _export_records(tree: ResourceTree, root_id: str) -> tuple[BundleRecord, ...]:
+    """The records of the subtree at ``root_id``, in preorder.
+
     The walk reads the tree's child index directly, with a stack of
     ``(iterator over a node's child ids, the node's record index)``
     entries: a leaf's record is made where its id is read, and no path is
-    built but the root's.
+    built.
     """
-    root = resolve_task_root(tree, root_path)
     nodes, children = tree._nodes, tree._children
+    root = nodes[root_id]
     subscription = ResourceKind.SUBSCRIPTION  # a local: reading an enum member is slow
     new = tuple.__new__  # the NamedTuple's generated __new__ is a Python function, twice as slow
     records = [new(BundleRecord, (-1, root.kind, root.name, root.creation_time, root.content))]
@@ -229,7 +245,7 @@ def make_bundle(
                 break
         else:
             stack.pop()
-    return OffloadBundle(task_id, exported_at, str(tree.path_of(root)), tuple(records))
+    return tuple(records)
 
 
 def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePath:
@@ -243,8 +259,9 @@ def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePat
     call as they are, behind the grouping containers: it checks every
     parent index, name, kind and sibling as it goes and takes a refused
     batch out again. The import itself checks only that the root is the one
-    record at -1 and is named as the task root's path ends, a path that
-    names a resource, not a latest instance (``/la``).
+    record at -1, is an Ae or a Container, as on export, and is named as the
+    task root's path ends, a path below the cse base that names a resource,
+    not a latest instance (``/la``).
     """
     records = bundle.records
     if not records:
@@ -254,6 +271,10 @@ def import_bundle(edge_tree: ResourceTree, bundle: OffloadBundle) -> ResourcePat
     source = ResourcePath.parse(bundle.root)
     if source.latest:
         raise BadRequestError(f"the task root {bundle.root} names a latest instance")
+    if not source.segments:
+        raise BadRequestError(f"the task root {bundle.root} names a cse base")
+    if records[0].kind not in _TASK_ROOT_KINDS:
+        raise BadRequestError("a task root must be an Ae or a Container")
     root_target = ResourcePath(edge_tree.cse_label, source.segments)
     parent, missing = _grouping_parent(edge_tree, root_target)
     if records[0].name != root_target.segments[-1]:

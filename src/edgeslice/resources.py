@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .codec import (
     decode_b64,
@@ -26,6 +28,10 @@ from .errors import BadRequestError, NotFoundError
 LATEST_SEGMENT = "la"
 
 _UNSET = object()
+
+_T = TypeVar("_T")
+
+_PARENT_INDEX = itemgetter(0)  # of a ``graft_many`` node
 
 
 class ResourceKind(Enum):
@@ -254,6 +260,11 @@ class ResourceTree:
     ids of its subscriptions, and each container a pointer to its latest
     content instance. Name resolution, ``/la`` and subscription matching
     therefore cost the same however many siblings a container holds.
+
+    A structure version counts the changes to the child index: every attach,
+    detach, grafted batch and rename raises it, inline. A copy starts at its
+    source's version and remembers its source, so ``derived`` can tell that
+    neither has changed since and hand out what the source derived.
     """
 
     def __init__(self, cse_label: str, clock: Callable[[], float] | None = None):
@@ -276,6 +287,10 @@ class ResourceTree:
         self._events: list[ChangeEvent] = []
         self.guard: Callable[[ResourcePath, str], None] | None = None
         self._guard_bypass = 0
+        self._version = 0  # raised by every change to the child index
+        self._source: ResourceTree | None = None  # the tree this one is a copy of
+        self._source_version = 0  # this tree's and its source's version at the copy
+        self._derived: dict[object, tuple[int, object]] = {}  # key: (version, value)
 
     # --- identity and lookup ---
 
@@ -342,6 +357,21 @@ class ResourceTree:
             node = self._nodes[node.parent_id]
         return ResourcePath(self.cse_label, tuple(reversed(segments)))
 
+    def derived(self, key: object, build: Callable[["ResourceTree"], _T]) -> _T:
+        """``build(self)``, kept under ``key``. While neither this copy nor
+        its source has changed structure since the copy, the value comes
+        from the source, which builds it once (or takes it from its own
+        source) and keeps it until its own structure changes. So ``build``
+        may read only what nothing but a structure change alters: ids,
+        names, kinds, creation times, content and child order."""
+        source = self._source
+        if source is None or not self._version == self._source_version == source._version:
+            return build(self)
+        kept = source._derived.get(key)
+        if kept is None or kept[0] != source._version:
+            kept = source._derived[key] = (source._version, source.derived(key, build))
+        return kept[1]  # type: ignore[return-value]
+
     def walk(self, start_id: str | None = None) -> Iterator[Resource]:
         """Preorder traversal in insertion order."""
         stack = [start_id or self._root_id]
@@ -382,6 +412,7 @@ class ResourceTree:
     def _attach(self, node: Resource) -> None:
         """Insert a node as the root or as the last child of its parent,
         updating the parent's subscription list and latest-instance pointer."""
+        self._version += 1
         self._nodes[node.id] = node
         parent_id = node.parent_id
         if parent_id is None:
@@ -399,6 +430,7 @@ class ResourceTree:
     def _detach(self, node: Resource) -> None:
         """Remove a non-root node from its parent's indexes. The latest-
         instance pointer is rescanned only when it pointed at this node."""
+        self._version += 1
         parent_id: str = node.parent_id  # type: ignore[assignment]
         siblings = self._children[parent_id]
         del siblings[node.name]
@@ -489,11 +521,16 @@ class ResourceTree:
         index, name, kind, content, sibling names) as ``create`` checks it;
         a subscription is refused, since a graft carries no notification
         target. A refused batch is taken out again: the tree is as it was,
-        id counters and ``/la`` pointers included. Ids are minted and nodes
-        attached in the loop itself, as ``_mint_id`` and ``_attach`` would,
-        since an import runs it once per record.
+        id counters and ``/la`` pointers included.
+
+        Each run of consecutive nodes with one parent index goes in at once
+        (``_graft_run``) when all of it passes the checks; otherwise its
+        nodes go in one at a time, so a refusal names the first bad node.
+        One at a time, ids are minted and nodes attached in the loop itself,
+        as ``_mint_id`` and ``_attach`` would.
         """
         now = self._clock()
+        self._version += 1
         counters, by_id, children, latest = self._counters, self._nodes, self._children, self._latest
         saved = dict(counters)
         legal, ids, instance, subscription = LEGAL_CHILDREN, _IDS, _INSTANCE, _SUBSCRIPTION
@@ -503,35 +540,43 @@ class ResourceTree:
         try:
             for batch in (chain, nodes):
                 offset = len(made)  # a batch's index i names made[offset + i]
-                for index, kind, name, created, content in batch:
+                for index, run in groupby(batch, _PARENT_INDEX):
                     if index < 0:
                         if index != -1:
                             raise BadRequestError(f"batch parent index {index} is below -1")
                         up = top
                     else:
                         up = made[offset + index]  # an IndexError if not an earlier node
-                    if (kind not in legal[up.kind] or kind is subscription
-                            or (content is None) is (kind is instance)
-                            or not name or "/" in name or name == LATEST_SEGMENT):
-                        _check_child(up.kind, kind, name, content)  # raises, with the reason
+                    run = list(run)
+                    if len(run) > 1:
+                        grafted = self._graft_run(up, run, now)
+                        if grafted is not None:
+                            made.extend(grafted)
+                            continue
                     parent_id = up.id
-                    siblings = children.get(parent_id)
-                    if siblings is None:
-                        siblings = children[parent_id] = {}
-                    elif name in siblings:
-                        raise BadRequestError(f"sibling name {name!r} is already taken")
-                    count = counters[kind] = counters[kind] + 1
-                    try:
-                        node_id = ids[kind][count]
-                    except IndexError:
-                        node_id = _format_id(kind, count)
-                    node = by_id[node_id] = Resource(node_id, name, kind, parent_id, created, now, content)
-                    siblings[name] = node_id
-                    if kind is instance:
-                        latest_id = latest.get(parent_id)
-                        if latest_id is None or created >= by_id[latest_id].creation_time:
-                            latest[parent_id] = node_id
-                    append(node)
+                    for _, kind, name, created, content in run:
+                        if (kind not in legal[up.kind] or kind is subscription
+                                or (content is None) is (kind is instance)
+                                or not name or "/" in name or name == LATEST_SEGMENT):
+                            _check_child(up.kind, kind, name, content)  # raises, with the reason
+                        siblings = children.get(parent_id)
+                        if siblings is None:
+                            siblings = children[parent_id] = {}
+                        elif name in siblings:
+                            raise BadRequestError(f"sibling name {name!r} is already taken")
+                        count = counters[kind] = counters[kind] + 1
+                        try:
+                            node_id = ids[kind][count]
+                        except IndexError:
+                            node_id = _format_id(kind, count)
+                        node = by_id[node_id] = Resource(node_id, name, kind, parent_id, created, now,
+                                                         content)
+                        siblings[name] = node_id
+                        if kind is instance:
+                            latest_id = latest.get(parent_id)
+                            if latest_id is None or created >= by_id[latest_id].creation_time:
+                                latest[parent_id] = node_id
+                        append(node)
                 if made:
                     top = made[-1]  # the last grouping container
         except Exception as exc:
@@ -547,6 +592,45 @@ class ResourceTree:
         if made:
             parent.last_modified_time = now
         return made[len(chain):] if chain else made
+
+    def _graft_run(self, up: Resource, run: list[tuple], now: float) -> list[Resource] | None:
+        """Attach a run of ``graft_many`` nodes under ``up`` in one step and
+        return them, if every node passes the checks one at a time would
+        make: one kind, legal under ``up`` and not a subscription, content
+        as that kind needs it, names that are legal, distinct and free among
+        ``up``'s children, and, for instances, creation times with no NaN,
+        so that the newest is the one a node-by-node insert would point
+        ``/la`` at. Otherwise change nothing and return None."""
+        _, kinds, names, times, contents = zip(*run)
+        kind, n, parent_id = kinds[0], len(run), up.id
+        siblings = self._children.get(parent_id)
+        distinct = set(names)
+        if (kinds.count(kind) != n or kind not in LEGAL_CHILDREN[up.kind] or kind is _SUBSCRIPTION
+                or (None in contents if kind is _INSTANCE else contents.count(None) != n)
+                or len(distinct) != n or "" in distinct or LATEST_SEGMENT in distinct
+                or "/" in "".join(names)
+                or (siblings is not None and not siblings.keys().isdisjoint(distinct))
+                or (kind is _INSTANCE and (total := sum(times)) != total)):
+            return None
+        counters = self._counters
+        first = counters[kind] + 1
+        counters[kind] += n
+        node_ids = _IDS[kind][first:first + n]
+        if len(node_ids) < n:  # ids this process has not formatted yet
+            node_ids += [_format_id(kind, count) for count in range(first + len(node_ids), first + n)]
+        made = list(map(Resource, node_ids, names, kinds, repeat(parent_id, n), times, repeat(now, n),
+                        contents))
+        self._nodes.update(zip(node_ids, made))
+        if siblings is None:
+            siblings = self._children[parent_id] = {}
+        siblings.update(zip(names, node_ids))
+        if kind is _INSTANCE:
+            newest = max(times)
+            latest_id = self._latest.get(parent_id)
+            if latest_id is None or newest >= self._nodes[latest_id].creation_time:
+                # the last of the newest, as a node-by-node insert leaves it
+                self._latest[parent_id] = node_ids[n - 1 - times[::-1].index(newest)]
+        return made
 
     def update(
         self,
@@ -585,6 +669,7 @@ class ResourceTree:
             }
             old_name = node.name
             node.name = name
+            self._version += 1
         if labels is not None:
             node.labels = tuple(labels)
         if notification_target is not None:
@@ -625,10 +710,12 @@ class ResourceTree:
 
     def copy(self, clock: Callable[[], float] | None = None) -> "ResourceTree":
         """Copy on ``clock`` with the same ids, child order, indexes, id
-        counters and event sequence, and no pending events or guard. Every
-        node but a content instance is a fresh resource sharing the source's
-        label tuple and content bytes; instances are shared with the source,
-        since a content instance is never edited in place."""
+        counters, event sequence and structure version, and no pending
+        events or guard. Every node but a content instance is a fresh
+        resource sharing the source's label tuple and content bytes;
+        instances are shared with the source, since a content instance is
+        never edited in place. The copy remembers its source for
+        ``derived``."""
         instance = _INSTANCE
         tree = ResourceTree.__new__(ResourceTree)
         tree._reset(self.cse_label, clock)
@@ -642,6 +729,8 @@ class ResourceTree:
         tree._latest = dict(self._latest)
         tree._counters = dict(self._counters)
         tree._event_seq = self._event_seq
+        tree._version = tree._source_version = self._version
+        tree._source = self
         return tree
 
     # --- serialization ---

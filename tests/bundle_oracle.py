@@ -79,6 +79,8 @@ def import_bundle(edge_tree: ResourceTree, bundle: PathBundle) -> ResourcePath:
     now_root_src = ResourcePath.parse(bundle.records[0].source_path)
     if now_root_src.latest:
         raise BadRequestError("a task root names a resource, not a latest instance")
+    if not now_root_src.segments or bundle.records[0].kind not in (ResourceKind.AE, ResourceKind.CONTAINER):
+        raise BadRequestError("a task root must be an Ae or a Container below the cse base")
     root_target = ResourcePath(edge_tree.cse_label, now_root_src.segments)
     parent = ResourcePath(edge_tree.cse_label)
     for segment in root_target.segments[:-1]:

@@ -12,7 +12,8 @@ finds each record's parent by its path, spelled from the task root's path as
 ``import_bundle`` reads it (``ResourcePath.parse``); ``import_bundle`` reads
 the parent index, which ``decode`` has checked names an earlier record. Both
 refuse a task root that ends in ``/la``: it names a latest instance, not a
-resource. One bundle the oracle imports is refused: a lone record
+resource; and both refuse a root record that is not an Ae or a Container
+below the cse base, as an export does. One bundle the oracle imports is refused: a lone record
 named apart from the end of the task root's path, which the oracle grafted
 under a name other than the path it returned. Hypothesis runs derandomized
 with a bounded example count, as in ``test_codec``.
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 import bundle_oracle as oracle
 from edgeslice.bench import build_system
-from edgeslice.errors import BadRequestError, EdgeSliceError
+from edgeslice.errors import BadRequestError, EdgeSliceError, NotFoundError
 from edgeslice.offload import BundleRecord, OffloadBundle, import_bundle, make_bundle
 from edgeslice.resources import ManualClock, ResourceKind, ResourcePath, ResourceTree
 from util import RandomTreeWorkload, trees_equal
@@ -133,6 +134,63 @@ def test_decode_inverts_encode(bundle):
     else:
         with pytest.raises(BadRequestError):
             OffloadBundle.decode(text)
+
+
+# --- an export kept across copies ---
+
+STEP_NAMES = ["A", "B", "la", "p0"]
+STEPS = st.lists(
+    st.tuples(st.sampled_from(["create", "graft", "delete", "rename", "copy"]),
+              st.integers(0, 5), st.integers(0, 99), st.sampled_from(STEP_NAMES)),
+    max_size=10,
+)
+
+
+def apply_step(tree: ResourceTree, op: str, pick: int, name: str) -> None:
+    """One step on ``tree`` at the node ``pick`` chooses; a step the tree
+    refuses changes nothing."""
+    nodes = list(tree.walk())
+    node = nodes[pick % len(nodes)]
+    path = tree.path_of(node)
+    kind = [ResourceKind.CONTAINER, ResourceKind.CONTENT_INSTANCE, ResourceKind.AE][pick % 3]
+    try:
+        if op == "create":
+            tree.create(path, kind, name, content=b"v" if kind is ResourceKind.CONTENT_INSTANCE else None)
+        elif op == "graft":
+            tree.graft_many(node, [(-1, ResourceKind.CONTAINER, name, 2.0, None),
+                                   (0, ResourceKind.CONTENT_INSTANCE, "i", 2.0, b"i"),
+                                   (0, ResourceKind.CONTENT_INSTANCE, "j", 2.0, b"j")])
+        elif op == "delete":
+            tree.delete(path)
+        else:
+            tree.update(path, name=name)
+    except (BadRequestError, NotFoundError):
+        pass
+
+
+@PROPERTY
+@given(STEPS)
+def test_an_export_kept_for_copies_is_never_stale(steps):
+    """Random creates, grafts, deletes and renames on a template, on its
+    copies and on copies of copies: after each step, every tree exports each
+    task root as the oracle does, whichever tree built the records."""
+    template = sample_tree()
+    trees = [template, template.copy()]
+    root = ResourcePath("IN-CSE", ("Pedestrians",))
+    kept = make_bundle(trees[1], root, "t", 0.0).records
+    assert make_bundle(template.copy(), root, "t", 0.0).records is kept
+    for op, which, pick, name in steps:
+        tree = trees[which % len(trees)]
+        if op == "copy":
+            trees.append(tree.copy())
+        else:
+            apply_step(tree, op, pick, name)
+        for tree in trees:
+            for node in tree.walk():
+                if node.kind in (ResourceKind.AE, ResourceKind.CONTAINER):
+                    path = tree.path_of(node)
+                    bundle = make_bundle(tree, path, "t", 1.5)
+                    assert oracle.as_paths(bundle) == oracle.make_bundle(tree, path, "t", 1.5)
 
 
 # --- import ---

@@ -206,6 +206,8 @@ class TestImport:
             "root named apart from its path",
             "illegal grouping name",
             "grouping under an instance",
+            "root names the cse base",
+            "root is an instance",
         ],
     )
     def test_refused_bundle_leaves_the_edge_tree_unchanged(self, fault):
@@ -230,6 +232,11 @@ class TestImport:
             records.append(records[-1])
         elif fault == "root named apart from its path":
             records[0] = records[0]._replace(name="CarB")
+        elif fault == "root names the cse base":
+            root = "IN-CSE"
+        elif fault == "root is an instance":
+            # alone, so that nothing else in the bundle is refused
+            records = [records[0]._replace(kind=ResourceKind.CONTENT_INSTANCE, content=b"x")]
         else:
             # move the task under grouping segments that cannot all be created
             h.edge_tree.create(P("MN-CSE"), ResourceKind.CONTAINER, "Cars")

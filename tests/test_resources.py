@@ -762,7 +762,108 @@ def next_id(tree: ResourceTree) -> str:
     return tree.graft(tree.root, ResourceKind.CONTAINER, "probe", creation_time=0.0).id
 
 
+@st.composite
+def graft_runs(draw) -> list[tuple]:
+    """A batch for the container ``MN-CSE/A`` in runs: up to four runs of
+    up to eight nodes, each node of a run under one parent index and of one
+    kind, often instances with tied creation times, NaN among them at
+    times. About one node in ten carries one fault: a taken, repeated or
+    illegal name, another kind, content where its kind has none, or none
+    where it needs some."""
+    instance, container = ResourceKind.CONTENT_INSTANCE, ResourceKind.CONTAINER
+    containers, batch = [-1], []
+    for _ in range(draw(st.integers(1, 4))):
+        under, kind = draw(st.sampled_from(containers)), draw(st.sampled_from([instance, container]))
+        for _ in range(draw(st.integers(1, 8))):
+            index = len(batch)
+            fault = draw(st.sampled_from(["name", "kind", "content"] + [None] * 27))
+            node_kind = draw(st.sampled_from(ResourceKind)) if fault == "kind" else kind
+            name = f"r{index}"
+            if fault == "name":
+                name = draw(st.sampled_from(["B", "x", f"r{index - 1}", "n"] + ILLEGAL_NAMES))
+            has_content = (node_kind is instance) is not (fault == "content")
+            # no earlier than A and the containers, which are made at 1.0
+            created = 1.0
+            if node_kind is instance:
+                created = draw(st.sampled_from([1.0, 2.0, 2.0, 3.0, float("nan")]))
+            batch.append((under, node_kind, name, created, b"c" if has_content else None))
+            if node_kind is container:
+                containers.append(index)
+    return batch
+
+
+def latest_ids(tree: ResourceTree) -> dict[str, str]:
+    """Each container's ``/la`` id, by the container's id."""
+    found = {}
+    for node in tree.walk():
+        if node.kind is ResourceKind.CONTAINER:
+            try:
+                found[node.id] = tree.latest_instance(node).id
+            except NotFoundError:
+                pass
+    return found
+
+
+def check_like_one_by_one(batch: list[tuple]) -> None:
+    """``graft_many`` of ``batch`` under ``MN-CSE/A`` gives the ids, child
+    order and ``/la`` pointers (ties and NaN included) that grafting the
+    nodes one by one gives, or refuses it with the same message and leaves
+    the tree as it was."""
+    one, many = graft_base(), graft_base()
+    before, latest_before = many.serialize(), latest_ids(many)
+    parent = ResourcePath.parse("MN-CSE/A")
+    try:
+        expected = [n.id for n in graft_one_by_one(one, one.resolve(parent), [], batch)]
+    except BadRequestError as exc:
+        expected = str(exc)
+    try:
+        got = [n.id for n in many.graft_many(many.resolve(parent), batch)]
+    except BadRequestError as exc:
+        got = str(exc)
+    assert got == expected
+    if all(created >= 1.0 for _, _, _, created, _ in batch):  # no older than A, and no NaN
+        check_tree_invariants(many)
+    if isinstance(expected, list):
+        assert many.serialize() == one.serialize()
+        assert latest_ids(many) == latest_ids(one)
+    else:
+        assert many.serialize() == before
+        assert latest_ids(many) == latest_before
+        assert next_id(many) == next_id(graft_base())
+
+
+RUN = [(-1, ResourceKind.CONTENT_INSTANCE, f"r{i}", 2.0, b"c") for i in range(4)]
+
+
 class TestGraftMany:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(graft_runs())
+    def test_a_run_goes_in_as_one_node_at_a_time_would(self, batch):
+        check_like_one_by_one(batch)
+
+    @pytest.mark.parametrize("name, content, reason", [
+        ("r0", b"c", "already taken"),  # repeated in the run
+        ("x", b"c", "already taken"),  # a child of A already
+        ("a/b", b"c", "may not contain"),
+        ("la", b"c", "reserved"),
+        ("", b"c", "nonempty"),
+        ("r2", None, "requires content"),
+    ])
+    def test_a_run_is_refused_at_its_first_bad_node(self, name, content, reason):
+        batch = RUN[:2] + [(-1, ResourceKind.CONTENT_INSTANCE, name, 2.0, content)] + RUN[3:]
+        with pytest.raises(BadRequestError, match=reason):
+            graft_base().graft_many(graft_base().resolve(ResourcePath.parse("MN-CSE/A")), batch)
+        check_like_one_by_one(batch)
+
+    @pytest.mark.parametrize("times", [
+        (float("nan"), 2.0, 0.5, 2.0),  # a NaN first: only 2.0 passes A's instance at 1.0
+        (2.0, float("nan"), 3.0, 3.0),
+        (0.5, 0.5, 0.5, 0.5),  # all older than A's instance
+        (3.0, 2.0, 3.0, 1.0),  # the last of the newest
+    ])
+    def test_a_run_points_la_where_one_at_a_time_would(self, times):
+        check_like_one_by_one([node[:3] + (time, b"c") for node, time in zip(RUN, times)])
+
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(graft_batches())
     def test_matches_repeated_graft_or_leaves_the_tree_as_it_was(self, case):

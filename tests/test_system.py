@@ -31,6 +31,7 @@ from edgeslice.worker import ResourceQuota
 
 from dataclasses import replace
 
+import bundle_oracle
 from util import populate_cloud_tree, trees_equal
 from wire_samples import CAMPUS
 
@@ -784,6 +785,30 @@ class TestMessagesAsObjects:
         assert [r.status for r in responses[1:]] == [StatusCode.NOT_FOUND]
         assert len(system.run_workload("create", 1)) == 1
 
+    @pytest.mark.parametrize("root, record", [
+        ("IN-CSE/Injected/ci", BundleRecord(-1, ResourceKind.CONTENT_INSTANCE, "ci", 0.0, b"x")),
+        ("IN-CSE", BundleRecord(-1, ResourceKind.CONTAINER, "IN-CSE", 0.0)),
+    ], ids=["instance", "cse-base"])
+    def test_a_bundle_transfer_whose_task_root_is_no_ae_or_container_is_refused(self, config, root,
+                                                                                 record):
+        """An export roots a task only at an Ae or a Container below the cse
+        base, and an import refuses any other root with 4000, before it
+        looks at the edge tree."""
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        device = system.devices[system.device_id]
+        bundle = OffloadBundle("task-x", 0.0, root, (record,))
+        body = BundleTransfer((("task", "task-x"), ("mode", "lazy")), bundle).to_bytes()
+        req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-5", content=body)
+        responses = []
+        device.pending["raw-5"] = responses.append
+        edge_tree = system.edges["edge0"].worker.tree
+        before = edge_tree.serialize()
+        system.network.send(device.node_id, "edge0", req.encode(), 0)
+        system.run_until_idle()
+        assert [r.status for r in responses] == [StatusCode.BAD_REQUEST]
+        assert edge_tree.serialize() == before
+
 
 def populated_the_old_way(config) -> ResourceTree:
     tree = ResourceTree("IN-CSE")
@@ -895,6 +920,32 @@ class TestInitialCloudTree:
         assert tree.serialize() != base
         assert tree.serialize() == populated_the_old_way(changed).serialize()
         assert build_system(config, "edge", 42).cloud.tree.serialize() == base
+
+    def test_deployments_of_one_config_ship_the_template_s_export(self, config, monkeypatch):
+        """A deployment's cloud tree is a copy of the template that neither
+        has changed, so its ``BUNDLE_TRANSFER`` carries the record tuple the
+        template built. One whose tree gained a node under the task root
+        before ``prepare`` ships records built afresh, as the oracle exports
+        them."""
+        sent = []
+        monkeypatch.setattr(Network, "send", logged(UNCHECKED_SEND, sent, 3))
+        root = ResourcePath.parse(config.tasks[0].root)
+
+        def shipped(system) -> tuple:
+            sent.clear()
+            system.prepare()
+            (transfer,) = [m.content for m in sent if isinstance(m.content, BundleTransfer)]
+            return transfer.bundle.records
+
+        first, second = (shipped(build_system(config, "edge", seed)) for seed in (1, 2))
+        assert first is second
+        changed = build_system(config, "edge", 3)
+        changed.cloud.tree.create(root, ResourceKind.CONTAINER, "added")
+        expected = bundle_oracle.make_bundle(changed.cloud.tree, root, "t", 0.0).records
+        fresh = shipped(changed)
+        assert fresh is not first and len(fresh) == len(first) + 1
+        assert bundle_oracle.as_paths(OffloadBundle("t", 0.0, str(root), fresh)).records == expected
+        assert shipped(build_system(config, "edge", 4)) is first
 
     def test_an_invalid_populate_path_raises_on_every_build(self, config):
         broken = replace(config, populate=[("MN-CSE/Elsewhere/box", 2)])

@@ -7,10 +7,14 @@ calls of Python functions whose module is in the ``edgeslice`` package
 ``prepare()`` with a cold image cache. The difference between ``prepopulate``
 200 and 0 is the work of the 200 extra content instances that the
 preparation exports, ships and imports, and it is pinned per instance: a
-helper called once per record shows up as a failing count. The same run
-counts the calls into the standard ``enum`` module, which must be none: an
-enum member's ``.name`` or ``.value`` is a Python-level call, where a table
-keyed by member is a dict read.
+helper called once per record shows up as a failing count. A deployment's
+cloud tree is an unchanged copy of a template, whose export the template
+keeps, so a second count is taken of a preparation whose cloud tree gained
+a container outside the task before it: that one exports afresh, and a
+helper in the export's walk shows up there. The same runs count the calls
+into the standard ``enum`` module, which must be none: an enum member's
+``.name`` or ``.value`` is a Python-level call, where a table keyed by
+member is a dict read.
 
 The counts are taken in fresh processes, since the test suite's wire check
 adds an encode and a decode to every message. Run as a script, this prints
@@ -23,6 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from edgeslice.bench import build_system
+from edgeslice.resources import ResourceKind, ResourcePath
 from edgeslice.scenario import reference_calibrated
 
 REPO = Path(__file__).resolve().parent.parent
@@ -32,8 +37,10 @@ RECORDS = 200
 CALLS_PER_RECORD = 1
 
 
-def calls(prepopulate: int) -> tuple[int, int]:
-    """Calls into edgeslice code, and into ``enum``, during one cold preparation."""
+def calls(prepopulate: int, fresh: bool = False) -> tuple[int, int]:
+    """Calls into edgeslice code, and into ``enum``, during one cold
+    preparation; with ``fresh``, one whose cloud tree has changed since it
+    was copied, so that its export is built afresh."""
     config = replace(reference_calibrated(), pre_seeded_cache=False, prepopulate=prepopulate)
     build_system(config, "edge", config.seed, repetition=1).prepare()  # fills per-process caches
     count = enum_calls = 0
@@ -49,7 +56,12 @@ def calls(prepopulate: int) -> tuple[int, int]:
 
     sys.setprofile(profile)
     try:
-        build_system(config, "edge", config.seed).prepare()
+        system = build_system(config, "edge", config.seed)
+        if fresh:
+            sys.setprofile(None)  # the change is not counted
+            system.cloud.tree.create(ResourcePath("IN-CSE"), ResourceKind.CONTAINER, "elsewhere")
+            sys.setprofile(profile)
+        system.prepare()
     finally:
         sys.setprofile(None)
     return count, enum_calls
@@ -71,12 +83,17 @@ def test_a_cold_preparation_makes_a_fixed_number_of_calls_per_record():
     outputs = [run.communicate(timeout=60)[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
     assert outputs[0] == outputs[1]
-    base, base_enum, full, full_enum = map(int, outputs[0].split())
-    # plus one: ``create_sync_subscriptions`` filters a container's children
-    # only once it has some
-    assert full - base == CALLS_PER_RECORD * RECORDS + 1, (base, full)
-    assert (base_enum, full_enum) == (0, 0)
+    base, base_enum, full, full_enum, fresh_base, fresh_enum, fresh_full, fresh_full_enum = map(
+        int, outputs[0].split())
+    # plus two: ``create_sync_subscriptions`` filters a container's children
+    # only once it has some, and ``graft_many`` attaches a run of more than
+    # one record by ``_graft_run``
+    assert full - base == CALLS_PER_RECORD * RECORDS + 2, (base, full)
+    assert fresh_full - fresh_base == CALLS_PER_RECORD * RECORDS + 2, (fresh_base, fresh_full)
+    # the fresh export's walk, and the lambda that calls it
+    assert fresh_base - base == 2, (base, fresh_base)
+    assert (base_enum, full_enum, fresh_enum, fresh_full_enum) == (0, 0, 0, 0)
 
 
 if __name__ == "__main__":
-    print(*calls(0), *calls(RECORDS))
+    print(*calls(0), *calls(RECORDS), *calls(0, fresh=True), *calls(RECORDS, fresh=True))
