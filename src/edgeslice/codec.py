@@ -1,13 +1,15 @@
 """The package's one text codec: percent-coding, numbers, field lines, payloads.
 
-A field line is ``key=value`` pairs joined by ``;`` with every value quoted,
-so a value may hold any text; resource records use one field layout on the
-wire and in ``ResourceTree.serialize``, and a control body keeps its lines as
-pairs (``FieldBody``) until something reads its bytes. Payloads are ``t:`` plus quoted text
-when printable ASCII, else ``b:`` plus base64. ``quote`` and ``unquote`` equal
-urllib's, with the per-byte work left to C (``translate`` and ``replace``, or a
-compiled split and a table); numbers are read only as the encoders write them.
-Decoders raise only ``BadRequestError``.
+A field line is ``key=value`` pairs joined by ``;``; resource records use one
+field layout on the wire and in ``ResourceTree.serialize``, and a control body
+keeps its lines as pairs (``FieldBody``) until something reads its bytes.
+Each byte is escaped at most once: a field value escapes ``;``, ``%`` and
+bytes outside printable ASCII, so base64 content travels raw; a payload is
+``t:`` plus ASCII text escaping ``%`` and bytes outside printable ASCII (a
+newline is ``%0A``), else ``b:`` plus base64. ``quote`` and ``unquote`` equal
+urllib's, with the per-byte work left to C (``translate`` and ``replace``, or
+a compiled split and a table); numbers are read only as the encoders write
+them. Decoders raise only ``BadRequestError``.
 """
 from __future__ import annotations
 
@@ -27,9 +29,10 @@ _UNESCAPES = {f"%{a}{b}".encode(): bytes.fromhex(a + b) for a in _HEX for b in _
 _ESCAPE = re.compile(b"(%[0-9A-Fa-f]{2})")
 _INT = re.compile("-?[0-9]+")
 _FLOAT = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
-PAYLOAD_SAFE = "/-:,|"
-# the bytes kept in field values, request targets and t: payloads
-_KEPT = {safe: _ALWAYS_SAFE + safe.encode() for safe in ("", "/-", PAYLOAD_SAFE)}
+PAYLOAD_SAFE = "".join(map(chr, range(32, 127))).replace("%", "")  # printable ASCII but "%"
+FIELD_SAFE = PAYLOAD_SAFE.replace(";", "")
+# the bytes kept in ids, request targets, field values and t: payloads
+_KEPT = {safe: _ALWAYS_SAFE + safe.encode() for safe in ("", "/-", FIELD_SAFE, PAYLOAD_SAFE)}
 
 
 def quote(text: str, safe: str = "") -> str:
@@ -77,7 +80,7 @@ def parse_float(text: str) -> float:
 # --- field lines ---
 
 def encode_fieldline(pairs: list[tuple[str, str]]) -> str:
-    return ";".join(f"{k}={quote(v)}" for k, v in pairs)
+    return ";".join(f"{k}={quote(v, FIELD_SAFE)}" for k, v in pairs)
 
 
 def decode_fieldline(line: str) -> dict[str, str]:
@@ -190,11 +193,9 @@ def encode_resource(resource, path=None) -> bytes:
 # --- envelope payloads ---
 
 def encode_payload(data: bytes) -> str:
-    """Self-describing content encoding: plain text when safe, else base64."""
+    """Self-describing content encoding: quoted text when ASCII, else base64."""
     if data.isascii():
-        text = data.decode("ascii")
-        if text.isprintable():  # which also excludes "\n"
-            return "t:" + quote(text, PAYLOAD_SAFE)
+        return "t:" + quote(data.decode("ascii"), PAYLOAD_SAFE)
     return "b:" + encode_b64(data)
 
 

@@ -15,8 +15,8 @@ from enum import Enum
 from operator import countOf, itemgetter
 from typing import Callable, NamedTuple
 
-from .codec import (decode_ascii, decode_b64, decode_fieldline, encode_b64, encode_fieldline,
-                    parse_float, parse_int, quote)
+from .codec import (FIELD_SAFE, decode_ascii, decode_b64, decode_fieldline, encode_b64,
+                    encode_fieldline, parse_float, parse_int, quote)
 from .errors import (
     AlreadyBoundError,
     AlreadyOffloadedError,
@@ -80,19 +80,15 @@ class OffloadBundle:
     def encode(self) -> str:
         """A header line ``tid;at;rt;n``, ``rt`` being the task root's source
         path, then one field line ``pi;ty;nm;ct[;pc]`` per record, ``pi``
-        being its parent's record index. A record's content goes last as raw
-        base64: its alphabet has no ``;`` and no ``%``, so the decoder reads
-        it back unchanged and quoting it would only add to its size.
+        being its parent's record index, each as ``encode_fieldline`` writes
+        it: numbers and base64 content need no quoting there.
         """
         out = [encode_fieldline([("tid", self.task_id), ("at", repr(self.exported_at)),
                                  ("rt", self.root), ("n", str(len(self.records)))])]
-        append = out.append
         for parent, kind, name, created, content in self.records:
-            append(f"\npi={parent};ty={kind.value};nm={quote(name)};ct={quote(repr(created))}")
-            if content is not None:
-                append(";pc=" + encode_b64(content))
-        append("\n")
-        return "".join(out)
+            out.append(f"pi={parent};ty={kind.value};nm={quote(name, FIELD_SAFE)};ct={created!r}"
+                       + ("" if content is None else ";pc=" + encode_b64(content)))
+        return "\n".join(out) + "\n"
 
     @classmethod
     def decode(cls, text: str) -> "OffloadBundle":

@@ -101,9 +101,9 @@ def test_make_bundle_leaves_what_is_below_a_subscription_at_home():
     tree.create(root, ResourceKind.SUBSCRIPTION, "s", notification_target=("app", "APP/x"))
     tree.create(root, ResourceKind.CONTENT_INSTANCE, "after", content=b"v")
     # the cnt and ci counters raised to 2, so that the tree could have minted both added ids
-    header = "cnt%3A1%2Cci%3A1"
+    header = "cnt:1,ci:1"
     assert header in tree.serialize()
-    dump = tree.serialize().replace(header, "cnt%3A2%2Cci%3A2") + (
+    dump = tree.serialize().replace(header, "cnt:2,ci:2") + (
         "id=ci_0002;pid=sub_0001;ty=4;nm=odd;ct=0.0;lt=0.0;pc=AA==\n"
         "id=cnt_0002;pid=ci_0002;ty=3;nm=deep;ct=0.0;lt=0.0\n"
     )

@@ -7,6 +7,10 @@
   arbitrary input, for valid and refused encodings with a few bytes edited,
   and for text holding a lone surrogate;
 - encode -> decode -> encode is the identity on generated valid values;
+- each byte is escaped at most once, and still unambiguously: no safe set
+  holds a newline or ``%``, only the ``t:`` payload set holds ``;``, any field
+  value comes back from a field line inside a ``t:`` payload, and a bundle's
+  lines are what ``encode_fieldline`` writes;
 - no module but ``edgeslice.codec`` imports ``urllib``, ``base64`` or
   ``binascii``.
 
@@ -25,6 +29,7 @@ from hypothesis import strategies as st
 
 from edgeslice.bench import build_system
 from edgeslice.codec import (
+    FIELD_SAFE,
     PAYLOAD_SAFE,
     FieldBody,
     decode_b64,
@@ -32,7 +37,9 @@ from edgeslice.codec import (
     decode_fieldline,
     decode_labels,
     decode_payload,
+    encode_b64,
     encode_body,
+    encode_fieldline,
     encode_payload,
     encode_resource,
     parse_float,
@@ -74,7 +81,9 @@ from wire_samples import ODD_LABELS, ODD_NAME, sample_tree, samples
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
-SAFE_SETS = ["", "/-", PAYLOAD_SAFE]  # field values, request targets, t: payloads
+# envelope ids, request targets, field values and t: payloads
+SAFE_SETS = ["", "/-", FIELD_SAFE, PAYLOAD_SAFE]
+SAFE_SET_NAMES = ["ids", "targets", "fields", "payloads"]
 
 # text that is mostly the characters the quoting rules single out
 TRICKY = st.text(alphabet=st.sampled_from(list("%;=,|:/-_.~+ \n\x00aZ9üß€😀")))
@@ -103,12 +112,24 @@ def test_quote_equals_urllib(text, safe):
     assert quote(text, safe) == stdlib_quote(text, safe=safe)
 
 
-@pytest.mark.parametrize("safe", SAFE_SETS)
+@pytest.mark.parametrize("safe", SAFE_SETS, ids=SAFE_SET_NAMES)
 def test_quote_equals_urllib_on_each_character(safe):
     for code in list(range(0x800)) + [0xFFFD, 0x10000, 0x10FFFF]:
         char = chr(code)
         assert quote(char, safe) == stdlib_quote(char, safe=safe), hex(code)
     assert quote("", safe) == ""
+
+
+def test_separators_and_the_escape_stay_outside_the_safe_sets():
+    """A newline ends an envelope line and ``%`` starts an escape in every
+    quoted text; ``;`` ends a field, so only a t: payload, which is a whole
+    envelope value, may keep it."""
+    for safe in SAFE_SETS:
+        assert "\n" not in safe and "%" not in safe, safe
+    for safe in SAFE_SETS[:3]:
+        assert ";" not in safe, safe
+    assert set(PAYLOAD_SAFE) == {chr(code) for code in range(32, 127)} - {"%"}
+    assert set(PAYLOAD_SAFE) - set(FIELD_SAFE) == {";"}
 
 
 # --- unquote ---
@@ -406,6 +427,14 @@ def test_response_round_trip(rqi, status, content):
 @given(CONTENT.filter(lambda c: c is not None))
 def test_payload_round_trip(content):
     assert decode_payload(encode_payload(content)) == content
+    assert encode_payload(content).startswith("t:" if content.isascii() else "b:")
+
+
+@PROPERTY
+@given(st.text(min_size=1).filter(lambda text: not text.isascii()).map(lambda text: "t:" + text))
+def test_a_t_payload_holding_raw_non_ascii_is_refused(value):
+    with pytest.raises(BadRequestError):
+        decode_payload(value)
 
 
 @st.composite
@@ -530,6 +559,18 @@ def test_bundle_round_trip(bundle):
 
 
 @PROPERTY
+@given(index_bundles())
+def test_bundle_lines_are_written_as_encode_fieldline_writes_them(bundle):
+    head, *lines, end = bundle.encode().split("\n")
+    assert head == encode_fieldline([("tid", bundle.task_id), ("at", repr(bundle.exported_at)),
+                                     ("rt", bundle.root), ("n", str(len(bundle.records)))])
+    assert len(lines) == len(bundle.records) and end == ""
+    for line, (parent, kind, name, created, content) in zip(lines, bundle.records):
+        pairs = [("pi", str(parent)), ("ty", str(kind.value)), ("nm", name), ("ct", repr(created))]
+        assert line == encode_fieldline(pairs + ([] if content is None else [("pc", encode_b64(content))]))
+
+
+@PROPERTY
 @given(
     TEXT,
     st.frozensets(st.sampled_from(FunctionKind), min_size=1),
@@ -561,6 +602,21 @@ def test_field_body_round_trip(body):
     data = body.to_bytes()
     assert FieldBody.from_bytes(data) == body
     assert data == b"\n".join(encode_body(list(line)) for line in body.lines)
+
+
+# values made of the separators, the escape, the base64 alphabet's extras and
+# every ASCII control character
+SEPARATED = st.text(alphabet=st.sampled_from(list("=;%+/\n,:| aZ9ü") + [chr(c) for c in range(32)]
+                                              + ["\x7f"]))
+
+
+@PROPERTY
+@given(st.dictionaries(FIELD_KEYS, st.one_of(SEPARATED, TEXT), max_size=5))
+def test_field_values_round_trip_through_a_t_payload(fields):
+    line = encode_fieldline(list(fields.items()))
+    payload = encode_payload(line.encode("ascii"))
+    assert payload.startswith("t:")
+    assert decode_fieldline(decode_payload(payload).decode("ascii")) == fields
 
 
 # --- one codec ---

@@ -5,7 +5,8 @@
 the file packaged with edgeslice), so any change that shifts virtual time
 shows here. ``golden/wire.json`` holds the encodings
 made by ``wire_samples.py`` (see its docstring for how it was generated),
-so any change to the bytes on the wire shows here.
+so any change to the bytes on the wire shows here. The same system runs
+check that each byte of their traffic is escaped at most once.
 """
 import json
 import os
@@ -13,8 +14,10 @@ import os
 import pytest
 
 from edgeslice.cli import main
+from edgeslice.codec import FieldBody
+from edgeslice.primitives import decode_request, decode_response, is_response
 from util import CALIBRATED_YAML
-from wire_samples import samples, traffic_digests
+from wire_samples import TRAFFIC_RUNS, samples, traffic, traffic_digests
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -55,3 +58,24 @@ def test_wire_samples_match_golden(golden_wire):
 
 def test_system_traffic_matches_golden(golden_wire):
     assert traffic_digests() == golden_wire["traffic"]
+
+
+def _texts(message) -> list[str]:
+    """The texts a decoded message was encoded from: its envelope's text
+    fields and every value of the field lines its content holds."""
+    texts = [message.request_id, getattr(message, "to", ""), getattr(message, "originator", "")]
+    if message.content is not None:
+        texts += [value for line in FieldBody.from_bytes(message.content).lines for _, value in line]
+    return texts
+
+
+@pytest.mark.parametrize("run", TRAFFIC_RUNS, ids=lambda run: run.__name__.strip("_"))
+def test_each_byte_of_the_traffic_is_encoded_once(run):
+    """Only content that is not ASCII travels as base64, and a "%" is escaped
+    a second time only where the text it came from held one."""
+    for data in traffic(run):
+        message = decode_response(data) if is_response(data) else decode_request(data)
+        content = message.content
+        assert (b"\npc=b:" in data) == (content is not None and not content.isascii()), data[:80]
+        if b"%25" in data:
+            assert any("%" in text for text in _texts(message)), data[:80]

@@ -437,7 +437,7 @@ class TestSerialization:
         assert restored.resolve(p).id == "ci_0001"
 
     @pytest.mark.parametrize("old, new", [
-        ("ci%3A1", "ci%3A0"),  # the counter below the instance's id, which create would mint again
+        ("ci:1", "ci:0"),  # the counter below the instance's id, which create would mint again
         ("id=ci_0001", "id=ci_0000"),
         ("id=ci_0001", "id=ci_001"),
         ("id=ci_0001", "id=ci_00001"),
@@ -456,8 +456,8 @@ class TestSerialization:
     @pytest.mark.parametrize("method", ["create", "graft", "graft_many"])
     def test_ids_cross_four_digits_as_the_format_spec_does(self, method):
         empty = ResourceTree("MN-CSE").serialize()
-        assert empty.count("cnt%3A0%2Cci%3A0") == 1
-        tree = ResourceTree.deserialize(empty.replace("cnt%3A0%2Cci%3A0", "cnt%3A9998%2Cci%3A9998"))
+        assert empty.count("cnt:0,ci:0") == 1
+        tree = ResourceTree.deserialize(empty.replace("cnt:0,ci:0", "cnt:9998,ci:9998"))
         container, instance = ResourceKind.CONTAINER, ResourceKind.CONTENT_INSTANCE
         if method == "create":
             root = ResourcePath("MN-CSE")

@@ -19,6 +19,11 @@ member is a dict read.
 The counts are taken in fresh processes, since the test suite's wire check
 adds an encode and a decode to every message. Run as a script, this prints
 them.
+
+The bytes at the wire tap are counted too: the length of each message of two
+edge creates and two ``/la`` retrieves of the calibrated scenario, so that
+content escaped twice, or travelling as base64 of its own text, shows as a
+failing size.
 """
 import os
 import subprocess
@@ -27,8 +32,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from edgeslice.bench import build_system
+from edgeslice.primitives import decode_request, decode_response, is_response
 from edgeslice.resources import ResourceKind, ResourcePath
 from edgeslice.scenario import reference_calibrated
+from wire_samples import traffic
 
 REPO = Path(__file__).resolve().parent.parent
 RECORDS = 200
@@ -93,6 +100,34 @@ def test_a_cold_preparation_makes_a_fixed_number_of_calls_per_record():
     # the fresh export's walk, and the lambda that calls it
     assert fresh_base - base == 2, (base, fresh_base)
     assert (base_enum, full_enum, fresh_enum, fresh_full_enum) == (0, 0, 0, 0)
+
+
+def test_calibrated_data_messages_have_a_fixed_size_at_the_wire_tap():
+    system = build_system(reference_calibrated(), "edge", 42)
+    system.prepare()
+    operations, sizes = {}, {}
+
+    def run():
+        system.run_workload("create", 2)
+        system.run_workload("retrieve", 2)
+
+    for data in traffic(run):
+        if is_response(data):
+            kind = operations[decode_response(data).request_id] + " response"
+        else:
+            request = decode_request(data)
+            kind = operations[request.request_id] = request.operation.name
+        sizes.setdefault(kind, []).append(len(data))
+    # the first create's times have longer reprs (1260.2040000000002 against
+    # 1266.304), so its notify and its record are 20 bytes longer
+    assert sizes == {
+        "CREATE": [634, 634],
+        "CREATE response": [685, 665],
+        "NOTIFY": [753, 733],
+        "NOTIFY response": [36, 36],
+        "RETRIEVE": [73, 73],
+        "RETRIEVE response": [665, 665],
+    }
 
 
 if __name__ == "__main__":
