@@ -33,6 +33,7 @@ from .resources import (
     ResourceKind,
     ResourcePath,
     ResourceTree,
+    _check_child,
 )
 
 SYNC_SUB_NAME = "sync"
@@ -496,7 +497,6 @@ class OffloadCoordinator:
                         creation_time=view.creation_time,
                         content=view.content,
                         labels=view.labels,
-                        emit_event=True,
                     )
                 elif notify.change == "updated":
                     previous = notify.old_name or view.name
@@ -545,12 +545,17 @@ class _SnapshotNode:
 
 
 def _snapshot_index(bundle: OffloadBundle) -> _SnapshotNode:
+    """The snapshot's records linked by parent index, each checked as a child
+    of its parent, so that a snapshot the mirror would refuse is refused
+    before the merge touches the mirror."""
     nodes = [_SnapshotNode(rec) for rec in bundle.records]
     for index, node in enumerate(nodes[1:], 1):
-        parent = node.record.parent
-        if not 0 <= parent < index:
+        rec = node.record
+        if not 0 <= rec.parent < index:
             raise BadRequestError(f"malformed bundle ordering at record {index}")
-        nodes[parent].children[node.record.name] = node
+        parent = nodes[rec.parent]
+        _check_child(parent.record.kind, rec.kind, rec.name, parent.children, rec.content)
+        parent.children[rec.name] = node
     return nodes[0]
 
 
@@ -610,7 +615,6 @@ def _graft_snapshot(tree: ResourceTree, parent: Resource, snap: _SnapshotNode) -
         rec.name,
         creation_time=rec.creation_time,
         content=rec.content,
-        emit_event=True,
     )
     count = 1
     for child in snap.children.values():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Container, Iterator, Sequence, TypeVar
 
 from .codec import (
     decode_b64,
@@ -206,22 +206,19 @@ class ManualClock:
         return self.now
 
 
-def check_name(name: str) -> None:
+def _check_child(parent_kind: ResourceKind, kind: ResourceKind, name: str, taken: Container[str],
+                 content: bytes | None = None, target: tuple[str, str] | None = None) -> None:
+    """Refuse a child that ``create`` may not make: an illegal name or
+    nesting, content on anything but a content instance, or a notification
+    target on anything but a subscription, and an instance or subscription
+    without one; and a name among ``taken``, the names of its siblings.
+    Every route that adds a child or renames one checks it here."""
     if not name:
         raise BadRequestError("resource name must be nonempty")
     if "/" in name:
         raise BadRequestError(f"resource name may not contain '/': {name!r}")
     if name == LATEST_SEGMENT:
         raise BadRequestError(f"{LATEST_SEGMENT!r} is reserved for latest-instance addressing")
-
-
-def _check_child(parent_kind: ResourceKind, kind: ResourceKind, name: str,
-                 content: bytes | None = None, target: tuple[str, str] | None = None) -> None:
-    """Refuse a child that ``create`` may not make: an illegal name or
-    nesting, content on anything but a content instance, or a notification
-    target on anything but a subscription, and an instance or subscription
-    without one."""
-    check_name(name)
     if kind not in LEGAL_CHILDREN[parent_kind]:
         raise BadRequestError(f"{kind.name} may not be created under {parent_kind.name}")
     if (content is None) is (kind is _INSTANCE):
@@ -230,6 +227,8 @@ def _check_child(parent_kind: ResourceKind, kind: ResourceKind, name: str,
     if (target is None) is (kind is _SUBSCRIPTION):
         raise BadRequestError("subscription requires a notification target" if target is None
                               else "only subscriptions carry a notification target")
+    if name in taken:
+        raise BadRequestError(f"sibling name {name!r} is already taken")
 
 
 class _GuardBypass:
@@ -466,9 +465,8 @@ class ResourceTree:
         parent = self.resolve(parent_path)
         if name is None:
             name = self._peek_id(kind)
-        _check_child(parent.kind, kind, name, content, notification_target)
-        if name in self._children.get(parent.id, ()):
-            raise BadRequestError(f"sibling name {name!r} already exists under {parent.name!r}")
+        _check_child(parent.kind, kind, name, self._children.get(parent.id, ()), content,
+                     notification_target)
         new_path = parent_path.child(name)  # parent_path resolved, so it is canonical
         self._check_guard(new_path, "create")
         now = self._clock()
@@ -490,22 +488,24 @@ class ResourceTree:
         creation_time: float,
         content: bytes | None = None,
         labels: Sequence[str] | None = None,
-        emit_event: bool = False,
     ) -> Resource:
         """Insert one replicated resource under a live node of this tree,
-        preserving its source creation time; returns the new resource. This
-        is ``graft_many`` with a batch of one, the labels then set on the new
-        node.
+        keeping its source creation time; returns the new resource and
+        queues a ChangeEvent, so that applications watching a mirror observe
+        synchronized data. It is checked as ``create`` checks a child; a
+        subscription is refused, since a graft carries no notification
+        target.
 
         Used by mirror replay and snapshot merges, which resolve the parent
-        themselves. Mirror replay grafts emit events so applications
-        watching the mirror observe synchronized data.
+        themselves.
         """
-        (node,) = self.graft_many(parent, ((-1, kind, name, creation_time, content),))
-        if labels:
-            node.labels = tuple(labels)
-        if emit_event:
-            self._emit("created", self.path_of(node), node)
+        _check_child(parent.kind, kind, name, self._children.get(parent.id, ()), content)
+        now = self._clock()
+        node = Resource(self._mint_id(kind), name, kind, parent.id, creation_time, now, content,
+                        None, tuple(labels or ()))
+        self._attach(node)
+        parent.last_modified_time = now
+        self._emit("created", self.path_of(node), node)
         return node
 
     def graft_many(self, parent: Resource, nodes: Sequence[tuple], grouping: Sequence[str] = (),
@@ -517,26 +517,22 @@ class ResourceTree:
         content)``, ``parent`` being -1 for the batch's parent or an earlier
         node's index. The containers named in ``grouping``, created at
         ``grouped_at``, each under the one before, go in first; the last is
-        the batch's parent. Each node is checked as it goes in (parent
-        index, name, kind, content, sibling names) as ``create`` checks it;
-        a subscription is refused, since a graft carries no notification
-        target. A refused batch is taken out again: the tree is as it was,
-        id counters and ``/la`` pointers included.
+        the batch's parent. Each node's parent index is checked as it goes
+        in, and the node itself as ``graft`` checks it. A refused batch is
+        taken out again: the tree is as it was, id counters and ``/la``
+        pointers included.
 
-        Each run of consecutive nodes with one parent index goes in at once
-        (``_graft_run``) when all of it passes the checks; otherwise its
-        nodes go in one at a time, so a refusal names the first bad node.
-        One at a time, ids are minted and nodes attached in the loop itself,
-        as ``_mint_id`` and ``_attach`` would.
+        Each run of more than one consecutive node with one parent index
+        goes in at once (``_graft_run``) when all of it passes the checks;
+        otherwise its nodes go in one at a time, so a refusal names the
+        first bad node.
         """
         now = self._clock()
         self._version += 1
-        counters, by_id, children, latest = self._counters, self._nodes, self._children, self._latest
-        saved = dict(counters)
-        legal, ids, instance, subscription = LEGAL_CHILDREN, _IDS, _INSTANCE, _SUBSCRIPTION
+        saved = dict(self._counters)
         chain = [(i - 1, _CONTAINER, name, grouped_at, None) for i, name in enumerate(grouping)]
         made: list[Resource] = []
-        append, top = made.append, parent
+        top = parent
         try:
             for batch in (chain, nodes):
                 offset = len(made)  # a batch's index i names made[offset + i]
@@ -553,37 +549,18 @@ class ResourceTree:
                         if grafted is not None:
                             made.extend(grafted)
                             continue
-                    parent_id = up.id
                     for _, kind, name, created, content in run:
-                        if (kind not in legal[up.kind] or kind is subscription
-                                or (content is None) is (kind is instance)
-                                or not name or "/" in name or name == LATEST_SEGMENT):
-                            _check_child(up.kind, kind, name, content)  # raises, with the reason
-                        siblings = children.get(parent_id)
-                        if siblings is None:
-                            siblings = children[parent_id] = {}
-                        elif name in siblings:
-                            raise BadRequestError(f"sibling name {name!r} is already taken")
-                        count = counters[kind] = counters[kind] + 1
-                        try:
-                            node_id = ids[kind][count]
-                        except IndexError:
-                            node_id = _format_id(kind, count)
-                        node = by_id[node_id] = Resource(node_id, name, kind, parent_id, created, now,
-                                                         content)
-                        siblings[name] = node_id
-                        if kind is instance:
-                            latest_id = latest.get(parent_id)
-                            if latest_id is None or created >= by_id[latest_id].creation_time:
-                                latest[parent_id] = node_id
-                        append(node)
+                        _check_child(up.kind, kind, name, self._children.get(up.id, ()), content)
+                        node = Resource(self._mint_id(kind), name, kind, up.id, created, now, content)
+                        self._attach(node)
+                        made.append(node)
                 if made:
                     top = made[-1]  # the last grouping container
         except Exception as exc:
             for node in reversed(made):  # take the batch out again
                 if node.parent_id == parent.id:
                     self._detach(node)  # rescans parent's /la if the node took it
-                for table in (by_id, children, latest):
+                for table in (self._nodes, self._children, self._latest):
                     table.pop(node.id, None)
             self._counters = saved
             if isinstance(exc, IndexError):
@@ -655,15 +632,13 @@ class ResourceTree:
         self._check_guard(self.path_of(node), "update")
         old_name = None
         if name is not None and name != node.name:
-            check_name(name)
-            parent = self._nodes[node.parent_id] if node.parent_id else None
-            if parent is None:
+            if node.parent_id is None:
                 raise BadRequestError("the root cannot be renamed")
-            siblings = self._children[parent.id]
-            if name in siblings:
-                raise BadRequestError(f"sibling name {name!r} already exists")
+            siblings = self._children[node.parent_id]
+            _check_child(self._nodes[node.parent_id].kind, node.kind, name, siblings, node.content,
+                         node.notification_target)
             # rebuilt rather than popped and re-added, so the child keeps its place
-            self._children[parent.id] = {
+            self._children[node.parent_id] = {
                 (name if child_id == node.id else child_name): child_id
                 for child_name, child_id in siblings.items()
             }
@@ -781,9 +756,7 @@ class ResourceTree:
                     # past its kind's counter, an id would be minted again
                     raise BadRequestError(f"resource id {node.id!r} is not one the tree minted")
                 if node.id in tree._nodes or (
-                    pid not in tree._nodes or node.name in tree._children.get(pid, ())
-                    if pid is not None
-                    else tree._root_id is not None
+                    pid not in tree._nodes if pid is not None else tree._root_id is not None
                 ):
                     raise BadRequestError(f"resource {node.id!r} clashes or precedes its parent")
                 if pid is None:
@@ -792,8 +765,8 @@ class ResourceTree:
                         raise BadRequestError(f"root {node.id!r} is not a CseBase named "
                                               f"{tree.cse_label!r}")
                 else:  # what ``create`` could have made
-                    _check_child(tree._nodes[pid].kind, node.kind, node.name, node.content,
-                                 node.notification_target)
+                    _check_child(tree._nodes[pid].kind, node.kind, node.name,
+                                 tree._children.get(pid, ()), node.content, node.notification_target)
                 tree._attach(node)  # preorder: every parent precedes its children
         except (IndexError, KeyError, ValueError) as exc:
             raise BadRequestError(f"malformed tree dump: {exc!r}") from None

@@ -719,7 +719,9 @@ class CloudNode(_Node):
 
     def _handle_terminate(self, req: RequestPrimitive, sender: str) -> Generator:
         """Finalize each binding on the slice's edge, then stop each of its
-        functions, one request at a time; a process for ``_advance``."""
+        functions, one request at a time; a process for ``_advance``. A
+        snapshot the mirror refuses ends it with one 4000 reply, its binding
+        still open and the slice's functions still running."""
         meta = _fields(req.content)
         slice_id = meta["slc"]
         instance = self.orchestrator.registry.get(slice_id)
@@ -735,7 +737,12 @@ class CloudNode(_Node):
             response = yield rqi
             if response.ok:
                 bundle = read_body(response.content, OffloadBundle)
-                report = self.coordinator.finalize(binding.task_id, bundle)
+                try:
+                    report = self.coordinator.finalize(binding.task_id, bundle)
+                except BadRequestError as exc:
+                    detail = f"snapshot of {binding.task_id} refused: {exc}".encode()
+                    self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, detail))
+                    return
                 self._after_mutation()
                 synced_total += report.synced_resources
         for function in list(instance.running_functions):

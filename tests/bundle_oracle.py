@@ -9,7 +9,9 @@ codec of that form is gone with it, since the wire now carries the parent
 indexes. ``ResourceTree.graft`` now takes its parent as a resolved
 ``Resource``, so the oracle resolves the parent path first; ``graft`` used
 to do exactly that, and a missing parent still surfaces as
-``NotFoundError``.
+``NotFoundError``. ``graft`` also queues a created event per node, which
+the one ``graft_many`` of an import does not, so the oracle's tree differs
+from the import's in its event sequence alone.
 """
 from __future__ import annotations
 

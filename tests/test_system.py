@@ -487,6 +487,30 @@ class TestTerminationOverTheWire:
         if mode is SyncMode.EAGER:
             assert subtrees_converged(system.cloud.tree, CLOUD_TASK_ROOT, edge_tree, EDGE_TASK_ROOT)
 
+    @pytest.mark.parametrize("extra", [
+        lambda records: BundleRecord(0, ResourceKind.CONTENT_INSTANCE, "la", 1.0, b"x"),
+        lambda records: records[-1],  # a second child of its parent under its name
+    ], ids=["reserved-name", "repeated-name"])
+    def test_a_snapshot_the_mirror_refuses_is_answered_and_merges_nothing(self, config, monkeypatch,
+                                                                          extra):
+        """A finalize reply whose snapshot holds a record that no route may
+        add is refused before the merge: the terminate gets one non-OK reply,
+        the mirror is untouched and its binding stays open."""
+        system = build_system(replace(config, sync_mode=SyncMode.LAZY), "edge", 42)
+        system.prepare()
+        system.run_workload("create", 2)
+
+        def snapshot_with_extra(*args):
+            bundle = make_bundle(*args)
+            return replace(bundle, records=bundle.records + (extra(bundle.records),))
+
+        monkeypatch.setattr(system_module, "make_bundle", snapshot_with_extra)
+        before = system.cloud.tree.serialize()
+        responses = admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")])
+        assert [r.ok for r in responses] == [False]
+        assert system.cloud.tree.serialize() == before
+        assert system.cloud.coordinator.binding_of("task-citizenB").mode is SyncMode.LAZY
+
     def test_terminate_without_tasks_reports_zero(self, config):
         system = build_system(replace(config, tasks=[]), "edge", 42)
         system.prepare()

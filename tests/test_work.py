@@ -1,4 +1,4 @@
-"""Work counter: Python-level calls into edgeslice code per cold preparation.
+"""Work counter: Python-level calls into edgeslice code per cold preparation and per create.
 
 Host time on a shared machine moves by tens of percent between runs; a count
 of calls does not move at all. ``calls`` counts, with ``sys.setprofile``, the
@@ -16,9 +16,15 @@ into the standard ``enum`` module, which must be none: an enum member's
 ``.name`` or ``.value`` is a Python-level call, where a table keyed by
 member is a dict read.
 
+The same is counted per eager edge create: ``run_workload("create", n)`` on a
+prepared deployment at two values of ``n``, the difference pinned per
+create. A create's mirror replay is one ``graft`` on the cloud tree, so a
+replay that goes through ``graft_many``'s batch machinery again shows as a
+changed count.
+
 The counts are taken in fresh processes, since the test suite's wire check
 adds an encode and a decode to every message. Run as a script, this prints
-them.
+them, or with the argument ``creates`` the counts of creates.
 
 The bytes at the wire tap are counted too: the length of each message of two
 edge creates and two ``/la`` retrieves of the calibrated scenario, so that
@@ -30,6 +36,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from edgeslice.bench import build_system
 from edgeslice.primitives import decode_request, decode_response, is_response
@@ -43,13 +50,16 @@ RECORDS = 200
 #: calls per extra content instance: graft_many builds its ``Resource``
 CALLS_PER_RECORD = 1
 
+#: calls per eager edge create, from the device's request to the reply to
+#: the edge's notify, and calls into ``enum`` besides: ``Operation`` and
+#: ``ResourceKind`` read from their values, ``.value`` and ``.name``
+CALLS_PER_CREATE = 273
+ENUM_CALLS_PER_CREATE = 20
+CREATES = (5, 10)
 
-def calls(prepopulate: int, fresh: bool = False) -> tuple[int, int]:
-    """Calls into edgeslice code, and into ``enum``, during one cold
-    preparation; with ``fresh``, one whose cloud tree has changed since it
-    was copied, so that its export is built afresh."""
-    config = replace(reference_calibrated(), pre_seeded_cache=False, prepopulate=prepopulate)
-    build_system(config, "edge", config.seed, repetition=1).prepare()  # fills per-process caches
+
+def counted(run: Callable[[], object]) -> tuple[object, int, int]:
+    """``run()``, and the calls it made into edgeslice code and into ``enum``."""
     count = enum_calls = 0
 
     def profile(frame, event, arg) -> None:
@@ -63,24 +73,42 @@ def calls(prepopulate: int, fresh: bool = False) -> tuple[int, int]:
 
     sys.setprofile(profile)
     try:
-        system = build_system(config, "edge", config.seed)
-        if fresh:
-            sys.setprofile(None)  # the change is not counted
-            system.cloud.tree.create(ResourcePath("IN-CSE"), ResourceKind.CONTAINER, "elsewhere")
-            sys.setprofile(profile)
-        system.prepare()
+        result = run()
     finally:
         sys.setprofile(None)
-    return count, enum_calls
+    return result, count, enum_calls
 
 
-def test_a_cold_preparation_makes_a_fixed_number_of_calls_per_record():
-    # counted in fresh processes, away from the test suite's wire check, under
-    # two string hash seeds at once
+def calls(prepopulate: int, fresh: bool = False) -> tuple[int, int]:
+    """Calls into edgeslice code, and into ``enum``, during one cold
+    preparation; with ``fresh``, one whose cloud tree has changed since it
+    was copied, so that its export is built afresh."""
+    config = replace(reference_calibrated(), pre_seeded_cache=False, prepopulate=prepopulate)
+    build_system(config, "edge", config.seed, repetition=1).prepare()  # fills per-process caches
+    system, built, built_enum = counted(lambda: build_system(config, "edge", config.seed))
+    if fresh:  # the change is not counted
+        system.cloud.tree.create(ResourcePath("IN-CSE"), ResourceKind.CONTAINER, "elsewhere")
+    _, prepared, prepared_enum = counted(system.prepare)
+    return built + prepared, built_enum + prepared_enum
+
+
+def create_calls(creates: int) -> tuple[int, int]:
+    """Calls into edgeslice code, and into ``enum``, during ``creates``
+    edge creates on a prepared deployment with eager sync."""
+    config = reference_calibrated()
+    system = build_system(config, "edge", config.seed)
+    system.prepare()
+    return counted(lambda: system.run_workload("create", creates))[1:]
+
+
+def counts_in_fresh_processes(*args: str) -> list[int]:
+    """What this file prints when run as a script with ``args``: counted in
+    fresh processes, away from the test suite's wire check, under two string
+    hash seeds at once, which must agree."""
     path = [str(REPO / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     runs = [
         subprocess.Popen(
-            [sys.executable, __file__],
+            [sys.executable, __file__, *args],
             env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(path)),
             stdout=subprocess.PIPE,
             text=True,
@@ -90,8 +118,12 @@ def test_a_cold_preparation_makes_a_fixed_number_of_calls_per_record():
     outputs = [run.communicate(timeout=60)[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
     assert outputs[0] == outputs[1]
-    base, base_enum, full, full_enum, fresh_base, fresh_enum, fresh_full, fresh_full_enum = map(
-        int, outputs[0].split())
+    return list(map(int, outputs[0].split()))
+
+
+def test_a_cold_preparation_makes_a_fixed_number_of_calls_per_record():
+    base, base_enum, full, full_enum, fresh_base, fresh_enum, fresh_full, fresh_full_enum = (
+        counts_in_fresh_processes())
     # plus two: ``create_sync_subscriptions`` filters a container's children
     # only once it has some, and ``graft_many`` attaches a run of more than
     # one record by ``_graft_run``
@@ -100,6 +132,13 @@ def test_a_cold_preparation_makes_a_fixed_number_of_calls_per_record():
     # the fresh export's walk, and the lambda that calls it
     assert fresh_base - base == 2, (base, fresh_base)
     assert (base_enum, full_enum, fresh_enum, fresh_full_enum) == (0, 0, 0, 0)
+
+
+def test_an_eager_edge_create_makes_a_fixed_number_of_calls():
+    few, few_enum, more, more_enum = counts_in_fresh_processes("creates")
+    extra = CREATES[1] - CREATES[0]
+    assert more - few == CALLS_PER_CREATE * extra, (few, more)
+    assert more_enum - few_enum == ENUM_CALLS_PER_CREATE * extra, (few_enum, more_enum)
 
 
 def test_calibrated_data_messages_have_a_fixed_size_at_the_wire_tap():
@@ -131,4 +170,7 @@ def test_calibrated_data_messages_have_a_fixed_size_at_the_wire_tap():
 
 
 if __name__ == "__main__":
-    print(*calls(0), *calls(RECORDS), *calls(0, fresh=True), *calls(RECORDS, fresh=True))
+    if sys.argv[1:] == ["creates"]:
+        print(*create_calls(CREATES[0]), *create_calls(CREATES[1]))
+    else:
+        print(*calls(0), *calls(RECORDS), *calls(0, fresh=True), *calls(RECORDS, fresh=True))

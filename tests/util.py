@@ -33,6 +33,14 @@ CALIBRATED_YAML = str(resources.files("edgeslice.data").joinpath("reference_cali
 NAME_POOL = [f"n{i}" for i in range(40)] + ["alpha", "beta", "gamma"]
 
 
+def serialized_but_seq(tree: ResourceTree) -> str:
+    """``tree.serialize()`` without the event sequence in its header: what
+    the tree holds, whichever route put it there, since ``graft`` queues an
+    event per node and ``graft_many`` none."""
+    header, _, records = tree.serialize().partition("\n")
+    return header.rpartition(";seq=")[0] + "\n" + records
+
+
 def resource_ids(tree: ResourceTree) -> list[str]:
     """Every id on the tree, in the order the nodes were attached."""
     return list(tree._nodes)
