@@ -170,7 +170,7 @@ def encode_record(head: list[tuple[str, str]], resource) -> str:
     ``resource`` is any object with the attributes of ``resources.Resource``.
     """
     pairs = head + [
-        ("ty", str(resource.kind.value)),
+        ("ty", str(resource.kind._value_)),  # ``.value`` is a call into ``enum``
         ("nm", resource.name),
         ("ct", repr(resource.creation_time)),
         ("lt", repr(resource.last_modified_time)),

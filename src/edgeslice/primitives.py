@@ -65,6 +65,14 @@ class StatusCode(IntEnum):
     CONFLICT = 4009
 
 
+# members by number, and operation names: dict reads, where ``Operation(n)``
+# and ``.name`` are calls into ``enum``
+_OPERATIONS = {op.value: op for op in Operation}
+_STATUSES = {status.value: status for status in StatusCode}
+_KINDS = {kind.value: kind for kind in ResourceKind}
+OPERATION_NAMES = {op: op.name for op in Operation}
+
+
 class Body(Protocol):
     """Immutable parsed content that a primitive carries in place of bytes."""
 
@@ -101,7 +109,7 @@ class RequestPrimitive:
             f"rqi={quote(self.request_id)}",
         ]
         if self.resource_kind is not None:
-            lines.append(f"ty={self.resource_kind.value}")
+            lines.append(f"ty={self.resource_kind._value_}")  # ``.value`` is a call into ``enum``
         if self.content is not None:
             lines.append(f"pc={encode_payload(_content_bytes(self.content))}")
         return "\n".join(lines).encode("ascii")
@@ -153,11 +161,11 @@ def decode_request(data: bytes) -> RequestPrimitive:
     fields = _parse_lines(data)
     try:
         return RequestPrimitive(
-            operation=Operation(parse_int(fields["op"])),
+            operation=_OPERATIONS[parse_int(fields["op"])],
             to=unquote(fields["to"]),
             originator=unquote(fields["fr"]),
             request_id=unquote(fields["rqi"]),
-            resource_kind=ResourceKind(parse_int(fields["ty"])) if "ty" in fields else None,
+            resource_kind=_KINDS[parse_int(fields["ty"])] if "ty" in fields else None,
             content=decode_payload(fields["pc"]) if "pc" in fields else None,
         )
     except (KeyError, ValueError) as exc:
@@ -169,7 +177,7 @@ def decode_response(data: bytes) -> ResponsePrimitive:
     try:
         return ResponsePrimitive(
             request_id=unquote(fields["rqi"]),
-            status=StatusCode(parse_int(fields["rsc"])),
+            status=_STATUSES[parse_int(fields["rsc"])],
             content=decode_payload(fields["pc"]) if "pc" in fields else None,
         )
     except (KeyError, ValueError) as exc:
@@ -200,7 +208,7 @@ def decode_resource(data: bytes) -> ResourceView:
     try:
         rec = decode_fieldline(data.decode("ascii"))
         return ResourceView(
-            kind=ResourceKind(parse_int(rec["ty"])),
+            kind=_KINDS[parse_int(rec["ty"])],
             name=rec["nm"],
             creation_time=parse_float(rec["ct"]),
             last_modified_time=parse_float(rec["lt"]),

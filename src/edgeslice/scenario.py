@@ -130,6 +130,9 @@ class ScenarioConfig:
             raise ConfigInvalidError("topology needs at least one device")
         if "edge" in self.modes and not self.topology.by_role(NodeRole.EDGE_WORKER):
             raise ConfigInvalidError("edge mode needs an edge worker")
+        task_ids = [t.task_id for t in self.tasks]
+        if len(set(task_ids)) != len(task_ids):
+            raise ConfigInvalidError(f"task ids must be distinct: {task_ids}")
         services = {t.service for t in self.tasks}
         if self.tasks and self.service_id not in services:
             raise ConfigInvalidError("tasks reference a different service id")

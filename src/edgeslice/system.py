@@ -9,7 +9,8 @@ and a node decodes a payload that arrives as bytes. The cloud hosts the full ser
 and the offload coordinator; edge nodes host gated workers; devices issue
 requests and record round-trip times.
 
-Control-plane message sequence for one service request (steps as logged):
+Control-plane message sequence for one service request (steps as logged),
+which on the cloud is one process, ``CloudNode._prepare``:
 
     device --10--> edge (handler, arrival logged)
     edge   --10--> cloud (orchestrator decides)
@@ -181,7 +182,7 @@ class _Node:
         self.sim = system.sim
         self.network = system.network
         self._control_ids = system._control_ids  # one sequence per deployment
-        self.pending: dict[str, object] = {}
+        self.pending: dict[str | tuple[str, str], Callable] = {}
         self.malformed_dropped = 0
         me = weakref.ref(self)
         system.network.attach(node_id, lambda message, sender: me().receive(message, sender))
@@ -195,17 +196,21 @@ class _Node:
 
     def _advance(self, process: Generator, value: object = None) -> None:
         """Run a protocol step ``process`` to its next wait: a number is a
-        delay in ms, a string the request id whose response it resumes with.
-        What resumes it is this bound method, so no step refers to itself."""
+        delay in ms; a key of ``pending`` (a request id, or a tuple such as
+        ``("record", ctx)``) waits for what arrives under it; a list of keys
+        waits for the first of them to arrive, and the others stay bound to
+        this process, so it must wait on them next. What resumes it is this
+        bound method, so no step refers to itself."""
         try:
             wait = process.send(value)
         except StopIteration:
             return
         resume = partial(self._advance, process)
-        if isinstance(wait, str):
-            self.pending[wait] = resume
-        else:
+        if isinstance(wait, (int, float)):
             self.sim.schedule(wait, resume)
+            return
+        for key in wait if isinstance(wait, list) else (wait,):
+            self.pending[key] = resume
 
     def send(self, to: str, message: "RequestPrimitive | ResponsePrimitive", size: int) -> None:
         # Data-plane messages are still encoded here, until the benchmark's
@@ -332,7 +337,7 @@ class EdgeNode(_Node):
             elif op is Operation.SYNC_FINALIZE:
                 self._handle_finalize(req, sender)
             elif op is Operation.START_FUNCTION:
-                self._handle_start(req, sender)
+                self._advance(self._handle_start(req, sender))
             elif op is Operation.STOP_FUNCTION:
                 self._handle_stop(req, sender)
             elif op is Operation.CRASH:
@@ -445,7 +450,9 @@ class EdgeNode(_Node):
 
         self.channel.when_idle(respond)  # drain in-flight notifications first
 
-    def _handle_start(self, req: RequestPrimitive, sender: str) -> None:
+    def _handle_start(self, req: RequestPrimitive, sender: str) -> Generator:
+        """Start one function and answer with its port once it runs; a
+        process for ``_advance``."""
         meta = _fields(req.content)
         quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
         try:
@@ -454,14 +461,11 @@ class EdgeNode(_Node):
         except EdgeSliceError as exc:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, str(exc).encode()))
             return
-
-        def complete() -> None:
-            self.worker.complete_start(image.function)
-            self._sync_channel_state()
-            body = FieldBody.line(("port", str(instance.port)))
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
-
-        self.sim.schedule(self.worker.start_delay_ms, complete)
+        yield self.worker.start_delay_ms
+        self.worker.complete_start(image.function)
+        self._sync_channel_state()
+        body = FieldBody.line(("port", str(instance.port)))
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
     def _handle_stop(self, req: RequestPrimitive, sender: str) -> None:
         meta = _fields(req.content)
@@ -512,7 +516,6 @@ class CloudNode(_Node):
         self.orchestrator = SliceOrchestrator(config.topology, clock=system.sim.time)
         self.coordinator = OffloadCoordinator(self.tree, system.sim.time)
         self.channel = self._new_channel()
-        self.service_ctx: dict[str, dict] = {}
 
     def _publish_events(self, events) -> None:
         for event in events:
@@ -534,11 +537,11 @@ class CloudNode(_Node):
             return
         try:
             if op is Operation.SERVICE_REQUEST:
-                self._handle_service_request(req)
+                self._advance(self._prepare(req))
             elif op is Operation.SLICE_RECORD:
                 self._handle_record(req, sender)
             elif op is Operation.OFFLOAD_REQUEST:
-                self._handle_offload_request(req, sender)
+                self._advance(self._handle_offload_request(req, sender))
             elif op is Operation.SLICE_TERMINATE:
                 self._advance(self._handle_terminate(req, sender))
             else:
@@ -578,22 +581,16 @@ class CloudNode(_Node):
 
     # --- slicing control plane ---
 
-    def _handle_service_request(self, req: RequestPrimitive) -> None:
+    def _prepare(self, req: RequestPrimitive) -> Generator:
+        """Plan the service; if the edge lacks functions, instantiate them
+        and wait for the edge's record; then offload the service's unbound
+        tasks. A process for ``_advance``."""
         profile = SliceProfile.from_pairs(_fields(req.content))
-        device = req.originator
+        device, ctx = req.originator, req.request_id
         plan = self.orchestrator.handle_service_request(
             ServiceRequest(device, profile.service_id, profile)
         )
         edge = self.orchestrator.edge_of(plan.target_slice)
-        ctx = req.request_id
-        self.service_ctx[ctx] = {
-            "device": device,
-            "service": profile.service_id,
-            "edge": edge,
-            "slice": plan.target_slice,
-            "roots": [],
-            "pending_tasks": set(),
-        }
         if plan.decision is PlanDecision.INSTANTIATE_THEN_OFFLOAD:
             self.orchestrator.ensure_instance(plan.target_slice, edge)
             config = self.config
@@ -602,100 +599,94 @@ class CloudNode(_Node):
             images = [config.catalogue.lookup(fn).pairs for fn in ordered(plan.missing_functions)]
             body = FieldBody((plan.to_pairs(), meta, *images))
             self.send_control(edge, Operation.SLICE_INSTANTIATE, body)
-        else:
-            self._offload_phase(ctx)
+            err = yield ("record", ctx)  # resumed by ``_handle_record``
+            if err is not None:
+                self._answer(device, ctx, ctx, edge, StatusCode.BAD_REQUEST, [], err)
+                return
+        tasks = [
+            Task(t.task_id, ResourcePath.parse(t.root), t.service)
+            for t in self.config.tasks
+            if t.service == profile.service_id and t.task_id not in self.coordinator.bindings
+        ]
+        yield from self._offload(ctx, edge, tasks, device, ctx)
 
     def _handle_record(self, req: RequestPrimitive, sender: str) -> None:
+        """Apply an edge's record of an instantiation, then resume the
+        preparation that waits for it with the record's error, if any. The
+        whole record is read first: one that cannot be read is answered 4000
+        and the preparation waits on. One that no preparation waits for is
+        answered 4004."""
         meta = _fields(req.content)
-        ctx = meta["ctx"]
-        context = self.service_ctx.get(ctx)
-        if context is None:
+        key = ("record", meta["ctx"])
+        if key not in self.pending:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND))
             return
-        if "err" in meta:
-            instance = self.orchestrator.registry.get(meta["slc"])
-            if instance is not None and instance.state is not SliceState.ACTIVE:
-                # the failed instantiation created the slice; none of it runs
-                self.orchestrator.forget_slice(meta["slc"])
-            self._finish_service(ctx, StatusCode.BAD_REQUEST, meta["err"])
-            return
+        slice_id, err = meta["slc"], meta.get("err")
         started = {}
         if meta.get("fn"):
             for pair in meta["fn"].split(","):
                 name, _, port = pair.partition(":")
                 started[FUNCTION_BY_NAME[name]] = parse_int(port)
-        self.orchestrator.mark_active(meta["slc"], started)
-        self.orchestrator.record_slice_functions(meta["slc"], set(started))
-        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
-        self._offload_phase(ctx)
+        if err is None:
+            self.orchestrator.mark_active(slice_id, started)
+            self.orchestrator.record_slice_functions(slice_id, set(started))
+            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
+        else:
+            instance = self.orchestrator.registry.get(slice_id)
+            if instance is not None and instance.state is not SliceState.ACTIVE:
+                # the failed instantiation created the slice; none of it runs
+                self.orchestrator.forget_slice(slice_id)
+        self.pending.pop(key)(err)
 
-    def _offload_phase(self, ctx: str) -> None:
-        context = self.service_ctx[ctx]
-        tasks = [
-            Task(t.task_id, ResourcePath.parse(t.root), t.service)
-            for t in self.config.tasks
-            if t.service == context["service"]
-        ]
-        remaining = [t for t in tasks if t.task_id not in self.coordinator.bindings]
-        if not remaining:
-            self._finish_service(ctx, StatusCode.OK)
-            return
-        for task in remaining:
-            context["pending_tasks"].add(task.task_id)
-        for task in remaining:
-            self._send_bundle(ctx, task, context["edge"])
-
-    def _send_bundle(self, ctx: str, task: Task, edge: str) -> None:
-        try:
-            bundle = self.coordinator.export_task(task)
-        except AlreadyOffloadedError:
-            # exported earlier but the edge never confirmed; resend the state
-            bundle = make_bundle(self.tree, task.root_path, task.task_id, self.sim.now)
+    def _offload(self, ctx: str, edge: str, tasks: list[Task], to: str, rqi: str) -> Generator:
+        """Send each task's bundle to ``edge`` and bind each task as its
+        reply arrives, then answer ``rqi`` at ``to``: with the bound roots in
+        arrival order, and 4009 if any bundle was refused."""
         mode = self.config.sync_mode
-        head = (
-            ("ctx", ctx),
-            ("task", task.task_id),
-            ("mode", MODE_VALUES[mode]),
-            ("mirror", str(task.root_path)),
-            ("cloud", self.node_id),
-        )
-        rqi = self.next_control_rqi()
-
-        def on_ack(response: ResponsePrimitive) -> None:
-            context = self.service_ctx[ctx]
+        sent: dict[str, Task] = {}
+        for task in tasks:
+            try:
+                bundle = self.coordinator.export_task(task)
+            except AlreadyOffloadedError:
+                # exported earlier but the edge never confirmed; resend the state
+                bundle = make_bundle(self.tree, task.root_path, task.task_id, self.sim.now)
+            head = (
+                ("ctx", ctx),
+                ("task", task.task_id),
+                ("mode", MODE_VALUES[mode]),
+                ("mirror", str(task.root_path)),
+                ("cloud", self.node_id),
+            )
+            bundle_rqi = self.next_control_rqi()
+            sent[bundle_rqi] = task
+            self.send_control(edge, Operation.BUNDLE_TRANSFER, BundleTransfer(head, bundle), bundle_rqi)
+        roots: list[str] = []
+        status, err = StatusCode.OK, ""
+        while sent:
+            response = yield list(sent)
+            task = sent.pop(response.request_id)
             if response.ok:
                 meta = _fields(response.content)
-                edge_root = ResourcePath.parse(meta["root"])
-                self.coordinator.register_binding(task, mode, edge, edge_root)
-                context["roots"].append(meta["root"])
+                self.coordinator.register_binding(task, mode, edge, ResourcePath.parse(meta["root"]))
+                roots.append(meta["root"])
             else:
-                context["failed"] = (
-                    f"offload of {task.task_id!r} failed with {int(response.status)}"
-                )
-            context["pending_tasks"].discard(task.task_id)
-            if not context["pending_tasks"]:
-                if "failed" in context:
-                    self._finish_service(ctx, StatusCode.CONFLICT, context["failed"])
-                else:
-                    self._finish_service(ctx, StatusCode.OK)
+                status, err = StatusCode.CONFLICT, f"offload of {task.task_id!r} failed with {int(response.status)}"
+        self._answer(to, rqi, ctx, edge, status, roots, err)
 
-        self.pending[rqi] = on_ack
-        self.send_control(edge, Operation.BUNDLE_TRANSFER, BundleTransfer(head, bundle), rqi)
-
-    def _finish_service(self, ctx: str, status: StatusCode, detail: str = "") -> None:
-        context = self.service_ctx.pop(ctx)
-        self.sim.log("service_ready", ctx=ctx, edge=context["edge"], status=int(status))
-        pairs = (("edge", context["edge"]), ("roots", ",".join(context["roots"])))
-        if detail:
-            pairs += (("err", detail),)
-        body = FieldBody.line(*pairs)
-        rqi = context.get("reply_rqi", ctx)
-        to = context.get("reply_to", context["device"])
-        self.send(to, ResponsePrimitive(rqi, status, body), CONTROL_SIZE)
+    def _answer(self, to: str, rqi: str, ctx: str, edge: str, status: StatusCode,
+                roots: list[str], err: str = "") -> None:
+        """Answer a preparation or an offload request with the edge, the
+        task roots bound on it and, if one step failed, why."""
+        self.sim.log("service_ready", ctx=ctx, edge=edge, status=int(status))
+        pairs = (("edge", edge), ("roots", ",".join(roots)))
+        if err:
+            pairs += (("err", err),)
+        self.send(to, ResponsePrimitive(rqi, status, FieldBody.line(*pairs)), CONTROL_SIZE)
 
     # --- offload / terminate control plane ---
 
-    def _handle_offload_request(self, req: RequestPrimitive, sender: str) -> None:
+    def _handle_offload_request(self, req: RequestPrimitive, sender: str) -> Generator:
+        """Offload one named task to the named edge; a process for ``_advance``."""
         meta = _fields(req.content)
         spec = next(
             (t for t in self.config.tasks if t.task_id == meta["task"]), None
@@ -703,19 +694,8 @@ class CloudNode(_Node):
         if spec is None:
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND))
             return
-        ctx = f"offload-{req.request_id}"
-        self.service_ctx[ctx] = {
-            "device": sender,
-            "service": spec.service,
-            "edge": meta["edge"],
-            "slice": self.orchestrator.slice_id_for(meta["edge"]),
-            "roots": [],
-            "pending_tasks": {spec.task_id},
-            "reply_rqi": req.request_id,
-            "reply_to": sender,
-        }
         task = Task(spec.task_id, ResourcePath.parse(spec.root), spec.service)
-        self._send_bundle(ctx, task, meta["edge"])
+        yield from self._offload(f"offload-{req.request_id}", meta["edge"], [task], sender, req.request_id)
 
     def _handle_terminate(self, req: RequestPrimitive, sender: str) -> Generator:
         """Finalize each binding on the slice's edge, then stop each of its

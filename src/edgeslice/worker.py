@@ -24,6 +24,7 @@ from .errors import (
 )
 from .images import FunctionImage, WorkerCache
 from .primitives import (
+    OPERATION_NAMES,
     Operation,
     RequestPrimitive,
     ResponsePrimitive,
@@ -247,8 +248,8 @@ class EdgeWorker:
         events = self.tree.drain_events()
         self._log(
             "dispatch",
-            op=req.operation.name,
-            function=function.name,
+            op=OPERATION_NAMES[req.operation],
+            function=FUNCTION_NAMES[function],
             status=int(response.status),
             to=req.to,
         )

@@ -98,6 +98,21 @@ def test_malformed_envelope_rejected():
         decode_response(b"rqi=x\nrsc=9999")
 
 
+@pytest.mark.parametrize(
+    "decode, data",
+    [
+        (decode_request, b"op=99\nto=x\nfr=y\nrqi=z"),
+        (decode_request, b"op=1\nto=x\nfr=y\nrqi=z\nty=6"),
+        (decode_response, b"rqi=x\nrsc=2002"),
+        (decode_resource, b"ty=0;nm=a;ct=0.0;lt=0.0"),
+    ],
+    ids=["operation", "request-kind", "status", "resource-kind"],
+)
+def test_a_number_that_names_no_member_is_a_bad_request(decode, data):
+    with pytest.raises(BadRequestError):
+        decode(data)
+
+
 def test_resource_representation_round_trip():
     tree = ResourceTree("MN-CSE", ManualClock(3.5))
     path = tree.create(

@@ -323,3 +323,13 @@ def test_unreadable_documents_are_config_errors(monkeypatch, tmp_path, loader, t
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ConfigInvalidError, match=error):
         load_topology_doc(str(path))
+
+
+def test_repeated_task_ids_rejected():
+    task = "  - {id: t1, root: IN-CSE/Things/Box, service: svc}\n"
+    again = task + "  - {id: t1, root: IN-CSE/Things/Bag, service: svc}\n"
+    with pytest.raises(ConfigInvalidError, match="task ids"):
+        parse_scenario(MINIMAL.replace(task, again))
+    base = reference_calibrated()
+    with pytest.raises(ConfigInvalidError, match="task ids"):
+        replace(base, tasks=[*base.tasks, TaskSpec(base.tasks[0].task_id, "IN-CSE/Other", base.service_id)])

@@ -588,6 +588,54 @@ class TestOffloadFailure:
         assert len(starts) == len(config.functions)  # still one start per function
 
 
+class TestSliceRecord:
+    """The cloud's answers to an edge's ``SLICE_RECORD``, seen at the wire."""
+
+    @staticmethod
+    def prepare_with_records(system, monkeypatch, records):
+        """Run one preparation in which the edge sends ``records(body)`` for
+        each record it means to send, and return the device's replies and
+        the statuses with which the cloud answered the records, in order."""
+        send_control = system_module.EdgeNode.send_control
+
+        def send(self, to, op, body, rqi=""):
+            for sent in records(body) if op is Operation.SLICE_RECORD else [body]:
+                send_control(self, to, op, sent, rqi)
+
+        monkeypatch.setattr(system_module.EdgeNode, "send_control", send)
+        record_ids, answers = set(), []
+        network_send = Network.send
+
+        def tap(network, frm, to, payload, size_bytes):
+            if isinstance(payload, RequestPrimitive) and payload.operation is Operation.SLICE_RECORD:
+                record_ids.add(payload.request_id)
+            elif isinstance(payload, ResponsePrimitive) and payload.request_id in record_ids:
+                answers.append(payload.status)
+            return network_send(network, frm, to, payload, size_bytes)
+
+        monkeypatch.setattr(Network, "send", tap)
+        replies = []
+        system.send_service_request(on_ready=replies.append)
+        system.run_until_idle()
+        return replies, answers
+
+    def test_a_repeated_record_is_answered_not_found_and_prepares_once(self, config, monkeypatch):
+        system = build_system(config, "edge", 42)
+        replies, answers = self.prepare_with_records(system, monkeypatch, lambda body: [body, body])
+        assert [r.status for r in replies] == [StatusCode.OK]
+        assert answers == [StatusCode.OK, StatusCode.NOT_FOUND]
+        assert "task-citizenB" in system.cloud.coordinator.bindings
+
+    def test_an_unreadable_record_is_refused_and_the_preparation_waits_on(self, config, monkeypatch):
+        system = build_system(config, "edge", 42)
+        replies, answers = self.prepare_with_records(
+            system, monkeypatch, lambda body: [FieldBody.line(("ctx", body.fields["ctx"])), body]
+        )
+        assert answers == [StatusCode.BAD_REQUEST, StatusCode.OK]
+        assert [r.status for r in replies] == [StatusCode.OK]
+        assert "task-citizenB" in system.cloud.coordinator.bindings
+
+
 class TestModeValidation:
     def test_unknown_mode_rejected(self, config):
         with pytest.raises(ConfigInvalidError):
