@@ -105,6 +105,15 @@ def decode_body(data: bytes | None) -> dict[str, str]:
     return decode_fieldline(decode_ascii(data or b""))
 
 
+class Fields(dict):
+    """A field line as read off the wire. A key it lacks is the sender's
+    fault, so reading one raises ``BadRequestError``, and a ``KeyError``
+    stays a bug of the reader."""
+
+    def __missing__(self, key: str):
+        raise BadRequestError(f"missing field {key!r}")
+
+
 @dataclass(frozen=True)
 class FieldBody:
     """A control message's content: its field lines, each kept as ``(key,
@@ -118,11 +127,11 @@ class FieldBody:
         return cls((pairs,))
 
     @property
-    def fields(self) -> dict[str, str]:
+    def fields(self) -> Fields:
         """The one line of a one-line body, as ``decode_body`` reads it."""
         if len(self.lines) != 1:
             raise BadRequestError(f"expected one field line, got {len(self.lines)}")
-        return dict(self.lines[0])
+        return Fields(self.lines[0])
 
     def to_bytes(self) -> bytes:
         return "\n".join(map(encode_fieldline, self.lines)).encode("ascii")

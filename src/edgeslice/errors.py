@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Service-layer errors map onto wire status codes (see worker._ERROR_STATUS,
-which matches subclasses too); infrastructure errors never cross the wire.
+A node answers every package error a request raises with the status that
+``primitives.error_response`` maps its class to: ``NotFoundError`` and its
+subclasses 4004, ``ConflictError`` and its subclasses 4009, any other 4000.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ class NoEdgeAvailableError(EdgeSliceError):
     pass
 
 
-class UnknownSliceError(EdgeSliceError):
+class UnknownSliceError(NotFoundError):
     pass
 
 
@@ -66,7 +67,7 @@ class AlreadyBoundError(EdgeSliceError):
     pass
 
 
-class UnknownBindingError(EdgeSliceError):
+class UnknownBindingError(NotFoundError):
     pass
 
 

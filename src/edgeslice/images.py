@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .codec import parse_int
+from .codec import Fields, parse_int
 from .errors import BadRequestError, ImageNotFoundError
 from .slicing import FUNCTION_BY_NAME, FUNCTION_NAMES, FunctionKind, function_from_name
 
@@ -38,7 +38,7 @@ class FunctionImage:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "FunctionImage":
-        rec = dict(pairs)
+        rec = Fields(pairs)
         return cls(rec["img"], FUNCTION_BY_NAME[rec["fn"]], rec["ver"], parse_int(rec["size"]))
 
 

@@ -30,7 +30,7 @@ from .codec import (
     quote,
     unquote,
 )
-from .errors import BadRequestError
+from .errors import BadRequestError, ConflictError, EdgeSliceError, NotFoundError
 from .resources import ResourceKind
 
 
@@ -139,6 +139,20 @@ class ResponsePrimitive:
 
     def __len__(self) -> int:
         return len(self.encode())
+
+
+def error_response(request_id: str, exc: EdgeSliceError) -> ResponsePrimitive:
+    """The answer to a request that raised ``exc``, with its message as the
+    body: 4004 for a ``NotFoundError``, 4009 for a ``ConflictError`` and 4000
+    for any other package error, subclasses included. The one place that
+    picks a status for an error."""
+    if isinstance(exc, NotFoundError):
+        status = StatusCode.NOT_FOUND
+    elif isinstance(exc, ConflictError):
+        status = StatusCode.CONFLICT
+    else:
+        status = StatusCode.BAD_REQUEST
+    return ResponsePrimitive(request_id, status, str(exc).encode())
 
 
 def _parse_lines(data: bytes) -> dict[str, str]:

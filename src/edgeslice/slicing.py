@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
+from .codec import Fields
 from .errors import BadRequestError
 
 BASE_PORT = 62590
@@ -27,11 +28,23 @@ class FunctionKind(Enum):
     __hash__ = object.__hash__
 
 
+class _ByName(dict):
+    """Members by the name a body or a scenario spells. A name that names
+    none is the sender's fault, so it raises ``BadRequestError``."""
+
+    def __init__(self, what: str, members: dict):
+        super().__init__(members)
+        self.what = what
+
+    def __missing__(self, name: str):
+        raise BadRequestError(f"unknown {self.what} {name!r}")
+
+
 # an enum's ``.name``, ``.value`` and ``FunctionKind[name]`` are Python-level
 # calls; a read of these tables is a dict read
 _ORDER = {f: f.value for f in FunctionKind}
 FUNCTION_NAMES = {f: f.name for f in FunctionKind}
-FUNCTION_BY_NAME = {f.name: f for f in FunctionKind}
+FUNCTION_BY_NAME = _ByName("function", {f.name: f for f in FunctionKind})
 _LOWER_NAMES = {f: f.name.lower() for f in FunctionKind}
 
 
@@ -39,14 +52,11 @@ def port_for(function: FunctionKind) -> int:
     return BASE_PORT + _ORDER[function]
 
 
-_FUNCTION_NAMES = {f.name.lower(): f for f in FunctionKind}
+_FUNCTION_NAMES = _ByName("function kind", {f.name.lower(): f for f in FunctionKind})
 
 
 def function_from_name(name: str) -> FunctionKind:
-    try:
-        return _FUNCTION_NAMES[name.lower()]
-    except KeyError:
-        raise BadRequestError(f"unknown function kind {name!r}") from None
+    return _FUNCTION_NAMES[name.lower()]
 
 
 def ordered(functions: "frozenset[FunctionKind] | set[FunctionKind]") -> list[FunctionKind]:
@@ -74,8 +84,8 @@ class PlanDecision(Enum):
 
 
 VALUES = {m: m.value for kind in (LatencyClass, PlanDecision) for m in kind}
-_LATENCY_CLASSES = {m.value: m for m in LatencyClass}
-_DECISIONS = {m.value: m for m in PlanDecision}
+_LATENCY_CLASSES = _ByName("latency class", {m.value: m for m in LatencyClass})
+_DECISIONS = _ByName("plan decision", {m.value: m for m in PlanDecision})
 
 
 @dataclass(frozen=True)
@@ -98,17 +108,14 @@ class SliceProfile:
         )
 
     @classmethod
-    def from_pairs(cls, pairs: "Iterable[tuple[str, str]] | dict[str, str]") -> "SliceProfile":
-        """The profile ``to_pairs`` gave; a dict of its fields is read as it is."""
-        rec = pairs if isinstance(pairs, dict) else dict(pairs)
-        try:
-            return cls(
-                service_id=rec["svc"],
-                required_functions=frozenset(function_from_name(n) for n in rec["fn"].split(",")),
-                latency_class=_LATENCY_CLASSES[rec["lc"]],
-            )
-        except (KeyError, ValueError) as exc:
-            raise BadRequestError(f"malformed slice profile: {exc!r}") from None
+    def from_pairs(cls, pairs: "Iterable[tuple[str, str]] | Fields") -> "SliceProfile":
+        """The profile ``to_pairs`` gave; ``Fields`` are read as they are."""
+        rec = pairs if isinstance(pairs, Fields) else Fields(pairs)
+        return cls(
+            service_id=rec["svc"],
+            required_functions=frozenset(function_from_name(n) for n in rec["fn"].split(",")),
+            latency_class=_LATENCY_CLASSES[rec["lc"]],
+        )
 
 
 @dataclass(frozen=True)
@@ -133,17 +140,12 @@ class SlicingPlan:
 
     @classmethod
     def from_pairs(cls, pairs: "Iterable[tuple[str, str]]") -> "SlicingPlan":
-        rec = dict(pairs)
-        try:
-            return cls(
-                decision=_DECISIONS[rec["dec"]],
-                target_slice=rec["slc"],
-                missing_functions=frozenset(
-                    function_from_name(n) for n in rec["mf"].split(",") if n
-                ),
-            )
-        except (KeyError, ValueError) as exc:
-            raise BadRequestError(f"malformed slicing plan: {exc!r}") from None
+        rec = Fields(pairs)
+        return cls(
+            decision=_DECISIONS[rec["dec"]],
+            target_slice=rec["slc"],
+            missing_functions=frozenset(function_from_name(n) for n in rec["mf"].split(",") if n),
+        )
 
 
 @dataclass

@@ -30,14 +30,14 @@ from functools import lru_cache, partial
 from itertools import count
 from typing import Callable, Generator
 
-from .codec import FieldBody, encode_b64, encode_body, parse_float, parse_int
+from .codec import FieldBody, Fields, encode_b64, encode_body, parse_float, parse_int
 from .errors import (
     AlreadyOffloadedError,
     BadRequestError,
     ConfigInvalidError,
     EdgeSliceError,
     NotFoundError,
-    UnknownBindingError,
+    UnknownSliceError,
 )
 from .images import FunctionImage, pull_image
 from . import netsim
@@ -66,6 +66,7 @@ from .primitives import (
     StatusCode,
     decode_request,
     decode_response,
+    error_response,
     is_response,
     read_body,
 )
@@ -84,11 +85,6 @@ DATA_OPS = (
 )
 
 CONTROL_SIZE = 0
-
-# what a control handler raises on a body it cannot read: missing fields,
-# unknown names and numbers that do not parse
-MALFORMED_CONTROL = (BadRequestError, KeyError, ValueError)
-
 
 # the central service's own images: it hosts every function regardless of
 # the catalogue the edges pull from
@@ -194,23 +190,31 @@ class _Node:
         me = weakref.ref(self)
         return NotificationChannel(lambda notify, done: me()._notify_transport(notify, done), self.sim.schedule)
 
-    def _advance(self, process: Generator, value: object = None) -> None:
-        """Run a protocol step ``process`` to its next wait: a number is a
-        delay in ms; a key of ``pending`` (a request id, or a tuple such as
-        ``("record", ctx)``) waits for what arrives under it; a list of keys
-        waits for the first of them to arrive, and the others stay bound to
-        this process, so it must wait on them next. What resumes it is this
-        bound method, so no step refers to itself."""
+    def _advance(self, process: Generator, req: RequestPrimitive, to: str,
+                 value: object = None) -> None:
+        """Run a protocol step ``process``, which serves ``req``, to its next
+        wait: a number is a delay in ms; a callable, such as a channel's
+        ``when_idle``, is handed what resumes the step; a key of ``pending``
+        (a request id, or a tuple such as ``("record", ctx)``) waits for what
+        arrives under it; a list of keys waits for the first of them to
+        arrive, and the others stay bound to this process, so it must wait on
+        them next. What resumes it is this bound method, so no step refers to
+        itself. A package error the step raises ends it, answered at ``to``."""
         try:
             wait = process.send(value)
         except StopIteration:
             return
-        resume = partial(self._advance, process)
+        except EdgeSliceError as exc:
+            self.reply(to, error_response(req.request_id, exc))
+            return
+        resume = partial(self._advance, process, req, to)
         if isinstance(wait, (int, float)):
             self.sim.schedule(wait, resume)
-            return
-        for key in wait if isinstance(wait, list) else (wait,):
-            self.pending[key] = resume
+        elif callable(wait):
+            wait(resume)
+        else:
+            for key in wait if isinstance(wait, list) else (wait,):
+                self.pending[key] = resume
 
     def send(self, to: str, message: "RequestPrimitive | ResponsePrimitive", size: int) -> None:
         # Data-plane messages are still encoded here, until the benchmark's
@@ -230,7 +234,8 @@ class _Node:
     def receive(self, message: "RequestPrimitive | ResponsePrimitive | bytes", sender: str) -> None:
         """Deliver one message. One that arrives as bytes is decoded first;
         bytes that do not decode have no request id to answer, so they are
-        dropped and counted in ``malformed_dropped``."""
+        dropped and counted in ``malformed_dropped``. A package error that a
+        request raises is answered at its sender."""
         if isinstance(message, bytes):
             try:
                 message = decode_response(message) if is_response(message) else decode_request(message)
@@ -242,7 +247,10 @@ class _Node:
             if callback is not None:
                 callback(message)
             return
-        self.handle_request(message, sender)
+        try:
+            self.handle_request(message, sender)
+        except EdgeSliceError as exc:
+            self.reply(sender, error_response(message.request_id, exc))
 
     def _notify_transport(self, notify, done) -> None:
         """Send one notification as a request; ``done`` gets whether it was accepted."""
@@ -250,12 +258,8 @@ class _Node:
         self.pending[notify.request_id] = lambda resp: done(resp.ok)
         self.send(notify.target_node, req, self.config.payload_bytes)
 
-    def refuse(self, req: RequestPrimitive, sender: str, exc: Exception) -> None:
-        """Answer a request whose body could not be read with 4000."""
-        detail = f"malformed {req.operation.name}: {exc!r}".encode()
-        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, detail))
-
     def handle_request(self, req: RequestPrimitive, sender: str) -> None:
+        """Serve one request; a handler that cannot raises a package error."""
         raise NotImplementedError
 
 
@@ -275,11 +279,10 @@ class DeviceNode(_Node):
 
     def handle_request(self, req: RequestPrimitive, sender: str) -> None:
         # devices only ever receive notifications from subscriptions they own
-        if req.operation is Operation.NOTIFY:
-            self.notifications_received += 1
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
-        else:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST))
+        if req.operation is not Operation.NOTIFY:
+            raise BadRequestError(f"a device serves no {req.operation.name}")
+        self.notifications_received += 1
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
 
 
 class EdgeNode(_Node):
@@ -323,29 +326,25 @@ class EdgeNode(_Node):
         op = req.operation
         if op in DATA_OPS:
             self._handle_data(req, sender)
-            return
-        try:
-            if op is Operation.SERVICE_REQUEST:
-                self.sim.log("service_request_arrival", rqi=req.request_id, device=req.originator)
-                if self.first_service_arrival_ms is None:
-                    self.first_service_arrival_ms = self.sim.now
-                self.send(self.cloud_id, req, CONTROL_SIZE)
-            elif op is Operation.SLICE_INSTANTIATE:
-                self._advance(self._handle_instantiate(req))
-            elif op is Operation.BUNDLE_TRANSFER:
-                self._handle_bundle(req, sender)
-            elif op is Operation.SYNC_FINALIZE:
-                self._handle_finalize(req, sender)
-            elif op is Operation.START_FUNCTION:
-                self._advance(self._handle_start(req, sender))
-            elif op is Operation.STOP_FUNCTION:
-                self._handle_stop(req, sender)
-            elif op is Operation.CRASH:
-                self._handle_crash(req, sender)
-            else:
-                self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST))
-        except MALFORMED_CONTROL as exc:
-            self.refuse(req, sender, exc)
+        elif op is Operation.SERVICE_REQUEST:
+            self.sim.log("service_request_arrival", rqi=req.request_id, device=req.originator)
+            if self.first_service_arrival_ms is None:
+                self.first_service_arrival_ms = self.sim.now
+            self.send(self.cloud_id, req, CONTROL_SIZE)
+        elif op is Operation.SLICE_INSTANTIATE:
+            self._advance(self._handle_instantiate(req), req, sender)
+        elif op is Operation.BUNDLE_TRANSFER:
+            self._handle_bundle(req, sender)
+        elif op is Operation.SYNC_FINALIZE:
+            self._advance(self._handle_finalize(req, sender), req, sender)
+        elif op is Operation.START_FUNCTION:
+            self._advance(self._handle_start(req, sender), req, sender)
+        elif op is Operation.STOP_FUNCTION:
+            self._handle_stop(req, sender)
+        elif op is Operation.CRASH:
+            self._handle_crash(req, sender)
+        else:
+            raise BadRequestError(f"an edge serves no {op.name}")
 
     def _handle_data(self, req: RequestPrimitive, sender: str) -> None:
         response, events, processing = self.worker.dispatch(req)
@@ -357,9 +356,12 @@ class EdgeNode(_Node):
     def _handle_instantiate(self, req: RequestPrimitive) -> Generator:
         """Pull and start each missing function in turn, then record the
         outcome at the cloud; a process for ``_advance``."""
-        plan_line, meta_line, *image_lines = read_body(req.content, FieldBody).lines
+        lines = read_body(req.content, FieldBody).lines
+        if len(lines) < 2:
+            raise BadRequestError("an instantiate body is a plan line, a meta line and image lines")
+        plan_line, meta_line, *image_lines = lines
         plan = SlicingPlan.from_pairs(plan_line)
-        meta = dict(meta_line)
+        meta = Fields(meta_line)
         ctx = meta["ctx"]
         images = [FunctionImage.from_pairs(line) for line in image_lines]
         quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
@@ -402,19 +404,12 @@ class EdgeNode(_Node):
     def _handle_bundle(self, req: RequestPrimitive, sender: str) -> None:
         # the whole body is read before the import, so a refusal changes nothing
         transfer = read_body(req.content, BundleTransfer)
-        meta = dict(transfer.head)
+        meta = Fields(transfer.head)
         task_id = meta["task"]
         eager = meta["mode"] == MODE_VALUES[SyncMode.EAGER]
         if eager:
             mirror_root, cloud = ResourcePath.parse(meta["mirror"]), meta["cloud"]
-        try:
-            root = import_bundle(self.worker.tree, transfer.bundle)
-        except BadRequestError as exc:  # a bundle that is not importable as it stands
-            self.refuse(req, sender, exc)
-            return
-        except EdgeSliceError as exc:  # its task root is there already
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.CONFLICT, str(exc).encode()))
-            return
+        root = import_bundle(self.worker.tree, transfer.bundle)
         if eager:
             create_sync_subscriptions(self.worker.tree, root, mirror_root, cloud)
             self.worker.tree.drain_events()
@@ -429,38 +424,30 @@ class EdgeNode(_Node):
         body = FieldBody.line(("task", task_id), ("root", str(root)))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
-    def _handle_finalize(self, req: RequestPrimitive, sender: str) -> None:
+    def _handle_finalize(self, req: RequestPrimitive, sender: str) -> Generator:
+        """Answer with a snapshot of the task's subtree once in-flight
+        notifications have drained, then remove the subtree; a process for
+        ``_advance``. The root is checked on arrival and again by the
+        snapshot, since an earlier finalize may have removed it meanwhile."""
         meta = _fields(req.content)
         task_id = meta["task"]
         root = ResourcePath.parse(meta["root"])
-        try:
-            # on arrival: the snapshot is made later, outside the handler's guard
-            resolve_task_root(self.worker.tree, root)
-        except NotFoundError as exc:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND, str(exc).encode()))
-            return
-
-        def respond() -> None:
-            bundle = make_bundle(self.worker.tree, root, task_id, self.sim.now)
-            self.sync_infos = [i for i in self.sync_infos if i.task_id != task_id]
-            # the snapshot settles the mirror, which owns the task again
-            self.worker.tree.delete(root)
-            self._publish_events(self.worker.tree.drain_events())
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, bundle))
-
-        self.channel.when_idle(respond)  # drain in-flight notifications first
+        resolve_task_root(self.worker.tree, root)
+        yield self.channel.when_idle
+        bundle = make_bundle(self.worker.tree, root, task_id, self.sim.now)
+        self.sync_infos = [i for i in self.sync_infos if i.task_id != task_id]
+        # the snapshot settles the mirror, which owns the task again
+        self.worker.tree.delete(root)
+        self._publish_events(self.worker.tree.drain_events())
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, bundle))
 
     def _handle_start(self, req: RequestPrimitive, sender: str) -> Generator:
         """Start one function and answer with its port once it runs; a
         process for ``_advance``."""
         meta = _fields(req.content)
         quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
-        try:
-            image = self.config.catalogue.by_id(meta["img"])
-            instance = self.worker.begin_start(image, quota)
-        except EdgeSliceError as exc:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, str(exc).encode()))
-            return
+        image = self.config.catalogue.by_id(meta["img"])
+        instance = self.worker.begin_start(image, quota)
         yield self.worker.start_delay_ms
         self.worker.complete_start(image.function)
         self._sync_channel_state()
@@ -468,23 +455,13 @@ class EdgeNode(_Node):
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
     def _handle_stop(self, req: RequestPrimitive, sender: str) -> None:
-        meta = _fields(req.content)
-        try:
-            self.worker.stop_function(FUNCTION_BY_NAME[meta["fn"]])
-        except EdgeSliceError as exc:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, str(exc).encode()))
-            return
+        self.worker.stop_function(FUNCTION_BY_NAME[_fields(req.content)["fn"]])
         self._sync_channel_state()
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
 
     def _handle_crash(self, req: RequestPrimitive, sender: str) -> None:
-        meta = _fields(req.content)
-        function = FUNCTION_BY_NAME[meta["fn"]]
-        try:
-            duration = self.worker.begin_crash(function)
-        except EdgeSliceError as exc:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, str(exc).encode()))
-            return
+        function = FUNCTION_BY_NAME[_fields(req.content)["fn"]]
+        duration = self.worker.begin_crash(function)
         self._sync_channel_state()
 
         def respawned() -> None:
@@ -531,33 +508,22 @@ class CloudNode(_Node):
         op = req.operation
         if op is Operation.NOTIFY:
             self._handle_notify(req, sender)
-            return
-        if op in DATA_OPS:
+        elif op in DATA_OPS:
             self._handle_data(req, sender)
-            return
-        try:
-            if op is Operation.SERVICE_REQUEST:
-                self._advance(self._prepare(req))
-            elif op is Operation.SLICE_RECORD:
-                self._handle_record(req, sender)
-            elif op is Operation.OFFLOAD_REQUEST:
-                self._advance(self._handle_offload_request(req, sender))
-            elif op is Operation.SLICE_TERMINATE:
-                self._advance(self._handle_terminate(req, sender))
-            else:
-                self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST))
-        except MALFORMED_CONTROL as exc:
-            self.refuse(req, sender, exc)
+        elif op is Operation.SERVICE_REQUEST:
+            # answered at the device: an edge relays the request but not its answer
+            self._advance(self._prepare(req), req, req.originator)
+        elif op is Operation.SLICE_RECORD:
+            self._handle_record(req, sender)
+        elif op is Operation.OFFLOAD_REQUEST:
+            self._advance(self._handle_offload_request(req, sender), req, sender)
+        elif op is Operation.SLICE_TERMINATE:
+            self._advance(self._handle_terminate(req, sender), req, sender)
+        else:
+            raise BadRequestError(f"the cloud serves no {op.name}")
 
     def _handle_notify(self, req: RequestPrimitive, sender: str) -> None:
-        try:
-            self.coordinator.apply_notification(parse_notify(req))
-        except UnknownBindingError as exc:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND, str(exc).encode()))
-            return
-        except BadRequestError as exc:
-            self.refuse(req, sender, exc)
-            return
+        self.coordinator.apply_notification(parse_notify(req))
         self._after_mutation()
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
 
@@ -613,14 +579,13 @@ class CloudNode(_Node):
     def _handle_record(self, req: RequestPrimitive, sender: str) -> None:
         """Apply an edge's record of an instantiation, then resume the
         preparation that waits for it with the record's error, if any. The
-        whole record is read first: one that cannot be read is answered 4000
-        and the preparation waits on. One that no preparation waits for is
-        answered 4004."""
+        whole record is read and applied first: one that cannot be read, or
+        names a slice the registry lacks, is refused and the preparation
+        waits on. One that no preparation waits for is refused as not found."""
         meta = _fields(req.content)
         key = ("record", meta["ctx"])
         if key not in self.pending:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND))
-            return
+            raise NotFoundError(f"no preparation waits for a record of {meta['ctx']!r}")
         slice_id, err = meta["slc"], meta.get("err")
         started = {}
         if meta.get("fn"):
@@ -639,17 +604,20 @@ class CloudNode(_Node):
         self.pending.pop(key)(err)
 
     def _offload(self, ctx: str, edge: str, tasks: list[Task], to: str, rqi: str) -> Generator:
-        """Send each task's bundle to ``edge`` and bind each task as its
-        reply arrives, then answer ``rqi`` at ``to``: with the bound roots in
-        arrival order, and 4009 if any bundle was refused."""
+        """Export every task, then send each bundle to ``edge`` and bind each
+        task as its reply arrives, then answer ``rqi`` at ``to``: with the
+        bound roots in arrival order, and 4009 if any bundle was refused. An
+        export that fails raises before the first bundle is sent."""
         mode = self.config.sync_mode
-        sent: dict[str, Task] = {}
+        bundles: list[OffloadBundle] = []
         for task in tasks:
             try:
-                bundle = self.coordinator.export_task(task)
+                bundles.append(self.coordinator.export_task(task))
             except AlreadyOffloadedError:
                 # exported earlier but the edge never confirmed; resend the state
-                bundle = make_bundle(self.tree, task.root_path, task.task_id, self.sim.now)
+                bundles.append(make_bundle(self.tree, task.root_path, task.task_id, self.sim.now))
+        sent: dict[str, Task] = {}
+        for task, bundle in zip(tasks, bundles):
             head = (
                 ("ctx", ctx),
                 ("task", task.task_id),
@@ -686,28 +654,27 @@ class CloudNode(_Node):
     # --- offload / terminate control plane ---
 
     def _handle_offload_request(self, req: RequestPrimitive, sender: str) -> Generator:
-        """Offload one named task to the named edge; a process for ``_advance``."""
+        """Offload one named task to the named edge worker; a process for
+        ``_advance``. Both names are checked before anything is exported."""
         meta = _fields(req.content)
-        spec = next(
-            (t for t in self.config.tasks if t.task_id == meta["task"]), None
-        )
+        task_id, edge = meta["task"], meta["edge"]
+        if edge not in self.config.topology.by_role(NodeRole.EDGE_WORKER):
+            raise NotFoundError(f"no edge worker {edge!r}")
+        spec = next((t for t in self.config.tasks if t.task_id == task_id), None)
         if spec is None:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND))
-            return
+            raise NotFoundError(f"no task {task_id!r}")
         task = Task(spec.task_id, ResourcePath.parse(spec.root), spec.service)
-        yield from self._offload(f"offload-{req.request_id}", meta["edge"], [task], sender, req.request_id)
+        yield from self._offload(f"offload-{req.request_id}", edge, [task], sender, req.request_id)
 
     def _handle_terminate(self, req: RequestPrimitive, sender: str) -> Generator:
         """Finalize each binding on the slice's edge, then stop each of its
         functions, one request at a time; a process for ``_advance``. A
-        snapshot the mirror refuses ends it with one 4000 reply, its binding
-        still open and the slice's functions still running."""
-        meta = _fields(req.content)
-        slice_id = meta["slc"]
+        snapshot the mirror refuses raises, which ends it with one 4000 reply,
+        its binding still open and the slice's functions still running."""
+        slice_id = _fields(req.content)["slc"]
         instance = self.orchestrator.registry.get(slice_id)
         if instance is None:
-            self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.NOT_FOUND))
-            return
+            raise UnknownSliceError(f"no slice {slice_id!r}")
         edge = instance.edge_node
         synced_total = 0
         for binding in list(self.coordinator.bindings_on_edge(edge)):
@@ -717,12 +684,7 @@ class CloudNode(_Node):
             response = yield rqi
             if response.ok:
                 bundle = read_body(response.content, OffloadBundle)
-                try:
-                    report = self.coordinator.finalize(binding.task_id, bundle)
-                except BadRequestError as exc:
-                    detail = f"snapshot of {binding.task_id} refused: {exc}".encode()
-                    self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, detail))
-                    return
+                report = self.coordinator.finalize(binding.task_id, bundle)
                 self._after_mutation()
                 synced_total += report.synced_resources
         for function in list(instance.running_functions):

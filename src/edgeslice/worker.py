@@ -16,7 +16,7 @@ from .codec import decode_b64, decode_body, decode_labels, decode_target, encode
 from .errors import (
     AlreadyRunningError,
     BadRequestError,
-    ConflictError,
+    EdgeSliceError,
     ImageNotCachedError,
     NotFoundError,
     NotRunningError,
@@ -29,6 +29,7 @@ from .primitives import (
     RequestPrimitive,
     ResponsePrimitive,
     StatusCode,
+    error_response,
 )
 from .resources import ChangeEvent, ResourceKind, ResourcePath, ResourceTree
 from .slicing import FUNCTION_NAMES, FunctionKind, port_for
@@ -61,12 +62,6 @@ class FunctionInstance:
     quota: ResourceQuota
     started_at: float | None = None
 
-
-_ERROR_STATUS = {
-    NotFoundError: StatusCode.NOT_FOUND,
-    BadRequestError: StatusCode.BAD_REQUEST,
-    ConflictError: StatusCode.CONFLICT,
-}
 
 _MEMORY = attrgetter("quota.max_memory_bytes")  # of a FunctionInstance
 
@@ -225,11 +220,7 @@ class EdgeWorker:
             function = self.required_function(req)
         except BadRequestError as exc:
             self._log("dispatch", op=req.operation.name, status="bad_request")
-            return (
-                ResponsePrimitive(req.request_id, StatusCode.BAD_REQUEST, str(exc).encode()),
-                [],
-                0.0,
-            )
+            return error_response(req.request_id, exc), [], 0.0
         if not self.enabled(function):
             self._log(
                 "dispatch", op=req.operation.name, function=function.name, status="gated"
@@ -241,10 +232,8 @@ class EdgeWorker:
             )
         try:
             response = self._execute(req)
-        except tuple(_ERROR_STATUS) as exc:
-            # by isinstance, so that subclasses map to their base's status
-            status = next(s for t, s in _ERROR_STATUS.items() if isinstance(exc, t))
-            response = ResponsePrimitive(req.request_id, status, str(exc).encode())
+        except EdgeSliceError as exc:
+            response = error_response(req.request_id, exc)
         events = self.tree.drain_events()
         self._log(
             "dispatch",

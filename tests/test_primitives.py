@@ -1,6 +1,9 @@
 import pytest
 
+from edgeslice import errors
+from edgeslice.codec import FieldBody
 from edgeslice.errors import BadRequestError
+from edgeslice.images import FunctionImage
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
@@ -10,9 +13,11 @@ from edgeslice.primitives import (
     decode_resource,
     decode_response,
     encode_resource,
+    error_response,
     is_response,
 )
 from edgeslice.resources import ManualClock, Resource, ResourceKind, ResourcePath, ResourceTree
+from edgeslice.slicing import FUNCTION_BY_NAME, SliceProfile, SlicingPlan
 
 
 def test_operation_wire_codes():
@@ -152,3 +157,30 @@ def test_resource_representation_with_target_and_content():
         content=bytes(range(64)),
     )
     assert decode_resource(encode_resource(ci)).content == bytes(range(64))
+
+
+@pytest.mark.parametrize("error, status", [
+    (errors.NotFoundError, StatusCode.NOT_FOUND),
+    (errors.UnknownSliceError, StatusCode.NOT_FOUND),
+    (errors.UnknownBindingError, StatusCode.NOT_FOUND),
+    (errors.ConflictError, StatusCode.CONFLICT),
+    (errors.BadRequestError, StatusCode.BAD_REQUEST),
+    (errors.NoRouteError, StatusCode.BAD_REQUEST),
+    (errors.ImageNotFoundError, StatusCode.BAD_REQUEST),
+    (errors.AlreadyOffloadedError, StatusCode.BAD_REQUEST),
+])
+def test_a_package_error_is_answered_with_the_status_of_its_class(error, status):
+    assert error_response("r-1", error("why")) == ResponsePrimitive("r-1", status, b"why")
+
+
+@pytest.mark.parametrize("read", [
+    lambda: FieldBody.line(("a", "1")).fields["b"],
+    lambda: FUNCTION_BY_NAME["NOPE"],
+    lambda: FunctionImage.from_pairs([("img", "i"), ("fn", "RETRIEVE"), ("ver", "1")]),
+    lambda: SliceProfile.from_pairs([("svc", "s"), ("fn", "retrieve")]),
+    lambda: SlicingPlan.from_pairs([("dec", "sideways"), ("slc", "s"), ("mf", "")]),
+], ids=["missing-field", "unknown-function", "image-without-size", "profile-without-class",
+        "unknown-decision"])
+def test_a_body_read_raises_only_bad_request(read):
+    with pytest.raises(BadRequestError):
+        read()

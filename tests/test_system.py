@@ -6,11 +6,13 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeslice import netsim
 from edgeslice import system as system_module
 from edgeslice.bench import build_system, derive_seed, road_config
-from edgeslice.codec import FieldBody
+from edgeslice.codec import FieldBody, encode_b64, encode_body
 from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError, SimulationLimitError
 from edgeslice.netsim import Network
 from edgeslice.offload import (BundleRecord, BundleTransfer, OffloadBundle, SyncMode, make_bundle,
@@ -26,7 +28,8 @@ from edgeslice.primitives import (
 )
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
 from edgeslice.scenario import TaskSpec, load_scenario, reference_calibrated
-from edgeslice.slicing import FunctionKind, SliceProfile, SliceState, port_for
+from edgeslice.slicing import (FunctionKind, PlanDecision, SliceProfile, SliceState, SlicingPlan,
+                               port_for)
 from edgeslice.worker import ResourceQuota
 
 from dataclasses import replace
@@ -749,6 +752,203 @@ class TestMalformedMessages:
         )
         assert [r.status for r in responses] == [status]
         assert system.edges["edge0"].sync_infos  # the edge's binding is untouched
+
+
+# --- every package error a request raises is answered -----------------------
+
+
+def issue_and_run(system, req, server, size=0) -> list[ResponsePrimitive]:
+    """Send ``req`` from the device to ``server``, run to idle and return
+    the device's replies."""
+    replies = []
+    system.devices[system.device_id].issue(req, server, size, replies.append)
+    system.run_until_idle()
+    return replies
+
+
+def retrieve_of_no_path(config, monkeypatch):
+    """A cloud-mode retrieve of ``to=""``, whose path does not parse."""
+    system = build_system(config, "cloud", 42)
+    req = RequestPrimitive(Operation.RETRIEVE, "", system.device_id, "rq-a")
+    return issue_and_run(system, req, system.cloud_id, config.payload_bytes), [StatusCode.BAD_REQUEST]
+
+
+def unreadable_service_request_through_the_edge(config, monkeypatch):
+    """A service request with no readable profile, sent through the edge as
+    a device sends one: the cloud answers the device, not the edge."""
+    system = build_system(config, "edge", 42)
+    req = RequestPrimitive(Operation.SERVICE_REQUEST, system.cloud_id, system.device_id, "sr-b",
+                           content=FieldBody.line(("svc", "road-warning")))
+    replies = issue_and_run(system, req, system.edge_for(system.device_id))
+    return replies, [StatusCode.BAD_REQUEST]
+
+
+def offload_to_a_node_that_is_no_edge_worker(config, monkeypatch):
+    """An offload request naming a node the topology lacks: refused before
+    the task is exported, where the bundle's send once raised."""
+    system = build_system(config, "edge", 42)
+    replies = admin(system, Operation.OFFLOAD_REQUEST, system.cloud_id,
+                    [("task", "task-citizenB"), ("edge", "edge-ghost")])
+    assert system.cloud.coordinator.offloaded == set()  # nothing was exported
+    return replies, [StatusCode.NOT_FOUND]
+
+
+def service_request_after_its_task_root_was_deleted(config, monkeypatch):
+    """A device deletes the task root at the cloud; the preparation's export
+    of that task then fails, and the device hears so."""
+    system = build_system(config, "edge", 42)
+    delete = RequestPrimitive(Operation.DELETE, config.tasks[0].root, system.device_id, "del-d")
+    assert issue_and_run(system, delete, system.cloud_id, config.payload_bytes)[0].ok
+    replies = []
+    system.send_service_request(on_ready=replies.append)
+    system.run_until_idle()
+    with pytest.raises(ConfigInvalidError):
+        system.prepare()
+    return replies, [StatusCode.NOT_FOUND]
+
+
+def record_of_a_slice_the_registry_lacks(config, monkeypatch):
+    """The edge's record names a slice the cloud does not know, then the
+    true record follows: the first is refused and the preparation, which
+    waited on, completes on the second."""
+    system = build_system(config, "edge", 42)
+
+    def ghost_then_true(body):
+        ghost = tuple((k, "slice-ghost" if k == "slc" else v) for k, v in body.lines[0])
+        return [FieldBody((ghost,)), body]
+
+    replies, answers = TestSliceRecord.prepare_with_records(system, monkeypatch, ghost_then_true)
+    assert [r.status for r in replies] == [StatusCode.OK]
+    return answers, [StatusCode.NOT_FOUND, StatusCode.OK]
+
+
+def second_finalize_of_a_root_while_a_notification_is_in_flight(config, monkeypatch):
+    """Two finalizes of one task root arrive while an edge create's notify
+    is in flight, so both wait for the channel: the first snapshot removes
+    the root, and the second finds it gone."""
+    system = build_system(config, "edge", 42)
+    system.prepare()
+    device = system.devices[system.device_id]
+    body = encode_body([("nm", "x1"), ("pc", encode_b64(b"hi"))])
+    create = RequestPrimitive(Operation.CREATE, "MN-CSE/Pedestrians/CitizenB", device.node_id, "c-f",
+                              resource_kind=ResourceKind.CONTENT_INSTANCE, content=body)
+    created, finalized = [], []
+    device.issue(create, "edge0", config.payload_bytes, created.append)
+    finalize = FieldBody.line(("task", "task-citizenB"), ("root", "MN-CSE/Pedestrians/CitizenB"))
+
+    def finalize_twice():
+        for rqi in ("fin-1", "fin-2"):
+            req = RequestPrimitive(Operation.SYNC_FINALIZE, "edge0", device.node_id, rqi, content=finalize)
+            device.issue(req, "edge0", 0, finalized.append)
+
+    system.sim.schedule(1.0, finalize_twice)  # after the create's arrival, before its notify's answer
+    system.run_until_idle()
+    assert [r.status for r in created] == [StatusCode.CREATED]
+    return finalized, [StatusCode.OK, StatusCode.NOT_FOUND]
+
+
+@pytest.mark.parametrize("case", [
+    retrieve_of_no_path,
+    unreadable_service_request_through_the_edge,
+    offload_to_a_node_that_is_no_edge_worker,
+    service_request_after_its_task_root_was_deleted,
+    record_of_a_slice_the_registry_lacks,
+    second_finalize_of_a_root_while_a_notification_is_in_flight,
+], ids=lambda case: case.__name__)
+def test_a_request_whose_handler_raises_gets_one_answer(config, monkeypatch, case):
+    """Each of these once let a package error escape ``run_until_idle`` or
+    answered the wrong node. Now the run ends and the requester gets one
+    reply, with the status ``error_response`` maps the error to. A case
+    returns the requester's replies (or, for records, their statuses)."""
+    replies, expected = case(config, monkeypatch)
+    assert [getattr(r, "status", r) for r in replies] == expected
+
+
+def test_an_export_that_fails_sends_no_bundle(config, monkeypatch):
+    """A preparation exports every task before it sends a bundle, so when
+    the second task's root is gone it sends none and answers 4004."""
+    second = TaskSpec("task-citizenC", "IN-CSE/Pedestrians/CitizenC", config.tasks[0].service)
+    system = build_system(replace(config, tasks=[config.tasks[0], second]), "edge", 42)
+    delete = RequestPrimitive(Operation.DELETE, second.root, system.device_id, "del-c")
+    assert issue_and_run(system, delete, system.cloud_id, config.payload_bytes)[0].ok
+    sent = []
+    monkeypatch.setattr(Network, "send", logged(Network.send, sent, 3))
+    replies = []
+    system.send_service_request(on_ready=replies.append)
+    system.run_until_idle()
+    assert [r.status for r in replies] == [StatusCode.NOT_FOUND]
+    assert not [m for m in sent if getattr(m, "operation", None) is Operation.BUNDLE_TRANSFER]
+    assert system.edges["edge0"].last_import_ms is None
+
+
+def valid_control_bodies(system) -> dict[Operation, tuple[str, bytes]]:
+    """For each control op, the node that serves it and a body it reads, on
+    a prepared deployment."""
+    config = system.config
+    task = config.tasks[0]
+    plan = SlicingPlan(PlanDecision.INSTANTIATE_THEN_OFFLOAD, "slice-edge0",
+                       frozenset({FunctionKind.RETRIEVE}))
+    quota = (("mem", str(config.quota.max_memory_bytes)), ("cpu", repr(config.quota.max_cpu_share)))
+    image = config.catalogue.lookup(FunctionKind.RETRIEVE)
+    bundle = make_bundle(system.cloud.tree, ResourcePath.parse(task.root), task.task_id, 0.0)
+    head = (("ctx", "c"), ("task", task.task_id), ("mode", "eager"), ("mirror", task.root),
+            ("cloud", system.cloud_id))
+    cloud, edge = system.cloud_id, "edge0"
+    bodies = {
+        Operation.SERVICE_REQUEST: (cloud, FieldBody.line(*config.profile().to_pairs())),
+        Operation.SLICE_RECORD: (cloud, FieldBody.line(("ctx", "c"), ("slc", "slice-edge0"),
+                                                        ("fn", "RETRIEVE:62591"))),
+        Operation.OFFLOAD_REQUEST: (cloud, FieldBody.line(("task", task.task_id), ("edge", edge))),
+        Operation.SLICE_TERMINATE: (cloud, FieldBody.line(("slc", "slice-edge0"))),
+        Operation.SLICE_INSTANTIATE: (edge, FieldBody((plan.to_pairs(), (("ctx", "c"),) + quota,
+                                                       image.pairs))),
+        Operation.BUNDLE_TRANSFER: (edge, BundleTransfer(head, bundle)),
+        Operation.SYNC_FINALIZE: (edge, FieldBody.line(("task", task.task_id),
+                                                       ("root", "MN-CSE/Pedestrians/CitizenB"))),
+        Operation.START_FUNCTION: (edge, FieldBody.line(("img", image.image_id), *quota)),
+        Operation.STOP_FUNCTION: (edge, FieldBody.line(("fn", "RETRIEVE"))),
+        Operation.CRASH: (edge, FieldBody.line(("fn", "RETRIEVE"))),
+    }
+    return {op: (to, body.to_bytes()) for op, (to, body) in bodies.items()}
+
+
+# an edit replaces ``length`` bytes at a position (a fraction of the body's
+# length) with up to two bytes, drawn mostly from the field syntax
+EDITS = st.lists(
+    st.tuples(
+        st.floats(0, 1),
+        st.integers(0, 2),
+        st.lists(st.sampled_from(b";=,:%\n-0129aezAEZ\xff"), max_size=2).map(bytes),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def edited(body: bytes, edits) -> bytes:
+    for at, length, new in edits:
+        i = int(at * len(body))
+        body = body[:i] + new + body[i + length:]
+    return body
+
+
+@pytest.mark.parametrize("op", CLOUD_CONTROL + EDGE_CONTROL, ids=lambda op: op.name)
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(edits=EDITS)
+def test_an_edited_control_body_never_escapes_the_run(config, op, edits):
+    """Each control op at the node that serves it, with a valid body under a
+    few byte edits: the run ends, and every op but an instantiate, which
+    answers with a record, gets one reply, a refusal with a mapped status
+    unless the edits left a body that reads."""
+    system = build_system(config, "edge", 42)
+    system.prepare()
+    to, body = valid_control_bodies(system)[op]
+    req = RequestPrimitive(op, to, system.device_id, "fz-1", content=edited(body, edits))
+    replies = issue_and_run(system, req, to)
+    if op is not Operation.SLICE_INSTANTIATE:
+        assert len(replies) == 1
+        assert replies[0].ok or replies[0].status in (
+            StatusCode.BAD_REQUEST, StatusCode.NOT_FOUND, StatusCode.CONFLICT)
 
 
 def logged(fn, log, position):
