@@ -54,7 +54,7 @@ for event in tree.drain_events():
     for notify in match_subscriptions(tree, event):
         print(
             f"  notify -> node={notify.target_node} path={notify.target_path}"
-            f" change={notify.change} value={notify.view().content.decode()}"
+            f" change={notify.change} value={notify.resource.content.decode()}"
         )
 
 print("\n== the whole tree round-trips through its textual form ==")

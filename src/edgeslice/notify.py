@@ -3,16 +3,48 @@
 A mutation on a tree fires one notification per subscription sitting next to
 the changed resource (direct-children scope: a subscription under a container
 observes creations, updates and deletions of that container's children).
+A notification carries a snapshot of the changed resource (``ResourceView``)
+and travels as a request whose content is a ``NotifyBody``; it is encoded
+only if something reads its bytes.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 from .codec import decode_body, encode_fieldline, encode_resource
 from .errors import BadRequestError, NotFoundError
-from .primitives import Operation, RequestPrimitive, ResourceView, decode_resource
+from .primitives import Operation, RequestPrimitive, ResourceView, decode_resource, read_body
 from .resources import ChangeEvent, ResourceTree
+
+
+@dataclass(frozen=True)
+class NotifyBody:
+    """A notification's content: the change, the changed resource's path,
+    its snapshot and, for a rename, its old name. On the wire, a field line
+    ``ev;pt[;on]``, a newline and the resource's record."""
+
+    change: str
+    changed_path: str
+    resource: ResourceView
+    old_name: str | None = None
+
+    def to_bytes(self) -> bytes:
+        meta = [("ev", self.change), ("pt", self.changed_path)]
+        if self.old_name is not None:
+            meta.append(("on", self.old_name))
+        record = encode_resource(self.resource, self.resource.path)
+        return (encode_fieldline(meta) + "\n").encode("ascii") + record
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "NotifyBody":
+        """Inverse of ``to_bytes``; raises only ``BadRequestError``."""
+        head, _, record = data.partition(b"\n")
+        meta = decode_body(head)
+        if "ev" not in meta or "pt" not in meta:
+            raise BadRequestError("notification lacks its change or path")
+        return cls(meta["ev"], meta["pt"], decode_resource(record), meta.get("on"))
 
 
 @dataclass(frozen=True)
@@ -24,42 +56,22 @@ class NotifyPrimitive:
     target_path: str
     change: str
     changed_path: str
-    resource: bytes  # encoded resource representation
+    resource: ResourceView  # the changed resource as it was at the change
     old_name: str | None = None
 
-    def payload(self) -> bytes:
-        meta = [("ev", self.change), ("pt", self.changed_path)]
-        if self.old_name is not None:
-            meta.append(("on", self.old_name))
-        return (encode_fieldline(meta) + "\n").encode("ascii") + self.resource
-
     def to_request(self, sender: str) -> RequestPrimitive:
-        return RequestPrimitive(
-            operation=Operation.NOTIFY,
-            to=self.target_path,
-            originator=sender,
-            request_id=self.request_id,
-            content=self.payload(),
-        )
-
-    def view(self) -> ResourceView:
-        return decode_resource(self.resource)
+        body = NotifyBody(self.change, self.changed_path, self.resource, self.old_name)
+        return RequestPrimitive(Operation.NOTIFY, self.target_path, sender, self.request_id,
+                                content=body)
 
 
 def parse_notify(req: RequestPrimitive) -> NotifyPrimitive:
-    head, _, record = (req.content or b"").partition(b"\n")
-    meta = decode_body(head)
-    if "ev" not in meta or "pt" not in meta:
-        raise BadRequestError("notification lacks its change or path")
-    return NotifyPrimitive(
-        request_id=req.request_id,
-        target_node=req.originator,  # informational only on the receive side
-        target_path=req.to,
-        change=meta["ev"],
-        changed_path=meta["pt"],
-        resource=record,
-        old_name=meta.get("on"),
-    )
+    """The notification a NOTIFY request carries, sent as an object or
+    arrived as bytes; raises only ``BadRequestError``."""
+    body = read_body(req.content, NotifyBody)
+    # the target node is informational only on the receive side
+    return NotifyPrimitive(req.request_id, req.originator, req.to, body.change, body.changed_path,
+                           body.resource, body.old_name)
 
 
 def match_subscriptions(tree: ResourceTree, event: ChangeEvent) -> list[NotifyPrimitive]:
@@ -76,23 +88,12 @@ def match_subscriptions(tree: ResourceTree, event: ChangeEvent) -> list[NotifyPr
     subs = [s for s in tree.subscriptions(parent.id) if s.id != event.resource.id]
     if not subs:
         return []
-    record = encode_resource(event.resource)  # one encoding shared by every notify
+    r = event.resource  # one snapshot shared by every notify
+    view = ResourceView(r.kind, r.name, r.creation_time, r.last_modified_time, None,
+                        r.content, r.notification_target, r.labels)
     changed_path = str(event.path)
-    notifies = []
-    for sub in subs:
-        node, path = sub.notification_target  # type: ignore[misc]
-        notifies.append(
-            NotifyPrimitive(
-                request_id=f"ntf-{event.event_id}-{sub.id}",
-                target_node=node,
-                target_path=path,
-                change=event.change,
-                changed_path=changed_path,
-                resource=record,
-                old_name=event.old_name,
-            )
-        )
-    return notifies
+    return [NotifyPrimitive(f"ntf-{event.event_id}-{sub.id}", *sub.notification_target,
+                            event.change, changed_path, view, event.old_name) for sub in subs]
 
 
 class NotificationChannel:
@@ -100,7 +101,8 @@ class NotificationChannel:
 
     Notifications go out one at a time (order preserved end to end); a failed
     attempt is retried with doubling backoff, then dropped and counted once
-    the retry budget is exhausted.
+    the retry budget is exhausted. A paused channel sends nothing new, and
+    its queue waits for ``resume``.
     """
 
     def __init__(
@@ -115,7 +117,7 @@ class NotificationChannel:
         self._schedule = schedule
         self._max_retries = max_retries
         self._initial_backoff_ms = initial_backoff_ms
-        self._queue: list[NotifyPrimitive] = []
+        self._queue: deque[NotifyPrimitive] = deque()
         self._in_flight = False
         self._paused = False
         self._idle_callbacks: list[Callable[[], None]] = []
@@ -125,10 +127,12 @@ class NotificationChannel:
 
     @property
     def idle(self) -> bool:
-        return not self._queue and not self._in_flight
+        """Nothing in flight, and nothing queued that may go out: on a
+        paused channel, only the notification in flight is waited for."""
+        return not self._in_flight and (self._paused or not self._queue)
 
     def when_idle(self, callback: Callable[[], None]) -> None:
-        """Run once every queued notification has been resolved."""
+        """Run once the channel is idle."""
         if self.idle:
             callback()
         else:
@@ -141,6 +145,11 @@ class NotificationChannel:
     def resume(self) -> None:
         self._paused = False
         self._pump()
+
+    def discard(self, superseded: Callable[[NotifyPrimitive], bool]) -> None:
+        """Take the queued notifications ``superseded`` picks out of an idle
+        channel's queue, which holds any only while paused."""
+        self._queue = deque(n for n in self._queue if not superseded(n))
 
     def enqueue(self, notify: NotifyPrimitive) -> None:
         self._queue.append(notify)
@@ -168,7 +177,7 @@ class NotificationChannel:
         self._transport(notify, done)
 
     def _finish(self) -> None:
-        self._queue.pop(0)
+        self._queue.popleft()
         self._in_flight = False
         self._pump()
         if self.idle:

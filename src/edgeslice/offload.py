@@ -10,6 +10,7 @@ for an offloaded subtree for the binding's whole lifetime.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import countOf, itemgetter
@@ -186,6 +187,11 @@ class EdgeSyncInfo:
     edge_root: ResourcePath
     mirror_root: ResourcePath
     cloud_node: str
+
+    def covers(self, notify: NotifyPrimitive) -> bool:
+        """Whether ``notify`` replays a change onto this binding's mirror."""
+        return (notify.target_node == self.cloud_node
+                and self.mirror_root.is_prefix_of(ResourcePath.parse(notify.target_path)))
 
 
 # the kinds a task may be rooted at, on export and on import
@@ -381,9 +387,9 @@ def process_edge_events(
     delivered later. Maintenance-created subscriptions cascade here.
     """
     notifies: list[NotifyPrimitive] = []
-    queue = list(events)
+    queue = deque(events)
     while queue:
-        event = queue.pop(0)
+        event = queue.popleft()
         notifies.extend(match_subscriptions(edge_tree, event))
         for info in infos:
             maintain_sync_subscriptions(edge_tree, info, event)
@@ -483,7 +489,7 @@ class OffloadCoordinator:
             binding.stats.duplicates += 1
             return "duplicate"
         binding.seen_request_ids.add(notify.request_id)
-        view = notify.view()
+        view = notify.resource
         if view.kind is ResourceKind.SUBSCRIPTION:
             binding.stats.skipped_subscriptions += 1
             return "skipped"

@@ -1,13 +1,14 @@
 """Simulated deployment: device, edge and cloud nodes wired over the network.
 
 Every interaction is a request or response primitive routed by the
-simulator; nodes never share state. A control message travels as the
-primitive object itself, its body as field pairs (``FieldBody``), its bundle
-as records, and a data-plane message as its wire encoding. Either way the
-message's bytes are its ``encode()``, made only when something reads them,
-and a node decodes a payload that arrives as bytes. The cloud hosts the full service layer, the orchestrator
-and the offload coordinator; edge nodes host gated workers; devices issue
-requests and record round-trip times.
+simulator; nodes never share state. Between the edge and the cloud a message
+travels as the primitive object itself: a control body as field pairs
+(``FieldBody``), a bundle as records, a notification as its resource snapshot
+(``NotifyBody``); only a data-plane message on a device's access link travels
+as its wire encoding. A message's bytes are its ``encode()``, made only when
+something reads them, and a node decodes a payload that arrives as bytes. The
+cloud hosts the service layer, the orchestrator and the offload coordinator;
+edge nodes host gated workers; devices issue requests and record round trips.
 
 Control-plane message sequence for one service request (steps as logged),
 which on the cloud is one process, ``CloudNode._prepare``:
@@ -20,7 +21,7 @@ which on the cloud is one process, ``CloudNode._prepare``:
     cloud  --> device (ready)
 
 Control messages travel with size 0 (their transfer time is not modeled);
-data-plane messages carry the configured payload size.
+data-plane messages carry the configured payload size, whatever their form.
 """
 from __future__ import annotations
 
@@ -178,6 +179,7 @@ class _Node:
         self.sim = system.sim
         self.network = system.network
         self._control_ids = system._control_ids  # one sequence per deployment
+        self._devices = system._device_ids
         self.pending: dict[str | tuple[str, str], Callable] = {}
         self.malformed_dropped = 0
         me = weakref.ref(self)
@@ -217,11 +219,12 @@ class _Node:
                 self.pending[key] = resume
 
     def send(self, to: str, message: "RequestPrimitive | ResponsePrimitive", size: int) -> None:
-        # Data-plane messages are still encoded here, until the benchmark's
-        # peak-RSS reading stops growing with its round count: as objects,
-        # they would make data-plane runs fast enough to raise that reading.
-        payload = message if size == CONTROL_SIZE else message.encode()
-        self.network.send(self.node_id, to, payload, size)
+        # A data-plane message on a device's access link is encoded here: as
+        # objects, those would make data-plane runs fast enough to raise the
+        # benchmark's peak-RSS reading, which grows with its round count.
+        if size != CONTROL_SIZE and (to in self._devices or self.node_id in self._devices):
+            message = message.encode()
+        self.network.send(self.node_id, to, message, size)
 
     def reply(self, to: str, response: ResponsePrimitive, size: int = CONTROL_SIZE) -> None:
         self.send(to, response, size)
@@ -425,17 +428,20 @@ class EdgeNode(_Node):
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
     def _handle_finalize(self, req: RequestPrimitive, sender: str) -> Generator:
-        """Answer with a snapshot of the task's subtree once in-flight
-        notifications have drained, then remove the subtree; a process for
-        ``_advance``. The root is checked on arrival and again by the
-        snapshot, since an earlier finalize may have removed it meanwhile."""
+        """Answer with a snapshot of the task's subtree once the notification
+        channel is idle, then remove the subtree; a process for ``_advance``.
+        The snapshot supersedes what a paused channel still holds for the
+        task. The root is checked on arrival and again by the snapshot, since
+        an earlier finalize may have removed it meanwhile."""
         meta = _fields(req.content)
         task_id = meta["task"]
         root = ResourcePath.parse(meta["root"])
         resolve_task_root(self.worker.tree, root)
         yield self.channel.when_idle
         bundle = make_bundle(self.worker.tree, root, task_id, self.sim.now)
+        ended = [i for i in self.sync_infos if i.task_id == task_id]
         self.sync_infos = [i for i in self.sync_infos if i.task_id != task_id]
+        self.channel.discard(lambda notify: any(info.covers(notify) for info in ended))
         # the snapshot settles the mirror, which owns the task again
         self.worker.tree.delete(root)
         self._publish_events(self.worker.tree.drain_events())
@@ -725,15 +731,12 @@ class System:
             raise ConfigInvalidError("scenarios require exactly one cloud node")
         self.cloud_id = clouds[0]
         self._control_ids = count(1)
+        devices = config.topology.by_role(NodeRole.DEVICE)
+        self._device_ids = frozenset(devices)
         self.cloud = CloudNode(self, self.cloud_id)
-        self.edges = {
-            node_id: EdgeNode(self, node_id)
-            for node_id in config.topology.by_role(NodeRole.EDGE_WORKER)
-        }
-        self.devices = {
-            node_id: DeviceNode(self, node_id)
-            for node_id in config.topology.by_role(NodeRole.DEVICE)
-        }
+        edges = config.topology.by_role(NodeRole.EDGE_WORKER)
+        self.edges = {node_id: EdgeNode(self, node_id) for node_id in edges}
+        self.devices = {node_id: DeviceNode(self, node_id) for node_id in devices}
         self.samples: list[LatencySample] = []
 
     @property

@@ -49,11 +49,12 @@ from edgeslice.codec import (
 )
 from edgeslice.errors import BadRequestError
 from edgeslice.netsim import Network
-from edgeslice.notify import parse_notify
+from edgeslice.notify import NotifyBody, parse_notify
 from edgeslice.offload import BundleRecord, OffloadBundle
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
+    ResourceView,
     ResponsePrimitive,
     StatusCode,
     decode_request,
@@ -197,7 +198,7 @@ SEEDS = _seeds()
 
 
 def _notify(data: bytes):
-    return parse_notify(RequestPrimitive(Operation.NOTIFY, "IN-CSE/a", "edge0", "n1", content=data)).view()
+    return parse_notify(RequestPrimitive(Operation.NOTIFY, "IN-CSE/a", "edge0", "n1", content=data)).resource
 
 
 # the decoders that read text; the others read bytes
@@ -471,6 +472,26 @@ def test_resource_round_trip(resource, path):
     assert view.notification_target == resource.notification_target
     assert list(view.labels) == resource.labels
     assert encode_resource(view, view.path) == data
+
+
+@st.composite
+def notify_bodies(draw) -> NotifyBody:
+    r = draw(resources())
+    view = ResourceView(r.kind, r.name, r.creation_time, r.last_modified_time,
+                        draw(st.one_of(st.none(), TEXT)), r.content, r.notification_target,
+                        tuple(r.labels))
+    return NotifyBody(draw(TEXT), draw(TEXT), view, draw(st.one_of(st.none(), TEXT)))
+
+
+@PROPERTY
+@given(notify_bodies(), st.data())
+def test_notify_body_round_trip(body, data):
+    encoded = body.to_bytes()
+    assert NotifyBody.from_bytes(encoded) == body
+    try:
+        NotifyBody.from_bytes(data.draw(edited([encoded])))
+    except BadRequestError:
+        pass
 
 
 NAMES = TEXT.filter(lambda t: t and "/" not in t and t != LATEST_SEGMENT)

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 from edgeslice.netsim import Simulator
-from edgeslice.notify import NotificationChannel, NotifyPrimitive, parse_notify
+from edgeslice.notify import NotificationChannel, NotifyBody, NotifyPrimitive, parse_notify
+from edgeslice.primitives import ResourceView, decode_request
+from edgeslice.resources import ResourceKind
 
 
 def make_notify(i=0):
@@ -9,19 +13,29 @@ def make_notify(i=0):
         target_path="IN-CSE/Cars/CarA/location",
         change="created",
         changed_path="MN-CSE/Cars/CarA/location/ci_0001",
-        resource=b"ty=4;nm=ci_0001;ct=1.0;lt=1.0;pc=dg==",
+        resource=ResourceView(ResourceKind.CONTENT_INSTANCE, "ci_0001", 1.0, 1.0, content=b"v"),
     )
 
 
 def test_notify_envelope_round_trip():
     notify = make_notify()
     req = notify.to_request("edge0")
+    assert isinstance(req.content, NotifyBody)
+    assert req.content.to_bytes() == (b"ev=created;pt=MN-CSE/Cars/CarA/location/ci_0001\n"
+                                      b"ty=4;nm=ci_0001;ct=1.0;lt=1.0;pc=dg==")
     parsed = parse_notify(req)
     assert parsed.change == "created"
     assert parsed.changed_path == "MN-CSE/Cars/CarA/location/ci_0001"
     assert parsed.target_path == notify.target_path
-    assert parsed.view().name == "ci_0001"
-    assert parsed.view().content == b"v"
+    assert parsed.resource.name == "ci_0001"
+    assert parsed.resource.content == b"v"
+
+
+def test_a_notify_reads_the_same_sent_as_an_object_or_arrived_as_bytes():
+    req = make_notify().to_request("edge0")
+    # the receiver knows the sender, not the node it was addressed as
+    expected = replace(make_notify(), target_node="edge0")
+    assert parse_notify(decode_request(req.encode())) == parse_notify(req) == expected
 
 
 def test_channel_delivers_in_order():

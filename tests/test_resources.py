@@ -344,7 +344,7 @@ class TestSubscriptionMatching:
         assert n.target_node == "cloud"
         assert n.target_path == "IN-CSE/mirror/location"
         assert n.change == "created"
-        assert n.view().content == b"v"
+        assert n.resource.content == b"v"
 
     def test_no_subscription_no_notify(self, clock):
         tree = make_location_tree(clock)
@@ -406,7 +406,7 @@ class TestSubscriptionMatching:
         (event,) = tree.drain_events()
         (notify,) = match_subscriptions(tree, event)
         assert notify.change == "deleted"
-        assert notify.view().name == "ci"
+        assert notify.resource.name == "ci"
 
 
 class TestSerialization:

@@ -15,6 +15,7 @@ from edgeslice.bench import build_system, derive_seed, road_config
 from edgeslice.codec import FieldBody, encode_b64, encode_body
 from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError, SimulationLimitError
 from edgeslice.netsim import Network
+from edgeslice.notify import NotifyBody
 from edgeslice.offload import (BundleRecord, BundleTransfer, OffloadBundle, SyncMode, make_bundle,
                               subtrees_converged)
 from edgeslice.primitives import (
@@ -514,6 +515,27 @@ class TestTerminationOverTheWire:
         assert system.cloud.tree.serialize() == before
         assert system.cloud.coordinator.binding_of("task-citizenB").mode is SyncMode.LAZY
 
+    def test_an_eager_slice_without_the_notification_function_terminates(self):
+        """Its edge's channel never resumes, so each create's notification
+        waits in the queue. The finalize snapshot supersedes them: the
+        terminate is answered, the mirror holds the creates, and none of
+        the notifications goes out later."""
+        campus = replace(load_scenario(CAMPUS), sync_mode=SyncMode.EAGER)
+        system = build_system(campus, "edge", campus.seed)
+        system.prepare()
+        system.run_workload("create", 3)
+        edge_id = system.edge_for(system.device_id)
+        edge = system.edges[edge_id]
+        task_root = ResourcePath.parse(campus.tasks[0].root)
+        before = task_records(edge.worker.tree, ResourcePath("MN-CSE", task_root.segments))
+        responses = admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", f"slice-{edge_id}")])
+        assert [r.status for r in responses] == [StatusCode.OK]
+        assert fields(responses[0])["synced"] == "3"
+        assert task_records(system.cloud.tree, task_root) == before
+        edge.channel.resume()  # as if the notification function started now
+        system.run_until_idle()
+        assert (edge.channel.sent, edge.channel.dropped) == (0, 0) and edge.channel.idle
+
     def test_terminate_without_tasks_reports_zero(self, config):
         system = build_system(replace(config, tasks=[]), "edge", 42)
         system.prepare()
@@ -961,12 +983,48 @@ def logged(fn, log, position):
     return call
 
 
+def eager_edits(config, before_replay=None):
+    """A prepared eager deployment after three creates, then a container
+    ``c1`` labelled ``a`` created under the task root and, in the same
+    instant, renamed ``c2`` and relabelled ``b``: both reach the edge before
+    the container's notification reaches the cloud. ``before_replay`` gets,
+    for each replay, its change, the resource's name and labels, and the
+    names of the edge's containers under the task root at that moment."""
+    system = build_system(config, "edge", 42)
+    system.prepare()
+    system.run_workload("create", 3)
+    edge_tree = system.edges["edge0"].worker.tree
+    if before_replay is not None:
+        apply = system.cloud.coordinator.apply_notification
+
+        def recorded(notify):
+            root = edge_tree.resolve(EDGE_TASK_ROOT)
+            names = [c.name for c in edge_tree.children(root.id) if c.name.startswith("c")]
+            before_replay((notify.change, notify.resource.name, notify.resource.labels, names))
+            return apply(notify)
+
+        system.cloud.coordinator.apply_notification = recorded
+    device = system.devices[system.device_id]
+    replies = []
+    create = RequestPrimitive(Operation.CREATE, str(EDGE_TASK_ROOT), device.node_id, "c-1",
+                              resource_kind=ResourceKind.CONTAINER,
+                              content=encode_body([("nm", "c1"), ("lb", "a")]))
+    update = RequestPrimitive(Operation.UPDATE, str(EDGE_TASK_ROOT.child("c1")), device.node_id, "u-1",
+                              content=encode_body([("nm", "c2"), ("lb", "b")]))
+    for req in (create, update):
+        device.issue(req, "edge0", config.payload_bytes, replies.append)
+    system.run_until_idle()
+    assert {r.request_id: r.status for r in replies} == {"c-1": StatusCode.CREATED, "u-1": StatusCode.OK}
+    return system
+
+
 class TestMessagesAsObjects:
     def test_only_data_plane_messages_are_encoded_on_their_way(self, config, monkeypatch):
         """Control messages travel as objects, their bodies as field pairs,
         the bundle as its records and the finalize reply as the bundle; each
-        data-plane message is encoded once, by its sender. Only the
-        terminate request that the test injects carries bytes."""
+        data-plane message on a device's access link is encoded once, by its
+        sender. Only the terminate request that the test injects carries
+        bytes."""
         encoded, payloads = [], []
         for cls in (RequestPrimitive, ResponsePrimitive):
             monkeypatch.setattr(cls, "encode", logged(cls.encode, encoded, 0))
@@ -986,6 +1044,56 @@ class TestMessagesAsObjects:
         sent = [m for m in objects if m is not injected[0]]
         assert not [m for m in sent if isinstance(m.content, bytes)]
         assert {type(m.content) for m in sent} == {FieldBody, type(None), BundleTransfer, OffloadBundle}
+
+    def test_eager_sync_between_the_edge_and_the_cloud_sends_objects(self, config, monkeypatch):
+        """Each notification and its answer travel as objects, the
+        notification's content as a ``NotifyBody``; only the device's
+        messages are encoded."""
+        payloads = []
+        monkeypatch.setattr(Network, "send", logged(UNCHECKED_SEND, payloads, 3))
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        del payloads[:]
+        system.run_workload("create", 3)
+        assert sum(isinstance(p, bytes) for p in payloads) == 6  # three creates and their replies
+        notifies = [p for p in payloads if getattr(p, "operation", None) is Operation.NOTIFY]
+        assert len(notifies) == 3 and {type(n.content) for n in notifies} == {NotifyBody}
+        answers = [p for p in payloads if isinstance(p, ResponsePrimitive)]
+        assert [a.request_id for a in answers] == [n.request_id for n in notifies]
+
+    def test_notifies_injected_as_bytes_leave_the_same_mirror(self, config, monkeypatch):
+        """A notification that arrives as its ``encode()`` is decoded and
+        replayed as the object would be, renames and labels included."""
+        injected = []
+
+        def notifies_as_bytes(self, frm, to, payload, size):
+            if isinstance(payload, RequestPrimitive) and payload.operation is Operation.NOTIFY:
+                injected.append(payload.request_id)
+                payload = payload.encode()
+            return send(self, frm, to, payload, size)
+
+        as_objects = eager_edits(config)
+        send = Network.send
+        monkeypatch.setattr(Network, "send", notifies_as_bytes)
+        as_bytes = eager_edits(config)
+        assert len(injected) == 5  # three creates, a container, and its rename with its relabel
+        assert as_bytes.cloud.tree.serialize() == as_objects.cloud.tree.serialize()
+        edge_tree = as_bytes.edges["edge0"].worker.tree
+        assert subtrees_converged(as_bytes.cloud.tree, CLOUD_TASK_ROOT, edge_tree, EDGE_TASK_ROOT)
+
+    def test_a_rename_and_relabel_before_the_create_s_notify_lands_converge(self, config):
+        """A notification carries the resource as it was at the change, so
+        the create's replay grafts ``c1`` with its first label, and the
+        update's replay renames and relabels it."""
+        seen = []
+        system = eager_edits(config, before_replay=seen.append)
+        assert seen == [("created", "c1", ("a",), ["c2"]), ("updated", "c2", ("b",), ["c2"])]
+        mirror = system.cloud.tree
+        assert mirror.resolve(CLOUD_TASK_ROOT.child("c2")).labels == ("b",)
+        with pytest.raises(NotFoundError):
+            mirror.resolve(CLOUD_TASK_ROOT.child("c1"))
+        edge_tree = system.edges["edge0"].worker.tree
+        assert subtrees_converged(mirror, CLOUD_TASK_ROOT, edge_tree, EDGE_TASK_ROOT)
 
     def test_a_bundle_transfer_sent_as_bytes_is_imported(self, config):
         system = build_system(config, "edge", 42)

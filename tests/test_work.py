@@ -20,7 +20,10 @@ The same is counted per eager edge create: ``run_workload("create", n)`` on a
 prepared deployment at two values of ``n``, the difference pinned per
 create. A create's mirror replay is one ``graft`` on the cloud tree, so a
 replay that goes through ``graft_many``'s batch machinery again shows as a
-changed count.
+changed count. The resource codec is counted on its own: the notification
+and its replay travel between the edge and the cloud as objects, so the one
+``encode_resource`` call of a create is the device's reply, and no
+``decode_resource`` call is made.
 
 The counts are taken in fresh processes, since the test suite's wire check
 adds an encode and a decode to every message. Run as a script, this prints
@@ -53,14 +56,20 @@ CALLS_PER_RECORD = 1
 #: calls per eager edge create, from the device's request to the reply to
 #: the edge's notify, and calls into ``enum`` besides, which tables of
 #: members by number and of names by member keep at none
-CALLS_PER_CREATE = 273
+CALLS_PER_CREATE = 220
 ENUM_CALLS_PER_CREATE = 0
 CREATES = (5, 10)
 
 
-def counted(run: Callable[[], object]) -> tuple[object, int, int]:
-    """``run()``, and the calls it made into edgeslice code and into ``enum``."""
+#: the resource codec's functions, by module, whose calls are counted apart
+RESOURCE_CODEC = (("edgeslice.codec", "encode_resource"), ("edgeslice.primitives", "decode_resource"))
+
+
+def counted(run: Callable[[], object]) -> tuple[object, int, int, int, int]:
+    """``run()``, the calls it made into edgeslice code and into ``enum``,
+    and among the first, those of each ``RESOURCE_CODEC`` function."""
     count = enum_calls = 0
+    codec_calls = dict.fromkeys(RESOURCE_CODEC, 0)
 
     def profile(frame, event, arg) -> None:
         nonlocal count, enum_calls
@@ -68,6 +77,9 @@ def counted(run: Callable[[], object]) -> tuple[object, int, int]:
             module = frame.f_globals.get("__name__", "")
             if module.startswith("edgeslice."):
                 count += 1
+                key = (module, frame.f_code.co_name)
+                if key in codec_calls:
+                    codec_calls[key] += 1
             elif module == "enum":
                 enum_calls += 1
 
@@ -76,7 +88,7 @@ def counted(run: Callable[[], object]) -> tuple[object, int, int]:
         result = run()
     finally:
         sys.setprofile(None)
-    return result, count, enum_calls
+    return result, count, enum_calls, *codec_calls.values()
 
 
 def calls(prepopulate: int, fresh: bool = False) -> tuple[int, int]:
@@ -85,16 +97,17 @@ def calls(prepopulate: int, fresh: bool = False) -> tuple[int, int]:
     was copied, so that its export is built afresh."""
     config = replace(reference_calibrated(), pre_seeded_cache=False, prepopulate=prepopulate)
     build_system(config, "edge", config.seed, repetition=1).prepare()  # fills per-process caches
-    system, built, built_enum = counted(lambda: build_system(config, "edge", config.seed))
+    system, built, built_enum, *_ = counted(lambda: build_system(config, "edge", config.seed))
     if fresh:  # the change is not counted
         system.cloud.tree.create(ResourcePath("IN-CSE"), ResourceKind.CONTAINER, "elsewhere")
-    _, prepared, prepared_enum = counted(system.prepare)
+    _, prepared, prepared_enum, *_ = counted(system.prepare)
     return built + prepared, built_enum + prepared_enum
 
 
-def create_calls(creates: int) -> tuple[int, int]:
-    """Calls into edgeslice code, and into ``enum``, during ``creates``
-    edge creates on a prepared deployment with eager sync."""
+def create_calls(creates: int) -> tuple[int, int, int, int]:
+    """Calls into edgeslice code, into ``enum``, and of ``encode_resource``
+    and ``decode_resource``, during ``creates`` edge creates on a prepared
+    deployment with eager sync."""
     config = reference_calibrated()
     system = build_system(config, "edge", config.seed)
     system.prepare()
@@ -135,10 +148,17 @@ def test_a_cold_preparation_makes_a_fixed_number_of_calls_per_record():
 
 
 def test_an_eager_edge_create_makes_a_fixed_number_of_calls():
-    few, few_enum, more, more_enum = counts_in_fresh_processes("creates")
+    few, few_enum, _, _, more, more_enum, _, _ = counts_in_fresh_processes("creates")
     extra = CREATES[1] - CREATES[0]
     assert more - few == CALLS_PER_CREATE * extra, (few, more)
     assert more_enum - few_enum == ENUM_CALLS_PER_CREATE * extra, (few_enum, more_enum)
+
+
+def test_an_eager_edge_create_encodes_its_resource_once_and_decodes_none():
+    _, _, few_encode, few_decode, _, _, more_encode, more_decode = counts_in_fresh_processes("creates")
+    # one encode per create, for the device's reply
+    assert (few_encode, more_encode) == CREATES
+    assert (few_decode, more_decode) == (0, 0)
 
 
 def test_calibrated_data_messages_have_a_fixed_size_at_the_wire_tap():
