@@ -24,8 +24,9 @@ def derive_seed(seed: int, mode: str, repetition: int = 0) -> int:
     return seed + MODE_SEED_OFFSET[mode] + 7 * repetition
 
 
-def build_system(config: ScenarioConfig, mode: str, seed: int, repetition: int = 0) -> System:
-    return System(config, mode, derive_seed(seed, mode, repetition))
+def build_system(config: ScenarioConfig, mode: str, seed: int, repetition: int = 0,
+                 trace: str = "control") -> System:
+    return System(config, mode, derive_seed(seed, mode, repetition), trace)
 
 
 def run_benchmark(
@@ -165,7 +166,7 @@ def road_config() -> ScenarioConfig:
 def run_road_scenario(seed: int = 42, retrieves: int = 20) -> RoadReport:
     report = RoadReport()
     config = road_config()
-    system = build_system(config, "edge", seed)
+    system = build_system(config, "edge", seed, trace="full")
     edge = system.edges[system.edge_for(system.device_id)]
 
     # task C: CitizenB already lives on the edge gateway

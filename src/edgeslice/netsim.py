@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -162,22 +162,35 @@ class Topology:
         return total
 
 
-@dataclass(order=True)
+def is_full_trace(level: str) -> bool:
+    """What a trace level records in ``Simulator.trace`` and ``EdgeWorker.log``:
+    ``control`` the control-plane milestones, worker lifecycle and refused
+    dispatches; ``full`` also every message's send and delivery and every
+    executed dispatch."""
+    if level not in ("control", "full"):
+        raise ConfigInvalidError(f"unknown trace level {level!r}")
+    return level == "full"
+
+
+@dataclass
 class SimEvent:
+    """The handle of a scheduled event; set ``cancelled`` to skip it."""
     fire_at: float
     seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
+    action: Callable[[], None]
+    cancelled: bool = False
 
 
 class Simulator:
-    """Virtual clock plus event heap; (fire_at, seq) ordering is total."""
+    """Virtual clock plus a heap of (fire_at, seq, event); the order is total."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, trace: str = "control"):
         self.now = 0.0
         self._seed = seed
-        self._heap: list[SimEvent] = []
+        self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
+        self.trace_level = trace
+        self.full_trace = is_full_trace(trace)
         self.trace: list[dict] = []
 
     @cached_property
@@ -201,9 +214,9 @@ class Simulator:
             if fire_at < self.now:
                 raise ValueError("events cannot be scheduled in the past")
             raise ValueError(f"event time must be finite, not {fire_at!r}")
-        self._seq += 1
-        event = SimEvent(fire_at, self._seq, action)
-        heapq.heappush(self._heap, event)
+        self._seq = seq = self._seq + 1
+        event = SimEvent(fire_at, seq, action)
+        heapq.heappush(self._heap, (fire_at, seq, event))
         return event
 
     def run_until_idle(self, max_events: int | None = None) -> int:
@@ -213,12 +226,12 @@ class Simulator:
             max_events = DEFAULT_MAX_EVENTS
         executed = 0
         while self._heap:
-            event = heapq.heappop(self._heap)
+            fire_at, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
             if executed >= max_events:
                 raise SimulationLimitError(f"simulation exceeded {max_events} events")
-            self.now = event.fire_at
+            self.now = fire_at
             event.action()
             executed += 1
         return executed
@@ -252,10 +265,13 @@ class Network:
         arrival = self.sim.now
         for link in self.topology.route_links(frm, to):
             arrival += self.hop_latency_ms(link, size_bytes)
-        self.sim.log("send", frm=frm, to=to, size=size_bytes, arrival=arrival)
+        full = self.sim.full_trace
+        if full:
+            self.sim.log("send", frm=frm, to=to, size=size_bytes, arrival=arrival)
 
         def deliver() -> None:
-            self.sim.log("deliver", frm=frm, to=to, size=size_bytes)
+            if full:
+                self.sim.log("deliver", frm=frm, to=to, size=size_bytes)
             self._handlers[to](payload, frm)
 
         self.sim.schedule_at(arrival, deliver)

@@ -299,6 +299,7 @@ class EdgeNode(_Node):
             start_delay_ms=config.start_delay_ms,
             clock=system.sim.time,
             processing_ms=config.processing_for(node_id),
+            trace=system.sim.trace_level,
         )
         if config.pre_seeded_cache:
             self.worker.cache.seed(config.catalogue)
@@ -491,6 +492,7 @@ class CloudNode(_Node):
             start_delay_ms=0.0,
             clock=system.sim.time,
             processing_ms=config.processing_for(node_id),
+            trace=system.sim.trace_level,
         )
         self.service.cache.seed(_CLOUD_BUILTINS)
         # the builtins run from time 0, and their start is not logged
@@ -719,12 +721,12 @@ class System:
     ran ``run_workload``.
     """
 
-    def __init__(self, config: ScenarioConfig, mode: str, seed: int):
+    def __init__(self, config: ScenarioConfig, mode: str, seed: int, trace: str = "control"):
         if mode not in ("cloud", "edge"):
             raise ConfigInvalidError(f"unknown mode {mode!r}")
         self.config = config
         self.mode = mode
-        self.sim = Simulator(seed)
+        self.sim = Simulator(seed, trace)
         self.network = Network(self.sim, config.topology)
         clouds = config.topology.by_role(NodeRole.CLOUD)
         if len(clouds) != 1:

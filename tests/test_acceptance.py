@@ -298,7 +298,8 @@ def test_criterion_08_analytic_rtt_oracle():
             rng = random.Random(800 + trial)
             config = _random_jitterless_config(rng)
             for mode in ("cloud", "edge"):
-                system = build_system(config, mode, trial)
+                # the oracle reads each request's send, which only ``full`` records
+                system = build_system(config, mode, trial, trace="full")
                 system.prepare()
                 device = system.device_id
                 server = system.data_server(device)

@@ -216,12 +216,14 @@ class TestDeterminism:
         assert derive_seed(7, "edge", 1) != derive_seed(7, "edge", 2)
 
     def test_trace_replay_identical(self, config):
-        s1 = build_system(config, "edge", 11)
+        s1 = build_system(config, "edge", 11, trace="full")
         s1.prepare()
         s1.run_workload("create", 5)
-        s2 = build_system(config, "edge", 11)
+        s2 = build_system(config, "edge", 11, trace="full")
         s2.prepare()
         s2.run_workload("create", 5)
+        # each create's request, reply, notify and notify reply, at least
+        assert sum(e["kind"] == "send" for e in s1.sim.trace) >= 5 * 4
         assert s1.sim.trace == s2.sim.trace
 
 

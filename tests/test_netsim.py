@@ -271,10 +271,23 @@ class TestNetworkDelivery:
         assert net.bottleneck_bandwidth("a", "c") == 1e8
 
     def test_trace_records_sends_and_deliveries(self):
-        sim = Simulator()
+        sim = Simulator(trace="full")
         net = Network(sim, chain_topology())
         net.attach("cloud", lambda payload, frm: None)
         net.send("dev0", "cloud", b"x", 0)
         sim.run_until_idle()
         kinds = [entry["kind"] for entry in sim.trace]
         assert kinds == ["send", "deliver"]
+
+    def test_the_default_trace_records_no_messages(self):
+        sim = Simulator()
+        net = Network(sim, chain_topology())
+        delivered = []
+        net.attach("cloud", lambda payload, frm: delivered.append(payload))
+        net.send("dev0", "cloud", b"x", 0)
+        sim.run_until_idle()
+        assert delivered == [b"x"] and sim.trace == []
+
+    def test_an_unknown_trace_level_is_refused(self):
+        with pytest.raises(ConfigInvalidError):
+            Simulator(trace="off")

@@ -390,7 +390,7 @@ class TestEdgeAuthorityOverTheWire:
     def test_event_log_shows_no_foreign_mirror_mutations(self, config):
         """Replay the cloud service log: while the binding is open, no
         mutating dispatch inside the mirror subtree may have succeeded."""
-        system = build_system(config, "edge", 42)
+        system = build_system(config, "edge", 42, trace="full")  # logs every dispatch
         system.prepare()
         device = system.devices[system.device_id]
         system.run_workload("create", 5)  # edge-side activity, synced eagerly
@@ -411,6 +411,12 @@ class TestEdgeAuthorityOverTheWire:
             device.issue(req, system.cloud_id, 400, lambda resp: None)
         system.run_until_idle()
         mutating = {"CREATE", "UPDATE", "DELETE"}
+        foreign = [
+            (entry["op"], entry["status"])
+            for entry in system.cloud.service.log
+            if entry["action"] == "dispatch" and entry["to"] == "IN-CSE/Pedestrians/CitizenB/location"
+        ]
+        assert foreign == [("CREATE", 4009), ("CREATE", 4009)]  # the oracle sees both writes
         offending = [
             entry
             for entry in system.cloud.service.log

@@ -29,7 +29,7 @@ QUOTA = ResourceQuota(max_memory_bytes=100 * MB, max_cpu_share=0.2)
 CATALOGUE = default_catalogue()
 
 
-def make_worker(clock=None, functions=(), capacity=4000 * MB):
+def make_worker(clock=None, functions=(), capacity=4000 * MB, trace="control"):
     clock = clock or ManualClock()
     tree = build_demo_tree("MN-CSE", clock)
     worker = EdgeWorker(
@@ -39,6 +39,7 @@ def make_worker(clock=None, functions=(), capacity=4000 * MB):
         start_delay_ms=250.0,
         clock=clock,
         processing_ms={Operation.CREATE: 4.0, Operation.RETRIEVE: 2.0},
+        trace=trace,
     )
     worker.cache.seed(CATALOGUE)
     for fn in functions:
@@ -321,8 +322,9 @@ def replay_gating_completeness(log):
 class TestInvariantReplay:
     def test_gating_completeness_under_random_lifecycle(self):
         rng = __import__("random").Random(17)
-        worker, clock = make_worker()
+        worker, clock = make_worker(trace="full")  # logs every dispatch, not only refusals
         functions = [FunctionKind.RETRIEVE, FunctionKind.DATA_MANAGEMENT]
+        dispatches = 0
         for step in range(300):
             clock.advance(1.0)
             roll = rng.random()
@@ -337,6 +339,7 @@ class TestInvariantReplay:
                     clock.advance(worker.start_delay_ms)
                     worker.complete_start(fn)
             elif rng.random() < 0.5:
+                dispatches += 1
                 worker.dispatch(
                     RequestPrimitive(
                         Operation.RETRIEVE,
@@ -346,6 +349,7 @@ class TestInvariantReplay:
                     )
                 )
             else:
+                dispatches += 1
                 worker.dispatch(
                     create_request(
                         "MN-CSE/Pedestrians/CitizenB/location",
@@ -353,6 +357,9 @@ class TestInvariantReplay:
                         rqi=f"c{step}",
                     )
                 )
+        logged = [entry for entry in worker.log if entry["action"] == "dispatch"]
+        assert len(logged) == dispatches
+        assert {entry["status"] for entry in logged} > {"gated"}  # executed ones too
         replay_gating_completeness(worker.log)
 
     def test_quota_conservation_at_every_event(self):
