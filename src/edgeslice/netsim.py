@@ -12,10 +12,10 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, Generator
 
-from .errors import ConfigInvalidError, NoRouteError, SimulationLimitError
+from .errors import ConfigInvalidError, EdgeSliceError, NoRouteError, SimulationLimitError
 
 #: events one ``Simulator.run_until_idle`` call may execute unless told otherwise
 DEFAULT_MAX_EVENTS = 1_000_000
@@ -172,22 +172,13 @@ def is_full_trace(level: str) -> bool:
     return level == "full"
 
 
-@dataclass
-class SimEvent:
-    """The handle of a scheduled event; set ``cancelled`` to skip it."""
-    fire_at: float
-    seq: int
-    action: Callable[[], None]
-    cancelled: bool = False
-
-
 class Simulator:
-    """Virtual clock plus a heap of (fire_at, seq, event); the order is total."""
+    """Virtual clock plus a heap of (fire_at, seq, action); the order is total."""
 
     def __init__(self, seed: int = 0, trace: str = "control"):
         self.now = 0.0
         self._seed = seed
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self.trace_level = trace
         self.full_trace = is_full_trace(trace)
@@ -204,35 +195,61 @@ class Simulator:
     def log(self, kind: str, **fields) -> None:
         self.trace.append({"ts": self.now, "kind": kind, **fields})
 
-    def schedule(self, delay_ms: float, action: Callable[[], None]) -> SimEvent:
+    def schedule(self, delay_ms: float, action: Callable[[], None]) -> None:
         if delay_ms < 0:
             raise ValueError("events cannot be scheduled in the past")
-        return self.schedule_at(self.now + delay_ms, action)
+        self.schedule_at(self.now + delay_ms, action)
 
-    def schedule_at(self, fire_at: float, action: Callable[[], None]) -> SimEvent:
+    def schedule_at(self, fire_at: float, action: Callable[[], None]) -> None:
         if not self.now <= fire_at < math.inf:
             if fire_at < self.now:
                 raise ValueError("events cannot be scheduled in the past")
             raise ValueError(f"event time must be finite, not {fire_at!r}")
         self._seq = seq = self._seq + 1
-        event = SimEvent(fire_at, seq, action)
-        heapq.heappush(self._heap, (fire_at, seq, event))
-        return event
+        heapq.heappush(self._heap, (fire_at, seq, action))
+
+    def process(self, gen: Generator, on_error: Callable[[EdgeSliceError], None] | None = None,
+                mailbox: dict | None = None, value: object = None) -> None:
+        """Run the process ``gen`` to its next wait, sending it ``value``,
+        which its last ``yield`` returns. What it yields is what it waits for:
+        a number is a delay in ms; a callable, such as a channel's
+        ``when_idle``, is handed the resume; anything else is a key of
+        ``mailbox``, or a list of keys, each bound to the resume. The first
+        key called resumes it; the others stay bound, so the process must wait
+        on them next. The resume is this bound method, so no process refers to
+        itself. A package error the process raises ends it and goes to
+        ``on_error``, or propagates if there is none."""
+        try:
+            wait = gen.send(value)
+        except StopIteration:
+            return
+        except EdgeSliceError as exc:
+            if on_error is None:
+                raise
+            on_error(exc)
+            return
+        resume = partial(self.process, gen, on_error, mailbox)
+        if callable(wait):
+            wait(resume)
+        elif isinstance(wait, (int, float)):
+            self.schedule(wait, resume)
+        else:
+            for key in wait if isinstance(wait, list) else (wait,):
+                mailbox[key] = resume
 
     def run_until_idle(self, max_events: int | None = None) -> int:
         """Run every scheduled event; more than ``max_events`` (by default
-        ``DEFAULT_MAX_EVENTS``) raises ``SimulationLimitError``."""
+        ``DEFAULT_MAX_EVENTS``) raises ``SimulationLimitError`` and leaves
+        the rest scheduled."""
         if max_events is None:
             max_events = DEFAULT_MAX_EVENTS
         executed = 0
         while self._heap:
-            fire_at, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             if executed >= max_events:
                 raise SimulationLimitError(f"simulation exceeded {max_events} events")
+            fire_at, _, action = heapq.heappop(self._heap)
             self.now = fire_at
-            event.action()
+            action()
             executed += 1
         return executed
 

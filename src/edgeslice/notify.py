@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Generator
 
 from .codec import decode_body, encode_fieldline, encode_resource
 from .errors import BadRequestError, NotFoundError
@@ -108,13 +109,13 @@ class NotificationChannel:
     def __init__(
         self,
         transport: Callable[[NotifyPrimitive, Callable[[bool], None]], None],
-        schedule: Callable[[float, Callable[[], None]], object],
+        process: Callable[[Generator], None],
         *,
         max_retries: int = 3,
         initial_backoff_ms: float = 100.0,
     ):
         self._transport = transport
-        self._schedule = schedule
+        self._process = process
         self._max_retries = max_retries
         self._initial_backoff_ms = initial_backoff_ms
         self._queue: deque[NotifyPrimitive] = deque()
@@ -159,28 +160,26 @@ class NotificationChannel:
         if self._in_flight or self._paused or not self._queue:
             return
         self._in_flight = True
-        self._attempt(self._queue[0], attempt=0)
+        self._process(self._deliver())
 
-    def _attempt(self, notify: NotifyPrimitive, attempt: int) -> None:
-        def done(delivered: bool) -> None:
-            if delivered:
-                self.sent += 1
-                self._finish()
-            elif attempt < self._max_retries:
+    def _deliver(self) -> Generator:
+        """Send the queued notifications in order until the queue is empty or
+        the channel paused: hand each to the transport, and after each failed
+        attempt wait a doubling backoff and try again, up to the retry budget."""
+        while self._queue and not self._paused:
+            notify = self._queue[0]
+            attempt = 0
+            while not (yield partial(self._transport, notify)):
+                if attempt == self._max_retries:
+                    self.dropped += 1
+                    break
                 self.retries += 1
-                backoff = self._initial_backoff_ms * (2 ** attempt)
-                self._schedule(backoff, lambda: self._attempt(notify, attempt + 1))
+                yield self._initial_backoff_ms * (2 ** attempt)
+                attempt += 1
             else:
-                self.dropped += 1
-                self._finish()
-
-        self._transport(notify, done)
-
-    def _finish(self) -> None:
-        self._queue.popleft()
+                self.sent += 1
+            self._queue.popleft()
         self._in_flight = False
-        self._pump()
-        if self.idle:
-            callbacks, self._idle_callbacks = self._idle_callbacks, []
-            for callback in callbacks:
-                callback()
+        callbacks, self._idle_callbacks = self._idle_callbacks, []
+        for callback in callbacks:
+            callback()

@@ -190,33 +190,17 @@ class _Node:
 
     def _new_channel(self) -> NotificationChannel:
         me = weakref.ref(self)
-        return NotificationChannel(lambda notify, done: me()._notify_transport(notify, done), self.sim.schedule)
+        return NotificationChannel(lambda notify, done: me()._notify_transport(notify, done), self.sim.process)
 
-    def _advance(self, process: Generator, req: RequestPrimitive, to: str,
-                 value: object = None) -> None:
-        """Run a protocol step ``process``, which serves ``req``, to its next
-        wait: a number is a delay in ms; a callable, such as a channel's
-        ``when_idle``, is handed what resumes the step; a key of ``pending``
-        (a request id, or a tuple such as ``("record", ctx)``) waits for what
-        arrives under it; a list of keys waits for the first of them to
-        arrive, and the others stay bound to this process, so it must wait on
-        them next. What resumes it is this bound method, so no step refers to
-        itself. A package error the step raises ends it, answered at ``to``."""
-        try:
-            wait = process.send(value)
-        except StopIteration:
-            return
-        except EdgeSliceError as exc:
-            self.reply(to, error_response(req.request_id, exc))
-            return
-        resume = partial(self._advance, process, req, to)
-        if isinstance(wait, (int, float)):
-            self.sim.schedule(wait, resume)
-        elif callable(wait):
-            wait(resume)
-        else:
-            for key in wait if isinstance(wait, list) else (wait,):
-                self.pending[key] = resume
+    def _start(self, step: Generator, req: RequestPrimitive, to: str) -> None:
+        """Run a protocol step that serves ``req`` as a simulator process
+        whose mailbox is ``pending``: it waits there for a reply under its
+        request id, or for a tuple such as ``("record", ctx)``. A package
+        error the step raises ends it, answered at ``to``."""
+        self.sim.process(step, partial(self._refuse, to, req.request_id), self.pending)
+
+    def _refuse(self, to: str, rqi: str, exc: EdgeSliceError) -> None:
+        self.reply(to, error_response(rqi, exc))
 
     def send(self, to: str, message: "RequestPrimitive | ResponsePrimitive", size: int) -> None:
         # A data-plane message on a device's access link is encoded here: as
@@ -253,7 +237,7 @@ class _Node:
         try:
             self.handle_request(message, sender)
         except EdgeSliceError as exc:
-            self.reply(sender, error_response(message.request_id, exc))
+            self._refuse(sender, message.request_id, exc)
 
     def _notify_transport(self, notify, done) -> None:
         """Send one notification as a request; ``done`` gets whether it was accepted."""
@@ -336,13 +320,13 @@ class EdgeNode(_Node):
                 self.first_service_arrival_ms = self.sim.now
             self.send(self.cloud_id, req, CONTROL_SIZE)
         elif op is Operation.SLICE_INSTANTIATE:
-            self._advance(self._handle_instantiate(req), req, sender)
+            self._start(self._handle_instantiate(req), req, sender)
         elif op is Operation.BUNDLE_TRANSFER:
             self._handle_bundle(req, sender)
         elif op is Operation.SYNC_FINALIZE:
-            self._advance(self._handle_finalize(req, sender), req, sender)
+            self._start(self._handle_finalize(req, sender), req, sender)
         elif op is Operation.START_FUNCTION:
-            self._advance(self._handle_start(req, sender), req, sender)
+            self._start(self._handle_start(req, sender), req, sender)
         elif op is Operation.STOP_FUNCTION:
             self._handle_stop(req, sender)
         elif op is Operation.CRASH:
@@ -353,13 +337,11 @@ class EdgeNode(_Node):
     def _handle_data(self, req: RequestPrimitive, sender: str) -> None:
         response, events, processing = self.worker.dispatch(req)
         self._publish_events(events)
-        self.sim.schedule(
-            processing, lambda: self.reply(sender, response, self.config.payload_bytes)
-        )
+        self.sim.schedule(processing, partial(self.reply, sender, response, self.config.payload_bytes))
 
     def _handle_instantiate(self, req: RequestPrimitive) -> Generator:
         """Pull and start each missing function in turn, then record the
-        outcome at the cloud; a process for ``_advance``."""
+        outcome at the cloud; a process."""
         lines = read_body(req.content, FieldBody).lines
         if len(lines) < 2:
             raise BadRequestError("an instantiate body is a plan line, a meta line and image lines")
@@ -430,10 +412,10 @@ class EdgeNode(_Node):
 
     def _handle_finalize(self, req: RequestPrimitive, sender: str) -> Generator:
         """Answer with a snapshot of the task's subtree once the notification
-        channel is idle, then remove the subtree; a process for ``_advance``.
-        The snapshot supersedes what a paused channel still holds for the
-        task. The root is checked on arrival and again by the snapshot, since
-        an earlier finalize may have removed it meanwhile."""
+        channel is idle, then remove the subtree; a process. The snapshot
+        supersedes what a paused channel still holds for the task. The root is
+        checked on arrival and again by the snapshot, since an earlier
+        finalize may have removed it meanwhile."""
         meta = _fields(req.content)
         task_id = meta["task"]
         root = ResourcePath.parse(meta["root"])
@@ -449,8 +431,7 @@ class EdgeNode(_Node):
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, bundle))
 
     def _handle_start(self, req: RequestPrimitive, sender: str) -> Generator:
-        """Start one function and answer with its port once it runs; a
-        process for ``_advance``."""
+        """Start one function and answer with its port once it runs; a process."""
         meta = _fields(req.content)
         quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
         image = self.config.catalogue.by_id(meta["img"])
@@ -470,14 +451,13 @@ class EdgeNode(_Node):
         function = FUNCTION_BY_NAME[_fields(req.content)["fn"]]
         duration = self.worker.begin_crash(function)
         self._sync_channel_state()
-
-        def respawned() -> None:
-            self.worker.complete_start(function)
-            self._sync_channel_state()
-
-        self.sim.schedule(duration, respawned)
+        self.sim.schedule(duration, partial(self._respawned, function))
         body = FieldBody.line(("duration_ms", repr(duration)))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
+
+    def _respawned(self, function: FunctionKind) -> None:
+        self.worker.complete_start(function)
+        self._sync_channel_state()
 
 
 class CloudNode(_Node):
@@ -520,13 +500,13 @@ class CloudNode(_Node):
             self._handle_data(req, sender)
         elif op is Operation.SERVICE_REQUEST:
             # answered at the device: an edge relays the request but not its answer
-            self._advance(self._prepare(req), req, req.originator)
+            self._start(self._prepare(req), req, req.originator)
         elif op is Operation.SLICE_RECORD:
             self._handle_record(req, sender)
         elif op is Operation.OFFLOAD_REQUEST:
-            self._advance(self._handle_offload_request(req, sender), req, sender)
+            self._start(self._handle_offload_request(req, sender), req, sender)
         elif op is Operation.SLICE_TERMINATE:
-            self._advance(self._handle_terminate(req, sender), req, sender)
+            self._start(self._handle_terminate(req, sender), req, sender)
         else:
             raise BadRequestError(f"the cloud serves no {op.name}")
 
@@ -542,23 +522,19 @@ class CloudNode(_Node):
                 binding, remapped = hit
                 binding.stats.redirects_served += 1
                 forwarded = replace(req, to=str(remapped))
-                self.pending[req.request_id] = lambda resp: self.reply(
-                    sender, resp, self.config.payload_bytes
-                )
+                self.pending[req.request_id] = partial(self.reply, sender, size=self.config.payload_bytes)
                 self.send(binding.edge, forwarded, self.config.payload_bytes)
                 return
         response, events, processing = self.service.dispatch(req)
         self._publish_events(events)
-        self.sim.schedule(
-            processing, lambda: self.reply(sender, response, self.config.payload_bytes)
-        )
+        self.sim.schedule(processing, partial(self.reply, sender, response, self.config.payload_bytes))
 
     # --- slicing control plane ---
 
     def _prepare(self, req: RequestPrimitive) -> Generator:
         """Plan the service; if the edge lacks functions, instantiate them
         and wait for the edge's record; then offload the service's unbound
-        tasks. A process for ``_advance``."""
+        tasks. A process."""
         profile = SliceProfile.from_pairs(_fields(req.content))
         device, ctx = req.originator, req.request_id
         plan = self.orchestrator.handle_service_request(
@@ -662,8 +638,8 @@ class CloudNode(_Node):
     # --- offload / terminate control plane ---
 
     def _handle_offload_request(self, req: RequestPrimitive, sender: str) -> Generator:
-        """Offload one named task to the named edge worker; a process for
-        ``_advance``. Both names are checked before anything is exported."""
+        """Offload one named task to the named edge worker; a process. Both
+        names are checked before anything is exported."""
         meta = _fields(req.content)
         task_id, edge = meta["task"], meta["edge"]
         if edge not in self.config.topology.by_role(NodeRole.EDGE_WORKER):
@@ -676,9 +652,9 @@ class CloudNode(_Node):
 
     def _handle_terminate(self, req: RequestPrimitive, sender: str) -> Generator:
         """Finalize each binding on the slice's edge, then stop each of its
-        functions, one request at a time; a process for ``_advance``. A
-        snapshot the mirror refuses raises, which ends it with one 4000 reply,
-        its binding still open and the slice's functions still running."""
+        functions, one request at a time; a process. A snapshot the mirror
+        refuses raises, which ends it with one 4000 reply, its binding still
+        open and the slice's functions still running."""
         slice_id = _fields(req.content)["slc"]
         instance = self.orchestrator.registry.get(slice_id)
         if instance is None:
@@ -717,8 +693,7 @@ class System:
     offload import; both are None until it happens.
 
     The System owns the simulator, the network and the nodes, and nothing
-    points back up to it: a dropped deployment is freed at once, unless it
-    ran ``run_workload``.
+    points back up to it: a dropped deployment is freed at once.
     """
 
     def __init__(self, config: ScenarioConfig, mode: str, seed: int, trace: str = "control"):
@@ -814,45 +789,25 @@ class System:
         collected: list[LatencySample] = []
         mode_label = record_as or self.mode
 
-        # ``issue`` refers to itself and to the System, so a deployment that
-        # ran a workload is left to the collector: freed as it is dropped, it
-        # would be freed inside the benchmark's timed data-plane set-up
-        def issue(index: int) -> None:
-            if index == requests:
-                return
-            rqi = device.next_rqi("rq")
-            if operation == "create":
-                content = payload_for(self.config.payload_bytes, 1000 + index)
-                body = encode_body([("nm", f"m{mode_label}{index:05d}"), ("pc", encode_b64(content))])
-                req = RequestPrimitive(
-                    Operation.CREATE,
-                    target,
-                    device.node_id,
-                    rqi,
-                    resource_kind=ResourceKind.CONTENT_INSTANCE,
-                    content=body,
-                )
-            elif operation == "retrieve":
-                req = RequestPrimitive(Operation.RETRIEVE, target + "/la", device.node_id, rqi)
-            else:
-                raise ConfigInvalidError(f"unsupported workload operation {operation!r}")
-            sent_at = self.sim.now
+        def stream() -> Generator:
+            # one request at a time: each is issued once the previous is answered
+            for index in range(requests):
+                rqi = device.next_rqi("rq")
+                if operation == "create":
+                    content = payload_for(self.config.payload_bytes, 1000 + index)
+                    body = encode_body([("nm", f"m{mode_label}{index:05d}"), ("pc", encode_b64(content))])
+                    req = RequestPrimitive(Operation.CREATE, target, device.node_id, rqi,
+                                           resource_kind=ResourceKind.CONTENT_INSTANCE, content=body)
+                elif operation == "retrieve":
+                    req = RequestPrimitive(Operation.RETRIEVE, target + "/la", device.node_id, rqi)
+                else:
+                    raise ConfigInvalidError(f"unsupported workload operation {operation!r}")
+                sent_at = self.sim.now
+                yield partial(device.issue, req, server, self.config.payload_bytes)
+                rtt_ms = self.sim.now - sent_at
+                collected.append(LatencySample(self.config.name, mode_label, operation, index, rtt_ms))
 
-            def on_response(response: ResponsePrimitive) -> None:
-                collected.append(
-                    LatencySample(
-                        scenario=self.config.name,
-                        mode=mode_label,
-                        operation=operation,
-                        request_index=index,
-                        rtt_ms=self.sim.now - sent_at,
-                    )
-                )
-                issue(index + 1)
-
-            device.issue(req, server, self.config.payload_bytes, on_response)
-
-        issue(0)
+        self.sim.process(stream())
         self.sim.run_until_idle(netsim.DEFAULT_MAX_EVENTS + EVENTS_PER_REQUEST * requests)
         self.samples.extend(collected)
         return collected

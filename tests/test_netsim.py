@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -202,8 +203,120 @@ class TestSimulator:
         sim = Simulator()
         for delay in range(5):
             sim.schedule(float(delay), lambda: None)
-        sim.schedule(9.0, lambda: None).cancelled = True
         assert sim.run_until_idle(max_events=5) == 5
+        assert sim.run_until_idle(max_events=0) == 0
+
+    def test_the_event_cap_loses_no_event(self):
+        sim = Simulator()
+        fired = []
+        for index in range(6):
+            sim.schedule(float(index), partial(fired.append, index))
+        with pytest.raises(SimulationLimitError):
+            sim.run_until_idle(max_events=3)
+        assert fired == [0, 1, 2]
+        assert sim.run_until_idle() == 3
+        assert fired == [0, 1, 2, 3, 4, 5]
+
+
+class TestProcess:
+    def test_a_delay_resumes_the_process_that_much_later(self):
+        sim = Simulator()
+        stamps = []
+
+        def process():
+            stamps.append(sim.now)
+            yield 2.5
+            stamps.append(sim.now)
+            yield 0
+            stamps.append(sim.now)
+
+        sim.process(process())
+        assert stamps == [0.0]  # runs to its first wait at once
+        assert sim.run_until_idle() == 2
+        assert stamps == [0.0, 2.5, 2.5]
+
+    def test_a_callable_is_handed_the_resume(self):
+        sim = Simulator()
+        handed, received = [], []
+
+        def process():
+            received.append((yield handed.append))
+
+        sim.process(process())
+        assert len(handed) == 1 and received == []
+        handed[0]("answer")
+        assert received == ["answer"]
+
+    def test_a_key_waits_in_the_mailbox(self):
+        sim, mailbox = Simulator(), {}
+        received = []
+
+        def process():
+            received.append((yield "rq-1"))
+            received.append((yield ("record", "ctx-1")))
+
+        sim.process(process(), mailbox=mailbox)
+        assert list(mailbox) == ["rq-1"]
+        mailbox.pop("rq-1")("first")
+        assert list(mailbox) == [("record", "ctx-1")]
+        mailbox.pop(("record", "ctx-1"))("second")
+        assert received == ["first", "second"] and mailbox == {}
+
+    def test_the_first_of_a_list_of_keys_resumes_and_the_others_stay_bound(self):
+        sim, mailbox = Simulator(), {}
+        arrivals = []
+
+        def process():
+            waiting = ["a", "b", "c"]
+            while waiting:
+                key = yield list(waiting)
+                arrivals.append(key)
+                waiting.remove(key)
+
+        sim.process(process(), mailbox=mailbox)
+        assert sorted(mailbox) == ["a", "b", "c"]
+        mailbox.pop("b")("b")
+        assert sorted(mailbox) == ["a", "c"]
+        mailbox.pop("c")("c")
+        mailbox.pop("a")("a")
+        assert arrivals == ["b", "c", "a"] and mailbox == {}
+
+    def test_a_package_error_is_handed_to_on_error(self):
+        sim = Simulator()
+        errors = []
+
+        def process():
+            yield 1.0
+            raise ConfigInvalidError("refused")
+
+        sim.process(process(), errors.append)
+        sim.run_until_idle()
+        assert [str(e) for e in errors] == ["refused"]
+        assert isinstance(errors[0], ConfigInvalidError)
+
+    def test_a_package_error_without_on_error_propagates(self):
+        sim = Simulator()
+
+        def process():
+            yield 1.0
+            raise ConfigInvalidError("refused")
+
+        sim.process(process())
+        with pytest.raises(ConfigInvalidError, match="refused"):
+            sim.run_until_idle()
+
+    def test_an_error_outside_the_package_is_never_handed_over(self):
+        sim = Simulator()
+        errors = []
+
+        def process():
+            yield 1.0
+            raise KeyError("bug")
+
+        sim.process(process(), errors.append)
+        with pytest.raises(KeyError):
+            sim.run_until_idle()
+        assert errors == []
 
 
 class TestNetworkDelivery:

@@ -46,7 +46,7 @@ def test_channel_delivers_in_order():
         done(True)
 
     sim = Simulator()
-    channel = NotificationChannel(transport, sim.schedule)
+    channel = NotificationChannel(transport, sim.process)
     for i in range(5):
         channel.enqueue(make_notify(i))
     sim.run_until_idle()
@@ -62,7 +62,7 @@ def test_channel_retries_with_doubling_backoff_then_succeeds():
         done(len(attempts) > 2)  # fail twice, then deliver
 
     sim = Simulator()
-    channel = NotificationChannel(transport, sim.schedule)
+    channel = NotificationChannel(transport, sim.process)
     channel.enqueue(make_notify())
     sim.run_until_idle()
     assert attempts == [0.0, 100.0, 300.0]  # backoff 100 then 200
@@ -77,7 +77,7 @@ def test_channel_drops_after_retry_budget():
         done(False)
 
     sim = Simulator()
-    channel = NotificationChannel(transport, sim.schedule)
+    channel = NotificationChannel(transport, sim.process)
     channel.enqueue(make_notify(0))
     channel.enqueue(make_notify(1))
     sim.run_until_idle()
@@ -95,7 +95,7 @@ def test_pause_holds_queue_until_resume():
         done(True)
 
     sim = Simulator()
-    channel = NotificationChannel(transport, sim.schedule)
+    channel = NotificationChannel(transport, sim.process)
     channel.pause()
     channel.enqueue(make_notify(0))
     sim.run_until_idle()
@@ -103,3 +103,25 @@ def test_pause_holds_queue_until_resume():
     channel.resume()
     sim.run_until_idle()
     assert delivered == ["ntf-0"]
+
+
+def test_a_pause_in_flight_holds_the_rest_once_that_notification_is_answered():
+    answers = []
+
+    def transport(notify, done):
+        answers.append((notify.request_id, done))
+
+    sim = Simulator()
+    channel = NotificationChannel(transport, sim.process)
+    channel.enqueue(make_notify(0))
+    channel.enqueue(make_notify(1))
+    channel.pause()
+    idle = []
+    channel.when_idle(lambda: idle.append(sim.now))
+    assert idle == [] and [rqi for rqi, _ in answers] == ["ntf-0"]
+    answers.pop()[1](True)
+    assert idle == [0.0] and answers == [] and channel.sent == 1
+    channel.resume()
+    assert [rqi for rqi, _ in answers] == ["ntf-1"]
+    answers.pop()[1](True)
+    assert channel.sent == 2 and channel.idle

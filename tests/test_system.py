@@ -1408,10 +1408,23 @@ def _prepare_terminate_prepare():
     return system
 
 
+def _streamed(system, operation, **addressing):
+    system.run_workload(operation, 20, **addressing)
+    return system
+
+
+def _campus_redirected_retrieves():
+    system = _prepared(load_scenario(CAMPUS))
+    return _streamed(system, "retrieve", target=system.config.workload_target, server=system.cloud_id)
+
+
 DEPLOYMENTS = {
     "cold-eager-calibrated": lambda: _prepared(_cold(reference_calibrated())),
     "cold-lazy-campus": lambda: _prepared(_cold(load_scenario(CAMPUS))),
     "prepare-terminate-prepare": _prepare_terminate_prepare,
+    "eager-edge-creates": lambda: _streamed(_prepared(reference_calibrated()), "create"),
+    "cloud-la-retrieves": lambda: _streamed(build_system(reference_calibrated(), "cloud", 42), "retrieve"),
+    "campus-redirected-retrieves": _campus_redirected_retrieves,
 }
 
 
@@ -1420,8 +1433,7 @@ def test_a_dropped_deployment_is_freed_without_the_collector(deployment):
     """One strong path runs from a ``System`` down and nothing points back
     up, so the last reference to a deployment frees it at once: with the
     collector off, its weak reference dies as it is dropped, and a
-    collection then finds nothing to free. A deployment that ran
-    ``run_workload`` is not among them: its request chain refers to itself."""
+    collection then finds nothing to free."""
     DEPLOYMENTS[deployment]()  # fills the per-process caches
     gc.collect()
     gc.disable()

@@ -57,9 +57,13 @@ CALLS_PER_RECORD = 1
 #: the edge's notify, and calls into ``enum`` besides, which tables of
 #: members by number and of names by member keep at none. At the default
 #: trace level a create's four messages and its dispatch make no
-#: ``Simulator.log`` or ``EdgeWorker._log`` call, and the event heap compares
-#: tuples, not ``SimEvent``s (220 with those)
-CALLS_PER_CREATE = 208
+#: ``Simulator.log`` or ``EdgeWorker._log`` call. The event heap holds
+#: ``(fire_at, seq, action)`` tuples, with no event object to build. The
+#: request stream is one simulator process, and so is each run of queued
+#: notifies, with no closure made per request or per notify; a generator's
+#: resume counts as a call under ``sys.setprofile`` (208 with closures and
+#: event objects)
+CALLS_PER_CREATE = 201
 ENUM_CALLS_PER_CREATE = 0
 CREATES = (5, 10)
 
