@@ -3,25 +3,24 @@
 A mutation on a tree fires one notification per subscription sitting next to
 the changed resource (direct-children scope: a subscription under a container
 observes creations, updates and deletions of that container's children).
-A notification carries a snapshot of the changed resource (``ResourceView``)
-and travels as a request whose content is a ``NotifyBody``; it is encoded
-only if something reads its bytes.
+A notification carries a snapshot of the changed resource (``ResourceView``,
+like the notification and its body an immutable named tuple) and travels as
+a request whose content is a ``NotifyBody``; it is encoded only if something
+reads its bytes.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator
+from typing import Callable, Generator, NamedTuple
 
 from .codec import decode_body, encode_fieldline, encode_resource
-from .errors import BadRequestError, NotFoundError
+from .errors import BadRequestError
 from .primitives import Operation, RequestPrimitive, ResourceView, decode_resource, read_body
 from .resources import ChangeEvent, ResourceTree
 
 
-@dataclass(frozen=True)
-class NotifyBody:
+class NotifyBody(NamedTuple):
     """A notification's content: the change, the changed resource's path,
     its snapshot and, for a rename, its old name. On the wire, a field line
     ``ev;pt[;on]``, a newline and the resource's record."""
@@ -48,8 +47,7 @@ class NotifyBody:
         return cls(meta["ev"], meta["pt"], decode_resource(record), meta.get("on"))
 
 
-@dataclass(frozen=True)
-class NotifyPrimitive:
+class NotifyPrimitive(NamedTuple):
     """One change notification addressed to a subscription's target."""
 
     request_id: str
@@ -78,20 +76,17 @@ def parse_notify(req: RequestPrimitive) -> NotifyPrimitive:
 def match_subscriptions(tree: ResourceTree, event: ChangeEvent) -> list[NotifyPrimitive]:
     """Notifications for one committed change, in subscription-creation order.
 
-    A subscription never observes its own creation, update or deletion.
+    The subscriptions matched are those of the parent the resource was
+    changed under, read by its id: the root has none, nor has a parent
+    deleted before the event is drained. A subscription never observes its
+    own creation, update or deletion.
     """
-    if not event.path.segments:
-        return []  # the root has no enclosing scope
-    try:
-        parent = tree.resolve(event.path.parent())
-    except NotFoundError:
-        return []
-    subs = [s for s in tree.subscriptions(parent.id) if s.id != event.resource.id]
+    r = event.resource
+    subs = [s for s in tree.subscriptions(r.parent_id) if s.id != r.id]
     if not subs:
         return []
-    r = event.resource  # one snapshot shared by every notify
     view = ResourceView(r.kind, r.name, r.creation_time, r.last_modified_time, None,
-                        r.content, r.notification_target, r.labels)
+                        r.content, r.notification_target, r.labels)  # shared by every notify
     changed_path = str(event.path)
     return [NotifyPrimitive(f"ntf-{event.event_id}-{sub.id}", *sub.notification_target,
                             event.change, changed_path, view, event.old_name) for sub in subs]

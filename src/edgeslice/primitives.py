@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .codec import (
     decode_b64,
@@ -204,8 +204,7 @@ def is_response(data: bytes) -> bool:
 
 # --- resource representations carried in pc ---
 
-@dataclass(frozen=True)
-class ResourceView:
+class ResourceView(NamedTuple):
     """Decoded resource representation (wire-side counterpart of Resource)."""
 
     kind: ResourceKind

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Callable, Container, Iterator, Sequence, TypeVar
+from typing import Callable, Container, Iterator, NamedTuple, Sequence, TypeVar
 
 from .codec import (
     decode_b64,
@@ -126,12 +127,13 @@ class Resource:
         )
 
 
-@dataclass(frozen=True)
-class ResourcePath:
+class ResourcePath(NamedTuple):
     """Structured address of a resource: cse label + name segments.
 
     ``latest=True`` denotes the virtual ``/la`` suffix resolving to the most
-    recent content instance of a container.
+    recent content instance of a container. ``parse`` keeps the path of
+    each of the most recent distinct strings it read, so an address read
+    again is one cache hit; a string it refuses is refused every time.
     """
 
     cse_label: str
@@ -139,6 +141,7 @@ class ResourcePath:
     latest: bool = False
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def parse(cls, text: str) -> "ResourcePath":
         parts = [p for p in text.split("/") if p != ""]
         if not parts:
@@ -179,9 +182,10 @@ class ResourcePath:
         return ResourcePath(new_root.cse_label, new_root.segments + rel, self.latest)
 
 
-@dataclass(frozen=True)
-class ChangeEvent:
-    """A committed mutation, consumed by subscription matching and sync."""
+class ChangeEvent(NamedTuple):
+    """A committed mutation, consumed by subscription matching and sync.
+    ``resource`` is a snapshot of the changed node, or the node itself when
+    it is a content instance, which is never edited in place."""
 
     event_id: str
     change: str  # "created" | "updated" | "deleted"
@@ -394,15 +398,16 @@ class ResourceTree:
     def _emit(self, change: str, path: ResourcePath, resource: Resource,
               old_name: str | None = None) -> ChangeEvent:
         self._event_seq += 1
-        event = ChangeEvent(
-            event_id=f"{self.cse_label}:{self._event_seq}",
-            change=change,
-            path=path,
-            resource=resource.snapshot(),
-            old_name=old_name,
-        )
+        if resource.kind is not _INSTANCE:
+            resource = resource.snapshot()
+        event = ChangeEvent(f"{self.cse_label}:{self._event_seq}", change, path, resource, old_name)
         self._events.append(event)
         return event
+
+    @property
+    def last_event(self) -> ChangeEvent:
+        """The latest change event not yet drained."""
+        return self._events[-1]
 
     def drain_events(self) -> list[ChangeEvent]:
         events, self._events = self._events, []
@@ -661,7 +666,6 @@ class ResourceTree:
         full_path = self.path_of(node)
         self._check_guard(full_path, "delete")
         doomed = [r.id for r in self.walk(node.id)]
-        snapshot = node.snapshot()
         parent = self._nodes[node.parent_id]  # type: ignore[index]
         self._detach(node)
         for rid in doomed:
@@ -670,7 +674,7 @@ class ResourceTree:
             self._subscriptions.pop(rid, None)
             self._latest.pop(rid, None)
         parent.last_modified_time = self._clock()
-        self._emit("deleted", full_path, snapshot)
+        self._emit("deleted", full_path, node)
         return len(doomed)
 
     def retarget_subscription(self, subscription_id: str, target: tuple[str, str]) -> None:

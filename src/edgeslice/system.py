@@ -26,7 +26,6 @@ data-plane messages carry the configured payload size, whatever their form.
 from __future__ import annotations
 
 import weakref
-from dataclasses import replace
 from functools import lru_cache, partial
 from itertools import count
 from typing import Callable, Generator
@@ -521,7 +520,8 @@ class CloudNode(_Node):
             if hit is not None:
                 binding, remapped = hit
                 binding.stats.redirects_served += 1
-                forwarded = replace(req, to=str(remapped))
+                forwarded = RequestPrimitive(req.operation, str(remapped), req.originator, req.request_id,
+                                             req.resource_kind, req.content)
                 self.pending[req.request_id] = partial(self.reply, sender, size=self.config.payload_bytes)
                 self.send(binding.edge, forwarded, self.config.payload_bytes)
                 return

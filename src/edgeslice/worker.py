@@ -267,7 +267,7 @@ class EdgeWorker:
         if req.content is None:
             raise BadRequestError("create requires a resource representation")
         rec = decode_body(req.content)
-        path = self.tree.create(
+        self.tree.create(
             ResourcePath.parse(req.to),
             req.resource_kind,  # type: ignore[arg-type]
             rec.get("nm"),
@@ -275,8 +275,8 @@ class EdgeWorker:
             notification_target=decode_target(rec["nt"]) if "nt" in rec else None,
             labels=decode_labels(rec["lb"]) if rec.get("lb") else None,
         )
-        created = self.tree.resolve(path)
-        record = encode_resource(created, path)
+        event = self.tree.last_event  # create's: the node it made, as it made it
+        record = encode_resource(event.resource, event.path)
         return ResponsePrimitive(req.request_id, StatusCode.CREATED, record)
 
     def _execute_update(self, req: RequestPrimitive) -> ResponsePrimitive:

@@ -10,6 +10,7 @@ from edgeslice.notify import match_subscriptions
 from edgeslice.offload import apply_snapshot, make_bundle
 from edgeslice.resources import (
     LEGAL_CHILDREN,
+    ChangeEvent,
     ManualClock,
     ResourceKind,
     ResourcePath,
@@ -66,6 +67,36 @@ class TestPaths:
         old_root = ResourcePath.parse("IN-CSE/Cars/CarA")
         new_root = ResourcePath.parse("MN-CSE/Cars/CarA")
         assert str(src.rebase(old_root, new_root)) == "MN-CSE/Cars/CarA/location"
+
+    def test_a_path_is_immutable_and_hashes_by_value(self):
+        path = ResourcePath("MN-CSE", ("a", "b"))
+        with pytest.raises(AttributeError):
+            path.latest = True
+        with pytest.raises(AttributeError):
+            path.extra = 1
+        twin = ResourcePath.parse("MN-CSE/a/b")
+        assert path == twin and hash(path) == hash(twin) and len({path, twin}) == 1
+        assert path != twin._replace(latest=True)
+
+    def test_parse_returns_the_identical_path_for_an_equal_string(self):
+        text = "MN-CSE/parse/memo"
+        first = ResourcePath.parse(text)
+        assert ResourcePath.parse("".join(text)) is first  # an equal, distinct string
+        assert ResourcePath.parse("MN-CSE//parse/memo/") == first
+
+    def test_parse_refuses_a_bad_string_on_every_call(self):
+        before = ResourcePath.parse.cache_info().currsize
+        for text in ("", "/", "//", "", "/"):
+            with pytest.raises(BadRequestError):
+                ResourcePath.parse(text)
+        assert ResourcePath.parse.cache_info().currsize == before
+
+    def test_parse_keeps_a_bounded_cache(self):
+        maxsize = ResourcePath.parse.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+        for n in range(maxsize + 10):
+            ResourcePath.parse(f"MN-CSE/bounded/{n}")
+        assert ResourcePath.parse.cache_info().currsize == maxsize
 
 
 class TestCreate:
@@ -324,6 +355,30 @@ class TestDelete:
             location_path(), ResourceKind.CONTENT_INSTANCE, "ci", content=b"v"
         )
         assert tree.delete(path) == 1
+
+
+class TestChangeEvents:
+    def test_an_event_is_immutable_and_equal_by_value(self, clock):
+        tree = make_location_tree(clock)
+        tree.create(location_path(), ResourceKind.CONTAINER, "box")
+        (event,) = tree.drain_events()
+        with pytest.raises(AttributeError):
+            event.change = "deleted"
+        with pytest.raises(AttributeError):
+            event.extra = 1
+        assert event == ChangeEvent(*event) and event is not ChangeEvent(*event)
+        with pytest.raises(TypeError):  # it holds a ``Resource``, a mutable node with no hash
+            hash(event)
+
+    def test_an_event_shares_a_content_instance_and_snapshots_any_other_node(self, clock):
+        tree = make_location_tree(clock)
+        box = tree.create(location_path(), ResourceKind.CONTAINER, "box")
+        ci = tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, "ci", content=b"v")
+        box_event, ci_event = tree.drain_events()
+        assert ci_event.resource is tree.resolve(ci)  # write-once, so never edited under the event
+        assert box_event.resource is not tree.resolve(box)
+        tree.update(box, labels=["later"])
+        assert box_event.resource.labels == ()
 
 
 class TestSubscriptionMatching:

@@ -2,45 +2,61 @@
 
 Host time on a shared machine moves by tens of percent between runs; a count
 of calls does not move at all. ``calls`` counts, with ``sys.setprofile``, the
-calls of Python functions whose module is in the ``edgeslice`` package
-(generated dataclass methods included) during one ``build_system`` +
-``prepare()`` with a cold image cache. The difference between ``prepopulate``
-200 and 0 is the work of the 200 extra content instances that the
-preparation exports, ships and imports, and it is pinned per instance: a
-helper called once per record shows up as a failing count. A deployment's
-cloud tree is an unchanged copy of a template, whose export the template
-keeps, so a second count is taken of a preparation whose cloud tree gained
-a container outside the task before it: that one exports afresh, and a
-helper in the export's walk shows up there. The same runs count the calls
-into the standard ``enum`` module, which must be none: an enum member's
-``.name`` or ``.value`` is a Python-level call, where a table keyed by
-member is a dict read.
+calls of Python functions whose code is in a file of the ``edgeslice``
+package during one ``build_system`` + ``prepare()`` with a cold image cache.
+Comprehension and generator-expression frames are not counted, since one
+Python version runs a comprehension as a call of its own and another inlines
+it (PEP 709), and neither is code generated outside the package's files,
+such as a dataclass's ``__init__`` or a named tuple's ``__new__``; so the
+counts do not depend on the interpreter's call accounting. The difference
+between ``prepopulate`` 200 and 0 is the work of the 200 extra content
+instances that the preparation exports, ships and imports, and it is pinned
+per instance: a helper called once per record shows up as a failing count.
+A deployment's cloud tree is an unchanged copy of a template, whose export
+the template keeps, so a second count is taken of a preparation whose cloud
+tree gained a container outside the task before it: that one exports
+afresh, and a helper in the export's walk shows up there. The same runs
+count the calls into the standard ``enum`` module, which must be none: an
+enum member's ``.name`` or ``.value`` is a Python-level call, where a table
+keyed by member is a dict read.
 
 The same is counted per eager edge create: ``run_workload("create", n)`` on a
-prepared deployment at two values of ``n``, the difference pinned per
-create. A create's mirror replay is one ``graft`` on the cloud tree, so a
-replay that goes through ``graft_many``'s batch machinery again shows as a
-changed count. The resource codec is counted on its own: the notification
-and its replay travel between the edge and the cloud as objects, so the one
+prepared deployment at two values of ``n``, after one stream that fills the
+per-process caches, the difference pinned per create. A create's mirror
+replay is one ``graft`` on the cloud tree, so a replay that goes through
+``graft_many``'s batch machinery again shows as a changed count. The
+resource codec is counted on its own: the notification and its replay
+travel between the edge and the cloud as objects, so the one
 ``encode_resource`` call of a create is the device's reply, and no
-``decode_resource`` call is made.
+``decode_resource`` call is made. So are the package's value objects a
+create builds, by type, counted by their generated constructors: a path
+resolved or parsed again, or a record rebuilt, shows as a changed count, and
+no frozen dataclass is built but the two primitives and the sample.
 
 The counts are taken in fresh processes, since the test suite's wire check
 adds an encode and a decode to every message. Run as a script, this prints
-them, or with the argument ``creates`` the counts of creates.
+them as JSON, or with the argument ``creates`` the counts of creates.
 
 The bytes at the wire tap are counted too: the length of each message of two
 edge creates and two ``/la`` retrieves of the calibrated scenario, so that
 content escaped twice, or travelling as base64 of its own text, shows as a
 failing size.
 """
+import dataclasses
+import enum
+import importlib
+import json
 import os
+import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
+import edgeslice
 from edgeslice.bench import build_system
 from edgeslice.primitives import decode_request, decode_response, is_response
 from edgeslice.resources import ResourceKind, ResourcePath
@@ -50,8 +66,9 @@ from wire_samples import traffic
 REPO = Path(__file__).resolve().parent.parent
 RECORDS = 200
 
-#: calls per extra content instance: graft_many builds its ``Resource``
-CALLS_PER_RECORD = 1
+#: calls per extra content instance: none, since ``graft_many`` builds each
+#: record's ``Resource`` with its generated ``__init__``, in a run by ``map``
+CALLS_PER_RECORD = 0
 
 #: calls per eager edge create, from the device's request to the reply to
 #: the edge's notify, and calls into ``enum`` besides, which tables of
@@ -61,41 +78,93 @@ CALLS_PER_RECORD = 1
 #: ``(fire_at, seq, action)`` tuples, with no event object to build. The
 #: request stream is one simulator process, and so is each run of queued
 #: notifies, with no closure made per request or per notify; a generator's
-#: resume counts as a call under ``sys.setprofile`` (208 with closures and
-#: event objects)
-CALLS_PER_CREATE = 201
+#: resume counts as a call under ``sys.setprofile``. A path read again is a
+#: hit of ``ResourcePath.parse``'s cache, with no call
+CALLS_PER_CREATE = 153
 ENUM_CALLS_PER_CREATE = 0
 CREATES = (5, 10)
 
+#: value objects built per eager edge create, by type. On the edge and on
+#: the mirror one ``Resource``, one ``ResourcePath`` (the created node's
+#: path, a child of the cached parent path; the grafted node's) and one
+#: ``ChangeEvent``, which shares the content instance; one ``ResourceView``,
+#: shared by the notification the edge sends and the one the cloud reads.
+#: The device's request and the edge's reply are built by their sender and
+#: again by the decode on the device's access link; the notify and its
+#: answer, which travel as objects, once each.
+VALUES_PER_CREATE = {
+    "Resource": 2, "ResourcePath": 2, "ChangeEvent": 2, "ResourceView": 1, "NotifyPrimitive": 2,
+    "NotifyBody": 1, "RequestPrimitive": 3, "ResponsePrimitive": 3, "LatencySample": 1,
+}
+
+#: the frozen dataclasses a create may build: a primitive's ``len`` is its
+#: wire length, which a named tuple cannot give, and the benchmark varies a
+#: ``LatencySample`` with ``dataclasses.replace``
+FROZEN_DATACLASSES = {"RequestPrimitive", "ResponsePrimitive", "LatencySample"}
+
+#: frames not counted: comprehensions, which Python 3.12 inlines (PEP 709)
+#: where 3.11 runs each as a call of its own, and generator expressions
+INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
+
+MODULES = [importlib.import_module(f"edgeslice.{info.name}")
+           for info in pkgutil.iter_modules(edgeslice.__path__)]
+PACKAGE_FILES = frozenset(module.__file__ for module in [edgeslice, *MODULES])
+
+
+def _value_types() -> dict[int, type]:
+    """The package's dataclasses and named tuples, by the id of the
+    generated code that builds one: a dataclass's ``__init__``, a named
+    tuple's ``__new__``."""
+    types = {}
+    for module in MODULES:
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            if dataclasses.is_dataclass(cls) and "__init__" in vars(cls):
+                types[id(cls.__init__.__code__)] = cls
+            elif issubclass(cls, tuple) and "__new__" in vars(cls):
+                types[id(cls.__new__.__code__)] = cls
+    return types
+
+
+VALUE_TYPES = _value_types()
 
 #: the resource codec's functions, by module, whose calls are counted apart
 RESOURCE_CODEC = (("edgeslice.codec", "encode_resource"), ("edgeslice.primitives", "decode_resource"))
 
 
-def counted(run: Callable[[], object]) -> tuple[object, int, int, int, int]:
-    """``run()``, the calls it made into edgeslice code and into ``enum``,
-    and among the first, those of each ``RESOURCE_CODEC`` function."""
+def counted(run: Callable[[], object]) -> tuple[object, dict]:
+    """``run()``, and what it did: the calls it made into edgeslice code and
+    into ``enum``, among the first those of each ``RESOURCE_CODEC``
+    function, and the package's value objects it built, by type."""
     count = enum_calls = 0
     codec_calls = dict.fromkeys(RESOURCE_CODEC, 0)
+    built: Counter = Counter()
 
     def profile(frame, event, arg) -> None:
         nonlocal count, enum_calls
-        if event == "call":
-            module = frame.f_globals.get("__name__", "")
-            if module.startswith("edgeslice."):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename in PACKAGE_FILES:
+            if code.co_name not in INLINED:
                 count += 1
-                key = (module, frame.f_code.co_name)
+                key = (frame.f_globals["__name__"], code.co_name)
                 if key in codec_calls:
                     codec_calls[key] += 1
-            elif module == "enum":
-                enum_calls += 1
+        elif code.co_filename == enum.__file__:
+            enum_calls += 1
+        elif id(code) in VALUE_TYPES:
+            built[VALUE_TYPES[id(code)].__name__] += 1
 
     sys.setprofile(profile)
     try:
         result = run()
     finally:
         sys.setprofile(None)
-    return result, count, enum_calls, *codec_calls.values()
+    encodes, decodes = codec_calls.values()
+    return result, {"calls": count, "enum": enum_calls, "encode_resource": encodes,
+                    "decode_resource": decodes, "built": dict(built)}
 
 
 def calls(prepopulate: int, fresh: bool = False) -> tuple[int, int]:
@@ -104,24 +173,24 @@ def calls(prepopulate: int, fresh: bool = False) -> tuple[int, int]:
     was copied, so that its export is built afresh."""
     config = replace(reference_calibrated(), pre_seeded_cache=False, prepopulate=prepopulate)
     build_system(config, "edge", config.seed, repetition=1).prepare()  # fills per-process caches
-    system, built, built_enum, *_ = counted(lambda: build_system(config, "edge", config.seed))
+    system, built = counted(lambda: build_system(config, "edge", config.seed))
     if fresh:  # the change is not counted
         system.cloud.tree.create(ResourcePath("IN-CSE"), ResourceKind.CONTAINER, "elsewhere")
-    _, prepared, prepared_enum, *_ = counted(system.prepare)
-    return built + prepared, built_enum + prepared_enum
+    _, prepared = counted(system.prepare)
+    return built["calls"] + prepared["calls"], built["enum"] + prepared["enum"]
 
 
-def create_calls(creates: int) -> tuple[int, int, int, int]:
-    """Calls into edgeslice code, into ``enum``, and of ``encode_resource``
-    and ``decode_resource``, during ``creates`` edge creates on a prepared
+def create_counts(creates: int) -> dict:
+    """What ``counted`` counts during ``creates`` edge creates on a prepared
     deployment with eager sync."""
     config = reference_calibrated()
     system = build_system(config, "edge", config.seed)
     system.prepare()
-    return counted(lambda: system.run_workload("create", creates))[1:]
+    return counted(lambda: system.run_workload("create", creates))[1]
 
 
-def counts_in_fresh_processes(*args: str) -> list[int]:
+@lru_cache(maxsize=None)
+def counts_in_fresh_processes(*args: str) -> list:
     """What this file prints when run as a script with ``args``: counted in
     fresh processes, away from the test suite's wire check, under two string
     hash seeds at once, which must agree."""
@@ -138,34 +207,44 @@ def counts_in_fresh_processes(*args: str) -> list[int]:
     outputs = [run.communicate(timeout=60)[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
     assert outputs[0] == outputs[1]
-    return list(map(int, outputs[0].split()))
+    return json.loads(outputs[0])
 
 
 def test_a_cold_preparation_makes_a_fixed_number_of_calls_per_record():
-    base, base_enum, full, full_enum, fresh_base, fresh_enum, fresh_full, fresh_full_enum = (
+    (base, base_enum), (full, full_enum), (fresh_base, fresh_enum), (fresh_full, fresh_full_enum) = (
         counts_in_fresh_processes())
-    # plus two: ``create_sync_subscriptions`` filters a container's children
-    # only once it has some, and ``graft_many`` attaches a run of more than
-    # one record by ``_graft_run``
-    assert full - base == CALLS_PER_RECORD * RECORDS + 2, (base, full)
-    assert fresh_full - fresh_base == CALLS_PER_RECORD * RECORDS + 2, (fresh_base, fresh_full)
+    # plus one: ``graft_many`` attaches a run of more than one record by
+    # ``_graft_run``
+    assert full - base == CALLS_PER_RECORD * RECORDS + 1, (base, full)
+    assert fresh_full - fresh_base == CALLS_PER_RECORD * RECORDS + 1, (fresh_base, fresh_full)
     # the fresh export's walk, and the lambda that calls it
     assert fresh_base - base == 2, (base, fresh_base)
     assert (base_enum, full_enum, fresh_enum, fresh_full_enum) == (0, 0, 0, 0)
 
 
 def test_an_eager_edge_create_makes_a_fixed_number_of_calls():
-    few, few_enum, _, _, more, more_enum, _, _ = counts_in_fresh_processes("creates")
+    few, more = counts_in_fresh_processes("creates")
     extra = CREATES[1] - CREATES[0]
-    assert more - few == CALLS_PER_CREATE * extra, (few, more)
-    assert more_enum - few_enum == ENUM_CALLS_PER_CREATE * extra, (few_enum, more_enum)
+    assert more["calls"] - few["calls"] == CALLS_PER_CREATE * extra, (few["calls"], more["calls"])
+    assert more["enum"] - few["enum"] == ENUM_CALLS_PER_CREATE * extra, (few["enum"], more["enum"])
 
 
 def test_an_eager_edge_create_encodes_its_resource_once_and_decodes_none():
-    _, _, few_encode, few_decode, _, _, more_encode, more_decode = counts_in_fresh_processes("creates")
+    few, more = counts_in_fresh_processes("creates")
     # one encode per create, for the device's reply
-    assert (few_encode, more_encode) == CREATES
-    assert (few_decode, more_decode) == (0, 0)
+    assert (few["encode_resource"], more["encode_resource"]) == CREATES
+    assert (few["decode_resource"], more["decode_resource"]) == (0, 0)
+
+
+def test_an_eager_edge_create_builds_a_fixed_set_of_values():
+    few, more = counts_in_fresh_processes("creates")
+    extra = CREATES[1] - CREATES[0]
+    per_create = {name: (more["built"].get(name, 0) - few["built"].get(name, 0)) / extra
+                  for name in {*few["built"], *more["built"]}}
+    assert per_create == VALUES_PER_CREATE
+    frozen = {cls.__name__ for cls in VALUE_TYPES.values()
+              if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen}
+    assert frozen & more["built"].keys() <= FROZEN_DATACLASSES
 
 
 def test_calibrated_data_messages_have_a_fixed_size_at_the_wire_tap():
@@ -198,6 +277,7 @@ def test_calibrated_data_messages_have_a_fixed_size_at_the_wire_tap():
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["creates"]:
-        print(*create_calls(CREATES[0]), *create_calls(CREATES[1]))
+        create_counts(CREATES[0])  # fills per-process caches, such as the path cache
+        print(json.dumps([create_counts(CREATES[0]), create_counts(CREATES[1])], sort_keys=True))
     else:
-        print(*calls(0), *calls(RECORDS), *calls(0, fresh=True), *calls(RECORDS, fresh=True))
+        print(json.dumps([calls(0), calls(RECORDS), calls(0, fresh=True), calls(RECORDS, fresh=True)]))

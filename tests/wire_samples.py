@@ -98,7 +98,7 @@ def samples() -> dict[str, str]:
     out["retrieve"] = RequestPrimitive(
         Operation.RETRIEVE, "IN-CSE/Pedestrians/Zürich straße/la", "dev-1", "rq-2"
     ).encode()
-    latest = tree.resolve(replace(odd, latest=True))
+    latest = tree.resolve(odd._replace(latest=True))
     out["response"] = ResponsePrimitive(
         "rq-2", StatusCode.OK, encode_resource(latest, tree.path_of(latest))
     ).encode()
