@@ -89,11 +89,13 @@ class PreparationTiming:
 
 
 def preparation_time_ms(system: System) -> float:
-    """First service-request arrival at an edge to the latest offload import."""
-    arrival, done = system.first_service_arrival_ms, system.last_import_ms
-    if arrival is None or done is None:
+    """First service-request arrival at an edge to the latest offload import,
+    read from the control-plane milestones that every trace level records."""
+    arrivals = [e["ts"] for e in system.sim.trace if e["kind"] == "service_request_arrival"]
+    imports = [e["ts"] for e in system.sim.trace if e["kind"] == "offload_import_complete"]
+    if not arrivals or not imports:
         raise ConfigInvalidError("preparation trace incomplete")
-    return done - arrival
+    return imports[-1] - arrivals[0]
 
 
 def run_preparation_timing(

@@ -100,7 +100,8 @@ class Topology:
         return len(seen) == len(self.nodes)
 
     def route(self, src: str, dst: str) -> tuple[str, ...]:
-        """``shortest_path`` as a shared tuple, computed on first use."""
+        """The minimal-total-delay route, ties broken by node id, as a
+        shared tuple computed on first use."""
         key = (src, dst)
         try:
             return self._routes[key]
@@ -115,10 +116,6 @@ class Topology:
             path = self.route(src, dst)
             links = self._route_links[(src, dst)] = tuple(map(self.link_between, path, path[1:]))
         return links
-
-    def shortest_path(self, src: str, dst: str) -> list[str]:
-        """Minimal-total-delay route; deterministic tie-break by node id."""
-        return list(self.route(src, dst))
 
     def _dijkstra(self, src: str, dst: str) -> list[str]:
         if src not in self.nodes or dst not in self.nodes:

@@ -19,6 +19,11 @@ from .errors import BadRequestError
 from .primitives import Operation, RequestPrimitive, ResourceView, decode_resource, read_body
 from .resources import ChangeEvent, ResourceTree
 
+#: a failed delivery is retried this many times, after a backoff that starts
+#: at ``INITIAL_BACKOFF_MS`` and doubles, before it is dropped
+MAX_RETRIES = 3
+INITIAL_BACKOFF_MS = 100.0
+
 
 class NotifyBody(NamedTuple):
     """A notification's content: the change, the changed resource's path,
@@ -105,14 +110,9 @@ class NotificationChannel:
         self,
         transport: Callable[[NotifyPrimitive, Callable[[bool], None]], None],
         process: Callable[[Generator], None],
-        *,
-        max_retries: int = 3,
-        initial_backoff_ms: float = 100.0,
     ):
         self._transport = transport
         self._process = process
-        self._max_retries = max_retries
-        self._initial_backoff_ms = initial_backoff_ms
         self._queue: deque[NotifyPrimitive] = deque()
         self._in_flight = False
         self._paused = False
@@ -165,11 +165,11 @@ class NotificationChannel:
             notify = self._queue[0]
             attempt = 0
             while not (yield partial(self._transport, notify)):
-                if attempt == self._max_retries:
+                if attempt == MAX_RETRIES:
                     self.dropped += 1
                     break
                 self.retries += 1
-                yield self._initial_backoff_ms * (2 ** attempt)
+                yield INITIAL_BACKOFF_MS * (2 ** attempt)
                 attempt += 1
             else:
                 self.sent += 1

@@ -384,16 +384,18 @@ def process_edge_events(
 
     Matching and sync-subscription maintenance must run at mutation time
     (they read current tree state); only the returned notifications may be
-    delivered later. Maintenance-created subscriptions cascade here.
+    delivered later. Maintenance-created subscriptions cascade here; matching
+    changes nothing, so with no bindings there is nothing more to drain.
     """
     notifies: list[NotifyPrimitive] = []
     queue = deque(events)
     while queue:
         event = queue.popleft()
         notifies.extend(match_subscriptions(edge_tree, event))
-        for info in infos:
-            maintain_sync_subscriptions(edge_tree, info, event)
-        queue.extend(edge_tree.drain_events())
+        if infos:
+            for info in infos:
+                maintain_sync_subscriptions(edge_tree, info, event)
+            queue.extend(edge_tree.drain_events())
     return notifies
 
 

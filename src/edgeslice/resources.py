@@ -28,8 +28,6 @@ from .errors import BadRequestError, NotFoundError
 
 LATEST_SEGMENT = "la"
 
-_UNSET = object()
-
 _T = TypeVar("_T")
 
 _PARENT_INDEX = itemgetter(0)  # of a ``graft_many`` node
@@ -621,17 +619,11 @@ class ResourceTree:
         name: str | None = None,
         labels: Sequence[str] | None = None,
         notification_target: tuple[str, str] | None = None,
-        content: object = _UNSET,
-        kind: object = _UNSET,
     ) -> Resource:
         """Replace named fields; content instances are immutable records."""
         node = self.resolve(path)
         if node.kind is _INSTANCE:
             raise BadRequestError("content instances are write-once")
-        if kind is not _UNSET:
-            raise BadRequestError("resource kind cannot be changed")
-        if content is not _UNSET:
-            raise BadRequestError("content cannot be updated")
         if notification_target is not None and node.kind is not _SUBSCRIPTION:
             raise BadRequestError("only subscriptions carry a notification target")
         self._check_guard(self.path_of(node), "update")

@@ -6,9 +6,14 @@ travels as the primitive object itself: a control body as field pairs
 (``FieldBody``), a bundle as records, a notification as its resource snapshot
 (``NotifyBody``); only a data-plane message on a device's access link travels
 as its wire encoding. A message's bytes are its ``encode()``, made only when
-something reads them, and a node decodes a payload that arrives as bytes. The
-cloud hosts the service layer, the orchestrator and the offload coordinator;
-edge nodes host gated workers; devices issue requests and record round trips.
+something reads them, and a node decodes a payload that arrives as bytes.
+
+The edge and the cloud are one kind of service node: each serves data through
+its gated worker and publishes its tree's changes through one notification
+channel. The cloud, whose worker runs every function from time 0, also hosts
+the orchestrator and the offload coordinator; an edge starts the functions
+the cloud asks for and hosts offloaded tasks. Devices issue requests and
+record round trips.
 
 Control-plane message sequence for one service request (steps as logged),
 which on the cloud is one process, ``CloudNode._prepare``:
@@ -42,7 +47,8 @@ from .errors import (
 from .images import FunctionImage, pull_image
 from . import netsim
 from .netsim import LatencySample, Network, NodeRole, Simulator
-from .notify import NotificationChannel, match_subscriptions, parse_notify
+# ``match_subscriptions`` is not called here, but the benchmark's tracer test reads it
+from .notify import NotificationChannel, match_subscriptions, parse_notify  # noqa: F401
 from .offload import (
     MODE_VALUES,
     BundleTransfer,
@@ -73,8 +79,8 @@ from .primitives import (
 from .resources import ResourceKind, ResourcePath, ResourceTree
 from .scenario import ScenarioConfig
 from .slicing import (FUNCTION_BY_NAME, FUNCTION_NAMES, FunctionKind, PlanDecision, SliceProfile,
-                      SliceState, SlicingPlan, ordered)
-from .worker import EdgeWorker, FunctionInstance, ResourceQuota
+                      SliceState, SlicingPlan, ordered, port_for)
+from .worker import EdgeWorker, FunctionInstance, InstanceState, ResourceQuota
 
 DATA_OPS = (
     Operation.CREATE,
@@ -86,24 +92,9 @@ DATA_OPS = (
 
 CONTROL_SIZE = 0
 
-# the central service's own images: it hosts every function regardless of
-# the catalogue the edges pull from
-_CLOUD_BUILTINS = tuple(
-    FunctionImage(f"cloud-{fn.name.lower()}", fn, "builtin", 0) for fn in FunctionKind
-)
+# the cloud's builtins run at this quota, on a worker no quota fills
 _CLOUD_QUOTA = ResourceQuota(1, 1.0)
 _CLOUD_CAPACITY = 10**15
-
-
-@lru_cache(maxsize=1)
-def _cloud_functions() -> dict[FunctionKind, FunctionInstance]:
-    """The builtins as they run once started, at time 0: started once per
-    process through the worker lifecycle, then copied by each cloud."""
-    worker = EdgeWorker("cloud", ResourceTree("IN-CSE"), capacity_bytes=_CLOUD_CAPACITY)
-    worker.cache.seed(_CLOUD_BUILTINS)
-    for builtin in _CLOUD_BUILTINS:
-        worker.start_now(builtin, _CLOUD_QUOTA)
-    return worker.functions
 
 
 # simulator events ``run_workload`` allows per request on top of the default
@@ -187,10 +178,6 @@ class _Node:
     def next_control_rqi(self) -> str:
         return f"ctl-{next(self._control_ids):06d}"
 
-    def _new_channel(self) -> NotificationChannel:
-        me = weakref.ref(self)
-        return NotificationChannel(lambda notify, done: me()._notify_transport(notify, done), self.sim.process)
-
     def _start(self, step: Generator, req: RequestPrimitive, to: str) -> None:
         """Run a protocol step that serves ``req`` as a simulator process
         whose mailbox is ``pending``: it waits there for a reply under its
@@ -238,12 +225,6 @@ class _Node:
         except EdgeSliceError as exc:
             self._refuse(sender, message.request_id, exc)
 
-    def _notify_transport(self, notify, done) -> None:
-        """Send one notification as a request; ``done`` gets whether it was accepted."""
-        req = notify.to_request(self.node_id)
-        self.pending[notify.request_id] = lambda resp: done(resp.ok)
-        self.send(notify.target_node, req, self.config.payload_bytes)
-
     def handle_request(self, req: RequestPrimitive, sender: str) -> None:
         """Serve one request; a handler that cannot raises a package error."""
         raise NotImplementedError
@@ -271,41 +252,75 @@ class DeviceNode(_Node):
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
 
 
-class EdgeNode(_Node):
-    def __init__(self, system: "System", node_id: str):
+class _ServiceNode(_Node):
+    """A node of the service layer, the edge or the cloud: it serves data
+    through its worker, which gates each request by the function that
+    serves it, and publishes its tree's changes through one notification
+    channel."""
+
+    def __init__(self, system: "System", node_id: str, tree: ResourceTree, **limits):
         super().__init__(system, node_id)
-        config = system.config
         self.worker = EdgeWorker(
             node_id,
-            ResourceTree("MN-CSE", system.sim.time),
-            capacity_bytes=config.capacity_bytes,
-            start_delay_ms=config.start_delay_ms,
+            tree,
             clock=system.sim.time,
-            processing_ms=config.processing_for(node_id),
+            processing_ms=system.config.processing_for(node_id),
             trace=system.sim.trace_level,
+            **limits,
         )
-        if config.pre_seeded_cache:
-            self.worker.cache.seed(config.catalogue)
-        self.sync_infos: list[EdgeSyncInfo] = []
-        self.channel = self._new_channel()
-        self.channel.pause()  # resumes once the notification function runs
-        # the first service request to reach this edge, and its latest import
-        self.first_service_arrival_ms: float | None = None
-        self.last_import_ms: float | None = None
+        self.sync_infos: list[EdgeSyncInfo] = []  # the eager bindings this node is the edge of
+        me = weakref.ref(self)
+        self.channel = NotificationChannel(lambda notify, done: me()._notify_transport(notify, done),
+                                           self.sim.process)
 
-    # --- notification plumbing ---
-
-    def _sync_channel_state(self) -> None:
-        if self.worker.enabled(FunctionKind.NOTIFICATION):
-            self.channel.resume()
-        else:
-            self.channel.pause()
+    def _notify_transport(self, notify, done) -> None:
+        """Send one notification as a request; ``done`` gets whether it was accepted."""
+        req = notify.to_request(self.node_id)
+        self.pending[notify.request_id] = lambda resp: done(resp.ok)
+        self.send(notify.target_node, req, self.config.payload_bytes)
 
     def _publish_events(self, events) -> None:
         if not events:
             return
         for notify in process_edge_events(self.worker.tree, events, self.sync_infos):
             self.channel.enqueue(notify)
+
+    def _handle_data(self, req: RequestPrimitive, sender: str) -> None:
+        response, events, processing = self.worker.dispatch(req)
+        self._publish_events(events)
+        self.sim.schedule(processing, partial(self.reply, sender, response, self.config.payload_bytes))
+
+
+class EdgeNode(_ServiceNode):
+    def __init__(self, system: "System", node_id: str):
+        config = system.config
+        super().__init__(system, node_id, ResourceTree("MN-CSE", system.sim.time),
+                         capacity_bytes=config.capacity_bytes, start_delay_ms=config.start_delay_ms)
+        if config.pre_seeded_cache:
+            self.worker.cache.seed(config.catalogue)
+        self.channel.pause()  # resumes once the notification function runs
+
+    # --- function lifecycle ---
+
+    def _start_function(self, image: FunctionImage, quota: ResourceQuota) -> Generator:
+        """Start one function and return its instance once it runs; a
+        sub-generator of a process."""
+        instance = self.worker.begin_start(image, quota)
+        yield self.worker.start_delay_ms
+        self._complete_start(image.function)
+        return instance
+
+    def _complete_start(self, function: FunctionKind) -> None:
+        """Mark a started or respawned function running; the channel runs
+        while the notification function does."""
+        self.worker.complete_start(function)
+        self._sync_channel_state()
+
+    def _sync_channel_state(self) -> None:
+        if self.worker.enabled(FunctionKind.NOTIFICATION):
+            self.channel.resume()
+        else:
+            self.channel.pause()
 
     # --- request handling ---
 
@@ -315,8 +330,6 @@ class EdgeNode(_Node):
             self._handle_data(req, sender)
         elif op is Operation.SERVICE_REQUEST:
             self.sim.log("service_request_arrival", rqi=req.request_id, device=req.originator)
-            if self.first_service_arrival_ms is None:
-                self.first_service_arrival_ms = self.sim.now
             self.send(self.cloud_id, req, CONTROL_SIZE)
         elif op is Operation.SLICE_INSTANTIATE:
             self._start(self._handle_instantiate(req), req, sender)
@@ -332,11 +345,6 @@ class EdgeNode(_Node):
             self._handle_crash(req, sender)
         else:
             raise BadRequestError(f"an edge serves no {op.name}")
-
-    def _handle_data(self, req: RequestPrimitive, sender: str) -> None:
-        response, events, processing = self.worker.dispatch(req)
-        self._publish_events(events)
-        self.sim.schedule(processing, partial(self.reply, sender, response, self.config.payload_bytes))
 
     def _handle_instantiate(self, req: RequestPrimitive) -> Generator:
         """Pull and start each missing function in turn, then record the
@@ -366,17 +374,14 @@ class EdgeNode(_Node):
                 continue
             yield pull_image(self.worker.cache, image, bandwidth, extra_delay_ms=extra)
             try:
-                instance = self.worker.begin_start(image, quota)
-            except EdgeSliceError as exc:
+                instance = yield from self._start_function(image, quota)
+            except EdgeSliceError as exc:  # refused by ``begin_start``, before any wait
                 for fn in fresh_starts:
                     self.worker.stop_function(fn)
                 self._sync_channel_state()
                 body = FieldBody.line(("ctx", ctx), ("slc", plan.target_slice), ("err", str(exc)))
                 self.send_control(self.cloud_id, Operation.SLICE_RECORD, body)
                 return
-            yield self.worker.start_delay_ms
-            self.worker.complete_start(function)
-            self._sync_channel_state()
             started[function] = instance.port
             fresh_starts.append(function)
         body = FieldBody.line(
@@ -399,13 +404,7 @@ class EdgeNode(_Node):
             create_sync_subscriptions(self.worker.tree, root, mirror_root, cloud)
             self.worker.tree.drain_events()
             self.sync_infos.append(EdgeSyncInfo(task_id, root, mirror_root, cloud))
-        self.sim.log(
-            "offload_import_complete",
-            ctx=meta.get("ctx", ""),
-            task=task_id,
-            root=str(root),
-        )
-        self.last_import_ms = self.sim.now
+        self.sim.log("offload_import_complete", ctx=meta.get("ctx", ""), task=task_id, root=str(root))
         body = FieldBody.line(("task", task_id), ("root", str(root)))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
@@ -433,11 +432,7 @@ class EdgeNode(_Node):
         """Start one function and answer with its port once it runs; a process."""
         meta = _fields(req.content)
         quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
-        image = self.config.catalogue.by_id(meta["img"])
-        instance = self.worker.begin_start(image, quota)
-        yield self.worker.start_delay_ms
-        self.worker.complete_start(image.function)
-        self._sync_channel_state()
+        instance = yield from self._start_function(self.config.catalogue.by_id(meta["img"]), quota)
         body = FieldBody.line(("port", str(instance.port)))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
@@ -450,44 +445,22 @@ class EdgeNode(_Node):
         function = FUNCTION_BY_NAME[_fields(req.content)["fn"]]
         duration = self.worker.begin_crash(function)
         self._sync_channel_state()
-        self.sim.schedule(duration, partial(self._respawned, function))
+        self.sim.schedule(duration, partial(self._complete_start, function))
         body = FieldBody.line(("duration_ms", repr(duration)))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
 
-    def _respawned(self, function: FunctionKind) -> None:
-        self.worker.complete_start(function)
-        self._sync_channel_state()
 
-
-class CloudNode(_Node):
+class CloudNode(_ServiceNode):
     def __init__(self, system: "System", node_id: str):
-        super().__init__(system, node_id)
         config = system.config
-        self.tree = initial_cloud_tree(config, system.sim.time)
-        self.service = EdgeWorker(
-            node_id,
-            self.tree,
-            capacity_bytes=_CLOUD_CAPACITY,
-            start_delay_ms=0.0,
-            clock=system.sim.time,
-            processing_ms=config.processing_for(node_id),
-            trace=system.sim.trace_level,
-        )
-        self.service.cache.seed(_CLOUD_BUILTINS)
-        # the builtins run from time 0, and their start is not logged
-        self.service.functions = {fn: FunctionInstance(**vars(inst))
-                                  for fn, inst in _cloud_functions().items()}
+        super().__init__(system, node_id, initial_cloud_tree(config, system.sim.time),
+                         capacity_bytes=_CLOUD_CAPACITY)
+        self.tree, self.service = self.worker.tree, self.worker  # the cloud's names for them
+        # the central service runs every function from time 0; their start is not logged
+        builtin = partial(FunctionInstance, state=InstanceState.RUNNING, quota=_CLOUD_QUOTA, started_at=0.0)
+        self.worker.functions = {fn: builtin(fn, port_for(fn)) for fn in FUNCTION_NAMES}
         self.orchestrator = SliceOrchestrator(config.topology, clock=system.sim.time)
         self.coordinator = OffloadCoordinator(self.tree, system.sim.time)
-        self.channel = self._new_channel()
-
-    def _publish_events(self, events) -> None:
-        for event in events:
-            for notify in match_subscriptions(self.tree, event):
-                self.channel.enqueue(notify)
-
-    def _after_mutation(self) -> None:
-        self._publish_events(self.tree.drain_events())
 
     # --- request handling ---
 
@@ -511,7 +484,7 @@ class CloudNode(_Node):
 
     def _handle_notify(self, req: RequestPrimitive, sender: str) -> None:
         self.coordinator.apply_notification(parse_notify(req))
-        self._after_mutation()
+        self._publish_events(self.tree.drain_events())
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
 
     def _handle_data(self, req: RequestPrimitive, sender: str) -> None:
@@ -525,9 +498,7 @@ class CloudNode(_Node):
                 self.pending[req.request_id] = partial(self.reply, sender, size=self.config.payload_bytes)
                 self.send(binding.edge, forwarded, self.config.payload_bytes)
                 return
-        response, events, processing = self.service.dispatch(req)
-        self._publish_events(events)
-        self.sim.schedule(processing, partial(self.reply, sender, response, self.config.payload_bytes))
+        super()._handle_data(req, sender)
 
     # --- slicing control plane ---
 
@@ -669,7 +640,7 @@ class CloudNode(_Node):
             if response.ok:
                 bundle = read_body(response.content, OffloadBundle)
                 report = self.coordinator.finalize(binding.task_id, bundle)
-                self._after_mutation()
+                self._publish_events(self.tree.drain_events())
                 synced_total += report.synced_resources
         for function in list(instance.running_functions):
             rqi = self.next_control_rqi()
@@ -687,10 +658,6 @@ class System:
     from it: the cloud starts from a copy of an initial tree built once per
     task roots, populate list and payload size (``initial_cloud_tree``), and
     routes are computed once per topology (``Topology.route``).
-
-    ``first_service_arrival_ms`` and ``last_import_ms`` are the virtual times
-    of the first service request reaching an edge and of the latest completed
-    offload import; both are None until it happens.
 
     The System owns the simulator, the network and the nodes, and nothing
     points back up to it: a dropped deployment is freed at once.
@@ -715,16 +682,7 @@ class System:
         self.edges = {node_id: EdgeNode(self, node_id) for node_id in edges}
         self.devices = {node_id: DeviceNode(self, node_id) for node_id in devices}
         self.samples: list[LatencySample] = []
-
-    @property
-    def first_service_arrival_ms(self) -> float | None:
-        times = [e.first_service_arrival_ms for e in self.edges.values()]
-        return min((t for t in times if t is not None), default=None)
-
-    @property
-    def last_import_ms(self) -> float | None:
-        times = [e.last_import_ms for e in self.edges.values()]
-        return max((t for t in times if t is not None), default=None)
+        self._create_numbers = count()  # names each create ``run_workload`` issues anew
 
     # --- conveniences for benchmarks and tests ---
 
@@ -750,8 +708,8 @@ class System:
     def run_until_idle(self) -> None:
         self.sim.run_until_idle()
 
-    def send_service_request(self, device_id: str | None = None, on_ready=None) -> str:
-        device = self.devices[device_id or self.device_id]
+    def send_service_request(self, on_ready=None) -> str:
+        device = self.devices[self.device_id]
         rqi = device.next_rqi("sr")
         req = RequestPrimitive(
             operation=Operation.SERVICE_REQUEST,
@@ -763,12 +721,12 @@ class System:
         device.issue(req, self.edge_for(device.node_id), CONTROL_SIZE, on_ready or (lambda resp: None))
         return rqi
 
-    def prepare(self, device_id: str | None = None) -> "ResponsePrimitive | None":
+    def prepare(self) -> "ResponsePrimitive | None":
         """Edge mode: run the slicing/offload pipeline to completion."""
         if self.mode != "edge":
             return None
         holder: list[ResponsePrimitive] = []
-        self.send_service_request(device_id, on_ready=holder.append)
+        self.send_service_request(on_ready=holder.append)
         self.run_until_idle()
         if not holder or not holder[0].ok:
             raise ConfigInvalidError("service preparation failed")
@@ -778,12 +736,11 @@ class System:
         self,
         operation: str,
         requests: int,
-        device_id: str | None = None,
         record_as: str | None = None,
         target: str | None = None,
         server: str | None = None,
     ) -> list[LatencySample]:
-        device = self.devices[device_id or self.device_id]
+        device = self.devices[self.device_id]
         server = server or self.data_server(device.node_id)
         target = target or self.data_target()
         collected: list[LatencySample] = []
@@ -795,7 +752,8 @@ class System:
                 rqi = device.next_rqi("rq")
                 if operation == "create":
                     content = payload_for(self.config.payload_bytes, 1000 + index)
-                    body = encode_body([("nm", f"m{mode_label}{index:05d}"), ("pc", encode_b64(content))])
+                    name = f"m{mode_label}{next(self._create_numbers):05d}"
+                    body = encode_body([("nm", name), ("pc", encode_b64(content))])
                     req = RequestPrimitive(Operation.CREATE, target, device.node_id, rqi,
                                            resource_kind=ResourceKind.CONTENT_INSTANCE, content=body)
                 elif operation == "retrieve":

@@ -149,11 +149,6 @@ class EdgeWorker:
                          "function": FUNCTION_NAMES[function], "port": instance.port})
         return instance
 
-    def start_now(self, image: FunctionImage, quota: ResourceQuota) -> FunctionInstance:
-        """Start with zero delay (initialization-time convenience)."""
-        self.begin_start(image, quota)
-        return self.complete_start(image.function)
-
     def stop_function(self, function: FunctionKind) -> None:
         if function not in self.functions:
             raise NotRunningError(f"{function.name} is not hosted on {self.node_id!r}")

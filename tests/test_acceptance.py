@@ -279,7 +279,7 @@ def _replay_rtt(system, device, server, operation, send_ts):
     """Closed-form hop/processing sum, accumulated in delivery order."""
     config = system.config
     topology = config.topology
-    route = topology.shortest_path(device, server)
+    route = topology.route(device, server)
     t = send_ts
     for a, b in zip(route, route[1:]):
         link = topology.link_between(a, b)

@@ -322,13 +322,6 @@ class TestUpdate:
         assert tree.resolve(root.child("z")).id == ids_before[2]
 
 
-    def test_kind_change_rejected(self, clock):
-        tree = ResourceTree("MN-CSE", clock)
-        path = tree.create(ResourcePath("MN-CSE"), ResourceKind.AE, "app")
-        with pytest.raises(BadRequestError):
-            tree.update(path, kind=ResourceKind.CONTAINER)
-
-
 class TestDelete:
     def test_subtree_count(self, clock):
         tree = make_location_tree(clock)

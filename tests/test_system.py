@@ -327,6 +327,72 @@ class TestAdminProtocol:
         assert with_crash == without
 
 
+class TestOneStartPath:
+    """Instantiate, START_FUNCTION and a crash's respawn run the notification
+    function through one start path: each logs its ``start_complete`` one
+    start delay after the start began, and resumes the edge's notification
+    channel, which then sends what waited in it."""
+
+    @staticmethod
+    def starts(worker) -> list[tuple[str, float]]:
+        return [(e["action"], e["ts"]) for e in worker.log
+                if e.get("function") == "NOTIFICATION" and e["action"] != "stop"]
+
+    @staticmethod
+    def create_on_edge(system, rqi="mid-1"):
+        """Issue one eager create at the edge without running the simulator."""
+        body = encode_body([("nm", rqi), ("pc", encode_b64(b"v"))])
+        req = RequestPrimitive(Operation.CREATE, "MN-CSE/Pedestrians/CitizenB/location", system.device_id,
+                               rqi, resource_kind=ResourceKind.CONTENT_INSTANCE, content=body)
+        system.devices[system.device_id].issue(req, "edge0", 400, lambda resp: None)
+
+    @pytest.mark.parametrize("step", ["instantiate", "start", "respawn"])
+    def test_each_start_completes_through_one_step(self, config, step):
+        system = build_system(config, "edge", 42)
+        edge = system.edges["edge0"]
+        system.prepare()
+        began = "start_begin"
+        if step == "start":
+            admin(system, Operation.STOP_FUNCTION, "edge0", [("fn", "NOTIFICATION")], rqi="stop-1")
+            self.create_on_edge(system)
+            system.run_until_idle()
+            assert edge.channel.sent == 0  # its notification waits in the paused channel
+            image = config.catalogue.lookup(FunctionKind.NOTIFICATION)
+            admin(system, Operation.START_FUNCTION, "edge0",
+                  [("img", image.image_id), ("mem", "1000000"), ("cpu", "0.1")], rqi="start-1")
+        elif step == "respawn":
+            began = "respawn_begin"
+            # created as the crash is answered, before the respawn completes
+            admin(system, Operation.CRASH, "edge0", [("fn", "NOTIFICATION")],
+                  on_response=lambda resp: self.create_on_edge(system))
+        else:
+            self.create_on_edge(system)
+            system.run_until_idle()
+        (first, begun_at), (last, done_at) = self.starts(edge.worker)[-2:]
+        assert (first, last) == (began, "start_complete")
+        assert done_at - begun_at == config.start_delay_ms
+        assert edge.channel.sent == 1 and edge.channel.idle
+        assert system.cloud.coordinator.binding_of("task-citizenB").stats.notifications_applied == 1
+
+
+def test_a_second_create_stream_names_its_creates_anew(config, monkeypatch):
+    """``run_workload`` names creates from a count kept per deployment, so a
+    second stream's creates do not collide with the first's."""
+    system = build_system(config, "edge", 42)
+    system.prepare()
+    device = system.devices[system.device_id]
+    replies, issue = [], device.issue
+
+    def recorded(req, server, size, on_response):
+        issue(req, server, size, lambda resp: (replies.append(resp.status), on_response(resp)))
+
+    monkeypatch.setattr(device, "issue", recorded)
+    system.run_workload("create", 3)
+    system.run_workload("create", 5)
+    assert replies == [StatusCode.CREATED] * 8
+    assert system.cloud.coordinator.binding_of("task-citizenB").stats.notifications_applied == 8
+
+
 class TestLazyRedirectOverTheWire:
     def test_cloud_serves_edge_data_while_bound(self, config):
         config = replace(config, sync_mode=SyncMode.LAZY)
@@ -906,7 +972,7 @@ def test_an_export_that_fails_sends_no_bundle(config, monkeypatch):
     system.run_until_idle()
     assert [r.status for r in replies] == [StatusCode.NOT_FOUND]
     assert not [m for m in sent if getattr(m, "operation", None) is Operation.BUNDLE_TRANSFER]
-    assert system.edges["edge0"].last_import_ms is None
+    assert "offload_import_complete" not in [entry["kind"] for entry in system.sim.trace]
 
 
 def valid_control_bodies(system) -> dict[Operation, tuple[str, bytes]]:

@@ -2,8 +2,10 @@
 name ``perfbench/tracer.py`` patches is where ``Tracer.install`` looks it up:
 a method in its class's own ``__dict__``, a function in a package module
 under its own name. ``perfbench/workloads.py:EVENT_CAP`` is the simulator's
-default event cap. A rename or a changed constant in the package then fails
-here, not only in a benchmark run. The perfbench files are only read."""
+default event cap. Each workload of ``perfbench/workloads.py`` runs one
+short round against the package without problems or failed operations. A
+rename or a changed constant in the package then fails here, not only in a
+benchmark run. The perfbench files are only read."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -25,6 +27,8 @@ def _load_perfbench(name: str):
 
 
 TRACER = _load_perfbench("tracer")
+WORKLOADS = _load_perfbench("workloads")
+SHORT_ROUND = 10  # requests per stream, or preparations per round
 
 
 @pytest.mark.parametrize(
@@ -47,4 +51,13 @@ def test_instrumented_name_resolves_as_install_looks_it_up(owner, attribute):
 
 def test_the_benchmark_event_cap_is_the_simulator_default():
     # the benchmark refuses a workload whose rounds would come near this cap
-    assert _load_perfbench("workloads").EVENT_CAP == netsim.DEFAULT_MAX_EVENTS
+    assert WORKLOADS.EVENT_CAP == netsim.DEFAULT_MAX_EVENTS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_each_workload_runs_a_short_round_against_the_package(name, tmp_path):
+    workload = WORKLOADS.WORKLOADS[name]
+    result = workload.run_round(workload, workload.default_seed, SHORT_ROUND, WORKLOADS.Phases(),
+                                str(tmp_path))
+    assert result.problems == []
+    assert result.attempted > 0 and result.failed == 0

@@ -43,8 +43,14 @@ def make_worker(clock=None, functions=(), capacity=4000 * MB, trace="control"):
     )
     worker.cache.seed(CATALOGUE)
     for fn in functions:
-        worker.start_now(CATALOGUE.lookup(fn), QUOTA)
+        start(worker, fn, QUOTA)
     return worker, clock
+
+
+def start(worker, fn, quota):
+    """Start ``fn`` at once: admit it, then mark it running."""
+    worker.begin_start(CATALOGUE.lookup(fn), quota)
+    worker.complete_start(fn)
 
 
 def create_request(path, name, *, kind=ResourceKind.CONTENT_INSTANCE, content=b"v", rqi="r1", target=None):
@@ -96,7 +102,7 @@ class TestLifecycle:
     def test_quota_admission(self):
         worker, _ = make_worker(capacity=1000 * MB)
         big = ResourceQuota(max_memory_bytes=600 * MB, max_cpu_share=0.5)
-        worker.start_now(CATALOGUE.lookup(FunctionKind.REGISTRATION), big)
+        start(worker, FunctionKind.REGISTRATION, big)
         with pytest.raises(WorkerQuotaExceededError):
             worker.begin_start(CATALOGUE.lookup(FunctionKind.RETRIEVE), big)
         # oracle: admitted memory never exceeds capacity
@@ -330,7 +336,7 @@ class TestInvariantReplay:
             roll = rng.random()
             fn = rng.choice(functions)
             if roll < 0.15 and fn not in worker.functions:
-                worker.start_now(CATALOGUE.lookup(fn), QUOTA)
+                start(worker, fn, QUOTA)
             elif roll < 0.25 and fn in worker.functions:
                 worker.stop_function(fn)
             elif roll < 0.30 and worker.enabled(fn):
@@ -371,7 +377,7 @@ class TestInvariantReplay:
             fn = rng.choice(list(FunctionKind))
             try:
                 if rng.random() < 0.6:
-                    worker.start_now(CATALOGUE.lookup(fn), quota)
+                    start(worker, fn, quota)
                 else:
                     worker.stop_function(fn)
             except (AlreadyRunningError, NotRunningError, WorkerQuotaExceededError):
