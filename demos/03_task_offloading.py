@@ -2,11 +2,11 @@
 """Walkthrough: exporting a cloud task, grafting it onto an edge tree, and
 keeping the retained mirror synchronized (eager and lazy flavours)."""
 from edgeslice import (
-    ManualClock,
     OffloadCoordinator,
     ResourceKind,
     ResourcePath,
     ResourceTree,
+    Simulator,
     SyncMode,
     Task,
     import_bundle,
@@ -16,10 +16,10 @@ from edgeslice import (
 from edgeslice.offload import EdgeSyncInfo, create_sync_subscriptions, process_edge_events
 
 P = ResourcePath.parse
-clock = ManualClock()
+sim = Simulator()  # one virtual clock for both trees, advanced by hand here
 
 # cloud side: the car task lives under IN-CSE/Cars/CarA
-cloud = ResourceTree("IN-CSE", clock)
+cloud = ResourceTree("IN-CSE", sim.time)
 cloud.create(P("IN-CSE"), ResourceKind.CONTAINER, "Cars")
 cloud.create(P("IN-CSE/Cars"), ResourceKind.CONTAINER, "CarA")
 cloud.create(P("IN-CSE/Cars/CarA"), ResourceKind.CONTAINER, "location")
@@ -27,7 +27,7 @@ cloud.create(P("IN-CSE/Cars/CarA/location"), ResourceKind.CONTENT_INSTANCE, "p0"
              content=b"lat=37.541,lon=126.986")
 cloud.drain_events()
 
-coordinator = OffloadCoordinator(cloud, clock)
+coordinator = OffloadCoordinator(cloud, sim.time)
 task = Task("task-carA", P("IN-CSE/Cars/CarA"), "road-warning")
 
 print("== export: the task subtree becomes an ordered bundle ==")
@@ -36,7 +36,7 @@ for line in bundle.encode().splitlines():
     print("  ", line)
 
 print("\n== import: same grouping segments, new label, fresh ids ==")
-edge = ResourceTree("MN-CSE", clock)
+edge = ResourceTree("MN-CSE", sim.time)
 edge_root = import_bundle(edge, bundle)
 print("grafted at:", edge_root)
 
@@ -48,7 +48,7 @@ info = EdgeSyncInfo(task.task_id, edge_root, task.root_path, "cloud")
 coordinator.register_binding(task, SyncMode.EAGER, "gateway", edge_root)
 print(f"{subs} subscriptions created; targets point at the mirror paths")
 
-clock.advance(5.0)
+sim.now += 5.0
 edge.create(P("MN-CSE/Cars/CarA/location"), ResourceKind.CONTENT_INSTANCE, "p1",
             content=b"lat=37.544,lon=126.990")
 for notify in process_edge_events(edge, edge.drain_events(), [info]):
@@ -65,7 +65,7 @@ except Exception as exc:
     print("conflict:", exc)
 
 print("\n== termination settles the binding and reopens the mirror ==")
-snapshot = make_bundle(edge, edge_root, task.task_id, clock())
+snapshot = make_bundle(edge, edge_root, task.task_id, sim.now)
 report = coordinator.finalize(task.task_id, snapshot)
 print(f"final sync touched {report.synced_resources} resources (already converged)")
 
@@ -78,7 +78,7 @@ cloud.drain_events()
 bundle_b = coordinator.export_task(task_b)
 edge_root_b = import_bundle(edge, bundle_b)
 coordinator.register_binding(task_b, SyncMode.LAZY, "gateway", edge_root_b)
-clock.advance(5.0)
+sim.now += 5.0
 edge.create(P("MN-CSE/Cars/CarB/location"), ResourceKind.CONTENT_INSTANCE, "q1", content=b"fresh")
 edge.drain_events()
 hit = coordinator.redirect_for(P("IN-CSE/Cars/CarB/location/la"))
@@ -86,5 +86,5 @@ binding_b, remapped = hit
 served = edge.resolve(remapped)
 print("cloud retrieve of .../CarB/location/la redirects to", remapped)
 print("application sees:", served.content.decode(), "(the mirror still holds only 'old')")
-final = coordinator.finalize(task_b.task_id, make_bundle(edge, edge_root_b, "task-carB", clock()))
+final = coordinator.finalize(task_b.task_id, make_bundle(edge, edge_root_b, "task-carB", sim.now))
 print(f"finalize synced {final.synced_resources} resource(s); mirror now matches the edge")

@@ -59,7 +59,6 @@ from .primitives import (
 from .report import emit_results, summarize
 from .resources import (
     ChangeEvent,
-    ManualClock,
     Resource,
     ResourceKind,
     ResourcePath,
@@ -91,7 +90,6 @@ __all__ = [
     "LatencyClass",
     "LatencySample",
     "Link",
-    "ManualClock",
     "Network",
     "Node",
     "NodeRole",

@@ -59,10 +59,6 @@ class UnknownSliceError(NotFoundError):
 
 # --- offload / sync errors ---
 
-class AlreadyOffloadedError(EdgeSliceError):
-    pass
-
-
 class AlreadyBoundError(EdgeSliceError):
     pass
 

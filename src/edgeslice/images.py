@@ -53,12 +53,12 @@ def _version_key(version: str) -> tuple:
 
 
 class ImageCatalogue:
-    """(function, version) -> image, with semantic "latest" resolution. The
-    latest per function is kept in ``add`` (on a tie, the earlier image), so
-    a lookup parses no version string."""
+    """Images by id, at most one per (function, version), and the latest
+    image per function by semantic version. The latest is kept in ``add``
+    (on a tie, the earlier image), so a lookup parses no version string."""
 
     def __init__(self, images: "list[FunctionImage] | None" = None):
-        self._images: dict[tuple[FunctionKind, str], FunctionImage] = {}
+        self._images: set[tuple[FunctionKind, str]] = set()  # refuses a second image per key
         self._by_id: dict[str, FunctionImage] = {}
         self._latest: dict[FunctionKind, FunctionImage] = {}
         for image in images or []:
@@ -70,7 +70,7 @@ class ImageCatalogue:
             raise BadRequestError(
                 f"duplicate catalogue entry for {image.function.name}/{image.version}"
             )
-        self._images[key] = image
+        self._images.add(key)
         self._by_id[image.image_id] = image
         latest = self._latest.get(image.function)
         if latest is None or _version_key(image.version) > _version_key(latest.version):
@@ -85,27 +85,14 @@ class ImageCatalogue:
         except KeyError:
             raise ImageNotFoundError(f"no image with id {image_id!r}") from None
 
-    def lookup(self, function: FunctionKind, version: str = "latest") -> FunctionImage:
-        if version != "latest":
-            try:
-                return self._images[(function, version)]
-            except KeyError:
-                raise ImageNotFoundError(
-                    f"no image for {function.name}/{version}"
-                ) from None
+    def lookup(self, function: FunctionKind) -> FunctionImage:
+        """The latest image of ``function``."""
         try:
             return self._latest[function]
         except KeyError:
             raise ImageNotFoundError(f"no image for function {function.name}") from None
 
     # catalogue file: one record per line -- image_id,function,version,size_bytes
-    def dump(self) -> str:
-        lines = [
-            f"{img.image_id},{img.function.name.lower()},{img.version},{img.size_bytes}"
-            for img in sorted(self._by_id.values(), key=lambda i: i.image_id)
-        ]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def load(cls, text: str) -> "ImageCatalogue":
         catalogue = cls()
@@ -122,7 +109,7 @@ class ImageCatalogue:
                     image_id=image_id.strip(),
                     function=function_from_name(fn_name.strip()),
                     version=version.strip(),
-                    size_bytes=int(size),
+                    size_bytes=parse_int(size.strip()),
                 )
             )
         return catalogue

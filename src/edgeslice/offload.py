@@ -20,7 +20,6 @@ from .codec import (FIELD_SAFE, decode_ascii, decode_b64, decode_fieldline, enco
                     encode_fieldline, parse_float, parse_int, quote)
 from .errors import (
     AlreadyBoundError,
-    AlreadyOffloadedError,
     BadRequestError,
     ConflictError,
     NotFoundError,
@@ -410,7 +409,6 @@ class OffloadCoordinator:
         self.cloud_tree = cloud_tree
         self._clock = clock or (lambda: 0.0)
         self.bindings: dict[str, SyncBinding] = {}
-        self.offloaded: set[str] = set()
         bindings = self.bindings
 
         def guard(path: ResourcePath, op: str) -> None:
@@ -426,21 +424,13 @@ class OffloadCoordinator:
     # --- export / import ---
 
     def export_task(self, task: Task) -> OffloadBundle:
-        if task.task_id in self.offloaded:
-            raise AlreadyOffloadedError(f"task {task.task_id!r} is already offloaded")
-        bundle = make_bundle(
-            self.cloud_tree, task.root_path, task.task_id, self._clock()
-        )
-        self.offloaded.add(task.task_id)
-        return bundle
+        return make_bundle(self.cloud_tree, task.root_path, task.task_id, self._clock())
 
     # --- bindings ---
 
     def register_binding(
         self, task: Task, mode: SyncMode, edge: str, edge_root: ResourcePath
     ) -> SyncBinding:
-        if task.task_id not in self.offloaded:
-            raise BadRequestError(f"task {task.task_id!r} has not been offloaded")
         if task.task_id in self.bindings:
             raise AlreadyBoundError(f"task {task.task_id!r} already has a sync binding")
         binding = SyncBinding(
@@ -529,15 +519,13 @@ class OffloadCoordinator:
         """Settle a binding against a snapshot of the edge subtree.
 
         Lazy bindings receive the full diff; eager bindings are verified (and
-        repaired, which is a no-op at quiescence). The binding closes and the
-        task becomes exportable again.
+        repaired, which is a no-op at quiescence). The binding closes.
         """
         binding = self.binding_of(task_id)
         changed = apply_snapshot(
             self.cloud_tree, binding.cloud_mirror_root, edge_snapshot
         )
         del self.bindings[task_id]
-        self.offloaded.discard(task_id)
         return SyncReport(task_id=task_id, mode=binding.mode, synced_resources=changed)
 
 
@@ -636,43 +624,13 @@ def subtrees_converged(
     edge_tree: ResourceTree,
     edge_root: ResourcePath,
 ) -> bool:
-    """Deep equality of mirror and edge subtrees over replicated state:
-    names, kinds, contents, and instance order by creation time.
-    Subscriptions live on one side only by design and are ignored."""
-
-    def describe(tree: ResourceTree, path: ResourcePath):
-        node = tree.resolve(path)
-        children = [
-            c for c in tree.children(node.id) if c.kind is not ResourceKind.SUBSCRIPTION
-        ]
-        ordered_names = [
-            c.name
-            for c in sorted(
-                (c for c in children if c.kind is ResourceKind.CONTENT_INSTANCE),
-                key=lambda c: c.creation_time,
-            )
-        ]
-        return node, children, ordered_names
-
-    def walk(mirror_path: ResourcePath, edge_path: ResourcePath) -> bool:
-        try:
-            m_node, m_children, m_order = describe(cloud_tree, mirror_path)
-            e_node, e_children, e_order = describe(edge_tree, edge_path)
-        except NotFoundError:
-            return False
-        if m_node.kind is not e_node.kind or m_node.name != e_node.name:
-            return False
-        if m_node.kind is ResourceKind.CONTENT_INSTANCE and (
-            m_node.content != e_node.content
-            or m_node.creation_time != e_node.creation_time
-        ):
-            return False
-        if {c.name for c in m_children} != {c.name for c in e_children}:
-            return False
-        if m_order != e_order:
-            return False
-        return all(
-            walk(mirror_path.child(c.name), edge_path.child(c.name)) for c in m_children
-        )
-
-    return walk(mirror_root, edge_root)
+    """Whether the mirror and the edge subtree export the same records: the
+    same kinds, names, creation times and contents, with the same parents
+    and in the same sibling order. Subscriptions stay on one side by design
+    and are left out of an export, and labels are not exported. A root that
+    does not resolve on its tree converges with nothing."""
+    try:
+        mirror, edge = cloud_tree.resolve(mirror_root), edge_tree.resolve(edge_root)
+    except NotFoundError:
+        return False
+    return _export_records(cloud_tree, mirror.id) == _export_records(edge_tree, edge.id)

@@ -42,7 +42,8 @@ class SliceOrchestrator:
         self.topology = topology
         self._clock = clock or (lambda: 0.0)
         self.registry: dict[str, SliceInstance] = {}
-        self._handler_view: dict[str, set[FunctionKind]] = {}
+        # the handler view: per edge, the functions the request matcher counts as running
+        self._matcher_view: dict[str, set[FunctionKind]] = {}
         self.decision_log: list[dict] = []
 
     # --- naming ---
@@ -83,7 +84,7 @@ class SliceOrchestrator:
         edge = self.select_edge_node(req.device)
         slice_id = self.slice_id_for(edge)
         instance = self.registry.get(slice_id)
-        view = self._handler_view.get(edge, set())
+        view = self._matcher_view.get(edge, set())
         required = req.profile.required_functions
         if (
             instance is not None
@@ -134,11 +135,8 @@ class SliceOrchestrator:
         instance = self.registry.get(slice_id)
         if instance is None:
             raise UnknownSliceError(slice_id)
-        self._handler_view.setdefault(instance.edge_node, set()).update(newly_started)
+        self._matcher_view.setdefault(instance.edge_node, set()).update(newly_started)
         return instance
-
-    def handler_view(self, edge: str) -> frozenset[FunctionKind]:
-        return frozenset(self._handler_view.get(edge, set()))
 
     # --- teardown ---
 
@@ -146,4 +144,4 @@ class SliceOrchestrator:
         """Drop registry and handler-view entries (worker already stopped)."""
         instance = self.registry.pop(slice_id, None)
         if instance is not None:
-            self._handler_view.pop(instance.edge_node, None)
+            self._matcher_view.pop(instance.edge_node, None)

@@ -14,16 +14,7 @@ from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Callable, Container, Iterator, NamedTuple, Sequence, TypeVar
 
-from .codec import (
-    decode_b64,
-    decode_fieldline,
-    decode_labels,
-    decode_target,
-    encode_fieldline,
-    encode_record,
-    parse_float,
-    parse_int,
-)
+from .codec import encode_fieldline, encode_record
 from .errors import BadRequestError, NotFoundError
 
 LATEST_SEGMENT = "la"
@@ -75,7 +66,7 @@ def _format_id(kind: ResourceKind, n: int) -> str:
     except IndexError:
         ids = _IDS[kind]
         text = _ID_HEAD[kind] + str(n).zfill(4)
-        if n == len(ids):  # only the next one: a dump may set a counter far ahead
+        if n == len(ids):  # only the next one, so the list has no gaps
             ids.append(text)
         return text
 
@@ -190,22 +181,6 @@ class ChangeEvent(NamedTuple):
     path: ResourcePath
     resource: Resource
     old_name: str | None = None
-
-
-class ManualClock:
-    """Directly advanced virtual clock, for tests and the walkthrough demos."""
-
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, delta_ms: float) -> float:
-        if delta_ms < 0:
-            raise ValueError("clock cannot go backwards")
-        self.now += delta_ms
-        return self.now
 
 
 def _check_child(parent_kind: ResourceKind, kind: ResourceKind, name: str, taken: Container[str],
@@ -719,53 +694,3 @@ class ResourceTree:
         for node in self.walk():
             lines.append(encode_record([("id", node.id), ("pid", node.parent_id or "-")], node))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str, clock: Callable[[], float] | None = None) -> "ResourceTree":
-        """Inverse of ``serialize``; malformed text raises BadRequestError."""
-        tree = cls.__new__(cls)
-        lines = [ln for ln in text.split("\n") if ln]
-        try:
-            header = decode_fieldline(lines[0])
-            tree._reset(header["lbl"], clock)
-            kinds = {prefix: kind for kind, prefix in ID_PREFIX.items()}
-            for part in header["ctr"].split(","):
-                prefix, _, value = part.partition(":")
-                tree._counters[kinds[prefix]] = parse_int(value)
-            tree._event_seq = parse_int(header["seq"])
-            for line in lines[1:]:
-                rec = decode_fieldline(line)
-                node = Resource(
-                    id=rec["id"],
-                    name=rec["nm"],
-                    kind=ResourceKind(parse_int(rec["ty"])),
-                    parent_id=rec["pid"] if rec["pid"] != "-" else None,
-                    creation_time=parse_float(rec["ct"]),
-                    last_modified_time=parse_float(rec["lt"]),
-                    content=decode_b64(rec["pc"]) if "pc" in rec else None,
-                    notification_target=decode_target(rec["nt"]) if "nt" in rec else None,
-                    labels=decode_labels(rec["lb"]) if "lb" in rec else (),
-                )
-                head, pid = _ID_HEAD[node.kind], node.parent_id
-                n = parse_int(node.id[len(head):]) if node.id.startswith(head) else 0
-                if not 1 <= n <= tree._counters[node.kind] or _format_id(node.kind, n) != node.id:
-                    # past its kind's counter, an id would be minted again
-                    raise BadRequestError(f"resource id {node.id!r} is not one the tree minted")
-                if node.id in tree._nodes or (
-                    pid not in tree._nodes if pid is not None else tree._root_id is not None
-                ):
-                    raise BadRequestError(f"resource {node.id!r} clashes or precedes its parent")
-                if pid is None:
-                    if node.kind is not _CSE_BASE or node.name != tree.cse_label:
-                        # what ``ResourceTree()`` makes: a CseBase named after the label
-                        raise BadRequestError(f"root {node.id!r} is not a CseBase named "
-                                              f"{tree.cse_label!r}")
-                else:  # what ``create`` could have made
-                    _check_child(tree._nodes[pid].kind, node.kind, node.name,
-                                 tree._children.get(pid, ()), node.content, node.notification_target)
-                tree._attach(node)  # preorder: every parent precedes its children
-        except (IndexError, KeyError, ValueError) as exc:
-            raise BadRequestError(f"malformed tree dump: {exc!r}") from None
-        if tree._root_id is None:
-            raise BadRequestError("tree dump has no root")
-        return tree

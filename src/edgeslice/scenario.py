@@ -155,6 +155,16 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _section(doc: dict, key: str) -> dict:
+    """An optional mapping section of ``doc``; an absent or empty one is ``{}``."""
+    section = doc.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigInvalidError(f"{key!r} must be a mapping")
+    return section
+
+
 def parse_topology(doc: dict) -> Topology:
     nodes = []
     for spec in _require(doc, "nodes", "topology"):
@@ -182,7 +192,9 @@ def parse_topology(doc: dict) -> Topology:
 def _parse_processing(doc: dict, topology: Topology) -> dict[str, dict[Operation, float]]:
     """Role-level defaults overlaid with per-node entries."""
     table: dict[str, dict[Operation, float]] = {n: {} for n in topology.nodes}
-    for key, ops in (doc or {}).items():
+    for key, ops in doc.items():
+        if not isinstance(ops, dict):
+            raise ConfigInvalidError(f"processing entry {key!r} must be a mapping")
         entries = {}
         for op_name, value in ops.items():
             if op_name not in _OP_NAMES:
@@ -209,13 +221,13 @@ def _build_scenario(doc: dict, topology_override: "dict | None") -> ScenarioConf
         doc = dict(doc)
         doc["topology"] = topology_override
     try:
-        scenario = doc.get("scenario", {})
+        scenario = _section(doc, "scenario")
         topology = parse_topology(_require(doc, "topology", "scenario"))
         slice_doc = _require(doc, "slice", "scenario")
         functions = frozenset(
             function_from_name(n) for n in _require(slice_doc, "functions", "slice")
         )
-        catalogue_doc = doc.get("catalogue", {})
+        catalogue_doc = _section(doc, "catalogue")
         if "images" in catalogue_doc:
             catalogue = ImageCatalogue.load("\n".join(catalogue_doc["images"]))
         else:
@@ -228,7 +240,7 @@ def _build_scenario(doc: dict, topology_override: "dict | None") -> ScenarioConf
             )
             for t in doc.get("tasks", [])
         ]
-        workload = doc.get("workload", {})
+        workload = _section(doc, "workload")
         config = ScenarioConfig(
             name=scenario.get("name", "scenario"),
             seed=int(scenario.get("seed", 42)),
@@ -236,7 +248,7 @@ def _build_scenario(doc: dict, topology_override: "dict | None") -> ScenarioConf
             payload_bytes=int(scenario.get("payload_bytes", 400)),
             modes=list(scenario.get("modes", ["cloud", "edge"])),
             topology=topology,
-            processing=_parse_processing(doc.get("processing", {}), topology),
+            processing=_parse_processing(_section(doc, "processing"), topology),
             service_id=_require(slice_doc, "service_id", "slice"),
             functions=functions,
             latency_class=LatencyClass(slice_doc.get("latency_class", "normal")),

@@ -73,7 +73,6 @@ class LatencyClass(Enum):
 class SliceState(Enum):
     INSTANTIATING = "instantiating"
     ACTIVE = "active"
-    TERMINATING = "terminating"
 
 
 class PlanDecision(Enum):

@@ -37,7 +37,6 @@ from typing import Callable, Generator
 
 from .codec import FieldBody, Fields, encode_b64, encode_body, parse_float, parse_int
 from .errors import (
-    AlreadyOffloadedError,
     BadRequestError,
     ConfigInvalidError,
     EdgeSliceError,
@@ -564,13 +563,7 @@ class CloudNode(_ServiceNode):
         bound roots in arrival order, and 4009 if any bundle was refused. An
         export that fails raises before the first bundle is sent."""
         mode = self.config.sync_mode
-        bundles: list[OffloadBundle] = []
-        for task in tasks:
-            try:
-                bundles.append(self.coordinator.export_task(task))
-            except AlreadyOffloadedError:
-                # exported earlier but the edge never confirmed; resend the state
-                bundles.append(make_bundle(self.tree, task.root_path, task.task_id, self.sim.now))
+        bundles = [self.coordinator.export_task(task) for task in tasks]
         sent: dict[str, Task] = {}
         for task, bundle in zip(tasks, bundles):
             head = (

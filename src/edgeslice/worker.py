@@ -51,8 +51,6 @@ class ResourceQuota:
 class InstanceState(Enum):
     STARTING = "starting"
     RUNNING = "running"
-    CRASHED = "crashed"
-    STOPPED = "stopped"
 
 
 @dataclass
@@ -158,14 +156,13 @@ class EdgeWorker:
     def begin_crash(self, function: FunctionKind) -> float:
         """Crash one function; returns the respawn duration.
 
-        The instance passes through crashed straight into a fresh start; the
-        caller schedules complete_start after the returned duration. Other
-        functions are untouched.
+        The instance goes straight into a fresh start, logged as a crash and
+        a respawn; the caller schedules complete_start after the returned
+        duration. Other functions are untouched.
         """
         instance = self.functions.get(function)
         if instance is None or instance.state is not InstanceState.RUNNING:
             raise NotRunningError(f"{function.name} is not running on {self.node_id!r}")
-        instance.state = InstanceState.CRASHED
         self._log("crash", function=function.name)
         instance.state = InstanceState.STARTING
         instance.started_at = None

@@ -28,8 +28,9 @@ from hypothesis import strategies as st
 import bundle_oracle as oracle
 from edgeslice.bench import build_system
 from edgeslice.errors import BadRequestError, EdgeSliceError, NotFoundError
+from edgeslice.netsim import Simulator
 from edgeslice.offload import BundleRecord, OffloadBundle, import_bundle, make_bundle
-from edgeslice.resources import ManualClock, ResourceKind, ResourcePath, ResourceTree
+from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
 from util import RandomTreeWorkload, serialized_but_seq, trees_equal
 from wire_samples import prepare_200_config, sample_tree
 
@@ -76,7 +77,7 @@ def test_benchmark_bundle_matches_oracle():
     spelled = oracle.as_paths(bundle)
     assert spelled == oracle.make_bundle(tree, root, "task-citizenB", 21254.8)
     assert OffloadBundle.decode(bundle.encode()) == bundle
-    old, new = ResourceTree("MN-CSE", ManualClock(3.0)), ResourceTree("MN-CSE", ManualClock(3.0))
+    old, new = ResourceTree("MN-CSE", lambda: 3.0), ResourceTree("MN-CSE", lambda: 3.0)
     assert import_bundle(new, bundle) == oracle.import_bundle(old, spelled)
     assert trees_equal(old, new)
     assert serialized_but_seq(old) == serialized_but_seq(new)  # the oracle's grafts queue events
@@ -84,9 +85,9 @@ def test_benchmark_bundle_matches_oracle():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_make_bundle_matches_oracle_on_random_trees(seed):
-    clock = ManualClock()
-    tree = sample_tree() if seed == 0 else ResourceTree("IN-CSE", clock)
-    RandomTreeWorkload(tree, clock, random.Random(seed)).run(300)
+    sim = Simulator()
+    tree = sample_tree() if seed == 0 else ResourceTree("IN-CSE", sim.time)
+    RandomTreeWorkload(tree, sim, random.Random(seed)).run(300)
     for node in tree.walk():
         if node.kind in (ResourceKind.AE, ResourceKind.CONTAINER):
             path = tree.path_of(node)
@@ -100,16 +101,6 @@ def test_make_bundle_leaves_what_is_below_a_subscription_at_home():
     root = tree.create(ResourcePath("IN-CSE"), ResourceKind.CONTAINER, "A")
     tree.create(root, ResourceKind.SUBSCRIPTION, "s", notification_target=("app", "APP/x"))
     tree.create(root, ResourceKind.CONTENT_INSTANCE, "after", content=b"v")
-    # the cnt and ci counters raised to 2, so that the tree could have minted both added ids
-    header = "cnt:1,ci:1"
-    assert header in tree.serialize()
-    dump = tree.serialize().replace(header, "cnt:2,ci:2") + (
-        "id=ci_0002;pid=sub_0001;ty=4;nm=odd;ct=0.0;lt=0.0;pc=AA==\n"
-        "id=cnt_0002;pid=ci_0002;ty=3;nm=deep;ct=0.0;lt=0.0\n"
-    )
-    # create() never nests under a subscription, and a tree dump may not either
-    with pytest.raises(BadRequestError):
-        ResourceTree.deserialize(dump)
     bundle = make_bundle(tree, root, "t", 0.0)
     assert bundle.records == (
         BundleRecord(-1, ResourceKind.CONTAINER, "A", 0.0),
@@ -214,7 +205,7 @@ EDGE_SETUPS = {
 
 
 def edge_tree(setup: str) -> ResourceTree:
-    tree = ResourceTree("MN-CSE", ManualClock(5.0))
+    tree = ResourceTree("MN-CSE", lambda: 5.0)
     for parent, kind, name in EDGE_SETUPS[setup]:
         content = b"v" if kind is ResourceKind.CONTENT_INSTANCE else None
         tree.create(ResourcePath("MN-CSE", tuple(filter(None, parent.split("/")))), kind, name,

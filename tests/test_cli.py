@@ -2,6 +2,7 @@ import pytest
 
 from edgeslice.cli import main
 
+from test_scenario import MINIMAL
 from util import CALIBRATED_YAML as SCENARIO
 
 
@@ -90,6 +91,13 @@ def test_bad_scenario_content_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("scenario: {name: broken}\n")
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_a_scenario_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace("cloud: {create: 1.0}", "cloud: 5"))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "must be a mapping" in capsys.readouterr().err
 
 
 def test_topology_override_flag(tmp_path):

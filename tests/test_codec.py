@@ -48,6 +48,7 @@ from edgeslice.codec import (
     unquote,
 )
 from edgeslice.errors import BadRequestError
+from edgeslice.images import ImageCatalogue
 from edgeslice.netsim import Network
 from edgeslice.notify import NotifyBody, parse_notify
 from edgeslice.offload import BundleRecord, OffloadBundle
@@ -61,14 +62,7 @@ from edgeslice.primitives import (
     decode_resource,
     decode_response,
 )
-from edgeslice.resources import (
-    LATEST_SEGMENT,
-    ManualClock,
-    Resource,
-    ResourceKind,
-    ResourcePath,
-    ResourceTree,
-)
+from edgeslice.resources import LATEST_SEGMENT, Resource, ResourceKind
 from edgeslice.scenario import reference_calibrated
 from edgeslice.slicing import (
     FunctionKind,
@@ -77,8 +71,7 @@ from edgeslice.slicing import (
     SliceProfile,
     SlicingPlan,
 )
-from util import trees_equal
-from wire_samples import ODD_LABELS, ODD_NAME, sample_tree, samples
+from wire_samples import samples
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
@@ -186,7 +179,6 @@ def _seeds() -> dict[str, list[bytes]]:
         "resource": [wire["resource_subscription"], wire["resource_container"]],
         "notify": [decode_request(n).content for n in notifies],
         "bundle": [wire["bundle"]],
-        "tree": [wire["serialize"]],
         "fields": _control_bodies(),
         "profile": [FieldBody.line(*profile.to_pairs()).to_bytes()],
         "plan": [FieldBody.line(*plan.to_pairs()).to_bytes()],
@@ -204,7 +196,6 @@ def _notify(data: bytes):
 # the decoders that read text; the others read bytes
 TEXT_DECODERS = {
     "bundle": OffloadBundle.decode,
-    "tree": ResourceTree.deserialize,
     "payload": decode_payload,
 }
 DECODERS = {
@@ -259,21 +250,6 @@ REFUSED = {
         # no task root path
         b"tid=t;at=1;n=1\npi=-1;ty=3;nm=a;ct=0\n",
     ],
-    "tree": [
-        b"lbl=IN-CSE;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=nan;lt=0.0\n",
-        b"lbl=IN-CSE;ctr=cb:1;seq=+0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n",
-        b"lbl=IN-CSE;lbl=X;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n",
-        # a content instance directly under the CseBase: nesting that create() refuses
-        b"lbl=IN-CSE;ctr=cb:1,ci:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n"
-        b"id=ci_0001;pid=cb_0001;ty=4;nm=a;ct=0.0;lt=0.0\n",
-        # a root that is not a CseBase, and a root not named after the label
-        b"lbl=IN-CSE;ctr=cnt:1;seq=0\nid=cnt_0001;pid=-;ty=3;nm=IN-CSE;ct=0.0;lt=0.0\n",
-        b"lbl=IN-CSE;ctr=cb:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=OTHER;ct=0.0;lt=0.0\n",
-        # names that create() refuses: the reserved "la", one holding "/" and the empty name
-        *(b"lbl=IN-CSE;ctr=cb:1,cnt:1;seq=0\nid=cb_0001;pid=-;ty=1;nm=IN-CSE;ct=0.0;lt=0.0\n"
-          b"id=cnt_0001;pid=cb_0001;ty=3;nm=" + name + b";ct=0.0;lt=0.0\n"
-          for name in (b"la", b"a%2Fb", b"")),
-    ],
     "fields": [b"a=1;a=2", b"a=1\nb", b"a=\xc3\xbc"],
     "profile": [b"svc=s;svc=t;fn=retrieve;lc=normal", b"svc=s;fn=retrieve;lc=normal\n"],
     "plan": [b"dec=fast_path_offload_only;slc=s;mf=;slc=t"],
@@ -327,8 +303,10 @@ def test_decoders_raise_only_bad_request(name):
         (lambda data: decode_payload(data.decode()), b"b:AAE"),
         (lambda data: decode_b64(data.decode()), b"AAAA\n"),
         (decode_body, b"nm=\xc3\xbc"),
-        (lambda data: ResourceTree.deserialize(data.decode()), b""),
-        (lambda data: ResourceTree.deserialize(data.decode()), b"lbl=IN-CSE;ctr=cb:1;seq=0\n"),
+        # a catalogue line's size is an integer as str(int) writes one
+        (lambda data: ImageCatalogue.load(data.decode()), b"img,retrieve,1.0,abc"),
+        (lambda data: ImageCatalogue.load(data.decode()), b"img,retrieve,1.0, 1_000"),
+        (lambda data: ImageCatalogue.load(data.decode()), b"img,retrieve,1.0,+5"),
     ]
     + [(DECODERS[name], data) for name in sorted(REFUSED) for data in REFUSED[name]],
 )
@@ -386,15 +364,6 @@ def test_parse_float_reads_repr(value):
 def test_parse_float_refuses_non_finite_and_spaced_numbers(text):
     with pytest.raises(BadRequestError):
         parse_float(text)
-
-
-def test_tree_dump_with_two_roots_or_a_repeated_id_is_rejected():
-    dump = ResourceTree("IN-CSE").serialize()
-    root = dump.split("\n")[1]
-    with pytest.raises(BadRequestError):
-        ResourceTree.deserialize(dump + root.replace("id=cb_0001", "id=cb_0002") + "\n")
-    with pytest.raises(BadRequestError):
-        ResourceTree.deserialize(dump + root + "\n")
 
 
 # --- round trips ---
@@ -492,61 +461,6 @@ def test_notify_body_round_trip(body, data):
         NotifyBody.from_bytes(data.draw(edited([encoded])))
     except BadRequestError:
         pass
-
-
-NAMES = TEXT.filter(lambda t: t and "/" not in t and t != LATEST_SEGMENT)
-
-
-@st.composite
-def trees(draw) -> ResourceTree:
-    clock = ManualClock(draw(st.floats(0, 1e6)))
-    tree = ResourceTree(draw(NAMES), clock)
-    containers = [tree.create(ResourcePath(tree.cse_label), ResourceKind.AE, "app")]
-    for _ in range(draw(st.integers(0, 8))):
-        parent = draw(st.sampled_from(containers))
-        kind = draw(st.sampled_from(
-            [ResourceKind.CONTAINER, ResourceKind.CONTENT_INSTANCE, ResourceKind.SUBSCRIPTION]
-        ))
-        if kind is not ResourceKind.CONTAINER and parent.segments == ("app",):
-            kind = ResourceKind.CONTAINER  # an Ae holds no content instances
-        name = draw(st.one_of(st.none(), NAMES))
-        clock.advance(draw(st.sampled_from([0.0, 0.1, 1 / 3])))
-        try:
-            path = tree.create(
-                parent,
-                kind,
-                name,
-                content=draw(st.binary(max_size=24)) if kind is ResourceKind.CONTENT_INSTANCE else None,
-                notification_target=(
-                    ("edge 0", draw(TEXT)) if kind is ResourceKind.SUBSCRIPTION else None
-                ),
-                labels=draw(st.lists(TEXT, max_size=2)),
-            )
-        except BadRequestError:
-            continue  # a duplicate sibling name
-        if kind is ResourceKind.CONTAINER:
-            containers.append(path)
-    return tree
-
-
-@settings(PROPERTY, max_examples=40)
-@given(trees())
-def test_tree_serialize_round_trip(tree):
-    text = tree.serialize()
-    restored = ResourceTree.deserialize(text)
-    assert trees_equal(tree, restored)
-    assert restored.serialize() == text
-
-
-def test_names_and_labels_with_quoting_characters_survive_a_round_trip():
-    tree = sample_tree()
-    restored = ResourceTree.deserialize(tree.serialize())
-    assert trees_equal(tree, restored)
-    odd = restored.resolve(ResourcePath("IN-CSE", ("Pedestrians", ODD_NAME)))
-    assert odd.name == "a%41b;x=y"
-    assert odd.labels == tuple(ODD_LABELS)
-    assert restored.resolve(ResourcePath("IN-CSE", ("Pedestrians", "Zürich straße")))
-    assert restored.serialize() == tree.serialize()
 
 
 # a legal resource name: nonempty, no "/", not the reserved "la"

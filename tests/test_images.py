@@ -16,7 +16,7 @@ MB = 1_000_000
 
 def test_default_catalogue_images_are_400mb():
     cat = default_catalogue()
-    image = cat.lookup(FunctionKind.REGISTRATION, "latest")
+    image = cat.lookup(FunctionKind.REGISTRATION)
     assert image.size_bytes == 400 * MB == DEFAULT_IMAGE_BYTES
 
 
@@ -24,8 +24,6 @@ def test_lookup_missing_function():
     cat = ImageCatalogue([FunctionImage("i", FunctionKind.RETRIEVE, "1.0.0", MB)])
     with pytest.raises(ImageNotFoundError):
         cat.lookup(FunctionKind.DISCOVERY)
-    with pytest.raises(ImageNotFoundError):
-        cat.lookup(FunctionKind.RETRIEVE, "9.9.9")
 
 
 def test_latest_resolves_by_semantic_version():
@@ -35,15 +33,18 @@ def test_latest_resolves_by_semantic_version():
     )
     # oracle: sort version triples numerically
     expected = sorted(versions, key=lambda v: tuple(int(x) for x in v.split(".")))[-1]
-    assert cat.lookup(FunctionKind.RETRIEVE, "latest").version == expected == "1.10.0"
+    assert cat.lookup(FunctionKind.RETRIEVE).version == expected == "1.10.0"
 
 
-def test_catalogue_file_round_trip():
-    cat = default_catalogue()
-    text = cat.dump()
-    again = ImageCatalogue.load(text)
-    assert len(again) == len(cat)
-    assert again.lookup(FunctionKind.NOTIFICATION).size_bytes == 400 * MB
+def test_catalogue_file_loads_one_image_per_line():
+    text = "# id,function,version,size\n" + "".join(
+        f"img-{fn.name.lower()}, {fn.name.lower()} ,1.0.0, {400 * MB}\n" for fn in FunctionKind
+    )
+    cat = ImageCatalogue.load(text)
+    assert len(cat) == len(default_catalogue()) == len(FunctionKind)
+    assert cat.lookup(FunctionKind.NOTIFICATION) == FunctionImage(
+        "img-notification", FunctionKind.NOTIFICATION, "1.0.0", 400 * MB
+    )
 
 
 def test_cold_pull_duration_is_size_over_bandwidth():

@@ -5,7 +5,6 @@ import pytest
 
 from edgeslice.errors import (
     AlreadyBoundError,
-    AlreadyOffloadedError,
     BadRequestError,
     ConflictError,
     NotFoundError,
@@ -22,13 +21,9 @@ from edgeslice.offload import (
     make_bundle,
     subtrees_converged,
 )
+from edgeslice.netsim import Simulator
 from edgeslice.primitives import read_body
-from edgeslice.resources import (
-    ManualClock,
-    ResourceKind,
-    ResourcePath,
-    ResourceTree,
-)
+from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
 
 from util import OffloadHarness as Harness
 from util import build_cloud_tree, car_task, structural_shape
@@ -38,45 +33,50 @@ P = ResourcePath.parse
 
 class TestExport:
     def test_bundle_counts_subtree_nodes(self):
-        clock = ManualClock()
-        tree = build_cloud_tree(clock)
-        coordinator = OffloadCoordinator(tree, clock)
+        sim = Simulator()
+        tree = build_cloud_tree(sim)
+        coordinator = OffloadCoordinator(tree, sim.time)
         bundle = coordinator.export_task(car_task())
         # oracle: count the subtree before export
         expected = sum(1 for _ in tree.walk(tree.resolve(P("IN-CSE/Cars/CarA")).id))
         assert len(bundle.records) == expected == 4
 
     def test_leaf_container_exports_single_record(self):
-        clock = ManualClock()
-        tree = ResourceTree("IN-CSE", clock)
+        sim = Simulator()
+        tree = ResourceTree("IN-CSE", sim.time)
         tree.create(P("IN-CSE"), ResourceKind.CONTAINER, "solo")
-        coordinator = OffloadCoordinator(tree, clock)
+        coordinator = OffloadCoordinator(tree, sim.time)
         bundle = coordinator.export_task(Task("t", P("IN-CSE/solo"), "svc"))
         assert len(bundle.records) == 1
 
-    def test_double_export_rejected(self):
-        clock = ManualClock()
-        coordinator = OffloadCoordinator(build_cloud_tree(clock), clock)
-        coordinator.export_task(car_task())
-        with pytest.raises(AlreadyOffloadedError):
-            coordinator.export_task(car_task())
+    def test_a_second_export_carries_the_state_at_its_own_time(self):
+        sim = Simulator()
+        tree = build_cloud_tree(sim)
+        coordinator = OffloadCoordinator(tree, sim.time)
+        first = coordinator.export_task(car_task())
+        sim.now += 5.0
+        tree.create(P("IN-CSE/Cars/CarA/location"), ResourceKind.CONTENT_INSTANCE, "p3", content=b"x")
+        again = coordinator.export_task(car_task())
+        assert again.exported_at == first.exported_at + 5.0 == sim.now
+        assert again.records == first.records + (again.records[-1],)
+        assert again.records[-1][1:] == (ResourceKind.CONTENT_INSTANCE, "p3", sim.now, b"x")
 
     def test_missing_root_not_found(self):
-        clock = ManualClock()
-        coordinator = OffloadCoordinator(build_cloud_tree(clock), clock)
+        sim = Simulator()
+        coordinator = OffloadCoordinator(build_cloud_tree(sim), sim.time)
         with pytest.raises(NotFoundError):
             coordinator.export_task(Task("t", P("IN-CSE/ghost"), "svc"))
 
     def test_subscriptions_stay_home(self):
-        clock = ManualClock()
-        tree = build_cloud_tree(clock)
+        sim = Simulator()
+        tree = build_cloud_tree(sim)
         tree.create(
             P("IN-CSE/Cars/CarA/location"),
             ResourceKind.SUBSCRIPTION,
             "appwatch",
             notification_target=("app1", "APP/inbox"),
         )
-        coordinator = OffloadCoordinator(tree, clock)
+        coordinator = OffloadCoordinator(tree, sim.time)
         bundle = coordinator.export_task(car_task())
         assert len(bundle.records) == 4
         assert all(r.kind is not ResourceKind.SUBSCRIPTION for r in bundle.records)
@@ -84,8 +84,8 @@ class TestExport:
         assert tree.resolve(P("IN-CSE/Cars/CarA/location/appwatch"))
 
     def test_bundle_text_round_trip_and_stability(self):
-        clock = ManualClock()
-        coordinator = OffloadCoordinator(build_cloud_tree(clock), clock)
+        sim = Simulator()
+        coordinator = OffloadCoordinator(build_cloud_tree(sim), sim.time)
         bundle = coordinator.export_task(car_task())
         text = bundle.encode()
         assert text == OffloadBundle.decode(text).encode()
@@ -93,8 +93,8 @@ class TestExport:
         assert "tid=taskA" in header and "n=4" in header
 
     def test_bundle_bodies_read_back_from_their_bytes(self):
-        clock = ManualClock()
-        coordinator = OffloadCoordinator(build_cloud_tree(clock), clock)
+        sim = Simulator()
+        coordinator = OffloadCoordinator(build_cloud_tree(sim), sim.time)
         bundle = coordinator.export_task(car_task())
         transfer = BundleTransfer((("task", "taskA"), ("mirror", "IN-CSE/Cars;x=%")), bundle)
         assert read_body(transfer, BundleTransfer) is transfer
@@ -110,8 +110,8 @@ class TestExport:
             read_body(content, kind)
 
     def test_remap_totality_bundle_side(self):
-        clock = ManualClock()
-        coordinator = OffloadCoordinator(build_cloud_tree(clock), clock)
+        sim = Simulator()
+        coordinator = OffloadCoordinator(build_cloud_tree(sim), sim.time)
         bundle = coordinator.export_task(car_task())
         assert bundle.root == "IN-CSE/Cars/CarA"
         assert [r.parent for r in bundle.records] == [-1, 0, 1, 1]
@@ -140,24 +140,24 @@ class TestImport:
         assert dst.creation_time == src.creation_time
         assert src.id == "ci_0001"
         assert dst.id == "ci_0002"  # edge counter, not the source id
-        assert dst.last_modified_time == h.clock()
+        assert dst.last_modified_time == h.sim.now
 
     def test_import_is_isomorphic(self):
         h = Harness()
         h.offload()
         # export from the edge and compare shapes, ignoring ids
-        again = make_bundle(h.edge_tree, P("MN-CSE/Cars/CarA"), "t2", h.clock())
+        again = make_bundle(h.edge_tree, P("MN-CSE/Cars/CarA"), "t2", h.sim.now)
         assert len(again.records) == 4
         assert structural_shape(h.cloud_tree, P("IN-CSE/Cars/CarA")) == structural_shape(
             h.edge_tree, P("MN-CSE/Cars/CarA")
         )
 
     def test_single_node_bundle(self):
-        clock = ManualClock()
-        tree = ResourceTree("IN-CSE", clock)
+        sim = Simulator()
+        tree = ResourceTree("IN-CSE", sim.time)
         tree.create(P("IN-CSE"), ResourceKind.CONTAINER, "solo")
         bundle = make_bundle(tree, P("IN-CSE/solo"), "t", 0.0)
-        edge = ResourceTree("MN-CSE", clock)
+        edge = ResourceTree("MN-CSE", sim.time)
         root = import_bundle(edge, bundle)
         assert str(root) == "MN-CSE/solo"
 
@@ -324,15 +324,15 @@ class TestEagerSetup:
         ]
 
     def test_three_containers_get_three_subscriptions(self):
-        clock = ManualClock()
-        tree = ResourceTree("IN-CSE", clock)
+        sim = Simulator()
+        tree = ResourceTree("IN-CSE", sim.time)
         tree.create(P("IN-CSE"), ResourceKind.CONTAINER, "Box")
         tree.create(P("IN-CSE/Box"), ResourceKind.CONTAINER, "values")
         tree.create(P("IN-CSE/Box"), ResourceKind.CONTAINER, "meta")
-        coordinator = OffloadCoordinator(tree, clock)
+        coordinator = OffloadCoordinator(tree, sim.time)
         task = Task("t", P("IN-CSE/Box"), "svc")
         bundle = coordinator.export_task(task)
-        edge = ResourceTree("MN-CSE", clock)
+        edge = ResourceTree("MN-CSE", sim.time)
         edge_root = import_bundle(edge, bundle)
         count = create_sync_subscriptions(edge, edge_root, task.root_path, "cloud")
         # oracle: count the containers in the offloaded subtree
@@ -344,13 +344,13 @@ class TestEagerSetup:
         assert count == containers == 3
 
     def test_ae_only_task_needs_no_subscriptions(self):
-        clock = ManualClock()
-        tree = ResourceTree("IN-CSE", clock)
+        sim = Simulator()
+        tree = ResourceTree("IN-CSE", sim.time)
         tree.create(P("IN-CSE"), ResourceKind.AE, "app")
-        coordinator = OffloadCoordinator(tree, clock)
+        coordinator = OffloadCoordinator(tree, sim.time)
         task = Task("t", P("IN-CSE/app"), "svc")
         bundle = coordinator.export_task(task)
-        edge = ResourceTree("MN-CSE", clock)
+        edge = ResourceTree("MN-CSE", sim.time)
         edge_root = import_bundle(edge, bundle)
         assert create_sync_subscriptions(edge, edge_root, task.root_path, "cloud") == 0
 
@@ -416,7 +416,7 @@ class TestApplyNotification:
             )[1]
             if n.target_node == "cloud"
         ]
-        other = OffloadCoordinator(ResourceTree("IN-CSE", h.clock), h.clock)
+        other = OffloadCoordinator(ResourceTree("IN-CSE", h.sim.time), h.sim.time)
         with pytest.raises(UnknownBindingError):
             other.apply_notification(stray)
 
@@ -461,7 +461,7 @@ class TestEdgeAuthority:
     def test_cloud_writable_again_after_finalize(self):
         h = Harness()
         h.offload()
-        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.clock())
+        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
         h.coordinator.finalize(h.task.task_id, snapshot)
         h.cloud_tree.create(
             P("IN-CSE/Cars/CarA/location"),
@@ -518,14 +518,14 @@ class TestFinalize:
         h = Harness()
         h.offload(mode=SyncMode.LAZY)
         for i in range(5):
-            h.clock.advance(1.0)
+            h.sim.now += 1.0
             h.edge_tree.create(
                 P("MN-CSE/Cars/CarA/location"),
                 ResourceKind.CONTENT_INSTANCE,
                 f"new{i}",
                 content=f"pos{i}".encode(),
             )
-        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.clock())
+        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
         report = h.coordinator.finalize(h.task.task_id, snapshot)
         assert report.synced_resources == 5
         assert report.mode is SyncMode.LAZY
@@ -543,14 +543,14 @@ class TestFinalize:
             content=b"x",
         )
         h.deliver_all()
-        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.clock())
+        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
         report = h.coordinator.finalize(h.task.task_id, snapshot)
         assert report.synced_resources == 0
 
     def test_finalize_twice_is_unknown(self):
         h = Harness()
         h.offload(mode=SyncMode.LAZY)
-        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.clock())
+        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
         h.coordinator.finalize(h.task.task_id, snapshot)
         with pytest.raises(UnknownBindingError):
             h.coordinator.finalize(h.task.task_id, snapshot)
@@ -559,14 +559,14 @@ class TestFinalize:
         h = Harness()
         h.offload(mode=SyncMode.LAZY)
         h.edge_tree.delete(P("MN-CSE/Cars/CarA/location/p1"))
-        h.clock.advance(1.0)
+        h.sim.now += 1.0
         h.edge_tree.create(
             P("MN-CSE/Cars/CarA/location"),
             ResourceKind.CONTENT_INSTANCE,
             "p9",
             content=b"fresh",
         )
-        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.clock())
+        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
         report = h.coordinator.finalize(h.task.task_id, snapshot)
         assert report.synced_resources == 2  # one delete, one create
         assert subtrees_converged(
@@ -628,3 +628,109 @@ class TestEagerConvergenceProperty:
             assert subtrees_converged(
                 h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root
             ), f"diverged for seed {seed}"
+
+
+class TestConvergenceCheck:
+    """``subtrees_converged`` on a fresh lazy offload, edited on one side or
+    on both; a lazy binding sends no notifications, so nothing heals the
+    mirror in between. The cloud side is edited past the write guard."""
+
+    @staticmethod
+    def offloaded() -> Harness:
+        h = Harness()
+        h.offload(mode=SyncMode.LAZY)
+        return h
+
+    @staticmethod
+    def converged(h: Harness) -> bool:
+        return subtrees_converged(h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root)
+
+    @staticmethod
+    def create(tree: ResourceTree, path: str, kind: ResourceKind, name: str, **fields) -> None:
+        """A create on either tree: ``path`` is below the task root, without the cse label."""
+        with tree.unguarded():
+            tree.create(P(f"{tree.cse_label}/Cars/CarA{path}"), kind, name, **fields)
+
+    def instance(self, tree: ResourceTree, name: str, content: bytes = b"x") -> None:
+        self.create(tree, "/location", ResourceKind.CONTENT_INSTANCE, name, content=content)
+
+    def test_a_fresh_offload_and_the_same_edits_on_both_sides_converge(self):
+        h = self.offloaded()
+        assert self.converged(h)
+        for tree in (h.cloud_tree, h.edge_tree):
+            self.instance(tree, "p3")
+            self.create(tree, "", ResourceKind.CONTAINER, "speed")
+        assert self.converged(h)
+
+    def test_a_different_kind(self):
+        h = self.offloaded()
+        self.create(h.cloud_tree, "/location", ResourceKind.CONTAINER, "x")
+        self.instance(h.edge_tree, "x")
+        assert not self.converged(h)
+
+    def test_a_different_name(self):
+        h = self.offloaded()
+        h.edge_tree.update(P("MN-CSE/Cars/CarA/location"), name="position")
+        assert not self.converged(h)
+
+    def test_a_different_instance_content(self):
+        h = self.offloaded()
+        self.instance(h.cloud_tree, "p3", b"mirror")
+        self.instance(h.edge_tree, "p3", b"edge")
+        assert not self.converged(h)
+
+    def test_a_different_instance_creation_time(self):
+        h = self.offloaded()
+        self.instance(h.cloud_tree, "p3")
+        h.sim.now += 1.0
+        self.instance(h.edge_tree, "p3")
+        assert not self.converged(h)
+
+    def test_a_different_container_creation_time(self):
+        h = self.offloaded()
+        self.create(h.cloud_tree, "", ResourceKind.CONTAINER, "speed")
+        h.sim.now += 1.0
+        self.create(h.edge_tree, "", ResourceKind.CONTAINER, "speed")
+        assert not self.converged(h)
+
+    def test_a_different_sibling_order(self):
+        h = self.offloaded()
+        for tree, names in ((h.cloud_tree, ("a", "b")), (h.edge_tree, ("b", "a"))):
+            for name in names:
+                self.instance(tree, name)
+        assert not self.converged(h)
+
+    def test_a_child_missing_on_the_mirror(self):
+        h = self.offloaded()
+        self.instance(h.edge_tree, "p3")
+        assert not self.converged(h)
+
+    def test_an_extra_child_on_the_mirror(self):
+        h = self.offloaded()
+        self.instance(h.cloud_tree, "p3")
+        assert not self.converged(h)
+
+    def test_a_deleted_subtree(self):
+        h = self.offloaded()
+        h.edge_tree.delete(P("MN-CSE/Cars/CarA/location"))
+        assert not self.converged(h)
+
+    @pytest.mark.parametrize("side", ["mirror", "edge"])
+    def test_a_missing_root(self, side):
+        h = self.offloaded()
+        ghost = P("IN-CSE/Cars/Ghost") if side == "mirror" else P("MN-CSE/Cars/Ghost")
+        mirror_root = ghost if side == "mirror" else h.task.root_path
+        edge_root = ghost if side == "edge" else h.edge_root
+        assert not subtrees_converged(h.cloud_tree, mirror_root, h.edge_tree, edge_root)
+
+    def test_subscriptions_and_labels_are_ignored(self):
+        h = self.offloaded()
+        self.create(h.cloud_tree, "/location", ResourceKind.SUBSCRIPTION, "app",
+                    notification_target=("app1", "APP/inbox"))
+        self.create(h.edge_tree, "", ResourceKind.SUBSCRIPTION, "watch",
+                    notification_target=("app2", "APP/inbox"))
+        h.edge_tree.update(P("MN-CSE/Cars/CarA/location"), labels=["hot"])
+        self.create(h.cloud_tree, "/location", ResourceKind.CONTENT_INSTANCE, "p3",
+                    content=b"x", labels=["cold"])
+        self.create(h.edge_tree, "/location", ResourceKind.CONTENT_INSTANCE, "p3", content=b"x")
+        assert self.converged(h)

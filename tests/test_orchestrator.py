@@ -171,9 +171,11 @@ class TestRecord:
         )
         activate(orch, plan)
         orch.record_slice_functions(plan.target_slice, plan.missing_functions)
-        before = orch.handler_view("edge0")
+        wider = ServiceRequest("dev0", "svc", profile({FunctionKind.RETRIEVE, FunctionKind.DISCOVERY}))
+        before = orch.handle_service_request(wider)
         orch.record_slice_functions(plan.target_slice, set())
-        assert orch.handler_view("edge0") == before
+        assert orch.handle_service_request(wider) == before
+        assert before.missing_functions == frozenset({FunctionKind.DISCOVERY})
 
     def test_record_unknown_slice(self):
         orch = make_orchestrator()
@@ -206,7 +208,6 @@ class TestForget:
         orch.record_slice_functions(plan.target_slice, plan.missing_functions)
         orch.forget_slice(plan.target_slice)
         assert orch.registry == {}
-        assert orch.handler_view("edge0") == frozenset()
         # a fresh identical request instantiates again
         again = orch.handle_service_request(req)
         assert again.decision is PlanDecision.INSTANTIATE_THEN_OFFLOAD
@@ -221,7 +222,8 @@ class TestForget:
         orch.record_slice_functions(plan.target_slice, plan.missing_functions)
         orch.forget_slice("slice-ghost")
         assert set(orch.registry) == {plan.target_slice}
-        assert orch.handler_view("edge0") == frozenset({FunctionKind.RETRIEVE})
+        again = orch.handle_service_request(ServiceRequest("dev0", "svc", profile({FunctionKind.RETRIEVE})))
+        assert again.decision is PlanDecision.FAST_PATH_OFFLOAD_ONLY
 
 
 class TestDecisionSoundness:

@@ -16,7 +16,7 @@ from edgeslice.primitives import (
     error_response,
     is_response,
 )
-from edgeslice.resources import ManualClock, Resource, ResourceKind, ResourcePath, ResourceTree
+from edgeslice.resources import Resource, ResourceKind, ResourcePath, ResourceTree
 from edgeslice.slicing import FUNCTION_BY_NAME, SliceProfile, SlicingPlan
 
 
@@ -119,7 +119,7 @@ def test_a_number_that_names_no_member_is_a_bad_request(decode, data):
 
 
 def test_resource_representation_round_trip():
-    tree = ResourceTree("MN-CSE", ManualClock(3.5))
+    tree = ResourceTree("MN-CSE", lambda: 3.5)
     path = tree.create(
         ResourcePath("MN-CSE"),
         ResourceKind.AE,
@@ -167,7 +167,7 @@ def test_resource_representation_with_target_and_content():
     (errors.BadRequestError, StatusCode.BAD_REQUEST),
     (errors.NoRouteError, StatusCode.BAD_REQUEST),
     (errors.ImageNotFoundError, StatusCode.BAD_REQUEST),
-    (errors.AlreadyOffloadedError, StatusCode.BAD_REQUEST),
+    (errors.AlreadyBoundError, StatusCode.BAD_REQUEST),
 ])
 def test_a_package_error_is_answered_with_the_status_of_its_class(error, status):
     assert error_response("r-1", error("why")) == ResponsePrimitive("r-1", status, b"why")

@@ -163,6 +163,29 @@ def test_configs_changed_with_replace_are_validated(change):
         replace(reference_calibrated(), **change)
 
 
+# a section of the wrong YAML type: (the section's line in MINIMAL, its replacement)
+WRONG_TYPES = {
+    "scenario-list": ("scenario: {name: tiny, seed: 1, requests: 5}", "scenario: [1]"),
+    "processing-list": ("processing:\n  cloud: {create: 1.0}", "processing: [1]"),
+    "processing-entry-number": ("cloud: {create: 1.0}", "cloud: 5"),
+    "catalogue-list": ("tasks:", "catalogue: [1]\ntasks:"),
+    "workload-list": ("workload:\n  target: IN-CSE/Things/Box/values", "workload: [1]"),
+}
+
+
+@pytest.mark.parametrize("before, after", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_a_section_of_the_wrong_type_is_a_config_error(before, after):
+    assert MINIMAL.count(before) == 1
+    with pytest.raises(ConfigInvalidError, match="must be a mapping"):
+        parse_scenario(MINIMAL.replace(before, after))
+
+
+def test_an_empty_optional_section_reads_as_its_defaults():
+    text = MINIMAL.replace("processing:\n  cloud: {create: 1.0}", "processing:\ncatalogue:")
+    cfg = parse_scenario(text.replace("scenario: {name: tiny, seed: 1, requests: 5}", "scenario:"))
+    assert (cfg.name, cfg.requests, cfg.processing_for("c")) == ("scenario", 60, {})
+
+
 def test_disconnected_topology_rejected():
     text = MINIMAL.replace("    - {a: e, b: c, delay_ms: 2.0}\n", "")
     with pytest.raises(ConfigInvalidError):

@@ -678,7 +678,7 @@ class TestOffloadFailure:
         system.prepare()
         orch = system.cloud.orchestrator
         # simulate a stale handler view: the worker still runs everything
-        orch._handler_view["edge0"].discard(FunctionKind.RETRIEVE)
+        orch._matcher_view["edge0"].discard(FunctionKind.RETRIEVE)
         system.prepare()
         worker = system.edges["edge0"].worker
         starts = [e for e in worker.log if e["action"] == "start_begin"]
@@ -881,9 +881,11 @@ def offload_to_a_node_that_is_no_edge_worker(config, monkeypatch):
     """An offload request naming a node the topology lacks: refused before
     the task is exported, where the bundle's send once raised."""
     system = build_system(config, "edge", 42)
+    exported = []
+    monkeypatch.setattr(system.cloud.coordinator, "export_task", exported.append)
     replies = admin(system, Operation.OFFLOAD_REQUEST, system.cloud_id,
                     [("task", "task-citizenB"), ("edge", "edge-ghost")])
-    assert system.cloud.coordinator.offloaded == set()  # nothing was exported
+    assert exported == []  # nothing was exported
     return replies, [StatusCode.NOT_FOUND]
 
 

@@ -11,6 +11,7 @@ from edgeslice.errors import (
     WorkerQuotaExceededError,
 )
 from edgeslice.images import default_catalogue
+from edgeslice.netsim import Simulator
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
@@ -18,7 +19,7 @@ from edgeslice.primitives import (
     decode_resource,
     encode_fieldline,
 )
-from edgeslice.resources import ManualClock, ResourceKind
+from edgeslice.resources import ResourceKind
 from edgeslice.slicing import FunctionKind, port_for
 from edgeslice.worker import EdgeWorker, InstanceState, ResourceQuota
 
@@ -29,22 +30,22 @@ QUOTA = ResourceQuota(max_memory_bytes=100 * MB, max_cpu_share=0.2)
 CATALOGUE = default_catalogue()
 
 
-def make_worker(clock=None, functions=(), capacity=4000 * MB, trace="control"):
-    clock = clock or ManualClock()
-    tree = build_demo_tree("MN-CSE", clock)
+def make_worker(functions=(), capacity=4000 * MB, trace="control"):
+    sim = Simulator()
+    tree = build_demo_tree("MN-CSE", sim)
     worker = EdgeWorker(
         "edge0",
         tree,
         capacity_bytes=capacity,
         start_delay_ms=250.0,
-        clock=clock,
+        clock=sim.time,
         processing_ms={Operation.CREATE: 4.0, Operation.RETRIEVE: 2.0},
         trace=trace,
     )
     worker.cache.seed(CATALOGUE)
     for fn in functions:
         start(worker, fn, QUOTA)
-    return worker, clock
+    return worker, sim
 
 
 def start(worker, fn, quota):
@@ -109,11 +110,11 @@ class TestLifecycle:
         assert worker.reserved_memory() <= worker.capacity_bytes
 
     def test_start_becomes_running_after_delay(self):
-        worker, clock = make_worker()
-        began = clock()
+        worker, sim = make_worker()
+        began = sim.now
         worker.begin_start(CATALOGUE.lookup(FunctionKind.RETRIEVE), QUOTA)
         assert not worker.enabled(FunctionKind.RETRIEVE)
-        clock.advance(worker.start_delay_ms)
+        sim.now += worker.start_delay_ms
         worker.complete_start(FunctionKind.RETRIEVE)
         assert worker.enabled(FunctionKind.RETRIEVE)
         assert worker.functions[FunctionKind.RETRIEVE].started_at == began + 250.0
@@ -266,7 +267,7 @@ class TestDispatchGating:
 
 class TestCrashRespawn:
     def test_respawn_duration_and_isolation(self):
-        worker, clock = make_worker(
+        worker, sim = make_worker(
             functions=[
                 FunctionKind.RETRIEVE,
                 FunctionKind.SUBSCRIPTION,
@@ -293,7 +294,7 @@ class TestCrashRespawn:
         )
         resp, _, _ = worker.dispatch(sub_req)
         assert resp.status is StatusCode.FUNCTION_NOT_ENABLED
-        clock.advance(duration)
+        sim.now += duration
         worker.complete_start(FunctionKind.SUBSCRIPTION)
         resp, _, _ = worker.dispatch(sub_req)
         assert resp.status is StatusCode.CREATED
@@ -328,11 +329,11 @@ def replay_gating_completeness(log):
 class TestInvariantReplay:
     def test_gating_completeness_under_random_lifecycle(self):
         rng = __import__("random").Random(17)
-        worker, clock = make_worker(trace="full")  # logs every dispatch, not only refusals
+        worker, sim = make_worker(trace="full")  # logs every dispatch, not only refusals
         functions = [FunctionKind.RETRIEVE, FunctionKind.DATA_MANAGEMENT]
         dispatches = 0
         for step in range(300):
-            clock.advance(1.0)
+            sim.now += 1.0
             roll = rng.random()
             fn = rng.choice(functions)
             if roll < 0.15 and fn not in worker.functions:
@@ -342,7 +343,7 @@ class TestInvariantReplay:
             elif roll < 0.30 and worker.enabled(fn):
                 worker.begin_crash(fn)
                 if rng.random() < 0.5:
-                    clock.advance(worker.start_delay_ms)
+                    sim.now += worker.start_delay_ms
                     worker.complete_start(fn)
             elif rng.random() < 0.5:
                 dispatches += 1
@@ -370,10 +371,10 @@ class TestInvariantReplay:
 
     def test_quota_conservation_at_every_event(self):
         rng = __import__("random").Random(23)
-        worker, clock = make_worker(capacity=500 * MB)
+        worker, sim = make_worker(capacity=500 * MB)
         quota = ResourceQuota(max_memory_bytes=150 * MB, max_cpu_share=0.2)
         for _ in range(200):
-            clock.advance(1.0)
+            sim.now += 1.0
             fn = rng.choice(list(FunctionKind))
             try:
                 if rng.random() < 0.6:

@@ -9,6 +9,7 @@ import random
 from importlib import resources
 
 from edgeslice.errors import BadRequestError, NotFoundError
+from edgeslice.netsim import Simulator
 from edgeslice.offload import (
     EdgeSyncInfo,
     OffloadCoordinator,
@@ -18,13 +19,7 @@ from edgeslice.offload import (
     import_bundle,
     process_edge_events,
 )
-from edgeslice.resources import (
-    ManualClock,
-    Resource,
-    ResourceKind,
-    ResourcePath,
-    ResourceTree,
-)
+from edgeslice.resources import Resource, ResourceKind, ResourcePath, ResourceTree
 from edgeslice.system import payload_for
 
 # the one calibrated scenario file: the copy packaged with edgeslice
@@ -99,11 +94,12 @@ def legal_child_oracle(parent: ResourceKind, child: ResourceKind) -> bool:
 
 
 class RandomTreeWorkload:
-    """Drives random (not always legal) primitive operations on one tree."""
+    """Drives random (not always legal) primitive operations on one tree,
+    whose clock is ``sim.time``."""
 
-    def __init__(self, tree: ResourceTree, clock: ManualClock, rng: random.Random):
+    def __init__(self, tree: ResourceTree, sim: Simulator, rng: random.Random):
         self.tree = tree
-        self.clock = clock
+        self.sim = sim
         self.rng = rng
         self.attempted = 0
         self.rejected = 0
@@ -114,7 +110,7 @@ class RandomTreeWorkload:
     def step(self) -> None:
         self.attempted += 1
         if self.rng.random() < 0.4:
-            self.clock.advance(self.rng.choice([0.0, 0.5, 1.0, 2.0]))
+            self.sim.now += self.rng.choice([0.0, 0.5, 1.0, 2.0])
         op = self.rng.random()
         try:
             if op < 0.72:
@@ -224,15 +220,16 @@ def check_tree_invariants(tree: ResourceTree) -> None:
                 assert tree.latest_instance(node).id == oracle.id
 
 
-def build_demo_tree(label: str = "IN-CSE", clock: ManualClock | None = None) -> ResourceTree:
-    """Small fixed tree: pedestrians/citizens with location containers."""
-    clock = clock or ManualClock()
-    tree = ResourceTree(label, clock)
+def build_demo_tree(label: str = "IN-CSE", sim: Simulator | None = None) -> ResourceTree:
+    """Small fixed tree: pedestrians/citizens with location containers, on
+    ``sim``'s clock."""
+    sim = sim or Simulator()
+    tree = ResourceTree(label, sim.time)
     root = ResourcePath(label)
     tree.create(root, ResourceKind.CONTAINER, "Pedestrians")
-    clock.advance(1.0)
+    sim.now += 1.0
     tree.create(root.child("Pedestrians"), ResourceKind.CONTAINER, "CitizenB")
-    clock.advance(1.0)
+    sim.now += 1.0
     tree.create(
         root.child("Pedestrians").child("CitizenB"), ResourceKind.CONTAINER, "location"
     )
@@ -271,22 +268,23 @@ def populate_cloud_tree(tree: ResourceTree, config) -> None:
 # --- offload fixtures shared by the unit and acceptance suites ---
 
 
-def build_cloud_tree(clock: ManualClock) -> ResourceTree:
-    """IN-CSE/Cars/CarA with a location container and two instances."""
-    tree = ResourceTree("IN-CSE", clock)
+def build_cloud_tree(sim: Simulator) -> ResourceTree:
+    """IN-CSE/Cars/CarA with a location container and two instances, on
+    ``sim``'s clock."""
+    tree = ResourceTree("IN-CSE", sim.time)
     p = ResourcePath.parse
     tree.create(p("IN-CSE"), ResourceKind.CONTAINER, "Cars")
     tree.create(p("IN-CSE/Cars"), ResourceKind.CONTAINER, "CarA")
-    clock.advance(1.0)
+    sim.now += 1.0
     tree.create(p("IN-CSE/Cars/CarA"), ResourceKind.CONTAINER, "location")
-    clock.advance(1.0)
+    sim.now += 1.0
     tree.create(
         p("IN-CSE/Cars/CarA/location"),
         ResourceKind.CONTENT_INSTANCE,
         "p1",
         content=b"37.541,126.986",
     )
-    clock.advance(1.0)
+    sim.now += 1.0
     tree.create(
         p("IN-CSE/Cars/CarA/location"),
         ResourceKind.CONTENT_INSTANCE,
@@ -341,10 +339,10 @@ class OffloadHarness:
     calls the edge and cloud nodes make, without the network between them."""
 
     def __init__(self, seed: int = 0):
-        self.clock = ManualClock()
-        self.cloud_tree = build_cloud_tree(self.clock)
-        self.edge_tree = ResourceTree("MN-CSE", self.clock)
-        self.coordinator = OffloadCoordinator(self.cloud_tree, self.clock)
+        self.sim = Simulator()
+        self.cloud_tree = build_cloud_tree(self.sim)
+        self.edge_tree = ResourceTree("MN-CSE", self.sim.time)
+        self.coordinator = OffloadCoordinator(self.cloud_tree, self.sim.time)
         self.task = car_task()
         self.infos = []
         self.pending = []
@@ -388,7 +386,7 @@ class OffloadHarness:
         kinds = ["create_ci", "create_cnt", "update", "delete", "create_sub"]
         tree = self.edge_tree
         for _ in range(count):
-            self.clock.advance(rng.choice([0.0, 0.5, 1.0]))
+            self.sim.now += rng.choice([0.0, 0.5, 1.0])
             root = tree.resolve(self.edge_root)
             descendants = [
                 n for n in tree.walk(root.id) if n.id != root.id and n.name != "sync"

@@ -37,7 +37,7 @@ import os
 from dataclasses import replace
 
 from edgeslice.bench import build_system
-from edgeslice.netsim import Network
+from edgeslice.netsim import Network, Simulator
 from edgeslice.notify import match_subscriptions
 from edgeslice.offload import SyncMode, make_bundle
 from edgeslice.primitives import (
@@ -50,7 +50,7 @@ from edgeslice.primitives import (
     encode_resource,
     is_response,
 )
-from edgeslice.resources import ManualClock, ResourceKind, ResourcePath, ResourceTree
+from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
 from edgeslice.scenario import load_scenario, reference_calibrated
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -63,8 +63,9 @@ ODD_LABELS = ["l,1", "%2C", "ü=;", "", "a/b:c|d-e"]
 
 
 def sample_tree() -> ResourceTree:
-    clock = ManualClock(1.25)
-    tree = ResourceTree("IN-CSE", clock)
+    sim = Simulator()
+    sim.now += 1.25
+    tree = ResourceTree("IN-CSE", sim.time)
     root = ResourcePath("IN-CSE")
     ae = tree.create(root, ResourceKind.AE, "Pedestrians", labels=["team,a"])
     odd = tree.create(ae, ResourceKind.CONTAINER, ODD_NAME, labels=ODD_LABELS)
@@ -75,11 +76,11 @@ def sample_tree() -> ResourceTree:
         "sync",
         notification_target=("edge 0", "MN-CSE/Pedestrians/a%41b;x=y"),
     )
-    clock.advance(0.1)
+    sim.now += 0.1
     tree.create(odd, ResourceKind.CONTENT_INSTANCE, "t1", content=b"position-update-000001:xxxx")
-    clock.advance(1 / 3)
+    sim.now += 1 / 3
     tree.create(odd, ResourceKind.CONTENT_INSTANCE, content=bytes(range(256)))
-    clock.advance(2.0)
+    sim.now += 2.0
     tree.create(odd, ResourceKind.CONTENT_INSTANCE, "ü", content="héllo ü".encode())
     return tree
 
