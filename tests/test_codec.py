@@ -51,7 +51,13 @@ from edgeslice.errors import BadRequestError
 from edgeslice.images import ImageCatalogue
 from edgeslice.netsim import Network
 from edgeslice.notify import NotifyBody, parse_notify
-from edgeslice.offload import BundleRecord, OffloadBundle
+from edgeslice.offload import (
+    BundleRecord,
+    OffloadBundle,
+    import_bundle,
+    make_bundle,
+    subtrees_converged,
+)
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
@@ -62,7 +68,13 @@ from edgeslice.primitives import (
     decode_resource,
     decode_response,
 )
-from edgeslice.resources import LATEST_SEGMENT, Resource, ResourceKind
+from edgeslice.resources import (
+    LATEST_SEGMENT,
+    Resource,
+    ResourceKind,
+    ResourcePath,
+    ResourceTree,
+)
 from edgeslice.scenario import reference_calibrated
 from edgeslice.slicing import (
     FunctionKind,
@@ -71,7 +83,7 @@ from edgeslice.slicing import (
     SliceProfile,
     SlicingPlan,
 )
-from wire_samples import samples
+from wire_samples import ODD_LABELS, ODD_NAME, sample_tree, samples
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
@@ -461,6 +473,24 @@ def test_notify_body_round_trip(body, data):
         NotifyBody.from_bytes(data.draw(edited([encoded])))
     except BadRequestError:
         pass
+
+
+def test_names_and_labels_with_quoting_characters_survive_a_round_trip():
+    """Names cross in an offload bundle's text, labels in a resource's
+    representation; both keep every quoting character."""
+    cloud = sample_tree()
+    root = ResourcePath("IN-CSE", ("Pedestrians",))
+    text = make_bundle(cloud, root, "t", 1.0).encode()
+    edge = ResourceTree("MN-CSE")
+    edge_root = import_bundle(edge, OffloadBundle.decode(text))
+    assert subtrees_converged(cloud, root, edge, edge_root)
+    odd = edge.resolve(ResourcePath("MN-CSE", ("Pedestrians", ODD_NAME)))
+    assert odd.name == "a%41b;x=y"
+    assert edge.resolve(ResourcePath("MN-CSE", ("Pedestrians", "Zürich straße")))
+    source = cloud.resolve(ResourcePath("IN-CSE", ("Pedestrians", ODD_NAME)))
+    view = decode_resource(encode_resource(source, "IN-CSE/Pedestrians/" + ODD_NAME))
+    assert view.name == ODD_NAME
+    assert view.labels == tuple(ODD_LABELS)
 
 
 # a legal resource name: nonempty, no "/", not the reserved "la"

@@ -1,6 +1,6 @@
 import pytest
 
-from edgeslice.errors import ImageNotFoundError
+from edgeslice.errors import BadRequestError, ImageNotFoundError
 from edgeslice.images import (
     DEFAULT_IMAGE_BYTES,
     FunctionImage,
@@ -24,6 +24,17 @@ def test_lookup_missing_function():
     cat = ImageCatalogue([FunctionImage("i", FunctionKind.RETRIEVE, "1.0.0", MB)])
     with pytest.raises(ImageNotFoundError):
         cat.lookup(FunctionKind.DISCOVERY)
+
+
+def test_a_second_image_for_one_function_and_version_is_refused():
+    cat = ImageCatalogue([FunctionImage("i", FunctionKind.RETRIEVE, "1.0.0", MB)])
+    with pytest.raises(BadRequestError, match="duplicate"):
+        cat.add(FunctionImage("j", FunctionKind.RETRIEVE, "1.0.0", 2 * MB))
+    cat.add(FunctionImage("k", FunctionKind.RETRIEVE, "1.1.0", 2 * MB))
+    assert len(cat) == 2
+    assert cat.lookup(FunctionKind.RETRIEVE).image_id == "k"
+    with pytest.raises(BadRequestError, match="duplicate"):
+        ImageCatalogue.load("a,retrieve,1.0.0,1\nb,retrieve,1.0.0,2\n")
 
 
 def test_latest_resolves_by_semantic_version():

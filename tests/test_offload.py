@@ -201,6 +201,8 @@ class TestImport:
             "parent missing",
             "parent below -1",
             "illegal name",
+            "name holding a slash",
+            "empty name",
             "illegal kind",
             "repeated sibling",
             "root named apart from its path",
@@ -226,6 +228,10 @@ class TestImport:
             records.append(records[1]._replace(parent=-2, name="x"))
         elif fault == "illegal name":
             records.append(records[1]._replace(parent=0, name="la"))
+        elif fault == "name holding a slash":
+            records.append(records[1]._replace(parent=0, name="a/b"))
+        elif fault == "empty name":
+            records.append(records[1]._replace(parent=0, name=""))
         elif fault == "illegal kind":
             records.append(records[1]._replace(parent=0, kind=ResourceKind.AE, name="ae"))
         elif fault == "repeated sibling":
@@ -672,6 +678,12 @@ class TestConvergenceCheck:
         h = self.offloaded()
         h.edge_tree.update(P("MN-CSE/Cars/CarA/location"), name="position")
         assert not self.converged(h)
+
+    def test_a_different_root_name(self):
+        h = self.offloaded()
+        h.edge_tree.update(h.edge_root, name="CarB")
+        renamed = P("MN-CSE/Cars/CarB")
+        assert not subtrees_converged(h.cloud_tree, h.task.root_path, h.edge_tree, renamed)
 
     def test_a_different_instance_content(self):
         h = self.offloaded()
