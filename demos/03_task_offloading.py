@@ -42,9 +42,9 @@ print("grafted at:", edge_root)
 
 print("\n== eager sync: every container gets a sync subscription ==")
 # the edge subscribes under every container; the cloud records the binding
-subs = create_sync_subscriptions(edge, edge_root, task.root_path, "cloud")
-edge.drain_events()
 info = EdgeSyncInfo(task.task_id, edge_root, task.root_path, "cloud")
+subs = create_sync_subscriptions(edge, info)
+edge.drain_events()
 coordinator.register_binding(task, SyncMode.EAGER, "gateway", edge_root)
 print(f"{subs} subscriptions created; targets point at the mirror paths")
 
@@ -66,8 +66,8 @@ except Exception as exc:
 
 print("\n== termination settles the binding and reopens the mirror ==")
 snapshot = make_bundle(edge, edge_root, task.task_id, sim.now)
-report = coordinator.finalize(task.task_id, snapshot)
-print(f"final sync touched {report.synced_resources} resources (already converged)")
+synced = coordinator.finalize(task.task_id, snapshot)
+print(f"final sync touched {synced} resources (already converged)")
 
 print("\n== the lazy flavour redirects reads instead ==")
 task_b = Task("task-carB", P("IN-CSE/Cars/CarB"), "road-warning")
@@ -86,5 +86,5 @@ binding_b, remapped = hit
 served = edge.resolve(remapped)
 print("cloud retrieve of .../CarB/location/la redirects to", remapped)
 print("application sees:", served.content.decode(), "(the mirror still holds only 'old')")
-final = coordinator.finalize(task_b.task_id, make_bundle(edge, edge_root_b, "task-carB", sim.now))
-print(f"finalize synced {final.synced_resources} resource(s); mirror now matches the edge")
+synced = coordinator.finalize(task_b.task_id, make_bundle(edge, edge_root_b, "task-carB", sim.now))
+print(f"finalize synced {synced} resource(s); mirror now matches the edge")

@@ -41,7 +41,6 @@ from .offload import (
     OffloadCoordinator,
     SyncBinding,
     SyncMode,
-    SyncReport,
     Task,
     import_bundle,
     make_bundle,
@@ -118,7 +117,6 @@ __all__ = [
     "StatusCode",
     "SyncBinding",
     "SyncMode",
-    "SyncReport",
     "System",
     "Task",
     "Topology",

@@ -10,11 +10,10 @@ for an offloaded subtree for the binding's whole lifetime.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import countOf, itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .codec import (FIELD_SAFE, decode_ascii, decode_b64, decode_fieldline, encode_b64,
                     encode_fieldline, parse_float, parse_int, quote)
@@ -172,13 +171,6 @@ class SyncBinding:
 
 
 @dataclass(frozen=True)
-class SyncReport:
-    task_id: str
-    mode: SyncMode
-    synced_resources: int
-
-
-@dataclass(frozen=True)
 class EdgeSyncInfo:
     """What the edge side needs to keep an eager binding healthy."""
 
@@ -191,6 +183,19 @@ class EdgeSyncInfo:
         """Whether ``notify`` replays a change onto this binding's mirror."""
         return (notify.target_node == self.cloud_node
                 and self.mirror_root.is_prefix_of(ResourcePath.parse(notify.target_path)))
+
+    def sync_target(self, container_path: ResourcePath) -> tuple[str, str]:
+        """The notification target of the sync subscription of the edge
+        container at ``container_path``: its mirror on the cloud."""
+        return self.cloud_node, str(container_path.rebase(self.edge_root, self.mirror_root))
+
+
+def _covering(bindings: dict[str, SyncBinding], path: ResourcePath) -> SyncBinding | None:
+    """The open binding whose mirror root is a prefix of ``path``, if any."""
+    for binding in bindings.values():
+        if binding.cloud_mirror_root.is_prefix_of(path):
+            return binding
+    return None
 
 
 # the kinds a task may be rooted at, on export and on import
@@ -308,12 +313,25 @@ _HOLDS_CONTAINERS = frozenset(
 )
 
 
-def create_sync_subscriptions(
-    edge_tree: ResourceTree,
-    edge_root: ResourcePath,
-    mirror_root: ResourcePath,
-    cloud_node: str,
-) -> int:
+def refuse_taken_sync_names(bundle: OffloadBundle) -> None:
+    """Refuse a bundle for an eager binding in which a container already has
+    a child named ``SYNC_SUB_NAME``, where its sync subscription would go;
+    checked before the import, so that a refusal leaves the edge tree as
+    it was."""
+    records = bundle.records
+    for rec in records[1:]:
+        if rec.name == SYNC_SUB_NAME and records[rec.parent].kind is ResourceKind.CONTAINER:
+            raise BadRequestError(f"a container of task {bundle.task_id!r} has a child named "
+                                  f"{SYNC_SUB_NAME!r}, its sync subscription's name")
+
+
+def _subscribe(edge_tree: ResourceTree, info: EdgeSyncInfo, container_path: ResourcePath) -> None:
+    """Give the container at ``container_path`` its sync subscription."""
+    edge_tree.create(container_path, ResourceKind.SUBSCRIPTION, SYNC_SUB_NAME,
+                     notification_target=info.sync_target(container_path))
+
+
+def create_sync_subscriptions(edge_tree: ResourceTree, info: EdgeSyncInfo) -> int:
     """One subscription per container in the offloaded subtree, targeting the
     container's mirror path on the cloud, created in preorder.
 
@@ -324,7 +342,7 @@ def create_sync_subscriptions(
     """
     nodes, children = edge_tree._nodes, edge_tree._children
     containers = []
-    stack = [edge_tree.resolve(edge_root)]
+    stack = [edge_tree.resolve(info.edge_root)]
     while stack:
         node = stack.pop()
         if node.kind is ResourceKind.CONTAINER:
@@ -334,14 +352,7 @@ def create_sync_subscriptions(
             stack.extend(reversed([kid for kid in map(nodes.__getitem__, kids.values())
                                    if kid.kind in _HOLDS_CONTAINERS]))
     for node in containers:
-        container_path = edge_tree.path_of(node)
-        mirror_path = container_path.rebase(edge_root, mirror_root)
-        edge_tree.create(
-            container_path,
-            ResourceKind.SUBSCRIPTION,
-            SYNC_SUB_NAME,
-            notification_target=(cloud_node, str(mirror_path)),
-        )
+        _subscribe(edge_tree, info, edge_tree.path_of(node))
     return len(containers)
 
 
@@ -353,48 +364,35 @@ def maintain_sync_subscriptions(
     New containers inside the bound subtree get their own sync subscription;
     renaming a container re-targets every sync subscription underneath it.
     """
-    if event.resource.kind is not ResourceKind.CONTAINER:
-        return
-    if not info.edge_root.is_prefix_of(event.path):
+    if event.resource.kind is not ResourceKind.CONTAINER or not info.edge_root.is_prefix_of(event.path):
         return
     if event.change == "created":
-        mirror_path = event.path.rebase(info.edge_root, info.mirror_root)
-        edge_tree.create(
-            event.path,
-            ResourceKind.SUBSCRIPTION,
-            SYNC_SUB_NAME,
-            notification_target=(info.cloud_node, str(mirror_path)),
-        )
+        _subscribe(edge_tree, info, event.path)
     elif event.change == "updated" and event.old_name is not None:
         renamed = edge_tree.resolve(event.path)
         for node in edge_tree.walk(renamed.id):
             if node.kind is ResourceKind.SUBSCRIPTION and node.name == SYNC_SUB_NAME:
-                observed = edge_tree.path_of(node).parent()
-                mirror_path = observed.rebase(info.edge_root, info.mirror_root)
-                edge_tree.retarget_subscription(node.id, (info.cloud_node, str(mirror_path)))
+                target = info.sync_target(edge_tree.path_of(node).parent())
+                edge_tree.retarget_subscription(node.id, target)
 
 
-def process_edge_events(
-    edge_tree: ResourceTree,
-    events: list[ChangeEvent],
-    infos: "list[EdgeSyncInfo] | tuple[EdgeSyncInfo, ...]" = (),
-) -> list[NotifyPrimitive]:
+def process_edge_events(edge_tree: ResourceTree, events: list[ChangeEvent],
+                        infos: Sequence[EdgeSyncInfo] = ()) -> list[NotifyPrimitive]:
     """Synchronous edge-side handling of committed changes.
 
     Matching and sync-subscription maintenance must run at mutation time
     (they read current tree state); only the returned notifications may be
-    delivered later. Maintenance-created subscriptions cascade here; matching
-    changes nothing, so with no bindings there is nothing more to drain.
+    delivered later. Maintenance only creates sync subscriptions, each on a
+    container just created, and a subscription never observes its own
+    creation, so the events it makes match nothing and are drained unread.
     """
     notifies: list[NotifyPrimitive] = []
-    queue = deque(events)
-    while queue:
-        event = queue.popleft()
+    for event in events:
         notifies.extend(match_subscriptions(edge_tree, event))
-        if infos:
-            for info in infos:
-                maintain_sync_subscriptions(edge_tree, info, event)
-            queue.extend(edge_tree.drain_events())
+        for info in infos:
+            maintain_sync_subscriptions(edge_tree, info, event)
+    if infos:
+        edge_tree.drain_events()
     return notifies
 
 
@@ -402,7 +400,8 @@ class OffloadCoordinator:
     """Cloud-side bookkeeping: exports, bindings, redirects, reconciliation.
 
     Installs a write guard on the cloud tree so nothing but the sync engine
-    touches a mirrored subtree while its binding is open.
+    touches a mirrored subtree while its binding is open; the engine lifts
+    it for its own writes, the replay of a change and the finalize merge.
     """
 
     def __init__(self, cloud_tree: ResourceTree, clock: Callable[[], float] | None = None):
@@ -411,12 +410,12 @@ class OffloadCoordinator:
         self.bindings: dict[str, SyncBinding] = {}
         bindings = self.bindings
 
-        def guard(path: ResourcePath, op: str) -> None:
-            for binding in bindings.values():
-                if binding.cloud_mirror_root.is_prefix_of(path):
-                    raise ConflictError(
-                        f"{binding.task_id!r} is offloaded; the edge is authoritative for {path}"
-                    )
+        def guard(path: ResourcePath) -> None:
+            binding = _covering(bindings, path)
+            if binding is not None:
+                raise ConflictError(
+                    f"{binding.task_id!r} is offloaded; the edge is authoritative for {path}"
+                )
 
         # the guard reads the bindings, not the coordinator, which owns the tree
         self._guard = cloud_tree.guard = guard
@@ -433,20 +432,8 @@ class OffloadCoordinator:
     ) -> SyncBinding:
         if task.task_id in self.bindings:
             raise AlreadyBoundError(f"task {task.task_id!r} already has a sync binding")
-        binding = SyncBinding(
-            task_id=task.task_id,
-            mode=mode,
-            edge=edge,
-            cloud_mirror_root=task.root_path,
-            edge_root=edge_root,
-        )
+        binding = SyncBinding(task.task_id, mode, edge, task.root_path, edge_root)
         self.bindings[task.task_id] = binding
-        return binding
-
-    def binding_of(self, task_id: str) -> SyncBinding:
-        binding = self.bindings.get(task_id)
-        if binding is None:
-            raise UnknownBindingError(f"no open binding for task {task_id!r}")
         return binding
 
     def bindings_on_edge(self, edge: str) -> list[SyncBinding]:
@@ -455,10 +442,10 @@ class OffloadCoordinator:
     # --- lazy redirects ---
 
     def redirect_for(self, path: ResourcePath) -> "tuple[SyncBinding, ResourcePath] | None":
-        for binding in self.bindings.values():
-            if binding.mode is SyncMode.LAZY and binding.cloud_mirror_root.is_prefix_of(path):
-                return binding, path.rebase(binding.cloud_mirror_root, binding.edge_root)
-        return None
+        binding = _covering(self.bindings, path)
+        if binding is None or binding.mode is not SyncMode.LAZY:
+            return None
+        return binding, path.rebase(binding.cloud_mirror_root, binding.edge_root)
 
     # --- eager replay ---
 
@@ -470,11 +457,7 @@ class OffloadCoordinator:
         never replicated.
         """
         target = ResourcePath.parse(notify.target_path)
-        binding = None
-        for candidate in self.bindings.values():
-            if candidate.cloud_mirror_root.is_prefix_of(target):
-                binding = candidate
-                break
+        binding = _covering(self.bindings, target)
         if binding is None:
             raise UnknownBindingError(f"no binding covers {notify.target_path}")
         if notify.request_id in binding.seen_request_ids:
@@ -485,48 +468,48 @@ class OffloadCoordinator:
         if view.kind is ResourceKind.SUBSCRIPTION:
             binding.stats.skipped_subscriptions += 1
             return "skipped"
+        tree = self.cloud_tree
+        tree.guard = None  # the sync engine's own writes
         try:
-            with self.cloud_tree.unguarded():
-                if notify.change == "created":
-                    self.cloud_tree.graft(
-                        self.cloud_tree.resolve(target),
-                        view.kind,
-                        view.name,
-                        creation_time=view.creation_time,
-                        content=view.content,
-                        labels=view.labels,
-                    )
-                elif notify.change == "updated":
-                    previous = notify.old_name or view.name
-                    self.cloud_tree.update(
-                        target.child(previous),
-                        name=view.name if view.name != previous else None,
-                        labels=view.labels,
-                    )
-                elif notify.change == "deleted":
-                    self.cloud_tree.delete(target.child(view.name))
-                else:
-                    raise BadRequestError(f"unknown change kind {notify.change!r}")
+            if notify.change == "created":
+                tree.graft(tree.resolve(target), view.kind, view.name, creation_time=view.creation_time,
+                           content=view.content, labels=view.labels)
+            elif notify.change == "updated":
+                previous = notify.old_name or view.name
+                tree.update(target.child(previous), name=view.name if view.name != previous else None,
+                            labels=view.labels)
+            elif notify.change == "deleted":
+                tree.delete(target.child(view.name))
+            else:
+                raise BadRequestError(f"unknown change kind {notify.change!r}")
         except (NotFoundError, BadRequestError):
             binding.stats.stale_dropped += 1
             return "stale"
+        finally:
+            tree.guard = self._guard
         binding.stats.notifications_applied += 1
         return "applied"
 
     # --- reconciliation ---
 
-    def finalize(self, task_id: str, edge_snapshot: OffloadBundle) -> SyncReport:
-        """Settle a binding against a snapshot of the edge subtree.
+    def finalize(self, task_id: str, edge_snapshot: OffloadBundle) -> int:
+        """Settle a binding against a snapshot of the edge subtree and return
+        the number of mirror nodes changed.
 
         Lazy bindings receive the full diff; eager bindings are verified (and
-        repaired, which is a no-op at quiescence). The binding closes.
+        repaired, which is a no-op at quiescence). The binding closes; a
+        snapshot the mirror refuses leaves it open.
         """
-        binding = self.binding_of(task_id)
-        changed = apply_snapshot(
-            self.cloud_tree, binding.cloud_mirror_root, edge_snapshot
-        )
+        binding = self.bindings.get(task_id)
+        if binding is None:
+            raise UnknownBindingError(f"no open binding for task {task_id!r}")
+        self.cloud_tree.guard = None  # the merge writes under the mirror
+        try:
+            changed = apply_snapshot(self.cloud_tree, binding.cloud_mirror_root, edge_snapshot)
+        finally:
+            self.cloud_tree.guard = self._guard
         del self.bindings[task_id]
-        return SyncReport(task_id=task_id, mode=binding.mode, synced_resources=changed)
+        return changed
 
 
 # --- snapshot diff (keyed-by-name recursive merge) ---
@@ -562,11 +545,10 @@ def apply_snapshot(
 
     Subscriptions on the mirror (cloud applications keep observing it) are
     left alone; content instances are matched by name and replaced when
-    content or creation time disagree.
+    content or creation time disagree. A write guard on the tree is asked
+    as for any other write, so ``finalize`` lifts it first.
     """
-    root = _snapshot_index(snapshot)
-    with cloud_tree.unguarded():
-        return _merge_children(cloud_tree, mirror_root, root)
+    return _merge_children(cloud_tree, mirror_root, _snapshot_index(snapshot))
 
 
 def _merge_children(

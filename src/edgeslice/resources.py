@@ -208,28 +208,14 @@ def _check_child(parent_kind: ResourceKind, kind: ResourceKind, name: str, taken
         raise BadRequestError(f"sibling name {name!r} is already taken")
 
 
-class _GuardBypass:
-    """Context manager suspending one tree's write guard while it is open."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree: "ResourceTree"):
-        self._tree = tree
-
-    def __enter__(self) -> None:
-        self._tree._guard_bypass += 1
-
-    def __exit__(self, *exc) -> bool:
-        self._tree._guard_bypass -= 1
-        return False
-
-
 class ResourceTree:
     """Single-writer resource tree rooted at one CseBase.
 
     Mutations emit ChangeEvents into an internal queue the owner drains; an
-    optional ``guard`` callback can veto writes (used to enforce edge
-    authority over offloaded mirrors).
+    optional ``guard`` callback, given the path a create, update or delete
+    writes, can veto it by raising (used to enforce edge authority over
+    offloaded mirrors). Its owner lifts it, by setting it to None, for the
+    writes it makes itself.
 
     Sibling lookups are indexed: each node with children keeps an insertion-
     ordered ``{name: id}`` dict of them, made with the first, each parent the
@@ -261,8 +247,7 @@ class ResourceTree:
         self._counters: dict[ResourceKind, int] = dict(_NO_IDS)
         self._event_seq = 0
         self._events: list[ChangeEvent] = []
-        self.guard: Callable[[ResourcePath, str], None] | None = None
-        self._guard_bypass = 0
+        self.guard: Callable[[ResourcePath], None] | None = None
         self._version = 0  # raised by every change to the child index
         self._source: ResourceTree | None = None  # the tree this one is a copy of
         self._source_version = 0  # this tree's and its source's version at the copy
@@ -360,14 +345,6 @@ class ResourceTree:
 
     # --- mutation ---
 
-    def _check_guard(self, path: ResourcePath, op: str) -> None:
-        if self.guard is not None and self._guard_bypass == 0:
-            self.guard(path, op)
-
-    def unguarded(self) -> _GuardBypass:
-        """Context manager suspending the write guard (sync-engine writes)."""
-        return _GuardBypass(self)
-
     def _emit(self, change: str, path: ResourcePath, resource: Resource,
               old_name: str | None = None) -> ChangeEvent:
         self._event_seq += 1
@@ -446,7 +423,8 @@ class ResourceTree:
         _check_child(parent.kind, kind, name, self._children.get(parent.id, ()), content,
                      notification_target)
         new_path = parent_path.child(name)  # parent_path resolved, so it is canonical
-        self._check_guard(new_path, "create")
+        if self.guard is not None:
+            self.guard(new_path)
         now = self._clock()
         node = Resource(
             self._mint_id(kind), name, kind, parent.id, now, now,
@@ -601,7 +579,8 @@ class ResourceTree:
             raise BadRequestError("content instances are write-once")
         if notification_target is not None and node.kind is not _SUBSCRIPTION:
             raise BadRequestError("only subscriptions carry a notification target")
-        self._check_guard(self.path_of(node), "update")
+        if self.guard is not None:
+            self.guard(self.path_of(node))
         old_name = None
         if name is not None and name != node.name:
             if node.parent_id is None:
@@ -631,7 +610,8 @@ class ResourceTree:
         if node.id == self._root_id:
             raise BadRequestError("the root CseBase cannot be deleted")
         full_path = self.path_of(node)
-        self._check_guard(full_path, "delete")
+        if self.guard is not None:
+            self.guard(full_path)
         doomed = [r.id for r in self.walk(node.id)]
         parent = self._nodes[node.parent_id]  # type: ignore[index]
         self._detach(node)

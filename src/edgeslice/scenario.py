@@ -155,6 +155,14 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _typed(value, kind: type, what: str):
+    """``value``, refused unless it is a ``kind``: a YAML scalar of another
+    type (``5`` for a path, ``"no"`` for a flag) is a config error."""
+    if not isinstance(value, kind):
+        raise ConfigInvalidError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _section(doc: dict, key: str) -> dict:
     """An optional mapping section of ``doc``; an absent or empty one is ``{}``."""
     section = doc.get(key)
@@ -225,7 +233,8 @@ def _build_scenario(doc: dict, topology_override: "dict | None") -> ScenarioConf
         topology = parse_topology(_require(doc, "topology", "scenario"))
         slice_doc = _require(doc, "slice", "scenario")
         functions = frozenset(
-            function_from_name(n) for n in _require(slice_doc, "functions", "slice")
+            function_from_name(_typed(n, str, "a function name"))
+            for n in _require(slice_doc, "functions", "slice")
         )
         catalogue_doc = _section(doc, "catalogue")
         if "images" in catalogue_doc:
@@ -234,9 +243,9 @@ def _build_scenario(doc: dict, topology_override: "dict | None") -> ScenarioConf
             catalogue = default_catalogue()
         tasks = [
             TaskSpec(
-                task_id=_require(t, "id", "task"),
-                root=_require(t, "root", "task"),
-                service=_require(t, "service", "task"),
+                task_id=_typed(_require(t, "id", "task"), str, "a task id"),
+                root=_typed(_require(t, "root", "task"), str, "a task root"),
+                service=_typed(_require(t, "service", "task"), str, "a task service"),
             )
             for t in doc.get("tasks", [])
         ]
@@ -249,7 +258,7 @@ def _build_scenario(doc: dict, topology_override: "dict | None") -> ScenarioConf
             modes=list(scenario.get("modes", ["cloud", "edge"])),
             topology=topology,
             processing=_parse_processing(_section(doc, "processing"), topology),
-            service_id=_require(slice_doc, "service_id", "slice"),
+            service_id=_typed(_require(slice_doc, "service_id", "slice"), str, "the service id"),
             functions=functions,
             latency_class=LatencyClass(slice_doc.get("latency_class", "normal")),
             sync_mode=SyncMode(slice_doc.get("sync_mode", "eager")),
@@ -260,10 +269,11 @@ def _build_scenario(doc: dict, topology_override: "dict | None") -> ScenarioConf
                 float(slice_doc.get("quota_cpu_share", 0.25)),
             ),
             catalogue=catalogue,
-            pre_seeded_cache=bool(catalogue_doc.get("pre_seeded", True)),
-            link_accurate_pulls=bool(catalogue_doc.get("link_accurate_pulls", False)),
+            pre_seeded_cache=_typed(catalogue_doc.get("pre_seeded", True), bool, "pre_seeded"),
+            link_accurate_pulls=_typed(catalogue_doc.get("link_accurate_pulls", False), bool,
+                                       "link_accurate_pulls"),
             tasks=tasks,
-            workload_target=_require(workload, "target", "workload"),
+            workload_target=_typed(_require(workload, "target", "workload"), str, "the workload target"),
             operations=list(workload.get("operations", ["create"])),
             prepopulate=int(workload.get("prepopulate", 5)),
         )

@@ -60,6 +60,7 @@ from .offload import (
     import_bundle,
     make_bundle,
     process_edge_events,
+    refuse_taken_sync_names,
     resolve_task_root,
 )
 from .orchestrator import ServiceRequest, SliceOrchestrator
@@ -398,11 +399,13 @@ class EdgeNode(_ServiceNode):
         eager = meta["mode"] == MODE_VALUES[SyncMode.EAGER]
         if eager:
             mirror_root, cloud = ResourcePath.parse(meta["mirror"]), meta["cloud"]
+            refuse_taken_sync_names(transfer.bundle)
         root = import_bundle(self.worker.tree, transfer.bundle)
         if eager:
-            create_sync_subscriptions(self.worker.tree, root, mirror_root, cloud)
+            info = EdgeSyncInfo(task_id, root, mirror_root, cloud)
+            create_sync_subscriptions(self.worker.tree, info)
             self.worker.tree.drain_events()
-            self.sync_infos.append(EdgeSyncInfo(task_id, root, mirror_root, cloud))
+            self.sync_infos.append(info)
         self.sim.log("offload_import_complete", ctx=meta.get("ctx", ""), task=task_id, root=str(root))
         body = FieldBody.line(("task", task_id), ("root", str(root)))
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
@@ -632,9 +635,8 @@ class CloudNode(_ServiceNode):
             response = yield rqi
             if response.ok:
                 bundle = read_body(response.content, OffloadBundle)
-                report = self.coordinator.finalize(binding.task_id, bundle)
+                synced_total += self.coordinator.finalize(binding.task_id, bundle)
                 self._publish_events(self.tree.drain_events())
-                synced_total += report.synced_resources
         for function in list(instance.running_functions):
             rqi = self.next_control_rqi()
             self.send_control(edge, Operation.STOP_FUNCTION, FieldBody.line(("fn", FUNCTION_NAMES[function])), rqi)

@@ -173,13 +173,6 @@ class EdgeWorker:
         instance = self.functions.get(function)
         return instance is not None and instance.state is InstanceState.RUNNING
 
-    def running_functions(self) -> dict[FunctionKind, int]:
-        return {
-            fn: inst.port
-            for fn, inst in self.functions.items()
-            if inst.state is InstanceState.RUNNING
-        }
-
     # --- data plane ---
 
     def required_function(self, req: RequestPrimitive) -> FunctionKind:

@@ -100,6 +100,17 @@ def test_a_scenario_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys
     assert "must be a mapping" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("before, after", [
+    ("target: IN-CSE/Things/Box/values", "target: 5"),
+    ("tasks:", "catalogue: {pre_seeded: \"no\"}\ntasks:"),
+], ids=["target-number", "pre-seeded-string"])
+def test_a_scenario_scalar_of_the_wrong_type_is_a_config_error(tmp_path, capsys, before, after):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace(before, after))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "must be a " in capsys.readouterr().err
+
+
 def test_topology_override_flag(tmp_path):
     topo = tmp_path / "topo.yaml"
     topo.write_text(

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -12,16 +13,20 @@ from edgeslice.errors import (
 )
 from edgeslice.offload import (
     BundleTransfer,
+    EdgeSyncInfo,
     OffloadBundle,
     OffloadCoordinator,
     SyncMode,
     Task,
     create_sync_subscriptions,
     import_bundle,
+    maintain_sync_subscriptions,
     make_bundle,
+    process_edge_events,
     subtrees_converged,
 )
 from edgeslice.netsim import Simulator
+from edgeslice.notify import match_subscriptions
 from edgeslice.primitives import read_body
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
 
@@ -320,7 +325,7 @@ class TestEagerSetup:
         tree.drain_events()
         # oracle: the full preorder walk the containers used to be found by
         expected = [n for n in tree.walk(tree.resolve(app).id) if n.kind is ResourceKind.CONTAINER]
-        assert create_sync_subscriptions(tree, app, P("IN-CSE/Apps/app"), "cloud") == 5
+        assert create_sync_subscriptions(tree, EdgeSyncInfo("t", app, P("IN-CSE/Apps/app"), "cloud")) == 5
         subs = [e.resource for e in tree.drain_events()]
         assert [s.parent_id for s in subs] == [c.id for c in expected]
         assert [s.id for s in subs] == [f"sub_{i:04d}" for i in range(2, 7)]
@@ -340,7 +345,7 @@ class TestEagerSetup:
         bundle = coordinator.export_task(task)
         edge = ResourceTree("MN-CSE", sim.time)
         edge_root = import_bundle(edge, bundle)
-        count = create_sync_subscriptions(edge, edge_root, task.root_path, "cloud")
+        count = create_sync_subscriptions(edge, EdgeSyncInfo("t", edge_root, task.root_path, "cloud"))
         # oracle: count the containers in the offloaded subtree
         containers = sum(
             1
@@ -358,7 +363,7 @@ class TestEagerSetup:
         bundle = coordinator.export_task(task)
         edge = ResourceTree("MN-CSE", sim.time)
         edge_root = import_bundle(edge, bundle)
-        assert create_sync_subscriptions(edge, edge_root, task.root_path, "cloud") == 0
+        assert create_sync_subscriptions(edge, EdgeSyncInfo("t", edge_root, task.root_path, "cloud")) == 0
 
     def test_edge_create_produces_exactly_one_cloud_notify(self):
         h = Harness()
@@ -532,9 +537,7 @@ class TestFinalize:
                 content=f"pos{i}".encode(),
             )
         snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
-        report = h.coordinator.finalize(h.task.task_id, snapshot)
-        assert report.synced_resources == 5
-        assert report.mode is SyncMode.LAZY
+        assert h.coordinator.finalize(h.task.task_id, snapshot) == 5
         assert subtrees_converged(
             h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root
         )
@@ -550,8 +553,7 @@ class TestFinalize:
         )
         h.deliver_all()
         snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
-        report = h.coordinator.finalize(h.task.task_id, snapshot)
-        assert report.synced_resources == 0
+        assert h.coordinator.finalize(h.task.task_id, snapshot) == 0
 
     def test_finalize_twice_is_unknown(self):
         h = Harness()
@@ -573,8 +575,7 @@ class TestFinalize:
             content=b"fresh",
         )
         snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
-        report = h.coordinator.finalize(h.task.task_id, snapshot)
-        assert report.synced_resources == 2  # one delete, one create
+        assert h.coordinator.finalize(h.task.task_id, snapshot) == 2  # one delete, one create
         assert subtrees_converged(
             h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root
         )
@@ -636,6 +637,54 @@ class TestEagerConvergenceProperty:
             ), f"diverged for seed {seed}"
 
 
+def cascading_process_edge_events(edge_tree, events, infos, fed_back):
+    """``process_edge_events`` as it was, with a queue: every event that
+    maintenance made was fed through matching and maintenance again. Each
+    one fed back is appended to ``fed_back``."""
+    notifies = []
+    queue = deque(events)
+    while queue:
+        event = queue.popleft()
+        notifies.extend(match_subscriptions(edge_tree, event))
+        if infos:
+            for info in infos:
+                maintain_sync_subscriptions(edge_tree, info, event)
+            made = edge_tree.drain_events()
+            fed_back.extend(made)
+            queue.extend(made)
+    return notifies
+
+
+class TestNoMaintenanceCascade:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_pass_notifies_as_the_cascade_did(self, seed):
+        """Random edge activity in a bound subtree, container creates and
+        renames, user subscriptions and deletes among it: after each
+        operation, the cascading loop runs on a copy of the edge tree and
+        ``process_edge_events`` on the tree itself. They return the same
+        notifications and leave the same tree, and what the cascade fed
+        back was sync subscriptions' creations alone."""
+        h = Harness(seed)
+        h.offload()
+        fed_back = []
+
+        def after_op():
+            twin = h.edge_tree.copy(h.sim.time)
+            events = h.edge_tree.drain_events()
+            expected = cascading_process_edge_events(twin, events, h.infos, fed_back)
+            notifies = process_edge_events(h.edge_tree, events, h.infos)
+            assert notifies == expected
+            assert h.edge_tree.serialize() == twin.serialize()
+            h.pending.extend(notifies)
+
+        h.after_op = after_op
+        h.random_bound_subtree_ops(random.Random(seed), 120)
+        assert fed_back, "no container was created in the bound subtree"
+        assert {(e.change, e.resource.kind, e.resource.name) for e in fed_back} == {
+            ("created", ResourceKind.SUBSCRIPTION, "sync")}
+        assert subtrees_converged(h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root)
+
+
 class TestConvergenceCheck:
     """``subtrees_converged`` on a fresh lazy offload, edited on one side or
     on both; a lazy binding sends no notifications, so nothing heals the
@@ -653,9 +702,14 @@ class TestConvergenceCheck:
 
     @staticmethod
     def create(tree: ResourceTree, path: str, kind: ResourceKind, name: str, **fields) -> None:
-        """A create on either tree: ``path`` is below the task root, without the cse label."""
-        with tree.unguarded():
+        """A create on either tree: ``path`` is below the task root, without
+        the cse label. The cloud tree's guard is lifted for it, as its owner
+        lifts it."""
+        guard, tree.guard = tree.guard, None
+        try:
             tree.create(P(f"{tree.cse_label}/Cars/CarA{path}"), kind, name, **fields)
+        finally:
+            tree.guard = guard
 
     def instance(self, tree: ResourceTree, name: str, content: bytes = b"x") -> None:
         self.create(tree, "/location", ResourceKind.CONTENT_INSTANCE, name, content=content)

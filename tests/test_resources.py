@@ -490,17 +490,37 @@ class TestSerialization:
 
 
 class TestGuard:
-    def test_guard_blocks_and_bypass_allows(self, sim):
+    def test_the_guard_is_asked_with_the_written_path_and_lifted_by_unsetting_it(self, sim):
         tree = make_location_tree(sim)
+        asked = []
 
-        def deny(path, op):
+        def deny(path):
+            asked.append(str(path))
             raise ConflictError("frozen")
 
         tree.guard = deny
-        with pytest.raises(ConflictError):
-            tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, "ci", content=b"v")
-        with tree.unguarded():
-            tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, "ci", content=b"v")
+        writes = [
+            lambda: tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, "ci", content=b"v"),
+            lambda: tree.update(location_path(), labels=["x"]),
+            lambda: tree.delete(location_path()),
+        ]
+        before = tree.serialize()
+        for write in writes:
+            with pytest.raises(ConflictError):
+                write()
+        assert tree.serialize() == before
+        location = str(location_path())
+        assert asked == [location + "/ci", location, location]
+        tree.guard = None
+        for write in writes:
+            write()
+        assert len(asked) == 3
+
+    def test_a_graft_does_not_ask_the_guard(self, sim):
+        tree = make_location_tree(sim)
+        tree.guard = lambda path: pytest.fail(f"the guard was asked for {path}")
+        tree.graft(tree.resolve(location_path()), ResourceKind.CONTENT_INSTANCE, "ci",
+                   creation_time=0.0, content=b"v")
 
 
 def two_containers() -> ResourceTree:
@@ -535,7 +555,7 @@ class TestTakenNames:
     def test_a_taken_name_is_refused_before_the_guard_is_asked(self):
         tree = two_containers()
 
-        def deny(path, op):
+        def deny(path):
             raise ConflictError("frozen")
 
         tree.guard = deny
@@ -628,7 +648,7 @@ class TestCopy:
 
     def test_copy_has_no_pending_events_and_no_guard(self, sim):
         tree = make_location_tree(sim)
-        tree.guard = lambda path, op: None
+        tree.guard = lambda path: None
         tree.create(location_path(), ResourceKind.CONTENT_INSTANCE, "ci", content=b"v")
         copy = tree.copy(sim.time)
         assert copy.drain_events() == [] and copy.guard is None

@@ -180,6 +180,25 @@ def test_a_section_of_the_wrong_type_is_a_config_error(before, after):
         parse_scenario(MINIMAL.replace(before, after))
 
 
+# a scalar of the wrong YAML type: (the scalar's text in MINIMAL, its replacement)
+WRONG_SCALARS = {
+    "target-number": ("target: IN-CSE/Things/Box/values", "target: 5"),
+    "root-number": ("root: IN-CSE/Things/Box", "root: 5"),
+    "task-id-number": ("id: t1", "id: 1"),
+    "service-id-list": ("service_id: svc", "service_id: [svc]"),
+    "function-number": ("functions: [retrieve, data_management]", "functions: [5]"),
+    "pre-seeded-string": ("tasks:", "catalogue: {pre_seeded: \"no\"}\ntasks:"),
+    "link-accurate-pulls-number": ("tasks:", "catalogue: {link_accurate_pulls: 1}\ntasks:"),
+}
+
+
+@pytest.mark.parametrize("before, after", WRONG_SCALARS.values(), ids=WRONG_SCALARS.keys())
+def test_a_scalar_of_the_wrong_type_is_a_config_error(before, after):
+    assert MINIMAL.count(before) == 1
+    with pytest.raises(ConfigInvalidError, match="must be a (str|bool), not"):
+        parse_scenario(MINIMAL.replace(before, after))
+
+
 def test_an_empty_optional_section_reads_as_its_defaults():
     text = MINIMAL.replace("processing:\n  cloud: {create: 1.0}", "processing:\ncatalogue:")
     cfg = parse_scenario(text.replace("scenario: {name: tiny, seed: 1, requests: 5}", "scenario:"))

@@ -16,11 +16,12 @@ from edgeslice.codec import FieldBody, encode_b64, encode_body
 from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError, SimulationLimitError
 from edgeslice.netsim import Network
 from edgeslice.notify import NotifyBody
-from edgeslice.offload import (BundleRecord, BundleTransfer, OffloadBundle, SyncMode, make_bundle,
-                              subtrees_converged)
+from edgeslice.offload import (SYNC_SUB_NAME, BundleRecord, BundleTransfer, OffloadBundle, SyncMode,
+                               make_bundle, subtrees_converged)
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
+    ResourceView,
     ResponsePrimitive,
     StatusCode,
     decode_resource,
@@ -76,6 +77,11 @@ def fields(response: ResponsePrimitive) -> dict[str, str]:
     return read_body(response.content, FieldBody).fields
 
 
+def running(worker) -> dict[FunctionKind, int]:
+    """The ports of the worker's running functions, by function."""
+    return {fn: inst.port for fn, inst in worker.functions.items() if worker.enabled(fn)}
+
+
 class TestPreparation:
     def test_edge_prepare_starts_profile_and_offloads(self, config):
         system = build_system(config, "edge", 42)
@@ -84,9 +90,9 @@ class TestPreparation:
         assert meta["edge"] == "edge0"
         assert "MN-CSE/Pedestrians/CitizenB" in meta["roots"]
         worker = system.edges["edge0"].worker
-        assert set(worker.running_functions()) == config.functions
+        assert set(running(worker)) == config.functions
         # one eager binding is registered cloud-side
-        binding = system.cloud.coordinator.binding_of("task-citizenB")
+        binding = system.cloud.coordinator.bindings["task-citizenB"]
         assert binding.mode is SyncMode.EAGER
         assert str(binding.edge_root) == "MN-CSE/Pedestrians/CitizenB"
 
@@ -94,7 +100,7 @@ class TestPreparation:
         system = build_system(config, "edge", 42)
         system.prepare()
         instance = system.cloud.orchestrator.registry["slice-edge0"]
-        assert instance.running_functions == system.edges["edge0"].worker.running_functions()
+        assert instance.running_functions == running(system.edges["edge0"].worker)
 
     def test_partial_failure_rolls_back(self):
         """The second start exceeds the worker's capacity: the edge stops
@@ -134,9 +140,9 @@ class TestPreparation:
         assert responses[0].status is StatusCode.BAD_REQUEST
         instance = system.cloud.orchestrator.registry["slice-edge0"]
         assert instance.state is SliceState.ACTIVE
-        running = system.edges["edge0"].worker.running_functions()
-        assert instance.running_functions == running
-        assert set(running) == {FunctionKind.RETRIEVE}
+        ports = running(system.edges["edge0"].worker)
+        assert instance.running_functions == ports
+        assert set(ports) == {FunctionKind.RETRIEVE}
 
     def test_a_cold_deployment_holds_at_most_one_tracked_object_per_record(self, config):
         """An edge deployment's tracked objects after a cold prepare(), at
@@ -372,7 +378,7 @@ class TestOneStartPath:
         assert (first, last) == (began, "start_complete")
         assert done_at - begun_at == config.start_delay_ms
         assert edge.channel.sent == 1 and edge.channel.idle
-        assert system.cloud.coordinator.binding_of("task-citizenB").stats.notifications_applied == 1
+        assert system.cloud.coordinator.bindings["task-citizenB"].stats.notifications_applied == 1
 
 
 def test_a_second_create_stream_names_its_creates_anew(config, monkeypatch):
@@ -390,7 +396,7 @@ def test_a_second_create_stream_names_its_creates_anew(config, monkeypatch):
     system.run_workload("create", 3)
     system.run_workload("create", 5)
     assert replies == [StatusCode.CREATED] * 8
-    assert system.cloud.coordinator.binding_of("task-citizenB").stats.notifications_applied == 8
+    assert system.cloud.coordinator.bindings["task-citizenB"].stats.notifications_applied == 8
 
 
 class TestLazyRedirectOverTheWire:
@@ -413,7 +419,7 @@ class TestLazyRedirectOverTheWire:
         view = decode_resource(responses[0].content)
         assert view.path.startswith("MN-CSE/")  # served by the edge tree
         assert view.name == "medge00003"
-        binding = system.cloud.coordinator.binding_of("task-citizenB")
+        binding = system.cloud.coordinator.bindings["task-citizenB"]
         assert binding.stats.redirects_served == 1
 
     def test_untouched_paths_still_served_by_cloud(self, config):
@@ -433,25 +439,40 @@ class TestLazyRedirectOverTheWire:
         assert view.path == "IN-CSE/Other"
 
 
+def mirror_create_status(system) -> StatusCode:
+    """The cloud's answer to a device's CREATE under the task's mirror."""
+    req = RequestPrimitive(
+        operation=Operation.CREATE,
+        to="IN-CSE/Pedestrians/CitizenB/location",
+        originator=system.device_id,
+        request_id="wr-1",
+        resource_kind=ResourceKind.CONTENT_INSTANCE,
+        content=encode_fieldline(
+            [("nm", "intruder"), ("pc", base64.b64encode(b"x").decode())]
+        ).encode("ascii"),
+    )
+    return issue_and_run(system, req, system.cloud_id, 400)[0].status
+
+
 class TestEdgeAuthorityOverTheWire:
     def test_cloud_mode_write_into_bound_subtree_conflicts(self, config):
         system = build_system(config, "edge", 42)
         system.prepare()
-        device = system.devices[system.device_id]
-        responses = []
-        req = RequestPrimitive(
-            operation=Operation.CREATE,
-            to="IN-CSE/Pedestrians/CitizenB/location",
-            originator=device.node_id,
-            request_id="wr-1",
-            resource_kind=ResourceKind.CONTENT_INSTANCE,
-            content=encode_fieldline(
-                [("nm", "intruder"), ("pc", base64.b64encode(b"x").decode())]
-            ).encode("ascii"),
-        )
-        device.issue(req, system.cloud_id, 400, responses.append)
-        system.run_until_idle()
-        assert responses[0].status is StatusCode.CONFLICT
+        assert mirror_create_status(system) is StatusCode.CONFLICT
+
+    def test_a_stale_replay_leaves_the_guard_in_place(self, config):
+        """A replayed delete of a child the mirror no longer holds is dropped
+        as stale, and the guard the replay lifted is back."""
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        gone = ResourceView(ResourceKind.CONTENT_INSTANCE, "ghost", 0.0, 0.0, content=b"x")
+        body = NotifyBody("deleted", "MN-CSE/Pedestrians/CitizenB/location/ghost", gone)
+        req = RequestPrimitive(Operation.NOTIFY, "IN-CSE/Pedestrians/CitizenB/location",
+                               system.device_id, "ntf-stale", content=body)
+        assert [r.status for r in issue_and_run(system, req, system.cloud_id)] == [StatusCode.OK]
+        assert system.cloud.coordinator.bindings["task-citizenB"].stats.stale_dropped == 1
+        assert system.cloud.tree.guard is system.cloud.coordinator._guard
+        assert mirror_create_status(system) is StatusCode.CONFLICT
 
     def test_event_log_shows_no_foreign_mirror_mutations(self, config):
         """Replay the cloud service log: while the binding is open, no
@@ -540,7 +561,7 @@ class TestTerminationOverTheWire:
         system.run_until_idle()
         decisions = [d["decision"] for d in system.cloud.orchestrator.decision_log]
         assert decisions == ["instantiate_then_offload"] * 2
-        assert set(system.edges["edge0"].worker.running_functions()) == config.functions
+        assert set(running(system.edges["edge0"].worker)) == config.functions
 
     @pytest.mark.parametrize("mode", [SyncMode.LAZY, SyncMode.EAGER], ids=["lazy", "eager"])
     def test_a_terminated_task_is_offloaded_again(self, config, mode):
@@ -556,7 +577,7 @@ class TestTerminationOverTheWire:
             system.cloud.tree, CLOUD_TASK_ROOT
         )
         assert len(task_records(edge_tree, EDGE_TASK_ROOT)) == 2 + config.prepopulate + 3
-        binding = system.cloud.coordinator.binding_of("task-citizenB")
+        binding = system.cloud.coordinator.bindings["task-citizenB"]
         assert binding.mode is mode and binding.edge_root == EDGE_TASK_ROOT
         system.run_workload("create", 2, record_as="again")
         assert len(task_records(edge_tree, EDGE_TASK_ROOT)) == 2 + config.prepopulate + 5
@@ -585,7 +606,10 @@ class TestTerminationOverTheWire:
         responses = admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")])
         assert [r.ok for r in responses] == [False]
         assert system.cloud.tree.serialize() == before
-        assert system.cloud.coordinator.binding_of("task-citizenB").mode is SyncMode.LAZY
+        assert system.cloud.coordinator.bindings["task-citizenB"].mode is SyncMode.LAZY
+        # the guard the merge lifted is back
+        assert system.cloud.tree.guard is system.cloud.coordinator._guard
+        assert mirror_create_status(system) is StatusCode.CONFLICT
 
     def test_an_eager_slice_without_the_notification_function_terminates(self):
         """Its edge's channel never resumes, so each create's notification
@@ -671,6 +695,27 @@ class TestOffloadFailure:
         with pytest.raises(ConfigInvalidError):
             system.prepare()
         assert system.cloud.coordinator.bindings == {}
+
+    def test_a_refused_eager_bundle_leaves_the_edge_tree_unchanged(self, config):
+        """A container of the task already has a child named as its sync
+        subscription: the edge refuses the bundle before the import, so a
+        second preparation is refused for the same reason, not because the
+        first left the task on the edge tree."""
+        system = build_system(config, "edge", 42)
+        location = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB/location")
+        system.cloud.tree.create(location, ResourceKind.CONTENT_INSTANCE, SYNC_SUB_NAME, content=b"x")
+        system.cloud.tree.drain_events()
+        edge = system.edges["edge0"]
+        before = edge.worker.tree.serialize()
+        replies = []
+        for _ in range(2):
+            system.send_service_request(on_ready=replies.append)
+            system.run_until_idle()
+            assert edge.worker.tree.serialize() == before
+            assert edge.sync_infos == [] and system.cloud.coordinator.bindings == {}
+        assert [r.status for r in replies] == [StatusCode.CONFLICT] * 2
+        assert fields(replies[0])["err"] == fields(replies[1])["err"] == (
+            "offload of 'task-citizenB' failed with 4000")
 
     def test_idempotent_reinstantiation_after_lost_record(self, config):
         """A plan listing already-running functions must not double-start."""
@@ -1429,7 +1474,7 @@ class TestEventCap:
 def test_each_cloud_runs_its_own_copy_of_the_started_builtins():
     config = reference_calibrated()
     one, two = build_system(config, "cloud", 1), build_system(config, "cloud", 2)
-    assert one.cloud.service.running_functions() == {fn: port_for(fn) for fn in FunctionKind}
+    assert running(one.cloud.service) == {fn: port_for(fn) for fn in FunctionKind}
     assert one.cloud.service.log == []  # the start-up is not logged
     for fn in FunctionKind:
         mine, theirs = one.cloud.service.functions[fn], two.cloud.service.functions[fn]

@@ -33,9 +33,14 @@ create builds, by type, counted by their generated constructors: a path
 resolved or parsed again, or a record rebuilt, shows as a changed count, and
 no frozen dataclass is built but the two primitives and the sample.
 
+The same is counted per lazy ``/la`` retrieve addressed to the cloud on the
+campus scenario, whose binding the cloud redirects to the edge: at two
+values of ``n``, ten times apart, the difference pinned per retrieve.
+
 The counts are taken in fresh processes, since the test suite's wire check
 adds an encode and a decode to every message. Run as a script, this prints
-them as JSON, or with the argument ``creates`` the counts of creates.
+them as JSON, or with the argument ``creates`` the counts of creates, or
+with ``retrieves`` those of lazy retrieves.
 
 The bytes at the wire tap are counted too: the length of each message of two
 edge creates and two ``/la`` retrieves of the calibrated scenario, so that
@@ -61,7 +66,8 @@ from edgeslice.bench import build_system
 from edgeslice.primitives import decode_request, decode_response, is_response
 from edgeslice.resources import ResourceKind, ResourcePath
 from edgeslice.scenario import reference_calibrated
-from wire_samples import traffic
+from edgeslice.scenario import load_scenario
+from wire_samples import CAMPUS, traffic
 
 REPO = Path(__file__).resolve().parent.parent
 RECORDS = 200
@@ -79,10 +85,22 @@ CALLS_PER_RECORD = 0
 #: request stream is one simulator process, and so is each run of queued
 #: notifies, with no closure made per request or per notify; a generator's
 #: resume counts as a call under ``sys.setprofile``. A path read again is a
-#: hit of ``ResourcePath.parse``'s cache, with no call
-CALLS_PER_CREATE = 153
+#: hit of ``ResourcePath.parse``'s cache, with no call. The mirror's
+#: replay lifts the cloud tree's guard by unsetting it, with no context
+#: manager to build, enter and leave, and a write asks a set guard inline,
+#: with no call when none is set
+CALLS_PER_CREATE = 149
 ENUM_CALLS_PER_CREATE = 0
 CREATES = (5, 10)
+
+#: calls per lazy ``/la`` retrieve addressed to the cloud on the campus
+#: scenario's edge deployment: the cloud finds the binding that covers the
+#: path (``redirect_for``, one scan of the open bindings), forwards the
+#: request to the edge and relays its answer to the device. The scan is a
+#: call of ``_covering``, the one rule the write guard and the mirror's
+#: replay share, which made it 96 where an inline scan made 95
+CALLS_PER_LAZY_RETRIEVE = 96
+RETRIEVES = (3, 30)
 
 #: value objects built per eager edge create, by type. On the edge and on
 #: the mirror one ``Resource``, one ``ResourcePath`` (the created node's
@@ -189,6 +207,19 @@ def create_counts(creates: int) -> dict:
     return counted(lambda: system.run_workload("create", creates))[1]
 
 
+def lazy_retrieve_counts(retrieves: int) -> dict:
+    """What ``counted`` counts during ``retrieves`` lazy ``/la`` retrieves
+    addressed to the cloud on a prepared campus deployment, and how many of
+    them the cloud redirected to the edge."""
+    config = load_scenario(CAMPUS)
+    system = build_system(config, "edge", config.seed)
+    system.prepare()
+    counts = counted(lambda: system.run_workload("retrieve", retrieves, target=config.workload_target,
+                                                 server=system.cloud_id))[1]
+    counts["redirects"] = sum(b.stats.redirects_served for b in system.cloud.coordinator.bindings.values())
+    return counts
+
+
 @lru_cache(maxsize=None)
 def counts_in_fresh_processes(*args: str) -> list:
     """What this file prints when run as a script with ``args``: counted in
@@ -227,6 +258,14 @@ def test_an_eager_edge_create_makes_a_fixed_number_of_calls():
     extra = CREATES[1] - CREATES[0]
     assert more["calls"] - few["calls"] == CALLS_PER_CREATE * extra, (few["calls"], more["calls"])
     assert more["enum"] - few["enum"] == ENUM_CALLS_PER_CREATE * extra, (few["enum"], more["enum"])
+
+
+def test_a_lazy_cloud_addressed_retrieve_makes_a_fixed_number_of_calls():
+    few, more = counts_in_fresh_processes("retrieves")
+    assert (few["redirects"], more["redirects"]) == RETRIEVES  # each went to the edge
+    extra = RETRIEVES[1] - RETRIEVES[0]
+    assert more["calls"] - few["calls"] == CALLS_PER_LAZY_RETRIEVE * extra, (few["calls"], more["calls"])
+    assert (few["enum"], more["enum"]) == (0, 0)
 
 
 def test_an_eager_edge_create_encodes_its_resource_once_and_decodes_none():
@@ -279,5 +318,8 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["creates"]:
         create_counts(CREATES[0])  # fills per-process caches, such as the path cache
         print(json.dumps([create_counts(CREATES[0]), create_counts(CREATES[1])], sort_keys=True))
+    elif sys.argv[1:] == ["retrieves"]:
+        lazy_retrieve_counts(RETRIEVES[0])  # fills per-process caches
+        print(json.dumps([lazy_retrieve_counts(n) for n in RETRIEVES], sort_keys=True))
     else:
         print(json.dumps([calls(0), calls(RECORDS), calls(0, fresh=True), calls(RECORDS, fresh=True)]))

@@ -352,10 +352,10 @@ class OffloadHarness:
         bundle = self.coordinator.export_task(self.task)
         self.edge_root = import_bundle(self.edge_tree, bundle)
         if mode is SyncMode.EAGER:
-            mirror_root = self.task.root_path
-            create_sync_subscriptions(self.edge_tree, self.edge_root, mirror_root, "cloud")
+            info = EdgeSyncInfo(self.task.task_id, self.edge_root, self.task.root_path, "cloud")
+            create_sync_subscriptions(self.edge_tree, info)
             self.edge_tree.drain_events()
-            self.infos.append(EdgeSyncInfo(self.task.task_id, self.edge_root, mirror_root, "cloud"))
+            self.infos.append(info)
         self.binding = self.coordinator.register_binding(self.task, mode, "edge0", self.edge_root)
         return self.edge_root
 
