@@ -3,12 +3,15 @@
 Scenarios are YAML documents (see data/reference_calibrated.yaml). The packaged
 reference-calibrated scenario carries link delays and per-node processing times
 solved so the closed-form round trips reproduce the reference means.
+
+A document is read through one key table, ``_KEYS``; a key it leaves out keeps
+its ``ScenarioConfig`` or ``Link`` default (the quota's is ``DEFAULT_QUOTA``).
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import yaml
@@ -19,27 +22,88 @@ from .netsim import Link, Node, NodeRole, Topology
 from .offload import SyncMode
 from .primitives import Operation
 from .resources import ResourcePath
-from .slicing import FunctionKind, LatencyClass, SliceProfile, function_from_name, ordered
+from .slicing import FunctionKind, LatencyClass, SliceProfile, ordered
 from .worker import ResourceQuota
 
-_ROLE_NAMES = {
-    "device": NodeRole.DEVICE,
-    "edge": NodeRole.EDGE_WORKER,
-    "cloud": NodeRole.CLOUD,
-}
-
-_OP_NAMES = {
-    "create": Operation.CREATE,
-    "retrieve": Operation.RETRIEVE,
-    "update": Operation.UPDATE,
-    "delete": Operation.DELETE,
-    "notify": Operation.NOTIFY,
-}
+_ROLE_NAMES = {role.value: role for role in NodeRole}
+_OP_NAMES = {op.name.lower(): op for op in Operation if op <= Operation.NOTIFY}  # the data plane
 
 MODES = ("cloud", "edge")
+DEFAULT_QUOTA = ResourceQuota(256_000_000, 0.25)
 
 # libyaml's parser where PyYAML has it: the same documents, several times faster
 LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+# Every mapping of a scenario document: its keys and each key's YAML type,
+# "required " first where the mapping must give the key. A type is a scalar
+# (str, int, float, bool), a str naming a member of a ``_NAMES`` table, another
+# mapping of this table, "list of T", or "mapping of T" for free keys
+# (processing's node ids and role names).
+_KEYS = {
+    "document": {"scenario": "scenario", "topology": "required topology",
+                 "processing": "mapping of costs", "slice": "required slice",
+                 "catalogue": "catalogue", "tasks": "list of task", "workload": "required workload"},
+    "scenario": {"name": "str", "seed": "int", "requests": "int", "payload_bytes": "int",
+                 "modes": "list of str"},
+    "topology": {"nodes": "required list of node", "links": "required list of link"},
+    "node": {"id": "required str", "role": "required role"},
+    "link": {"a": "required str", "b": "required str", "delay_ms": "required float",
+             "jitter_ms": "float", "bandwidth_bytes_per_s": "float"},
+    "costs": dict.fromkeys(_OP_NAMES, "float"),
+    "slice": {"service_id": "required str", "functions": "required list of function",
+              "latency_class": "latency class", "sync_mode": "sync mode", "start_delay_ms": "float",
+              "capacity_bytes": "int", "quota_memory_bytes": "int", "quota_cpu_share": "float"},
+    "catalogue": {"images": "list of str", "pre_seeded": "bool", "link_accurate_pulls": "bool"},
+    "task": {"id": "required str", "root": "required str", "service": "required str"},
+    "workload": {"target": "required str", "operations": "list of str", "prepopulate": "int"},
+}
+_SCALARS = {"str": (str,), "int": (int,), "float": (int, float, str), "bool": (bool,)}
+_NAMES = {"role": _ROLE_NAMES, "function": {fn.name.lower(): fn for fn in FunctionKind},
+          "latency class": {c.value: c for c in LatencyClass}, "sync mode": {m.value: m for m in SyncMode}}
+
+
+def _check(value, kind: str, path: str):
+    """``value`` read as a ``kind`` of the key table, at key path ``path``: new
+    mappings and lists, with floats as floats and names as their members."""
+    scalar = "str" if kind in _NAMES else kind
+    if scalar in _SCALARS:
+        if type(value) not in _SCALARS[scalar]:
+            article = "an" if scalar == "int" else "a"
+            raise ConfigInvalidError(f"{path} must be {article} {scalar}, not {type(value).__name__}")
+        if kind in _NAMES:
+            if value not in _NAMES[kind]:
+                raise ConfigInvalidError(f"{path}: unknown {kind} {value!r}")
+            return _NAMES[kind][value]
+        if kind != "float":
+            return value
+        try:  # an int, a float or a numeric string: YAML 1.1 reads 100e6 as a string
+            return float(value)
+        except (ValueError, OverflowError):
+            raise ConfigInvalidError(f"{path} must be a float, not {value!r}") from None
+    if kind.startswith("list of "):
+        if type(value) is not list:
+            raise ConfigInvalidError(f"{path} must be a list, not {type(value).__name__}")
+        return [_check(item, kind[8:], f"{path}[{i}]") for i, item in enumerate(value)]
+    if not isinstance(value, dict):
+        raise ConfigInvalidError(f"{path} must be a mapping")
+    prefix = f"{path}." if path else ""
+    if kind.startswith("mapping of "):
+        return {key: _check(item, kind[11:], f"{prefix}{key}")
+                for key, item in value.items() if item is not None}
+    keys = _KEYS[kind]
+    for key in value:
+        if key not in keys:
+            raise ConfigInvalidError(f"unknown key {prefix}{key}")
+    checked = {}
+    for key, key_kind in keys.items():
+        item = value.get(key)  # a null value reads as absent
+        if item is not None:
+            checked[key] = _check(item, key_kind.removeprefix("required "), prefix + key)
+        elif key_kind.startswith("required "):
+            raise ConfigInvalidError(f"missing key {prefix}{key}")
+        elif key_kind in _KEYS or key_kind.startswith("mapping of "):
+            checked[key] = _check({}, key_kind, prefix + key)  # an absent section reads as empty
+    return checked
 
 
 def _load_mapping(text: str, what: str, document: str) -> dict:
@@ -59,15 +123,15 @@ class TaskSpec:
     service: str
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
-    name: str
+    name: str = "scenario"
     topology: Topology
     processing: dict[str, dict[Operation, float]]  # node id -> op -> ms
     service_id: str
     functions: frozenset[FunctionKind]
-    sync_mode: SyncMode
-    tasks: list[TaskSpec]
+    sync_mode: SyncMode = SyncMode.EAGER
+    tasks: list[TaskSpec] = field(default_factory=list)
     workload_target: str  # cloud-side container path receiving instances
     operations: list[str] = field(default_factory=lambda: ["create"])
     modes: list[str] = field(default_factory=lambda: ["cloud", "edge"])
@@ -79,9 +143,7 @@ class ScenarioConfig:
     latency_class: LatencyClass = LatencyClass.NORMAL
     start_delay_ms: float = 250.0
     capacity_bytes: int = 4_000_000_000
-    quota: ResourceQuota = field(
-        default_factory=lambda: ResourceQuota(256_000_000, 0.25)
-    )
+    quota: ResourceQuota = DEFAULT_QUOTA
     catalogue: ImageCatalogue = field(default_factory=default_catalogue)
     pre_seeded_cache: bool = True
     link_accurate_pulls: bool = False
@@ -101,6 +163,8 @@ class ScenarioConfig:
             raise ConfigInvalidError("requests must be positive")
         if self.payload_bytes < 0:
             raise ConfigInvalidError("payload_bytes must be >= 0")
+        if self.prepopulate < 0:
+            raise ConfigInvalidError("prepopulate must be >= 0")
         if not 0 <= self.start_delay_ms < math.inf:
             raise ConfigInvalidError("start_delay_ms must be finite and >= 0")
         for node, entries in self.processing.items():
@@ -116,6 +180,8 @@ class ScenarioConfig:
                 self.catalogue.lookup(fn)
             except ImageNotFoundError:
                 raise ConfigInvalidError(f"the catalogue has no image for {fn.name}") from None
+        if not self.modes or not self.operations:
+            raise ConfigInvalidError("a scenario needs at least one mode and one workload operation")
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigInvalidError(f"unknown mode {mode!r}")
@@ -124,8 +190,8 @@ class ScenarioConfig:
                 raise ConfigInvalidError(f"unsupported workload operation {op!r}")
         if not self.topology.is_connected():
             raise ConfigInvalidError("topology must be connected")
-        if not self.topology.by_role(NodeRole.CLOUD):
-            raise ConfigInvalidError("topology needs a cloud node")
+        if len(self.topology.by_role(NodeRole.CLOUD)) != 1:
+            raise ConfigInvalidError("topology needs exactly one cloud node")
         if not self.topology.by_role(NodeRole.DEVICE):
             raise ConfigInvalidError("topology needs at least one device")
         if "edge" in self.modes and not self.topology.by_role(NodeRole.EDGE_WORKER):
@@ -149,137 +215,56 @@ class ScenarioConfig:
         return self
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigInvalidError(f"missing {key!r} in {context}")
-    return mapping[key]
-
-
-def _typed(value, kind: type, what: str):
-    """``value``, refused unless it is a ``kind``: a YAML scalar of another
-    type (``5`` for a path, ``"no"`` for a flag) is a config error."""
-    if not isinstance(value, kind):
-        raise ConfigInvalidError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
-    return value
-
-
-def _section(doc: dict, key: str) -> dict:
-    """An optional mapping section of ``doc``; an absent or empty one is ``{}``."""
-    section = doc.get(key)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigInvalidError(f"{key!r} must be a mapping")
-    return section
-
-
-def parse_topology(doc: dict) -> Topology:
-    nodes = []
-    for spec in _require(doc, "nodes", "topology"):
-        role_name = _require(spec, "role", "topology node")
-        if role_name not in _ROLE_NAMES:
-            raise ConfigInvalidError(f"unknown node role {role_name!r}")
-        nodes.append(Node(_require(spec, "id", "topology node"), _ROLE_NAMES[role_name]))
-    links = []
-    for spec in _require(doc, "links", "topology"):
-        links.append(
-            Link(
-                a=_require(spec, "a", "link"),
-                b=_require(spec, "b", "link"),
-                delay_ms=float(_require(spec, "delay_ms", "link")),
-                jitter_ms=float(spec.get("jitter_ms", 0.0)),
-                bandwidth_bytes_per_s=float(spec.get("bandwidth_bytes_per_s", 100e6)),
-            )
-        )
-    try:
-        return Topology(nodes, links)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalidError(f"bad topology: {exc}") from exc
-
-
 def _parse_processing(doc: dict, topology: Topology) -> dict[str, dict[Operation, float]]:
     """Role-level defaults overlaid with per-node entries."""
     table: dict[str, dict[Operation, float]] = {n: {} for n in topology.nodes}
-    for key, ops in doc.items():
-        if not isinstance(ops, dict):
-            raise ConfigInvalidError(f"processing entry {key!r} must be a mapping")
-        entries = {}
-        for op_name, value in ops.items():
-            if op_name not in _OP_NAMES:
-                raise ConfigInvalidError(f"unknown operation {op_name!r} in processing")
-            entries[_OP_NAMES[op_name]] = float(value)
+    for key, costs in doc.items():
         if key in _ROLE_NAMES:
-            for node in topology.by_role(_ROLE_NAMES[key]):
-                table[node].update(entries)
+            nodes = topology.by_role(_ROLE_NAMES[key])
         elif key in table:
-            table[key].update(entries)
+            nodes = [key]
         else:
-            raise ConfigInvalidError(f"processing entry for unknown node {key!r}")
+            raise ConfigInvalidError(f"processing.{key} names no node or role")
+        for node in nodes:
+            table[node].update({_OP_NAMES[op]: ms for op, ms in costs.items()})
     return table
 
 
-def parse_scenario(text: str, topology_override: "dict | None" = None) -> ScenarioConfig:
-    return _build_scenario(_load_mapping(text, "scenario", "scenario document"), topology_override)
+# the config fields that keys of the slice, catalogue and workload name otherwise
+_FIELDS = {"quota_memory_bytes": "max_memory_bytes", "quota_cpu_share": "max_cpu_share",
+           "images": "catalogue", "pre_seeded": "pre_seeded_cache", "target": "workload_target"}
 
 
-def _build_scenario(doc: dict, topology_override: "dict | None") -> ScenarioConfig:
-    """A config from a parsed scenario document. The document is only read,
-    and the config holds none of its lists or dicts."""
-    if topology_override is not None:
-        doc = dict(doc)
-        doc["topology"] = topology_override
+def _build_scenario(doc: dict) -> ScenarioConfig:
+    """A config from a checked document, passed only the keys the document
+    gives. The document is only read, and the config holds none of its lists
+    or dicts."""
+    fields = {_FIELDS[key] if key in _FIELDS else key: value.copy() if type(value) is list else value
+              for section in ("scenario", "slice", "catalogue", "workload")
+              for key, value in doc[section].items()}
+    fields["functions"] = frozenset(fields["functions"])
+    quota = {name: fields.pop(name) for name in ("max_memory_bytes", "max_cpu_share") if name in fields}
     try:
-        scenario = _section(doc, "scenario")
-        topology = parse_topology(_require(doc, "topology", "scenario"))
-        slice_doc = _require(doc, "slice", "scenario")
-        functions = frozenset(
-            function_from_name(_typed(n, str, "a function name"))
-            for n in _require(slice_doc, "functions", "slice")
-        )
-        catalogue_doc = _section(doc, "catalogue")
-        if "images" in catalogue_doc:
-            catalogue = ImageCatalogue.load("\n".join(catalogue_doc["images"]))
-        else:
-            catalogue = default_catalogue()
-        tasks = [
-            TaskSpec(
-                task_id=_typed(_require(t, "id", "task"), str, "a task id"),
-                root=_typed(_require(t, "root", "task"), str, "a task root"),
-                service=_typed(_require(t, "service", "task"), str, "a task service"),
-            )
-            for t in doc.get("tasks", [])
-        ]
-        workload = _section(doc, "workload")
-        config = ScenarioConfig(
-            name=scenario.get("name", "scenario"),
-            seed=int(scenario.get("seed", 42)),
-            requests=int(scenario.get("requests", 60)),
-            payload_bytes=int(scenario.get("payload_bytes", 400)),
-            modes=list(scenario.get("modes", ["cloud", "edge"])),
-            topology=topology,
-            processing=_parse_processing(_section(doc, "processing"), topology),
-            service_id=_typed(_require(slice_doc, "service_id", "slice"), str, "the service id"),
-            functions=functions,
-            latency_class=LatencyClass(slice_doc.get("latency_class", "normal")),
-            sync_mode=SyncMode(slice_doc.get("sync_mode", "eager")),
-            start_delay_ms=float(slice_doc.get("start_delay_ms", 250.0)),
-            capacity_bytes=int(slice_doc.get("capacity_bytes", 4_000_000_000)),
-            quota=ResourceQuota(
-                int(slice_doc.get("quota_memory_bytes", 256_000_000)),
-                float(slice_doc.get("quota_cpu_share", 0.25)),
-            ),
-            catalogue=catalogue,
-            pre_seeded_cache=_typed(catalogue_doc.get("pre_seeded", True), bool, "pre_seeded"),
-            link_accurate_pulls=_typed(catalogue_doc.get("link_accurate_pulls", False), bool,
-                                       "link_accurate_pulls"),
-            tasks=tasks,
-            workload_target=_typed(_require(workload, "target", "workload"), str, "the workload target"),
-            operations=list(workload.get("operations", ["create"])),
-            prepopulate=int(workload.get("prepopulate", 5)),
-        )
-    except (KeyError, TypeError, ValueError, BadRequestError) as exc:
-        raise ConfigInvalidError(f"bad scenario: {exc}") from exc
-    return config
+        if quota:
+            fields["quota"] = replace(DEFAULT_QUOTA, **quota)
+        if "catalogue" in fields:
+            fields["catalogue"] = ImageCatalogue.load("\n".join(fields["catalogue"]))
+    except BadRequestError as exc:
+        raise ConfigInvalidError(f"bad slice quota or catalogue: {exc}") from exc
+    if "tasks" in doc:
+        fields["tasks"] = [TaskSpec(t["id"], t["root"], t["service"]) for t in doc["tasks"]]
+    topology = Topology([Node(**node) for node in doc["topology"]["nodes"]],
+                        [Link(**link) for link in doc["topology"]["links"]])
+    return ScenarioConfig(
+        topology=topology, processing=_parse_processing(doc["processing"], topology), **fields
+    )
+
+
+def parse_scenario(text: str, topology_override: "dict | None" = None) -> ScenarioConfig:
+    doc = _load_mapping(text, "scenario", "scenario document")
+    if topology_override is not None:
+        doc = {**doc, "topology": topology_override}
+    return _build_scenario(_check(doc, "document", ""))
 
 
 def _read(path: str) -> str:
@@ -294,7 +279,7 @@ def load_topology_doc(path: str) -> dict:
     """A topology file is either a bare {nodes, links} mapping or a full
     scenario whose topology section is taken."""
     doc = _load_mapping(_read(path), "topology file", "topology file")
-    return doc.get("topology", doc)
+    return doc["topology"] if "topology" in doc else doc
 
 
 def load_scenario(path: str, topology_path: "str | None" = None) -> ScenarioConfig:
@@ -308,12 +293,15 @@ def calibrated_text() -> str:
 
 @functools.cache
 def _calibrated_doc() -> dict:
-    """The shipped calibration's document, parsed once per process."""
-    return _load_mapping(calibrated_text(), "scenario", "scenario document")
+    """The shipped calibration's document, parsed and checked once per process."""
+    return _check(_load_mapping(calibrated_text(), "scenario", "scenario document"), "document", "")
 
 
 def reference_calibrated(topology_path: "str | None" = None) -> ScenarioConfig:
     """The shipped calibration reproducing the reference latency means; each
-    call builds a fresh config from the document parsed once."""
-    override = load_topology_doc(topology_path) if topology_path else None
-    return _build_scenario(_calibrated_doc(), override)
+    call builds a fresh config from the document checked once. A topology
+    override is checked on every call."""
+    doc = _calibrated_doc()
+    if topology_path:
+        doc = {**doc, "topology": _check(load_topology_doc(topology_path), "topology", "topology")}
+    return _build_scenario(doc)

@@ -665,10 +665,7 @@ class System:
         self.mode = mode
         self.sim = Simulator(seed, trace)
         self.network = Network(self.sim, config.topology)
-        clouds = config.topology.by_role(NodeRole.CLOUD)
-        if len(clouds) != 1:
-            raise ConfigInvalidError("scenarios require exactly one cloud node")
-        self.cloud_id = clouds[0]
+        self.cloud_id = config.topology.by_role(NodeRole.CLOUD)[0]  # the one cloud validate allows
         self._control_ids = count(1)
         devices = config.topology.by_role(NodeRole.DEVICE)
         self._device_ids = frozenset(devices)

@@ -1,3 +1,4 @@
+import os
 import statistics
 from dataclasses import replace
 
@@ -17,7 +18,10 @@ from edgeslice.bench import (
 from edgeslice.errors import ConfigInvalidError
 from edgeslice.netsim import LatencySample
 from edgeslice.report import emit_results, percentile_95, summarize
-from edgeslice.scenario import reference_calibrated
+from edgeslice.scenario import load_scenario, reference_calibrated
+from util import CALIBRATED_YAML
+
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 
 @pytest.fixture(scope="module")
@@ -268,3 +272,13 @@ class TestReport:
         assert row.mean_ms == statistics.fmean(values)
         assert row.median_ms == statistics.median(values)
         assert row.min_ms == 8.5 and row.max_ms == 9.0
+
+
+@pytest.mark.parametrize("path", [CALIBRATED_YAML, os.path.join(SCENARIO_DIR, "jittery_campus.yaml")],
+                         ids=["reference_calibrated", "jittery_campus"])
+def test_a_sample_never_depends_on_the_run_length(path):
+    config = load_scenario(path)
+    for operation in ("create", "retrieve"):
+        for mode in ("cloud", "edge"):
+            short = run_benchmark(config, operation, [mode], requests=60)
+            assert short == run_benchmark(config, operation, [mode], requests=600)[:60]

@@ -111,6 +111,13 @@ def test_a_scenario_scalar_of_the_wrong_type_is_a_config_error(tmp_path, capsys,
     assert "must be a " in capsys.readouterr().err
 
 
+def test_a_misspelt_scenario_key_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace("seed: 1", "sede: 1"))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "scenario.sede" in capsys.readouterr().err
+
+
 def test_topology_override_flag(tmp_path):
     topo = tmp_path / "topo.yaml"
     topo.write_text(

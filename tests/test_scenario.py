@@ -1,9 +1,15 @@
+import copy
 import glob
 import os
+import pathlib
+import re
+import string
 from dataclasses import replace
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgeslice import scenario
 from edgeslice.errors import ConfigInvalidError
@@ -115,6 +121,9 @@ def test_topology_override():
         # a sibling whose name merely extends the task root's last segment
         ("target: IN-CSE/Things/Box/values", "target: IN-CSE/Things/BoxB/values"),
         ("- {a: d, b: e, delay_ms: 1.0}", "- {a: d, b: e, delay_ms: -1.0}"),
+        ("modes: [cloud, edge]", "modes: []"),
+        ("target: IN-CSE/Things/Box/values", "target: IN-CSE/Things/Box/values\n  operations: []"),
+        ("target: IN-CSE/Things/Box/values", "target: IN-CSE/Things/Box/values\n  prepopulate: -3"),
     ],
 )
 def test_invalid_scenarios_rejected(mutation):
@@ -155,8 +164,12 @@ def test_bad_numbers_rejected_at_load(edit):
         {"payload_bytes": -1},
         {"processing": {"cloud": {Operation.CREATE: float("inf")}}},
         {"modes": ["fog"]},
+        {"modes": []},
+        {"operations": []},
+        {"prepopulate": -3},
     ],
-    ids=["start-delay-nan", "no-requests", "negative-payload", "processing-inf", "unknown-mode"],
+    ids=["start-delay-nan", "no-requests", "negative-payload", "processing-inf", "unknown-mode",
+         "no-modes", "no-operations", "negative-prepopulate"],
 )
 def test_configs_changed_with_replace_are_validated(change):
     with pytest.raises(ConfigInvalidError):
@@ -375,3 +388,174 @@ def test_repeated_task_ids_rejected():
     base = reference_calibrated()
     with pytest.raises(ConfigInvalidError, match="task ids"):
         replace(base, tasks=[*base.tasks, TaskSpec(base.tasks[0].task_id, "IN-CSE/Other", base.service_id)])
+
+
+def test_a_second_cloud_node_is_refused_at_parse():
+    cloud, link = "    - {id: c, role: cloud}\n", "    - {a: e, b: c, delay_ms: 2.0}\n"
+    text = MINIMAL.replace(cloud, cloud + "    - {id: c2, role: cloud}\n")
+    with pytest.raises(ConfigInvalidError, match="exactly one cloud"):
+        parse_scenario(text.replace(link, link + "    - {a: e, b: c2, delay_ms: 2.0}\n"))
+
+
+# --- the key table ---
+
+# a value where the table wants another type: (the text in MINIMAL, its
+# replacement, the key path the refusal names)
+MISTYPED = {
+    "modes-string": ("requests: 5}", "requests: 5, modes: cloud}", "scenario.modes must be a list"),
+    "operations-string": ("values\n", "values\n  operations: create\n",
+                          "workload.operations must be a list"),
+    "images-string": ("tasks:", "catalogue: {images: abc}\ntasks:", "catalogue.images must be a list"),
+    "seed-bool": ("seed: 1", "seed: true", "scenario.seed must be an int, not bool"),
+    "seed-float": ("seed: 1", "seed: 1.9", "scenario.seed must be an int, not float"),
+    "delay-word": ("delay_ms: 2.0", "delay_ms: two", "topology.links[1].delay_ms must be a float"),
+    "delay-bool": ("delay_ms: 2.0", "delay_ms: true", "topology.links[1].delay_ms must be a float"),
+    "delay-overflow": ("delay_ms: 2.0", "delay_ms: 1" + "0" * 400,
+                       "topology.links[1].delay_ms must be a float"),
+    "unknown-key": ("seed: 1", "sede: 1", "unknown key scenario.sede"),
+    "unknown-node-key": ("{id: e, role: edge}", "{id: e, role: edge, zone: 3}",
+                         "unknown key topology.nodes[1].zone"),
+    "unknown-operation": ("{create: 1.0}", "{create: 1.0, frob: 2.0}",
+                          "unknown key processing.cloud.frob"),
+    "missing-delay": ("{a: e, b: c, delay_ms: 2.0}", "{a: e, b: c}",
+                      "missing key topology.links[1].delay_ms"),
+    "null-target": ("target: IN-CSE/Things/Box/values", "target:", "missing key workload.target"),
+    "unknown-role": ("role: edge", "role: fog", "topology.nodes[1].role: unknown role 'fog'"),
+    "unknown-sync-mode": ("service_id: svc", "service_id: svc\n  sync_mode: later",
+                          "slice.sync_mode: unknown sync mode 'later'"),
+}
+
+
+@pytest.mark.parametrize("before, after, error", MISTYPED.values(), ids=MISTYPED.keys())
+def test_a_refusal_names_the_key_path(before, after, error):
+    assert MINIMAL.count(before) == 1
+    with pytest.raises(ConfigInvalidError, match=re.escape(error)):
+        parse_scenario(MINIMAL.replace(before, after))
+
+
+def test_a_float_key_reads_ints_and_numeric_strings():
+    text = MINIMAL.replace("delay_ms: 2.0}", "delay_ms: 2, bandwidth_bytes_per_s: 50e6}")
+    link = parse_scenario(text).topology.link_between("e", "c")
+    assert (link.delay_ms, link.bandwidth_bytes_per_s) == (2.0, 50e6)
+    assert type(link.delay_ms) is float
+
+
+def test_a_topology_override_is_read_through_the_key_table(tmp_path):
+    topo = tmp_path / "topo.yaml"
+    topo.write_text("nodes:\n  - {id: d, role: device}\nlinks: []\nedges: 2\n")
+    scenario_file = tmp_path / "minimal.yaml"
+    scenario_file.write_text(MINIMAL)
+    for load in (lambda: load_scenario(str(scenario_file), str(topo)),
+                 lambda: reference_calibrated(str(topo))):
+        with pytest.raises(ConfigInvalidError, match="unknown key topology.edges"):
+            load()
+
+
+def _sites(kind: str, doc: dict, at: tuple, mappings: list, keys: list) -> None:
+    """Add the path of mapping ``kind``, sitting at ``at`` in ``doc``, to
+    ``mappings``, and (path, table type) of each of its keys to ``keys``; then
+    do the same for the mappings below it: a list's first item, a free
+    mapping's first entry, a section the document leaves out."""
+    mappings.append((at, kind))
+    for key, key_kind in scenario._KEYS[kind].items():
+        keys.append((at + (key,), key_kind))
+        bare, child = key_kind.removeprefix("required "), doc.get(key) or {}
+        if bare in scenario._KEYS:
+            _sites(bare, child, at + (key,), mappings, keys)
+        elif bare.startswith("list of ") and bare[8:] in scenario._KEYS and child:
+            _sites(bare[8:], child[0], at + (key, 0), mappings, keys)
+        elif bare.startswith("mapping of ") and child:
+            first = next(iter(child))
+            _sites(bare[11:], child[first], at + (key, first), mappings, keys)
+
+
+def _path_text(path: tuple) -> str:
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path).lstrip(".")
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with the key at ``path`` set to ``value``; a mapping
+    on the way that the document leaves out is added."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for step in path[:-1]:
+        if isinstance(step, str) and not isinstance(node.get(step), (dict, list)):
+            node[step] = {}
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+def _parse(doc: dict) -> ScenarioConfig:
+    """What ``parse_scenario`` does with a document once YAML has read it."""
+    return scenario._build_scenario(scenario._check(doc, "document", ""))
+
+
+DOCUMENTS = {"minimal": MINIMAL, "reference_calibrated": calibrated_text(),
+             "jittery_campus": pathlib.Path(SCENARIO_DIR, "jittery_campus.yaml").read_text("utf-8")}
+PARSED = {name: yaml.safe_load(text) for name, text in DOCUMENTS.items()}
+MAPPING_SITES, KEY_SITES = [], []
+for _name, _doc in PARSED.items():
+    _mappings, _keys = [], []
+    _sites("document", _doc, (), _mappings, _keys)
+    MAPPING_SITES += [(_name, path, kind) for path, kind in _mappings]
+    KEY_SITES += [(_name, path, kind) for path, kind in _keys]
+
+TEXT = st.one_of(
+    st.text(string.ascii_letters + string.digits + " ._-/:", max_size=10),
+    st.sampled_from(["50e6", "1.5", "nan", "-2", "edge", "lazy", "create", "retrieve",
+                     "IN-CSE/Things/Box/values"]),
+)
+SCALARS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans())
+KEY_NAMES = st.text(string.ascii_letters + "_", min_size=1, max_size=8)
+# a str, int, float, bool, null, list and mapping, in that order
+ONE_OF_EACH_TYPE = st.tuples(
+    TEXT, st.integers(), st.floats(), st.booleans(), st.none(),
+    st.lists(SCALARS, max_size=3), st.dictionaries(KEY_NAMES, SCALARS, max_size=3),
+)
+
+
+def _numeric(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _right_type(kind: str, value) -> bool:
+    """Whether ``value`` has a YAML type the table allows for ``kind``."""
+    bare = kind.removeprefix("required ")
+    if value is None:
+        return bare == kind
+    if bare.startswith("list of "):
+        return type(value) is list
+    if bare in scenario._KEYS or bare.startswith("mapping of "):
+        return type(value) is dict
+    if bare == "float" and type(value) is str:
+        return _numeric(value)
+    return type(value) in {"int": (int,), "float": (int, float), "bool": (bool,)}.get(bare, (str,))
+
+
+@pytest.mark.parametrize("name, path, kind", KEY_SITES,
+                         ids=[f"{name}:{_path_text(path)}" for name, path, _ in KEY_SITES])
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(values=ONE_OF_EACH_TYPE)
+def test_every_key_accepts_its_type_and_refuses_others_by_path(name, path, kind, values):
+    for value in values:
+        try:
+            _parse(_with(PARSED[name], path, value))
+        except ConfigInvalidError as exc:
+            assert _right_type(kind, value) or _path_text(path) in str(exc), str(exc)
+        else:
+            assert _right_type(kind, value), f"{_path_text(path)} accepted {value!r}"
+
+
+@pytest.mark.parametrize("name, path, kind", MAPPING_SITES,
+                         ids=[f"{name}:{_path_text(path) or 'document'}" for name, path, _ in MAPPING_SITES])
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(key=KEY_NAMES, value=SCALARS)
+def test_an_unknown_key_in_any_mapping_is_refused_by_name(name, path, kind, key, value):
+    assume(key not in scenario._KEYS[kind])
+    with pytest.raises(ConfigInvalidError, match=re.escape(f"unknown key {_path_text(path + (key,))}")):
+        _parse(_with(PARSED[name], path + (key,), value))
