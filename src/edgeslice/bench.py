@@ -8,7 +8,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, EdgeSliceError
 from .netsim import LatencySample
 from .offload import subtrees_converged
 from .resources import ResourceKind, ResourcePath
@@ -190,7 +190,7 @@ def run_road_scenario(seed: int = 42, retrieves: int = 20) -> RoadReport:
         try:
             tree.resolve(ResourcePath.parse(path))
             return True
-        except Exception:
+        except EdgeSliceError:  # ``NotFoundError`` from ``resolve``, ``BadRequestError`` from ``parse``
             return False
 
     report.check(

@@ -19,11 +19,6 @@ from .errors import BadRequestError
 from .primitives import Operation, RequestPrimitive, ResourceView, decode_resource, read_body
 from .resources import ChangeEvent, ResourceTree
 
-#: a failed delivery is retried this many times, after a backoff that starts
-#: at ``INITIAL_BACKOFF_MS`` and doubles, before it is dropped
-MAX_RETRIES = 3
-INITIAL_BACKOFF_MS = 100.0
-
 
 class NotifyBody(NamedTuple):
     """A notification's content: the change, the changed resource's path,
@@ -98,19 +93,18 @@ def match_subscriptions(tree: ResourceTree, event: ChangeEvent) -> list[NotifyPr
 
 
 class NotificationChannel:
-    """Ordered at-least-once delivery of notifications to one peer.
+    """Ordered delivery of notifications to one peer over a lossless link.
 
-    Notifications go out one at a time (order preserved end to end); a failed
-    attempt is retried with doubling backoff, then dropped and counted once
-    the retry budget is exhausted. A paused channel sends nothing new, and
-    its queue waits for ``resume``.
+    Notifications go out one at a time (order preserved end to end), each
+    once: a refused one is counted in ``dropped`` and the next goes out at
+    once, since a refusal would not change on a second attempt. A paused
+    channel sends nothing new, and its queue waits for ``resume``.
     """
 
-    def __init__(
-        self,
-        transport: Callable[[NotifyPrimitive, Callable[[bool], None]], None],
-        process: Callable[[Generator], None],
-    ):
+    retries = 0  # nothing is retried; ``perfbench/workloads.py:layer_counters`` reads it
+
+    def __init__(self, transport: Callable[[NotifyPrimitive, Callable[[bool], None]], None],
+                 process: Callable[[Generator], None]):
         self._transport = transport
         self._process = process
         self._queue: deque[NotifyPrimitive] = deque()
@@ -119,7 +113,6 @@ class NotificationChannel:
         self._idle_callbacks: list[Callable[[], None]] = []
         self.sent = 0
         self.dropped = 0
-        self.retries = 0
 
     @property
     def idle(self) -> bool:
@@ -158,21 +151,13 @@ class NotificationChannel:
         self._process(self._deliver())
 
     def _deliver(self) -> Generator:
-        """Send the queued notifications in order until the queue is empty or
-        the channel paused: hand each to the transport, and after each failed
-        attempt wait a doubling backoff and try again, up to the retry budget."""
+        """Hand the queued notifications to the transport in order, each once,
+        until the queue is empty or the channel paused."""
         while self._queue and not self._paused:
-            notify = self._queue[0]
-            attempt = 0
-            while not (yield partial(self._transport, notify)):
-                if attempt == MAX_RETRIES:
-                    self.dropped += 1
-                    break
-                self.retries += 1
-                yield INITIAL_BACKOFF_MS * (2 ** attempt)
-                attempt += 1
-            else:
+            if (yield partial(self._transport, self._queue[0])):
                 self.sent += 1
+            else:
+                self.dropped += 1
             self._queue.popleft()
         self._in_flight = False
         callbacks, self._idle_callbacks = self._idle_callbacks, []

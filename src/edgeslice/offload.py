@@ -167,7 +167,7 @@ class SyncBinding:
     cloud_mirror_root: ResourcePath
     edge_root: ResourcePath
     stats: SyncStats = field(default_factory=SyncStats)
-    seen_request_ids: set[str] = field(default_factory=set)
+    last_request_id: str | None = None  # of the last notify taken, the one a stop-and-wait channel can resend
 
 
 @dataclass(frozen=True)
@@ -452,18 +452,18 @@ class OffloadCoordinator:
     def apply_notification(self, notify: NotifyPrimitive) -> str:
         """Replay one edge change onto the mirror.
 
-        Returns "applied", "duplicate", "stale" or "skipped"; replays are
-        idempotent per request id, and notifications about subscriptions are
-        never replicated.
+        Returns "applied", "duplicate", "stale" or "skipped"; a notification
+        that arrives again straight after itself is a duplicate, and
+        notifications about subscriptions are never replicated.
         """
         target = ResourcePath.parse(notify.target_path)
         binding = _covering(self.bindings, target)
         if binding is None:
             raise UnknownBindingError(f"no binding covers {notify.target_path}")
-        if notify.request_id in binding.seen_request_ids:
+        if notify.request_id == binding.last_request_id:
             binding.stats.duplicates += 1
             return "duplicate"
-        binding.seen_request_ids.add(notify.request_id)
+        binding.last_request_id = notify.request_id
         view = notify.resource
         if view.kind is ResourceKind.SUBSCRIPTION:
             binding.stats.skipped_subscriptions += 1

@@ -165,6 +165,8 @@ class ScenarioConfig:
             raise ConfigInvalidError("payload_bytes must be >= 0")
         if self.prepopulate < 0:
             raise ConfigInvalidError("prepopulate must be >= 0")
+        if self.capacity_bytes <= 0:
+            raise ConfigInvalidError("capacity_bytes must be positive")
         if not 0 <= self.start_delay_ms < math.inf:
             raise ConfigInvalidError("start_delay_ms must be finite and >= 0")
         for node, entries in self.processing.items():

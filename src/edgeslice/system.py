@@ -566,6 +566,12 @@ class CloudNode(_ServiceNode):
         bound roots in arrival order, and 4009 if any bundle was refused. An
         export that fails raises before the first bundle is sent."""
         mode = self.config.sync_mode
+        instance = self.orchestrator.registry.get(self.orchestrator.slice_id_for(edge))
+        # an edge whose slice, as the registry shows it, runs no notification function sends no change
+        if mode is SyncMode.EAGER and (instance is None
+                                       or FunctionKind.NOTIFICATION not in instance.running_functions):
+            mode = SyncMode.LAZY
+            self.sim.log("sync_downgraded", ctx=ctx, edge=edge)
         bundles = [self.coordinator.export_task(task) for task in tasks]
         sent: dict[str, Task] = {}
         for task, bundle in zip(tasks, bundles):
@@ -714,15 +720,20 @@ class System:
         return rqi
 
     def prepare(self) -> "ResponsePrimitive | None":
-        """Edge mode: run the slicing/offload pipeline to completion."""
+        """Edge mode: run the slicing/offload pipeline to completion, or raise
+        naming the refusal's status and cause."""
         if self.mode != "edge":
             return None
         holder: list[ResponsePrimitive] = []
         self.send_service_request(on_ready=holder.append)
         self.run_until_idle()
-        if not holder or not holder[0].ok:
-            raise ConfigInvalidError("service preparation failed")
-        return holder[0]
+        if not holder:
+            raise ConfigInvalidError("service preparation failed: no reply")
+        reply, content = holder[0], holder[0].content
+        if not reply.ok:  # answered by ``_answer`` with an ``err`` field, or by ``_refuse`` with the error's text
+            cause = content.fields.get("err", "") if isinstance(content, FieldBody) else content.decode()
+            raise ConfigInvalidError(f"service preparation failed: {int(reply.status)} {cause}".rstrip())
+        return reply
 
     def run_workload(
         self,

@@ -1,6 +1,7 @@
 import pytest
 
 from edgeslice.cli import main
+from edgeslice.scenario import calibrated_text
 
 from test_scenario import MINIMAL
 from util import CALIBRATED_YAML as SCENARIO
@@ -116,6 +117,20 @@ def test_a_misspelt_scenario_key_is_a_config_error(tmp_path, capsys):
     bad.write_text(MINIMAL.replace("seed: 1", "sede: 1"))
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "scenario.sede" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("capacity, error", [
+    ("0", "error: capacity_bytes must be positive"),
+    ("300000000", "error: service preparation failed: 4000 'edge0' cannot reserve 256000000 more bytes"),
+], ids=["zero", "below-the-slice"])
+def test_a_capacity_that_cannot_hold_the_slice_is_a_config_error_naming_its_cause(tmp_path, capsys,
+                                                                                   capacity, error):
+    bad = tmp_path / "bad.yaml"
+    text = calibrated_text()
+    assert "capacity_bytes: 4000000000" in text
+    bad.write_text(text.replace("capacity_bytes: 4000000000", f"capacity_bytes: {capacity}"))
+    assert main(["run", str(bad), "--requests", "3", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == error
 
 
 def test_topology_override_flag(tmp_path):

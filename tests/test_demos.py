@@ -1,5 +1,7 @@
 """Every demo runs to completion as a script, from a directory of its own,
-with the package taken from this checkout's ``src``."""
+with the package taken from this checkout's ``src``, and prints what its
+golden file in ``golden/demos/`` holds: no demo prints a path, so its stdout
+is virtual-time output alone."""
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("[0-9][0-9]_*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -23,3 +26,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    assert result.stdout == (GOLDEN / f"{demo.stem}.txt").read_text(encoding="utf-8")

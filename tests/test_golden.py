@@ -2,10 +2,12 @@
 
 ``golden/<scenario>/`` holds ``edgeslice run <scenario> --seed 42
 --requests 60`` output for both shipped scenarios (the calibrated one is
-the file packaged with edgeslice), so any change that shifts virtual time
-shows here. ``golden/wire.json`` holds the encodings
-made by ``wire_samples.py`` (see its docstring for how it was generated),
-so any change to the bytes on the wire shows here. The same system runs
+the file packaged with edgeslice), and ``golden/cli/<command>/`` the output
+files of ``road-scenario``, ``bench-prepare`` and ``bench-prepare --cold`` at
+their defaults, so any change that shifts virtual time shows here.
+``golden/wire.json`` holds the encodings made by ``wire_samples.py`` (see
+its docstring for how it was generated), so any change to the bytes on the
+wire shows here. The same system runs
 check that each byte of their traffic is escaped at most once.
 """
 import json
@@ -41,6 +43,17 @@ def test_run_output_matches_golden(scenario, tmp_path, capsys):
     capsys.readouterr()
     for name in ("samples.csv", "summary.txt"):
         assert read(out / name) == read(os.path.join(GOLDEN, scenario, name)), name
+
+
+@pytest.mark.parametrize("argv", [["road-scenario"], ["bench-prepare"], ["bench-prepare", "--cold"]],
+                         ids=["road-scenario", "bench-prepare", "bench-prepare-cold"])
+def test_command_output_matches_golden(argv, tmp_path, capsys):
+    name = "-".join(arg.strip("-") for arg in argv)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for file in ("samples.csv", "summary.txt"):
+        # compared as text, so that a failure shows the lines that differ
+        assert read(tmp_path / file).decode() == read(os.path.join(GOLDEN, "cli", name, file)).decode(), file
 
 
 @pytest.fixture(scope="module")

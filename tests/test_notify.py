@@ -133,36 +133,23 @@ def test_channel_delivers_in_order():
     assert channel.sent == 5 and channel.idle
 
 
-def test_channel_retries_with_doubling_backoff_then_succeeds():
+def test_a_refused_notification_is_dropped_after_one_attempt():
+    """Each notification gets one attempt: a refused one is dropped, and the
+    next goes out at the same virtual time."""
     attempts = []
 
     def transport(notify, done):
-        attempts.append(sim.now)
-        done(len(attempts) > 2)  # fail twice, then deliver
+        attempts.append((notify.request_id, sim.now))
+        done(notify.request_id != "ntf-0")  # refuse the first, accept the second
 
     sim = Simulator()
     channel = NotificationChannel(transport, sim.process)
-    channel.enqueue(make_notify())
-    sim.run_until_idle()
-    assert attempts == [0.0, 100.0, 300.0]  # backoff 100 then 200
-    assert channel.sent == 1 and channel.retries == 2 and channel.dropped == 0
-
-
-def test_channel_drops_after_retry_budget():
-    attempts = []
-
-    def transport(notify, done):
-        attempts.append(sim.now)
-        done(False)
-
-    sim = Simulator()
-    channel = NotificationChannel(transport, sim.process)
+    sim.now = 5.0
     channel.enqueue(make_notify(0))
     channel.enqueue(make_notify(1))
     sim.run_until_idle()
-    # 1 try + 3 retries per notification, backoffs 100/200/400
-    assert attempts[:4] == [0.0, 100.0, 300.0, 700.0]
-    assert channel.dropped == 2 and channel.sent == 0
+    assert attempts == [("ntf-0", 5.0), ("ntf-1", 5.0)] and sim.now == 5.0
+    assert (channel.sent, channel.dropped, channel.retries) == (1, 1, 0)
     assert channel.idle
 
 

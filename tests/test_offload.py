@@ -411,6 +411,20 @@ class TestApplyNotification:
         names = [c.name for c in h.cloud_tree.children(location.id)]
         assert names.count("p3") == 1
 
+    def test_a_binding_remembers_only_the_last_notification(self):
+        """Over a stop-and-wait channel only the notification just taken can
+        arrive again, so that is the one id a binding keeps: an older one
+        replayed later is not a duplicate, and its create, already on the
+        mirror, is stale."""
+        h = Harness()
+        h.offload()
+        for name in ("p3", "p4"):
+            h.edge_create("MN-CSE/Cars/CarA/location", ResourceKind.CONTENT_INSTANCE, name, content=b"x")
+        first, second = [n for n in h.pending if n.target_node == "cloud"]
+        outcomes = [h.coordinator.apply_notification(n) for n in (first, second, second, first)]
+        assert outcomes == ["applied", "applied", "duplicate", "stale"]
+        assert h.binding.last_request_id == first.request_id
+
     def test_unbound_task_raises(self):
         h = Harness()
         h.offload()

@@ -135,6 +135,23 @@ def test_invalid_scenarios_rejected(mutation):
         parse_scenario(text.replace(before, after))
 
 
+@pytest.mark.parametrize("capacity", ["0", "-5"])
+def test_a_capacity_that_is_not_positive_is_refused(capacity):
+    text = MINIMAL.replace("service_id: svc", f"service_id: svc\n  capacity_bytes: {capacity}")
+    with pytest.raises(ConfigInvalidError, match="capacity_bytes must be positive"):
+        parse_scenario(text)
+    with pytest.raises(ConfigInvalidError, match="capacity_bytes must be positive"):
+        replace(parse_scenario(MINIMAL), capacity_bytes=int(capacity)).validate()
+
+
+def test_a_capacity_below_what_the_slice_needs_is_left_to_the_preparation():
+    """Only the worker knows what its starts reserve, so a capacity that
+    holds fewer functions than the slice runs parses; the preparation then
+    fails and names its cause."""
+    text = MINIMAL.replace("service_id: svc", "service_id: svc\n  capacity_bytes: 1")
+    assert parse_scenario(text).capacity_bytes == 1
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -107,7 +107,8 @@ class TestPreparation:
         what it started and the cloud drops the slice it created."""
         config = replace(reference_calibrated(), **ONE_FUNCTION_ROOM)
         system = build_system(config, "edge", 42)
-        with pytest.raises(ConfigInvalidError):
+        with pytest.raises(ConfigInvalidError, match="^service preparation failed: 4000 'edge0' cannot reserve "
+                                                     "200000000 more bytes$"):
             system.prepare()
         assert system.edges["edge0"].worker.functions == {}
         assert system.cloud.orchestrator.registry == {}
@@ -612,22 +613,45 @@ class TestTerminationOverTheWire:
         assert mirror_create_status(system) is StatusCode.CONFLICT
 
     def test_an_eager_slice_without_the_notification_function_terminates(self):
-        """Its edge's channel never resumes, so each create's notification
-        waits in the queue. The finalize snapshot supersedes them: the
-        terminate is answered, the mirror holds the creates, and none of
-        the notifications goes out later."""
+        """Its edge could send no change, so the task is bound lazily, and
+        the downgrade is logged: no change queues a notification, and the
+        terminate's snapshot settles the mirror."""
         campus = replace(load_scenario(CAMPUS), sync_mode=SyncMode.EAGER)
         system = build_system(campus, "edge", campus.seed)
         system.prepare()
-        system.run_workload("create", 3)
         edge_id = system.edge_for(system.device_id)
         edge = system.edges[edge_id]
+        binding = system.cloud.coordinator.bindings[campus.tasks[0].task_id]
+        assert binding.mode is SyncMode.LAZY and edge.sync_infos == []
+        assert [e["edge"] for e in system.sim.trace if e["kind"] == "sync_downgraded"] == [edge_id]
+        system.run_workload("create", 3)
+        assert not edge.channel._queue and edge.channel.idle
         task_root = ResourcePath.parse(campus.tasks[0].root)
         before = task_records(edge.worker.tree, ResourcePath("MN-CSE", task_root.segments))
         responses = admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", f"slice-{edge_id}")])
         assert [r.status for r in responses] == [StatusCode.OK]
         assert fields(responses[0])["synced"] == "3"
         assert task_records(system.cloud.tree, task_root) == before
+        assert (edge.channel.sent, edge.channel.dropped) == (0, 0) and edge.channel.idle
+
+    def test_a_terminate_discards_what_a_stopped_notification_function_left_queued(self, config):
+        """An eager binding whose edge stops the notification function: each
+        create's notification waits in the paused channel. The finalize
+        snapshot supersedes them: the terminate is answered, the mirror holds
+        the creates, and none of the notifications goes out later."""
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        edge = system.edges["edge0"]
+        assert system.cloud.coordinator.bindings["task-citizenB"].mode is SyncMode.EAGER
+        admin(system, Operation.STOP_FUNCTION, "edge0", [("fn", "NOTIFICATION")], rqi="stop-1")
+        system.run_workload("create", 3)
+        assert len(edge.channel._queue) == 3 and edge.channel.sent == 0
+        before = task_records(edge.worker.tree, EDGE_TASK_ROOT)
+        responses = admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")])
+        assert [r.status for r in responses] == [StatusCode.OK]
+        assert fields(responses[0])["synced"] == "3"
+        assert task_records(system.cloud.tree, CLOUD_TASK_ROOT) == before
+        assert not edge.channel._queue
         edge.channel.resume()  # as if the notification function started now
         system.run_until_idle()
         assert (edge.channel.sent, edge.channel.dropped) == (0, 0) and edge.channel.idle
@@ -653,6 +677,32 @@ class TestTerminationOverTheWire:
             rqi="term-2",
         )
         assert responses[0].status is StatusCode.NOT_FOUND
+
+
+class TestBoundedSyncState:
+    """A long eager run keeps as much sync state as a short one: every
+    binding's fields and every notification queue are the same size after
+    N creates and after 10N."""
+
+    @staticmethod
+    def sync_state(system) -> dict:
+        bindings = {task: {name: len(value) if isinstance(value, (set, list, dict)) else 1
+                           for name, value in vars(binding).items()}
+                    for task, binding in system.cloud.coordinator.bindings.items()}
+        queues = {node.node_id: len(node.channel._queue) for node in (system.cloud, *system.edges.values())}
+        return {"bindings": bindings, "queues": queues}
+
+    @pytest.mark.parametrize("scenario", [reference_calibrated, lambda: load_scenario(CAMPUS)],
+                             ids=["calibrated", "campus"])
+    def test_sync_state_stays_flat_as_creates_go_on(self, scenario):
+        config = replace(scenario(), sync_mode=SyncMode.EAGER)
+        system = build_system(config, "edge", config.seed)
+        system.prepare()
+        system.run_workload("create", 100)
+        after_n = self.sync_state(system)
+        assert after_n["bindings"]
+        system.run_workload("create", 900)
+        assert self.sync_state(system) == after_n
 
 
 class TestOffloadRequestEndpoint:
@@ -692,9 +742,20 @@ class TestOffloadFailure:
             ResourcePath.parse("MN-CSE/Pedestrians"), ResourceKind.CONTAINER, "CitizenB"
         )
         tree.drain_events()
-        with pytest.raises(ConfigInvalidError):
+        with pytest.raises(ConfigInvalidError, match="^service preparation failed: 4009 offload of 'task-citizenB' "
+                                                     "failed with 4009$"):
             system.prepare()
         assert system.cloud.coordinator.bindings == {}
+
+    def test_a_refused_export_names_its_cause(self, config):
+        """The task root is gone from the cloud, so its export raises and the
+        cloud answers with the error's text, which the failure repeats."""
+        system = build_system(config, "edge", 42)
+        system.cloud.tree.delete(CLOUD_TASK_ROOT)
+        system.cloud.tree.drain_events()
+        with pytest.raises(ConfigInvalidError, match="^service preparation failed: 4004 no resource at "
+                                                     "IN-CSE/Pedestrians/CitizenB$"):
+            system.prepare()
 
     def test_a_refused_eager_bundle_leaves_the_edge_tree_unchanged(self, config):
         """A container of the task already has a child named as its sync
