@@ -1,8 +1,9 @@
 """The package's one text codec: percent-coding, numbers, field lines, payloads.
 
 A field line is ``key=value`` pairs joined by ``;``; resource records use one
-field layout on the wire and in ``ResourceTree.serialize``, and a control body
-keeps its lines as pairs (``FieldBody``) until something reads its bytes.
+field layout on the wire and in ``ResourceTree.serialize``, and a one-line
+control body is a named tuple of its keys (``line_body``), read as
+attributes until something reads its bytes.
 Each byte is escaped at most once: a field value escapes ``;``, ``%`` and
 bytes outside printable ASCII, so base64 content travels raw; a payload is
 ``t:`` plus ASCII text escaping ``%`` and bytes outside printable ASCII (a
@@ -17,7 +18,9 @@ import base64
 import binascii
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from itertools import takewhile
+from typing import Container, Iterable, Sequence
 
 from .errors import BadRequestError
 
@@ -79,7 +82,7 @@ def parse_float(text: str) -> float:
 
 # --- field lines ---
 
-def encode_fieldline(pairs: list[tuple[str, str]]) -> str:
+def encode_fieldline(pairs: Iterable[tuple[str, str]]) -> str:
     return ";".join(f"{k}={quote(v, FIELD_SAFE)}" for k, v in pairs)
 
 
@@ -95,7 +98,7 @@ def decode_fieldline(line: str) -> dict[str, str]:
     return out
 
 
-def encode_body(pairs: list[tuple[str, str]]) -> bytes:
+def encode_body(pairs: Iterable[tuple[str, str]]) -> bytes:
     """Field line carried as a primitive's content."""
     return encode_fieldline(pairs).encode("ascii")
 
@@ -105,41 +108,51 @@ def decode_body(data: bytes | None) -> dict[str, str]:
     return decode_fieldline(decode_ascii(data or b""))
 
 
-class Fields(dict):
-    """A field line as read off the wire. A key it lacks is the sender's
-    fault, so reading one raises ``BadRequestError``, and a ``KeyError``
-    stays a bug of the reader."""
+def read_line(data: bytes, keys: Sequence[str], optional: Container[str] = ()) -> list:
+    """The values of ``keys`` in the one field line ``data`` holds, None for
+    an absent key in ``optional``. A key not in ``keys`` is ignored; a
+    missing key or a second line is refused."""
+    text = decode_ascii(data)
+    if "\n" in text:
+        raise BadRequestError("expected one field line")
+    fields = decode_fieldline(text)
+    values = [fields.get(key) for key in keys]
+    for key, value in zip(keys, values):
+        if value is None and key not in optional:
+            raise BadRequestError(f"missing field {key!r}")
+    return values
 
-    def __missing__(self, key: str):
-        raise BadRequestError(f"missing field {key!r}")
 
+class _LineBody:
+    """What ``line_body`` adds to a named tuple."""
 
-@dataclass(frozen=True)
-class FieldBody:
-    """A control message's content: its field lines, each kept as ``(key,
-    value)`` pairs. On the wire the lines are joined by newlines, so
-    ``to_bytes`` gives what ``encode_body`` gives for a one-line body."""
-
-    lines: tuple[tuple[tuple[str, str], ...], ...]
-
-    @classmethod
-    def line(cls, *pairs: tuple[str, str]) -> "FieldBody":
-        return cls((pairs,))
-
-    @property
-    def fields(self) -> Fields:
-        """The one line of a one-line body, as ``decode_body`` reads it."""
-        if len(self.lines) != 1:
-            raise BadRequestError(f"expected one field line, got {len(self.lines)}")
-        return Fields(self.lines[0])
+    __slots__ = ()
 
     def to_bytes(self) -> bytes:
-        return "\n".join(map(encode_fieldline, self.lines)).encode("ascii")
+        return encode_body([(key, str(value)) for key, value in zip(self._fields, self) if value is not None])
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "FieldBody":
-        lines = decode_ascii(data).split("\n")
-        return cls(tuple([tuple(decode_fieldline(line).items()) for line in lines]))
+    def from_bytes(cls, data: bytes):
+        values = read_line(data, cls._fields, cls._optional)
+        return cls._make([value if value is None else parse(value) for parse, value in zip(cls._parsers, values)])
+
+
+_PARSERS = {"": str, "int": parse_int, "float": parse_float}
+
+
+def line_body(name: str, fields: str) -> type:
+    """A one-line control body: a named tuple whose field names are the
+    body's keys, in wire order. ``fields`` names them, space-separated, each
+    as ``key``, ``key:int`` or ``key:float``; a value is written as ``str``
+    writes it. A key marked ``key?`` is optional: None is not written, an
+    absent key reads as None, and the optional keys at the end default to
+    None. ``from_bytes`` reads the line as ``read_line`` does."""
+    specs = [spec.partition(":") for spec in fields.split()]
+    keys = [key.rstrip("?") for key, _, _ in specs]
+    optional = frozenset(key.rstrip("?") for key, _, _ in specs if key.endswith("?"))
+    defaults = [None] * len(list(takewhile(optional.__contains__, reversed(keys))))
+    return type(name, (namedtuple(name, keys, defaults=defaults), _LineBody),
+                {"__slots__": (), "_optional": optional, "_parsers": [_PARSERS[kind] for _, _, kind in specs]})
 
 
 def decode_ascii(data: bytes) -> str:

@@ -6,10 +6,9 @@ simulated with a size/bandwidth transfer model and caches never evict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
-from .codec import Fields, parse_int
+from .codec import encode_body, parse_int, read_line
 from .errors import BadRequestError, ImageNotFoundError
 from .slicing import FUNCTION_BY_NAME, FUNCTION_NAMES, FunctionKind, function_from_name
 
@@ -21,25 +20,27 @@ DEFAULT_IMAGE_BYTES = 400 * MB
 
 @dataclass(frozen=True)
 class FunctionImage:
+    """One function's container image; on the wire, a line of a
+    SLICE_INSTANTIATE body holding ``_KEYS``."""
+
     image_id: str
     function: FunctionKind
     version: str
     size_bytes: int
+    _KEYS = ("img", "fn", "ver", "size")
 
     def __post_init__(self):
         if self.size_bytes < 0:
             raise BadRequestError("image size must be >= 0")
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        """The image's line in a SLICE_INSTANTIATE body, built once per image."""
-        return (("img", self.image_id), ("fn", FUNCTION_NAMES[self.function]),
-                ("ver", self.version), ("size", str(self.size_bytes)))
+    def to_bytes(self) -> bytes:
+        values = (self.image_id, FUNCTION_NAMES[self.function], self.version, str(self.size_bytes))
+        return encode_body(zip(self._KEYS, values))
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "FunctionImage":
-        rec = Fields(pairs)
-        return cls(rec["img"], FUNCTION_BY_NAME[rec["fn"]], rec["ver"], parse_int(rec["size"]))
+    def from_bytes(cls, data: bytes) -> "FunctionImage":
+        image_id, function, version, size = read_line(data, cls._KEYS)
+        return cls(image_id, FUNCTION_BY_NAME[function], version, parse_int(size))
 
 
 def _version_key(version: str) -> tuple:

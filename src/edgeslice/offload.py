@@ -16,7 +16,7 @@ from operator import countOf, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .codec import (FIELD_SAFE, decode_ascii, decode_b64, decode_fieldline, encode_b64,
-                    encode_fieldline, parse_float, parse_int, quote)
+                    encode_fieldline, line_body, parse_float, parse_int, quote)
 from .errors import (
     AlreadyBoundError,
     BadRequestError,
@@ -131,23 +131,25 @@ class OffloadBundle:
         return cls.decode(decode_ascii(data))
 
 
+# a bundle transfer's head: the preparation it serves, the task, its sync mode
+# and, for an eager binding, the mirror's root and the cloud
+BundleHead = line_body("BundleHead", "ctx? task mode mirror? cloud?")
+
+
 @dataclass(frozen=True)
 class BundleTransfer:
-    """The body of a BUNDLE_TRANSFER: the head's field pairs, then the bundle.
+    """The body of a BUNDLE_TRANSFER: its head's line, then the bundle."""
 
-    On the wire the head is one field line before the bundle's text.
-    """
-
-    head: tuple[tuple[str, str], ...]
+    head: BundleHead
     bundle: OffloadBundle
 
     def to_bytes(self) -> bytes:
-        return (encode_fieldline(list(self.head)) + "\n" + self.bundle.encode()).encode("ascii")
+        return self.head.to_bytes() + b"\n" + self.bundle.to_bytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BundleTransfer":
-        head, _, text = decode_ascii(data).partition("\n")
-        return cls(tuple(decode_fieldline(head).items()), OffloadBundle.decode(text))
+        head, _, text = data.partition(b"\n")
+        return cls(BundleHead.from_bytes(head), OffloadBundle.from_bytes(text))
 
 
 @dataclass

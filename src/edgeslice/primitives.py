@@ -4,11 +4,11 @@ Every message between devices, edge workers and the cloud is one request or
 response primitive. Its wire form, made by ``encode`` only when something
 reads it, is newline-separated ``key=value`` lines, each key once, in a fixed
 order, so equal primitives always encode to equal bytes, and ``len`` of a
-primitive is the length of that form. Content is bytes, or a parsed body
+primitive is the length of that form. Content is bytes, or a typed body
 whose ``to_bytes`` gives exactly the bytes it stands for: a control body
-(``codec.FieldBody``), a bundle or a bundle transfer. ``read_body`` reads
-either form as the body. The codec's field-line and resource encoders are
-re-exported here.
+(such as ``slicing.SliceProfile`` or a ``codec.line_body``), a bundle, a
+bundle transfer or a notification's body. ``read_body`` reads either form as
+the body. The codec's field-line and resource encoders are re-exported here.
 """
 from __future__ import annotations
 

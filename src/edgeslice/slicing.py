@@ -3,9 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
-from .codec import Fields
+from .codec import encode_body, read_line
 from .errors import BadRequestError
 
 BASE_PORT = 62590
@@ -89,62 +88,53 @@ _DECISIONS = _ByName("plan decision", {m.value: m for m in PlanDecision})
 
 @dataclass(frozen=True)
 class SliceProfile:
-    """The function set and latency class one service demands."""
+    """The function set and latency class one service demands; a
+    SERVICE_REQUEST's body, on the wire one line of ``_KEYS``."""
 
     service_id: str
     required_functions: frozenset[FunctionKind]
     latency_class: LatencyClass = LatencyClass.NORMAL
+    _KEYS = ("svc", "fn", "lc")
 
     def __post_init__(self):
         if not self.required_functions:
             raise BadRequestError("a slice profile requires at least one function")
 
-    def to_pairs(self) -> tuple[tuple[str, str], ...]:
-        return (
-            ("svc", self.service_id),
-            ("fn", ",".join(map(_LOWER_NAMES.__getitem__, ordered(self.required_functions)))),
-            ("lc", VALUES[self.latency_class]),
-        )
+    def to_bytes(self) -> bytes:
+        names = ",".join(map(_LOWER_NAMES.__getitem__, ordered(self.required_functions)))
+        return encode_body(zip(self._KEYS, (self.service_id, names, VALUES[self.latency_class])))
 
     @classmethod
-    def from_pairs(cls, pairs: "Iterable[tuple[str, str]] | Fields") -> "SliceProfile":
-        """The profile ``to_pairs`` gave; ``Fields`` are read as they are."""
-        rec = pairs if isinstance(pairs, Fields) else Fields(pairs)
-        return cls(
-            service_id=rec["svc"],
-            required_functions=frozenset(function_from_name(n) for n in rec["fn"].split(",")),
-            latency_class=_LATENCY_CLASSES[rec["lc"]],
-        )
+    def from_bytes(cls, data: bytes) -> "SliceProfile":
+        service_id, names, latency_class = read_line(data, cls._KEYS)
+        return cls(service_id, frozenset(map(function_from_name, names.split(","))),
+                   _LATENCY_CLASSES[latency_class])
 
 
 @dataclass(frozen=True)
 class SlicingPlan:
-    """Outcome of matching a service request against the running slices."""
+    """Outcome of matching a service request against the running slices;
+    on the wire one line of ``_KEYS``."""
 
     decision: PlanDecision
     target_slice: str
     missing_functions: frozenset[FunctionKind]
+    _KEYS = ("dec", "slc", "mf")
 
     def __post_init__(self):
         fast = self.decision is PlanDecision.FAST_PATH_OFFLOAD_ONLY
         if fast != (not self.missing_functions):
             raise BadRequestError("fast path plans must have no missing functions")
 
-    def to_pairs(self) -> tuple[tuple[str, str], ...]:
-        return (
-            ("dec", VALUES[self.decision]),
-            ("slc", self.target_slice),
-            ("mf", ",".join(map(_LOWER_NAMES.__getitem__, ordered(self.missing_functions)))),
-        )
+    def to_bytes(self) -> bytes:
+        names = ",".join(map(_LOWER_NAMES.__getitem__, ordered(self.missing_functions)))
+        return encode_body(zip(self._KEYS, (VALUES[self.decision], self.target_slice, names)))
 
     @classmethod
-    def from_pairs(cls, pairs: "Iterable[tuple[str, str]]") -> "SlicingPlan":
-        rec = Fields(pairs)
-        return cls(
-            decision=_DECISIONS[rec["dec"]],
-            target_slice=rec["slc"],
-            missing_functions=frozenset(function_from_name(n) for n in rec["mf"].split(",") if n),
-        )
+    def from_bytes(cls, data: bytes) -> "SlicingPlan":
+        decision, target_slice, names = read_line(data, cls._KEYS)
+        return cls(_DECISIONS[decision], target_slice,
+                   frozenset(function_from_name(n) for n in names.split(",") if n))
 
 
 @dataclass

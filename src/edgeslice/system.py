@@ -2,8 +2,9 @@
 
 Every interaction is a request or response primitive routed by the
 simulator; nodes never share state. Between the edge and the cloud a message
-travels as the primitive object itself: a control body as field pairs
-(``FieldBody``), a bundle as records, a notification as its resource snapshot
+travels as the primitive object itself: a control body as its typed object
+(a ``SliceProfile``, or a body declared here beside the handlers that send
+and read it), a bundle as records, a notification as its resource snapshot
 (``NotifyBody``); only a data-plane message on a device's access link travels
 as its wire encoding. A message's bytes are its ``encode()``, made only when
 something reads them, and a node decodes a payload that arrives as bytes.
@@ -33,12 +34,13 @@ from __future__ import annotations
 import weakref
 from functools import lru_cache, partial
 from itertools import count
-from typing import Callable, Generator
+from typing import Callable, Generator, NamedTuple
 
-from .codec import FieldBody, Fields, encode_b64, encode_body, parse_float, parse_int
+from .codec import encode_b64, encode_body, line_body, parse_int
 from .errors import (
     BadRequestError,
     ConfigInvalidError,
+    ConflictError,
     EdgeSliceError,
     NotFoundError,
     UnknownSliceError,
@@ -50,6 +52,7 @@ from .netsim import LatencySample, Network, NodeRole, Simulator
 from .notify import NotificationChannel, match_subscriptions, parse_notify  # noqa: F401
 from .offload import (
     MODE_VALUES,
+    BundleHead,
     BundleTransfer,
     EdgeSyncInfo,
     OffloadBundle,
@@ -101,11 +104,6 @@ _CLOUD_CAPACITY = 10**15
 # cap: an edge create takes 5 (request, processing, reply and the eager-sync
 # notify and its reply), a cloud create or retrieve 3
 EVENTS_PER_REQUEST = 10
-
-
-def _fields(content: "bytes | Body | None") -> dict[str, str]:
-    """A one-line control body, sent as a ``FieldBody`` or as bytes, as a dict."""
-    return read_body(content, FieldBody).fields
 
 
 def payload_for(size: int, index: int) -> bytes:
@@ -291,6 +289,40 @@ class _ServiceNode(_Node):
         self.sim.schedule(processing, partial(self.reply, sender, response, self.config.payload_bytes))
 
 
+# --- the bodies of the requests an edge serves, and of its answers ---
+
+class InstantiateBody(NamedTuple):
+    """SLICE_INSTANTIATE: the plan, the preparation it serves, the quota to
+    start at and the image of each function to start. On the wire, the
+    plan's line, a line of ``_Meta`` and one line per image."""
+
+    plan: SlicingPlan
+    ctx: str
+    quota: ResourceQuota
+    images: tuple[FunctionImage, ...]
+
+    def to_bytes(self) -> bytes:
+        meta = _Meta(self.ctx, self.quota.max_memory_bytes, self.quota.max_cpu_share)
+        return b"\n".join([self.plan.to_bytes(), meta.to_bytes(), *[image.to_bytes() for image in self.images]])
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "InstantiateBody":
+        plan, *lines = data.split(b"\n")
+        if not lines:
+            raise BadRequestError("an instantiate body is a plan line, a meta line and image lines")
+        meta = _Meta.from_bytes(lines[0])
+        return cls(SlicingPlan.from_bytes(plan), meta.ctx, ResourceQuota(meta.mem, meta.cpu),
+                   tuple(map(FunctionImage.from_bytes, lines[1:])))
+
+
+_Meta = line_body("_Meta", "ctx mem:int cpu:float")  # an InstantiateBody's second line
+TaskRoot = line_body("TaskRoot", "task root")  # SYNC_FINALIZE's, and the answer to a BUNDLE_TRANSFER
+StartBody = line_body("StartBody", "img mem:int cpu:float")  # START_FUNCTION's
+PortBody = line_body("PortBody", "port:int")  # the answer to a START_FUNCTION
+FunctionBody = line_body("FunctionBody", "fn")  # STOP_FUNCTION's and CRASH's, by ``FUNCTION_NAMES`` name
+CrashBody = line_body("CrashBody", "duration_ms:float")  # the answer to a CRASH: the respawn's duration
+
+
 class EdgeNode(_ServiceNode):
     def __init__(self, system: "System", node_id: str):
         config = system.config
@@ -349,24 +381,14 @@ class EdgeNode(_ServiceNode):
     def _handle_instantiate(self, req: RequestPrimitive) -> Generator:
         """Pull and start each missing function in turn, then record the
         outcome at the cloud; a process."""
-        lines = read_body(req.content, FieldBody).lines
-        if len(lines) < 2:
-            raise BadRequestError("an instantiate body is a plan line, a meta line and image lines")
-        plan_line, meta_line, *image_lines = lines
-        plan = SlicingPlan.from_pairs(plan_line)
-        meta = Fields(meta_line)
-        ctx = meta["ctx"]
-        images = [FunctionImage.from_pairs(line) for line in image_lines]
-        quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
+        body = read_body(req.content, InstantiateBody)
+        ctx, slice_id = body.ctx, body.plan.target_slice
         bandwidth = self.network.bottleneck_bandwidth(self.node_id, self.cloud_id)
-        extra = (
-            self.network.topology.path_delay_ms(self.node_id, self.cloud_id)
-            if self.config.link_accurate_pulls
-            else 0.0
-        )
+        accurate = self.config.link_accurate_pulls
+        extra = self.network.topology.path_delay_ms(self.node_id, self.cloud_id) if accurate else 0.0
         started: dict[FunctionKind, int] = {}
         fresh_starts: list[FunctionKind] = []
-        for image in images:
+        for image in body.images:
             function = image.function
             if function in self.worker.functions:
                 # already hosted (stale handler view); never start twice
@@ -374,41 +396,36 @@ class EdgeNode(_ServiceNode):
                 continue
             yield pull_image(self.worker.cache, image, bandwidth, extra_delay_ms=extra)
             try:
-                instance = yield from self._start_function(image, quota)
+                instance = yield from self._start_function(image, body.quota)
             except EdgeSliceError as exc:  # refused by ``begin_start``, before any wait
                 for fn in fresh_starts:
                     self.worker.stop_function(fn)
                 self._sync_channel_state()
-                body = FieldBody.line(("ctx", ctx), ("slc", plan.target_slice), ("err", str(exc)))
-                self.send_control(self.cloud_id, Operation.SLICE_RECORD, body)
+                self.send_control(self.cloud_id, Operation.SLICE_RECORD, RecordBody(ctx, slice_id, err=str(exc)))
                 return
             started[function] = instance.port
             fresh_starts.append(function)
-        body = FieldBody.line(
-            ("ctx", ctx),
-            ("slc", plan.target_slice),
-            ("fn", ",".join(f"{FUNCTION_NAMES[fn]}:{started[fn]}" for fn in ordered(started))),
-        )
-        self.send_control(self.cloud_id, Operation.SLICE_RECORD, body)
+        ports = ",".join(f"{FUNCTION_NAMES[fn]}:{started[fn]}" for fn in ordered(started))
+        self.send_control(self.cloud_id, Operation.SLICE_RECORD, RecordBody(ctx, slice_id, ports))
 
     def _handle_bundle(self, req: RequestPrimitive, sender: str) -> None:
         # the whole body is read before the import, so a refusal changes nothing
         transfer = read_body(req.content, BundleTransfer)
-        meta = Fields(transfer.head)
-        task_id = meta["task"]
-        eager = meta["mode"] == MODE_VALUES[SyncMode.EAGER]
+        head = transfer.head
+        eager = head.mode == MODE_VALUES[SyncMode.EAGER]
         if eager:
-            mirror_root, cloud = ResourcePath.parse(meta["mirror"]), meta["cloud"]
+            if head.mirror is None or head.cloud is None:
+                raise BadRequestError("an eager bundle transfer names its mirror and its cloud")
+            mirror_root = ResourcePath.parse(head.mirror)
             refuse_taken_sync_names(transfer.bundle)
         root = import_bundle(self.worker.tree, transfer.bundle)
         if eager:
-            info = EdgeSyncInfo(task_id, root, mirror_root, cloud)
+            info = EdgeSyncInfo(head.task, root, mirror_root, head.cloud)
             create_sync_subscriptions(self.worker.tree, info)
             self.worker.tree.drain_events()
             self.sync_infos.append(info)
-        self.sim.log("offload_import_complete", ctx=meta.get("ctx", ""), task=task_id, root=str(root))
-        body = FieldBody.line(("task", task_id), ("root", str(root)))
-        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
+        self.sim.log("offload_import_complete", ctx=head.ctx or "", task=head.task, root=str(root))
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, TaskRoot(head.task, str(root))))
 
     def _handle_finalize(self, req: RequestPrimitive, sender: str) -> Generator:
         """Answer with a snapshot of the task's subtree once the notification
@@ -416,9 +433,8 @@ class EdgeNode(_ServiceNode):
         supersedes what a paused channel still holds for the task. The root is
         checked on arrival and again by the snapshot, since an earlier
         finalize may have removed it meanwhile."""
-        meta = _fields(req.content)
-        task_id = meta["task"]
-        root = ResourcePath.parse(meta["root"])
+        task_id, root = read_body(req.content, TaskRoot)
+        root = ResourcePath.parse(root)
         resolve_task_root(self.worker.tree, root)
         yield self.channel.when_idle
         bundle = make_bundle(self.worker.tree, root, task_id, self.sim.now)
@@ -432,24 +448,33 @@ class EdgeNode(_ServiceNode):
 
     def _handle_start(self, req: RequestPrimitive, sender: str) -> Generator:
         """Start one function and answer with its port once it runs; a process."""
-        meta = _fields(req.content)
-        quota = ResourceQuota(parse_int(meta["mem"]), parse_float(meta["cpu"]))
-        instance = yield from self._start_function(self.config.catalogue.by_id(meta["img"]), quota)
-        body = FieldBody.line(("port", str(instance.port)))
-        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
+        start = read_body(req.content, StartBody)
+        quota = ResourceQuota(start.mem, start.cpu)
+        instance = yield from self._start_function(self.config.catalogue.by_id(start.img), quota)
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, PortBody(instance.port)))
 
     def _handle_stop(self, req: RequestPrimitive, sender: str) -> None:
-        self.worker.stop_function(FUNCTION_BY_NAME[_fields(req.content)["fn"]])
+        self.worker.stop_function(FUNCTION_BY_NAME[read_body(req.content, FunctionBody).fn])
         self._sync_channel_state()
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
 
     def _handle_crash(self, req: RequestPrimitive, sender: str) -> None:
-        function = FUNCTION_BY_NAME[_fields(req.content)["fn"]]
+        function = FUNCTION_BY_NAME[read_body(req.content, FunctionBody).fn]
         duration = self.worker.begin_crash(function)
         self._sync_channel_state()
         self.sim.schedule(duration, partial(self._complete_start, function))
-        body = FieldBody.line(("duration_ms", repr(duration)))
-        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, CrashBody(duration)))
+
+
+# --- the bodies of the requests the cloud serves, and of its answers ---
+
+# SLICE_RECORD's: the functions an instantiation started, as ``NAME:port`` pairs, or why it failed
+RecordBody = line_body("RecordBody", "ctx slc fn? err?")
+# the answer to a preparation or an offload request: the edge and the task roots bound on it, comma-joined
+ReadyBody = line_body("ReadyBody", "edge roots")
+OffloadBody = line_body("OffloadBody", "task edge")  # OFFLOAD_REQUEST's
+SliceBody = line_body("SliceBody", "slc")  # SLICE_TERMINATE's
+SyncedBody = line_body("SyncedBody", "synced:int")  # the answer to a SLICE_TERMINATE: the records synced
 
 
 class CloudNode(_ServiceNode):
@@ -508,29 +533,20 @@ class CloudNode(_ServiceNode):
         """Plan the service; if the edge lacks functions, instantiate them
         and wait for the edge's record; then offload the service's unbound
         tasks. A process."""
-        profile = SliceProfile.from_pairs(_fields(req.content))
+        profile = read_body(req.content, SliceProfile)
         device, ctx = req.originator, req.request_id
-        plan = self.orchestrator.handle_service_request(
-            ServiceRequest(device, profile.service_id, profile)
-        )
+        plan = self.orchestrator.handle_service_request(ServiceRequest(device, profile.service_id, profile))
         edge = self.orchestrator.edge_of(plan.target_slice)
         if plan.decision is PlanDecision.INSTANTIATE_THEN_OFFLOAD:
             self.orchestrator.ensure_instance(plan.target_slice, edge)
-            config = self.config
-            quota = config.quota
-            meta = (("ctx", ctx), ("mem", str(quota.max_memory_bytes)), ("cpu", repr(quota.max_cpu_share)))
-            images = [config.catalogue.lookup(fn).pairs for fn in ordered(plan.missing_functions)]
-            body = FieldBody((plan.to_pairs(), meta, *images))
+            images = tuple([self.config.catalogue.lookup(fn) for fn in ordered(plan.missing_functions)])
+            body = InstantiateBody(plan, ctx, self.config.quota, images)
             self.send_control(edge, Operation.SLICE_INSTANTIATE, body)
             err = yield ("record", ctx)  # resumed by ``_handle_record``
             if err is not None:
-                self._answer(device, ctx, ctx, edge, StatusCode.BAD_REQUEST, [], err)
-                return
-        tasks = [
-            Task(t.task_id, ResourcePath.parse(t.root), t.service)
-            for t in self.config.tasks
-            if t.service == profile.service_id and t.task_id not in self.coordinator.bindings
-        ]
+                raise BadRequestError(err)
+        tasks = [Task(t.task_id, ResourcePath.parse(t.root), t.service) for t in self.config.tasks
+                 if t.service == profile.service_id and t.task_id not in self.coordinator.bindings]
         yield from self._offload(ctx, edge, tasks, device, ctx)
 
     def _handle_record(self, req: RequestPrimitive, sender: str) -> None:
@@ -539,32 +555,28 @@ class CloudNode(_ServiceNode):
         whole record is read and applied first: one that cannot be read, or
         names a slice the registry lacks, is refused and the preparation
         waits on. One that no preparation waits for is refused as not found."""
-        meta = _fields(req.content)
-        key = ("record", meta["ctx"])
+        record = read_body(req.content, RecordBody)
+        key = ("record", record.ctx)
         if key not in self.pending:
-            raise NotFoundError(f"no preparation waits for a record of {meta['ctx']!r}")
-        slice_id, err = meta["slc"], meta.get("err")
-        started = {}
-        if meta.get("fn"):
-            for pair in meta["fn"].split(","):
-                name, _, port = pair.partition(":")
-                started[FUNCTION_BY_NAME[name]] = parse_int(port)
-        if err is None:
-            self.orchestrator.mark_active(slice_id, started)
-            self.orchestrator.record_slice_functions(slice_id, set(started))
+            raise NotFoundError(f"no preparation waits for a record of {record.ctx!r}")
+        pairs = [pair.partition(":") for pair in record.fn.split(",")] if record.fn else []
+        started = {FUNCTION_BY_NAME[name]: parse_int(port) for name, _, port in pairs}
+        if record.err is None:
+            self.orchestrator.mark_active(record.slc, started)
+            self.orchestrator.record_slice_functions(record.slc, set(started))
             self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK))
         else:
-            instance = self.orchestrator.registry.get(slice_id)
+            instance = self.orchestrator.registry.get(record.slc)
             if instance is not None and instance.state is not SliceState.ACTIVE:
                 # the failed instantiation created the slice; none of it runs
-                self.orchestrator.forget_slice(slice_id)
-        self.pending.pop(key)(err)
+                self.orchestrator.forget_slice(record.slc)
+        self.pending.pop(key)(record.err)
 
     def _offload(self, ctx: str, edge: str, tasks: list[Task], to: str, rqi: str) -> Generator:
         """Export every task, then send each bundle to ``edge`` and bind each
-        task as its reply arrives, then answer ``rqi`` at ``to``: with the
-        bound roots in arrival order, and 4009 if any bundle was refused. An
-        export that fails raises before the first bundle is sent."""
+        task as its reply arrives, then answer ``rqi`` at ``to`` with the
+        bound roots in arrival order. An export that fails raises before the
+        first bundle is sent; a refused bundle raises once every reply is in."""
         mode = self.config.sync_mode
         instance = self.orchestrator.registry.get(self.orchestrator.slice_id_for(edge))
         # an edge whose slice, as the registry shows it, runs no notification function sends no change
@@ -575,46 +587,32 @@ class CloudNode(_ServiceNode):
         bundles = [self.coordinator.export_task(task) for task in tasks]
         sent: dict[str, Task] = {}
         for task, bundle in zip(tasks, bundles):
-            head = (
-                ("ctx", ctx),
-                ("task", task.task_id),
-                ("mode", MODE_VALUES[mode]),
-                ("mirror", str(task.root_path)),
-                ("cloud", self.node_id),
-            )
+            head = BundleHead(ctx, task.task_id, MODE_VALUES[mode], str(task.root_path), self.node_id)
             bundle_rqi = self.next_control_rqi()
             sent[bundle_rqi] = task
             self.send_control(edge, Operation.BUNDLE_TRANSFER, BundleTransfer(head, bundle), bundle_rqi)
         roots: list[str] = []
-        status, err = StatusCode.OK, ""
+        refused = ""
         while sent:
             response = yield list(sent)
             task = sent.pop(response.request_id)
             if response.ok:
-                meta = _fields(response.content)
-                self.coordinator.register_binding(task, mode, edge, ResourcePath.parse(meta["root"]))
-                roots.append(meta["root"])
+                root = read_body(response.content, TaskRoot).root
+                self.coordinator.register_binding(task, mode, edge, ResourcePath.parse(root))
+                roots.append(root)
             else:
-                status, err = StatusCode.CONFLICT, f"offload of {task.task_id!r} failed with {int(response.status)}"
-        self._answer(to, rqi, ctx, edge, status, roots, err)
-
-    def _answer(self, to: str, rqi: str, ctx: str, edge: str, status: StatusCode,
-                roots: list[str], err: str = "") -> None:
-        """Answer a preparation or an offload request with the edge, the
-        task roots bound on it and, if one step failed, why."""
-        self.sim.log("service_ready", ctx=ctx, edge=edge, status=int(status))
-        pairs = (("edge", edge), ("roots", ",".join(roots)))
-        if err:
-            pairs += (("err", err),)
-        self.send(to, ResponsePrimitive(rqi, status, FieldBody.line(*pairs)), CONTROL_SIZE)
+                refused = f"offload of {task.task_id!r} failed with {int(response.status)}"
+        if refused:
+            raise ConflictError(refused)
+        self.sim.log("service_ready", ctx=ctx, edge=edge, status=int(StatusCode.OK))
+        self.send(to, ResponsePrimitive(rqi, StatusCode.OK, ReadyBody(edge, ",".join(roots))), CONTROL_SIZE)
 
     # --- offload / terminate control plane ---
 
     def _handle_offload_request(self, req: RequestPrimitive, sender: str) -> Generator:
         """Offload one named task to the named edge worker; a process. Both
         names are checked before anything is exported."""
-        meta = _fields(req.content)
-        task_id, edge = meta["task"], meta["edge"]
+        task_id, edge = read_body(req.content, OffloadBody)
         if edge not in self.config.topology.by_role(NodeRole.EDGE_WORKER):
             raise NotFoundError(f"no edge worker {edge!r}")
         spec = next((t for t in self.config.tasks if t.task_id == task_id), None)
@@ -628,7 +626,7 @@ class CloudNode(_ServiceNode):
         functions, one request at a time; a process. A snapshot the mirror
         refuses raises, which ends it with one 4000 reply, its binding still
         open and the slice's functions still running."""
-        slice_id = _fields(req.content)["slc"]
+        slice_id = read_body(req.content, SliceBody).slc
         instance = self.orchestrator.registry.get(slice_id)
         if instance is None:
             raise UnknownSliceError(f"no slice {slice_id!r}")
@@ -636,8 +634,7 @@ class CloudNode(_ServiceNode):
         synced_total = 0
         for binding in list(self.coordinator.bindings_on_edge(edge)):
             rqi = self.next_control_rqi()
-            body = FieldBody.line(("task", binding.task_id), ("root", str(binding.edge_root)))
-            self.send_control(edge, Operation.SYNC_FINALIZE, body, rqi)
+            self.send_control(edge, Operation.SYNC_FINALIZE, TaskRoot(binding.task_id, str(binding.edge_root)), rqi)
             response = yield rqi
             if response.ok:
                 bundle = read_body(response.content, OffloadBundle)
@@ -645,11 +642,10 @@ class CloudNode(_ServiceNode):
                 self._publish_events(self.tree.drain_events())
         for function in list(instance.running_functions):
             rqi = self.next_control_rqi()
-            self.send_control(edge, Operation.STOP_FUNCTION, FieldBody.line(("fn", FUNCTION_NAMES[function])), rqi)
+            self.send_control(edge, Operation.STOP_FUNCTION, FunctionBody(FUNCTION_NAMES[function]), rqi)
             yield rqi
         self.orchestrator.forget_slice(slice_id)
-        body = FieldBody.line(("synced", str(synced_total)))
-        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, body))
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, SyncedBody(synced_total)))
 
 
 class System:
@@ -709,13 +705,8 @@ class System:
     def send_service_request(self, on_ready=None) -> str:
         device = self.devices[self.device_id]
         rqi = device.next_rqi("sr")
-        req = RequestPrimitive(
-            operation=Operation.SERVICE_REQUEST,
-            to=self.cloud_id,
-            originator=device.node_id,
-            request_id=rqi,
-            content=FieldBody.line(*self.config.profile().to_pairs()),
-        )
+        req = RequestPrimitive(Operation.SERVICE_REQUEST, self.cloud_id, device.node_id, rqi,
+                               content=self.config.profile())
         device.issue(req, self.edge_for(device.node_id), CONTROL_SIZE, on_ready or (lambda resp: None))
         return rqi
 
@@ -729,10 +720,9 @@ class System:
         self.run_until_idle()
         if not holder:
             raise ConfigInvalidError("service preparation failed: no reply")
-        reply, content = holder[0], holder[0].content
-        if not reply.ok:  # answered by ``_answer`` with an ``err`` field, or by ``_refuse`` with the error's text
-            cause = content.fields.get("err", "") if isinstance(content, FieldBody) else content.decode()
-            raise ConfigInvalidError(f"service preparation failed: {int(reply.status)} {cause}".rstrip())
+        reply = holder[0]
+        if not reply.ok:  # refused by ``_refuse``, with the error's text
+            raise ConfigInvalidError(f"service preparation failed: {int(reply.status)} {reply.content.decode()}")
         return reply
 
     def run_workload(

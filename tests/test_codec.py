@@ -6,7 +6,8 @@
 - every decoder either decodes its input or raises ``BadRequestError``, for
   arbitrary input, for valid and refused encodings with a few bytes edited,
   and for text holding a lone surrogate;
-- encode -> decode -> encode is the identity on generated valid values;
+- encode -> decode -> encode is the identity on generated valid values, for
+  every control body type among them;
 - each byte is escaped at most once, and still unambiguously: no safe set
   holds a newline or ``%``, only the ``t:`` payload set holds ``;``, any field
   value comes back from a field line inside a ``t:`` payload, and a bundle's
@@ -19,6 +20,8 @@ stays deterministic and fast.
 """
 import ast
 import base64
+import importlib
+import pkgutil
 from pathlib import Path
 from urllib.parse import quote as stdlib_quote
 from urllib.parse import unquote as stdlib_unquote
@@ -27,18 +30,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgeslice
 from edgeslice.bench import build_system
 from edgeslice.codec import (
     FIELD_SAFE,
     PAYLOAD_SAFE,
-    FieldBody,
     decode_b64,
     decode_body,
     decode_fieldline,
     decode_labels,
     decode_payload,
     encode_b64,
-    encode_body,
     encode_fieldline,
     encode_payload,
     encode_resource,
@@ -48,11 +50,13 @@ from edgeslice.codec import (
     unquote,
 )
 from edgeslice.errors import BadRequestError
-from edgeslice.images import ImageCatalogue
+from edgeslice.images import FunctionImage, ImageCatalogue
 from edgeslice.netsim import Network
 from edgeslice.notify import NotifyBody, parse_notify
 from edgeslice.offload import (
+    BundleHead,
     BundleRecord,
+    BundleTransfer,
     OffloadBundle,
     import_bundle,
     make_bundle,
@@ -83,6 +87,20 @@ from edgeslice.slicing import (
     SliceProfile,
     SlicingPlan,
 )
+from edgeslice.system import (
+    CrashBody,
+    FunctionBody,
+    InstantiateBody,
+    OffloadBody,
+    PortBody,
+    ReadyBody,
+    RecordBody,
+    SliceBody,
+    StartBody,
+    SyncedBody,
+    TaskRoot,
+)
+from edgeslice.worker import ResourceQuota
 from wire_samples import ODD_LABELS, ODD_NAME, sample_tree, samples
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -159,24 +177,37 @@ def test_unquote_equals_urllib(text):
 
 # --- every decoder raises only BadRequestError ---
 
-def _control_bodies() -> list[bytes]:
-    """The bytes of every field body sent in one edge preparation and one
-    slice termination of the calibrated scenario."""
+# the content of every control message, by type
+CONTROL_BODIES = (SliceProfile, InstantiateBody, RecordBody, ReadyBody, BundleTransfer, TaskRoot, StartBody,
+                  PortBody, FunctionBody, CrashBody, OffloadBody, SliceBody, SyncedBody)
+
+
+def _control_bodies() -> dict[str, list[bytes]]:
+    """The bytes of every control body sent, by type, in one edge
+    preparation of the calibrated scenario and then a crash, a slice
+    termination, an offload request and a function start."""
     system = build_system(reference_calibrated(), "edge", 42)
-    bodies = []
+    bodies = {kind.__name__: [] for kind in CONTROL_BODIES}
 
     def capture(frm, to, payload, size):
-        if isinstance(getattr(payload, "content", None), FieldBody):
-            bodies.append(payload.content.to_bytes())
+        content = getattr(payload, "content", None)
+        if type(content).__name__ in bodies:
+            bodies[type(content).__name__].append(content.to_bytes())
         Network.send(system.network, frm, to, payload, size)
 
     system.network.send = capture
     system.prepare()
     device = system.devices[system.device_id]
-    terminate = RequestPrimitive(Operation.SLICE_TERMINATE, system.cloud_id, device.node_id, "t-1",
-                                 content=FieldBody.line(("slc", "slice-edge0")))
-    device.issue(terminate, system.cloud_id, 0, lambda response: None)
-    system.run_until_idle()
+    image = system.config.catalogue.lookup(FunctionKind.RETRIEVE)
+    for op, to, body in [
+        (Operation.CRASH, "edge0", FunctionBody("NOTIFICATION")),
+        (Operation.SLICE_TERMINATE, system.cloud_id, SliceBody("slice-edge0")),
+        (Operation.OFFLOAD_REQUEST, system.cloud_id, OffloadBody("task-citizenB", "edge0")),
+        (Operation.START_FUNCTION, "edge0", StartBody(image.image_id, 1_000_000, 0.1)),
+    ]:
+        req = RequestPrimitive(op, to, device.node_id, f"{op.name}-1", content=body)
+        device.issue(req, to, 0, lambda response: None)
+        system.run_until_idle()
     return bodies
 
 
@@ -185,16 +216,17 @@ def _seeds() -> dict[str, list[bytes]]:
     notifies = [wire[name] for name in wire if name.startswith("notify_")]
     profile = SliceProfile("svc;1", frozenset({FunctionKind.RETRIEVE, FunctionKind.NOTIFICATION}))
     plan = SlicingPlan(PlanDecision.INSTANTIATE_THEN_OFFLOAD, "slice-ü", frozenset(FunctionKind))
+    bodies = _control_bodies()
     return {
         "request": [wire["create"], wire["retrieve"], wire["bundle_transfer"], *notifies],
         "response": [wire["response"], wire["response_binary"], wire["response_empty"]],
         "resource": [wire["resource_subscription"], wire["resource_container"]],
         "notify": [decode_request(n).content for n in notifies],
         "bundle": [wire["bundle"]],
-        "fields": _control_bodies(),
-        "profile": [FieldBody.line(*profile.to_pairs()).to_bytes()],
-        "plan": [FieldBody.line(*plan.to_pairs()).to_bytes()],
+        "plan": [plan.to_bytes()],
         "payload": [b"t:nm%3Dx%3Bpc%3DAAAA", b"b:AAECAw=="],
+        **bodies,
+        "SliceProfile": bodies["SliceProfile"] + [profile.to_bytes()],
     }
 
 
@@ -211,9 +243,8 @@ TEXT_DECODERS = {
     "payload": decode_payload,
 }
 DECODERS = {
-    "fields": FieldBody.from_bytes,
-    "profile": lambda data: SliceProfile.from_pairs(FieldBody.from_bytes(data).fields.items()),
-    "plan": lambda data: SlicingPlan.from_pairs(FieldBody.from_bytes(data).fields.items()),
+    **{kind.__name__: kind.from_bytes for kind in CONTROL_BODIES},
+    "plan": SlicingPlan.from_bytes,
     "request": decode_request,
     "response": decode_response,
     "resource": decode_resource,
@@ -262,9 +293,13 @@ REFUSED = {
         # no task root path
         b"tid=t;at=1;n=1\npi=-1;ty=3;nm=a;ct=0\n",
     ],
-    "fields": [b"a=1;a=2", b"a=1\nb", b"a=\xc3\xbc"],
-    "profile": [b"svc=s;svc=t;fn=retrieve;lc=normal", b"svc=s;fn=retrieve;lc=normal\n"],
+    "SliceBody": [b"slc=a;slc=b", b"slc=a\nb", b"slc=\xc3\xbc", b"a=1"],
+    "SliceProfile": [b"svc=s;svc=t;fn=retrieve;lc=normal", b"svc=s;fn=retrieve;lc=normal\n"],
     "plan": [b"dec=fast_path_offload_only;slc=s;mf=;slc=t"],
+    "PortBody": [b"port=6_2590", b"port=+1"],
+    "CrashBody": [b"duration_ms=nan", b"duration_ms=1 "],
+    "InstantiateBody": [b"dec=fast_path_offload_only;slc=s;mf="],
+    "BundleTransfer": [b"task=t\ntid=t;at=1;rt=IN-CSE%2Fa;n=1\npi=-1;ty=3;nm=a;ct=0\n"],
 }
 
 
@@ -281,6 +316,7 @@ def edited(draw, seeds: list[bytes]) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(DECODERS))
 def test_valid_seeds_decode(name):
+    assert SEEDS[name]
     for seed in SEEDS[name]:
         DECODERS[name](seed)
 
@@ -535,38 +571,68 @@ def test_bundle_lines_are_written_as_encode_fieldline_writes_them(bundle):
         assert line == encode_fieldline(pairs + ([] if content is None else [("pc", encode_b64(content))]))
 
 
-@PROPERTY
-@given(
-    TEXT,
-    st.frozensets(st.sampled_from(FunctionKind), min_size=1),
-    st.sampled_from(LatencyClass),
-    st.frozensets(st.sampled_from(FunctionKind)),
-    TEXT,
-)
-def test_profile_and_plan_round_trip(service, functions, latency, missing, target):
-    profile = SliceProfile(service, functions, latency)
-    body = FieldBody.line(*profile.to_pairs()).to_bytes()
-    assert SliceProfile.from_pairs(FieldBody.from_bytes(body).fields.items()) == profile
-    decision = (
-        PlanDecision.INSTANTIATE_THEN_OFFLOAD if missing else PlanDecision.FAST_PATH_OFFLOAD_ONLY
-    )
-    plan = SlicingPlan(decision, target, missing)
-    body = FieldBody.line(*plan.to_pairs()).to_bytes()
-    assert SlicingPlan.from_pairs(FieldBody.from_bytes(body).fields.items()) == plan
+@st.composite
+def plans(draw) -> SlicingPlan:
+    missing = draw(st.frozensets(st.sampled_from(FunctionKind)))
+    decision = PlanDecision.INSTANTIATE_THEN_OFFLOAD if missing else PlanDecision.FAST_PATH_OFFLOAD_ONLY
+    return SlicingPlan(decision, draw(TEXT), missing)
+
+
+MAYBE_TEXT = st.one_of(st.none(), TEXT)
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+IMAGES = st.builds(FunctionImage, TEXT, st.sampled_from(FunctionKind), TEXT, st.integers(min_value=0))
+QUOTAS = st.builds(ResourceQuota, st.integers(min_value=1), st.floats(0, 1, exclude_min=True))
+HEADS = st.builds(BundleHead, MAYBE_TEXT, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT)
+# every body type, and every line type a body is made of
+BODIES = {
+    SliceProfile: st.builds(SliceProfile, TEXT, st.frozensets(st.sampled_from(FunctionKind), min_size=1),
+                            st.sampled_from(LatencyClass)),
+    InstantiateBody: st.builds(InstantiateBody, plans(), TEXT, QUOTAS, st.lists(IMAGES, max_size=3).map(tuple)),
+    RecordBody: st.builds(RecordBody, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT),
+    ReadyBody: st.builds(ReadyBody, TEXT, TEXT),
+    BundleTransfer: st.builds(BundleTransfer, HEADS, st.deferred(lambda: index_bundles())),
+    TaskRoot: st.builds(TaskRoot, TEXT, TEXT),
+    StartBody: st.builds(StartBody, TEXT, st.integers(), NUMBERS),
+    PortBody: st.builds(PortBody, st.integers()),
+    FunctionBody: st.builds(FunctionBody, TEXT),
+    CrashBody: st.builds(CrashBody, NUMBERS),
+    OffloadBody: st.builds(OffloadBody, TEXT, TEXT),
+    SliceBody: st.builds(SliceBody, TEXT),
+    SyncedBody: st.builds(SyncedBody, st.integers()),
+    SlicingPlan: plans(),
+    FunctionImage: IMAGES,
+    BundleHead: HEADS,
+}
+
+
+def test_every_body_type_is_round_tripped():
+    """Each package class that reads itself from bytes is a body type above,
+    but for the notification's body, which has its own round trip."""
+    readable = set()
+    for info in pkgutil.iter_modules(edgeslice.__path__):
+        module = importlib.import_module(f"edgeslice.{info.name}")
+        readable |= {value for name, value in vars(module).items()
+                     if isinstance(value, type) and not issubclass(value, int)  # ``int.from_bytes``
+                     and hasattr(value, "from_bytes") and not name.startswith("_")}
+    assert readable == set(BODIES) | {OffloadBundle, NotifyBody}
+    assert set(CONTROL_BODIES) <= set(BODIES)
+
+
+@pytest.mark.parametrize("kind", list(BODIES), ids=lambda kind: kind.__name__)
+def test_body_round_trip(kind):
+    @PROPERTY
+    @given(BODIES[kind])
+    def check(body):
+        data = body.to_bytes()
+        assert kind.from_bytes(data) == body
+        assert kind.from_bytes(data).to_bytes() == data
+
+    check()
 
 
 # a key is never quoted, so it is printable ASCII without the separators
 FIELD_KEYS = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=";="),
                      min_size=1, max_size=6)
-FIELD_LINES = st.dictionaries(FIELD_KEYS, TEXT, max_size=5).map(lambda fields: tuple(fields.items()))
-
-
-@PROPERTY
-@given(st.lists(FIELD_LINES, min_size=1, max_size=4).map(lambda lines: FieldBody(tuple(lines))))
-def test_field_body_round_trip(body):
-    data = body.to_bytes()
-    assert FieldBody.from_bytes(data) == body
-    assert data == b"\n".join(encode_body(list(line)) for line in body.lines)
 
 
 # values made of the separators, the escape, the base64 alphabet's extras and

@@ -6,10 +6,10 @@ from dataclasses import replace
 import pytest
 
 from edgeslice.bench import build_system, road_config
-from edgeslice.codec import FieldBody
 from edgeslice.netsim import Network
-from edgeslice.primitives import Operation, RequestPrimitive, read_body
+from edgeslice.primitives import Operation, RequestPrimitive
 from edgeslice.scenario import TaskSpec, load_scenario
+from edgeslice.system import OffloadBody, ReadyBody, SliceBody
 
 from wire_samples import CAMPUS
 
@@ -84,11 +84,11 @@ def sent(monkeypatch):
     return log
 
 
-def ask_cloud(system, op, pairs, rqi):
+def ask_cloud(system, op, body, rqi):
     """Send one control request from the device to the cloud and run to idle."""
     device = system.devices[system.device_id]
     responses = []
-    req = RequestPrimitive(op, system.cloud_id, device.node_id, rqi, content=FieldBody.line(*pairs))
+    req = RequestPrimitive(op, system.cloud_id, device.node_id, rqi, content=body)
     device.issue(req, system.cloud_id, 0, responses.append)
     system.run_until_idle()
     return responses
@@ -105,14 +105,12 @@ def test_road_prepare_fast_path_terminate_and_offload(sent):
     system = build_system(road_config(), "edge", 42)
     ready = system.prepare()
     assert taken(sent) == COLD
-    assert read_body(ready.content, FieldBody).fields == {
-        "edge": "edge0", "roots": "MN-CSE/Cars/CarA,MN-CSE/Pedestrians/CitizenA",
-    }
+    assert ready.content == ReadyBody("edge0", "MN-CSE/Cars/CarA,MN-CSE/Pedestrians/CitizenA")
     assert system.prepare().ok
     assert taken(sent) == FAST_PATH
-    assert ask_cloud(system, Operation.SLICE_TERMINATE, [("slc", "slice-edge0")], "term-1")[0].ok
+    assert ask_cloud(system, Operation.SLICE_TERMINATE, SliceBody("slice-edge0"), "term-1")[0].ok
     assert taken(sent) == TERMINATE
-    assert ask_cloud(system, Operation.OFFLOAD_REQUEST, [("task", "task-carA"), ("edge", "edge0")], "off-1")[0].ok
+    assert ask_cloud(system, Operation.OFFLOAD_REQUEST, OffloadBody("task-carA", "edge0"), "off-1")[0].ok
     assert taken(sent) == OFFLOAD
     assert sorted(system.cloud.coordinator.bindings) == ["task-carA"]
 
@@ -126,5 +124,5 @@ def test_bundle_replies_are_taken_in_arrival_order(sent):
     transfers = [rqi for _, _, kind, rqi in sent if kind == "BUNDLE_TRANSFER"]
     replies = [rqi for frm, _, kind, rqi in sent if frm == "gw-north" and rqi in transfers and kind == 2000]
     assert replies == transfers[::-1]  # the second bundle's reply arrives first
-    assert read_body(ready.content, FieldBody).fields["roots"] == "MN-CSE/Campus/Noise,MN-CSE/Campus/AirQuality"
+    assert ready.content.roots == "MN-CSE/Campus/Noise,MN-CSE/Campus/AirQuality"
     assert sorted(system.cloud.coordinator.bindings) == ["task-aq", "task-noise"]

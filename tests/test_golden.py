@@ -3,8 +3,8 @@
 ``golden/<scenario>/`` holds ``edgeslice run <scenario> --seed 42
 --requests 60`` output for both shipped scenarios (the calibrated one is
 the file packaged with edgeslice), and ``golden/cli/<command>/`` the output
-files of ``road-scenario``, ``bench-prepare`` and ``bench-prepare --cold`` at
-their defaults, so any change that shifts virtual time shows here.
+files of ``road-scenario``, ``bench-create``, ``bench-retrieve``,
+``bench-prepare`` and ``bench-prepare --cold`` at their defaults, so any change that shifts virtual time shows here.
 ``golden/wire.json`` holds the encodings made by ``wire_samples.py`` (see
 its docstring for how it was generated), so any change to the bytes on the
 wire shows here. The same system runs
@@ -16,8 +16,7 @@ import os
 import pytest
 
 from edgeslice.cli import main
-from edgeslice.codec import FieldBody
-from edgeslice.primitives import decode_request, decode_response, is_response
+from edgeslice.primitives import decode_fieldline, decode_request, decode_response, is_response
 from util import CALIBRATED_YAML
 from wire_samples import TRAFFIC_RUNS, samples, traffic, traffic_digests
 
@@ -45,8 +44,10 @@ def test_run_output_matches_golden(scenario, tmp_path, capsys):
         assert read(out / name) == read(os.path.join(GOLDEN, scenario, name)), name
 
 
-@pytest.mark.parametrize("argv", [["road-scenario"], ["bench-prepare"], ["bench-prepare", "--cold"]],
-                         ids=["road-scenario", "bench-prepare", "bench-prepare-cold"])
+@pytest.mark.parametrize("argv", [["road-scenario"], ["bench-create"], ["bench-retrieve"],
+                                  ["bench-prepare"], ["bench-prepare", "--cold"]],
+                         ids=["road-scenario", "bench-create", "bench-retrieve",
+                              "bench-prepare", "bench-prepare-cold"])
 def test_command_output_matches_golden(argv, tmp_path, capsys):
     name = "-".join(arg.strip("-") for arg in argv)
     assert main(argv + ["--out", str(tmp_path)]) == 0
@@ -78,7 +79,8 @@ def _texts(message) -> list[str]:
     fields and every value of the field lines its content holds."""
     texts = [message.request_id, getattr(message, "to", ""), getattr(message, "originator", "")]
     if message.content is not None:
-        texts += [value for line in FieldBody.from_bytes(message.content).lines for _, value in line]
+        texts += [value for line in message.content.decode("ascii").split("\n")
+                  for value in decode_fieldline(line).values()]
     return texts
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from edgeslice import errors
-from edgeslice.codec import FieldBody
 from edgeslice.errors import BadRequestError
 from edgeslice.images import FunctionImage
 from edgeslice.primitives import (
@@ -18,6 +17,7 @@ from edgeslice.primitives import (
 )
 from edgeslice.resources import Resource, ResourceKind, ResourcePath, ResourceTree
 from edgeslice.slicing import FUNCTION_BY_NAME, SliceProfile, SlicingPlan
+from edgeslice.system import PortBody, SliceBody
 
 
 def test_operation_wire_codes():
@@ -174,13 +174,15 @@ def test_a_package_error_is_answered_with_the_status_of_its_class(error, status)
 
 
 @pytest.mark.parametrize("read", [
-    lambda: FieldBody.line(("a", "1")).fields["b"],
+    lambda: SliceBody.from_bytes(b"a=1"),
+    lambda: SliceBody.from_bytes(b"slc=a\nslc=b"),
+    lambda: PortBody.from_bytes(b"port=6_2590"),
     lambda: FUNCTION_BY_NAME["NOPE"],
-    lambda: FunctionImage.from_pairs([("img", "i"), ("fn", "RETRIEVE"), ("ver", "1")]),
-    lambda: SliceProfile.from_pairs([("svc", "s"), ("fn", "retrieve")]),
-    lambda: SlicingPlan.from_pairs([("dec", "sideways"), ("slc", "s"), ("mf", "")]),
-], ids=["missing-field", "unknown-function", "image-without-size", "profile-without-class",
-        "unknown-decision"])
+    lambda: FunctionImage.from_bytes(b"img=i;fn=RETRIEVE;ver=1"),
+    lambda: SliceProfile.from_bytes(b"svc=s;fn=retrieve"),
+    lambda: SlicingPlan.from_bytes(b"dec=sideways;slc=s;mf="),
+], ids=["missing-field", "second-line", "malformed-integer", "unknown-function", "image-without-size",
+        "profile-without-class", "unknown-decision"])
 def test_a_body_read_raises_only_bad_request(read):
     with pytest.raises(BadRequestError):
         read()

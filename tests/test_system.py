@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from edgeslice import netsim
 from edgeslice import system as system_module
 from edgeslice.bench import build_system, derive_seed, road_config
-from edgeslice.codec import FieldBody, encode_b64, encode_body
+from edgeslice.codec import encode_b64, encode_body
 from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError, SimulationLimitError
 from edgeslice.netsim import Network
 from edgeslice.notify import NotifyBody
-from edgeslice.offload import (SYNC_SUB_NAME, BundleRecord, BundleTransfer, OffloadBundle, SyncMode,
-                               make_bundle, subtrees_converged)
+from edgeslice.offload import (SYNC_SUB_NAME, BundleHead, BundleRecord, BundleTransfer, OffloadBundle,
+                               SyncMode, make_bundle, subtrees_converged)
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
@@ -32,6 +32,8 @@ from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
 from edgeslice.scenario import TaskSpec, load_scenario, reference_calibrated
 from edgeslice.slicing import (FunctionKind, PlanDecision, SliceProfile, SliceState, SlicingPlan,
                                port_for)
+from edgeslice.system import (FunctionBody, InstantiateBody, OffloadBody, PortBody, ReadyBody, RecordBody,
+                              SliceBody, StartBody, SyncedBody, TaskRoot)
 from edgeslice.worker import ResourceQuota
 
 from dataclasses import replace
@@ -72,9 +74,9 @@ def admin(system, op, to, pairs, on_response=None, rqi="adm-1"):
     return responses
 
 
-def fields(response: ResponsePrimitive) -> dict[str, str]:
-    """A control reply's one-line body, read as its receiver reads it."""
-    return read_body(response.content, FieldBody).fields
+def reply_body(response: ResponsePrimitive, kind: type):
+    """A control reply's body, read as its receiver reads it."""
+    return read_body(response.content, kind)
 
 
 def running(worker) -> dict[FunctionKind, int]:
@@ -86,9 +88,9 @@ class TestPreparation:
     def test_edge_prepare_starts_profile_and_offloads(self, config):
         system = build_system(config, "edge", 42)
         ready = system.prepare()
-        meta = fields(ready)
-        assert meta["edge"] == "edge0"
-        assert "MN-CSE/Pedestrians/CitizenB" in meta["roots"]
+        body = reply_body(ready, ReadyBody)
+        assert body.edge == "edge0"
+        assert "MN-CSE/Pedestrians/CitizenB" in body.roots
         worker = system.edges["edge0"].worker
         assert set(running(worker)) == config.functions
         # one eager binding is registered cloud-side
@@ -134,7 +136,7 @@ class TestPreparation:
         responses = []
         req = RequestPrimitive(
             Operation.SERVICE_REQUEST, system.cloud_id, device.node_id, "sr-wide",
-            content=FieldBody.line(*wider.to_pairs()),
+            content=wider,
         )
         device.issue(req, "edge0", 0, responses.append)
         system.run_until_idle()
@@ -318,8 +320,7 @@ class TestAdminProtocol:
             rqi="start-1",
         )
         assert responses[0].status is StatusCode.OK
-        body = fields(responses[0])
-        assert body["port"] == "62591"
+        assert reply_body(responses[0], PortBody).port == 62591
         assert worker.enabled(FunctionKind.RETRIEVE)
 
     def test_crash_isolates_other_functions(self, config):
@@ -548,8 +549,7 @@ class TestTerminationOverTheWire:
             rqi="term-1",
         )
         assert responses[0].status is StatusCode.OK
-        body = fields(responses[0])
-        assert body["synced"] == "5"
+        assert reply_body(responses[0], SyncedBody).synced == 5
         assert system.edges["edge0"].worker.functions == {}
         assert system.cloud.orchestrator.registry == {}
         assert system.cloud.coordinator.bindings == {}
@@ -630,7 +630,7 @@ class TestTerminationOverTheWire:
         before = task_records(edge.worker.tree, ResourcePath("MN-CSE", task_root.segments))
         responses = admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", f"slice-{edge_id}")])
         assert [r.status for r in responses] == [StatusCode.OK]
-        assert fields(responses[0])["synced"] == "3"
+        assert reply_body(responses[0], SyncedBody).synced == 3
         assert task_records(system.cloud.tree, task_root) == before
         assert (edge.channel.sent, edge.channel.dropped) == (0, 0) and edge.channel.idle
 
@@ -649,7 +649,7 @@ class TestTerminationOverTheWire:
         before = task_records(edge.worker.tree, EDGE_TASK_ROOT)
         responses = admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")])
         assert [r.status for r in responses] == [StatusCode.OK]
-        assert fields(responses[0])["synced"] == "3"
+        assert reply_body(responses[0], SyncedBody).synced == 3
         assert task_records(system.cloud.tree, CLOUD_TASK_ROOT) == before
         assert not edge.channel._queue
         edge.channel.resume()  # as if the notification function started now
@@ -663,8 +663,7 @@ class TestTerminationOverTheWire:
             system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")]
         )
         assert responses[0].status is StatusCode.OK
-        body = fields(responses[0])
-        assert body["synced"] == "0"
+        assert reply_body(responses[0], SyncedBody).synced == 0
         assert system.edges["edge0"].worker.functions == {}
 
     def test_terminate_unknown_slice_not_found(self, config):
@@ -680,29 +679,42 @@ class TestTerminationOverTheWire:
 
 
 class TestBoundedSyncState:
-    """A long eager run keeps as much sync state as a short one: every
-    binding's fields and every notification queue are the same size after
-    N creates and after 10N."""
+    """A long run keeps as much state as a short one: every binding's fields,
+    every node's mailbox, every notification queue and its idle callbacks,
+    every edge's eager bindings, the orchestrator's registry and decision log
+    and every worker's log are the same size after N requests and after 10N."""
 
     @staticmethod
-    def sync_state(system) -> dict:
-        bindings = {task: {name: len(value) if isinstance(value, (set, list, dict)) else 1
-                           for name, value in vars(binding).items()}
-                    for task, binding in system.cloud.coordinator.bindings.items()}
-        queues = {node.node_id: len(node.channel._queue) for node in (system.cloud, *system.edges.values())}
-        return {"bindings": bindings, "queues": queues}
+    def state(system) -> dict:
+        services = [system.cloud, *system.edges.values()]
+        orchestrator = system.cloud.orchestrator
+        return {
+            "bindings": {task: {name: len(value) if isinstance(value, (set, list, dict)) else 1
+                                for name, value in vars(binding).items()}
+                         for task, binding in system.cloud.coordinator.bindings.items()},
+            "pending": {node.node_id: len(node.pending) for node in (*services, *system.devices.values())},
+            "queues": {node.node_id: len(node.channel._queue) for node in services},
+            "idle_callbacks": {node.node_id: len(node.channel._idle_callbacks) for node in services},
+            "sync_infos": {edge.node_id: len(edge.sync_infos) for edge in system.edges.values()},
+            "registry": len(orchestrator.registry),
+            "decision_log": len(orchestrator.decision_log),
+            "worker_logs": {node.node_id: len(node.worker.log) for node in services},
+        }
 
+    @pytest.mark.parametrize("operation", ["create", "retrieve"])
+    @pytest.mark.parametrize("sync_mode", [SyncMode.EAGER, SyncMode.LAZY], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("mode", ["cloud", "edge"])
     @pytest.mark.parametrize("scenario", [reference_calibrated, lambda: load_scenario(CAMPUS)],
                              ids=["calibrated", "campus"])
-    def test_sync_state_stays_flat_as_creates_go_on(self, scenario):
-        config = replace(scenario(), sync_mode=SyncMode.EAGER)
-        system = build_system(config, "edge", config.seed)
+    def test_state_stays_flat_as_requests_go_on(self, scenario, mode, sync_mode, operation):
+        config = replace(scenario(), sync_mode=sync_mode)
+        system = build_system(config, mode, config.seed)
         system.prepare()
-        system.run_workload("create", 100)
-        after_n = self.sync_state(system)
-        assert after_n["bindings"]
-        system.run_workload("create", 900)
-        assert self.sync_state(system) == after_n
+        system.run_workload(operation, 100)
+        after_n = self.state(system)
+        assert bool(after_n["bindings"]) == (mode == "edge")
+        system.run_workload(operation, 900)
+        assert self.state(system) == after_n
 
 
 class TestOffloadRequestEndpoint:
@@ -775,8 +787,7 @@ class TestOffloadFailure:
             assert edge.worker.tree.serialize() == before
             assert edge.sync_infos == [] and system.cloud.coordinator.bindings == {}
         assert [r.status for r in replies] == [StatusCode.CONFLICT] * 2
-        assert fields(replies[0])["err"] == fields(replies[1])["err"] == (
-            "offload of 'task-citizenB' failed with 4000")
+        assert replies[0].content == replies[1].content == b"offload of 'task-citizenB' failed with 4000"
 
     def test_idempotent_reinstantiation_after_lost_record(self, config):
         """A plan listing already-running functions must not double-start."""
@@ -832,7 +843,7 @@ class TestSliceRecord:
     def test_an_unreadable_record_is_refused_and_the_preparation_waits_on(self, config, monkeypatch):
         system = build_system(config, "edge", 42)
         replies, answers = self.prepare_with_records(
-            system, monkeypatch, lambda body: [FieldBody.line(("ctx", body.fields["ctx"])), body]
+            system, monkeypatch, lambda body: [encode_body([("ctx", body.ctx)]), body]
         )
         assert answers == [StatusCode.BAD_REQUEST, StatusCode.OK]
         assert [r.status for r in replies] == [StatusCode.OK]
@@ -978,7 +989,7 @@ def unreadable_service_request_through_the_edge(config, monkeypatch):
     a device sends one: the cloud answers the device, not the edge."""
     system = build_system(config, "edge", 42)
     req = RequestPrimitive(Operation.SERVICE_REQUEST, system.cloud_id, system.device_id, "sr-b",
-                           content=FieldBody.line(("svc", "road-warning")))
+                           content=encode_body([("svc", "road-warning")]))
     replies = issue_and_run(system, req, system.edge_for(system.device_id))
     return replies, [StatusCode.BAD_REQUEST]
 
@@ -1015,11 +1026,8 @@ def record_of_a_slice_the_registry_lacks(config, monkeypatch):
     waited on, completes on the second."""
     system = build_system(config, "edge", 42)
 
-    def ghost_then_true(body):
-        ghost = tuple((k, "slice-ghost" if k == "slc" else v) for k, v in body.lines[0])
-        return [FieldBody((ghost,)), body]
-
-    replies, answers = TestSliceRecord.prepare_with_records(system, monkeypatch, ghost_then_true)
+    replies, answers = TestSliceRecord.prepare_with_records(
+        system, monkeypatch, lambda body: [body._replace(slc="slice-ghost"), body])
     assert [r.status for r in replies] == [StatusCode.OK]
     return answers, [StatusCode.NOT_FOUND, StatusCode.OK]
 
@@ -1036,7 +1044,7 @@ def second_finalize_of_a_root_while_a_notification_is_in_flight(config, monkeypa
                               resource_kind=ResourceKind.CONTENT_INSTANCE, content=body)
     created, finalized = [], []
     device.issue(create, "edge0", config.payload_bytes, created.append)
-    finalize = FieldBody.line(("task", "task-citizenB"), ("root", "MN-CSE/Pedestrians/CitizenB"))
+    finalize = TaskRoot("task-citizenB", "MN-CSE/Pedestrians/CitizenB")
 
     def finalize_twice():
         for rqi in ("fin-1", "fin-2"):
@@ -1090,26 +1098,22 @@ def valid_control_bodies(system) -> dict[Operation, tuple[str, bytes]]:
     task = config.tasks[0]
     plan = SlicingPlan(PlanDecision.INSTANTIATE_THEN_OFFLOAD, "slice-edge0",
                        frozenset({FunctionKind.RETRIEVE}))
-    quota = (("mem", str(config.quota.max_memory_bytes)), ("cpu", repr(config.quota.max_cpu_share)))
+    quota = config.quota
     image = config.catalogue.lookup(FunctionKind.RETRIEVE)
     bundle = make_bundle(system.cloud.tree, ResourcePath.parse(task.root), task.task_id, 0.0)
-    head = (("ctx", "c"), ("task", task.task_id), ("mode", "eager"), ("mirror", task.root),
-            ("cloud", system.cloud_id))
+    head = BundleHead("c", task.task_id, "eager", task.root, system.cloud_id)
     cloud, edge = system.cloud_id, "edge0"
     bodies = {
-        Operation.SERVICE_REQUEST: (cloud, FieldBody.line(*config.profile().to_pairs())),
-        Operation.SLICE_RECORD: (cloud, FieldBody.line(("ctx", "c"), ("slc", "slice-edge0"),
-                                                        ("fn", "RETRIEVE:62591"))),
-        Operation.OFFLOAD_REQUEST: (cloud, FieldBody.line(("task", task.task_id), ("edge", edge))),
-        Operation.SLICE_TERMINATE: (cloud, FieldBody.line(("slc", "slice-edge0"))),
-        Operation.SLICE_INSTANTIATE: (edge, FieldBody((plan.to_pairs(), (("ctx", "c"),) + quota,
-                                                       image.pairs))),
+        Operation.SERVICE_REQUEST: (cloud, config.profile()),
+        Operation.SLICE_RECORD: (cloud, RecordBody("c", "slice-edge0", "RETRIEVE:62591")),
+        Operation.OFFLOAD_REQUEST: (cloud, OffloadBody(task.task_id, edge)),
+        Operation.SLICE_TERMINATE: (cloud, SliceBody("slice-edge0")),
+        Operation.SLICE_INSTANTIATE: (edge, InstantiateBody(plan, "c", quota, (image,))),
         Operation.BUNDLE_TRANSFER: (edge, BundleTransfer(head, bundle)),
-        Operation.SYNC_FINALIZE: (edge, FieldBody.line(("task", task.task_id),
-                                                       ("root", "MN-CSE/Pedestrians/CitizenB"))),
-        Operation.START_FUNCTION: (edge, FieldBody.line(("img", image.image_id), *quota)),
-        Operation.STOP_FUNCTION: (edge, FieldBody.line(("fn", "RETRIEVE"))),
-        Operation.CRASH: (edge, FieldBody.line(("fn", "RETRIEVE"))),
+        Operation.SYNC_FINALIZE: (edge, TaskRoot(task.task_id, "MN-CSE/Pedestrians/CitizenB")),
+        Operation.START_FUNCTION: (edge, StartBody(image.image_id, quota.max_memory_bytes, quota.max_cpu_share)),
+        Operation.STOP_FUNCTION: (edge, FunctionBody("RETRIEVE")),
+        Operation.CRASH: (edge, FunctionBody("RETRIEVE")),
     }
     return {op: (to, body.to_bytes()) for op, (to, body) in bodies.items()}
 
@@ -1200,7 +1204,7 @@ def eager_edits(config, before_replay=None):
 
 class TestMessagesAsObjects:
     def test_only_data_plane_messages_are_encoded_on_their_way(self, config, monkeypatch):
-        """Control messages travel as objects, their bodies as field pairs,
+        """Control messages travel as objects, each body as its typed object,
         the bundle as its records and the finalize reply as the bundle; each
         data-plane message on a device's access link is encoded once, by its
         sender. Only the terminate request that the test injects carries
@@ -1223,7 +1227,9 @@ class TestMessagesAsObjects:
         assert len(injected) == 1 and isinstance(injected[0].content, bytes)
         sent = [m for m in objects if m is not injected[0]]
         assert not [m for m in sent if isinstance(m.content, bytes)]
-        assert {type(m.content) for m in sent} == {FieldBody, type(None), BundleTransfer, OffloadBundle}
+        assert {type(m.content) for m in sent} == {SliceProfile, InstantiateBody, RecordBody, BundleTransfer,
+                                                   TaskRoot, ReadyBody, FunctionBody, OffloadBundle,
+                                                   SyncedBody, type(None)}
 
     def test_eager_sync_between_the_edge_and_the_cloud_sends_objects(self, config, monkeypatch):
         """Each notification and its answer travel as objects, the
@@ -1280,7 +1286,7 @@ class TestMessagesAsObjects:
         device = system.devices[system.device_id]
         task_root = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
         bundle = make_bundle(system.cloud.tree, task_root, "task-citizenB", 0.0)
-        transfer = BundleTransfer((("task", "task-citizenB"), ("mode", "lazy")), bundle)
+        transfer = BundleTransfer(BundleHead(None, "task-citizenB", "lazy"), bundle)
         req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-1", content=transfer)
         responses = []
         device.pending["raw-1"] = responses.append
@@ -1298,7 +1304,7 @@ class TestMessagesAsObjects:
         device = system.devices[system.device_id]
         task_root = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
         bundle = make_bundle(system.cloud.tree, task_root, "task-citizenB", 0.0)
-        body = BundleTransfer((("task", "task-citizenB"), ("mode", "lazy")), bundle).to_bytes()
+        body = BundleTransfer(BundleHead(None, "task-citizenB", "lazy"), bundle).to_bytes()
         first_child = b"\npi=0;"
         assert body.count(first_child) == 1 and len(bundle.records) > 2
         body = body.replace(first_child, b"\npi=2;")  # names the record after it
@@ -1325,7 +1331,7 @@ class TestMessagesAsObjects:
             BundleRecord(-1, ResourceKind.CONTAINER, "box", 0.0),
             BundleRecord(0, ResourceKind.SUBSCRIPTION, "s", 0.0),
         ))
-        body = BundleTransfer((("task", "task-x"), ("mode", "lazy")), bundle).to_bytes()
+        body = BundleTransfer(BundleHead(None, "task-x", "lazy"), bundle).to_bytes()
         req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-3", content=body)
         responses = []
         device.pending["raw-3"] = responses.append
@@ -1358,7 +1364,7 @@ class TestMessagesAsObjects:
         system.prepare()
         device = system.devices[system.device_id]
         bundle = OffloadBundle("task-x", 0.0, root, (record,))
-        body = BundleTransfer((("task", "task-x"), ("mode", "lazy")), bundle).to_bytes()
+        body = BundleTransfer(BundleHead(None, "task-x", "lazy"), bundle).to_bytes()
         req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-5", content=body)
         responses = []
         device.pending["raw-5"] = responses.append
