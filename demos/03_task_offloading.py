@@ -28,7 +28,7 @@ cloud.create(P("IN-CSE/Cars/CarA/location"), ResourceKind.CONTENT_INSTANCE, "p0"
 cloud.drain_events()
 
 coordinator = OffloadCoordinator(cloud, sim.time)
-task = Task("task-carA", P("IN-CSE/Cars/CarA"), "road-warning")
+task = Task("task-carA", "IN-CSE/Cars/CarA", "road-warning")
 
 print("== export: the task subtree becomes an ordered bundle ==")
 bundle = coordinator.export_task(task)
@@ -42,7 +42,7 @@ print("grafted at:", edge_root)
 
 print("\n== eager sync: every container gets a sync subscription ==")
 # the edge subscribes under every container; the cloud records the binding
-info = EdgeSyncInfo(task.task_id, edge_root, task.root_path, "cloud")
+info = EdgeSyncInfo(task.task_id, edge_root, P(task.root), "cloud")
 subs = create_sync_subscriptions(edge, info)
 edge.drain_events()
 coordinator.register_binding(task, SyncMode.EAGER, "gateway", edge_root)
@@ -52,10 +52,10 @@ sim.now += 5.0
 edge.create(P("MN-CSE/Cars/CarA/location"), ResourceKind.CONTENT_INSTANCE, "p1",
             content=b"lat=37.544,lon=126.990")
 for notify in process_edge_events(edge, edge.drain_events(), [info]):
-    print("  notify:", notify.change, notify.changed_path, "->", notify.target_path)
+    print("  notify:", notify.body.change, notify.body.changed_path, "->", notify.target_path)
     print("  applied on mirror:", coordinator.apply_notification(notify))
     cloud.drain_events()
-print("mirror converged:", subtrees_converged(cloud, task.root_path, edge, edge_root))
+print("mirror converged:", subtrees_converged(cloud, P(task.root), edge, edge_root))
 
 print("\n== cloud writes into an offloaded subtree are refused ==")
 try:
@@ -70,7 +70,7 @@ synced = coordinator.finalize(task.task_id, snapshot)
 print(f"final sync touched {synced} resources (already converged)")
 
 print("\n== the lazy flavour redirects reads instead ==")
-task_b = Task("task-carB", P("IN-CSE/Cars/CarB"), "road-warning")
+task_b = Task("task-carB", "IN-CSE/Cars/CarB", "road-warning")
 cloud.create(P("IN-CSE/Cars"), ResourceKind.CONTAINER, "CarB")
 cloud.create(P("IN-CSE/Cars/CarB"), ResourceKind.CONTAINER, "location")
 cloud.create(P("IN-CSE/Cars/CarB/location"), ResourceKind.CONTENT_INSTANCE, "q0", content=b"old")

@@ -46,7 +46,7 @@ from .offload import (
     make_bundle,
     subtrees_converged,
 )
-from .orchestrator import ServiceRequest, SliceOrchestrator
+from .orchestrator import SliceOrchestrator
 from .primitives import (
     Operation,
     RequestPrimitive,
@@ -108,7 +108,6 @@ __all__ = [
     "RetrievalComparison",
     "RoadReport",
     "ScenarioConfig",
-    "ServiceRequest",
     "Simulator",
     "SliceInstance",
     "SliceOrchestrator",

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigInvalidError, EdgeSliceError
 from .netsim import LatencySample
-from .offload import subtrees_converged
+from .offload import Task, subtrees_converged
 from .resources import ResourceKind, ResourcePath
-from .scenario import ScenarioConfig, TaskSpec, reference_calibrated
+from .scenario import ScenarioConfig, reference_calibrated
 from .system import System
 
 MODE_SEED_OFFSET = {"cloud": 0, "edge": 1_000_003}
@@ -154,8 +154,8 @@ def road_config() -> ScenarioConfig:
         config,
         name="road-scenario",
         tasks=[
-            TaskSpec("task-carA", "IN-CSE/Cars/CarA", "road-warning"),
-            TaskSpec("task-citizenA", "IN-CSE/Pedestrians/CitizenA", "road-warning"),
+            Task("task-carA", "IN-CSE/Cars/CarA", "road-warning"),
+            Task("task-citizenA", "IN-CSE/Pedestrians/CitizenA", "road-warning"),
         ],
         workload_target="IN-CSE/Cars/CarA/location",
         populate=[

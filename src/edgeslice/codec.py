@@ -1,9 +1,10 @@
 """The package's one text codec: percent-coding, numbers, field lines, payloads.
 
 A field line is ``key=value`` pairs joined by ``;``; resource records use one
-field layout on the wire and in ``ResourceTree.serialize``, and a one-line
-control body is a named tuple of its keys (``line_body``), read as
-attributes until something reads its bytes.
+field layout on the wire and in ``ResourceTree.serialize``, every one-line
+body is read by ``read_line``, and a typed one-line body is a named tuple of
+its keys (``line_body``), read as attributes until something reads its
+bytes.
 Each byte is escaped at most once: a field value escapes ``;``, ``%`` and
 bytes outside printable ASCII, so base64 content travels raw; a payload is
 ``t:`` plus ASCII text escaping ``%`` and bytes outside printable ASCII (a
@@ -20,7 +21,7 @@ import math
 import re
 from collections import namedtuple
 from itertools import takewhile
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BadRequestError
 
@@ -103,23 +104,20 @@ def encode_body(pairs: Iterable[tuple[str, str]]) -> bytes:
     return encode_fieldline(pairs).encode("ascii")
 
 
-def decode_body(data: bytes | None) -> dict[str, str]:
-    """Field line carried as a primitive's content."""
-    return decode_fieldline(decode_ascii(data or b""))
-
-
-def read_line(data: bytes, keys: Sequence[str], optional: Container[str] = ()) -> list:
+def read_line(data: bytes, keys: Sequence[str], required: Iterable[str] = ()) -> list:
     """The values of ``keys`` in the one field line ``data`` holds, None for
-    an absent key in ``optional``. A key not in ``keys`` is ignored; a
-    missing key or a second line is refused."""
+    an absent key: the one reader of a one-line body. A key not in ``keys``
+    is ignored; a second line, or a key of ``required`` that the line lacks,
+    is refused."""
     text = decode_ascii(data)
     if "\n" in text:
         raise BadRequestError("expected one field line")
     fields = decode_fieldline(text)
-    values = [fields.get(key) for key in keys]
-    for key, value in zip(keys, values):
-        if value is None and key not in optional:
-            raise BadRequestError(f"missing field {key!r}")
+    values = list(map(fields.get, keys))
+    if None in values:
+        for key in required:
+            if key not in fields:
+                raise BadRequestError(f"missing field {key!r}")
     return values
 
 
@@ -133,7 +131,7 @@ class _LineBody:
 
     @classmethod
     def from_bytes(cls, data: bytes):
-        values = read_line(data, cls._fields, cls._optional)
+        values = read_line(data, cls._fields, cls._required)
         return cls._make([value if value is None else parse(value) for parse, value in zip(cls._parsers, values)])
 
 
@@ -141,7 +139,7 @@ _PARSERS = {"": str, "int": parse_int, "float": parse_float}
 
 
 def line_body(name: str, fields: str) -> type:
-    """A one-line control body: a named tuple whose field names are the
+    """A typed one-line body: a named tuple whose field names are the
     body's keys, in wire order. ``fields`` names them, space-separated, each
     as ``key``, ``key:int`` or ``key:float``; a value is written as ``str``
     writes it. A key marked ``key?`` is optional: None is not written, an
@@ -152,7 +150,8 @@ def line_body(name: str, fields: str) -> type:
     optional = frozenset(key.rstrip("?") for key, _, _ in specs if key.endswith("?"))
     defaults = [None] * len(list(takewhile(optional.__contains__, reversed(keys))))
     return type(name, (namedtuple(name, keys, defaults=defaults), _LineBody),
-                {"__slots__": (), "_optional": optional, "_parsers": [_PARSERS[kind] for _, _, kind in specs]})
+                {"__slots__": (), "_required": [key for key in keys if key not in optional],
+                 "_parsers": [_PARSERS[kind] for _, _, kind in specs]})
 
 
 def decode_ascii(data: bytes) -> str:

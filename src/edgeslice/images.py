@@ -39,7 +39,7 @@ class FunctionImage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FunctionImage":
-        image_id, function, version, size = read_line(data, cls._KEYS)
+        image_id, function, version, size = read_line(data, cls._KEYS, cls._KEYS)
         return cls(image_id, FUNCTION_BY_NAME[function], version, parse_int(size))
 
 

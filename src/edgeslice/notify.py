@@ -3,10 +3,10 @@
 A mutation on a tree fires one notification per subscription sitting next to
 the changed resource (direct-children scope: a subscription under a container
 observes creations, updates and deletions of that container's children).
-A notification carries a snapshot of the changed resource (``ResourceView``,
-like the notification and its body an immutable named tuple) and travels as
-a request whose content is a ``NotifyBody``; it is encoded only if something
-reads its bytes.
+A notification carries a ``NotifyBody``: the change and a snapshot of the
+changed resource (``ResourceView``), built once per change and shared by
+every notification it fires. It travels as a request whose content is that
+body, encoded only if something reads its bytes.
 """
 from __future__ import annotations
 
@@ -14,16 +14,17 @@ from collections import deque
 from functools import partial
 from typing import Callable, Generator, NamedTuple
 
-from .codec import decode_body, encode_fieldline, encode_resource
-from .errors import BadRequestError
+from .codec import encode_resource, line_body
 from .primitives import Operation, RequestPrimitive, ResourceView, decode_resource, read_body
 from .resources import ChangeEvent, ResourceTree
+
+NotifyHead = line_body("NotifyHead", "ev pt on?")  # a notification body's first line
 
 
 class NotifyBody(NamedTuple):
     """A notification's content: the change, the changed resource's path,
-    its snapshot and, for a rename, its old name. On the wire, a field line
-    ``ev;pt[;on]``, a newline and the resource's record."""
+    its snapshot and, for a rename, its old name. On the wire, a
+    ``NotifyHead`` line, a newline and the resource's record."""
 
     change: str
     changed_path: str
@@ -31,20 +32,15 @@ class NotifyBody(NamedTuple):
     old_name: str | None = None
 
     def to_bytes(self) -> bytes:
-        meta = [("ev", self.change), ("pt", self.changed_path)]
-        if self.old_name is not None:
-            meta.append(("on", self.old_name))
-        record = encode_resource(self.resource, self.resource.path)
-        return (encode_fieldline(meta) + "\n").encode("ascii") + record
+        head = NotifyHead(self.change, self.changed_path, self.old_name)
+        return head.to_bytes() + b"\n" + encode_resource(self.resource, self.resource.path)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NotifyBody":
         """Inverse of ``to_bytes``; raises only ``BadRequestError``."""
         head, _, record = data.partition(b"\n")
-        meta = decode_body(head)
-        if "ev" not in meta or "pt" not in meta:
-            raise BadRequestError("notification lacks its change or path")
-        return cls(meta["ev"], meta["pt"], decode_resource(record), meta.get("on"))
+        change, changed_path, old_name = NotifyHead.from_bytes(head)
+        return cls(change, changed_path, decode_resource(record), old_name)
 
 
 class NotifyPrimitive(NamedTuple):
@@ -53,24 +49,18 @@ class NotifyPrimitive(NamedTuple):
     request_id: str
     target_node: str
     target_path: str
-    change: str
-    changed_path: str
-    resource: ResourceView  # the changed resource as it was at the change
-    old_name: str | None = None
+    body: NotifyBody
 
     def to_request(self, sender: str) -> RequestPrimitive:
-        body = NotifyBody(self.change, self.changed_path, self.resource, self.old_name)
         return RequestPrimitive(Operation.NOTIFY, self.target_path, sender, self.request_id,
-                                content=body)
+                                content=self.body)
 
 
 def parse_notify(req: RequestPrimitive) -> NotifyPrimitive:
     """The notification a NOTIFY request carries, sent as an object or
     arrived as bytes; raises only ``BadRequestError``."""
-    body = read_body(req.content, NotifyBody)
     # the target node is informational only on the receive side
-    return NotifyPrimitive(req.request_id, req.originator, req.to, body.change, body.changed_path,
-                           body.resource, body.old_name)
+    return NotifyPrimitive(req.request_id, req.originator, req.to, read_body(req.content, NotifyBody))
 
 
 def match_subscriptions(tree: ResourceTree, event: ChangeEvent) -> list[NotifyPrimitive]:
@@ -86,10 +76,10 @@ def match_subscriptions(tree: ResourceTree, event: ChangeEvent) -> list[NotifyPr
     if not subs:
         return []
     view = ResourceView(r.kind, r.name, r.creation_time, r.last_modified_time, None,
-                        r.content, r.notification_target, r.labels)  # shared by every notify
-    changed_path = str(event.path)
-    return [NotifyPrimitive(f"ntf-{event.event_id}-{sub.id}", *sub.notification_target,
-                            event.change, changed_path, view, event.old_name) for sub in subs]
+                        r.content, r.notification_target, r.labels)
+    body = NotifyBody(event.change, str(event.path), view, event.old_name)  # shared by every notify
+    return [NotifyPrimitive(f"ntf-{event.event_id}-{sub.id}", *sub.notification_target, body)
+            for sub in subs]
 
 
 class NotificationChannel:

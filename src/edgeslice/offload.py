@@ -50,9 +50,12 @@ MODE_VALUES = {m: m.value for m in SyncMode}  # a dict read is cheaper than ``.v
 
 @dataclass(frozen=True)
 class Task:
+    """A task as the scenario names it: its id, its root's cloud path
+    (e.g. ``IN-CSE/Pedestrians/CitizenB``) and the service it belongs to."""
+
     task_id: str
-    root_path: ResourcePath
-    owner_service: str
+    root: str
+    service: str
 
 
 class BundleRecord(NamedTuple):
@@ -425,7 +428,7 @@ class OffloadCoordinator:
     # --- export / import ---
 
     def export_task(self, task: Task) -> OffloadBundle:
-        return make_bundle(self.cloud_tree, task.root_path, task.task_id, self._clock())
+        return make_bundle(self.cloud_tree, ResourcePath.parse(task.root), task.task_id, self._clock())
 
     # --- bindings ---
 
@@ -434,7 +437,7 @@ class OffloadCoordinator:
     ) -> SyncBinding:
         if task.task_id in self.bindings:
             raise AlreadyBoundError(f"task {task.task_id!r} already has a sync binding")
-        binding = SyncBinding(task.task_id, mode, edge, task.root_path, edge_root)
+        binding = SyncBinding(task.task_id, mode, edge, ResourcePath.parse(task.root), edge_root)
         self.bindings[task.task_id] = binding
         return binding
 
@@ -466,24 +469,24 @@ class OffloadCoordinator:
             binding.stats.duplicates += 1
             return "duplicate"
         binding.last_request_id = notify.request_id
-        view = notify.resource
+        change, _, view, old_name = notify.body
         if view.kind is ResourceKind.SUBSCRIPTION:
             binding.stats.skipped_subscriptions += 1
             return "skipped"
         tree = self.cloud_tree
         tree.guard = None  # the sync engine's own writes
         try:
-            if notify.change == "created":
+            if change == "created":
                 tree.graft(tree.resolve(target), view.kind, view.name, creation_time=view.creation_time,
                            content=view.content, labels=view.labels)
-            elif notify.change == "updated":
-                previous = notify.old_name or view.name
+            elif change == "updated":
+                previous = old_name or view.name
                 tree.update(target.child(previous), name=view.name if view.name != previous else None,
                             labels=view.labels)
-            elif notify.change == "deleted":
+            elif change == "deleted":
                 tree.delete(target.child(view.name))
             else:
-                raise BadRequestError(f"unknown change kind {notify.change!r}")
+                raise BadRequestError(f"unknown change kind {change!r}")
         except (NotFoundError, BadRequestError):
             binding.stats.stale_dropped += 1
             return "stale"

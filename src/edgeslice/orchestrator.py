@@ -12,7 +12,6 @@ is the cloud node's; both live in ``system``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NoEdgeAvailableError, NoRouteError, UnknownSliceError
@@ -28,13 +27,6 @@ from .slicing import (
     SlicingPlan,
     ordered,
 )
-
-
-@dataclass(frozen=True)
-class ServiceRequest:
-    device: str
-    service_id: str
-    profile: SliceProfile
 
 
 class SliceOrchestrator:
@@ -78,14 +70,14 @@ class SliceOrchestrator:
             raise NoEdgeAvailableError(f"no edge worker reachable from {device!r}")
         return min(candidates)[2]
 
-    def handle_service_request(self, req: ServiceRequest) -> SlicingPlan:
-        """Pure decision: fast path iff the selected edge already covers the
-        profile with an active slice."""
-        edge = self.select_edge_node(req.device)
+    def handle_service_request(self, device: str, profile: SliceProfile) -> SlicingPlan:
+        """Pure decision for ``device``'s request of ``profile``: fast path
+        iff the selected edge already covers the profile with an active slice."""
+        edge = self.select_edge_node(device)
         slice_id = self.slice_id_for(edge)
         instance = self.registry.get(slice_id)
         view = self._matcher_view.get(edge, set())
-        required = req.profile.required_functions
+        required = profile.required_functions
         if (
             instance is not None
             and instance.state is SliceState.ACTIVE
@@ -101,10 +93,10 @@ class SliceOrchestrator:
         self.decision_log.append(
             {
                 "ts": self._clock(),
-                "service": req.service_id,
-                "device": req.device,
+                "service": profile.service_id,
+                "device": device,
                 "edge": edge,
-                "latency_class": VALUES[req.profile.latency_class],
+                "latency_class": VALUES[profile.latency_class],
                 "decision": VALUES[plan.decision],
                 "missing": [FUNCTION_NAMES[f] for f in ordered(plan.missing_functions)],
             }

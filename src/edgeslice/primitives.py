@@ -8,7 +8,9 @@ primitive is the length of that form. Content is bytes, or a typed body
 whose ``to_bytes`` gives exactly the bytes it stands for: a control body
 (such as ``slicing.SliceProfile`` or a ``codec.line_body``), a bundle, a
 bundle transfer or a notification's body. ``read_body`` reads either form as
-the body. The codec's field-line and resource encoders are re-exported here.
+the body. ``encode_fieldline``, ``decode_fieldline`` and ``encode_resource``
+are imported but not called here: the benchmark's tracer patches them
+through this module.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .codec import (
     parse_float,
     parse_int,
     quote,
+    read_line,
     unquote,
 )
 from .errors import BadRequestError, ConflictError, EdgeSliceError, NotFoundError
@@ -81,11 +84,16 @@ class Body(Protocol):
 
 def read_body(content: "bytes | Body | None", kind: type) -> Body:
     """A message's content as ``kind``, a body class with ``from_bytes``:
-    the object a node sent, or the bytes of a payload that arrived raw,
-    decoded. Decoding raises only ``BadRequestError``."""
+    the object a node sent, or else its bytes decoded, whether they arrived
+    raw or stand for a body of another class. Decoding raises only
+    ``BadRequestError``."""
     if isinstance(content, kind):
         return content
-    return kind.from_bytes(b"" if content is None else content)
+    if content is None:
+        content = b""
+    elif not isinstance(content, bytes):
+        content = content.to_bytes()
+    return kind.from_bytes(content)
 
 
 def _content_bytes(content: "bytes | Body") -> bytes:
@@ -217,18 +225,25 @@ class ResourceView(NamedTuple):
     labels: tuple[str, ...] = ()
 
 
+# a resource record's keys in wire order (``codec.encode_record``'s), and those it must give
+_RECORD_KEYS = ("pt", "ty", "nm", "ct", "lt", "pc", "nt", "lb")
+_RECORD_REQUIRED = ("ty", "nm", "ct", "lt")
+
+
 def decode_resource(data: bytes) -> ResourceView:
-    try:
-        rec = decode_fieldline(data.decode("ascii"))
-        return ResourceView(
-            kind=_KINDS[parse_int(rec["ty"])],
-            name=rec["nm"],
-            creation_time=parse_float(rec["ct"]),
-            last_modified_time=parse_float(rec["lt"]),
-            path=rec.get("pt"),
-            content=decode_b64(rec["pc"]) if "pc" in rec else None,
-            notification_target=decode_target(rec["nt"]) if "nt" in rec else None,
-            labels=decode_labels(rec["lb"]) if "lb" in rec else (),
-        )
-    except (KeyError, ValueError) as exc:
-        raise BadRequestError(f"malformed resource representation: {exc}") from exc
+    """The resource view a record holds; raises only ``BadRequestError``."""
+    path, ty, name, created, modified, content, target, labels = read_line(data, _RECORD_KEYS,
+                                                                           _RECORD_REQUIRED)
+    kind = _KINDS.get(parse_int(ty))
+    if kind is None:
+        raise BadRequestError(f"malformed resource representation: no resource kind {ty}")
+    return ResourceView(
+        kind,
+        name,
+        parse_float(created),
+        parse_float(modified),
+        path,
+        None if content is None else decode_b64(content),
+        None if target is None else decode_target(target),
+        () if labels is None else decode_labels(labels),
+    )

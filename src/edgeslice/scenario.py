@@ -20,9 +20,11 @@ from .errors import BadRequestError, ConfigInvalidError, ImageNotFoundError
 from .images import ImageCatalogue, default_catalogue
 from .netsim import Link, Node, NodeRole, Topology
 from .offload import SyncMode
+from .offload import Task as TaskSpec  # a scenario's task is the offloaded ``Task`` itself
 from .primitives import Operation
 from .resources import ResourcePath
-from .slicing import FunctionKind, LatencyClass, SliceProfile, ordered
+from .slicing import (FUNCTION_BY_LOWER_NAME, LATENCY_CLASS_BY_VALUE, FunctionKind, LatencyClass,
+                      SliceProfile, ordered)
 from .worker import ResourceQuota
 
 _ROLE_NAMES = {role.value: role for role in NodeRole}
@@ -58,8 +60,8 @@ _KEYS = {
     "workload": {"target": "required str", "operations": "list of str", "prepopulate": "int"},
 }
 _SCALARS = {"str": (str,), "int": (int,), "float": (int, float, str), "bool": (bool,)}
-_NAMES = {"role": _ROLE_NAMES, "function": {fn.name.lower(): fn for fn in FunctionKind},
-          "latency class": {c.value: c for c in LatencyClass}, "sync mode": {m.value: m for m in SyncMode}}
+_NAMES = {"role": _ROLE_NAMES, "function": FUNCTION_BY_LOWER_NAME, "latency class": LATENCY_CLASS_BY_VALUE,
+          "sync mode": {m.value: m for m in SyncMode}}
 
 
 def _check(value, kind: str, path: str):
@@ -114,13 +116,6 @@ def _load_mapping(text: str, what: str, document: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigInvalidError(f"{document} must be a mapping")
     return doc
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    task_id: str
-    root: str  # cloud-side path, e.g. "IN-CSE/Pedestrians/CitizenB"
-    service: str
 
 
 @dataclass(kw_only=True)

@@ -51,11 +51,11 @@ def port_for(function: FunctionKind) -> int:
     return BASE_PORT + _ORDER[function]
 
 
-_FUNCTION_NAMES = _ByName("function kind", {f.name.lower(): f for f in FunctionKind})
+FUNCTION_BY_LOWER_NAME = _ByName("function kind", {f.name.lower(): f for f in FunctionKind})
 
 
 def function_from_name(name: str) -> FunctionKind:
-    return _FUNCTION_NAMES[name.lower()]
+    return FUNCTION_BY_LOWER_NAME[name.lower()]
 
 
 def ordered(functions: "frozenset[FunctionKind] | set[FunctionKind]") -> list[FunctionKind]:
@@ -82,7 +82,7 @@ class PlanDecision(Enum):
 
 
 VALUES = {m: m.value for kind in (LatencyClass, PlanDecision) for m in kind}
-_LATENCY_CLASSES = _ByName("latency class", {m.value: m for m in LatencyClass})
+LATENCY_CLASS_BY_VALUE = _ByName("latency class", {m.value: m for m in LatencyClass})
 _DECISIONS = _ByName("plan decision", {m.value: m for m in PlanDecision})
 
 
@@ -106,9 +106,9 @@ class SliceProfile:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SliceProfile":
-        service_id, names, latency_class = read_line(data, cls._KEYS)
+        service_id, names, latency_class = read_line(data, cls._KEYS, cls._KEYS)
         return cls(service_id, frozenset(map(function_from_name, names.split(","))),
-                   _LATENCY_CLASSES[latency_class])
+                   LATENCY_CLASS_BY_VALUE[latency_class])
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class SlicingPlan:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlicingPlan":
-        decision, target_slice, names = read_line(data, cls._KEYS)
+        decision, target_slice, names = read_line(data, cls._KEYS, cls._KEYS)
         return cls(_DECISIONS[decision], target_slice,
                    frozenset(function_from_name(n) for n in names.split(",") if n))
 

@@ -66,7 +66,7 @@ from .offload import (
     refuse_taken_sync_names,
     resolve_task_root,
 )
-from .orchestrator import ServiceRequest, SliceOrchestrator
+from .orchestrator import SliceOrchestrator
 from .primitives import (
     Body,
     Operation,
@@ -120,7 +120,7 @@ def initial_cloud_tree(config: ScenarioConfig, clock: Callable[[], float]) -> Re
     populated content instances, named ``p0``, ``p1``, ..."""
     populate = config.populate or [(config.workload_target, config.prepopulate)]
     return _cloud_template(
-        tuple(spec.root for spec in config.tasks),
+        tuple(task.root for task in config.tasks),
         tuple((path, count) for path, count in populate),
         config.payload_bytes,
     ).copy(clock)
@@ -535,7 +535,7 @@ class CloudNode(_ServiceNode):
         tasks. A process."""
         profile = read_body(req.content, SliceProfile)
         device, ctx = req.originator, req.request_id
-        plan = self.orchestrator.handle_service_request(ServiceRequest(device, profile.service_id, profile))
+        plan = self.orchestrator.handle_service_request(device, profile)
         edge = self.orchestrator.edge_of(plan.target_slice)
         if plan.decision is PlanDecision.INSTANTIATE_THEN_OFFLOAD:
             self.orchestrator.ensure_instance(plan.target_slice, edge)
@@ -545,8 +545,8 @@ class CloudNode(_ServiceNode):
             err = yield ("record", ctx)  # resumed by ``_handle_record``
             if err is not None:
                 raise BadRequestError(err)
-        tasks = [Task(t.task_id, ResourcePath.parse(t.root), t.service) for t in self.config.tasks
-                 if t.service == profile.service_id and t.task_id not in self.coordinator.bindings]
+        tasks = [task for task in self.config.tasks
+                 if task.service == profile.service_id and task.task_id not in self.coordinator.bindings]
         yield from self._offload(ctx, edge, tasks, device, ctx)
 
     def _handle_record(self, req: RequestPrimitive, sender: str) -> None:
@@ -587,7 +587,7 @@ class CloudNode(_ServiceNode):
         bundles = [self.coordinator.export_task(task) for task in tasks]
         sent: dict[str, Task] = {}
         for task, bundle in zip(tasks, bundles):
-            head = BundleHead(ctx, task.task_id, MODE_VALUES[mode], str(task.root_path), self.node_id)
+            head = BundleHead(ctx, task.task_id, MODE_VALUES[mode], task.root, self.node_id)
             bundle_rqi = self.next_control_rqi()
             sent[bundle_rqi] = task
             self.send_control(edge, Operation.BUNDLE_TRANSFER, BundleTransfer(head, bundle), bundle_rqi)
@@ -615,10 +615,9 @@ class CloudNode(_ServiceNode):
         task_id, edge = read_body(req.content, OffloadBody)
         if edge not in self.config.topology.by_role(NodeRole.EDGE_WORKER):
             raise NotFoundError(f"no edge worker {edge!r}")
-        spec = next((t for t in self.config.tasks if t.task_id == task_id), None)
-        if spec is None:
+        task = next((t for t in self.config.tasks if t.task_id == task_id), None)
+        if task is None:
             raise NotFoundError(f"no task {task_id!r}")
-        task = Task(spec.task_id, ResourcePath.parse(spec.root), spec.service)
         yield from self._offload(f"offload-{req.request_id}", edge, [task], sender, req.request_id)
 
     def _handle_terminate(self, req: RequestPrimitive, sender: str) -> Generator:

@@ -12,7 +12,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable
 
-from .codec import decode_b64, decode_body, decode_labels, decode_target, encode_body, encode_resource
+from .codec import decode_b64, decode_labels, decode_target, encode_body, encode_resource, read_line
 from .errors import (
     AlreadyRunningError,
     BadRequestError,
@@ -63,6 +63,10 @@ class FunctionInstance:
 
 
 _MEMORY = attrgetter("quota.max_memory_bytes")  # of a FunctionInstance
+
+# the keys a create's and an update's one-line bodies may give, all optional
+_CREATE_KEYS = ("nm", "pc", "nt", "lb")
+_UPDATE_KEYS = ("ty", "nm", "pc", "nt", "lb")
 
 # Create routing depends on the created kind; everything else on the target.
 _CREATE_FUNCTION = {
@@ -251,14 +255,14 @@ class EdgeWorker:
     def _execute_create(self, req: RequestPrimitive) -> ResponsePrimitive:
         if req.content is None:
             raise BadRequestError("create requires a resource representation")
-        rec = decode_body(req.content)
+        name, content, target, labels = read_line(req.content, _CREATE_KEYS)
         self.tree.create(
             ResourcePath.parse(req.to),
             req.resource_kind,  # type: ignore[arg-type]
-            rec.get("nm"),
-            content=decode_b64(rec["pc"]) if "pc" in rec else None,
-            notification_target=decode_target(rec["nt"]) if "nt" in rec else None,
-            labels=decode_labels(rec["lb"]) if rec.get("lb") else None,
+            name,
+            content=None if content is None else decode_b64(content),
+            notification_target=None if target is None else decode_target(target),
+            labels=decode_labels(labels) if labels else None,
         )
         event = self.tree.last_event  # create's: the node it made, as it made it
         record = encode_resource(event.resource, event.path)
@@ -266,20 +270,19 @@ class EdgeWorker:
 
     def _execute_update(self, req: RequestPrimitive) -> ResponsePrimitive:
         path = ResourcePath.parse(req.to)
-        patch = decode_body(req.content)
+        kind, name, content, target, labels = read_line(req.content or b"", _UPDATE_KEYS)
         current = self.tree.resolve(path)
-        if "ty" in patch and patch["ty"] != str(current.kind.value):
+        if kind is not None and kind != str(current.kind.value):
             raise BadRequestError("resource kind cannot be changed")
-        if "pc" in patch:
+        if content is not None:
             raise BadRequestError("content cannot be updated")
-        labels = None
-        if "lb" in patch:
-            labels = decode_labels(patch["lb"]) if patch["lb"] else ()
+        if labels is not None:  # an empty ``lb`` clears them
+            labels = decode_labels(labels) if labels else ()
         updated = self.tree.update(
             path,
-            name=patch.get("nm"),
+            name=name,
             labels=labels,
-            notification_target=decode_target(patch["nt"]) if "nt" in patch else None,
+            notification_target=None if target is None else decode_target(target),
         )
         record = encode_resource(updated, self.tree.path_of(updated))
         return ResponsePrimitive(req.request_id, StatusCode.OK, record)

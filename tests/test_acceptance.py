@@ -101,7 +101,7 @@ def test_criterion_03_eager_sync_convergence():
             harness.offload(SyncMode.EAGER)
             rng = random.Random(1000 + seed)
             harness.random_bound_subtree_ops(rng, rng.randint(50, 200))
-            mirror = replicated_state(harness.cloud_tree, harness.task.root_path)
+            mirror = replicated_state(harness.cloud_tree, harness.mirror_root)
             edge = replicated_state(harness.edge_tree, harness.edge_root)
             assert mirror == edge, f"trial {seed} diverged"
 

@@ -5,7 +5,11 @@
   surrogates;
 - every decoder either decodes its input or raises ``BadRequestError``, for
   arbitrary input, for valid and refused encodings with a few bytes edited,
-  and for text holding a lone surrogate;
+  and for text holding a lone surrogate; among them every reader built on
+  ``read_line``, the worker's create and update bodies read through
+  ``EdgeWorker.dispatch`` (a body it answers 4000 counts as refused);
+- a one-line body with a second line, or without a key it requires, is
+  refused;
 - encode -> decode -> encode is the identity on generated valid values, for
   every control body type among them;
 - each byte is escaped at most once, and still unambiguously: no safe set
@@ -36,7 +40,6 @@ from edgeslice.codec import (
     FIELD_SAFE,
     PAYLOAD_SAFE,
     decode_b64,
-    decode_body,
     decode_fieldline,
     decode_labels,
     decode_payload,
@@ -47,12 +50,13 @@ from edgeslice.codec import (
     parse_float,
     parse_int,
     quote,
+    read_line,
     unquote,
 )
 from edgeslice.errors import BadRequestError
 from edgeslice.images import FunctionImage, ImageCatalogue
 from edgeslice.netsim import Network
-from edgeslice.notify import NotifyBody, parse_notify
+from edgeslice.notify import NotifyBody, NotifyHead, parse_notify
 from edgeslice.offload import (
     BundleHead,
     BundleRecord,
@@ -86,6 +90,7 @@ from edgeslice.slicing import (
     PlanDecision,
     SliceProfile,
     SlicingPlan,
+    port_for,
 )
 from edgeslice.system import (
     CrashBody,
@@ -100,7 +105,7 @@ from edgeslice.system import (
     SyncedBody,
     TaskRoot,
 )
-from edgeslice.worker import ResourceQuota
+from edgeslice.worker import EdgeWorker, FunctionInstance, InstanceState, ResourceQuota
 from wire_samples import ODD_LABELS, ODD_NAME, sample_tree, samples
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -214,14 +219,20 @@ def _control_bodies() -> dict[str, list[bytes]]:
 def _seeds() -> dict[str, list[bytes]]:
     wire = {name: text.encode("utf-8") for name, text in samples().items()}
     notifies = [wire[name] for name in wire if name.startswith("notify_")]
+    notify_bodies = [decode_request(n).content for n in notifies]
     profile = SliceProfile("svc;1", frozenset({FunctionKind.RETRIEVE, FunctionKind.NOTIFICATION}))
     plan = SlicingPlan(PlanDecision.INSTANTIATE_THEN_OFFLOAD, "slice-ü", frozenset(FunctionKind))
     bodies = _control_bodies()
     return {
         "request": [wire["create"], wire["retrieve"], wire["bundle_transfer"], *notifies],
         "response": [wire["response"], wire["response_binary"], wire["response_empty"]],
-        "resource": [wire["resource_subscription"], wire["resource_container"]],
-        "notify": [decode_request(n).content for n in notifies],
+        "resource": [wire["resource_subscription"], wire["resource_container"],
+                     *[body.partition(b"\n")[2] for body in notify_bodies]],
+        "notify": notify_bodies,
+        "NotifyHead": [body.partition(b"\n")[0] for body in notify_bodies],
+        "create": [b"nm=m00001;pc=" + encode_b64(b"position-update-001000:xxxx").encode(),
+                   b"nm=%C3%BC%3B;pc=" + encode_b64(bytes(range(256))).encode() + b";lb=a,b%252C"],
+        "update": [b"", b"nm=renamed%20%3B", b"lb=a,%C3%BC", b"lb=", b"ty=3;nm=x;lb=l"],
         "bundle": [wire["bundle"]],
         "plan": [plan.to_bytes()],
         "payload": [b"t:nm%3Dx%3Bpc%3DAAAA", b"b:AAECAw=="],
@@ -234,7 +245,28 @@ SEEDS = _seeds()
 
 
 def _notify(data: bytes):
-    return parse_notify(RequestPrimitive(Operation.NOTIFY, "IN-CSE/a", "edge0", "n1", content=data)).resource
+    return parse_notify(RequestPrimitive(Operation.NOTIFY, "IN-CSE/a", "edge0", "n1", content=data)).body
+
+
+def _dispatched(op: Operation):
+    """The worker's reader of an ``op`` body: the body dispatched to a worker
+    that runs every function, as a content instance created in, or an
+    update of, a fresh container. A body answered 4000 raises
+    ``BadRequestError``; any other refusal fails the test."""
+    kind = ResourceKind.CONTENT_INSTANCE if op is Operation.CREATE else None
+
+    def read(data: bytes) -> None:
+        tree = ResourceTree("MN-CSE")
+        box = tree.create(ResourcePath("MN-CSE"), ResourceKind.CONTAINER, "box")
+        worker = EdgeWorker("edge0", tree, capacity_bytes=1)
+        worker.functions = {fn: FunctionInstance(fn, port_for(fn), InstanceState.RUNNING, ResourceQuota(1, 1.0))
+                            for fn in FunctionKind}
+        response, _, _ = worker.dispatch(RequestPrimitive(op, str(box), "dev0", "r1", kind, data))
+        if not response.ok:
+            assert response.status is StatusCode.BAD_REQUEST, response
+            raise BadRequestError(response.content.decode())
+
+    return read
 
 
 # the decoders that read text; the others read bytes
@@ -249,6 +281,9 @@ DECODERS = {
     "response": decode_response,
     "resource": decode_resource,
     "notify": _notify,
+    "NotifyHead": NotifyHead.from_bytes,
+    "create": _dispatched(Operation.CREATE),
+    "update": _dispatched(Operation.UPDATE),
     **{
         name: lambda data, decode=decode: decode(data.decode("latin-1"))
         for name, decode in TEXT_DECODERS.items()
@@ -271,11 +306,16 @@ REFUSED = {
         b"ty=4;nm=a;ct=1e999;lt=0",
         b"ty=4;nm=a;nm=b;ct=0;lt=0",
         b"ty=4;nm=a;ct=0;lt=0;x",
+        b"ty=9;nm=a;ct=0;lt=0",
     ],
     "notify": [
         b"ev=created;pt=IN-CSE/a/x\nty=4;nm=x;ct=nan;lt=0.0",
         b"ev=created;ev=deleted;pt=IN-CSE/a/x\nty=4;nm=x;ct=0.0;lt=0.0",
+        b"ev=created;pt=IN-CSE/a/x\nty=4;nm=x;ct=0.0;lt=0.0\nty=4",
     ],
+    "NotifyHead": [b"ev=created;ev=deleted;pt=x", b"ev=\xff;pt=x"],
+    "create": [b"nm=a;nm=b", b"nm=a;pc=!!!", b"nm=la", b"nt=cloud%7CIN-CSE"],
+    "update": [b"ty=4", b"pc=AAAA", b"nm=a;nm=b", b"nt=cloud%7CIN-CSE"],
     "bundle": [
         b"tid=t;at=1;rt=IN-CSE%2Fa;n=1\npi=-1;ty=3;nm=a;ct=nan\n",
         b"tid=t;at=inf;rt=IN-CSE%2Fa;n=1\npi=-1;ty=3;nm=a;ct=0\n",
@@ -350,7 +390,7 @@ def test_decoders_raise_only_bad_request(name):
         (lambda data: decode_payload(data.decode()), b"b:!!!"),
         (lambda data: decode_payload(data.decode()), b"b:AAE"),
         (lambda data: decode_b64(data.decode()), b"AAAA\n"),
-        (decode_body, b"nm=\xc3\xbc"),
+        (lambda data: read_line(data, ("nm",)), b"nm=\xc3\xbc"),
         # a catalogue line's size is an integer as str(int) writes one
         (lambda data: ImageCatalogue.load(data.decode()), b"img,retrieve,1.0,abc"),
         (lambda data: ImageCatalogue.load(data.decode()), b"img,retrieve,1.0, 1_000"),
@@ -361,6 +401,35 @@ def test_decoders_raise_only_bad_request(name):
 def test_malformed_inputs_raise_bad_request(decoder, data):
     with pytest.raises(BadRequestError):
         decoder(data)
+
+
+# the readers of one line, each built on ``read_line``, and the keys each requires
+ONE_LINE_READERS = {
+    "NotifyHead": ("ev", "pt"),
+    "resource": ("ty", "nm", "ct", "lt"),
+    "create": (),
+    "update": (),
+    "plan": SlicingPlan._KEYS,
+    "SliceProfile": SliceProfile._KEYS,
+    **{kind.__name__: tuple(kind._required) for kind in CONTROL_BODIES if hasattr(kind, "_required")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LINE_READERS))
+def test_a_one_line_body_with_a_second_line_is_refused(name):
+    for seed in SEEDS[name]:
+        for second in (b"", seed, b"x=1"):
+            with pytest.raises(BadRequestError):
+                DECODERS[name](seed + b"\n" + second)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, keys in ONE_LINE_READERS.items() if keys))
+def test_a_one_line_body_without_a_key_it_requires_is_refused(name):
+    for seed in SEEDS[name]:
+        fields = seed.split(b";")
+        for key in ONE_LINE_READERS[name]:
+            with pytest.raises(BadRequestError):
+                DECODERS[name](b";".join(f for f in fields if not f.startswith(key.encode() + b"=")))
 
 
 @pytest.mark.parametrize("name", sorted(DECODERS))
@@ -583,6 +652,7 @@ NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
 IMAGES = st.builds(FunctionImage, TEXT, st.sampled_from(FunctionKind), TEXT, st.integers(min_value=0))
 QUOTAS = st.builds(ResourceQuota, st.integers(min_value=1), st.floats(0, 1, exclude_min=True))
 HEADS = st.builds(BundleHead, MAYBE_TEXT, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT)
+NOTIFY_HEADS = st.builds(NotifyHead, TEXT, TEXT, MAYBE_TEXT)
 # every body type, and every line type a body is made of
 BODIES = {
     SliceProfile: st.builds(SliceProfile, TEXT, st.frozensets(st.sampled_from(FunctionKind), min_size=1),
@@ -602,6 +672,7 @@ BODIES = {
     SlicingPlan: plans(),
     FunctionImage: IMAGES,
     BundleHead: HEADS,
+    NotifyHead: NOTIFY_HEADS,
 }
 
 

@@ -17,24 +17,26 @@ def make_notify(i=0):
         request_id=f"ntf-{i}",
         target_node="cloud",
         target_path="IN-CSE/Cars/CarA/location",
-        change="created",
-        changed_path="MN-CSE/Cars/CarA/location/ci_0001",
-        resource=ResourceView(ResourceKind.CONTENT_INSTANCE, "ci_0001", 1.0, 1.0, content=b"v"),
+        body=NotifyBody(
+            change="created",
+            changed_path="MN-CSE/Cars/CarA/location/ci_0001",
+            resource=ResourceView(ResourceKind.CONTENT_INSTANCE, "ci_0001", 1.0, 1.0, content=b"v"),
+        ),
     )
 
 
 def test_notify_envelope_round_trip():
     notify = make_notify()
     req = notify.to_request("edge0")
-    assert isinstance(req.content, NotifyBody)
+    assert req.content is notify.body
     assert req.content.to_bytes() == (b"ev=created;pt=MN-CSE/Cars/CarA/location/ci_0001\n"
                                       b"ty=4;nm=ci_0001;ct=1.0;lt=1.0;pc=dg==")
     parsed = parse_notify(req)
-    assert parsed.change == "created"
-    assert parsed.changed_path == "MN-CSE/Cars/CarA/location/ci_0001"
+    assert parsed.body.change == "created"
+    assert parsed.body.changed_path == "MN-CSE/Cars/CarA/location/ci_0001"
     assert parsed.target_path == notify.target_path
-    assert parsed.resource.name == "ci_0001"
-    assert parsed.resource.content == b"v"
+    assert parsed.body.resource.name == "ci_0001"
+    assert parsed.body.resource.content == b"v"
 
 
 def test_a_notify_reads_the_same_sent_as_an_object_or_arrived_as_bytes():
@@ -45,7 +47,7 @@ def test_a_notify_reads_the_same_sent_as_an_object_or_arrived_as_bytes():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: make_notify().resource,
+    lambda: make_notify().body.resource,
     make_notify,
     lambda: make_notify().to_request("edge0").content,
 ], ids=["ResourceView", "NotifyPrimitive", "NotifyBody"])
@@ -71,7 +73,7 @@ def watched_tree() -> tuple[ResourceTree, ResourcePath]:
 
 def fired(tree: ResourceTree) -> list[tuple]:
     """What the queued events notify: change, changed path, old name and target."""
-    return [(n.change, n.changed_path, n.old_name, n.target_node)
+    return [(n.body.change, n.body.changed_path, n.body.old_name, n.target_node)
             for event in tree.drain_events() for n in match_subscriptions(tree, event)]
 
 

@@ -52,7 +52,7 @@ class TestExport:
         tree = ResourceTree("IN-CSE", sim.time)
         tree.create(P("IN-CSE"), ResourceKind.CONTAINER, "solo")
         coordinator = OffloadCoordinator(tree, sim.time)
-        bundle = coordinator.export_task(Task("t", P("IN-CSE/solo"), "svc"))
+        bundle = coordinator.export_task(Task("t", "IN-CSE/solo", "svc"))
         assert len(bundle.records) == 1
 
     def test_a_second_export_carries_the_state_at_its_own_time(self):
@@ -71,7 +71,7 @@ class TestExport:
         sim = Simulator()
         coordinator = OffloadCoordinator(build_cloud_tree(sim), sim.time)
         with pytest.raises(NotFoundError):
-            coordinator.export_task(Task("t", P("IN-CSE/ghost"), "svc"))
+            coordinator.export_task(Task("t", "IN-CSE/ghost", "svc"))
 
     def test_subscriptions_stay_home(self):
         sim = Simulator()
@@ -342,11 +342,11 @@ class TestEagerSetup:
         tree.create(P("IN-CSE/Box"), ResourceKind.CONTAINER, "values")
         tree.create(P("IN-CSE/Box"), ResourceKind.CONTAINER, "meta")
         coordinator = OffloadCoordinator(tree, sim.time)
-        task = Task("t", P("IN-CSE/Box"), "svc")
+        task = Task("t", "IN-CSE/Box", "svc")
         bundle = coordinator.export_task(task)
         edge = ResourceTree("MN-CSE", sim.time)
         edge_root = import_bundle(edge, bundle)
-        count = create_sync_subscriptions(edge, EdgeSyncInfo("t", edge_root, task.root_path, "cloud"))
+        count = create_sync_subscriptions(edge, EdgeSyncInfo("t", edge_root, P(task.root), "cloud"))
         # oracle: count the containers in the offloaded subtree
         containers = sum(
             1
@@ -360,11 +360,11 @@ class TestEagerSetup:
         tree = ResourceTree("IN-CSE", sim.time)
         tree.create(P("IN-CSE"), ResourceKind.AE, "app")
         coordinator = OffloadCoordinator(tree, sim.time)
-        task = Task("t", P("IN-CSE/app"), "svc")
+        task = Task("t", "IN-CSE/app", "svc")
         bundle = coordinator.export_task(task)
         edge = ResourceTree("MN-CSE", sim.time)
         edge_root = import_bundle(edge, bundle)
-        assert create_sync_subscriptions(edge, EdgeSyncInfo("t", edge_root, task.root_path, "cloud")) == 0
+        assert create_sync_subscriptions(edge, EdgeSyncInfo("t", edge_root, P(task.root), "cloud")) == 0
 
     def test_edge_create_produces_exactly_one_cloud_notify(self):
         h = Harness()
@@ -452,7 +452,7 @@ class TestApplyNotification:
         # edge deletes the location container, then a late create under it
         h.edge_tree.delete(P("MN-CSE/Cars/CarA/location"))
         h.after_op()
-        delete_notify = next(n for n in h.pending if n.change == "deleted")
+        delete_notify = next(n for n in h.pending if n.body.change == "deleted")
         h.pending.remove(delete_notify)
         h.edge_create("MN-CSE/Cars/CarA", ResourceKind.CONTAINER, "location")
         h.edge_create(
@@ -462,7 +462,7 @@ class TestApplyNotification:
         # deliver the delete first, then replay the late create of p9 against
         # a target container whose mirror is gone
         h.coordinator.apply_notification(delete_notify)
-        stale = [n for n in late if n.changed_path.endswith("p9")]
+        stale = [n for n in late if n.body.changed_path.endswith("p9")]
         assert stale
         assert h.coordinator.apply_notification(stale[0]) == "stale"
         assert h.binding.stats.stale_dropped == 1
@@ -554,7 +554,7 @@ class TestFinalize:
         snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
         assert h.coordinator.finalize(h.task.task_id, snapshot) == 5
         assert subtrees_converged(
-            h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root
+            h.cloud_tree, h.mirror_root, h.edge_tree, h.edge_root
         )
 
     def test_eager_finalize_at_quiescence_is_empty(self):
@@ -592,7 +592,7 @@ class TestFinalize:
         snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
         assert h.coordinator.finalize(h.task.task_id, snapshot) == 2  # one delete, one create
         assert subtrees_converged(
-            h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root
+            h.cloud_tree, h.mirror_root, h.edge_tree, h.edge_root
         )
 
 
@@ -637,7 +637,7 @@ class TestMaintenance:
         h.deliver_all()
         assert h.cloud_tree.resolve(P("IN-CSE/Cars/CarA/position/p3"))
         assert subtrees_converged(
-            h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root
+            h.cloud_tree, h.mirror_root, h.edge_tree, h.edge_root
         )
 
 
@@ -648,7 +648,7 @@ class TestEagerConvergenceProperty:
             h.offload()
             h.random_bound_subtree_ops(random.Random(seed), 60)
             assert subtrees_converged(
-                h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root
+                h.cloud_tree, h.mirror_root, h.edge_tree, h.edge_root
             ), f"diverged for seed {seed}"
 
 
@@ -697,7 +697,7 @@ class TestNoMaintenanceCascade:
         assert fed_back, "no container was created in the bound subtree"
         assert {(e.change, e.resource.kind, e.resource.name) for e in fed_back} == {
             ("created", ResourceKind.SUBSCRIPTION, "sync")}
-        assert subtrees_converged(h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root)
+        assert subtrees_converged(h.cloud_tree, h.mirror_root, h.edge_tree, h.edge_root)
 
 
 class TestConvergenceCheck:
@@ -713,7 +713,7 @@ class TestConvergenceCheck:
 
     @staticmethod
     def converged(h: Harness) -> bool:
-        return subtrees_converged(h.cloud_tree, h.task.root_path, h.edge_tree, h.edge_root)
+        return subtrees_converged(h.cloud_tree, h.mirror_root, h.edge_tree, h.edge_root)
 
     @staticmethod
     def create(tree: ResourceTree, path: str, kind: ResourceKind, name: str, **fields) -> None:
@@ -752,7 +752,7 @@ class TestConvergenceCheck:
         h = self.offloaded()
         h.edge_tree.update(h.edge_root, name="CarB")
         renamed = P("MN-CSE/Cars/CarB")
-        assert not subtrees_converged(h.cloud_tree, h.task.root_path, h.edge_tree, renamed)
+        assert not subtrees_converged(h.cloud_tree, h.mirror_root, h.edge_tree, renamed)
 
     def test_a_different_instance_content(self):
         h = self.offloaded()
@@ -800,7 +800,7 @@ class TestConvergenceCheck:
     def test_a_missing_root(self, side):
         h = self.offloaded()
         ghost = P("IN-CSE/Cars/Ghost") if side == "mirror" else P("MN-CSE/Cars/Ghost")
-        mirror_root = ghost if side == "mirror" else h.task.root_path
+        mirror_root = ghost if side == "mirror" else h.mirror_root
         edge_root = ghost if side == "edge" else h.edge_root
         assert not subtrees_converged(h.cloud_tree, mirror_root, h.edge_tree, edge_root)
 

@@ -5,7 +5,7 @@ import pytest
 
 from edgeslice.errors import NoEdgeAvailableError, UnknownSliceError
 from edgeslice.netsim import Link, Node, NodeRole, Topology
-from edgeslice.orchestrator import ServiceRequest, SliceOrchestrator
+from edgeslice.orchestrator import SliceOrchestrator
 from edgeslice.slicing import (
     FunctionKind,
     LatencyClass,
@@ -102,18 +102,18 @@ class TestDecisions:
     def test_fresh_edge_instantiates_everything(self):
         orch = make_orchestrator()
         wanted = {FunctionKind.REGISTRATION, FunctionKind.RETRIEVE}
-        plan = orch.handle_service_request(ServiceRequest("dev0", "svc", profile(wanted)))
+        plan = orch.handle_service_request("dev0", profile(wanted))
         assert plan.decision is PlanDecision.INSTANTIATE_THEN_OFFLOAD
         assert plan.missing_functions == frozenset(wanted)
         assert orch.registry == {}  # pure decision
 
     def test_identical_repeat_takes_fast_path(self):
         orch = make_orchestrator()
-        req = ServiceRequest("dev0", "svc", profile({FunctionKind.REGISTRATION, FunctionKind.RETRIEVE}))
-        plan = orch.handle_service_request(req)
+        requested = profile({FunctionKind.REGISTRATION, FunctionKind.RETRIEVE})
+        plan = orch.handle_service_request("dev0", requested)
         activate(orch, plan)
         orch.record_slice_functions(plan.target_slice, plan.missing_functions)
-        again = orch.handle_service_request(req)
+        again = orch.handle_service_request("dev0", requested)
         assert again.decision is PlanDecision.FAST_PATH_OFFLOAD_ONLY
         assert again.missing_functions == frozenset()
 
@@ -135,9 +135,7 @@ class TestDecisions:
                     orch.ensure_instance("slice-edge0", "edge0")
                     orch.mark_active("slice-edge0", {f: 0 for f in running})
                     orch.record_slice_functions("slice-edge0", set(running))
-                plan = orch.handle_service_request(
-                    ServiceRequest("dev0", "svc", profile(set(wanted)))
-                )
+                plan = orch.handle_service_request("dev0", profile(set(wanted)))
                 expected_missing = frozenset(wanted) - frozenset(running)
                 assert plan.missing_functions == expected_missing
                 expected_fast = not expected_missing and bool(running)
@@ -148,15 +146,10 @@ class TestRecord:
     def test_record_extends_running_set(self):
         orch = make_orchestrator()
         first = orch.handle_service_request(
-            ServiceRequest(
-                "dev0", "svc1", profile({FunctionKind.REGISTRATION, FunctionKind.RETRIEVE})
-            )
-        )
+            "dev0", profile({FunctionKind.REGISTRATION, FunctionKind.RETRIEVE}, service="svc1"))
         activate(orch, first)
         orch.record_slice_functions(first.target_slice, first.missing_functions)
-        second = orch.handle_service_request(
-            ServiceRequest("dev0", "svc2", profile(set(CORE_FUNCTIONS), service="svc2"))
-        )
+        second = orch.handle_service_request("dev0", profile(set(CORE_FUNCTIONS), service="svc2"))
         assert second.missing_functions == frozenset(
             {FunctionKind.SUBSCRIPTION, FunctionKind.NOTIFICATION}
         )
@@ -166,15 +159,13 @@ class TestRecord:
 
     def test_record_empty_is_noop(self):
         orch = make_orchestrator()
-        plan = orch.handle_service_request(
-            ServiceRequest("dev0", "svc", profile({FunctionKind.RETRIEVE}))
-        )
+        plan = orch.handle_service_request("dev0", profile({FunctionKind.RETRIEVE}))
         activate(orch, plan)
         orch.record_slice_functions(plan.target_slice, plan.missing_functions)
-        wider = ServiceRequest("dev0", "svc", profile({FunctionKind.RETRIEVE, FunctionKind.DISCOVERY}))
-        before = orch.handle_service_request(wider)
+        wider = profile({FunctionKind.RETRIEVE, FunctionKind.DISCOVERY})
+        before = orch.handle_service_request("dev0", wider)
         orch.record_slice_functions(plan.target_slice, set())
-        assert orch.handle_service_request(wider) == before
+        assert orch.handle_service_request("dev0", wider) == before
         assert before.missing_functions == frozenset({FunctionKind.DISCOVERY})
 
     def test_record_unknown_slice(self):
@@ -185,16 +176,16 @@ class TestRecord:
     def test_record_then_request_flips_decision(self):
         """Replay oracle: the two-call sequence flips the decision bit."""
         orch = make_orchestrator()
-        req = ServiceRequest("dev0", "svc", profile({FunctionKind.NOTIFICATION}))
-        plan = orch.handle_service_request(req)
+        requested = profile({FunctionKind.NOTIFICATION})
+        plan = orch.handle_service_request("dev0", requested)
         activate(orch, plan)
         assert (
-            orch.handle_service_request(req).decision
+            orch.handle_service_request("dev0", requested).decision
             is PlanDecision.INSTANTIATE_THEN_OFFLOAD
         )
         orch.record_slice_functions(plan.target_slice, plan.missing_functions)
         assert (
-            orch.handle_service_request(req).decision
+            orch.handle_service_request("dev0", requested).decision
             is PlanDecision.FAST_PATH_OFFLOAD_ONLY
         )
 
@@ -202,27 +193,25 @@ class TestRecord:
 class TestForget:
     def test_forget_drops_slice_and_handler_view(self):
         orch = make_orchestrator()
-        req = ServiceRequest("dev0", "svc", profile({FunctionKind.RETRIEVE}))
-        plan = orch.handle_service_request(req)
+        requested = profile({FunctionKind.RETRIEVE})
+        plan = orch.handle_service_request("dev0", requested)
         activate(orch, plan)
         orch.record_slice_functions(plan.target_slice, plan.missing_functions)
         orch.forget_slice(plan.target_slice)
         assert orch.registry == {}
         # a fresh identical request instantiates again
-        again = orch.handle_service_request(req)
+        again = orch.handle_service_request("dev0", requested)
         assert again.decision is PlanDecision.INSTANTIATE_THEN_OFFLOAD
         assert again.missing_functions == frozenset({FunctionKind.RETRIEVE})
 
     def test_forget_unknown_slice_leaves_others(self):
         orch = make_orchestrator()
-        plan = orch.handle_service_request(
-            ServiceRequest("dev0", "svc", profile({FunctionKind.RETRIEVE}))
-        )
+        plan = orch.handle_service_request("dev0", profile({FunctionKind.RETRIEVE}))
         activate(orch, plan)
         orch.record_slice_functions(plan.target_slice, plan.missing_functions)
         orch.forget_slice("slice-ghost")
         assert set(orch.registry) == {plan.target_slice}
-        again = orch.handle_service_request(ServiceRequest("dev0", "svc", profile({FunctionKind.RETRIEVE})))
+        again = orch.handle_service_request("dev0", profile({FunctionKind.RETRIEVE}))
         assert again.decision is PlanDecision.FAST_PATH_OFFLOAD_ONLY
 
 
@@ -236,8 +225,8 @@ class TestDecisionSoundness:
             wanted = frozenset(
                 rng.sample(CORE_FUNCTIONS, rng.randint(1, len(CORE_FUNCTIONS)))
             )
-            req = ServiceRequest("dev0", f"svc{step % 3}", profile(wanted))
-            plan = orch.handle_service_request(req)
+            requested = profile(wanted, service=f"svc{step % 3}")
+            plan = orch.handle_service_request("dev0", requested)
             if plan.decision is PlanDecision.FAST_PATH_OFFLOAD_ONLY:
                 instance = orch.registry[plan.target_slice]
                 assert instance.state is SliceState.ACTIVE

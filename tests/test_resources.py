@@ -391,8 +391,8 @@ class TestSubscriptionMatching:
         n = notifies[0]
         assert n.target_node == "cloud"
         assert n.target_path == "IN-CSE/mirror/location"
-        assert n.change == "created"
-        assert n.resource.content == b"v"
+        assert n.body.change == "created"
+        assert n.body.resource.content == b"v"
 
     def test_no_subscription_no_notify(self, sim):
         tree = make_location_tree(sim)
@@ -453,8 +453,8 @@ class TestSubscriptionMatching:
         tree.delete(ci)
         (event,) = tree.drain_events()
         (notify,) = match_subscriptions(tree, event)
-        assert notify.change == "deleted"
-        assert notify.resource.name == "ci"
+        assert notify.body.change == "deleted"
+        assert notify.body.resource.name == "ci"
 
 
 class TestSerialization:

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 from edgeslice import scenario
 from edgeslice.errors import ConfigInvalidError
 from edgeslice.images import FunctionImage, ImageCatalogue
-from edgeslice.offload import SyncMode
+from edgeslice.offload import SyncMode, Task
 from edgeslice.primitives import Operation
 from edgeslice.scenario import (
     ScenarioConfig,
-    TaskSpec,
     calibrated_text,
     load_scenario,
     load_topology_doc,
@@ -288,7 +287,7 @@ def test_hand_built_config_needing_a_missing_image_rejected():
             service_id="svc",
             functions=frozenset({FunctionKind.DISCOVERY}),
             sync_mode=SyncMode.LAZY,
-            tasks=[TaskSpec("t1", "IN-CSE/Things/Box", "svc")],
+            tasks=[Task("t1", "IN-CSE/Things/Box", "svc")],
             workload_target="IN-CSE/Things/Box/values",
             catalogue=ImageCatalogue(
                 [FunctionImage("img-r", FunctionKind.RETRIEVE, "1.0.0", 150_000_000)]
@@ -346,7 +345,7 @@ def test_the_packaged_calibration_is_parsed_once_per_process(monkeypatch):
     assert first.tasks is not second.tasks and first.modes is not second.modes
     assert first.processing is not second.processing
     assert all(first.processing[n] is not second.processing[n] for n in first.processing)
-    first.tasks.append(TaskSpec("extra", "IN-CSE/x", first.service_id))
+    first.tasks.append(Task("extra", "IN-CSE/x", first.service_id))
     first.modes.append("cloud")
     first.processing["cloud"][Operation.CREATE] = 99.0
     assert _fields(reference_calibrated()) == _fields(second)
@@ -404,7 +403,7 @@ def test_repeated_task_ids_rejected():
         parse_scenario(MINIMAL.replace(task, again))
     base = reference_calibrated()
     with pytest.raises(ConfigInvalidError, match="task ids"):
-        replace(base, tasks=[*base.tasks, TaskSpec(base.tasks[0].task_id, "IN-CSE/Other", base.service_id)])
+        replace(base, tasks=[*base.tasks, Task(base.tasks[0].task_id, "IN-CSE/Other", base.service_id)])
 
 
 def test_a_second_cloud_node_is_refused_at_parse():

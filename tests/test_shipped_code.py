@@ -13,6 +13,11 @@ names and the identifier-like words of string constants (the benchmark
 tracer names the functions it wraps in strings). Docstrings are skipped.
 The match is by name, so a method shares its references with every other
 definition of that name.
+
+Every name a package module imports must be read in that module: loaded as
+a name, or named in a string such as a quoted annotation. The re-exports of
+``edgeslice/__init__.py`` are exempt, and so are the few names the benchmark
+tracer patches through a module that does not call them (``TRACER_IMPORTS``).
 """
 from __future__ import annotations
 
@@ -25,6 +30,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "edgeslice"
 PROGRAM_PATHS = ("perfbench", "demos")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: imports that their module never reads: ``perfbench/tracer.py`` patches
+#: each of these functions through the module named, where the benchmark's
+#: tracer tests look it up, though the functions are called elsewhere
+TRACER_IMPORTS = [
+    "primitives.py: decode_fieldline",
+    "primitives.py: encode_fieldline",
+    "primitives.py: encode_resource",
+    "system.py: match_subscriptions",
+]
 
 
 def _docstrings(tree: ast.AST) -> set[int]:
@@ -90,3 +105,29 @@ def _unreferenced() -> list[str]:
 
 def test_every_definition_in_the_package_is_reached_from_a_program_path():
     assert _unreferenced() == []
+
+
+def _unread_imports() -> list[str]:
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = _docstrings(tree)
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+                read.update(WORD.findall(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read and name != "annotations":  # ``from __future__ import annotations``
+                        unread.append(f"{path.name}: {name}")
+    return unread
+
+
+def test_every_import_of_a_package_module_is_read_there():
+    assert _unread_imports() == TRACER_IMPORTS

@@ -17,7 +17,7 @@ from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError,
 from edgeslice.netsim import Network
 from edgeslice.notify import NotifyBody
 from edgeslice.offload import (SYNC_SUB_NAME, BundleHead, BundleRecord, BundleTransfer, OffloadBundle,
-                               SyncMode, make_bundle, subtrees_converged)
+                               SyncMode, Task, make_bundle, subtrees_converged)
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
@@ -29,7 +29,7 @@ from edgeslice.primitives import (
     read_body,
 )
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
-from edgeslice.scenario import TaskSpec, load_scenario, reference_calibrated
+from edgeslice.scenario import load_scenario, reference_calibrated
 from edgeslice.slicing import (FunctionKind, PlanDecision, SliceProfile, SliceState, SlicingPlan,
                                port_for)
 from edgeslice.system import (FunctionBody, InstantiateBody, OffloadBody, PortBody, ReadyBody, RecordBody,
@@ -1057,6 +1057,19 @@ def second_finalize_of_a_root_while_a_notification_is_in_flight(config, monkeypa
     return finalized, [StatusCode.OK, StatusCode.NOT_FOUND]
 
 
+def terminate_carrying_a_body_of_another_class(config, monkeypatch):
+    """A ``SLICE_TERMINATE`` whose content is a ``TaskRoot``, not the
+    ``SliceBody`` the cloud reads: it is read as its bytes, which lack
+    ``slc``, where the object itself once reached ``from_bytes``."""
+    system = build_system(config, "edge", 42)
+    system.prepare()
+    req = RequestPrimitive(Operation.SLICE_TERMINATE, system.cloud_id, system.device_id, "term-t",
+                           content=TaskRoot("task-citizenB", "MN-CSE/Pedestrians/CitizenB"))
+    replies = issue_and_run(system, req, system.cloud_id)
+    assert set(system.cloud.orchestrator.registry) == {"slice-edge0"}  # nothing was terminated
+    return replies, [StatusCode.BAD_REQUEST]
+
+
 @pytest.mark.parametrize("case", [
     retrieve_of_no_path,
     unreadable_service_request_through_the_edge,
@@ -1064,6 +1077,7 @@ def second_finalize_of_a_root_while_a_notification_is_in_flight(config, monkeypa
     service_request_after_its_task_root_was_deleted,
     record_of_a_slice_the_registry_lacks,
     second_finalize_of_a_root_while_a_notification_is_in_flight,
+    terminate_carrying_a_body_of_another_class,
 ], ids=lambda case: case.__name__)
 def test_a_request_whose_handler_raises_gets_one_answer(config, monkeypatch, case):
     """Each of these once let a package error escape ``run_until_idle`` or
@@ -1077,7 +1091,7 @@ def test_a_request_whose_handler_raises_gets_one_answer(config, monkeypatch, cas
 def test_an_export_that_fails_sends_no_bundle(config, monkeypatch):
     """A preparation exports every task before it sends a bundle, so when
     the second task's root is gone it sends none and answers 4004."""
-    second = TaskSpec("task-citizenC", "IN-CSE/Pedestrians/CitizenC", config.tasks[0].service)
+    second = Task("task-citizenC", "IN-CSE/Pedestrians/CitizenC", config.tasks[0].service)
     system = build_system(replace(config, tasks=[config.tasks[0], second]), "edge", 42)
     delete = RequestPrimitive(Operation.DELETE, second.root, system.device_id, "del-c")
     assert issue_and_run(system, delete, system.cloud_id, config.payload_bytes)[0].ok
@@ -1184,7 +1198,7 @@ def eager_edits(config, before_replay=None):
         def recorded(notify):
             root = edge_tree.resolve(EDGE_TASK_ROOT)
             names = [c.name for c in edge_tree.children(root.id) if c.name.startswith("c")]
-            before_replay((notify.change, notify.resource.name, notify.resource.labels, names))
+            before_replay((notify.body.change, notify.body.resource.name, notify.body.resource.labels, names))
             return apply(notify)
 
         system.cloud.coordinator.apply_notification = recorded
@@ -1474,8 +1488,8 @@ class TestInitialCloudTree:
             {"payload_bytes": 37},
             {"prepopulate": 6},
             {"populate": [("IN-CSE/Pedestrians/CitizenB/location", 2), ("IN-CSE/Other/box", 1)]},
-            {"tasks": [TaskSpec("task-citizenB", "IN-CSE/Pedestrians/CitizenB", "road-warning"),
-                       TaskSpec("task-carA", "IN-CSE/Cars/CarA", "road-warning")]},
+            {"tasks": [Task("task-citizenB", "IN-CSE/Pedestrians/CitizenB", "road-warning"),
+                       Task("task-carA", "IN-CSE/Cars/CarA", "road-warning")]},
         ],
         ids=["payload_bytes", "prepopulate", "populate", "task-root"],
     )

@@ -331,7 +331,7 @@ def replicated_state(tree: ResourceTree, path: ResourcePath):
 
 
 def car_task() -> Task:
-    return Task("taskA", ResourcePath.parse("IN-CSE/Cars/CarA"), "road-warning")
+    return Task("taskA", "IN-CSE/Cars/CarA", "road-warning")
 
 
 class OffloadHarness:
@@ -344,6 +344,7 @@ class OffloadHarness:
         self.edge_tree = ResourceTree("MN-CSE", self.sim.time)
         self.coordinator = OffloadCoordinator(self.cloud_tree, self.sim.time)
         self.task = car_task()
+        self.mirror_root = ResourcePath.parse(self.task.root)
         self.infos = []
         self.pending = []
         self.rng = random.Random(seed)
@@ -352,7 +353,7 @@ class OffloadHarness:
         bundle = self.coordinator.export_task(self.task)
         self.edge_root = import_bundle(self.edge_tree, bundle)
         if mode is SyncMode.EAGER:
-            info = EdgeSyncInfo(self.task.task_id, self.edge_root, self.task.root_path, "cloud")
+            info = EdgeSyncInfo(self.task.task_id, self.edge_root, self.mirror_root, "cloud")
             create_sync_subscriptions(self.edge_tree, info)
             self.edge_tree.drain_events()
             self.infos.append(info)
