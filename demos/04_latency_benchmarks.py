@@ -4,6 +4,8 @@
 Runs the 60-request creation benchmark, the latest-instance retrieval
 comparison, and the slice preparation timing with warm and cold caches.
 """
+from dataclasses import replace
+
 from edgeslice import (
     reference_calibrated,
     run_benchmark,
@@ -37,7 +39,7 @@ print("\n== slice preparation, 10 measurements ==")
 warm = run_preparation_timing(config, repetitions=10)
 print(f"  warm image cache: {warm.mean_ms:9.1f} ms "
       "(control-plane round trips + container starts)")
-cold = run_preparation_timing(config, repetitions=10, cold_cache=True)
+cold = run_preparation_timing(replace(config, pre_seeded_cache=False), repetitions=10)
 print(f"  cold image cache: {cold.mean_ms:9.1f} ms "
       f"(adds {cold.mean_ms - warm.mean_ms:.0f} ms of image pulls)")
 print("  -> pre-seeding function images on workers pays for itself")

@@ -29,25 +29,14 @@ def build_system(config: ScenarioConfig, mode: str, seed: int, repetition: int =
     return System(config, mode, derive_seed(seed, mode, repetition), trace)
 
 
-def run_benchmark(
-    config: ScenarioConfig,
-    operation: str,
-    modes: "list[str] | None" = None,
-    requests: "int | None" = None,
-    seed: "int | None" = None,
-) -> list[LatencySample]:
-    """Full pipeline per mode: service preparation (edge), then N sequential
-    data-plane requests measured at the device."""
-    modes = modes or config.modes
-    requests = requests if requests is not None else config.requests
-    seed = seed if seed is not None else config.seed
-    if requests <= 0:
-        raise ConfigInvalidError("requests must be positive")
+def run_benchmark(config: ScenarioConfig, operation: str) -> list[LatencySample]:
+    """Full pipeline per mode of the config: service preparation (edge),
+    then the config's requests, sequential and measured at the device."""
     samples: list[LatencySample] = []
-    for mode in modes:
-        system = build_system(config, mode, seed)
+    for mode in config.modes:
+        system = build_system(config, mode, config.seed)
         system.prepare()
-        samples.extend(system.run_workload(operation, requests))
+        samples.extend(system.run_workload(operation, config.requests))
     return samples
 
 
@@ -69,12 +58,8 @@ class RetrievalComparison:
         return self.cloud_mean_ms / self.edge_mean_ms
 
 
-def run_retrieval_comparison(
-    config: ScenarioConfig,
-    requests: "int | None" = None,
-    seed: "int | None" = None,
-) -> RetrievalComparison:
-    samples = run_benchmark(config, "retrieve", ["cloud", "edge"], requests, seed)
+def run_retrieval_comparison(config: ScenarioConfig) -> RetrievalComparison:
+    samples = run_benchmark(config, "retrieve")
     return RetrievalComparison(
         samples=samples,
         cloud_mean_ms=mean_rtt(samples, "cloud", "retrieve"),
@@ -98,22 +83,14 @@ def preparation_time_ms(system: System) -> float:
     return imports[-1] - arrivals[0]
 
 
-def run_preparation_timing(
-    config: ScenarioConfig,
-    repetitions: int = 10,
-    seed: "int | None" = None,
-    cold_cache: "bool | None" = None,
-) -> PreparationTiming:
+def run_preparation_timing(config: ScenarioConfig, repetitions: int = 10) -> PreparationTiming:
     """Service-request arrival to offload-import completion, fresh deployment
-    per repetition. ``cold_cache`` overrides the scenario's cache seeding."""
+    per repetition, with the config's image-cache seeding."""
     if repetitions <= 0:
         raise ConfigInvalidError("repetitions must be positive")
-    seed = seed if seed is not None else config.seed
-    if cold_cache is not None:
-        config = replace(config, pre_seeded_cache=not cold_cache)
     samples = []
     for rep in range(repetitions):
-        system = build_system(config, "edge", seed, repetition=rep)
+        system = build_system(config, "edge", config.seed, repetition=rep)
         system.prepare()
         samples.append(
             LatencySample(
@@ -165,10 +142,11 @@ def road_config() -> ScenarioConfig:
     )
 
 
-def run_road_scenario(seed: int = 42, retrieves: int = 20) -> RoadReport:
+def run_road_scenario(seed: "int | None" = None, retrieves: int = 20) -> RoadReport:
+    """The crosswalk walkthrough; ``seed`` defaults to the road config's."""
     report = RoadReport()
     config = road_config()
-    system = build_system(config, "edge", seed, trace="full")
+    system = build_system(config, "edge", config.seed if seed is None else seed, trace="full")
     edge = system.edges[system.edge_for(system.device_id)]
 
     # task C: CitizenB already lives on the edge gateway

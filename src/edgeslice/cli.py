@@ -17,28 +17,28 @@ from .bench import (
 )
 from .errors import ConfigInvalidError
 from .report import emit_results, summarize
-from .scenario import ScenarioConfig, load_scenario, reference_calibrated
+from .scenario import MODES, ScenarioConfig, load_scenario, reference_calibrated
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ASSERTIONS = 3
 
-
-def _modes(value: str) -> list[str]:
-    return ["cloud", "edge"] if value == "both" else [value]
+MODES_BY_FLAG = {"cloud": ["cloud"], "edge": ["edge"], "both": list(MODES)}
 
 
-def _base_config(args) -> ScenarioConfig:
-    return reference_calibrated(getattr(args, "topology", None))
-
-
-def _print_summary(samples) -> None:
-    for row in summarize(samples):
-        print(
-            f"{row.scenario} {row.mode} {row.operation}: n={row.count}"
-            f" mean={row.mean_ms:.3f} ms median={row.median_ms:.3f} ms"
-            f" p95={row.p95_ms:.3f} ms"
-        )
+def _config(args) -> ScenarioConfig:
+    """The command's scenario file, or else the packaged calibration, read
+    with ``--topology``; each run-setting flag that was given replaces the
+    scenario's value."""
+    scenario_file = getattr(args, "scenario_file", None)
+    if scenario_file is None:
+        config = reference_calibrated(args.topology)
+    else:
+        config = load_scenario(scenario_file, args.topology)
+    flags = {"seed": args.seed, "requests": args.requests,
+             "modes": MODES_BY_FLAG.get(getattr(args, "mode", None)),
+             "pre_seeded_cache": False if getattr(args, "cold", False) else None}
+    return replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _emit(samples, out_dir: str) -> None:
@@ -46,42 +46,46 @@ def _emit(samples, out_dir: str) -> None:
     print(f"wrote {samples_path} and {summary_path}")
 
 
-def cmd_bench_create(args) -> int:
-    config = _base_config(args)
-    samples = run_benchmark(config, "create", _modes(args.mode), args.requests, args.seed)
-    _print_summary(samples)
-    _emit(samples, args.out)
-    return EXIT_OK
-
-
-def cmd_bench_retrieve(args) -> int:
-    config = _base_config(args)
-    if args.mode == "both":
-        comparison = run_retrieval_comparison(config, args.requests, args.seed)
-        samples = comparison.samples
+def _run_scenario_command(args) -> int:
+    """Build the command's config, run it, print the summary rows and write
+    the output files."""
+    samples = args.run(_config(args), args)
+    for row in summarize(samples):
         print(
-            f"cloud/edge retrieval means: {comparison.cloud_mean_ms:.3f} ms /"
-            f" {comparison.edge_mean_ms:.3f} ms (ratio {comparison.ratio:.3f})"
+            f"{row.scenario} {row.mode} {row.operation}: n={row.count}"
+            f" mean={row.mean_ms:.3f} ms median={row.median_ms:.3f} ms"
+            f" p95={row.p95_ms:.3f} ms"
         )
-    else:
-        samples = run_benchmark(config, "retrieve", _modes(args.mode), args.requests, args.seed)
-    _print_summary(samples)
     _emit(samples, args.out)
     return EXIT_OK
 
 
-def cmd_bench_prepare(args) -> int:
-    config = _base_config(args)
-    timing = run_preparation_timing(
-        config, repetitions=args.repetitions, seed=args.seed, cold_cache=args.cold or None
-    )
-    cache = "cold" if args.cold else ("warm" if config.pre_seeded_cache else "cold")
+def cmd_bench_create(config: ScenarioConfig, args) -> list:
+    return run_benchmark(config, "create")
+
+
+def cmd_bench_retrieve(config: ScenarioConfig, args) -> list:
+    if set(config.modes) != set(MODES):  # the ratio line needs both
+        return run_benchmark(config, "retrieve")
+    comparison = run_retrieval_comparison(config)
     print(
-        f"slice preparation over {args.repetitions} runs ({cache} cache):"
-        f" mean {timing.mean_ms:.3f} ms"
+        f"cloud/edge retrieval means: {comparison.cloud_mean_ms:.3f} ms /"
+        f" {comparison.edge_mean_ms:.3f} ms (ratio {comparison.ratio:.3f})"
     )
-    _emit(timing.samples, args.out)
-    return EXIT_OK
+    return comparison.samples
+
+
+def cmd_bench_prepare(config: ScenarioConfig, args) -> list:
+    timing = run_preparation_timing(config, args.repetitions)
+    print(
+        f"slice preparation over {args.repetitions} runs"
+        f" ({'warm' if config.pre_seeded_cache else 'cold'} cache): mean {timing.mean_ms:.3f} ms"
+    )
+    return timing.samples
+
+
+def cmd_run(config: ScenarioConfig, args) -> list:
+    return [sample for operation in config.operations for sample in run_benchmark(config, operation)]
 
 
 def cmd_road_scenario(args) -> int:
@@ -91,21 +95,6 @@ def cmd_road_scenario(args) -> int:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}{suffix}")
     _emit(report.samples, args.out)
     return EXIT_OK if report.ok else EXIT_ASSERTIONS
-
-
-def cmd_run(args) -> int:
-    config = load_scenario(args.scenario_file, getattr(args, "topology", None))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.requests is not None:
-        config = replace(config, requests=args.requests)
-    modes = _modes(args.mode) if args.mode else config.modes
-    samples = []
-    for operation in config.operations:
-        samples.extend(run_benchmark(config, operation, modes))
-    _print_summary(samples)
-    _emit(samples, args.out)
-    return EXIT_OK
 
 
 def _seed(value: str) -> int:
@@ -122,46 +111,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, requests_default=60, with_mode=True):
-        p.add_argument("--seed", type=_seed, default=42, help="simulation seed")
+    def scenario_command(name, help, run, with_mode=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--seed", type=_seed, default=None, help="simulation seed")
         if with_mode:
-            p.add_argument(
-                "--mode", choices=["cloud", "edge", "both"], default="both",
-                help="which deployment(s) to measure",
-            )
-        p.add_argument(
-            "--requests", type=int, default=requests_default, help="requests per mode"
-        )
+            p.add_argument("--mode", choices=list(MODES_BY_FLAG), default=None,
+                           help="which deployment(s) to measure")
+        p.add_argument("--requests", type=int, default=None, help="requests per mode")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--topology", default=None, help="topology file overriding the scenario")
+        p.set_defaults(func=_run_scenario_command, run=run)
+        return p
 
-    p = sub.add_parser("bench-create", help="instance-creation latency, cloud vs edge")
-    common(p)
-    p.set_defaults(func=cmd_bench_create)
-
-    p = sub.add_parser("bench-retrieve", help="latest-instance retrieval latency")
-    common(p)
-    p.set_defaults(func=cmd_bench_retrieve)
-
-    p = sub.add_parser("bench-prepare", help="slice preparation timing")
-    common(p, with_mode=False)
+    scenario_command("bench-create", "instance-creation latency, cloud vs edge", cmd_bench_create)
+    scenario_command("bench-retrieve", "latest-instance retrieval latency", cmd_bench_retrieve)
+    p = scenario_command("bench-prepare", "slice preparation timing", cmd_bench_prepare, with_mode=False)
     p.add_argument("--repetitions", type=int, default=10, help="independent measurements")
     p.add_argument("--cold", action="store_true", help="start with empty image caches")
-    p.set_defaults(func=cmd_bench_prepare)
 
     p = sub.add_parser("road-scenario", help="crosswalk warning walkthrough with assertions")
-    p.add_argument("--seed", type=_seed, default=42)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default="results")
     p.set_defaults(func=cmd_road_scenario)
 
-    p = sub.add_parser("run", help="run a scenario file")
+    p = scenario_command("run", "run a scenario file", cmd_run)
     p.add_argument("scenario_file")
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--mode", choices=["cloud", "edge", "both"], default=None)
-    p.add_argument("--requests", type=int, default=None)
-    p.add_argument("--out", default="results")
-    p.add_argument("--topology", default=None)
-    p.set_defaults(func=cmd_run)
 
     return parser
 

@@ -468,8 +468,10 @@ class OffloadCoordinator:
         if notify.request_id == binding.last_request_id:
             binding.stats.duplicates += 1
             return "duplicate"
-        binding.last_request_id = notify.request_id
         change, _, view, old_name = notify.body
+        if change not in ("created", "updated", "deleted"):  # refused before its id is taken
+            raise BadRequestError(f"unknown change kind {change!r}")
+        binding.last_request_id = notify.request_id
         if view.kind is ResourceKind.SUBSCRIPTION:
             binding.stats.skipped_subscriptions += 1
             return "skipped"
@@ -483,10 +485,8 @@ class OffloadCoordinator:
                 previous = old_name or view.name
                 tree.update(target.child(previous), name=view.name if view.name != previous else None,
                             labels=view.labels)
-            elif change == "deleted":
-                tree.delete(target.child(view.name))
             else:
-                raise BadRequestError(f"unknown change kind {change!r}")
+                tree.delete(target.child(view.name))
         except (NotFoundError, BadRequestError):
             binding.stats.stale_dropped += 1
             return "stale"

@@ -19,8 +19,7 @@ import yaml
 from .errors import BadRequestError, ConfigInvalidError, ImageNotFoundError
 from .images import ImageCatalogue, default_catalogue
 from .netsim import Link, Node, NodeRole, Topology
-from .offload import SyncMode
-from .offload import Task as TaskSpec  # a scenario's task is the offloaded ``Task`` itself
+from .offload import SyncMode, Task
 from .primitives import Operation
 from .resources import ResourcePath
 from .slicing import (FUNCTION_BY_LOWER_NAME, LATENCY_CLASS_BY_VALUE, FunctionKind, LatencyClass,
@@ -126,7 +125,7 @@ class ScenarioConfig:
     service_id: str
     functions: frozenset[FunctionKind]
     sync_mode: SyncMode = SyncMode.EAGER
-    tasks: list[TaskSpec] = field(default_factory=list)
+    tasks: list[Task] = field(default_factory=list)
     workload_target: str  # cloud-side container path receiving instances
     operations: list[str] = field(default_factory=lambda: ["create"])
     modes: list[str] = field(default_factory=lambda: ["cloud", "edge"])
@@ -213,9 +212,10 @@ class ScenarioConfig:
 
 
 def _parse_processing(doc: dict, topology: Topology) -> dict[str, dict[Operation, float]]:
-    """Role-level defaults overlaid with per-node entries."""
+    """Role-level defaults overlaid with per-node entries, whatever their
+    order in the document."""
     table: dict[str, dict[Operation, float]] = {n: {} for n in topology.nodes}
-    for key, costs in doc.items():
+    for key, costs in sorted(doc.items(), key=lambda entry: entry[0] not in _ROLE_NAMES):
         if key in _ROLE_NAMES:
             nodes = topology.by_role(_ROLE_NAMES[key])
         elif key in table:
@@ -249,7 +249,7 @@ def _build_scenario(doc: dict) -> ScenarioConfig:
     except BadRequestError as exc:
         raise ConfigInvalidError(f"bad slice quota or catalogue: {exc}") from exc
     if "tasks" in doc:
-        fields["tasks"] = [TaskSpec(t["id"], t["root"], t["service"]) for t in doc["tasks"]]
+        fields["tasks"] = [Task(t["id"], t["root"], t["service"]) for t in doc["tasks"]]
     topology = Topology([Node(**node) for node in doc["topology"]["nodes"]],
                         [Link(**link) for link in doc["topology"]["links"]])
     return ScenarioConfig(

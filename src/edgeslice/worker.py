@@ -253,9 +253,12 @@ class EdgeWorker:
         raise BadRequestError(f"unsupported operation {op.name}")
 
     def _execute_create(self, req: RequestPrimitive) -> ResponsePrimitive:
-        if req.content is None:
+        body = req.content
+        if body is None:
             raise BadRequestError("create requires a resource representation")
-        name, content, target, labels = read_line(req.content, _CREATE_KEYS)
+        if not isinstance(body, bytes):  # a body object is read as its bytes
+            body = body.to_bytes()
+        name, content, target, labels = read_line(body, _CREATE_KEYS)
         self.tree.create(
             ResourcePath.parse(req.to),
             req.resource_kind,  # type: ignore[arg-type]
@@ -270,7 +273,10 @@ class EdgeWorker:
 
     def _execute_update(self, req: RequestPrimitive) -> ResponsePrimitive:
         path = ResourcePath.parse(req.to)
-        kind, name, content, target, labels = read_line(req.content or b"", _UPDATE_KEYS)
+        body = req.content or b""
+        if not isinstance(body, bytes):  # as in a create
+            body = body.to_bytes()
+        kind, name, content, target, labels = read_line(body, _UPDATE_KEYS)
         current = self.tree.resolve(path)
         if kind is not None and kind != str(current.kind.value):
             raise BadRequestError("resource kind cannot be changed")

@@ -172,10 +172,10 @@ def test_criterion_04_lazy_redirect_equivalence():
 def test_criterion_05_latency_reproduction():
     with criterion(5, "latency reproduction: 8.5/6.1 and 67.42/37.32 ms within 5%", 5.0):
         config = reference_calibrated()
-        creates = run_benchmark(config, "create", requests=60, seed=42)
+        creates = run_benchmark(config, "create")  # the calibration's 60 requests, seed 42
         assert mean_rtt(creates, "cloud", "create") == pytest.approx(8.5, rel=0.05)
         assert mean_rtt(creates, "edge", "create") == pytest.approx(6.1, rel=0.05)
-        comparison = run_retrieval_comparison(config, requests=60, seed=42)
+        comparison = run_retrieval_comparison(config)
         assert comparison.cloud_mean_ms == pytest.approx(67.42, rel=0.05)
         assert comparison.edge_mean_ms == pytest.approx(37.32, rel=0.05)
         assert 1.6 <= comparison.ratio <= 2.0
@@ -348,13 +348,13 @@ def test_criterion_10_preparation_timing():
             t += d2 + 0.0
             return t
 
-        warm = run_preparation_timing(config, repetitions=10, seed=42)
+        warm = run_preparation_timing(config, repetitions=10)
         warm_expected = statistics.fmean([schedule_replay(config, 0.0)] * 10)
         assert warm.mean_ms == warm_expected
         assert all(s.rtt_ms == schedule_replay(config, 0.0) for s in warm.samples)
         assert len(warm.samples) == 10
 
-        cold = run_preparation_timing(config, repetitions=10, seed=42, cold_cache=True)
+        cold = run_preparation_timing(replace(config, pre_seeded_cache=False), repetitions=10)
         cold_expected = statistics.fmean([schedule_replay(config, 4000.0)] * 10)
         assert cold.mean_ms == cold_expected
         pulls = len(config.functions) * 4000.0  # 400 MB at 100 MB/s per image
@@ -372,7 +372,7 @@ def test_criterion_10_preparation_timing():
                 ],
             ),
         )
-        warm_single = run_preparation_timing(single, repetitions=10, seed=42)
-        cold_single = run_preparation_timing(single, repetitions=10, seed=42, cold_cache=True)
+        warm_single = run_preparation_timing(single, repetitions=10)
+        cold_single = run_preparation_timing(replace(single, pre_seeded_cache=False), repetitions=10)
         assert warm_single.mean_ms == 4 * 1.25 + 250.0
         assert cold_single.mean_ms - warm_single.mean_ms == 4000.0

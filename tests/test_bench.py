@@ -31,7 +31,7 @@ def config():
 
 class TestCreateBenchmark:
     def test_calibrated_means(self, config):
-        samples = run_benchmark(config, "create", requests=20)
+        samples = run_benchmark(replace(config, requests=20), "create")
         cloud = mean_rtt(samples, "cloud", "create")
         edge = mean_rtt(samples, "edge", "create")
         assert cloud == pytest.approx(8.5, rel=1e-9)
@@ -53,17 +53,17 @@ class TestCreateBenchmark:
                 ],
             ),
         )
-        samples = run_benchmark(free, "create", ["cloud"], requests=5)
+        samples = run_benchmark(replace(free, modes=["cloud"], requests=5), "create")
         assert all(s.rtt_ms == 0.0 for s in samples)
 
     def test_requests_must_be_positive(self, config):
         with pytest.raises(ConfigInvalidError):
-            run_benchmark(config, "create", requests=0)
+            run_benchmark(replace(config, requests=0), "create")
 
 
 class TestRetrievalComparison:
     def test_calibrated_means_and_ratio(self, config):
-        comparison = run_retrieval_comparison(config, requests=20)
+        comparison = run_retrieval_comparison(replace(config, requests=20))
         assert comparison.cloud_mean_ms == pytest.approx(67.42, rel=1e-9)
         assert comparison.edge_mean_ms == pytest.approx(37.32, rel=1e-9)
         assert 1.6 <= comparison.ratio <= 2.0
@@ -83,7 +83,7 @@ class TestRetrievalComparison:
             ),
             payload_bytes=0,
         )
-        comparison = run_retrieval_comparison(flat, requests=5)
+        comparison = run_retrieval_comparison(replace(flat, requests=5))
         assert comparison.cloud_mean_ms == comparison.edge_mean_ms == 0.0
 
 
@@ -101,7 +101,7 @@ class TestEdgeDominance:
             ),
         )
         for operation in ("create", "retrieve"):
-            samples = run_benchmark(jittered, operation, requests=40)
+            samples = run_benchmark(replace(jittered, requests=40), operation)
             assert mean_rtt(samples, "edge", operation) < mean_rtt(
                 samples, "cloud", operation
             )
@@ -145,7 +145,7 @@ class TestPreparation:
 
     def test_cold_cache_adds_pull_durations(self, config):
         warm = run_preparation_timing(config, repetitions=4)
-        cold = run_preparation_timing(config, repetitions=4, cold_cache=True)
+        cold = run_preparation_timing(replace(config, pre_seeded_cache=False), repetitions=4)
         pulls = len(config.functions) * 4000.0  # 400 MB at 100 MB/s each
         assert cold.mean_ms - warm.mean_ms == pytest.approx(pulls, abs=1e-6)
 
@@ -170,10 +170,9 @@ class TestPreparation:
             run_preparation_timing(config, repetitions=0)
 
     def test_link_accurate_pulls_add_backhaul_delay(self, config):
-        plain = run_preparation_timing(config, repetitions=2, cold_cache=True)
-        accurate = run_preparation_timing(
-            replace(config, link_accurate_pulls=True), repetitions=2, cold_cache=True
-        )
+        cold = replace(config, pre_seeded_cache=False)
+        plain = run_preparation_timing(cold, repetitions=2)
+        accurate = run_preparation_timing(replace(cold, link_accurate_pulls=True), repetitions=2)
         per_pull = config.topology.path_delay_ms("edge0", "cloud")
         extra = len(config.functions) * per_pull
         assert accurate.mean_ms - plain.mean_ms == pytest.approx(extra, abs=1e-9)
@@ -204,15 +203,16 @@ class TestAnalyticLowerBound:
             ),
         )
         for mode, server in (("cloud", "cloud"), ("edge", "edge0")):
-            samples = run_benchmark(jittered, "create", [mode], requests=30)
+            samples = run_benchmark(replace(jittered, modes=[mode], requests=30), "create")
             bound = 2 * jittered.topology.path_delay_ms("dev0", server)
             assert all(s.rtt_ms >= bound for s in samples)
 
 
 class TestDeterminism:
     def test_same_seed_same_samples(self, config):
-        a = run_benchmark(config, "retrieve", requests=10, seed=7)
-        b = run_benchmark(config, "retrieve", requests=10, seed=7)
+        seeded = replace(config, requests=10, seed=7)
+        a = run_benchmark(seeded, "retrieve")
+        b = run_benchmark(seeded, "retrieve")
         assert a == b
 
     def test_seed_derivation_separates_modes_and_reps(self):
@@ -280,5 +280,5 @@ def test_a_sample_never_depends_on_the_run_length(path):
     config = load_scenario(path)
     for operation in ("create", "retrieve"):
         for mode in ("cloud", "edge"):
-            short = run_benchmark(config, operation, [mode], requests=60)
-            assert short == run_benchmark(config, operation, [mode], requests=600)[:60]
+            short = run_benchmark(replace(config, modes=[mode], requests=60), operation)
+            assert short == run_benchmark(replace(config, modes=[mode], requests=600), operation)[:60]

@@ -1,6 +1,8 @@
+import argparse
+
 import pytest
 
-from edgeslice.cli import main
+from edgeslice.cli import build_parser, main
 from edgeslice.scenario import calibrated_text
 
 from test_scenario import MINIMAL
@@ -133,6 +135,13 @@ def test_a_capacity_that_cannot_hold_the_slice_is_a_config_error_naming_its_caus
     assert capsys.readouterr().err.strip() == error
 
 
+def test_a_processing_entry_naming_no_node_or_role_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace("cloud: {create: 1.0}", "cloud: {create: 1.0}\n  fog: {create: 1.0}"))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == "error: processing.fog names no node or role"
+
+
 def test_topology_override_flag(tmp_path):
     topo = tmp_path / "topo.yaml"
     topo.write_text(
@@ -157,3 +166,27 @@ def test_topology_override_flag(tmp_path):
 def test_seed_must_fit_in_64_bits():
     with pytest.raises(SystemExit):
         main(["bench-create", "--seed", str(2**64)])
+
+
+def test_no_run_setting_flag_has_a_default_of_its_own():
+    """An absent --seed, --requests or --mode keeps the scenario's value, so
+    the value lives in one place: none of these flags defaults to another."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    flags = [(command, action.dest, action.default) for command, parser in commands.items()
+             for action in parser._actions if action.dest in ("seed", "requests", "mode")]
+    assert {command for command, _, _ in flags} == set(commands)
+    assert [flag for flag in flags if flag[2] is not None] == []
+
+
+def test_an_absent_flag_keeps_the_scenario_s_value(tmp_path, capsys):
+    scenario = tmp_path / "tiny.yaml"
+    scenario.write_text(MINIMAL.replace("requests: 5}", "requests: 5, modes: [edge]}"))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "a")]) == 0
+    assert read(tmp_path / "a" / "samples.csv").decode().count(",edge,create,") == 5
+    assert main(["run", str(scenario), "--mode", "cloud", "--requests", "2", "--out", str(tmp_path / "b")]) == 0
+    assert read(tmp_path / "b" / "samples.csv").decode().count(",cloud,create,") == 2
+
+
+def test_bench_retrieve_of_one_mode_prints_no_ratio(tmp_path, capsys):
+    assert main(["bench-retrieve", "--mode", "edge", "--requests", "2", "--out", str(tmp_path)]) == 0
+    assert "ratio" not in capsys.readouterr().out

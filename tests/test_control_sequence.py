@@ -8,7 +8,8 @@ import pytest
 from edgeslice.bench import build_system, road_config
 from edgeslice.netsim import Network
 from edgeslice.primitives import Operation, RequestPrimitive
-from edgeslice.scenario import TaskSpec, load_scenario
+from edgeslice.offload import Task as TaskSpec
+from edgeslice.scenario import load_scenario
 from edgeslice.system import OffloadBody, ReadyBody, SliceBody
 
 from wire_samples import CAMPUS

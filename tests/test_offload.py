@@ -557,6 +557,17 @@ class TestFinalize:
             h.cloud_tree, h.mirror_root, h.edge_tree, h.edge_root
         )
 
+    def test_lazy_finalize_grafts_a_new_container_with_its_instance(self):
+        h = Harness()
+        h.offload(mode=SyncMode.LAZY)
+        h.sim.now += 1.0
+        h.edge_tree.create(P("MN-CSE/Cars/CarA"), ResourceKind.CONTAINER, "speed")
+        h.edge_tree.create(P("MN-CSE/Cars/CarA/speed"), ResourceKind.CONTENT_INSTANCE, "s0", content=b"42")
+        snapshot = make_bundle(h.edge_tree, h.edge_root, h.task.task_id, h.sim.now)
+        assert h.coordinator.finalize(h.task.task_id, snapshot) == 2  # the container, then its child
+        assert h.cloud_tree.resolve(P("IN-CSE/Cars/CarA/speed/s0")).content == b"42"
+        assert subtrees_converged(h.cloud_tree, h.mirror_root, h.edge_tree, h.edge_root)
+
     def test_eager_finalize_at_quiescence_is_empty(self):
         h = Harness()
         h.offload()

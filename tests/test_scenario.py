@@ -108,6 +108,16 @@ def test_topology_override():
     assert cfg.processing_for("c")[Operation.CREATE] == 1.0
 
 
+@pytest.mark.parametrize("node_first", [True, False], ids=["node-listed-first", "node-listed-last"])
+def test_a_node_s_processing_entry_wins_over_its_role_s(node_first):
+    doc = yaml.safe_load(calibrated_text())
+    node = {"edge0": {"retrieve": 1.0}}
+    doc["processing"] = {**node, **doc["processing"]} if node_first else {**doc["processing"], **node}
+    cfg = parse_scenario(yaml.safe_dump(doc, sort_keys=False))
+    assert cfg.processing_for("edge0") == {Operation.CREATE: 4.092, Operation.RETRIEVE: 1.0}
+    assert cfg.processing_for("cloud") == {Operation.CREATE: 4.084, Operation.RETRIEVE: 63.004}
+
+
 @pytest.mark.parametrize(
     "mutation",
     [

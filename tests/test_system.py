@@ -476,6 +476,24 @@ class TestEdgeAuthorityOverTheWire:
         assert system.cloud.tree.guard is system.cloud.coordinator._guard
         assert mirror_create_status(system) is StatusCode.CONFLICT
 
+    def test_a_notification_of_an_unknown_change_is_refused_before_its_id_is_taken(self, config):
+        """It is answered 4000 and not counted as stale, and a valid
+        notification under the same request id is then applied."""
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        view = ResourceView(ResourceKind.CONTENT_INSTANCE, "n1", 0.0, 0.0, content=b"x")
+        statuses = []
+        for change in ("bogus", "created"):
+            body = NotifyBody(change, "MN-CSE/Pedestrians/CitizenB/location/n1", view)
+            req = RequestPrimitive(Operation.NOTIFY, "IN-CSE/Pedestrians/CitizenB/location",
+                                   system.device_id, "ntf-1", content=body)
+            statuses += [r.status for r in issue_and_run(system, req, system.cloud_id)]
+        assert statuses == [StatusCode.BAD_REQUEST, StatusCode.OK]
+        stats = system.cloud.coordinator.bindings["task-citizenB"].stats
+        assert (stats.stale_dropped, stats.duplicates, stats.notifications_applied) == (0, 0, 1)
+        mirrored = system.cloud.tree.resolve(ResourcePath.parse("IN-CSE/Pedestrians/CitizenB/location/n1"))
+        assert mirrored.content == b"x"
+
     def test_event_log_shows_no_foreign_mirror_mutations(self, config):
         """Replay the cloud service log: while the binding is open, no
         mutating dispatch inside the mirror subtree may have succeeded."""
@@ -1086,6 +1104,27 @@ def test_a_request_whose_handler_raises_gets_one_answer(config, monkeypatch, cas
     returns the requester's replies (or, for records, their statuses)."""
     replies, expected = case(config, monkeypatch)
     assert [getattr(r, "status", r) for r in replies] == expected
+
+
+@pytest.mark.parametrize("op, status", [(Operation.CREATE, StatusCode.BAD_REQUEST), (Operation.UPDATE, StatusCode.OK)],
+                         ids=["create", "update"])
+def test_a_data_request_carrying_a_body_object_is_answered_as_its_bytes(config, op, status):
+    """A size-0 create or update from the device is not encoded on its link,
+    so its content can be a body object, here a ``TaskRoot``. The edge reads
+    it through its bytes, where the object once reached ``read_line`` and
+    ended the run with an ``AttributeError``. Those bytes give a create no
+    content, and an update no key it reads, so it changes nothing."""
+    answers = {}
+    for form in ("object", "bytes"):
+        system = build_system(config, "edge", 42)
+        system.prepare()
+        root = TaskRoot("task-citizenB", "MN-CSE/Pedestrians/CitizenB")
+        kind = ResourceKind.CONTENT_INSTANCE if op is Operation.CREATE else None
+        req = RequestPrimitive(op, "MN-CSE/Pedestrians/CitizenB/location", system.device_id, "obj-1", kind,
+                               root if form == "object" else root.to_bytes())
+        answers[form] = [(r.status, r.content) for r in issue_and_run(system, req, "edge0")]
+    assert answers["object"] == answers["bytes"]
+    assert [answer[0] for answer in answers["object"]] == [status]
 
 
 def test_an_export_that_fails_sends_no_bundle(config, monkeypatch):

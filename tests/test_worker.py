@@ -165,6 +165,12 @@ class TestDispatchGating:
         assert decode_resource(resp.content).content == b"b"
         assert proc == 2.0
 
+    def test_a_create_without_a_resource_kind_is_refused_and_logged(self):
+        worker, sim = make_worker(functions=[FunctionKind.REGISTRATION, FunctionKind.DATA_MANAGEMENT])
+        resp, events, proc = worker.dispatch(create_request("MN-CSE", "app", kind=None))
+        assert (resp.status, events, proc) == (StatusCode.BAD_REQUEST, [], 0.0)
+        assert worker.log[-1] == {"ts": sim.time(), "action": "dispatch", "op": "CREATE", "status": "bad_request"}
+
     def test_empty_slice_gates_everything(self):
         worker, _ = make_worker()
         for req in [
