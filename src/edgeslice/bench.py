@@ -12,7 +12,7 @@ from .errors import ConfigInvalidError, EdgeSliceError
 from .netsim import LatencySample
 from .offload import Task, subtrees_converged
 from .resources import ResourceKind, ResourcePath
-from .scenario import ScenarioConfig, reference_calibrated
+from .scenario import MODES, ScenarioConfig, reference_calibrated
 from .system import System
 
 MODE_SEED_OFFSET = {"cloud": 0, "edge": 1_000_003}
@@ -58,7 +58,14 @@ class RetrievalComparison:
         return self.cloud_mean_ms / self.edge_mean_ms
 
 
+def compares_modes(config: ScenarioConfig) -> bool:
+    """Whether ``config`` runs both modes, as a retrieval comparison needs."""
+    return set(config.modes) == set(MODES)
+
+
 def run_retrieval_comparison(config: ScenarioConfig) -> RetrievalComparison:
+    if not compares_modes(config):  # refused before any deployment is built
+        raise ConfigInvalidError(f"the retrieval comparison needs both modes, not {config.modes}")
     samples = run_benchmark(config, "retrieve")
     return RetrievalComparison(
         samples=samples,

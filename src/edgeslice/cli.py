@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 
 from .bench import (
+    compares_modes,
     run_benchmark,
     run_preparation_timing,
     run_retrieval_comparison,
@@ -35,7 +36,7 @@ def _config(args) -> ScenarioConfig:
         config = reference_calibrated(args.topology)
     else:
         config = load_scenario(scenario_file, args.topology)
-    flags = {"seed": args.seed, "requests": args.requests,
+    flags = {"seed": args.seed, "requests": getattr(args, "requests", None),
              "modes": MODES_BY_FLAG.get(getattr(args, "mode", None)),
              "pre_seeded_cache": False if getattr(args, "cold", False) else None}
     return replace(config, **{key: value for key, value in flags.items() if value is not None})
@@ -65,7 +66,7 @@ def cmd_bench_create(config: ScenarioConfig, args) -> list:
 
 
 def cmd_bench_retrieve(config: ScenarioConfig, args) -> list:
-    if set(config.modes) != set(MODES):  # the ratio line needs both
+    if not compares_modes(config):
         return run_benchmark(config, "retrieve")
     comparison = run_retrieval_comparison(config)
     print(
@@ -111,13 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_command(name, help, run, with_mode=True):
+    def scenario_command(name, help, run, streams=True):
         p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=_seed, default=None, help="simulation seed")
-        if with_mode:
+        if streams:  # only a command that runs request streams reads --mode and --requests
             p.add_argument("--mode", choices=list(MODES_BY_FLAG), default=None,
                            help="which deployment(s) to measure")
-        p.add_argument("--requests", type=int, default=None, help="requests per mode")
+            p.add_argument("--requests", type=int, default=None, help="requests per mode")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--topology", default=None, help="topology file overriding the scenario")
         p.set_defaults(func=_run_scenario_command, run=run)
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario_command("bench-create", "instance-creation latency, cloud vs edge", cmd_bench_create)
     scenario_command("bench-retrieve", "latest-instance retrieval latency", cmd_bench_retrieve)
-    p = scenario_command("bench-prepare", "slice preparation timing", cmd_bench_prepare, with_mode=False)
+    p = scenario_command("bench-prepare", "slice preparation timing", cmd_bench_prepare, streams=False)
     p.add_argument("--repetitions", type=int, default=10, help="independent measurements")
     p.add_argument("--cold", action="store_true", help="start with empty image caches")
 

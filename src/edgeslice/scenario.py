@@ -6,6 +6,9 @@ solved so the closed-form round trips reproduce the reference means.
 
 A document is read through one key table, ``_KEYS``; a key it leaves out keeps
 its ``ScenarioConfig`` or ``Link`` default (the quota's is ``DEFAULT_QUOTA``).
+A scenario text is parsed and checked once per process, in a bounded cache
+(``_loaded``, ``_parsed``); a file is read again on every load. Configs from
+one text share only their immutable ``Topology`` and its routes.
 """
 from __future__ import annotations
 
@@ -232,10 +235,10 @@ _FIELDS = {"quota_memory_bytes": "max_memory_bytes", "quota_cpu_share": "max_cpu
            "images": "catalogue", "pre_seeded": "pre_seeded_cache", "target": "workload_target"}
 
 
-def _build_scenario(doc: dict) -> ScenarioConfig:
-    """A config from a checked document, passed only the keys the document
-    gives. The document is only read, and the config holds none of its lists
-    or dicts."""
+def _build_scenario(doc: dict, topology: Topology) -> ScenarioConfig:
+    """A config on ``topology`` from a checked document, passed only the keys
+    the document gives. The document is only read, and the config holds none
+    of its lists or dicts."""
     fields = {_FIELDS[key] if key in _FIELDS else key: value.copy() if type(value) is list else value
               for section in ("scenario", "slice", "catalogue", "workload")
               for key, value in doc[section].items()}
@@ -250,18 +253,36 @@ def _build_scenario(doc: dict) -> ScenarioConfig:
         raise ConfigInvalidError(f"bad slice quota or catalogue: {exc}") from exc
     if "tasks" in doc:
         fields["tasks"] = [Task(t["id"], t["root"], t["service"]) for t in doc["tasks"]]
-    topology = Topology([Node(**node) for node in doc["topology"]["nodes"]],
-                        [Link(**link) for link in doc["topology"]["links"]])
     return ScenarioConfig(
         topology=topology, processing=_parse_processing(doc["processing"], topology), **fields
     )
 
 
+def _topology(doc: dict) -> Topology:
+    return Topology([Node(**node) for node in doc["nodes"]], [Link(**link) for link in doc["links"]])
+
+
+# Both caches hold the texts read last; a text refused is refused on every call.
+@functools.lru_cache(maxsize=16)
+def _loaded(text: str) -> dict:
+    """A scenario text as YAML reads it; it is only read from here on."""
+    return _load_mapping(text, "scenario", "scenario document")
+
+
+@functools.lru_cache(maxsize=16)
+def _parsed(text: str) -> tuple[dict, Topology]:
+    """A scenario text's checked document and the topology built from it."""
+    doc = _check(_loaded(text), "document", "")
+    return doc, _topology(doc["topology"])
+
+
 def parse_scenario(text: str, topology_override: "dict | None" = None) -> ScenarioConfig:
-    doc = _load_mapping(text, "scenario", "scenario document")
-    if topology_override is not None:
-        doc = {**doc, "topology": topology_override}
-    return _build_scenario(_check(doc, "document", ""))
+    """A fresh config. A topology override replaces the text's own section
+    before the document is checked, on every call."""
+    if topology_override is None:
+        return _build_scenario(*_parsed(text))
+    doc = _check({**_loaded(text), "topology": topology_override}, "document", "")
+    return _build_scenario(doc, _topology(doc["topology"]))
 
 
 def _read(path: str) -> str:
@@ -276,29 +297,25 @@ def load_topology_doc(path: str) -> dict:
     """A topology file is either a bare {nodes, links} mapping or a full
     scenario whose topology section is taken."""
     doc = _load_mapping(_read(path), "topology file", "topology file")
-    return doc["topology"] if "topology" in doc else doc
+    doc = doc["topology"] if "topology" in doc else doc
+    if not isinstance(doc, dict):  # a null section would read as no override at all
+        raise ConfigInvalidError("topology must be a mapping")
+    return doc
 
 
 def load_scenario(path: str, topology_path: "str | None" = None) -> ScenarioConfig:
+    """Read on every call, so that an edited file is parsed again."""
     override = load_topology_doc(topology_path) if topology_path else None
     return parse_scenario(_read(path), override)
 
 
+@functools.cache
 def calibrated_text() -> str:
     return resources.files("edgeslice.data").joinpath("reference_calibrated.yaml").read_text()
 
 
-@functools.cache
-def _calibrated_doc() -> dict:
-    """The shipped calibration's document, parsed and checked once per process."""
-    return _check(_load_mapping(calibrated_text(), "scenario", "scenario document"), "document", "")
-
-
 def reference_calibrated(topology_path: "str | None" = None) -> ScenarioConfig:
-    """The shipped calibration reproducing the reference latency means; each
-    call builds a fresh config from the document checked once. A topology
-    override is checked on every call."""
-    doc = _calibrated_doc()
-    if topology_path:
-        doc = {**doc, "topology": _check(load_topology_doc(topology_path), "topology", "topology")}
-    return _build_scenario(doc)
+    """The shipped calibration reproducing the reference latency means, read
+    from the package once per process."""
+    override = load_topology_doc(topology_path) if topology_path else None
+    return parse_scenario(calibrated_text(), override)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from edgeslice import bench
 from edgeslice.bench import (
     build_system,
     derive_seed,
@@ -85,6 +86,15 @@ class TestRetrievalComparison:
         )
         comparison = run_retrieval_comparison(replace(flat, requests=5))
         assert comparison.cloud_mean_ms == comparison.edge_mean_ms == 0.0
+
+    @pytest.mark.parametrize("modes", [["cloud"], ["edge"], ["edge", "edge"]])
+    def test_a_config_without_both_modes_is_refused_before_any_deployment(self, config, monkeypatch,
+                                                                           modes):
+        built = []
+        monkeypatch.setattr(bench, "build_system", lambda *args, **kwargs: built.append(args))
+        with pytest.raises(ConfigInvalidError, match="needs both modes"):
+            run_retrieval_comparison(replace(config, modes=modes, requests=3))
+        assert built == []
 
 
 class TestEdgeDominance:

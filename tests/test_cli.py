@@ -45,6 +45,15 @@ def test_bench_prepare_warm_and_cold(tmp_path, capsys):
     assert "warm cache" in warm and "cold cache" in cold
 
 
+def test_bench_prepare_refuses_a_request_count(tmp_path, capsys):
+    """A preparation runs no requests: its run length is --repetitions."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench-prepare", "--requests", "3", "--out", str(tmp_path / "o")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --requests 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_road_scenario_exit_code(tmp_path, capsys):
     assert main(["road-scenario", "--out", str(tmp_path / "o")]) == 0
     assert "[PASS]" in capsys.readouterr().out

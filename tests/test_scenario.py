@@ -333,6 +333,8 @@ def test_the_c_loader_is_used_where_pyyaml_has_libyaml(monkeypatch):
     assert scenario.LOADER is expected
     used, load = [], yaml.load
     monkeypatch.setattr(yaml, "load", lambda text, Loader: used.append(Loader) or load(text, Loader))
+    scenario._loaded.cache_clear()
+    scenario._parsed.cache_clear()
     parse_scenario(calibrated_text())
     assert used == [expected]
 
@@ -343,23 +345,153 @@ def _fields(config: ScenarioConfig) -> tuple:
             sorted((link.a, link.b, link.delay_ms) for link in config.topology.links.values()))
 
 
-def test_the_packaged_calibration_is_parsed_once_per_process(monkeypatch):
-    parsed = _fields(parse_scenario(calibrated_text()))
+@pytest.fixture
+def loads(monkeypatch):
+    """The texts ``yaml.load`` parses from here on, with the scenario
+    texts' cache emptied first."""
     used, load = [], yaml.load
     monkeypatch.setattr(yaml, "load", lambda text, Loader: used.append(text) or load(text, Loader))
-    scenario._calibrated_doc.cache_clear()
-    first, second = reference_calibrated(), reference_calibrated()
-    assert used == [calibrated_text()]
-    assert _fields(first) == _fields(second) == parsed
-    # each call builds its own config: a caller's edits reach no other caller
+    scenario._loaded.cache_clear()
+    scenario._parsed.cache_clear()
+    return used
+
+
+def _separate(first: ScenarioConfig, second: ScenarioConfig) -> None:
+    """Two configs from one text share their topology and no list or dict:
+    a caller's edits to one reach no other config."""
+    before = _fields(second)
+    assert first.topology is second.topology
     assert first.tasks is not second.tasks and first.modes is not second.modes
-    assert first.processing is not second.processing
+    assert first.operations is not second.operations and first.processing is not second.processing
     assert all(first.processing[n] is not second.processing[n] for n in first.processing)
     first.tasks.append(Task("extra", "IN-CSE/x", first.service_id))
     first.modes.append("cloud")
-    first.processing["cloud"][Operation.CREATE] = 99.0
+    first.processing[next(iter(first.processing))][Operation.CREATE] = 99.0
+    assert _fields(second) == before
+
+
+def test_the_packaged_calibration_is_parsed_once_per_process(loads, monkeypatch):
+    text, reads = calibrated_text(), []
+    monkeypatch.setattr(scenario.resources, "files", lambda package: reads.append(package))
+    first, second = reference_calibrated(), reference_calibrated()
+    assert parse_scenario(calibrated_text()).topology is first.topology
+    assert loads == [text] and reads == []  # the packaged file is read once per process
+    _separate(first, second)
     assert _fields(reference_calibrated()) == _fields(second)
-    assert used == [calibrated_text()]
+    assert loads == [calibrated_text()]
+
+
+def test_a_scenario_file_is_parsed_once_per_distinct_text(loads, tmp_path):
+    campus = pathlib.Path(SCENARIO_DIR, "jittery_campus.yaml")
+    copy_ = tmp_path / "campus.yaml"
+    copy_.write_text(campus.read_text(encoding="utf-8"), encoding="utf-8")
+    configs = [load_scenario(str(campus)), load_scenario(str(campus)), load_scenario(str(copy_))]
+    assert loads == [campus.read_text(encoding="utf-8")]
+    assert len({id(config.topology) for config in configs}) == 1
+    overridden = load_scenario(str(copy_), str(campus))  # an override is read and built anew
+    assert len(loads) == 2 and overridden.topology is not configs[0].topology
+
+
+def test_an_edited_file_is_seen_on_the_next_load(loads, tmp_path):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(MINIMAL)
+    assert load_scenario(str(path)).seed == 1
+    path.write_text(MINIMAL.replace("seed: 1", "seed: 2").replace("delay_ms: 2.0", "delay_ms: 3.0"))
+    edited = load_scenario(str(path))
+    assert edited.seed == 2 and edited.topology.link_between("e", "c").delay_ms == 3.0
+    assert loads == [MINIMAL, path.read_text()]
+
+
+def test_a_refused_text_is_refused_on_every_call(loads):
+    text = MINIMAL.replace("requests: 5", "requests: 5, speed: 9")
+    for _ in range(3):
+        with pytest.raises(ConfigInvalidError, match="^unknown key scenario.speed$"):
+            parse_scenario(text)
+    assert loads == [text]  # what YAML read is kept; the refusal is not
+    broken = MINIMAL.replace("{a: e, b: c, delay_ms: 2.0}", "{a: e, b: x, delay_ms: 2.0}")
+    for _ in range(2):
+        with pytest.raises(ConfigInvalidError, match="^link e-x references unknown node$"):
+            parse_scenario(broken)
+    unreadable = "scenario:\n\tname: tabbed\n"
+    for _ in range(2):
+        with pytest.raises(ConfigInvalidError, match="^unparseable scenario"):
+            parse_scenario(unreadable)
+    assert loads == [text, broken, unreadable, unreadable]
+
+
+OVERRIDE = {"nodes": [{"id": "d", "role": "device"}, {"id": "g", "role": "edge"}, {"id": "c", "role": "cloud"}],
+            "links": [{"a": "d", "b": "g", "delay_ms": 1.0}, {"a": "g", "b": "c", "delay_ms": 4.0}]}
+# a scenario text whose own topology section is missing or refused
+NO_OWN_TOPOLOGY = {
+    "missing": (MINIMAL.split("topology:")[0] + "processing:" + MINIMAL.split("processing:")[1],
+                "^missing key topology$"),
+    "unknown-node": (MINIMAL.replace("{a: e, b: c, delay_ms: 2.0}", "{a: e, b: x, delay_ms: 2.0}"),
+                     "^link e-x references unknown node$"),
+    "mistyped": (MINIMAL.replace("delay_ms: 2.0", "delay_ms: [2]"),
+                 r"^topology.links\[1\].delay_ms must be a float, not list$"),
+}
+
+
+@pytest.mark.parametrize("text, error", NO_OWN_TOPOLOGY.values(), ids=NO_OWN_TOPOLOGY.keys())
+def test_a_text_refused_for_its_topology_runs_under_an_override(loads, tmp_path, text, error):
+    path, topology = tmp_path / "tiny.yaml", tmp_path / "topology.yaml"
+    path.write_text(text)
+    topology.write_text(yaml.safe_dump(OVERRIDE))
+    for _ in range(2):
+        config = load_scenario(str(path), str(topology))
+        assert sorted(config.topology.nodes) == ["c", "d", "g"]
+        assert config.topology.link_between("g", "c").delay_ms == 4.0
+        with pytest.raises(ConfigInvalidError, match=error):  # its own topology is refused where used
+            load_scenario(str(path))
+    assert loads.count(text) == 1 and len(loads) == 3  # the override is read on every load
+
+
+def test_edits_to_a_campus_config_reach_no_later_config_from_its_text(loads):
+    path = os.path.join(SCENARIO_DIR, "jittery_campus.yaml")
+    first, second = load_scenario(path), load_scenario(path)
+    _separate(first, second)
+    later = load_scenario(path)
+    assert _fields(later) == _fields(second) and later.topology is second.topology
+    assert len(loads) == 1
+    scenario._loaded.cache_clear()
+    scenario._parsed.cache_clear()
+    assert _fields(load_scenario(path)) == _fields(second)  # as parsed afresh
+
+
+# a topology override, and what refuses it: the messages a whole document
+# with the override in place gave before scenario texts were kept
+BAD_OVERRIDES = {
+    "no-links": ({"nodes": []}, "missing key topology.links"),
+    "not-a-mapping": ([], "topology must be a mapping"),
+    "mistyped-delay": ({"nodes": [], "links": [{"a": "d", "b": "e", "delay_ms": [1]}]},
+                       "topology.links[0].delay_ms must be a float, not list"),
+    "unknown-role": ({"nodes": [{"id": "d", "role": "fog"}], "links": []},
+                     "topology.nodes[0].role: unknown role 'fog'"),
+    "unknown-node": ({"nodes": [{"id": "d", "role": "device"}],
+                      "links": [{"a": "d", "b": "x", "delay_ms": 1}]}, "link d-x references unknown node"),
+    "no-cloud": ({"nodes": [{"id": "d", "role": "device"}, {"id": "e", "role": "edge"}],
+                  "links": [{"a": "d", "b": "e", "delay_ms": 1}]}, "topology needs exactly one cloud node"),
+}
+
+
+@pytest.mark.parametrize("override, error", BAD_OVERRIDES.values(), ids=BAD_OVERRIDES.keys())
+def test_a_bad_topology_override_is_refused_on_every_call(tmp_path, override, error):
+    path = tmp_path / "topology.yaml"
+    path.write_text(yaml.safe_dump({"topology": override}))  # a topology file may be a whole scenario
+    for _ in range(2):
+        with pytest.raises(ConfigInvalidError, match=f"^{re.escape(error)}$"):
+            parse_scenario(MINIMAL, override)
+        with pytest.raises(ConfigInvalidError, match=f"^{re.escape(error)}$"):
+            reference_calibrated(str(path))
+    assert parse_scenario(MINIMAL).topology is parse_scenario(MINIMAL).topology  # the text stays good
+
+
+def test_a_topology_file_with_a_null_topology_section_is_refused(tmp_path):
+    path = tmp_path / "topology.yaml"
+    path.write_text("topology:\n")
+    for load in (lambda: reference_calibrated(str(path)), lambda: load_scenario(CALIBRATED_YAML, str(path))):
+        with pytest.raises(ConfigInvalidError, match="^topology must be a mapping$"):
+            load()
 
 
 def test_the_topology_override_applies_to_the_cached_calibration(tmp_path):
@@ -514,7 +646,8 @@ def _with(doc: dict, path: tuple, value) -> dict:
 
 def _parse(doc: dict) -> ScenarioConfig:
     """What ``parse_scenario`` does with a document once YAML has read it."""
-    return scenario._build_scenario(scenario._check(doc, "document", ""))
+    checked = scenario._check(doc, "document", "")
+    return scenario._build_scenario(checked, scenario._topology(checked["topology"]))
 
 
 DOCUMENTS = {"minimal": MINIMAL, "reference_calibrated": calibrated_text(),

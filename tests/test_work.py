@@ -61,8 +61,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
+import yaml
+
 import edgeslice
 from edgeslice.bench import build_system
+from edgeslice.netsim import Topology
 from edgeslice.primitives import decode_request, decode_response, is_response
 from edgeslice.resources import ResourceKind, ResourcePath
 from edgeslice.scenario import reference_calibrated
@@ -284,6 +287,21 @@ def test_an_eager_edge_create_builds_a_fixed_set_of_values():
     frozen = {cls.__name__ for cls in VALUE_TYPES.values()
               if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen}
     assert frozen & more["built"].keys() <= FROZEN_DATACLASSES
+
+
+def test_a_second_campus_set_up_parses_and_routes_nothing(monkeypatch):
+    """A scenario text is parsed once per process, and the routes of its
+    topology, which every config from it shares, are computed once."""
+    config = load_scenario(CAMPUS)
+    build_system(config, "edge", config.seed).prepare()
+    parsed, routed = [], []
+    load, dijkstra = yaml.load, Topology._dijkstra
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: parsed.append(text) or load(text, Loader))
+    monkeypatch.setattr(Topology, "_dijkstra",
+                        lambda self, src, dst: routed.append(src) or dijkstra(self, src, dst))
+    config = load_scenario(CAMPUS)
+    build_system(config, "edge", config.seed).prepare()
+    assert (len(parsed), len(routed)) == (0, 0)
 
 
 def test_calibrated_data_messages_have_a_fixed_size_at_the_wire_tap():
