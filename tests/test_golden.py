@@ -3,8 +3,12 @@
 ``golden/<scenario>/`` holds ``edgeslice run <scenario> --seed 42
 --requests 60`` output for both shipped scenarios (the calibrated one is
 the file packaged with edgeslice), and ``golden/cli/<command>/`` the output
-files of ``road-scenario``, ``bench-create``, ``bench-retrieve``,
-``bench-prepare`` and ``bench-prepare --cold`` at their defaults, so any change that shifts virtual time shows here.
+of ``road-scenario``, ``bench-create``, ``bench-retrieve``,
+``bench-prepare`` and ``bench-prepare --cold`` at their defaults, so any
+change that shifts virtual time shows here. Each of those directories holds
+the files the command writes and its ``stdout.txt``, with the ``--out``
+directory written as ``<out>``; a command that writes a file its directory
+does not hold fails, so each new output file is pinned as it appears.
 ``golden/wire.json`` holds the encodings made by ``wire_samples.py`` (see
 its docstring for how it was generated), so any change to the bytes on the
 wire shows here. The same system runs
@@ -33,15 +37,23 @@ def read(path):
         return fh.read()
 
 
+def check_command(argv, golden, out, capsys):
+    """Run ``argv`` writing to ``out``; its stdout and each file it writes
+    must match ``golden``, and it must write no file ``golden`` lacks."""
+    assert main(argv + ["--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    expected = sorted(set(os.listdir(golden)) - {"stdout.txt"})
+    assert sorted(os.listdir(out)) == expected
+    # compared as text, so that a failure shows the lines that differ
+    assert stdout == read(os.path.join(golden, "stdout.txt")).decode()
+    for name in expected:
+        assert read(out / name).decode() == read(os.path.join(golden, name)).decode(), name
+
+
 @pytest.mark.parametrize("scenario", ["reference_calibrated", "jittery_campus"])
 def test_run_output_matches_golden(scenario, tmp_path, capsys):
-    out = tmp_path / scenario
-    argv = ["run", SCENARIO_FILES[scenario], "--seed", "42",
-            "--requests", "60", "--out", str(out)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    for name in ("samples.csv", "summary.txt"):
-        assert read(out / name) == read(os.path.join(GOLDEN, scenario, name)), name
+    argv = ["run", SCENARIO_FILES[scenario], "--seed", "42", "--requests", "60"]
+    check_command(argv, os.path.join(GOLDEN, scenario), tmp_path / scenario, capsys)
 
 
 @pytest.mark.parametrize("argv", [["road-scenario"], ["bench-create"], ["bench-retrieve"],
@@ -50,11 +62,7 @@ def test_run_output_matches_golden(scenario, tmp_path, capsys):
                               "bench-prepare", "bench-prepare-cold"])
 def test_command_output_matches_golden(argv, tmp_path, capsys):
     name = "-".join(arg.strip("-") for arg in argv)
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    for file in ("samples.csv", "summary.txt"):
-        # compared as text, so that a failure shows the lines that differ
-        assert read(tmp_path / file).decode() == read(os.path.join(GOLDEN, "cli", name, file)).decode(), file
+    check_command(argv, os.path.join(GOLDEN, "cli", name), tmp_path / "out", capsys)
 
 
 @pytest.fixture(scope="module")
