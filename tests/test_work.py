@@ -35,12 +35,15 @@ no frozen dataclass is built but the two primitives and the sample.
 
 The same is counted per lazy ``/la`` retrieve addressed to the cloud on the
 campus scenario, whose binding the cloud redirects to the edge: at two
-values of ``n``, ten times apart, the difference pinned per retrieve.
+values of ``n``, ten times apart, the difference pinned per retrieve. So is
+each ``/la`` retrieve addressed to the edge of the calibrated scenario, the
+request the headline cloud-vs-edge comparison times.
 
 The counts are taken in fresh processes, since the test suite's wire check
 adds an encode and a decode to every message. Run as a script, this prints
-them as JSON, or with the argument ``creates`` the counts of creates, or
-with ``retrieves`` those of lazy retrieves.
+them as JSON, or with the argument ``creates`` the counts of creates, with
+``retrieves`` those of lazy retrieves, or with ``edge-retrieves`` those of
+edge retrieves.
 
 The bytes at the wire tap are counted too: the length of each message of two
 edge creates and two ``/la`` retrieves of the calibrated scenario, so that
@@ -104,6 +107,12 @@ CREATES = (5, 10)
 #: replay share, which made it 96 where an inline scan made 95
 CALLS_PER_LAZY_RETRIEVE = 96
 RETRIEVES = (3, 30)
+
+#: calls per ``/la`` retrieve addressed to the edge on the calibrated
+#: scenario's edge deployment, from the device's request to the edge's
+#: reply: the request and its reply are each encoded and decoded on the
+#: device's access link, and the edge's worker gates and serves it
+CALLS_PER_EDGE_RETRIEVE = 68
 
 #: value objects built per eager edge create, by type. On the edge and on
 #: the mirror one ``Resource``, one ``ResourcePath`` (the created node's
@@ -223,6 +232,15 @@ def lazy_retrieve_counts(retrieves: int) -> dict:
     return counts
 
 
+def edge_retrieve_counts(retrieves: int) -> dict:
+    """What ``counted`` counts during ``retrieves`` ``/la`` retrieves
+    addressed to the edge of a prepared calibrated deployment."""
+    config = reference_calibrated()
+    system = build_system(config, "edge", config.seed)
+    system.prepare()
+    return counted(lambda: system.run_workload("retrieve", retrieves))[1]
+
+
 @lru_cache(maxsize=None)
 def counts_in_fresh_processes(*args: str) -> list:
     """What this file prints when run as a script with ``args``: counted in
@@ -268,6 +286,13 @@ def test_a_lazy_cloud_addressed_retrieve_makes_a_fixed_number_of_calls():
     assert (few["redirects"], more["redirects"]) == RETRIEVES  # each went to the edge
     extra = RETRIEVES[1] - RETRIEVES[0]
     assert more["calls"] - few["calls"] == CALLS_PER_LAZY_RETRIEVE * extra, (few["calls"], more["calls"])
+    assert (few["enum"], more["enum"]) == (0, 0)
+
+
+def test_an_edge_retrieve_makes_a_fixed_number_of_calls():
+    few, more = counts_in_fresh_processes("edge-retrieves")
+    extra = RETRIEVES[1] - RETRIEVES[0]
+    assert more["calls"] - few["calls"] == CALLS_PER_EDGE_RETRIEVE * extra, (few["calls"], more["calls"])
     assert (few["enum"], more["enum"]) == (0, 0)
 
 
@@ -339,5 +364,8 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["retrieves"]:
         lazy_retrieve_counts(RETRIEVES[0])  # fills per-process caches
         print(json.dumps([lazy_retrieve_counts(n) for n in RETRIEVES], sort_keys=True))
+    elif sys.argv[1:] == ["edge-retrieves"]:
+        edge_retrieve_counts(RETRIEVES[0])  # fills per-process caches
+        print(json.dumps([edge_retrieve_counts(n) for n in RETRIEVES], sort_keys=True))
     else:
         print(json.dumps([calls(0), calls(RECORDS), calls(0, fresh=True), calls(RECORDS, fresh=True)]))
