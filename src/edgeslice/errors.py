@@ -78,4 +78,5 @@ class ConfigInvalidError(EdgeSliceError):
 
 
 class SimulationLimitError(EdgeSliceError):
-    """A run executed more events than its cap allows."""
+    """A run that could not finish: it executed more events than its cap
+    allows, or a request it sent was never answered."""

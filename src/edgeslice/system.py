@@ -43,6 +43,7 @@ from .errors import (
     ConflictError,
     EdgeSliceError,
     NotFoundError,
+    SimulationLimitError,
     UnknownSliceError,
 )
 from .images import FunctionImage, pull_image
@@ -737,8 +738,10 @@ class System:
         target = target or self.data_target()
         collected: list[LatencySample] = []
         mode_label = record_as or self.mode
+        rqi = ""  # the request in flight, named if its reply never comes
 
         def stream() -> Generator:
+            nonlocal rqi
             # one request at a time: each is issued once the previous is answered
             for index in range(requests):
                 rqi = device.next_rqi("rq")
@@ -759,5 +762,7 @@ class System:
 
         self.sim.process(stream())
         self.sim.run_until_idle(netsim.DEFAULT_MAX_EVENTS + EVENTS_PER_REQUEST * requests)
+        if len(collected) < requests:
+            raise SimulationLimitError(f"request {rqi} was never answered")
         self.samples.extend(collected)
         return collected

@@ -401,6 +401,24 @@ def test_a_second_create_stream_names_its_creates_anew(config, monkeypatch):
     assert system.cloud.coordinator.bindings["task-citizenB"].stats.notifications_applied == 8
 
 
+def test_a_request_never_answered_raises_naming_it(config, monkeypatch):
+    """A lost delivery ends the run with an error that names the request
+    still waiting for its reply, not with a short list of samples."""
+    system = build_system(config, "edge", 42)
+    system.prepare()
+    sends, send = [], Network.send
+
+    def lossy(network, frm, to, payload, size_bytes):
+        sends.append(payload)
+        if len(sends) != 5:  # the third retrieve's request is lost
+            return send(network, frm, to, payload, size_bytes)
+
+    monkeypatch.setattr(Network, "send", lossy)
+    with pytest.raises(SimulationLimitError, match="request dev0-rq000004 was never answered"):
+        system.run_workload("retrieve", 10)
+    assert list(system.devices["dev0"].pending) == ["dev0-rq000004"]
+
+
 class TestLazyRedirectOverTheWire:
     def test_cloud_serves_edge_data_while_bound(self, config):
         config = replace(config, sync_mode=SyncMode.LAZY)
