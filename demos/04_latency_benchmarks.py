@@ -10,7 +10,6 @@ from edgeslice import (
     reference_calibrated,
     run_benchmark,
     run_preparation_timing,
-    run_retrieval_comparison,
     summarize,
 )
 from edgeslice.bench import mean_rtt
@@ -30,16 +29,19 @@ gap = mean_rtt(samples, "cloud", "create") - mean_rtt(samples, "edge", "create")
 print(f"  edge advantage: {gap:.1f} ms per create")
 
 print("\n== latest-instance retrieval, 60 requests per mode ==")
-comparison = run_retrieval_comparison(config)
-print(f"  cloud mean: {comparison.cloud_mean_ms:.2f} ms")
-print(f"  edge  mean: {comparison.edge_mean_ms:.2f} ms")
-print(f"  ratio: {comparison.ratio:.2f}x faster at the edge")
+samples = run_benchmark(config, "retrieve")
+cloud = mean_rtt(samples, "cloud", "retrieve")
+edge = mean_rtt(samples, "edge", "retrieve")
+print(f"  cloud mean: {cloud:.2f} ms")
+print(f"  edge  mean: {edge:.2f} ms")
+print(f"  ratio: {cloud / edge:.2f}x faster at the edge")
 
 print("\n== slice preparation, 10 measurements ==")
-warm = run_preparation_timing(config, repetitions=10)
-print(f"  warm image cache: {warm.mean_ms:9.1f} ms "
+warm = mean_rtt(run_preparation_timing(config, repetitions=10), "edge", "prepare")
+print(f"  warm image cache: {warm:9.1f} ms "
       "(control-plane round trips + container starts)")
-cold = run_preparation_timing(replace(config, pre_seeded_cache=False), repetitions=10)
-print(f"  cold image cache: {cold.mean_ms:9.1f} ms "
-      f"(adds {cold.mean_ms - warm.mean_ms:.0f} ms of image pulls)")
+cold_config = replace(config, pre_seeded_cache=False)
+cold = mean_rtt(run_preparation_timing(cold_config, repetitions=10), "edge", "prepare")
+print(f"  cold image cache: {cold:9.1f} ms "
+      f"(adds {cold - warm:.0f} ms of image pulls)")
 print("  -> pre-seeding function images on workers pays for itself")

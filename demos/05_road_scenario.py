@@ -6,6 +6,7 @@ the needed functions onto the gateway, offloads the car and pedestrian tasks,
 and the car's retrieves are then served next to the road.
 """
 from edgeslice import run_road_scenario
+from edgeslice.bench import mean_rtt
 from edgeslice.resources import ResourcePath
 
 report = run_road_scenario(seed=42)
@@ -34,11 +35,7 @@ def show(path, depth=0):
 
 show(ResourcePath.parse("MN-CSE"))
 
-edge_mean = sum(
-    s.rtt_ms for s in report.samples if s.mode == "edge" and s.operation == "retrieve"
-) / sum(1 for s in report.samples if s.mode == "edge" and s.operation == "retrieve")
-cloud_mean = sum(
-    s.rtt_ms for s in report.samples if s.mode == "cloud" and s.operation == "retrieve"
-) / sum(1 for s in report.samples if s.mode == "cloud" and s.operation == "retrieve")
+edge_mean = mean_rtt(report.samples, "edge", "retrieve")
+cloud_mean = mean_rtt(report.samples, "cloud", "retrieve")
 print(f"\npedestrian-location retrieves: edge {edge_mean:.2f} ms vs cloud {cloud_mean:.2f} ms")
 print("verdict:", "all assertions hold" if report.ok else "ASSERTIONS FAILED")

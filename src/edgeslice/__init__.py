@@ -12,11 +12,9 @@ scenario.
 """
 
 from .bench import (
-    RetrievalComparison,
     RoadReport,
     run_benchmark,
     run_preparation_timing,
-    run_retrieval_comparison,
     run_road_scenario,
 )
 from .images import (
@@ -105,7 +103,6 @@ __all__ = [
     "ResourceQuota",
     "ResourceTree",
     "ResponsePrimitive",
-    "RetrievalComparison",
     "RoadReport",
     "ScenarioConfig",
     "Simulator",
@@ -134,7 +131,6 @@ __all__ = [
     "pull_image",
     "run_benchmark",
     "run_preparation_timing",
-    "run_retrieval_comparison",
     "run_road_scenario",
     "subtrees_converged",
     "summarize",

@@ -1,4 +1,6 @@
-"""Benchmarks: the cloud-vs-edge latency comparison and the road scenario.
+"""Benchmarks: the cloud-vs-edge latency runs, slice preparation timing and
+the road scenario. Every runner returns its samples, the road scenario's in
+a ``RoadReport``; a mean or a ratio is a ``mean_rtt`` call where it is printed.
 
 Each measured mode runs in its own freshly-built simulated deployment; a
 fixed seed derivation keeps multi-mode runs reproducible.
@@ -6,13 +8,14 @@ fixed seed derivation keeps multi-mode runs reproducible.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from .errors import ConfigInvalidError, EdgeSliceError
 from .netsim import LatencySample
 from .offload import Task, subtrees_converged
 from .resources import ResourceKind, ResourcePath
-from .scenario import MODES, ScenarioConfig, reference_calibrated
+from .scenario import ScenarioConfig, reference_calibrated
 from .system import System
 
 MODE_SEED_OFFSET = {"cloud": 0, "edge": 1_000_003}
@@ -47,39 +50,6 @@ def mean_rtt(samples: list[LatencySample], mode: str, operation: str) -> float:
     return statistics.fmean(values)
 
 
-@dataclass(frozen=True)
-class RetrievalComparison:
-    samples: list[LatencySample]
-    cloud_mean_ms: float
-    edge_mean_ms: float
-
-    @property
-    def ratio(self) -> float:
-        return self.cloud_mean_ms / self.edge_mean_ms
-
-
-def compares_modes(config: ScenarioConfig) -> bool:
-    """Whether ``config`` runs both modes, as a retrieval comparison needs."""
-    return set(config.modes) == set(MODES)
-
-
-def run_retrieval_comparison(config: ScenarioConfig) -> RetrievalComparison:
-    if not compares_modes(config):  # refused before any deployment is built
-        raise ConfigInvalidError(f"the retrieval comparison needs both modes, not {config.modes}")
-    samples = run_benchmark(config, "retrieve")
-    return RetrievalComparison(
-        samples=samples,
-        cloud_mean_ms=mean_rtt(samples, "cloud", "retrieve"),
-        edge_mean_ms=mean_rtt(samples, "edge", "retrieve"),
-    )
-
-
-@dataclass(frozen=True)
-class PreparationTiming:
-    samples: list[LatencySample]
-    mean_ms: float
-
-
 def preparation_time_ms(system: System) -> float:
     """First service-request arrival at an edge to the latest offload import,
     read from the control-plane milestones that every trace level records."""
@@ -90,7 +60,7 @@ def preparation_time_ms(system: System) -> float:
     return imports[-1] - arrivals[0]
 
 
-def run_preparation_timing(config: ScenarioConfig, repetitions: int = 10) -> PreparationTiming:
+def run_preparation_timing(config: ScenarioConfig, repetitions: int = 10) -> list[LatencySample]:
     """Service-request arrival to offload-import completion, fresh deployment
     per repetition, with the config's image-cache seeding."""
     if repetitions <= 0:
@@ -108,23 +78,19 @@ def run_preparation_timing(config: ScenarioConfig, repetitions: int = 10) -> Pre
                 rtt_ms=preparation_time_ms(system),
             )
         )
-    return PreparationTiming(
-        samples=samples, mean_ms=statistics.fmean(s.rtt_ms for s in samples)
-    )
+    return samples
 
 
 # --- the crosswalk road scenario ---
 
+#: retrieves the car makes of the pedestrian's position, on each path
+ROAD_RETRIEVES = 20
 
-@dataclass
-class RoadReport:
-    assertions: list[tuple[str, bool, str]] = field(default_factory=list)
-    samples: list[LatencySample] = field(default_factory=list)
-    trace: list[dict] = field(default_factory=list)
-    system: "System | None" = None  # final deployment state, for inspection
 
-    def check(self, name: str, passed: bool, detail: str = "") -> None:
-        self.assertions.append((name, bool(passed), detail))
+class RoadReport(NamedTuple):
+    assertions: list[tuple[str, bool, str]]
+    samples: list[LatencySample]
+    system: System  # final deployment state, for inspection
 
     @property
     def ok(self) -> bool:
@@ -149,9 +115,9 @@ def road_config() -> ScenarioConfig:
     )
 
 
-def run_road_scenario(seed: "int | None" = None, retrieves: int = 20) -> RoadReport:
+def run_road_scenario(seed: "int | None" = None) -> RoadReport:
     """The crosswalk walkthrough; ``seed`` defaults to the road config's."""
-    report = RoadReport()
+    assertions: list[tuple[str, bool, str]] = []
     config = road_config()
     system = build_system(config, "edge", config.seed if seed is None else seed, trace="full")
     edge = system.edges[system.edge_for(system.device_id)]
@@ -178,16 +144,17 @@ def run_road_scenario(seed: "int | None" = None, retrieves: int = 20) -> RoadRep
         except EdgeSliceError:  # ``NotFoundError`` from ``resolve``, ``BadRequestError`` from ``parse``
             return False
 
-    report.check(
+    assertions.append((
         "pre-offload: CitizenB location on edge",
         resolves("MN-CSE/Pedestrians/CitizenB/location"),
-    )
+        "",
+    ))
 
     system.prepare()
 
-    report.check("post-offload: CarA grafted", resolves("MN-CSE/Cars/CarA"))
-    report.check("post-offload: CitizenA grafted", resolves("MN-CSE/Pedestrians/CitizenA"))
-    report.check(
+    assertions.append(("post-offload: CarA grafted", resolves("MN-CSE/Cars/CarA"), ""))
+    assertions.append(("post-offload: CitizenA grafted", resolves("MN-CSE/Pedestrians/CitizenA"), ""))
+    assertions.append((
         "edge holds CarA, CitizenA and CitizenB side by side",
         all(
             resolves(p)
@@ -197,12 +164,13 @@ def run_road_scenario(seed: "int | None" = None, retrieves: int = 20) -> RoadRep
                 "MN-CSE/Pedestrians/CitizenB/location",
             )
         ),
-    )
+        "",
+    ))
     for task_id, cloud_root, edge_root in (
         ("task-carA", "IN-CSE/Cars/CarA", "MN-CSE/Cars/CarA"),
         ("task-citizenA", "IN-CSE/Pedestrians/CitizenA", "MN-CSE/Pedestrians/CitizenA"),
     ):
-        report.check(
+        assertions.append((
             f"{task_id} isomorphic to its cloud source",
             subtrees_converged(
                 system.cloud.tree,
@@ -210,38 +178,39 @@ def run_road_scenario(seed: "int | None" = None, retrieves: int = 20) -> RoadRep
                 tree,
                 ResourcePath.parse(edge_root),
             ),
-        )
+            "",
+        ))
 
     # the car fetches pedestrian positions: edge-served vs cloud-served
     edge_samples = system.run_workload(
         "retrieve",
-        retrieves,
+        ROAD_RETRIEVES,
         record_as="edge",
         target="MN-CSE/Pedestrians/CitizenA/location",
         server=edge.node_id,
     )
     cloud_samples = system.run_workload(
         "retrieve",
-        retrieves,
+        ROAD_RETRIEVES,
         record_as="cloud",
         target="IN-CSE/Pedestrians/CitizenA/location",
         server=system.cloud_id,
     )
-    report.check(
+    assertions.append((
         "every edge retrieve beats the cloud path",
         all(
             e.rtt_ms < c.rtt_ms for e, c in zip(edge_samples, cloud_samples)
         ),
-        f"edge mean {statistics.fmean(s.rtt_ms for s in edge_samples):.3f} ms vs "
-        f"cloud mean {statistics.fmean(s.rtt_ms for s in cloud_samples):.3f} ms",
-    )
+        f"edge mean {mean_rtt(edge_samples, 'edge', 'retrieve'):.3f} ms vs "
+        f"cloud mean {mean_rtt(cloud_samples, 'cloud', 'retrieve'):.3f} ms",
+    ))
 
     # the car reports its own position at the edge; eager sync mirrors it
-    system.run_workload(
+    creates = system.run_workload(
         "create", 5, record_as="edge", target="MN-CSE/Cars/CarA/location", server=edge.node_id
     )
     system.run_until_idle()
-    report.check(
+    assertions.append((
         "CarA mirror converged after quiescence",
         subtrees_converged(
             system.cloud.tree,
@@ -249,9 +218,6 @@ def run_road_scenario(seed: "int | None" = None, retrieves: int = 20) -> RoadRep
             tree,
             ResourcePath.parse("MN-CSE/Cars/CarA"),
         ),
-    )
-
-    report.samples = list(system.samples)
-    report.trace = list(system.sim.trace)
-    report.system = system
-    return report
+        "",
+    ))
+    return RoadReport(assertions, edge_samples + cloud_samples + creates, system)

@@ -10,10 +10,9 @@ import sys
 from dataclasses import replace
 
 from .bench import (
-    compares_modes,
+    mean_rtt,
     run_benchmark,
     run_preparation_timing,
-    run_retrieval_comparison,
     run_road_scenario,
 )
 from .errors import ConfigInvalidError
@@ -42,11 +41,6 @@ def _config(args) -> ScenarioConfig:
     return replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
-def _emit(samples, out_dir: str) -> None:
-    samples_path, summary_path = emit_results(samples, out_dir)
-    print(f"wrote {samples_path} and {summary_path}")
-
-
 def _run_scenario_command(args) -> int:
     """Build the command's config, run it, print the summary rows and write
     the output files."""
@@ -57,7 +51,8 @@ def _run_scenario_command(args) -> int:
             f" mean={row.mean_ms:.3f} ms median={row.median_ms:.3f} ms"
             f" p95={row.p95_ms:.3f} ms"
         )
-    _emit(samples, args.out)
+    samples_path, summary_path = emit_results(samples, args.out)
+    print(f"wrote {samples_path} and {summary_path}")
     return EXIT_OK
 
 
@@ -66,23 +61,25 @@ def cmd_bench_create(config: ScenarioConfig, args) -> list:
 
 
 def cmd_bench_retrieve(config: ScenarioConfig, args) -> list:
-    if not compares_modes(config):
-        return run_benchmark(config, "retrieve")
-    comparison = run_retrieval_comparison(config)
-    print(
-        f"cloud/edge retrieval means: {comparison.cloud_mean_ms:.3f} ms /"
-        f" {comparison.edge_mean_ms:.3f} ms (ratio {comparison.ratio:.3f})"
-    )
-    return comparison.samples
+    samples = run_benchmark(config, "retrieve")
+    if set(config.modes) == set(MODES):  # the comparison needs both modes
+        cloud = mean_rtt(samples, "cloud", "retrieve")
+        edge = mean_rtt(samples, "edge", "retrieve")
+        print(
+            f"cloud/edge retrieval means: {cloud:.3f} ms /"
+            f" {edge:.3f} ms (ratio {cloud / edge:.3f})"
+        )
+    return samples
 
 
 def cmd_bench_prepare(config: ScenarioConfig, args) -> list:
-    timing = run_preparation_timing(config, args.repetitions)
+    samples = run_preparation_timing(config, args.repetitions)
     print(
         f"slice preparation over {args.repetitions} runs"
-        f" ({'warm' if config.pre_seeded_cache else 'cold'} cache): mean {timing.mean_ms:.3f} ms"
+        f" ({'warm' if config.pre_seeded_cache else 'cold'} cache):"
+        f" mean {mean_rtt(samples, 'edge', 'prepare'):.3f} ms"
     )
-    return timing.samples
+    return samples
 
 
 def cmd_run(config: ScenarioConfig, args) -> list:
@@ -94,7 +91,8 @@ def cmd_road_scenario(args) -> int:
     for name, passed, detail in report.assertions:
         suffix = f" ({detail})" if detail else ""
         print(f"[{'PASS' if passed else 'FAIL'}] {name}{suffix}")
-    _emit(report.samples, args.out)
+    samples_path, summary_path = emit_results(report.samples, args.out)
+    print(f"wrote {samples_path} and {summary_path}")
     return EXIT_OK if report.ok else EXIT_ASSERTIONS
 
 

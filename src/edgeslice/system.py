@@ -675,7 +675,6 @@ class System:
         edges = config.topology.by_role(NodeRole.EDGE_WORKER)
         self.edges = {node_id: EdgeNode(self, node_id) for node_id in edges}
         self.devices = {node_id: DeviceNode(self, node_id) for node_id in devices}
-        self.samples: list[LatencySample] = []
         self._create_numbers = count()  # names each create ``run_workload`` issues anew
 
     # --- conveniences for benchmarks and tests ---
@@ -764,5 +763,4 @@ class System:
         self.sim.run_until_idle(netsim.DEFAULT_MAX_EVENTS + EVENTS_PER_REQUEST * requests)
         if len(collected) < requests:
             raise SimulationLimitError(f"request {rqi} was never answered")
-        self.samples.extend(collected)
         return collected

@@ -18,7 +18,6 @@ from edgeslice.bench import (
     mean_rtt,
     run_benchmark,
     run_preparation_timing,
-    run_retrieval_comparison,
     run_road_scenario,
 )
 from edgeslice.cli import main as cli_main
@@ -175,10 +174,12 @@ def test_criterion_05_latency_reproduction():
         creates = run_benchmark(config, "create")  # the calibration's 60 requests, seed 42
         assert mean_rtt(creates, "cloud", "create") == pytest.approx(8.5, rel=0.05)
         assert mean_rtt(creates, "edge", "create") == pytest.approx(6.1, rel=0.05)
-        comparison = run_retrieval_comparison(config)
-        assert comparison.cloud_mean_ms == pytest.approx(67.42, rel=0.05)
-        assert comparison.edge_mean_ms == pytest.approx(37.32, rel=0.05)
-        assert 1.6 <= comparison.ratio <= 2.0
+        retrieves = run_benchmark(config, "retrieve")
+        cloud = mean_rtt(retrieves, "cloud", "retrieve")
+        edge = mean_rtt(retrieves, "edge", "retrieve")
+        assert cloud == pytest.approx(67.42, rel=0.05)
+        assert edge == pytest.approx(37.32, rel=0.05)
+        assert 1.6 <= cloud / edge <= 2.0
 
 
 def test_criterion_06_function_gating():
@@ -348,17 +349,21 @@ def test_criterion_10_preparation_timing():
             t += d2 + 0.0
             return t
 
-        warm = run_preparation_timing(config, repetitions=10)
-        warm_expected = statistics.fmean([schedule_replay(config, 0.0)] * 10)
-        assert warm.mean_ms == warm_expected
-        assert all(s.rtt_ms == schedule_replay(config, 0.0) for s in warm.samples)
-        assert len(warm.samples) == 10
+        def prepare_mean(cfg) -> float:
+            return mean_rtt(run_preparation_timing(cfg, repetitions=10), "edge", "prepare")
 
-        cold = run_preparation_timing(replace(config, pre_seeded_cache=False), repetitions=10)
+        warm = run_preparation_timing(config, repetitions=10)
+        warm_mean = mean_rtt(warm, "edge", "prepare")
+        warm_expected = statistics.fmean([schedule_replay(config, 0.0)] * 10)
+        assert warm_mean == warm_expected
+        assert all(s.rtt_ms == schedule_replay(config, 0.0) for s in warm)
+        assert len(warm) == 10
+
+        cold_mean = prepare_mean(replace(config, pre_seeded_cache=False))
         cold_expected = statistics.fmean([schedule_replay(config, 4000.0)] * 10)
-        assert cold.mean_ms == cold_expected
+        assert cold_mean == cold_expected
         pulls = len(config.functions) * 4000.0  # 400 MB at 100 MB/s per image
-        assert cold.mean_ms - warm.mean_ms == pytest.approx(pulls, abs=1e-6)
+        assert cold_mean - warm_mean == pytest.approx(pulls, abs=1e-6)
 
         # single-image variant on dyadic link delays: the +4.0 s is exact
         single = replace(config, functions=frozenset({FunctionKind.RETRIEVE}))
@@ -372,7 +377,7 @@ def test_criterion_10_preparation_timing():
                 ],
             ),
         )
-        warm_single = run_preparation_timing(single, repetitions=10)
-        cold_single = run_preparation_timing(replace(single, pre_seeded_cache=False), repetitions=10)
-        assert warm_single.mean_ms == 4 * 1.25 + 250.0
-        assert cold_single.mean_ms - warm_single.mean_ms == 4000.0
+        warm_single = prepare_mean(single)
+        cold_single = prepare_mean(replace(single, pre_seeded_cache=False))
+        assert warm_single == 4 * 1.25 + 250.0
+        assert cold_single - warm_single == 4000.0

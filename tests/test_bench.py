@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from edgeslice import bench
 from edgeslice.bench import (
     build_system,
     derive_seed,
@@ -13,7 +12,6 @@ from edgeslice.bench import (
     road_config,
     run_benchmark,
     run_preparation_timing,
-    run_retrieval_comparison,
     run_road_scenario,
 )
 from edgeslice.errors import ConfigInvalidError
@@ -64,10 +62,12 @@ class TestCreateBenchmark:
 
 class TestRetrievalComparison:
     def test_calibrated_means_and_ratio(self, config):
-        comparison = run_retrieval_comparison(replace(config, requests=20))
-        assert comparison.cloud_mean_ms == pytest.approx(67.42, rel=1e-9)
-        assert comparison.edge_mean_ms == pytest.approx(37.32, rel=1e-9)
-        assert 1.6 <= comparison.ratio <= 2.0
+        samples = run_benchmark(replace(config, requests=20), "retrieve")
+        cloud = mean_rtt(samples, "cloud", "retrieve")
+        edge = mean_rtt(samples, "edge", "retrieve")
+        assert cloud == pytest.approx(67.42, rel=1e-9)
+        assert edge == pytest.approx(37.32, rel=1e-9)
+        assert 1.6 <= cloud / edge <= 2.0
 
     def test_symmetric_config_is_a_tie(self, config):
         # zero delays and identical (zero) processing: modes must tie exactly
@@ -84,17 +84,8 @@ class TestRetrievalComparison:
             ),
             payload_bytes=0,
         )
-        comparison = run_retrieval_comparison(replace(flat, requests=5))
-        assert comparison.cloud_mean_ms == comparison.edge_mean_ms == 0.0
-
-    @pytest.mark.parametrize("modes", [["cloud"], ["edge"], ["edge", "edge"]])
-    def test_a_config_without_both_modes_is_refused_before_any_deployment(self, config, monkeypatch,
-                                                                           modes):
-        built = []
-        monkeypatch.setattr(bench, "build_system", lambda *args, **kwargs: built.append(args))
-        with pytest.raises(ConfigInvalidError, match="needs both modes"):
-            run_retrieval_comparison(replace(config, modes=modes, requests=3))
-        assert built == []
+        samples = run_benchmark(replace(flat, requests=5), "retrieve")
+        assert mean_rtt(samples, "cloud", "retrieve") == mean_rtt(samples, "edge", "retrieve") == 0.0
 
 
 class TestEdgeDominance:
@@ -117,9 +108,13 @@ class TestEdgeDominance:
             )
 
 
+def prepare_mean(config, repetitions):
+    return mean_rtt(run_preparation_timing(config, repetitions), "edge", "prepare")
+
+
 class TestPreparation:
     def test_warm_mean_matches_schedule_replay(self, config):
-        timing = run_preparation_timing(config, repetitions=10)
+        samples = run_preparation_timing(config, repetitions=10)
         # replay the control-plane schedule with identical accumulation order
         def one_prep() -> float:
             t = 0.0
@@ -133,9 +128,9 @@ class TestPreparation:
             return t
 
         expected = statistics.fmean([one_prep()] * 10)
-        assert timing.mean_ms == expected
-        assert all(s.rtt_ms == one_prep() for s in timing.samples)
-        assert len(timing.samples) == 10
+        assert mean_rtt(samples, "edge", "prepare") == expected
+        assert all(s.rtt_ms == one_prep() for s in samples)
+        assert len(samples) == 10
 
     def test_free_control_plane_prepares_in_zero_time(self, config):
         topo = config.topology
@@ -150,14 +145,14 @@ class TestPreparation:
                 ],
             ),
         )
-        timing = run_preparation_timing(free, repetitions=3)
-        assert timing.mean_ms == 0.0
+        samples = run_preparation_timing(free, repetitions=3)
+        assert mean_rtt(samples, "edge", "prepare") == 0.0
 
     def test_cold_cache_adds_pull_durations(self, config):
-        warm = run_preparation_timing(config, repetitions=4)
-        cold = run_preparation_timing(replace(config, pre_seeded_cache=False), repetitions=4)
+        warm = prepare_mean(config, repetitions=4)
+        cold = prepare_mean(replace(config, pre_seeded_cache=False), repetitions=4)
         pulls = len(config.functions) * 4000.0  # 400 MB at 100 MB/s each
-        assert cold.mean_ms - warm.mean_ms == pytest.approx(pulls, abs=1e-6)
+        assert cold - warm == pytest.approx(pulls, abs=1e-6)
 
     @pytest.mark.parametrize("variant", ["warm", "cold", "road"])
     def test_preparation_time_equals_the_trace_derived_value(self, config, variant):
@@ -181,11 +176,11 @@ class TestPreparation:
 
     def test_link_accurate_pulls_add_backhaul_delay(self, config):
         cold = replace(config, pre_seeded_cache=False)
-        plain = run_preparation_timing(cold, repetitions=2)
-        accurate = run_preparation_timing(replace(cold, link_accurate_pulls=True), repetitions=2)
+        plain = prepare_mean(cold, repetitions=2)
+        accurate = prepare_mean(replace(cold, link_accurate_pulls=True), repetitions=2)
         per_pull = config.topology.path_delay_ms("edge0", "cloud")
         extra = len(config.functions) * per_pull
-        assert accurate.mean_ms - plain.mean_ms == pytest.approx(extra, abs=1e-9)
+        assert accurate - plain == pytest.approx(extra, abs=1e-9)
 
 
 class TestRoadScenario:

@@ -64,9 +64,8 @@ def test_road_scenario_failures_exit_3(tmp_path, monkeypatch, capsys):
     from edgeslice.bench import RoadReport
     from edgeslice.netsim import LatencySample
 
-    broken = RoadReport()
-    broken.check("synthetic failing assertion", False, "forced")
-    broken.samples = [LatencySample("road-scenario", "edge", "retrieve", 0, 1.0)]
+    broken = RoadReport([("synthetic failing assertion", False, "forced")],
+                        [LatencySample("road-scenario", "edge", "retrieve", 0, 1.0)], None)
     monkeypatch.setattr(cli, "run_road_scenario", lambda seed: broken)
     assert main(["road-scenario", "--out", str(tmp_path / "o")]) == 3
     assert "[FAIL]" in capsys.readouterr().out
@@ -196,6 +195,7 @@ def test_an_absent_flag_keeps_the_scenario_s_value(tmp_path, capsys):
     assert read(tmp_path / "b" / "samples.csv").decode().count(",cloud,create,") == 2
 
 
-def test_bench_retrieve_of_one_mode_prints_no_ratio(tmp_path, capsys):
-    assert main(["bench-retrieve", "--mode", "edge", "--requests", "2", "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("mode", ["cloud", "edge"])
+def test_bench_retrieve_of_one_mode_prints_no_ratio(tmp_path, capsys, mode):
+    assert main(["bench-retrieve", "--mode", mode, "--requests", "2", "--out", str(tmp_path)]) == 0
     assert "ratio" not in capsys.readouterr().out
