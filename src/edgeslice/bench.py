@@ -27,9 +27,8 @@ def derive_seed(seed: int, mode: str, repetition: int = 0) -> int:
     return seed + MODE_SEED_OFFSET[mode] + 7 * repetition
 
 
-def build_system(config: ScenarioConfig, mode: str, seed: int, repetition: int = 0,
-                 trace: str = "control") -> System:
-    return System(config, mode, derive_seed(seed, mode, repetition), trace)
+def build_system(config: ScenarioConfig, mode: str, seed: int, repetition: int = 0) -> System:
+    return System(config, mode, derive_seed(seed, mode, repetition))
 
 
 def run_benchmark(config: ScenarioConfig, operation: str) -> list[LatencySample]:
@@ -52,7 +51,7 @@ def mean_rtt(samples: list[LatencySample], mode: str, operation: str) -> float:
 
 def preparation_time_ms(system: System) -> float:
     """First service-request arrival at an edge to the latest offload import,
-    read from the control-plane milestones that every trace level records."""
+    read from the control-plane milestones of the trace."""
     arrivals = [e["ts"] for e in system.sim.trace if e["kind"] == "service_request_arrival"]
     imports = [e["ts"] for e in system.sim.trace if e["kind"] == "offload_import_complete"]
     if not arrivals or not imports:
@@ -60,7 +59,7 @@ def preparation_time_ms(system: System) -> float:
     return imports[-1] - arrivals[0]
 
 
-def run_preparation_timing(config: ScenarioConfig, repetitions: int = 10) -> list[LatencySample]:
+def run_preparation_timing(config: ScenarioConfig, repetitions: int) -> list[LatencySample]:
     """Service-request arrival to offload-import completion, fresh deployment
     per repetition, with the config's image-cache seeding."""
     if repetitions <= 0:
@@ -119,7 +118,7 @@ def run_road_scenario(seed: "int | None" = None) -> RoadReport:
     """The crosswalk walkthrough; ``seed`` defaults to the road config's."""
     assertions: list[tuple[str, bool, str]] = []
     config = road_config()
-    system = build_system(config, "edge", config.seed if seed is None else seed, trace="full")
+    system = build_system(config, "edge", config.seed if seed is None else seed)
     edge = system.edges[system.edge_for(system.device_id)]
 
     # task C: CitizenB already lives on the edge gateway

@@ -147,19 +147,17 @@ def pull_image(
     cache: WorkerCache,
     image: FunctionImage,
     bandwidth_bytes_per_s: float,
-    *,
-    extra_delay_ms: float = 0.0,
 ) -> float:
     """Simulated pull; returns the virtual duration in milliseconds.
 
-    A cache hit costs nothing; a miss transfers size/bandwidth (plus an
-    optional link propagation term) and caches the image at completion.
+    A cache hit costs nothing; a miss transfers size/bandwidth and caches
+    the image at completion.
     """
     if bandwidth_bytes_per_s <= 0:
         raise BadRequestError("pull bandwidth must be > 0")
     if cache.has(image):
         return 0.0
-    duration_ms = image.size_bytes / bandwidth_bytes_per_s * 1000.0 + extra_delay_ms
+    duration_ms = image.size_bytes / bandwidth_bytes_per_s * 1000.0
     cache.cached.add(image.image_id)
     cache.bytes_transferred += image.size_bytes
     return duration_ms

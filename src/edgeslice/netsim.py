@@ -3,7 +3,7 @@
 A single virtual clock drives every node; messages travel static
 shortest-delay routes and arrive after the sum of per-hop propagation,
 seeded jitter and size/bandwidth transfer terms. Identical (topology, seed)
-always replays the identical event trace.
+always replays the identical events.
 """
 from __future__ import annotations
 
@@ -159,27 +159,15 @@ class Topology:
         return total
 
 
-def is_full_trace(level: str) -> bool:
-    """What a trace level records in ``Simulator.trace`` and ``EdgeWorker.log``:
-    ``control`` the control-plane milestones, worker lifecycle and refused
-    dispatches; ``full`` also every message's send and delivery and every
-    executed dispatch."""
-    if level not in ("control", "full"):
-        raise ConfigInvalidError(f"unknown trace level {level!r}")
-    return level == "full"
-
-
 class Simulator:
     """Virtual clock plus a heap of (fire_at, seq, action); the order is total."""
 
-    def __init__(self, seed: int = 0, trace: str = "control"):
+    def __init__(self, seed: int = 0):
         self.now = 0.0
         self._seed = seed
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
-        self.trace_level = trace
-        self.full_trace = is_full_trace(trace)
-        self.trace: list[dict] = []
+        self.trace: list[dict] = []  # the control-plane milestones ``log`` records
 
     @cached_property
     def rng(self) -> random.Random:
@@ -279,13 +267,8 @@ class Network:
         arrival = self.sim.now
         for link in self.topology.route_links(frm, to):
             arrival += self.hop_latency_ms(link, size_bytes)
-        full = self.sim.full_trace
-        if full:
-            self.sim.log("send", frm=frm, to=to, size=size_bytes, arrival=arrival)
 
         def deliver() -> None:
-            if full:
-                self.sim.log("deliver", frm=frm, to=to, size=size_bytes)
             self._handlers[to](payload, frm)
 
         self.sim.schedule_at(arrival, deliver)

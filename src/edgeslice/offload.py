@@ -172,7 +172,7 @@ class SyncBinding:
     cloud_mirror_root: ResourcePath
     edge_root: ResourcePath
     stats: SyncStats = field(default_factory=SyncStats)
-    last_request_id: str | None = None  # of the last notify taken, the one a stop-and-wait channel can resend
+    last_request_id: str | None = None  # of the last notify taken: the same notify again is a duplicate
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,10 @@ class StatusCode(IntEnum):
     CONFLICT = 4009
 
 
-# members by number, and operation names: dict reads, where ``Operation(n)``
-# and ``.name`` are calls into ``enum``
+# members by number: dict reads, where ``Operation(n)`` is a call into ``enum``
 _OPERATIONS = {op.value: op for op in Operation}
 _STATUSES = {status.value: status for status in StatusCode}
 _KINDS = {kind.value: kind for kind in ResourceKind}
-OPERATION_NAMES = {op: op.name for op in Operation}
 
 
 class Body(Protocol):

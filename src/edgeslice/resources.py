@@ -48,7 +48,7 @@ _ID_HEAD = {kind: prefix + "_" for kind, prefix in ID_PREFIX.items()}
 
 # the members, in declaration order, as module globals: reading one through
 # the class costs over ten times as much, and every create reads several
-_CSE_BASE, _AE, _CONTAINER, _INSTANCE, _SUBSCRIPTION = ResourceKind
+_CSE_BASE, _, _CONTAINER, _INSTANCE, _SUBSCRIPTION = ResourceKind  # no create reads AE
 
 
 _NO_IDS = dict.fromkeys(ResourceKind, 0)  # id counters of a tree with no resources

@@ -57,7 +57,7 @@ _KEYS = {
     "slice": {"service_id": "required str", "functions": "required list of function",
               "latency_class": "latency class", "sync_mode": "sync mode", "start_delay_ms": "float",
               "capacity_bytes": "int", "quota_memory_bytes": "int", "quota_cpu_share": "float"},
-    "catalogue": {"images": "list of str", "pre_seeded": "bool", "link_accurate_pulls": "bool"},
+    "catalogue": {"images": "list of str", "pre_seeded": "bool"},
     "task": {"id": "required str", "root": "required str", "service": "required str"},
     "workload": {"target": "required str", "operations": "list of str", "prepopulate": "int"},
 }
@@ -143,7 +143,6 @@ class ScenarioConfig:
     quota: ResourceQuota = DEFAULT_QUOTA
     catalogue: ImageCatalogue = field(default_factory=default_catalogue)
     pre_seeded_cache: bool = True
-    link_accurate_pulls: bool = False
 
     def __post_init__(self) -> None:
         # a config built by hand or by dataclasses.replace is checked too
@@ -187,6 +186,10 @@ class ScenarioConfig:
         for op in self.operations:
             if op not in ("create", "retrieve"):
                 raise ConfigInvalidError(f"unsupported workload operation {op!r}")
+        for what, listed in (("mode", self.modes), ("workload operation", self.operations)):
+            repeated = [value for i, value in enumerate(listed) if value in listed[:i]]
+            if repeated:
+                raise ConfigInvalidError(f"{what} {repeated[0]!r} is listed more than once")
         if not self.topology.is_connected():
             raise ConfigInvalidError("topology must be connected")
         if len(self.topology.by_role(NodeRole.CLOUD)) != 1:

@@ -257,15 +257,15 @@ class _ServiceNode(_Node):
     serves it, and publishes its tree's changes through one notification
     channel."""
 
-    def __init__(self, system: "System", node_id: str, tree: ResourceTree, **limits):
+    def __init__(self, system: "System", node_id: str, tree: ResourceTree, capacity_bytes: int):
         super().__init__(system, node_id)
         self.worker = EdgeWorker(
             node_id,
             tree,
             clock=system.sim.time,
             processing_ms=system.config.processing_for(node_id),
-            trace=system.sim.trace_level,
-            **limits,
+            capacity_bytes=capacity_bytes,
+            start_delay_ms=system.config.start_delay_ms,
         )
         self.sync_infos: list[EdgeSyncInfo] = []  # the eager bindings this node is the edge of
         me = weakref.ref(self)
@@ -328,7 +328,7 @@ class EdgeNode(_ServiceNode):
     def __init__(self, system: "System", node_id: str):
         config = system.config
         super().__init__(system, node_id, ResourceTree("MN-CSE", system.sim.time),
-                         capacity_bytes=config.capacity_bytes, start_delay_ms=config.start_delay_ms)
+                         capacity_bytes=config.capacity_bytes)
         if config.pre_seeded_cache:
             self.worker.cache.seed(config.catalogue)
         self.channel.pause()  # resumes once the notification function runs
@@ -385,8 +385,6 @@ class EdgeNode(_ServiceNode):
         body = read_body(req.content, InstantiateBody)
         ctx, slice_id = body.ctx, body.plan.target_slice
         bandwidth = self.network.bottleneck_bandwidth(self.node_id, self.cloud_id)
-        accurate = self.config.link_accurate_pulls
-        extra = self.network.topology.path_delay_ms(self.node_id, self.cloud_id) if accurate else 0.0
         started: dict[FunctionKind, int] = {}
         fresh_starts: list[FunctionKind] = []
         for image in body.images:
@@ -395,7 +393,7 @@ class EdgeNode(_ServiceNode):
                 # already hosted (stale handler view); never start twice
                 started[function] = self.worker.functions[function].port
                 continue
-            yield pull_image(self.worker.cache, image, bandwidth, extra_delay_ms=extra)
+            yield pull_image(self.worker.cache, image, bandwidth)
             try:
                 instance = yield from self._start_function(image, body.quota)
             except EdgeSliceError as exc:  # refused by ``begin_start``, before any wait
@@ -660,12 +658,12 @@ class System:
     points back up to it: a dropped deployment is freed at once.
     """
 
-    def __init__(self, config: ScenarioConfig, mode: str, seed: int, trace: str = "control"):
+    def __init__(self, config: ScenarioConfig, mode: str, seed: int):
         if mode not in ("cloud", "edge"):
             raise ConfigInvalidError(f"unknown mode {mode!r}")
         self.config = config
         self.mode = mode
-        self.sim = Simulator(seed, trace)
+        self.sim = Simulator(seed)
         self.network = Network(self.sim, config.topology)
         self.cloud_id = config.topology.by_role(NodeRole.CLOUD)[0]  # the one cloud validate allows
         self._control_ids = count(1)

@@ -23,9 +23,7 @@ from .errors import (
     WorkerQuotaExceededError,
 )
 from .images import FunctionImage, WorkerCache
-from .netsim import is_full_trace
 from .primitives import (
-    OPERATION_NAMES,
     Operation,
     RequestPrimitive,
     ResponsePrimitive,
@@ -84,7 +82,7 @@ class EdgeWorker:
     ``processing_ms`` maps data-plane operations to the virtual time the
     serving function consumes; the caller schedules the response that far
     in the future. ``log`` holds lifecycle transitions and refused
-    dispatches; at ``trace="full"`` also every executed dispatch.
+    dispatches.
     """
 
     def __init__(
@@ -93,10 +91,9 @@ class EdgeWorker:
         tree: ResourceTree,
         *,
         capacity_bytes: int,
-        start_delay_ms: float = 250.0,
+        start_delay_ms: float,
         clock: Callable[[], float] | None = None,
         processing_ms: dict[Operation, float] | None = None,
-        trace: str = "control",
     ):
         self.node_id = node_id
         self.tree = tree
@@ -107,7 +104,6 @@ class EdgeWorker:
         self.cache = WorkerCache(worker=node_id)
         self.functions: dict[FunctionKind, FunctionInstance] = {}
         self.log: list[dict] = []
-        self._log_executed = is_full_trace(trace)
 
     def _log(self, action: str, **fields) -> None:
         self.log.append({"ts": self._clock(), "action": action, **fields})
@@ -228,9 +224,6 @@ class EdgeWorker:
         except EdgeSliceError as exc:
             response = error_response(req.request_id, exc)
         events = self.tree.drain_events()
-        if self._log_executed:
-            self._log("dispatch", op=OPERATION_NAMES[req.operation], function=FUNCTION_NAMES[function],
-                      status=int(response.status), to=req.to)
         return response, events, self.processing_ms.get(req.operation, 0.0)
 
     def _execute(self, req: RequestPrimitive) -> ResponsePrimitive:

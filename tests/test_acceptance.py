@@ -42,6 +42,7 @@ from util import (
     check_tree_invariants,
     replicated_state,
     structural_shape,
+    tap,
 )
 from wire_samples import wire_bytes
 
@@ -298,27 +299,24 @@ def test_criterion_08_analytic_rtt_oracle():
             rng = random.Random(800 + trial)
             config = _random_jitterless_config(rng)
             for mode in ("cloud", "edge"):
-                # the oracle reads each request's send, which only ``full`` records
-                system = build_system(config, mode, trial, trace="full")
+                system = build_system(config, mode, trial)
                 system.prepare()
                 device = system.device_id
                 server = system.data_server(device)
-                mark = len(system.sim.trace)
+                # the oracle reads each request's send: its time and its sender
+                sent = tap(system.network, "send", lambda args, arrival: (system.sim.now, args[0]))
+                mark = 0
                 for operation, op in (("create", Operation.CREATE), ("retrieve", Operation.RETRIEVE)):
                     samples = system.run_workload(operation, 3)
-                    sends = [
-                        e
-                        for e in system.sim.trace[mark:]
-                        if e["kind"] == "send" and e["frm"] == device
-                    ]
+                    sends = [ts for ts, frm in sent[mark:] if frm == device]
                     assert len(sends) >= len(samples)
-                    for sample, send in zip(samples, sends[-len(samples):]):
-                        expected = _replay_rtt(system, device, server, op, send["ts"])
+                    for sample, send_ts in zip(samples, sends[-len(samples):]):
+                        expected = _replay_rtt(system, device, server, op, send_ts)
                         assert sample.rtt_ms == expected, (
                             f"trial {trial} {mode} {operation}: "
                             f"{sample.rtt_ms!r} != {expected!r}"
                         )
-                    mark = len(system.sim.trace)
+                    mark = len(sent)
 
 
 def test_criterion_09_resource_model_invariants():

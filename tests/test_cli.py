@@ -129,6 +129,26 @@ def test_a_misspelt_scenario_key_is_a_config_error(tmp_path, capsys):
     assert "scenario.sede" in capsys.readouterr().err
 
 
+def test_the_removed_pull_delay_key_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace("tasks:", "catalogue: {link_accurate_pulls: true}\ntasks:"))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key catalogue.link_accurate_pulls" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("before, after, named", [
+    ("requests: 5}", "requests: 5, modes: [edge, cloud, edge]}", "mode 'edge'"),
+    ("values\n", "values\n  operations: [create, retrieve, create]\n", "workload operation 'create'"),
+], ids=["mode", "operation"])
+def test_a_mode_or_operation_listed_twice_is_a_config_error(tmp_path, capsys, before, after, named):
+    assert MINIMAL.count(before) == 1
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace(before, after))
+    assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert f"{named} is listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("capacity, error", [
     ("0", "error: capacity_bytes must be positive"),
     ("300000000", "error: service preparation failed: 4000 'edge0' cannot reserve 256000000 more bytes"),

@@ -258,7 +258,7 @@ def _dispatched(op: Operation):
     def read(data: bytes) -> None:
         tree = ResourceTree("MN-CSE")
         box = tree.create(ResourcePath("MN-CSE"), ResourceKind.CONTAINER, "box")
-        worker = EdgeWorker("edge0", tree, capacity_bytes=1)
+        worker = EdgeWorker("edge0", tree, capacity_bytes=1, start_delay_ms=0.0)
         worker.functions = {fn: FunctionInstance(fn, port_for(fn), InstanceState.RUNNING, ResourceQuota(1, 1.0))
                             for fn in FunctionKind}
         response, _, _ = worker.dispatch(RequestPrimitive(op, str(box), "dev0", "r1", kind, data))

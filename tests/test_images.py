@@ -100,12 +100,6 @@ def test_transfer_conservation_and_monotonic_cache():
     assert cache.bytes_transferred == seen_sizes
 
 
-def test_link_accurate_pull_adds_propagation():
-    cache = WorkerCache("edge0")
-    image = FunctionImage("img", FunctionKind.RETRIEVE, "1.0.0", 100 * MB)
-    assert pull_image(cache, image, 100 * MB, extra_delay_ms=1.2) == 1001.2
-
-
 @pytest.mark.parametrize("versions", [
     ["1.10.0", "1.2.0", "1.0.0"],
     ["1.2.0", "1.10.0", "1.10"],

@@ -202,6 +202,15 @@ def test_configs_changed_with_replace_are_validated(change):
         replace(reference_calibrated(), **change)
 
 
+@pytest.mark.parametrize("change, named", [
+    ({"modes": ["edge", "cloud", "edge"]}, "mode 'edge'"),
+    ({"operations": ["create", "create"]}, "workload operation 'create'"),
+], ids=["mode", "operation"])
+def test_a_mode_or_operation_listed_twice_is_refused_by_name(change, named):
+    with pytest.raises(ConfigInvalidError, match=f"{named} is listed more than once"):
+        replace(reference_calibrated(), **change)
+
+
 # a section of the wrong YAML type: (the section's line in MINIMAL, its replacement)
 WRONG_TYPES = {
     "scenario-list": ("scenario: {name: tiny, seed: 1, requests: 5}", "scenario: [1]"),
@@ -227,7 +236,6 @@ WRONG_SCALARS = {
     "service-id-list": ("service_id: svc", "service_id: [svc]"),
     "function-number": ("functions: [retrieve, data_management]", "functions: [5]"),
     "pre-seeded-string": ("tasks:", "catalogue: {pre_seeded: \"no\"}\ntasks:"),
-    "link-accurate-pulls-number": ("tasks:", "catalogue: {link_accurate_pulls: 1}\ntasks:"),
 }
 
 

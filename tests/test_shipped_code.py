@@ -1,12 +1,13 @@
 """The package ships only what runs.
 
-Every function, method and class defined in ``src/edgeslice`` must be
-referenced from a program path: another place in the package, the
+Every function, method and class defined in ``src/edgeslice``, and every
+name a module of it assigns at module level, must be referenced from a
+program path: another place in the package, the
 benchmark harness (``perfbench/``), a demo (``demos/``) or the console
 script in ``pyproject.toml``. Its own definition, the re-exports in
 ``edgeslice/__init__.py`` and the tests do not count, so code that only
 tests call fails here. Dunder methods are called by the language itself
-and are exempt.
+and are exempt, and so is ``_``, the name of a value an unpacking skips.
 
 References are read from the syntax tree: names, attribute names, imported
 names and the identifier-like words of string constants (the benchmark
@@ -71,14 +72,19 @@ def _words(node: ast.AST, skip: set[int]) -> Counter:
     return words
 
 
-def _definitions(tree: ast.Module) -> list[ast.AST]:
-    """Module-level functions and classes, and the methods of those classes."""
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Module-level functions, classes and assigned names, and the methods of
+    those classes: each name with the node that defines it."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found.append(node)
+            found.append((node.name, node))
         if isinstance(node, ast.ClassDef):
-            found.extend(n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            found.extend((n.name, n) for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((name.id, node) for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
     return found
 
 
@@ -93,9 +99,8 @@ def _unreferenced() -> list[str]:
     unreferenced = []
     for path, tree in parsed.items():
         docstrings = _docstrings(tree)
-        for definition in _definitions(tree):
-            name = definition.name
-            if name.startswith("__") and name.endswith("__"):
+        for name, definition in _definitions(tree):
+            if name == "_" or name.startswith("__") and name.endswith("__"):
                 continue
             # the definition's own body does not count
             if referenced[name] - _words(definition, docstrings)[name] <= 0:

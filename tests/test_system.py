@@ -39,7 +39,7 @@ from edgeslice.worker import ResourceQuota
 from dataclasses import replace
 
 import bundle_oracle
-from util import populate_cloud_tree, trees_equal
+from util import populate_cloud_tree, tap, trees_equal
 from wire_samples import CAMPUS
 
 # before the wire check of conftest.py wraps it for each test
@@ -513,9 +513,11 @@ class TestEdgeAuthorityOverTheWire:
         assert mirrored.content == b"x"
 
     def test_event_log_shows_no_foreign_mirror_mutations(self, config):
-        """Replay the cloud service log: while the binding is open, no
-        mutating dispatch inside the mirror subtree may have succeeded."""
-        system = build_system(config, "edge", 42, trace="full")  # logs every dispatch
+        """Replay the cloud service's dispatches: while the binding is open,
+        no mutating dispatch inside the mirror subtree may have succeeded."""
+        system = build_system(config, "edge", 42)
+        # every dispatch of the cloud service: its request and its response
+        dispatched = tap(system.cloud.service, "dispatch", lambda args, result: (args[0], result[0]))
         system.prepare()
         device = system.devices[system.device_id]
         system.run_workload("create", 5)  # edge-side activity, synced eagerly
@@ -537,18 +539,17 @@ class TestEdgeAuthorityOverTheWire:
         system.run_until_idle()
         mutating = {"CREATE", "UPDATE", "DELETE"}
         foreign = [
-            (entry["op"], entry["status"])
-            for entry in system.cloud.service.log
-            if entry["action"] == "dispatch" and entry["to"] == "IN-CSE/Pedestrians/CitizenB/location"
+            (req.operation.name, resp.status)
+            for req, resp in dispatched
+            if req.to == "IN-CSE/Pedestrians/CitizenB/location"
         ]
         assert foreign == [("CREATE", 4009), ("CREATE", 4009)]  # the oracle sees both writes
         offending = [
-            entry
-            for entry in system.cloud.service.log
-            if entry["action"] == "dispatch"
-            and entry["op"] in mutating
-            and entry["status"] in (2000, 2001)
-            and entry.get("to", "").startswith("IN-CSE/Pedestrians/CitizenB")
+            (req, resp)
+            for req, resp in dispatched
+            if req.operation.name in mutating
+            and resp.status in (2000, 2001)
+            and req.to.startswith("IN-CSE/Pedestrians/CitizenB")
         ]
         assert offending == []
         # while the sync engine itself did advance the mirror

@@ -1,15 +1,14 @@
-"""Trace levels over the length of a run.
+"""The simulator trace and the worker logs over the length of a run.
 
-At the default level, ``control``, the simulator trace and every worker log
-hold the control-plane milestones and the worker lifecycle only, so their
-lengths do not grow with the number of data-plane requests: they are the
-same after N and after 10N requests. At ``full`` they grow by exactly two
-trace entries per message (its send and its delivery) and one log entry per
-executed dispatch, counted here apart from the trace itself.
+The simulator trace holds the control-plane milestones and every worker log
+the worker lifecycle and refused dispatches, so their lengths do not grow
+with the number of data-plane requests: they are the same after N and after
+10N requests, while the messages sent and the dispatches executed, counted
+here at their source, grow with the run.
 """
 import pytest
 
-from edgeslice.bench import build_system
+from edgeslice.bench import build_system, road_config, run_road_scenario
 from edgeslice.netsim import Network
 from edgeslice.primitives import StatusCode
 from edgeslice.scenario import reference_calibrated
@@ -56,24 +55,16 @@ def test_the_control_trace_is_flat_in_the_run_length(mode, operation, counts):
     assert lengths(system) == after_n
 
 
-@pytest.mark.parametrize("mode,operation", RUNS)
-def test_the_full_trace_grows_by_two_per_message_and_one_per_dispatch(mode, operation, counts):
-    system = build_system(reference_calibrated(), mode, 3, trace="full")
-    system.prepare()
-    system.run_workload(operation, N)
-    (trace, logs), before = lengths(system), dict(counts)
-    system.run_workload(operation, 9 * N, record_as="later")  # new names for its creates
-    grown_trace, grown_logs = lengths(system)
-    messages = counts["messages"] - before["messages"]
-    assert messages >= 2 * 9 * N
-    assert grown_trace - trace == 2 * messages
-    assert sum(grown_logs) - sum(logs) == counts["executed"] - before["executed"] >= 9 * N
-
-
 def test_a_control_trace_keeps_the_preparation_milestones():
     config = reference_calibrated()
     system = build_system(config, "edge", 3)
     system.prepare()
     kinds = [entry["kind"] for entry in system.sim.trace]
     assert kinds == (["service_request_arrival"] + ["offload_import_complete"] * len(config.tasks)
+                     + ["service_ready"])
+
+
+def test_the_road_scenario_s_trace_holds_only_its_control_milestones():
+    kinds = [entry["kind"] for entry in run_road_scenario(42).system.sim.trace]
+    assert kinds == (["service_request_arrival"] + ["offload_import_complete"] * len(road_config().tasks)
                      + ["service_ready"])

@@ -84,9 +84,9 @@ CALLS_PER_RECORD = 0
 
 #: calls per eager edge create, from the device's request to the reply to
 #: the edge's notify, and calls into ``enum`` besides, which tables of
-#: members by number and of names by member keep at none. At the default
-#: trace level a create's four messages and its dispatch make no
-#: ``Simulator.log`` or ``EdgeWorker._log`` call. The event heap holds
+#: members by number and of names by member keep at none. A create's four
+#: messages and its dispatch make no ``Simulator.log`` or ``EdgeWorker._log``
+#: call. The event heap holds
 #: ``(fire_at, seq, action)`` tuples, with no event object to build. The
 #: request stream is one simulator process, and so is each run of queued
 #: notifies, with no closure made per request or per notify; a generator's

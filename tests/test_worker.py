@@ -1,4 +1,5 @@
 import base64
+from operator import itemgetter
 
 import pytest
 
@@ -23,14 +24,14 @@ from edgeslice.resources import ResourceKind
 from edgeslice.slicing import FunctionKind, port_for
 from edgeslice.worker import EdgeWorker, InstanceState, ResourceQuota
 
-from util import build_demo_tree
+from util import build_demo_tree, tap
 
 MB = 1_000_000
 QUOTA = ResourceQuota(max_memory_bytes=100 * MB, max_cpu_share=0.2)
 CATALOGUE = default_catalogue()
 
 
-def make_worker(functions=(), capacity=4000 * MB, trace="control"):
+def make_worker(functions=(), capacity=4000 * MB):
     sim = Simulator()
     tree = build_demo_tree("MN-CSE", sim)
     worker = EdgeWorker(
@@ -40,7 +41,6 @@ def make_worker(functions=(), capacity=4000 * MB, trace="control"):
         start_delay_ms=250.0,
         clock=sim.time,
         processing_ms={Operation.CREATE: 4.0, Operation.RETRIEVE: 2.0},
-        trace=trace,
     )
     worker.cache.seed(CATALOGUE)
     for fn in functions:
@@ -335,7 +335,12 @@ def replay_gating_completeness(log):
 class TestInvariantReplay:
     def test_gating_completeness_under_random_lifecycle(self):
         rng = __import__("random").Random(17)
-        worker, sim = make_worker(trace="full")  # logs every dispatch, not only refusals
+        worker, sim = make_worker()
+        # every dispatch, executed or refused, as a log entry at its virtual time
+        dispatched = tap(worker, "dispatch", lambda args, result: {
+            "ts": sim.now, "action": "dispatch", "function": worker.required_function(args[0]).name,
+            "status": "gated" if result[0].status is StatusCode.FUNCTION_NOT_ENABLED else int(result[0].status),
+        })
         functions = [FunctionKind.RETRIEVE, FunctionKind.DATA_MANAGEMENT]
         dispatches = 0
         for step in range(300):
@@ -370,10 +375,11 @@ class TestInvariantReplay:
                         rqi=f"c{step}",
                     )
                 )
-        logged = [entry for entry in worker.log if entry["action"] == "dispatch"]
-        assert len(logged) == dispatches
-        assert {entry["status"] for entry in logged} > {"gated"}  # executed ones too
-        replay_gating_completeness(worker.log)
+        assert len(dispatched) == dispatches
+        assert {entry["status"] for entry in dispatched} > {"gated"}  # executed ones too
+        # every step moves the clock first, so time orders the dispatches among the lifecycle
+        lifecycle = [entry for entry in worker.log if entry["action"] != "dispatch"]
+        replay_gating_completeness(sorted(lifecycle + dispatched, key=itemgetter("ts")))
 
     def test_quota_conservation_at_every_event(self):
         rng = __import__("random").Random(23)

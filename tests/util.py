@@ -28,6 +28,23 @@ CALIBRATED_YAML = str(resources.files("edgeslice.data").joinpath("reference_cali
 NAME_POOL = [f"n{i}" for i in range(40)] + ["alpha", "beta", "gamma"]
 
 
+def tap(owner, method: str, entry) -> list:
+    """Wrap ``owner``'s ``method`` (such as a system's ``network.send`` or a
+    worker's ``dispatch``) on that object alone, so that each call also
+    appends ``entry(args, result)`` to the list returned, in call order.
+    ``args`` are the call's positional arguments; the call is unchanged."""
+    taken = []
+    call = getattr(owner, method)
+
+    def tapped(*args):
+        result = call(*args)
+        taken.append(entry(args, result))
+        return result
+
+    setattr(owner, method, tapped)
+    return taken
+
+
 def serialized_but_seq(tree: ResourceTree) -> str:
     """``tree.serialize()`` without the event sequence in its header: what
     the tree holds, whichever route put it there, since ``graft`` queues an
