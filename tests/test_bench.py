@@ -154,6 +154,17 @@ class TestPreparation:
         pulls = len(config.functions) * 4000.0  # 400 MB at 100 MB/s each
         assert cold - warm == pytest.approx(pulls, abs=1e-6)
 
+    def test_a_cold_pull_takes_no_backhaul_propagation(self, config):
+        topo = config.topology
+        slow = replace(config, topology=type(topo)(
+            list(topo.nodes.values()),
+            [replace(link, delay_ms=link.delay_ms + 50.0) for link in topo.links.values()],
+        ))
+        warm = prepare_mean(slow, repetitions=2)
+        cold = prepare_mean(replace(slow, pre_seeded_cache=False), repetitions=2)
+        assert warm > prepare_mean(config, repetitions=2)  # control messages do pay it
+        assert cold - warm == pytest.approx(len(config.functions) * 4000.0, abs=1e-6)
+
     @pytest.mark.parametrize("variant", ["warm", "cold", "road"])
     def test_preparation_time_equals_the_trace_derived_value(self, config, variant):
         config = {

@@ -390,3 +390,13 @@ class TestNetworkDelivery:
         net.send("dev0", "cloud", b"x", 0)
         sim.run_until_idle()
         assert delivered == [b"x"] and sim.trace == []
+
+    def test_the_handler_is_looked_up_at_delivery(self):
+        sim = Simulator()
+        net = Network(sim, chain_topology())
+        net.attach("cloud", lambda payload, frm: pytest.fail("a replaced handler was called"))
+        arrival = net.send("dev0", "cloud", b"x", 0)
+        delivered = []
+        net.attach("cloud", lambda payload, frm: delivered.append((payload, frm, sim.now)))
+        sim.run_until_idle()
+        assert delivered == [(b"x", "dev0", arrival)] and arrival == 16.0

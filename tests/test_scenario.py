@@ -236,6 +236,7 @@ WRONG_SCALARS = {
     "service-id-list": ("service_id: svc", "service_id: [svc]"),
     "function-number": ("functions: [retrieve, data_management]", "functions: [5]"),
     "pre-seeded-string": ("tasks:", "catalogue: {pre_seeded: \"no\"}\ntasks:"),
+    "pre-seeded-number": ("tasks:", "catalogue: {pre_seeded: 1}\ntasks:"),
 }
 
 
@@ -716,6 +717,12 @@ def test_every_key_accepts_its_type_and_refuses_others_by_path(name, path, kind,
             assert _right_type(kind, value) or _path_text(path) in str(exc), str(exc)
         else:
             assert _right_type(kind, value), f"{_path_text(path)} accepted {value!r}"
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_the_removed_pull_delay_key_is_refused_by_name(name):
+    with pytest.raises(ConfigInvalidError, match=r"^unknown key catalogue\.link_accurate_pulls$"):
+        _parse(_with(PARSED[name], ("catalogue", "link_accurate_pulls"), True))
 
 
 @pytest.mark.parametrize("name, path, kind", MAPPING_SITES,

@@ -13,6 +13,7 @@ from edgeslice.netsim import Network
 from edgeslice.primitives import StatusCode
 from edgeslice.scenario import reference_calibrated
 from edgeslice.worker import EdgeWorker
+from util import tap
 
 N = 5
 RUNS = [(mode, operation) for mode in ("cloud", "edge") for operation in ("create", "retrieve")]
@@ -53,6 +54,20 @@ def test_the_control_trace_is_flat_in_the_run_length(mode, operation, counts):
     system.run_workload(operation, 9 * N, record_as="later")  # new names for its creates
     assert counts["messages"] > 10 * N and counts["executed"] >= 10 * N
     assert lengths(system) == after_n
+
+
+@pytest.mark.parametrize("mode,operation", RUNS)
+def test_the_taps_see_every_message_and_every_dispatch(mode, operation, counts):
+    """The taps that message- and dispatch-level tests read, set on one
+    system's network and workers, miss nothing counted at the source."""
+    system = build_system(reference_calibrated(), mode, 3)
+    sent = tap(system.network, "send", lambda args, arrival: arrival)
+    workers = [system.cloud.service] + [edge.worker for edge in system.edges.values()]
+    dispatched = [tap(worker, "dispatch", lambda args, result: result[0].status) for worker in workers]
+    system.prepare()
+    system.run_workload(operation, N)
+    assert len(sent) == counts["messages"] >= 2 * N  # each request and its reply, at least
+    assert sum(map(len, dispatched)) == counts["executed"] >= N
 
 
 def test_a_control_trace_keeps_the_preparation_milestones():
