@@ -54,13 +54,12 @@ def _version_key(version: str) -> tuple:
 
 
 class ImageCatalogue:
-    """Images by id, at most one per (function, version), and the latest
-    image per function by semantic version. The latest is kept in ``add``
-    (on a tie, the earlier image), so a lookup parses no version string."""
+    """Images, at most one per (function, version), and the latest image per
+    function by semantic version. The latest is kept in ``add`` (on a tie,
+    the earlier image), so a lookup parses no version string."""
 
     def __init__(self, images: "list[FunctionImage] | None" = None):
-        self._images: set[tuple[FunctionKind, str]] = set()  # refuses a second image per key
-        self._by_id: dict[str, FunctionImage] = {}
+        self._images: dict[tuple[FunctionKind, str], FunctionImage] = {}  # refuses a second image per key
         self._latest: dict[FunctionKind, FunctionImage] = {}
         for image in images or []:
             self.add(image)
@@ -71,20 +70,13 @@ class ImageCatalogue:
             raise BadRequestError(
                 f"duplicate catalogue entry for {image.function.name}/{image.version}"
             )
-        self._images.add(key)
-        self._by_id[image.image_id] = image
+        self._images[key] = image
         latest = self._latest.get(image.function)
         if latest is None or _version_key(image.version) > _version_key(latest.version):
             self._latest[image.function] = image
 
     def __len__(self) -> int:
         return len(self._images)
-
-    def by_id(self, image_id: str) -> FunctionImage:
-        try:
-            return self._by_id[image_id]
-        except KeyError:
-            raise ImageNotFoundError(f"no image with id {image_id!r}") from None
 
     def lookup(self, function: FunctionKind) -> FunctionImage:
         """The latest image of ``function``."""
@@ -138,7 +130,7 @@ class WorkerCache:
 
     def seed(self, images: "Iterable[FunctionImage] | ImageCatalogue") -> None:
         if isinstance(images, ImageCatalogue):
-            images = list(images._by_id.values())
+            images = list(images._images.values())
         for image in images:
             self.cached.add(image.image_id)
 

@@ -134,9 +134,9 @@ class OffloadBundle:
         return cls.decode(decode_ascii(data))
 
 
-# a bundle transfer's head: the preparation it serves, the task, its sync mode
-# and, for an eager binding, the mirror's root and the cloud
-BundleHead = line_body("BundleHead", "ctx? task mode mirror? cloud?")
+# a bundle transfer's head: the preparation it serves and the binding's sync
+# mode; the task and the mirror's root are the bundle's, the cloud the edge's own
+BundleHead = line_body("BundleHead", "ctx? mode")
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,16 @@ class SliceOrchestrator:
 
     # --- decisions ---
 
-    def select_edge_node(self, device: str) -> str:
-        """Closest edge by one-way delay; ties by load, then node id."""
+    def _covers(self, edge: str, required: "frozenset[FunctionKind]") -> bool:
+        """Whether ``edge``'s slice is active and the handler view counts
+        ``required`` running there."""
+        instance = self.registry.get(self.slice_id_for(edge))
+        return (instance is not None and instance.state is SliceState.ACTIVE
+                and required <= self._matcher_view.get(edge, set()))
+
+    def select_edge_node(self, device: str, required: "frozenset[FunctionKind]") -> str:
+        """Closest edge by one-way delay; ties first to an edge whose active
+        slice covers ``required``, then by load, then by node id."""
         candidates = []
         for edge in self.topology.by_role(NodeRole.EDGE_WORKER):
             try:
@@ -65,31 +73,22 @@ class SliceOrchestrator:
                 for inst in self.registry.values()
                 if inst.edge_node == edge and inst.state is SliceState.ACTIVE
             )
-            candidates.append((delay, load, edge))
+            candidates.append((delay, not self._covers(edge, required), load, edge))
         if not candidates:
             raise NoEdgeAvailableError(f"no edge worker reachable from {device!r}")
-        return min(candidates)[2]
+        return min(candidates)[-1]
 
     def handle_service_request(self, device: str, profile: SliceProfile) -> SlicingPlan:
         """Pure decision for ``device``'s request of ``profile``: fast path
         iff the selected edge already covers the profile with an active slice."""
-        edge = self.select_edge_node(device)
-        slice_id = self.slice_id_for(edge)
-        instance = self.registry.get(slice_id)
-        view = self._matcher_view.get(edge, set())
         required = profile.required_functions
-        if (
-            instance is not None
-            and instance.state is SliceState.ACTIVE
-            and required <= view
-        ):
+        edge = self.select_edge_node(device, required)
+        slice_id = self.slice_id_for(edge)
+        if self._covers(edge, required):
             plan = SlicingPlan(PlanDecision.FAST_PATH_OFFLOAD_ONLY, slice_id, frozenset())
         else:
-            plan = SlicingPlan(
-                PlanDecision.INSTANTIATE_THEN_OFFLOAD,
-                slice_id,
-                frozenset(required - view),
-            )
+            missing = required - self._matcher_view.get(edge, set())
+            plan = SlicingPlan(PlanDecision.INSTANTIATE_THEN_OFFLOAD, slice_id, frozenset(missing))
         self.decision_log.append(
             {
                 "ts": self._clock(),

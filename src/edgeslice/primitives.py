@@ -50,11 +50,9 @@ class Operation(IntEnum):
     SLICE_RECORD = 12
     SLICE_TERMINATE = 13
     # worker admin
-    START_FUNCTION = 20
     STOP_FUNCTION = 21
     CRASH = 22
     # offload / sync control
-    OFFLOAD_REQUEST = 30
     BUNDLE_TRANSFER = 31
     SYNC_FINALIZE = 32
 

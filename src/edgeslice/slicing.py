@@ -83,7 +83,6 @@ class PlanDecision(Enum):
 
 VALUES = {m: m.value for kind in (LatencyClass, PlanDecision) for m in kind}
 LATENCY_CLASS_BY_VALUE = _ByName("latency class", {m.value: m for m in LatencyClass})
-_DECISIONS = _ByName("plan decision", {m.value: m for m in PlanDecision})
 
 
 @dataclass(frozen=True)
@@ -113,28 +112,11 @@ class SliceProfile:
 
 @dataclass(frozen=True)
 class SlicingPlan:
-    """Outcome of matching a service request against the running slices;
-    on the wire one line of ``_KEYS``."""
+    """Outcome of matching a service request against the running slices."""
 
     decision: PlanDecision
     target_slice: str
-    missing_functions: frozenset[FunctionKind]
-    _KEYS = ("dec", "slc", "mf")
-
-    def __post_init__(self):
-        fast = self.decision is PlanDecision.FAST_PATH_OFFLOAD_ONLY
-        if fast != (not self.missing_functions):
-            raise BadRequestError("fast path plans must have no missing functions")
-
-    def to_bytes(self) -> bytes:
-        names = ",".join(map(_LOWER_NAMES.__getitem__, ordered(self.missing_functions)))
-        return encode_body(zip(self._KEYS, (VALUES[self.decision], self.target_slice, names)))
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SlicingPlan":
-        decision, target_slice, names = read_line(data, cls._KEYS, cls._KEYS)
-        return cls(_DECISIONS[decision], target_slice,
-                   frozenset(function_from_name(n) for n in names.split(",") if n))
+    missing_functions: frozenset[FunctionKind]  # empty on the fast path
 
 
 @dataclass

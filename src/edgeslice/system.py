@@ -12,9 +12,9 @@ something reads them, and a node decodes a payload that arrives as bytes.
 The edge and the cloud are one kind of service node: each serves data through
 its gated worker and publishes its tree's changes through one notification
 channel. The cloud, whose worker runs every function from time 0, also hosts
-the orchestrator and the offload coordinator; an edge starts the functions
-the cloud asks for and hosts offloaded tasks. Devices issue requests and
-record round trips.
+the orchestrator and the offload coordinator; an edge starts only the
+functions a preparation instantiates and hosts only the tasks it offloads.
+Devices issue requests and record round trips.
 
 Control-plane message sequence for one service request (steps as logged),
 which on the cloud is one process, ``CloudNode._prepare``:
@@ -25,6 +25,14 @@ which on the cloud is one process, ``CloudNode._prepare``:
     edge   --12--> cloud (newly started functions; recorded for fast path)
     cloud  --31--> edge (one bundle per task; edge imports, binds sync)
     cloud  --> device (ready)
+
+A slice ends in ``CloudNode._handle_terminate`` (13): one sync finalize (32)
+per binding, then one function stop (21) per running function. A crash (22),
+the one function fault, respawns a function the edge already runs. No other
+request starts a function or offloads a task. A control body carries only
+what its receiver lacks: an instantiation names its slice, not the plan, and
+a bundle transfer's head names its preparation and sync mode, since the task
+and the mirror's root are the bundle's and the cloud is the edge's own.
 
 Control messages travel with size 0 (their transfer time is not modeled);
 data-plane messages carry the configured payload size, whatever their form.
@@ -83,7 +91,7 @@ from .primitives import (
 from .resources import ResourceKind, ResourcePath, ResourceTree
 from .scenario import ScenarioConfig
 from .slicing import (FUNCTION_BY_NAME, FUNCTION_NAMES, FunctionKind, PlanDecision, SliceProfile,
-                      SliceState, SlicingPlan, ordered, port_for)
+                      SliceState, ordered, port_for)
 from .worker import EdgeWorker, FunctionInstance, InstanceState, ResourceQuota
 
 DATA_OPS = (
@@ -293,33 +301,28 @@ class _ServiceNode(_Node):
 # --- the bodies of the requests an edge serves, and of its answers ---
 
 class InstantiateBody(NamedTuple):
-    """SLICE_INSTANTIATE: the plan, the preparation it serves, the quota to
-    start at and the image of each function to start. On the wire, the
-    plan's line, a line of ``_Meta`` and one line per image."""
+    """SLICE_INSTANTIATE: the preparation it serves, the slice to start the
+    functions in, the quota to start them at and the image of each. On the
+    wire, a line of ``_Meta`` and one line per image."""
 
-    plan: SlicingPlan
     ctx: str
+    slice_id: str
     quota: ResourceQuota
     images: tuple[FunctionImage, ...]
 
     def to_bytes(self) -> bytes:
-        meta = _Meta(self.ctx, self.quota.max_memory_bytes, self.quota.max_cpu_share)
-        return b"\n".join([self.plan.to_bytes(), meta.to_bytes(), *[image.to_bytes() for image in self.images]])
+        meta = _Meta(self.ctx, self.slice_id, self.quota.max_memory_bytes, self.quota.max_cpu_share)
+        return b"\n".join([meta.to_bytes(), *[image.to_bytes() for image in self.images]])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "InstantiateBody":
-        plan, *lines = data.split(b"\n")
-        if not lines:
-            raise BadRequestError("an instantiate body is a plan line, a meta line and image lines")
-        meta = _Meta.from_bytes(lines[0])
-        return cls(SlicingPlan.from_bytes(plan), meta.ctx, ResourceQuota(meta.mem, meta.cpu),
-                   tuple(map(FunctionImage.from_bytes, lines[1:])))
+        head, *images = data.split(b"\n")
+        meta = _Meta.from_bytes(head)
+        return cls(meta.ctx, meta.slc, ResourceQuota(meta.mem, meta.cpu), tuple(map(FunctionImage.from_bytes, images)))
 
 
-_Meta = line_body("_Meta", "ctx mem:int cpu:float")  # an InstantiateBody's second line
+_Meta = line_body("_Meta", "ctx slc mem:int cpu:float")  # an InstantiateBody's first line
 TaskRoot = line_body("TaskRoot", "task root")  # SYNC_FINALIZE's, and the answer to a BUNDLE_TRANSFER
-StartBody = line_body("StartBody", "img mem:int cpu:float")  # START_FUNCTION's
-PortBody = line_body("PortBody", "port:int")  # the answer to a START_FUNCTION
 FunctionBody = line_body("FunctionBody", "fn")  # STOP_FUNCTION's and CRASH's, by ``FUNCTION_NAMES`` name
 CrashBody = line_body("CrashBody", "duration_ms:float")  # the answer to a CRASH: the respawn's duration
 
@@ -334,14 +337,6 @@ class EdgeNode(_ServiceNode):
         self.channel.pause()  # resumes once the notification function runs
 
     # --- function lifecycle ---
-
-    def _start_function(self, image: FunctionImage, quota: ResourceQuota) -> Generator:
-        """Start one function and return its instance once it runs; a
-        sub-generator of a process."""
-        instance = self.worker.begin_start(image, quota)
-        yield self.worker.start_delay_ms
-        self._complete_start(image.function)
-        return instance
 
     def _complete_start(self, function: FunctionKind) -> None:
         """Mark a started or respawned function running; the channel runs
@@ -370,8 +365,6 @@ class EdgeNode(_ServiceNode):
             self._handle_bundle(req, sender)
         elif op is Operation.SYNC_FINALIZE:
             self._start(self._handle_finalize(req, sender), req, sender)
-        elif op is Operation.START_FUNCTION:
-            self._start(self._handle_start(req, sender), req, sender)
         elif op is Operation.STOP_FUNCTION:
             self._handle_stop(req, sender)
         elif op is Operation.CRASH:
@@ -380,28 +373,31 @@ class EdgeNode(_ServiceNode):
             raise BadRequestError(f"an edge serves no {op.name}")
 
     def _handle_instantiate(self, req: RequestPrimitive) -> Generator:
-        """Pull and start each missing function in turn, then record the
-        outcome at the cloud; a process."""
-        body = read_body(req.content, InstantiateBody)
-        ctx, slice_id = body.ctx, body.plan.target_slice
+        """Pull and start each missing function in turn, each running one
+        start delay after its start began, then record the outcome at the
+        cloud; a process."""
+        ctx, slice_id, quota, images = read_body(req.content, InstantiateBody)
         bandwidth = self.network.bottleneck_bandwidth(self.node_id, self.cloud_id)
         started: dict[FunctionKind, int] = {}
         fresh_starts: list[FunctionKind] = []
-        for image in body.images:
+        for image in images:
             function = image.function
             if function in self.worker.functions:
-                # already hosted (stale handler view); never start twice
+                # already hosted, which only a refused SLICE_RECORD leaves
+                # the registry without; never start twice
                 started[function] = self.worker.functions[function].port
                 continue
             yield pull_image(self.worker.cache, image, bandwidth)
             try:
-                instance = yield from self._start_function(image, body.quota)
-            except EdgeSliceError as exc:  # refused by ``begin_start``, before any wait
+                instance = self.worker.begin_start(image, quota)
+            except EdgeSliceError as exc:  # refused before any wait
                 for fn in fresh_starts:
                     self.worker.stop_function(fn)
                 self._sync_channel_state()
                 self.send_control(self.cloud_id, Operation.SLICE_RECORD, RecordBody(ctx, slice_id, err=str(exc)))
                 return
+            yield self.worker.start_delay_ms
+            self._complete_start(function)
             started[function] = instance.port
             fresh_starts.append(function)
         ports = ",".join(f"{FUNCTION_NAMES[fn]}:{started[fn]}" for fn in ordered(started))
@@ -410,21 +406,19 @@ class EdgeNode(_ServiceNode):
     def _handle_bundle(self, req: RequestPrimitive, sender: str) -> None:
         # the whole body is read before the import, so a refusal changes nothing
         transfer = read_body(req.content, BundleTransfer)
-        head = transfer.head
-        eager = head.mode == MODE_VALUES[SyncMode.EAGER]
+        (ctx, mode), bundle = transfer.head, transfer.bundle
+        eager = mode == MODE_VALUES[SyncMode.EAGER]
         if eager:
-            if head.mirror is None or head.cloud is None:
-                raise BadRequestError("an eager bundle transfer names its mirror and its cloud")
-            mirror_root = ResourcePath.parse(head.mirror)
-            refuse_taken_sync_names(transfer.bundle)
-        root = import_bundle(self.worker.tree, transfer.bundle)
+            mirror_root = ResourcePath.parse(bundle.root)
+            refuse_taken_sync_names(bundle)
+        root = import_bundle(self.worker.tree, bundle)
         if eager:
-            info = EdgeSyncInfo(head.task, root, mirror_root, head.cloud)
+            info = EdgeSyncInfo(bundle.task_id, root, mirror_root, self.cloud_id)
             create_sync_subscriptions(self.worker.tree, info)
             self.worker.tree.drain_events()
             self.sync_infos.append(info)
-        self.sim.log("offload_import_complete", ctx=head.ctx or "", task=head.task, root=str(root))
-        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, TaskRoot(head.task, str(root))))
+        self.sim.log("offload_import_complete", ctx=ctx or "", task=bundle.task_id, root=str(root))
+        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, TaskRoot(bundle.task_id, str(root))))
 
     def _handle_finalize(self, req: RequestPrimitive, sender: str) -> Generator:
         """Answer with a snapshot of the task's subtree once the notification
@@ -445,13 +439,6 @@ class EdgeNode(_ServiceNode):
         self._publish_events(self.worker.tree.drain_events())
         self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, bundle))
 
-    def _handle_start(self, req: RequestPrimitive, sender: str) -> Generator:
-        """Start one function and answer with its port once it runs; a process."""
-        start = read_body(req.content, StartBody)
-        quota = ResourceQuota(start.mem, start.cpu)
-        instance = yield from self._start_function(self.config.catalogue.by_id(start.img), quota)
-        self.reply(sender, ResponsePrimitive(req.request_id, StatusCode.OK, PortBody(instance.port)))
-
     def _handle_stop(self, req: RequestPrimitive, sender: str) -> None:
         self.worker.stop_function(FUNCTION_BY_NAME[read_body(req.content, FunctionBody).fn])
         self._sync_channel_state()
@@ -469,9 +456,8 @@ class EdgeNode(_ServiceNode):
 
 # SLICE_RECORD's: the functions an instantiation started, as ``NAME:port`` pairs, or why it failed
 RecordBody = line_body("RecordBody", "ctx slc fn? err?")
-# the answer to a preparation or an offload request: the edge and the task roots bound on it, comma-joined
+# the answer to a preparation: the edge and the task roots bound on it, comma-joined
 ReadyBody = line_body("ReadyBody", "edge roots")
-OffloadBody = line_body("OffloadBody", "task edge")  # OFFLOAD_REQUEST's
 SliceBody = line_body("SliceBody", "slc")  # SLICE_TERMINATE's
 SyncedBody = line_body("SyncedBody", "synced:int")  # the answer to a SLICE_TERMINATE: the records synced
 
@@ -501,8 +487,6 @@ class CloudNode(_ServiceNode):
             self._start(self._prepare(req), req, req.originator)
         elif op is Operation.SLICE_RECORD:
             self._handle_record(req, sender)
-        elif op is Operation.OFFLOAD_REQUEST:
-            self._start(self._handle_offload_request(req, sender), req, sender)
         elif op is Operation.SLICE_TERMINATE:
             self._start(self._handle_terminate(req, sender), req, sender)
         else:
@@ -531,7 +515,7 @@ class CloudNode(_ServiceNode):
     def _prepare(self, req: RequestPrimitive) -> Generator:
         """Plan the service; if the edge lacks functions, instantiate them
         and wait for the edge's record; then offload the service's unbound
-        tasks. A process."""
+        tasks and answer the device with the roots bound. A process."""
         profile = read_body(req.content, SliceProfile)
         device, ctx = req.originator, req.request_id
         plan = self.orchestrator.handle_service_request(device, profile)
@@ -539,14 +523,16 @@ class CloudNode(_ServiceNode):
         if plan.decision is PlanDecision.INSTANTIATE_THEN_OFFLOAD:
             self.orchestrator.ensure_instance(plan.target_slice, edge)
             images = tuple([self.config.catalogue.lookup(fn) for fn in ordered(plan.missing_functions)])
-            body = InstantiateBody(plan, ctx, self.config.quota, images)
+            body = InstantiateBody(ctx, plan.target_slice, self.config.quota, images)
             self.send_control(edge, Operation.SLICE_INSTANTIATE, body)
             err = yield ("record", ctx)  # resumed by ``_handle_record``
             if err is not None:
                 raise BadRequestError(err)
         tasks = [task for task in self.config.tasks
                  if task.service == profile.service_id and task.task_id not in self.coordinator.bindings]
-        yield from self._offload(ctx, edge, tasks, device, ctx)
+        roots = yield from self._offload(ctx, edge, tasks)
+        self.sim.log("service_ready", ctx=ctx, edge=edge, status=int(StatusCode.OK))
+        self.send(device, ResponsePrimitive(ctx, StatusCode.OK, ReadyBody(edge, ",".join(roots))), CONTROL_SIZE)
 
     def _handle_record(self, req: RequestPrimitive, sender: str) -> None:
         """Apply an edge's record of an instantiation, then resume the
@@ -571,11 +557,11 @@ class CloudNode(_ServiceNode):
                 self.orchestrator.forget_slice(record.slc)
         self.pending.pop(key)(record.err)
 
-    def _offload(self, ctx: str, edge: str, tasks: list[Task], to: str, rqi: str) -> Generator:
+    def _offload(self, ctx: str, edge: str, tasks: list[Task]) -> Generator:
         """Export every task, then send each bundle to ``edge`` and bind each
-        task as its reply arrives, then answer ``rqi`` at ``to`` with the
-        bound roots in arrival order. An export that fails raises before the
-        first bundle is sent; a refused bundle raises once every reply is in."""
+        task as its reply arrives; return the bound roots in arrival order.
+        An export that fails raises before the first bundle is sent; a
+        refused bundle raises once every reply is in."""
         mode = self.config.sync_mode
         instance = self.orchestrator.registry.get(self.orchestrator.slice_id_for(edge))
         # an edge whose slice, as the registry shows it, runs no notification function sends no change
@@ -584,9 +570,9 @@ class CloudNode(_ServiceNode):
             mode = SyncMode.LAZY
             self.sim.log("sync_downgraded", ctx=ctx, edge=edge)
         bundles = [self.coordinator.export_task(task) for task in tasks]
+        head = BundleHead(ctx, MODE_VALUES[mode])
         sent: dict[str, Task] = {}
         for task, bundle in zip(tasks, bundles):
-            head = BundleHead(ctx, task.task_id, MODE_VALUES[mode], task.root, self.node_id)
             bundle_rqi = self.next_control_rqi()
             sent[bundle_rqi] = task
             self.send_control(edge, Operation.BUNDLE_TRANSFER, BundleTransfer(head, bundle), bundle_rqi)
@@ -603,21 +589,9 @@ class CloudNode(_ServiceNode):
                 refused = f"offload of {task.task_id!r} failed with {int(response.status)}"
         if refused:
             raise ConflictError(refused)
-        self.sim.log("service_ready", ctx=ctx, edge=edge, status=int(StatusCode.OK))
-        self.send(to, ResponsePrimitive(rqi, StatusCode.OK, ReadyBody(edge, ",".join(roots))), CONTROL_SIZE)
+        return roots
 
-    # --- offload / terminate control plane ---
-
-    def _handle_offload_request(self, req: RequestPrimitive, sender: str) -> Generator:
-        """Offload one named task to the named edge worker; a process. Both
-        names are checked before anything is exported."""
-        task_id, edge = read_body(req.content, OffloadBody)
-        if edge not in self.config.topology.by_role(NodeRole.EDGE_WORKER):
-            raise NotFoundError(f"no edge worker {edge!r}")
-        task = next((t for t in self.config.tasks if t.task_id == task_id), None)
-        if task is None:
-            raise NotFoundError(f"no task {task_id!r}")
-        yield from self._offload(f"offload-{req.request_id}", edge, [task], sender, req.request_id)
+    # --- terminate control plane ---
 
     def _handle_terminate(self, req: RequestPrimitive, sender: str) -> Generator:
         """Finalize each binding on the slice's edge, then stop each of its

@@ -54,7 +54,7 @@ from edgeslice.codec import (
     unquote,
 )
 from edgeslice.errors import BadRequestError
-from edgeslice.images import FunctionImage, ImageCatalogue
+from edgeslice.images import FunctionImage, ImageCatalogue, default_catalogue
 from edgeslice.netsim import Network
 from edgeslice.notify import NotifyBody, NotifyHead, parse_notify
 from edgeslice.offload import (
@@ -87,23 +87,19 @@ from edgeslice.scenario import reference_calibrated
 from edgeslice.slicing import (
     FunctionKind,
     LatencyClass,
-    PlanDecision,
     SliceProfile,
-    SlicingPlan,
     port_for,
 )
 from edgeslice.system import (
     CrashBody,
     FunctionBody,
     InstantiateBody,
-    OffloadBody,
-    PortBody,
     ReadyBody,
     RecordBody,
     SliceBody,
-    StartBody,
     SyncedBody,
     TaskRoot,
+    _Meta,
 )
 from edgeslice.worker import EdgeWorker, FunctionInstance, InstanceState, ResourceQuota
 from wire_samples import ODD_LABELS, ODD_NAME, sample_tree, samples
@@ -183,14 +179,14 @@ def test_unquote_equals_urllib(text):
 # --- every decoder raises only BadRequestError ---
 
 # the content of every control message, by type
-CONTROL_BODIES = (SliceProfile, InstantiateBody, RecordBody, ReadyBody, BundleTransfer, TaskRoot, StartBody,
-                  PortBody, FunctionBody, CrashBody, OffloadBody, SliceBody, SyncedBody)
+CONTROL_BODIES = (SliceProfile, InstantiateBody, RecordBody, ReadyBody, BundleTransfer, TaskRoot, FunctionBody,
+                  CrashBody, SliceBody, SyncedBody)
 
 
 def _control_bodies() -> dict[str, list[bytes]]:
     """The bytes of every control body sent, by type, in one edge
-    preparation of the calibrated scenario and then a crash, a slice
-    termination, an offload request and a function start."""
+    preparation of the calibrated scenario and then a crash and a slice
+    termination."""
     system = build_system(reference_calibrated(), "edge", 42)
     bodies = {kind.__name__: [] for kind in CONTROL_BODIES}
 
@@ -203,12 +199,9 @@ def _control_bodies() -> dict[str, list[bytes]]:
     system.network.send = capture
     system.prepare()
     device = system.devices[system.device_id]
-    image = system.config.catalogue.lookup(FunctionKind.RETRIEVE)
     for op, to, body in [
         (Operation.CRASH, "edge0", FunctionBody("NOTIFICATION")),
         (Operation.SLICE_TERMINATE, system.cloud_id, SliceBody("slice-edge0")),
-        (Operation.OFFLOAD_REQUEST, system.cloud_id, OffloadBody("task-citizenB", "edge0")),
-        (Operation.START_FUNCTION, "edge0", StartBody(image.image_id, 1_000_000, 0.1)),
     ]:
         req = RequestPrimitive(op, to, device.node_id, f"{op.name}-1", content=body)
         device.issue(req, to, 0, lambda response: None)
@@ -221,7 +214,6 @@ def _seeds() -> dict[str, list[bytes]]:
     notifies = [wire[name] for name in wire if name.startswith("notify_")]
     notify_bodies = [decode_request(n).content for n in notifies]
     profile = SliceProfile("svc;1", frozenset({FunctionKind.RETRIEVE, FunctionKind.NOTIFICATION}))
-    plan = SlicingPlan(PlanDecision.INSTANTIATE_THEN_OFFLOAD, "slice-ü", frozenset(FunctionKind))
     bodies = _control_bodies()
     return {
         "request": [wire["create"], wire["retrieve"], wire["bundle_transfer"], *notifies],
@@ -230,11 +222,14 @@ def _seeds() -> dict[str, list[bytes]]:
                      *[body.partition(b"\n")[2] for body in notify_bodies]],
         "notify": notify_bodies,
         "NotifyHead": [body.partition(b"\n")[0] for body in notify_bodies],
+        # the lines the two bodies of more than one line are made of
+        "BundleHead": [body.partition(b"\n")[0] for body in bodies["BundleTransfer"]],
+        "_Meta": [body.partition(b"\n")[0] for body in bodies["InstantiateBody"]],
+        "FunctionImage": [line for body in bodies["InstantiateBody"] for line in body.split(b"\n")[1:]],
         "create": [b"nm=m00001;pc=" + encode_b64(b"position-update-001000:xxxx").encode(),
                    b"nm=%C3%BC%3B;pc=" + encode_b64(bytes(range(256))).encode() + b";lb=a,b%252C"],
         "update": [b"", b"nm=renamed%20%3B", b"lb=a,%C3%BC", b"lb=", b"ty=3;nm=x;lb=l"],
         "bundle": [wire["bundle"]],
-        "plan": [plan.to_bytes()],
         "payload": [b"t:nm%3Dx%3Bpc%3DAAAA", b"b:AAECAw=="],
         **bodies,
         "SliceProfile": bodies["SliceProfile"] + [profile.to_bytes()],
@@ -276,12 +271,14 @@ TEXT_DECODERS = {
 }
 DECODERS = {
     **{kind.__name__: kind.from_bytes for kind in CONTROL_BODIES},
-    "plan": SlicingPlan.from_bytes,
     "request": decode_request,
     "response": decode_response,
     "resource": decode_resource,
     "notify": _notify,
     "NotifyHead": NotifyHead.from_bytes,
+    "BundleHead": BundleHead.from_bytes,
+    "_Meta": _Meta.from_bytes,
+    "FunctionImage": FunctionImage.from_bytes,
     "create": _dispatched(Operation.CREATE),
     "update": _dispatched(Operation.UPDATE),
     **{
@@ -335,11 +332,12 @@ REFUSED = {
     ],
     "SliceBody": [b"slc=a;slc=b", b"slc=a\nb", b"slc=\xc3\xbc", b"a=1"],
     "SliceProfile": [b"svc=s;svc=t;fn=retrieve;lc=normal", b"svc=s;fn=retrieve;lc=normal\n"],
-    "plan": [b"dec=fast_path_offload_only;slc=s;mf=;slc=t"],
-    "PortBody": [b"port=6_2590", b"port=+1"],
     "CrashBody": [b"duration_ms=nan", b"duration_ms=1 "],
-    "InstantiateBody": [b"dec=fast_path_offload_only;slc=s;mf="],
-    "BundleTransfer": [b"task=t\ntid=t;at=1;rt=IN-CSE%2Fa;n=1\npi=-1;ty=3;nm=a;ct=0\n"],
+    "InstantiateBody": [b"ctx=c;slc=s;mem=1_0;cpu=0.5", b"ctx=c;mem=1;cpu=0.5"],
+    "_Meta": [b"ctx=c;slc=s;mem=1;cpu=nan"],
+    "BundleHead": [b"ctx=a;ctx=b;mode=eager"],
+    "FunctionImage": [b"img=i;fn=RETRIEVE;ver=1;size=-1"],
+    "BundleTransfer": [b"ctx=c\ntid=t;at=1;rt=IN-CSE%2Fa;n=1\npi=-1;ty=3;nm=a;ct=0\n"],
 }
 
 
@@ -406,10 +404,12 @@ def test_malformed_inputs_raise_bad_request(decoder, data):
 # the readers of one line, each built on ``read_line``, and the keys each requires
 ONE_LINE_READERS = {
     "NotifyHead": ("ev", "pt"),
+    "BundleHead": ("mode",),
+    "_Meta": ("ctx", "slc", "mem", "cpu"),
+    "FunctionImage": FunctionImage._KEYS,
     "resource": ("ty", "nm", "ct", "lt"),
     "create": (),
     "update": (),
-    "plan": SlicingPlan._KEYS,
     "SliceProfile": SliceProfile._KEYS,
     **{kind.__name__: tuple(kind._required) for kind in CONTROL_BODIES if hasattr(kind, "_required")},
 }
@@ -640,36 +640,25 @@ def test_bundle_lines_are_written_as_encode_fieldline_writes_them(bundle):
         assert line == encode_fieldline(pairs + ([] if content is None else [("pc", encode_b64(content))]))
 
 
-@st.composite
-def plans(draw) -> SlicingPlan:
-    missing = draw(st.frozensets(st.sampled_from(FunctionKind)))
-    decision = PlanDecision.INSTANTIATE_THEN_OFFLOAD if missing else PlanDecision.FAST_PATH_OFFLOAD_ONLY
-    return SlicingPlan(decision, draw(TEXT), missing)
-
-
 MAYBE_TEXT = st.one_of(st.none(), TEXT)
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
 IMAGES = st.builds(FunctionImage, TEXT, st.sampled_from(FunctionKind), TEXT, st.integers(min_value=0))
 QUOTAS = st.builds(ResourceQuota, st.integers(min_value=1), st.floats(0, 1, exclude_min=True))
-HEADS = st.builds(BundleHead, MAYBE_TEXT, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT)
+HEADS = st.builds(BundleHead, MAYBE_TEXT, TEXT)
 NOTIFY_HEADS = st.builds(NotifyHead, TEXT, TEXT, MAYBE_TEXT)
 # every body type, and every line type a body is made of
 BODIES = {
     SliceProfile: st.builds(SliceProfile, TEXT, st.frozensets(st.sampled_from(FunctionKind), min_size=1),
                             st.sampled_from(LatencyClass)),
-    InstantiateBody: st.builds(InstantiateBody, plans(), TEXT, QUOTAS, st.lists(IMAGES, max_size=3).map(tuple)),
+    InstantiateBody: st.builds(InstantiateBody, TEXT, TEXT, QUOTAS, st.lists(IMAGES, max_size=3).map(tuple)),
     RecordBody: st.builds(RecordBody, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT),
     ReadyBody: st.builds(ReadyBody, TEXT, TEXT),
     BundleTransfer: st.builds(BundleTransfer, HEADS, st.deferred(lambda: index_bundles())),
     TaskRoot: st.builds(TaskRoot, TEXT, TEXT),
-    StartBody: st.builds(StartBody, TEXT, st.integers(), NUMBERS),
-    PortBody: st.builds(PortBody, st.integers()),
     FunctionBody: st.builds(FunctionBody, TEXT),
     CrashBody: st.builds(CrashBody, NUMBERS),
-    OffloadBody: st.builds(OffloadBody, TEXT, TEXT),
     SliceBody: st.builds(SliceBody, TEXT),
     SyncedBody: st.builds(SyncedBody, st.integers()),
-    SlicingPlan: plans(),
     FunctionImage: IMAGES,
     BundleHead: HEADS,
     NotifyHead: NOTIFY_HEADS,
@@ -687,6 +676,14 @@ def test_every_body_type_is_round_tripped():
                      and hasattr(value, "from_bytes") and not name.startswith("_")}
     assert readable == set(BODIES) | {OffloadBundle, NotifyBody}
     assert set(CONTROL_BODIES) <= set(BODIES)
+
+
+def test_an_instantiate_body_is_its_meta_line_then_one_line_per_image():
+    """The slice id rides on the meta line; no plan line precedes it."""
+    images = tuple(default_catalogue().lookup(fn) for fn in (FunctionKind.RETRIEVE, FunctionKind.NOTIFICATION))
+    body = InstantiateBody("ctx-1", "slice-edge0", ResourceQuota(256_000_000, 0.25), images)
+    assert body.to_bytes().split(b"\n") == [b"ctx=ctx-1;slc=slice-edge0;mem=256000000;cpu=0.25",
+                                            *[image.to_bytes() for image in images]]
 
 
 @pytest.mark.parametrize("kind", list(BODIES), ids=lambda kind: kind.__name__)

@@ -10,7 +10,7 @@ from edgeslice.netsim import Network
 from edgeslice.primitives import Operation, RequestPrimitive
 from edgeslice.offload import Task as TaskSpec
 from edgeslice.scenario import load_scenario
-from edgeslice.system import OffloadBody, ReadyBody, SliceBody
+from edgeslice.system import ReadyBody, SliceBody
 
 from wire_samples import CAMPUS
 
@@ -48,12 +48,6 @@ TERMINATE = [
     ("cloud", "edge0", "STOP_FUNCTION", "ctl-000011"),
     ("edge0", "cloud", 2000, "ctl-000011"),
     ("cloud", "dev0", 2000, "term-1"),
-]
-OFFLOAD = [
-    ("dev0", "cloud", "OFFLOAD_REQUEST", "off-1"),
-    ("cloud", "edge0", "BUNDLE_TRANSFER", "ctl-000012"),
-    ("edge0", "cloud", 2000, "ctl-000012"),
-    ("cloud", "dev0", 2000, "off-1"),
 ]
 # two tasks on jittery campus, seed 0: the second bundle's reply arrives first
 CAMPUS_TWO_TASKS = [
@@ -102,7 +96,9 @@ def taken(log: list) -> list:
     return out
 
 
-def test_road_prepare_fast_path_terminate_and_offload(sent):
+def test_road_prepare_fast_path_terminate_and_prepare_again(sent):
+    """A terminated slice's tasks are offloaded again only through a new
+    preparation, which takes the cold path's steps once more."""
     system = build_system(road_config(), "edge", 42)
     ready = system.prepare()
     assert taken(sent) == COLD
@@ -111,9 +107,10 @@ def test_road_prepare_fast_path_terminate_and_offload(sent):
     assert taken(sent) == FAST_PATH
     assert ask_cloud(system, Operation.SLICE_TERMINATE, SliceBody("slice-edge0"), "term-1")[0].ok
     assert taken(sent) == TERMINATE
-    assert ask_cloud(system, Operation.OFFLOAD_REQUEST, OffloadBody("task-carA", "edge0"), "off-1")[0].ok
-    assert taken(sent) == OFFLOAD
-    assert sorted(system.cloud.coordinator.bindings) == ["task-carA"]
+    assert system.cloud.coordinator.bindings == {}
+    assert system.prepare().ok
+    assert [message[:3] for message in taken(sent)] == [message[:3] for message in COLD]
+    assert sorted(system.cloud.coordinator.bindings) == ["task-carA", "task-citizenA"]
 
 
 def test_bundle_replies_are_taken_in_arrival_order(sent):

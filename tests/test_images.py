@@ -77,6 +77,15 @@ def test_django_sized_pull():
     assert pull_image(cache, image, 100 * MB) == 1500.0  # 1.5 s
 
 
+def test_seeding_with_a_catalogue_caches_every_image_it_holds():
+    """Older versions too, not only the latest of each function."""
+    old, new = (FunctionImage(f"img-r{v}", FunctionKind.RETRIEVE, v, MB) for v in ("1.0.0", "2.0.0"))
+    cache = WorkerCache("edge0")
+    cache.seed(ImageCatalogue([new, old]))
+    assert cache.cached == {"img-r1.0.0", "img-r2.0.0"}
+    assert pull_image(cache, old, 100 * MB) == pull_image(cache, new, 100 * MB) == 0.0
+
+
 def test_pull_idempotence():
     cache = WorkerCache("edge0")
     image = FunctionImage("img", FunctionKind.RETRIEVE, "1.0.0", 200 * MB)

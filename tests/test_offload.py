@@ -102,7 +102,7 @@ class TestExport:
         sim = Simulator()
         coordinator = OffloadCoordinator(build_cloud_tree(sim), sim.time)
         bundle = coordinator.export_task(car_task())
-        transfer = BundleTransfer(BundleHead(None, "taskA", "lazy", mirror="IN-CSE/Cars;x=%"), bundle)
+        transfer = BundleTransfer(BundleHead("ctx;x=%", "lazy"), bundle)
         assert read_body(transfer, BundleTransfer) is transfer
         assert read_body(transfer.to_bytes(), BundleTransfer) == transfer
         assert transfer.to_bytes().endswith(b"\n" + bundle.to_bytes())

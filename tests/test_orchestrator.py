@@ -22,6 +22,7 @@ CORE_FUNCTIONS = [
     FunctionKind.SUBSCRIPTION,
     FunctionKind.NOTIFICATION,
 ]
+CORE = frozenset(CORE_FUNCTIONS)
 
 
 def star_topology(edge_delays: dict[str, float]) -> Topology:
@@ -54,11 +55,11 @@ def activate(orch, plan, edge="edge0") -> SliceInstance:
 class TestSelectEdge:
     def test_single_edge(self):
         orch = make_orchestrator({"edge0": 3.0})
-        assert orch.select_edge_node("dev0") == "edge0"
+        assert orch.select_edge_node("dev0", CORE) == "edge0"
 
     def test_min_delay_wins(self):
         orch = make_orchestrator({"edgeA": 5.0, "edgeB": 1.0})
-        assert orch.select_edge_node("dev0") == "edgeB"
+        assert orch.select_edge_node("dev0", CORE) == "edgeB"
 
     def test_load_breaks_delay_ties(self):
         orch = make_orchestrator({"edgeA": 2.0, "edgeB": 2.0})
@@ -69,17 +70,39 @@ class TestSelectEdge:
         orch.registry["s9"] = SliceInstance(
             slice_id="s9", edge_node="edgeB", state=SliceState.ACTIVE
         )
-        assert orch.select_edge_node("dev0") == "edgeB"
+        assert orch.select_edge_node("dev0", CORE) == "edgeB"
 
     def test_id_breaks_full_ties(self):
         orch = make_orchestrator({"edgeB": 2.0, "edgeA": 2.0})
-        assert orch.select_edge_node("dev0") == "edgeA"
+        assert orch.select_edge_node("dev0", CORE) == "edgeA"
+
+    @staticmethod
+    def covering(orch, edge, functions):
+        """Record an active slice on ``edge`` that runs ``functions``."""
+        orch.ensure_instance(orch.slice_id_for(edge), edge)
+        orch.mark_active(orch.slice_id_for(edge), {fn: port_for(fn) for fn in functions})
+        orch.record_slice_functions(orch.slice_id_for(edge), set(functions))
+
+    def test_a_covering_slice_breaks_a_delay_tie_before_load(self):
+        orch = make_orchestrator({"edgeA": 2.0, "edgeB": 2.0})
+        self.covering(orch, "edgeB", CORE)
+        assert orch.select_edge_node("dev0", CORE) == "edgeB"  # though edgeA carries no slice
+
+    def test_a_slice_covering_part_of_the_profile_counts_as_load(self):
+        orch = make_orchestrator({"edgeA": 2.0, "edgeB": 2.0})
+        self.covering(orch, "edgeB", CORE_FUNCTIONS[:2])
+        assert orch.select_edge_node("dev0", CORE) == "edgeA"
+
+    def test_a_covering_slice_does_not_outweigh_delay(self):
+        orch = make_orchestrator({"edgeA": 1.0, "edgeB": 2.0})
+        self.covering(orch, "edgeB", CORE)
+        assert orch.select_edge_node("dev0", CORE) == "edgeA"
 
     def test_no_edges(self):
         topology = Topology([Node("dev0", NodeRole.DEVICE)], [])
         orch = SliceOrchestrator(topology)
         with pytest.raises(NoEdgeAvailableError):
-            orch.select_edge_node("dev0")
+            orch.select_edge_node("dev0", CORE)
 
     def test_lexicographic_order_on_random_topologies(self):
         rng = random.Random(5)
@@ -95,7 +118,26 @@ class TestSelectEdge:
                         slice_id=key, edge_node=edge, state=SliceState.ACTIVE
                     )
             expected = min((delays[e], loads[e], e) for e in delays)[2]
-            assert orch.select_edge_node("dev0") == expected
+            assert orch.select_edge_node("dev0", CORE) == expected
+
+    def test_coverage_then_load_breaks_delay_ties_on_random_topologies(self):
+        rng = random.Random(7)
+        for trial in range(25):
+            delays = {f"e{i}": float(rng.randint(1, 3)) for i in range(rng.randint(2, 6))}
+            orch = make_orchestrator(delays)
+            covers = {edge: rng.random() < 0.4 for edge in delays}
+            for edge in delays:
+                if covers[edge]:
+                    self.covering(orch, edge, CORE)
+            loads = {edge: int(covers[edge]) for edge in delays}
+            expected = min((delays[e], not covers[e], loads[e], e) for e in delays)[-1]
+            assert orch.select_edge_node("dev0", CORE) == expected
+
+    def test_an_instantiating_slice_does_not_win_a_delay_tie(self):
+        orch = make_orchestrator({"edgeA": 2.0, "edgeB": 2.0})
+        orch.ensure_instance(orch.slice_id_for("edgeB"), "edgeB")  # its record is not in yet
+        orch.record_slice_functions(orch.slice_id_for("edgeB"), CORE)
+        assert orch.select_edge_node("dev0", CORE) == "edgeA"
 
 
 class TestDecisions:
@@ -116,6 +158,17 @@ class TestDecisions:
         again = orch.handle_service_request("dev0", requested)
         assert again.decision is PlanDecision.FAST_PATH_OFFLOAD_ONLY
         assert again.missing_functions == frozenset()
+
+    def test_identical_repeat_takes_fast_path_on_a_delay_tie(self):
+        """The first plan goes to ``edgeA`` by id; its active slice then
+        counts as load there, but the covering slice wins the tie first."""
+        orch = make_orchestrator({"edgeA": 1.0, "edgeB": 1.0})
+        requested = profile({FunctionKind.REGISTRATION, FunctionKind.RETRIEVE})
+        plan = orch.handle_service_request("dev0", requested)
+        activate(orch, plan, edge="edgeA")
+        orch.record_slice_functions(plan.target_slice, plan.missing_functions)
+        again = orch.handle_service_request("dev0", requested)
+        assert (again.decision, again.target_slice) == (PlanDecision.FAST_PATH_OFFLOAD_ONLY, "slice-edgeA")
 
     def test_missing_set_is_exact_difference_for_all_profile_pairs(self):
         """2^4 running sets x (2^4 - 1) request sets over the four core

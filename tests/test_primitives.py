@@ -16,8 +16,8 @@ from edgeslice.primitives import (
     is_response,
 )
 from edgeslice.resources import Resource, ResourceKind, ResourcePath, ResourceTree
-from edgeslice.slicing import FUNCTION_BY_NAME, SliceProfile, SlicingPlan
-from edgeslice.system import PortBody, SliceBody
+from edgeslice.slicing import FUNCTION_BY_NAME, SliceProfile
+from edgeslice.system import SliceBody, SyncedBody
 
 
 def test_operation_wire_codes():
@@ -30,10 +30,8 @@ def test_operation_wire_codes():
     assert int(Operation.SLICE_INSTANTIATE) == 11
     assert int(Operation.SLICE_RECORD) == 12
     assert int(Operation.SLICE_TERMINATE) == 13
-    assert int(Operation.START_FUNCTION) == 20
     assert int(Operation.STOP_FUNCTION) == 21
     assert int(Operation.CRASH) == 22
-    assert int(Operation.OFFLOAD_REQUEST) == 30
     assert int(Operation.BUNDLE_TRANSFER) == 31
     assert int(Operation.SYNC_FINALIZE) == 32
 
@@ -176,13 +174,13 @@ def test_a_package_error_is_answered_with_the_status_of_its_class(error, status)
 @pytest.mark.parametrize("read", [
     lambda: SliceBody.from_bytes(b"a=1"),
     lambda: SliceBody.from_bytes(b"slc=a\nslc=b"),
-    lambda: PortBody.from_bytes(b"port=6_2590"),
+    lambda: SyncedBody.from_bytes(b"synced=6_2590"),
     lambda: FUNCTION_BY_NAME["NOPE"],
     lambda: FunctionImage.from_bytes(b"img=i;fn=RETRIEVE;ver=1"),
     lambda: SliceProfile.from_bytes(b"svc=s;fn=retrieve"),
-    lambda: SlicingPlan.from_bytes(b"dec=sideways;slc=s;mf="),
+    lambda: SliceProfile.from_bytes(b"svc=s;fn=retrieve;lc=sideways"),
 ], ids=["missing-field", "second-line", "malformed-integer", "unknown-function", "image-without-size",
-        "profile-without-class", "unknown-decision"])
+        "profile-without-class", "unknown-latency-class"])
 def test_a_body_read_raises_only_bad_request(read):
     with pytest.raises(BadRequestError):
         read()

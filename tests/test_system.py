@@ -14,26 +14,26 @@ from edgeslice import system as system_module
 from edgeslice.bench import build_system, derive_seed, road_config
 from edgeslice.codec import encode_b64, encode_body
 from edgeslice.errors import BadRequestError, ConfigInvalidError, NotFoundError, SimulationLimitError
-from edgeslice.netsim import Network
+from edgeslice.netsim import Link, Network, Node, NodeRole, Topology
 from edgeslice.notify import NotifyBody
-from edgeslice.offload import (SYNC_SUB_NAME, BundleHead, BundleRecord, BundleTransfer, OffloadBundle,
-                               SyncMode, Task, make_bundle, subtrees_converged)
+from edgeslice.offload import (SYNC_SUB_NAME, BundleHead, BundleRecord, BundleTransfer, EdgeSyncInfo,
+                               OffloadBundle, SyncMode, Task, make_bundle, subtrees_converged)
 from edgeslice.primitives import (
     Operation,
     RequestPrimitive,
     ResourceView,
     ResponsePrimitive,
     StatusCode,
+    decode_request,
     decode_resource,
     encode_fieldline,
     read_body,
 )
 from edgeslice.resources import ResourceKind, ResourcePath, ResourceTree
 from edgeslice.scenario import load_scenario, reference_calibrated
-from edgeslice.slicing import (FunctionKind, PlanDecision, SliceProfile, SliceState, SlicingPlan,
-                               port_for)
-from edgeslice.system import (FunctionBody, InstantiateBody, OffloadBody, PortBody, ReadyBody, RecordBody,
-                              SliceBody, StartBody, SyncedBody, TaskRoot)
+from edgeslice.slicing import FunctionKind, SliceProfile, SliceState, port_for
+from edgeslice.system import (DATA_OPS, FunctionBody, InstantiateBody, ReadyBody, RecordBody, SliceBody,
+                              SyncedBody, TaskRoot)
 from edgeslice.worker import ResourceQuota
 
 from dataclasses import replace
@@ -103,6 +103,47 @@ class TestPreparation:
         system.prepare()
         instance = system.cloud.orchestrator.registry["slice-edge0"]
         assert instance.running_functions == running(system.edges["edge0"].worker)
+
+    def test_an_identical_repeat_takes_the_fast_path_when_two_edges_are_equally_near(self, config):
+        """``dev0`` is 1.0 ms from both ``edgeA`` and ``edgeB``. The repeat's
+        delay tie goes to the edge whose active slice covers the profile, so
+        it starts nothing and names the edge that ``edge_for`` sends data to,
+        where the active slice once counted against its own edge."""
+        edges = ("edgeA", "edgeB")
+        topology = Topology(
+            [Node("dev0", NodeRole.DEVICE), Node("cloud", NodeRole.CLOUD),
+             *[Node(edge, NodeRole.EDGE_WORKER) for edge in edges]],
+            [*[Link("dev0", edge, 1.0, 0.0, 1e8) for edge in edges],
+             *[Link(edge, "cloud", 1.2, 0.0, 1e8) for edge in edges]],
+        )
+        system = build_system(replace(config, topology=topology), "edge", 42)
+        assert reply_body(system.prepare(), ReadyBody).edge == "edgeA"
+        assert reply_body(system.prepare(), ReadyBody) == ReadyBody("edgeA", "")
+        decisions = [entry["decision"] for entry in system.cloud.orchestrator.decision_log]
+        assert decisions == ["instantiate_then_offload", "fast_path_offload_only"]
+        assert set(running(system.edges["edgeA"].worker)) == config.functions
+        assert system.edges["edgeB"].worker.functions == {}
+        assert system.edge_for(system.device_id) == "edgeA"
+
+    @pytest.mark.parametrize("scenario", [reference_calibrated, lambda: load_scenario(CAMPUS)],
+                             ids=["calibrated", "campus"])
+    def test_an_eager_binding_is_named_by_its_bundle_and_its_edge(self, scenario):
+        """A bundle transfer's head names only its preparation and its sync
+        mode. The edge binds each eager task by the bundle's task id and
+        source root and by its own cloud, as the cloud's binding does."""
+        config = scenario()
+        first = config.tasks[0]
+        second = Task("task-extra", first.root.rpartition("/")[0] + "/Extra", first.service)
+        config = replace(config, sync_mode=SyncMode.EAGER, tasks=[*config.tasks, second],
+                         functions=config.functions | {FunctionKind.SUBSCRIPTION, FunctionKind.NOTIFICATION})
+        system = build_system(config, "edge", config.seed)
+        ready = reply_body(system.prepare(), ReadyBody)
+        bindings = system.cloud.coordinator.bindings
+        assert sorted(bindings) == sorted(task.task_id for task in config.tasks)
+        infos = system.edges[ready.edge].sync_infos
+        assert sorted(infos, key=lambda info: info.task_id) == [
+            EdgeSyncInfo(task_id, binding.edge_root, binding.cloud_mirror_root, system.cloud_id)
+            for task_id, binding in sorted(bindings.items())]
 
     def test_partial_failure_rolls_back(self):
         """The second start exceeds the worker's capacity: the edge stops
@@ -303,7 +344,7 @@ class TestAdminProtocol:
         actions = [e["action"] for e in worker.log if e.get("function") == "SUBSCRIPTION"]
         assert "crash" in actions and actions[-1] == "start_complete"
 
-    def test_stop_and_start_function(self, config):
+    def test_stop_function(self, config):
         system = build_system(config, "edge", 42)
         system.prepare()
         worker = system.edges["edge0"].worker
@@ -312,16 +353,6 @@ class TestAdminProtocol:
         )
         assert responses[0].status is StatusCode.OK
         assert not worker.enabled(FunctionKind.RETRIEVE)
-        responses = admin(
-            system,
-            Operation.START_FUNCTION,
-            "edge0",
-            [("img", "img-retrieve"), ("mem", "1000000"), ("cpu", "0.1")],
-            rqi="start-1",
-        )
-        assert responses[0].status is StatusCode.OK
-        assert reply_body(responses[0], PortBody).port == 62591
-        assert worker.enabled(FunctionKind.RETRIEVE)
 
     def test_crash_isolates_other_functions(self, config):
         # seed fixed: retrieve latencies with and without the crash must match
@@ -336,10 +367,11 @@ class TestAdminProtocol:
 
 
 class TestOneStartPath:
-    """Instantiate, START_FUNCTION and a crash's respawn run the notification
-    function through one start path: each logs its ``start_complete`` one
-    start delay after the start began, and resumes the edge's notification
-    channel, which then sends what waited in it."""
+    """Instantiate, the instantiate of a preparation after a terminate, and
+    a crash's respawn run the notification function through one start path:
+    each logs its ``start_complete`` one start delay after the start began,
+    and resumes the edge's notification channel, which then sends what
+    waited in it."""
 
     @staticmethod
     def starts(worker) -> list[tuple[str, float]]:
@@ -354,21 +386,17 @@ class TestOneStartPath:
                                rqi, resource_kind=ResourceKind.CONTENT_INSTANCE, content=body)
         system.devices[system.device_id].issue(req, "edge0", 400, lambda resp: None)
 
-    @pytest.mark.parametrize("step", ["instantiate", "start", "respawn"])
+    @pytest.mark.parametrize("step", ["instantiate", "reinstantiate", "respawn"])
     def test_each_start_completes_through_one_step(self, config, step):
         system = build_system(config, "edge", 42)
         edge = system.edges["edge0"]
         system.prepare()
         began = "start_begin"
-        if step == "start":
-            admin(system, Operation.STOP_FUNCTION, "edge0", [("fn", "NOTIFICATION")], rqi="stop-1")
-            self.create_on_edge(system)
-            system.run_until_idle()
-            assert edge.channel.sent == 0  # its notification waits in the paused channel
-            image = config.catalogue.lookup(FunctionKind.NOTIFICATION)
-            admin(system, Operation.START_FUNCTION, "edge0",
-                  [("img", image.image_id), ("mem", "1000000"), ("cpu", "0.1")], rqi="start-1")
-        elif step == "respawn":
+        if step == "reinstantiate":
+            assert admin(system, Operation.SLICE_TERMINATE, system.cloud_id, [("slc", "slice-edge0")])[0].ok
+            assert not edge.worker.functions and edge.channel.sent == 0
+            system.prepare()
+        if step == "respawn":
             began = "respawn_begin"
             # created as the crash is answered, before the respawn completes
             admin(system, Operation.CRASH, "edge0", [("fn", "NOTIFICATION")],
@@ -754,34 +782,6 @@ class TestBoundedSyncState:
         assert self.state(system) == after_n
 
 
-class TestOffloadRequestEndpoint:
-    def test_offload_request_binds_task(self, config):
-        # request offload without the slicing pipeline (functions via admin)
-        system = build_system(config, "edge", 42)
-        responses = admin(
-            system,
-            Operation.OFFLOAD_REQUEST,
-            system.cloud_id,
-            [("task", "task-citizenB"), ("edge", "edge0")],
-            rqi="off-1",
-        )
-        assert responses[0].status is StatusCode.OK
-        assert "task-citizenB" in system.cloud.coordinator.bindings
-        edge_tree = system.edges["edge0"].worker.tree
-        assert edge_tree.resolve(ResourcePath.parse("MN-CSE/Pedestrians/CitizenB"))
-
-    def test_offload_request_unknown_task(self, config):
-        system = build_system(config, "edge", 42)
-        responses = admin(
-            system,
-            Operation.OFFLOAD_REQUEST,
-            system.cloud_id,
-            [("task", "ghost"), ("edge", "edge0")],
-            rqi="off-2",
-        )
-        assert responses[0].status is StatusCode.NOT_FOUND
-
-
 class TestOffloadFailure:
     def test_graft_conflict_fails_preparation_cleanly(self, config):
         system = build_system(config, "edge", 42)
@@ -877,6 +877,24 @@ class TestSliceRecord:
         assert answers == [StatusCode.OK, StatusCode.NOT_FOUND]
         assert "task-citizenB" in system.cloud.coordinator.bindings
 
+    def test_a_function_a_refused_record_left_running_is_not_started_twice(self, config, monkeypatch):
+        """The edge's first record names a slice the cloud lacks, so it is
+        refused: the edge runs functions the registry lacks, and that
+        preparation waits on unanswered. The next one instantiates them
+        again, and the edge records the ports it runs without a second start."""
+        system = build_system(config, "edge", 42)
+        first = iter([True])
+        replies, answers = self.prepare_with_records(
+            system, monkeypatch, lambda body: [body._replace(slc="slice-ghost") if next(first, False) else body])
+        assert (replies, answers) == ([], [StatusCode.NOT_FOUND])
+        worker = system.edges["edge0"].worker
+        assert set(running(worker)) == config.functions
+        assert system.cloud.orchestrator.registry["slice-edge0"].state is SliceState.INSTANTIATING
+        assert system.prepare().ok
+        assert answers == [StatusCode.NOT_FOUND, StatusCode.OK]
+        assert [e["action"] for e in worker.log].count("start_begin") == len(config.functions)
+        assert system.cloud.orchestrator.registry["slice-edge0"].running_functions == running(worker)
+
     def test_an_unreadable_record_is_refused_and_the_preparation_waits_on(self, config, monkeypatch):
         system = build_system(config, "edge", 42)
         replies, answers = self.prepare_with_records(
@@ -921,16 +939,22 @@ EDGE_CONTROL = [
     Operation.SLICE_INSTANTIATE,
     Operation.BUNDLE_TRANSFER,
     Operation.SYNC_FINALIZE,
-    Operation.START_FUNCTION,
     Operation.STOP_FUNCTION,
     Operation.CRASH,
 ]
 CLOUD_CONTROL = [
     Operation.SERVICE_REQUEST,
     Operation.SLICE_RECORD,
-    Operation.OFFLOAD_REQUEST,
     Operation.SLICE_TERMINATE,
 ]
+
+
+def test_every_operation_is_a_data_op_or_a_fuzzed_control_op():
+    """The control lists drive the malformed-body and edited-body cases, so
+    an operation added without a case there, or left in the enum after its
+    handler goes, fails here."""
+    assert set(EDGE_CONTROL + CLOUD_CONTROL) | set(DATA_OPS) == set(Operation)
+    assert len(EDGE_CONTROL + CLOUD_CONTROL) + len(DATA_OPS) == len(Operation)
 
 
 class TestMalformedMessages:
@@ -945,6 +969,23 @@ class TestMalformedMessages:
         # the deployment keeps working
         assert system.prepare().ok
         assert len(system.run_workload("create", 2)) == 2
+
+    @pytest.mark.parametrize("number", [20, 30], ids=["op-20", "op-30"])
+    @pytest.mark.parametrize("at_cloud", [False, True], ids=["edge", "cloud"])
+    def test_a_removed_operation_number_is_dropped_unanswered(self, config, number, at_cloud):
+        """20 and 30 name no operation: an envelope that carries one decodes
+        to nothing, so it is dropped and counted, and no reply is sent."""
+        system = build_system(config, "edge", 42)
+        device = system.devices[system.device_id]
+        node = system.cloud if at_cloud else system.edges["edge0"]
+        responses = []
+        device.pending["gone-1"] = responses.append
+        envelope = f"op={number}\nto={node.node_id}\nfr={device.node_id}\nrqi=gone-1\npc=t:x%3D1".encode()
+        assert decode_request(envelope.replace(b"op=%d" % number, b"op=21")).request_id == "gone-1"
+        system.network.send(device.node_id, node.node_id, envelope, 0)
+        system.run_until_idle()
+        assert node.malformed_dropped == 1
+        assert responses == [] and list(device.pending) == ["gone-1"]
 
     @pytest.mark.parametrize("body", [b"", b"x=1"], ids=["empty", "x=1"])
     @pytest.mark.parametrize(
@@ -1031,18 +1072,6 @@ def unreadable_service_request_through_the_edge(config, monkeypatch):
     return replies, [StatusCode.BAD_REQUEST]
 
 
-def offload_to_a_node_that_is_no_edge_worker(config, monkeypatch):
-    """An offload request naming a node the topology lacks: refused before
-    the task is exported, where the bundle's send once raised."""
-    system = build_system(config, "edge", 42)
-    exported = []
-    monkeypatch.setattr(system.cloud.coordinator, "export_task", exported.append)
-    replies = admin(system, Operation.OFFLOAD_REQUEST, system.cloud_id,
-                    [("task", "task-citizenB"), ("edge", "edge-ghost")])
-    assert exported == []  # nothing was exported
-    return replies, [StatusCode.NOT_FOUND]
-
-
 def service_request_after_its_task_root_was_deleted(config, monkeypatch):
     """A device deletes the task root at the cloud; the preparation's export
     of that task then fails, and the device hears so."""
@@ -1110,7 +1139,6 @@ def terminate_carrying_a_body_of_another_class(config, monkeypatch):
 @pytest.mark.parametrize("case", [
     retrieve_of_no_path,
     unreadable_service_request_through_the_edge,
-    offload_to_a_node_that_is_no_edge_worker,
     service_request_after_its_task_root_was_deleted,
     record_of_a_slice_the_registry_lacks,
     second_finalize_of_a_root_while_a_notification_is_in_flight,
@@ -1168,22 +1196,16 @@ def valid_control_bodies(system) -> dict[Operation, tuple[str, bytes]]:
     a prepared deployment."""
     config = system.config
     task = config.tasks[0]
-    plan = SlicingPlan(PlanDecision.INSTANTIATE_THEN_OFFLOAD, "slice-edge0",
-                       frozenset({FunctionKind.RETRIEVE}))
-    quota = config.quota
     image = config.catalogue.lookup(FunctionKind.RETRIEVE)
     bundle = make_bundle(system.cloud.tree, ResourcePath.parse(task.root), task.task_id, 0.0)
-    head = BundleHead("c", task.task_id, "eager", task.root, system.cloud_id)
     cloud, edge = system.cloud_id, "edge0"
     bodies = {
         Operation.SERVICE_REQUEST: (cloud, config.profile()),
         Operation.SLICE_RECORD: (cloud, RecordBody("c", "slice-edge0", "RETRIEVE:62591")),
-        Operation.OFFLOAD_REQUEST: (cloud, OffloadBody(task.task_id, edge)),
         Operation.SLICE_TERMINATE: (cloud, SliceBody("slice-edge0")),
-        Operation.SLICE_INSTANTIATE: (edge, InstantiateBody(plan, "c", quota, (image,))),
-        Operation.BUNDLE_TRANSFER: (edge, BundleTransfer(head, bundle)),
+        Operation.SLICE_INSTANTIATE: (edge, InstantiateBody("c", "slice-edge0", config.quota, (image,))),
+        Operation.BUNDLE_TRANSFER: (edge, BundleTransfer(BundleHead("c", "eager"), bundle)),
         Operation.SYNC_FINALIZE: (edge, TaskRoot(task.task_id, "MN-CSE/Pedestrians/CitizenB")),
-        Operation.START_FUNCTION: (edge, StartBody(image.image_id, quota.max_memory_bytes, quota.max_cpu_share)),
         Operation.STOP_FUNCTION: (edge, FunctionBody("RETRIEVE")),
         Operation.CRASH: (edge, FunctionBody("RETRIEVE")),
     }
@@ -1358,7 +1380,7 @@ class TestMessagesAsObjects:
         device = system.devices[system.device_id]
         task_root = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
         bundle = make_bundle(system.cloud.tree, task_root, "task-citizenB", 0.0)
-        transfer = BundleTransfer(BundleHead(None, "task-citizenB", "lazy"), bundle)
+        transfer = BundleTransfer(BundleHead(None, "lazy"), bundle)
         req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-1", content=transfer)
         responses = []
         device.pending["raw-1"] = responses.append
@@ -1369,6 +1391,28 @@ class TestMessagesAsObjects:
         imported = make_bundle(edge_tree, ResourcePath("MN-CSE", task_root.segments), "t", 0.0)
         assert imported.records == bundle.records
 
+    def test_an_eager_bundle_transfer_sent_as_bytes_binds_to_the_edge_s_cloud(self, config):
+        """Its head names only the mode; the edge binds the bundle's task and
+        source root, and sends the bound container's changes to its cloud."""
+        system = build_system(config, "edge", 42)
+        device = system.devices[system.device_id]
+        task_root = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
+        bundle = make_bundle(system.cloud.tree, task_root, "task-citizenB", 0.0)
+        body = BundleTransfer(BundleHead(None, "eager"), bundle).to_bytes()
+        assert body.partition(b"\n")[0] == b"mode=eager"
+        req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-e", content=body)
+        responses = []
+        device.pending["raw-e"] = responses.append
+        system.network.send(device.node_id, "edge0", req.encode(), 0)
+        system.run_until_idle()
+        edge_root = ResourcePath("MN-CSE", task_root.segments)
+        assert [read_body(r.content, TaskRoot) for r in responses] == [TaskRoot("task-citizenB", str(edge_root))]
+        edge = system.edges["edge0"]
+        assert edge.sync_infos == [EdgeSyncInfo("task-citizenB", edge_root, task_root, system.cloud_id)]
+        tree = edge.worker.tree
+        subscriptions = [r for r in tree.walk(tree.resolve(edge_root).id) if r.name == SYNC_SUB_NAME]
+        assert subscriptions and {r.notification_target[0] for r in subscriptions} == {system.cloud_id}
+
     def test_a_bundle_transfer_with_a_forward_parent_index_is_unreadable(self, config):
         """Its body decodes to no bundle, so it is answered 4000 and the
         edge tree is not touched."""
@@ -1376,7 +1420,7 @@ class TestMessagesAsObjects:
         device = system.devices[system.device_id]
         task_root = ResourcePath.parse("IN-CSE/Pedestrians/CitizenB")
         bundle = make_bundle(system.cloud.tree, task_root, "task-citizenB", 0.0)
-        body = BundleTransfer(BundleHead(None, "task-citizenB", "lazy"), bundle).to_bytes()
+        body = BundleTransfer(BundleHead(None, "lazy"), bundle).to_bytes()
         first_child = b"\npi=0;"
         assert body.count(first_child) == 1 and len(bundle.records) > 2
         body = body.replace(first_child, b"\npi=2;")  # names the record after it
@@ -1403,7 +1447,7 @@ class TestMessagesAsObjects:
             BundleRecord(-1, ResourceKind.CONTAINER, "box", 0.0),
             BundleRecord(0, ResourceKind.SUBSCRIPTION, "s", 0.0),
         ))
-        body = BundleTransfer(BundleHead(None, "task-x", "lazy"), bundle).to_bytes()
+        body = BundleTransfer(BundleHead(None, "lazy"), bundle).to_bytes()
         req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-3", content=body)
         responses = []
         device.pending["raw-3"] = responses.append
@@ -1436,7 +1480,7 @@ class TestMessagesAsObjects:
         system.prepare()
         device = system.devices[system.device_id]
         bundle = OffloadBundle("task-x", 0.0, root, (record,))
-        body = BundleTransfer(BundleHead(None, "task-x", "lazy"), bundle).to_bytes()
+        body = BundleTransfer(BundleHead(None, "lazy"), bundle).to_bytes()
         req = RequestPrimitive(Operation.BUNDLE_TRANSFER, "edge0", device.node_id, "raw-5", content=body)
         responses = []
         device.pending["raw-5"] = responses.append

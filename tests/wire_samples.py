@@ -27,7 +27,15 @@ once: a field value keeps every printable ASCII character but ``;`` and
 ``%``, so base64 content travels raw, and a ``t:`` payload takes any ASCII
 text, newlines escaped, in place of a second base64 encoding. Every traffic
 digest moved, and every sample but ``response_binary``, ``response_empty``
-and ``retrieve``.
+and ``retrieve``. It was regenerated a third time when two control bodies
+stopped repeating what the edge already holds: ``SLICE_INSTANTIATE`` names
+its slice on its meta line in place of a slicing plan's line, and a bundle
+transfer's head names only its preparation and sync mode, the task and the
+mirror's root being the bundle's and the cloud the edge's own. The
+``calibrated_eager``, ``calibrated_lazy_terminate``, ``campus_redirect`` and
+``prepare_200_bundle_transfer`` digests moved, each with its message count
+(30, 28, 26 and 1); ``calibrated_cloud``, which sends no control body, and
+every sample did not.
 """
 from __future__ import annotations
 
